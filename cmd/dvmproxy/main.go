@@ -117,7 +117,7 @@ func main() {
 	attestPolicy := flag.String("attest-policy", "always", "which keys run at the full quorum: always, sampled (1-in-attest-sample-rate by key hash), or hot (keys past -hot-threshold)")
 	attestSampleRate := flag.Int("attest-sample-rate", 0, "1-in-N rate for -attest-policy sampled (0 = default 16)")
 	quarantineAfter := flag.Int("quarantine-after", 0, "attestation divergences before a peer is quarantined: excluded from fills and variant votes (0 = default 3)")
-	aotBaseArch := flag.String("aot-base-arch", "", "enable the fleet-shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off)")
+	aotBaseArch := flag.String("aot-base-arch", "", "enable the shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off); standalone or cluster")
 	prefetchK := flag.Int("prefetch-k", 0, "predictive prefetch: top-k first-use successors piggybacked onto each peer fill (0 = default 3, -1 disables the predictor)")
 	prefetchBudget := flag.Int("prefetch-budget", 0, "predictive prefetch: byte budget per piggyback batch (0 = default 256KiB)")
 	prefetchConfidence := flag.Float64("prefetch-confidence", 0, "predictive prefetch: minimum successor confidence (edge weight / out-weight) to piggyback (0 = default 0.25)")
@@ -129,7 +129,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrent origin-fetch+pipeline flights (0 = 8 x GOMAXPROCS)")
 	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
-	shedPolicy := flag.String("shed-policy", proxy.ShedPriority, "what to shed under overload: priority (stale-serve first, peers before clients), fifo (tail-drop only), none")
+	shedPolicy := flag.String("shed-policy", proxy.ShedPriority, "what to shed under overload: priority (stale-serve first, peers before clients) or fifo (tail-drop only); -max-queue 0 turns admission control off")
 	flag.Parse()
 	if *originDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: dvmproxy -origin dir [-addr :8642] [-policy policy.xml] [-self URL -peers URL,...]")
@@ -172,6 +172,14 @@ func main() {
 		MaxConcurrent:    *maxConcurrent,
 		QueueDeadline:    *queueDeadline,
 		ShedPolicy:       *shedPolicy,
+		AOTBaseArch:      *aotBaseArch,
+	}
+	if *shedPolicy != proxy.ShedPriority && *shedPolicy != proxy.ShedFIFO {
+		log.Fatalf("dvmproxy: -shed-policy %q: want %s or %s", *shedPolicy, proxy.ShedPriority, proxy.ShedFIFO)
+	}
+	if *aotBaseArch != "" {
+		log.Printf("dvmproxy: AOT code cache on: misses for the compiled arch derive from cached %q artifacts (one compilation per key)",
+			*aotBaseArch)
 	}
 	if *auditLog != "" {
 		f, err := os.OpenFile(*auditLog, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
@@ -210,7 +218,6 @@ func main() {
 			PrefetchK:          *prefetchK,
 			PrefetchBudget:     *prefetchBudget,
 			PrefetchConfidence: *prefetchConfidence,
-			AOTBaseArch:        *aotBaseArch,
 		})
 		if err != nil {
 			log.Fatalf("dvmproxy: %v", err)
@@ -226,10 +233,6 @@ func main() {
 		if *prefetchK >= 0 {
 			log.Printf("dvmproxy: predictive prefetch on (top-k %d, budget %dB, confidence %.2f; 0 = package default)",
 				*prefetchK, *prefetchBudget, *prefetchConfidence)
-		}
-		if *aotBaseArch != "" {
-			log.Printf("dvmproxy: AOT code cache on: misses for the compiled arch derive from cached %q artifacts (one compilation per key fleet-wide)",
-				*aotBaseArch)
 		}
 	} else {
 		p := proxy.New(origin, cfg)

@@ -27,8 +27,11 @@ func aotProxyCfg(i int) proxy.Config {
 	return proxy.Config{
 		Pipeline:     rewrite.NewPipeline(verifier.Filter(), compiler.Filter()),
 		CacheEnabled: true,
+		AOTBaseArch:  aotBaseArch,
 	}
 }
+
+const aotBaseArch = "jvm"
 
 // TestAOTClusterCompileOnce drives a 3-node attested fleet through both
 // architectures and asserts the headline property: the fleet pays one
@@ -36,7 +39,7 @@ func aotProxyCfg(i int) proxy.Config {
 // nodes serve the compiled form.
 func TestAOTClusterCompileOnce(t *testing.T) {
 	const nodes, classes = 3, 12
-	const baseArch = "jvm"
+	const baseArch = aotBaseArch
 	org := &countingOrigin{inner: corpus(t, classes)}
 	c, err := cluster.StartLocal(org, nodes, aotProxyCfg, func(int) cluster.Config {
 		return cluster.Config{
@@ -45,7 +48,6 @@ func TestAOTClusterCompileOnce(t *testing.T) {
 			GossipInterval: -1,
 			AttestKey:      attestTestKey(),
 			AttestQuorum:   2,
-			AOTBaseArch:    baseArch,
 		}
 	})
 	if err != nil {
@@ -71,11 +73,9 @@ func TestAOTClusterCompileOnce(t *testing.T) {
 	// Spread the base artifacts fleet-wide (a warm fleet is the steady
 	// state replication and handoff converge to; doing it explicitly
 	// keeps the phase-2 counters exact and timing-independent).
-	var entries []proxy.CacheEntry
+	var entries []*proxy.Artifact
 	for _, n := range c.Nodes {
-		for _, e := range n.Proxy().CacheSnapshot(0, func(arch, _ string) bool { return arch == baseArch }) {
-			entries = append(entries, e)
-		}
+		entries = append(entries, n.Proxy().CacheSnapshot(0, func(arch, _ string) bool { return arch == baseArch })...)
 	}
 	for _, n := range c.Nodes {
 		n.Proxy().Warm(entries)

@@ -1,11 +1,11 @@
 package cluster
 
-// Quorum attestation: the cluster half of internal/attest. On an
-// owner-side cache miss the proxy's Attest hook lands here; for keys
-// the policy selects, the owner POSTs the *origin* bytes to ring
-// successors over /peer/attest, each variant runs its own pipeline and
-// answers with only the SHA-256 digest of what it would have served,
-// and the owner compares votes. Agreement seals the artifact under the
+// Quorum attestation: the cluster half of internal/attest. The proxy
+// asks its fleet to Seal every artifact it produces; for keys the
+// policy selects, the owner POSTs the payload the artifact was derived
+// from to ring successors over /peer/v1/attest/, each variant re-derives
+// it and answers with only the SHA-256 digest of what it would have
+// served, and the owner compares votes. Agreement seals the artifact under the
 // service key; every later hop that moves the bytes (peer fill,
 // replica push, handoff) re-verifies that seal instead of trusting the
 // wire.
@@ -20,13 +20,12 @@ package cluster
 // serves bytes its own fleet outvoted. If no majority exists, nothing
 // can be trusted and the flight fails too.
 //
-// Variant dispatch reuses the peer machinery end to end: per-peer
-// circuit breakers, admission backpressure (a pressured or draining
-// variant sheds with 429 and the owner moves to the next candidate),
-// epoch piggybacking, and trace spans across the hop.
+// Variant dispatch reuses the peer machinery end to end (peerPost):
+// per-peer circuit breakers, admission backpressure (a pressured or
+// draining variant sheds with 429 and the owner moves to the next
+// candidate), epoch piggybacking, and trace spans across the hop.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,45 +47,30 @@ type attestVote struct {
 	Digest string `json:"digest"`
 }
 
-// attestModeHeader selects what a variant does with the posted bytes:
-// absent (or "transform") means "run your pipeline over these origin
-// bytes and vote with the output digest"; attestModeCompile means "the
-// body is an already transformed base-architecture artifact — derive
-// the compiled form with your own AOT compiler and vote with that
-// digest". The compile mode is how the shared AOT code cache keeps the
-// N-variant trust property without shipping origin bytes a second time.
-const (
-	attestModeHeader  = "X-DVM-Attest-Mode"
-	attestModeCompile = "compile"
-)
+// attestModeHeader carries the proxy.SealMode of a variant request:
+// absent means "run your pipeline over these origin bytes and vote with
+// the output digest"; "compile" means "the body is an already
+// transformed base-architecture artifact — derive the compiled form
+// with your own AOT compiler and vote with that digest", which is how
+// the shared AOT code cache keeps the N-variant trust property without
+// shipping origin bytes a second time.
+const attestModeHeader = "X-DVM-Attest-Mode"
 
 // maxAttestExtraRounds bounds tie-break escalation: after the initial
 // quorum, at most this many extra variants are consulted one at a time
 // before the round is declared unresolvable.
 const maxAttestExtraRounds = 2
 
-// attestFlight is the proxy's Attest hook: run the quorum protocol for
-// one freshly transformed artifact and return the sealed attestation.
-// Runs on the flight goroutine under the admission slot, so the
-// variants' round-trips are part of the key's one-time service cost.
-func (n *Node) attestFlight(ctx context.Context, arch, class string, raw, out []byte) (*attest.Attestation, error) {
-	return n.attestQuorum(ctx, arch, class, raw, out, "")
-}
-
-// attestCompileFlight is the proxy's AttestCompile hook: the quorum
-// protocol for an AOT-derived artifact. The dispatched payload is the
-// base-architecture artifact (not origin bytes), and variants vote in
-// compile mode — each re-derives with its own compiler and answers
-// with the digest, so compiler corruption diverges exactly like
-// pipeline corruption does on the transform route.
-func (n *Node) attestCompileFlight(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error) {
-	return n.attestQuorum(ctx, arch, class, base, out, attestModeCompile)
-}
-
-// attestQuorum is the shared quorum engine behind both hooks: dispatch
-// payload to ring successors under mode, tally digests against the
-// local out, escalate ties, seal on agreement.
-func (n *Node) attestQuorum(ctx context.Context, arch, class string, payload, out []byte, mode string) (*attest.Attestation, error) {
+// Seal implements proxy.Fleet: the quorum protocol for one artifact this
+// node just produced. Dispatch payload to ring successors under mode,
+// tally their digests against the local bytes, escalate ties, seal on
+// agreement. Runs on the flight goroutine under the admission slot, so
+// the variants' round-trips are part of the key's one-time service cost.
+func (n *Node) Seal(ctx context.Context, art *proxy.Artifact, payload []byte, mode proxy.SealMode) (*attest.Attestation, error) {
+	if n.authority == nil {
+		return nil, nil
+	}
+	arch, class, out := art.Arch, art.Class, art.Data
 	local := attest.Digest(out)
 	want := n.authority.QuorumFor(arch, class)
 	if want <= 1 {
@@ -165,7 +149,7 @@ func (n *Node) variantCandidates(arch, class string) []string {
 // dispatching concurrently and refilling from the remaining pool as
 // variants fail or shed. Returns the votes and the unused candidates
 // (the tie-break pool).
-func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte, candidates []string, need int, mode string) ([]attest.Vote, []string) {
+func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte, candidates []string, need int, mode proxy.SealMode) ([]attest.Vote, []string) {
 	votes := make([]attest.Vote, 0, need)
 	i := 0
 	for len(votes) < need && i < len(candidates) {
@@ -194,66 +178,35 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, raw []byte,
 	return votes, candidates[i:]
 }
 
-// variantDigest asks one peer to transform raw and vote. The hop runs
-// under the peer's circuit breaker: a 429 (backpressure or drain) is a
-// healthy shed, a transport failure feeds the breaker like any other
+// variantDigest asks one peer to re-derive from raw and vote. The hop
+// runs under the peer's circuit breaker: a 429 (backpressure or drain)
+// is a healthy shed, anything else feeds the breaker like any other
 // peer-protocol failure.
-func (n *Node) variantDigest(ctx context.Context, peer, arch, class string, raw []byte, mode string) (string, error) {
+func (n *Node) variantDigest(ctx context.Context, peer, arch, class string, raw []byte, mode proxy.SealMode) (string, error) {
 	b := n.breaker(peer)
 	if err := b.Allow(); err != nil {
 		return "", err
 	}
-	tr := telemetry.FromContext(ctx)
-	hopStart := tr.Elapsed()
-	span := tr.StartSpan(n.cfg.Self, "attest.variant")
+	span := telemetry.FromContext(ctx).StartSpan(n.cfg.Self, "attest.variant")
 	defer span.End()
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+attestV1Prefix+class+".class", bytes.NewReader(raw))
-	if err != nil {
-		return "", err
+	var v attestVote
+	err := n.peerPost(ctx, peer, attestV1Prefix+class+".class", "application/java-vm", raw, n.cfg.PeerTimeout, &v,
+		"X-DVM-Arch", arch, attestModeHeader, string(mode), "X-DVM-Client", "peer:"+n.cfg.Self)
+	if err == nil && len(v.Digest) != 64 {
+		err = fmt.Errorf("cluster: variant %s: bad vote %q", peer, v.Digest)
 	}
-	req.Header.Set("X-DVM-Arch", arch)
-	if mode != "" {
-		req.Header.Set(attestModeHeader, mode)
-	}
-	req.Header.Set("X-DVM-Client", "peer:"+n.cfg.Self)
-	req.Header.Set("Content-Type", "application/java-vm")
-	req.Header.Set(epochHeader, fmtEpoch(n.mship.Epoch()))
-	if id := tr.ID(); id != "" {
-		req.Header.Set(telemetry.TraceHeader, id)
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		b.Failure()
-		return "", err
-	}
-	defer resp.Body.Close()
-	n.noteEpoch(resp.Header.Get(epochHeader))
-	if resp.StatusCode == http.StatusTooManyRequests {
+	if errors.Is(err, proxy.ErrOverloaded) {
 		// Deliberate shed: the variant is healthy but loaded or leaving.
-		if resp.Header.Get(drainingHeader) == "1" {
-			n.mship.NoteDraining(peer)
-		}
 		b.Success()
 		n.cPeerBackpressure.Inc()
-		return "", fmt.Errorf("cluster: variant %s shed: %w", peer, proxy.ErrOverloaded)
+		return "", err
 	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+	if err != nil {
 		b.Failure()
-		return "", fmt.Errorf("cluster: variant %s: %s: %s", peer, resp.Status, strings.TrimSpace(string(body)))
-	}
-	var v attestVote
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&v); err != nil || len(v.Digest) != 64 {
-		b.Failure()
-		return "", fmt.Errorf("cluster: variant %s: bad vote: %v", peer, err)
+		return "", err
 	}
 	b.Success()
 	n.mship.Refute(peer) // direct evidence of life
-	if spans, derr := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); derr == nil {
-		tr.AppendShifted(spans, hopStart)
-	}
 	return v.Digest, nil
 }
 
@@ -283,11 +236,11 @@ func (n *Node) handleAttest(w http.ResponseWriter, r *http.Request) {
 	ctx := telemetry.WithTrace(r.Context(), tr)
 	var digest string
 	var terr error
-	if r.Header.Get(attestModeHeader) == attestModeCompile {
+	if proxy.SealMode(r.Header.Get(attestModeHeader)) == proxy.SealCompile {
 		// Compile-mode vote: the body is a base-architecture artifact;
 		// answer with the digest of this node's own derivation.
 		span := tr.StartSpan(n.cfg.Self, "attest.compile")
-		digest, terr = n.local.CompileDigest(ctx, arch, name, raw)
+		digest, terr = n.local.CompileDigest(arch, name, raw)
 		span.End()
 	} else {
 		span := tr.StartSpan(n.cfg.Self, "attest.transform")

@@ -59,8 +59,8 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	// Missing attestation: rejected, but not ledgered — it proves a
 	// config mismatch, not corruption.
 	res := n.fetchPeer(ctx, owner.URL, lookup)
-	if res.Outcome != proxy.PeerFailed || !errors.Is(res.Err, attest.ErrUnattested) {
-		t.Fatalf("unattested fill = %+v, want PeerFailed/ErrUnattested", res)
+	if res.Art != nil || !errors.Is(res.Err, attest.ErrUnattested) {
+		t.Fatalf("unattested fill = %+v, want failed/ErrUnattested", res)
 	}
 	if got := n.authority.Divergences(owner.URL); got != 0 {
 		t.Errorf("missing attestation ledgered: %d divergences", got)
@@ -70,8 +70,8 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	// mismatch is corruption evidence against the owner.
 	header.Store(service.Attest("dvm", "app/Hop", []byte("tampered"), 1, nil).Encode())
 	res = n.fetchPeer(ctx, owner.URL, lookup)
-	if res.Outcome != proxy.PeerFailed || !errors.Is(res.Err, attest.ErrVerify) {
-		t.Fatalf("tampered fill = %+v, want PeerFailed/ErrVerify", res)
+	if res.Art != nil || !errors.Is(res.Err, attest.ErrVerify) {
+		t.Fatalf("tampered fill = %+v, want failed/ErrVerify", res)
 	}
 	if got := n.authority.Divergences(owner.URL); got != 1 {
 		t.Errorf("corrupt payload not ledgered: %d divergences, want 1", got)
@@ -81,8 +81,8 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	forged := attest.New(attest.Config{Key: []byte("attacker-key")})
 	header.Store(forged.Attest("dvm", "app/Hop", data, 1, nil).Encode())
 	res = n.fetchPeer(ctx, owner.URL, lookup)
-	if res.Outcome != proxy.PeerFailed || !errors.Is(res.Err, attest.ErrVerify) {
-		t.Fatalf("forged-seal fill = %+v, want PeerFailed/ErrVerify", res)
+	if res.Art != nil || !errors.Is(res.Err, attest.ErrVerify) {
+		t.Fatalf("forged-seal fill = %+v, want failed/ErrVerify", res)
 	}
 
 	if got := n.cAttestRejects.Load(); got != 3 {
@@ -93,8 +93,8 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	// along with the bytes.
 	header.Store(service.Attest("dvm", "app/Hop", data, 1, nil).Encode())
 	res = n.fetchPeer(ctx, owner.URL, lookup)
-	if res.Outcome != proxy.PeerServed || !bytes.Equal(res.Data, data) || res.Att == nil {
-		t.Fatalf("valid fill = %+v, want PeerServed with attestation", res)
+	if res.Art == nil || !bytes.Equal(res.Art.Data, data) || res.Art.Att == nil {
+		t.Fatalf("valid fill = %+v, want served with attestation", res)
 	}
 }
 

@@ -57,15 +57,13 @@ func pollUntil(t *testing.T, what string, cond func() bool) {
 // requester must degrade to its local origin, count the event apart
 // from peer errors, and leave the link breaker untouched.
 func TestClusterPeerBackpressureFallsBackLocally(t *testing.T) {
-	const classes = 8
 	overloaded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "overloaded", http.StatusTooManyRequests)
 	}))
 	defer overloaded.Close()
 
-	org := corpus(t, classes)
-	n, err := cluster.NewNode(org, proxy.Config{
+	n, err := cluster.NewNode(anyApplet{}, proxy.Config{
 		Pipeline: rewrite.NewPipeline(verifier.Filter()),
 		// Cache off so repeat requests exercise the peer path again.
 	}, cluster.Config{
@@ -77,17 +75,8 @@ func TestClusterPeerBackpressureFallsBackLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pick a class the shedding server owns, so every miss peer-fills it.
-	var remote string
-	for _, class := range classNames(classes) {
-		if n.Ring().Owner(cluster.KeyFor("dvm", class)) == overloaded.URL {
-			remote = class
-			break
-		}
-	}
-	if remote == "" {
-		t.Fatal("no class owned by the overloaded peer")
-	}
+	// A class the shedding server owns, so every miss peer-fills it.
+	remote := classesOwnedBy(t, n.Ring(), overloaded.URL, 1)[0]
 
 	ctx := context.Background()
 	const attempts = 4
@@ -123,8 +112,7 @@ func TestClusterPeerBackpressureFallsBackLocally(t *testing.T) {
 // fill with 429 + Retry-After, and the requester serves the class from
 // its own origin without recording a peer failure.
 func TestClusterOwnerShedsPeerFill(t *testing.T) {
-	const classes = 12
-	org := newGatedOrigin(corpus(t, classes))
+	org := newGatedOrigin(anyApplet{})
 	c, err := cluster.StartLocal(org, 2, func(i int) proxy.Config {
 		cfg := proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}
 		if i == 1 {
@@ -143,16 +131,7 @@ func TestClusterOwnerShedsPeerFill(t *testing.T) {
 
 	// Three distinct classes owned by node 1: one to hold its only
 	// service slot, one to fill its queue, one for node 0 to request.
-	ring := c.Nodes[0].Ring()
-	var owned []string
-	for _, class := range classNames(classes) {
-		if ring.Owner(cluster.KeyFor("dvm", class)) == c.Nodes[1].Self() {
-			owned = append(owned, class)
-		}
-	}
-	if len(owned) < 3 {
-		t.Fatalf("only %d classes owned by node 1, need 3", len(owned))
-	}
+	owned := classesOwnedBy(t, c.Nodes[0].Ring(), c.Nodes[1].Self(), 3)
 
 	ctx := context.Background()
 	org.gated.Store(true)

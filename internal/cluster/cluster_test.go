@@ -23,21 +23,54 @@ import (
 	"dvm/internal/verifier"
 )
 
+// appletClass builds the single-class applet called name.
+func appletClass(name string, val int) ([]byte, error) {
+	b := classgen.NewClass(name, "java/lang/Object")
+	b.DefaultInit()
+	m := b.Method(classfile.AccPublic|classfile.AccStatic, "val", "()I")
+	m.IConst(int32(val)).IReturn()
+	return b.BuildBytes()
+}
+
 // corpus builds n distinct single-class applets.
 func corpus(t *testing.T, n int) proxy.MapOrigin {
 	t.Helper()
 	out := make(proxy.MapOrigin, n)
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("app/Applet%03d", i)
-		b := classgen.NewClass(name, "java/lang/Object")
-		b.DefaultInit()
-		m := b.Method(classfile.AccPublic|classfile.AccStatic, "val", "()I")
-		m.IConst(int32(i)).IReturn()
-		data, err := b.BuildBytes()
+	for i, name := range classNames(n) {
+		data, err := appletClass(name, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[name] = data
+	}
+	return out
+}
+
+// anyApplet is an origin that serves an applet under any name, so a
+// test can keep drawing names until the ring places them where it needs
+// them (see classesOwnedBy).
+type anyApplet struct{}
+
+func (anyApplet) Fetch(_ context.Context, name string) ([]byte, error) {
+	return appletClass(name, len(name))
+}
+
+// classesOwnedBy draws class names until want of them are owned by
+// owner on ring. Ring placement hashes the members' ephemeral listener
+// ports, so no fixed list of names has a guaranteed split; drawing until
+// the ring yields enough is the only construction that never flakes.
+// The names need an origin that can serve them all (anyApplet).
+func classesOwnedBy(t *testing.T, ring *cluster.Ring, owner string, want int) []string {
+	t.Helper()
+	var out []string
+	for i := 0; len(out) < want; i++ {
+		if i == 1<<16 {
+			t.Fatalf("ring gives %s no keys", owner)
+		}
+		class := fmt.Sprintf("app/Applet%03d", i)
+		if ring.Owner(cluster.KeyFor("dvm", class)) == owner {
+			out = append(out, class)
+		}
 	}
 	return out
 }
@@ -239,8 +272,7 @@ func TestClusterPeerDownDegradesToLocal(t *testing.T) {
 // owner crosses HotThreshold and gets replicated into the node's own
 // cache, after which the peer traffic for it stops.
 func TestClusterHotKeyReplication(t *testing.T) {
-	const classes = 8
-	org := &countingOrigin{inner: corpus(t, classes)}
+	org := &countingOrigin{inner: anyApplet{}}
 	// Replication 1: with the R=2 default a 2-node cluster replicates
 	// every key to both nodes, which would warm node 0's cache before
 	// the hot threshold could ever be crossed.
@@ -252,18 +284,8 @@ func TestClusterHotKeyReplication(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Find a class owned by node 1 so node 0 must peer-fill it.
-	ring := c.Nodes[0].Ring()
-	var remote string
-	for _, class := range classNames(classes) {
-		if ring.Owner(cluster.KeyFor("dvm", class)) == c.Nodes[1].Self() {
-			remote = class
-			break
-		}
-	}
-	if remote == "" {
-		t.Fatal("no class owned by node 1")
-	}
+	// A class owned by node 1, so node 0 must peer-fill it.
+	remote := classesOwnedBy(t, c.Nodes[0].Ring(), c.Nodes[1].Self(), 1)[0]
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := c.Nodes[0].Request(ctx, proxy.Lookup{Client: "client", Arch: "dvm", Class: remote}); err != nil {

@@ -3,7 +3,7 @@ package cluster
 // Replication and cache handoff: the warm paths that keep an ownership
 // change from turning into a cold-start storm.
 //
-// Replication (push, continuous): every class this node transforms
+// Replication (push, continuous): every artifact this node produces
 // itself is pushed, asynchronously and best-effort, to the key's other
 // ring owners (Replication-1 successors). A push lands in the
 // receiver's cache via proxy.Warm, so when a primary dies its successor
@@ -29,14 +29,16 @@ import (
 	"sort"
 	"time"
 
-	"dvm/internal/attest"
 	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
 
-// defaultHandoffMaxBytes bounds one handoff transfer when Config leaves
-// it zero: enough for the hot tail, far from a full cache copy.
-const defaultHandoffMaxBytes = 8 << 20
+// handoffMaxBytes bounds one handoff transfer: enough for the hot tail,
+// far from a full cache copy. handoffTimeout bounds one pull.
+const (
+	handoffMaxBytes = 8 << 20
+	handoffTimeout  = 5 * time.Second
+)
 
 // replQueueLen is the replication push queue bound. Pushes beyond it
 // are dropped (and counted): replication is an optimization, and a
@@ -44,19 +46,15 @@ const defaultHandoffMaxBytes = 8 << 20
 // gone — exactly when queuing more would hurt.
 const replQueueLen = 256
 
-type replItem struct {
-	arch, class string
-	data        []byte
-	att         *attest.Attestation
-}
-
-// onTransformed is the proxy's OnTransformed hook: enqueue the freshly
-// transformed class for replication to its other owners, attestation
-// included so the receiver can re-verify. Runs on the flight goroutine
-// — must never block.
-func (n *Node) onTransformed(arch, class string, data []byte, att *attest.Attestation) {
+// Replicate implements proxy.Fleet: enqueue the freshly sealed artifact
+// for replication to its other owners. Runs on the flight goroutine —
+// must never block.
+func (n *Node) Replicate(art *proxy.Artifact) {
+	if n.cfg.Replication <= 1 {
+		return
+	}
 	select {
-	case n.replCh <- replItem{arch: arch, class: class, data: data, att: att}:
+	case n.replCh <- art:
 	default:
 		n.cReplicaDrops.Inc()
 	}
@@ -78,12 +76,9 @@ func (n *Node) replWorker() {
 // pushReplicas sends one transformed class to the key's other owners
 // over the batch protocol. Best-effort: a failed push costs nothing but
 // the warm copy.
-func (n *Node) pushReplicas(it replItem) {
-	e := BatchEntry{Arch: it.arch, Class: it.class, Reason: proxy.ReasonReplica, Data: it.data}
-	if it.att != nil {
-		e.Att = it.att.Encode()
-	}
-	owners := n.currentRing().Owners(KeyFor(it.arch, it.class), n.cfg.Replication)
+func (n *Node) pushReplicas(art *proxy.Artifact) {
+	e := toWire(art, proxy.ReasonReplica)
+	owners := n.currentRing().Owners(KeyFor(art.Arch, art.Class), n.cfg.Replication)
 	for _, o := range owners {
 		if o == n.cfg.Self {
 			continue
@@ -102,7 +97,7 @@ func (n *Node) pushReplicas(it replItem) {
 // transfer (stable sort, so entries the predictor has never seen keep
 // their MRU order), then the byte budget cuts the tail. A joining node
 // therefore warms up in the order the workload will actually ask.
-func (n *Node) handoffEntries(member string, maxBytes int) []proxy.CacheEntry {
+func (n *Node) handoffEntries(member string, maxBytes int) []*proxy.Artifact {
 	ring := n.currentRing()
 	entries := n.heatOrdered(n.local.CacheSnapshot(0, func(arch, class string) bool {
 		return ring.Owners(KeyFor(arch, class), 1)[0] == member
@@ -124,7 +119,7 @@ func (n *Node) handoffEntries(member string, maxBytes int) []proxy.CacheEntry {
 
 // heatOrdered stable-sorts cache entries by descending predictor heat;
 // a nil predictor leaves the MRU order untouched.
-func (n *Node) heatOrdered(entries []proxy.CacheEntry) []proxy.CacheEntry {
+func (n *Node) heatOrdered(entries []*proxy.Artifact) []*proxy.Artifact {
 	if n.predictor != nil {
 		sort.SliceStable(entries, func(i, j int) bool {
 			return n.predictor.Heat(entries[i].Arch, entries[i].Class) >
@@ -153,19 +148,19 @@ func (n *Node) PullHandoff(ctx context.Context) int {
 
 // pullFrom pulls this node's inherited entries from one peer over the
 // batch protocol. Handed-off entries re-verify like any other hop
-// (ingestEntry); an entry whose attestation fails is dropped —
-// inheriting a key is not worth inheriting corruption.
+// (ingest); an entry whose attestation fails is dropped — inheriting a
+// key is not worth inheriting corruption.
 func (n *Node) pullFrom(ctx context.Context, peer string) int {
 	br, err := n.doBatch(ctx, peer, BatchRequest{
-		Reason: proxy.ReasonHandoff, Member: n.cfg.Self, MaxBytes: n.cfg.HandoffMaxBytes,
-	}, n.cfg.HandoffTimeout)
+		Reason: proxy.ReasonHandoff, Member: n.cfg.Self, MaxBytes: handoffMaxBytes,
+	}, handoffTimeout)
 	if err != nil {
 		return 0
 	}
 	got := 0
 	for _, e := range br.Entries {
 		e.Reason = proxy.ReasonHandoff
-		if _, ierr := n.ingestEntry(e); ierr == nil {
+		if n.ingest(e, "") == nil {
 			got++
 		}
 	}
@@ -177,7 +172,7 @@ func (n *Node) pullFrom(ctx context.Context, peer string) int {
 // includes this node once DrainSelf has run), one batch per receiver.
 func (n *Node) pushHandoff(ctx context.Context) error {
 	ring := n.currentRing()
-	entries := n.heatOrdered(n.local.CacheSnapshot(n.cfg.HandoffMaxBytes, nil))
+	entries := n.heatOrdered(n.local.CacheSnapshot(handoffMaxBytes, nil))
 	batches := make(map[string][]BatchEntry)
 	order := make([]string, 0, 4) // deterministic push order (hottest first)
 	for _, e := range entries {
@@ -188,14 +183,10 @@ func (n *Node) pushHandoff(ctx context.Context) error {
 		if n.mship.State(owner) != stateAlive {
 			continue
 		}
-		be := BatchEntry{Arch: e.Arch, Class: e.Class, Reason: proxy.ReasonHandoff, Data: e.Data}
-		if e.Att != nil {
-			be.Att = e.Att.Encode()
-		}
 		if _, seen := batches[owner]; !seen {
 			order = append(order, owner)
 		}
-		batches[owner] = append(batches[owner], be)
+		batches[owner] = append(batches[owner], toWire(e, proxy.ReasonHandoff))
 	}
 	for _, owner := range order {
 		if ctx.Err() != nil {
@@ -225,7 +216,7 @@ func (n *Node) handoffWorker() {
 			return
 		case <-time.After(n.cfg.GossipInterval):
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.HandoffTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), handoffTimeout)
 		n.PullHandoff(ctx)
 		cancel()
 	}

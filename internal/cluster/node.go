@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dvm/internal/attest"
-	"dvm/internal/compiler"
 	"dvm/internal/prefetch"
 	"dvm/internal/proxy"
 	"dvm/internal/resilience"
@@ -58,11 +57,6 @@ type Config struct {
 	// SuspectTimeout is how long an unrefuted suspect survives before
 	// being declared dead and dropped from the ring (0 = default 3s).
 	SuspectTimeout time.Duration
-	// HandoffMaxBytes bounds one cache-handoff transfer
-	// (0 = default 8 MiB).
-	HandoffMaxBytes int
-	// HandoffTimeout bounds one handoff pull (0 = default 5s).
-	HandoffTimeout time.Duration
 	// HotThreshold is how many peer fills of one key this node performs
 	// before replicating the key into its own cache (0 = default 8,
 	// <0 = never replicate).
@@ -110,16 +104,6 @@ type Config struct {
 	// QuarantineAfter is how many divergences put a peer in quarantine
 	// (0 = attest.DefaultQuarantineAfter).
 	QuarantineAfter int
-
-	// AOTBaseArch, when set, enables the fleet-shared AOT code cache:
-	// a miss for the compiler's native architecture whose base-arch
-	// artifact is already cached is answered by deriving (compiling)
-	// those bytes instead of re-fetching and re-running the whole
-	// pipeline. With attestation on, derived artifacts are sealed by a
-	// compile-mode quorum (variants re-derive and vote). The value is
-	// the architecture string base artifacts are requested under (the
-	// pipeline output without the compile step, e.g. "jvm").
-	AOTBaseArch string
 }
 
 // defaultHotThreshold is the peer-fill count after which a key is
@@ -127,9 +111,9 @@ type Config struct {
 const defaultHotThreshold = 8
 
 // Node is one member of a sharded proxy cluster: a local proxy whose
-// miss path consults the ring, the peer-protocol client and server
-// halves, and the live-membership machinery (gossip.go, membership.go,
-// handoff.go).
+// Fleet it is (Fill, Seal, Replicate), the peer-protocol client and
+// server halves, and the live-membership machinery (gossip.go,
+// membership.go, handoff.go).
 type Node struct {
 	cfg    Config
 	local  *proxy.Proxy
@@ -156,15 +140,15 @@ type Node struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-	pokeCh    chan struct{} // coalesced "gossip now" requests
-	handoffCh chan struct{} // coalesced "pull handoff" requests
-	replCh    chan replItem // replication push queue
+	pokeCh    chan struct{}        // coalesced "gossip now" requests
+	handoffCh chan struct{}        // coalesced "pull handoff" requests
+	replCh    chan *proxy.Artifact // replication push queue
 
 	// Cluster counters live in the local proxy's telemetry registry, so
 	// one /metrics scrape covers the node end to end.
-	cPeerErrors  *telemetry.Counter   // failed peer-fill attempts (fell back to local origin)
-	cPeerServed  *telemetry.Counter   // peer-protocol requests this node answered as owner
-	cHotReplicas *telemetry.Counter   // keys promoted into the local cache as hot
+	cPeerErrors  *telemetry.Counter // failed peer-fill attempts (fell back to local origin)
+	cPeerServed  *telemetry.Counter // peer-protocol requests this node answered as owner
+	cHotReplicas *telemetry.Counter // keys promoted into the local cache as hot
 	// cPeerBackpressure counts fills the owner shed with 429: deliberate
 	// overload backpressure, not peer failures (no breaker penalty).
 	cPeerBackpressure *telemetry.Counter
@@ -191,9 +175,8 @@ type Node struct {
 	hPrefetchBatch    *telemetry.Histogram // piggybacked bytes per fill (byte-valued buckets)
 }
 
-// NewNode builds the node's proxy over origin with pcfg and wires its
-// miss path into the cluster. pcfg.PeerFill is overwritten; so is
-// pcfg.OnTransformed when replication is on.
+// NewNode builds the node's proxy over origin with pcfg and makes the
+// node its fleet (pcfg.Fleet is overwritten).
 func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Config.Self is required")
@@ -220,12 +203,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = 3 * time.Second
 	}
-	if cfg.HandoffMaxBytes <= 0 {
-		cfg.HandoffMaxBytes = defaultHandoffMaxBytes
-	}
-	if cfg.HandoffTimeout <= 0 {
-		cfg.HandoffTimeout = 5 * time.Second
-	}
 	if cfg.PrefetchBudget <= 0 {
 		cfg.PrefetchBudget = defaultPrefetchBudget
 	}
@@ -238,7 +215,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		closed:    make(chan struct{}),
 		pokeCh:    make(chan struct{}, 1),
 		handoffCh: make(chan struct{}, 1),
-		replCh:    make(chan replItem, replQueueLen),
+		replCh:    make(chan *proxy.Artifact, replQueueLen),
 	}
 	n.gossip.fails = make(map[string]int)
 	ring, err := NewRing(n.mship.RingMembers(), cfg.VirtualNodes, cfg.Seed)
@@ -256,10 +233,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 			n.pokeGossip()
 		}
 	}
-	pcfg.PeerFill = n.fill
-	if cfg.Replication > 1 {
-		pcfg.OnTransformed = n.onTransformed
-	}
+	pcfg.Fleet = n
 	if cfg.PrefetchK >= 0 {
 		n.predictor = prefetch.New(prefetch.Config{
 			TopK:          cfg.PrefetchK,
@@ -281,19 +255,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 			},
 			QuarantineAfter: cfg.QuarantineAfter,
 		})
-		pcfg.Attest = n.attestFlight
-	}
-	if cfg.AOTBaseArch != "" && pcfg.AOT == nil {
-		pcfg.AOT = &proxy.AOTConfig{
-			Arch:     compiler.ArchDVM,
-			BaseArch: cfg.AOTBaseArch,
-			Compile:  compiler.CompileArtifact,
-		}
-	}
-	if pcfg.AOT != nil && pcfg.AOT.AttestCompile == nil && len(cfg.AttestKey) > 0 {
-		// Derived artifacts get the same N-variant cross-check as
-		// transformed ones, in compile mode.
-		pcfg.AOT.AttestCompile = n.attestCompileFlight
 	}
 	if pcfg.Node == "" {
 		pcfg.Node = cfg.Self // trace spans name the node by its peer URL
@@ -494,17 +455,17 @@ func (n *Node) isHotKey(arch, class string) bool {
 	return n.hot[KeyFor(arch, class)] >= n.cfg.HotThreshold
 }
 
-// fill is the proxy's PeerFill hook: route the miss through the key's
-// owner chain. The primary is tried first; if it is down, draining, or
+// Fill implements proxy.Fleet: route the miss through the key's owner
+// chain. The primary is tried first; if it is down, draining, or
 // shedding, the warm replicas are tried in ring order — a replica holds
 // the pushed bytes, so a primary death degrades to one extra hop, not a
 // cold start. Reaching this node's own position in the chain (or
 // exhausting it) falls back to the local origin.
-func (n *Node) fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
+func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 	if isLocalOnly(ctx) {
 		// Peer-protocol request: we are being asked *as* an owner (or as
 		// a fallback); answer from here regardless of the ring view.
-		return proxy.PeerResult{Outcome: proxy.PeerSelf}
+		return proxy.PeerResult{}
 	}
 	key := KeyFor(l.Arch, l.Class)
 	owners := n.currentRing().Owners(key, n.cfg.Replication)
@@ -515,7 +476,7 @@ func (n *Node) fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 		if n.predictor != nil {
 			n.predictor.ObserveRequest(l.Client, l.Arch, l.Class)
 		}
-		return proxy.PeerResult{Outcome: proxy.PeerSelf}
+		return proxy.PeerResult{}
 	}
 	hot := n.noteFill(key)
 	var last proxy.PeerResult
@@ -524,29 +485,26 @@ func (n *Node) fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 			// Our own replica position: everything ahead of us in the
 			// chain failed, and our cache already missed — transform
 			// locally (we were due a copy of this key anyway).
-			return proxy.PeerResult{Outcome: proxy.PeerSelf}
+			return proxy.PeerResult{}
 		}
 		if n.authority != nil && n.authority.Quarantined(owner) {
 			// The ledger says this peer has served divergent bytes: never
-			// fill from it, even if its link is healthy. The chain moves
-			// on to the next owner (or the local origin).
+			// fill from it, even if its link is healthy.
 			n.cAttestRejects.Inc()
-			last = proxy.PeerResult{Outcome: proxy.PeerFailed, Peer: owner,
-				Err: fmt.Errorf("cluster: peer %s quarantined: %w", owner, attest.ErrVerify)}
+			last = proxy.PeerResult{Peer: owner, Err: fmt.Errorf("cluster: peer %s quarantined: %w", owner, attest.ErrVerify)}
 			continue
 		}
 		b := n.breaker(owner)
 		if err := b.Allow(); err != nil {
-			// The link is presumed down: skip the network hop and move on
-			// to the next owner in the chain.
+			// The link is presumed down: skip the network hop.
 			n.cPeerErrors.Inc()
-			last = proxy.PeerResult{Outcome: proxy.PeerFailed, Peer: owner, Err: err}
+			last = proxy.PeerResult{Peer: owner, Err: err}
 			continue
 		}
 		res := n.fetchPeer(ctx, owner, l)
 		res.Peer = owner
-		switch res.Outcome {
-		case proxy.PeerServed:
+		switch {
+		case res.Err == nil:
 			b.Success()
 			n.mship.Refute(owner) // direct evidence of life
 			if hot {
@@ -554,39 +512,30 @@ func (n *Node) fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 				n.cHotReplicas.Inc()
 			}
 			return res
-		case proxy.PeerFailed:
-			if attestRejection(res.Err) {
-				// The payload failed re-verification: the link is healthy
-				// (no breaker penalty) but the bytes cannot be used.
-				// fetchPeer already fed the ledger for corrupt payloads;
-				// try the next owner in the chain.
-				b.Success()
-				n.cPeerErrors.Inc()
-				last = res
-				continue
-			}
-			if errors.Is(res.Err, proxy.ErrOverloaded) {
-				// Deliberate backpressure (overload shed or draining): the
-				// peer is healthy — no breaker penalty, counted apart from
-				// real failures — but it will not serve us; try the next
-				// owner in the chain.
-				b.Success()
-				n.cPeerBackpressure.Inc()
-				last = res
-				continue
-			}
-			if resilience.IsPermanent(res.Err) {
-				// A definitive answer (e.g. the owner's origin says not
-				// found): the peer is healthy, only this key is
-				// unservable. No other owner will do better.
-				b.Success()
-				n.cPeerErrors.Inc()
-				return res
-			}
+		case errors.Is(res.Err, proxy.ErrOverloaded):
+			// Deliberate backpressure (overload shed or draining): the
+			// peer is healthy — no breaker penalty, counted apart from
+			// real failures — but it will not serve us.
+			b.Success()
+			n.cPeerBackpressure.Inc()
+		case attestRejection(res.Err):
+			// The payload failed re-verification: the link is healthy (no
+			// breaker penalty) but the bytes cannot be used. fromWire
+			// already fed the ledger for corrupt payloads.
+			b.Success()
+			n.cPeerErrors.Inc()
+		case resilience.IsPermanent(res.Err):
+			// A definitive answer (e.g. the owner's origin says not
+			// found): the peer is healthy, only this key is unservable.
+			// No other owner will do better.
+			b.Success()
+			n.cPeerErrors.Inc()
+			return res
+		default:
 			b.Failure()
 			n.cPeerErrors.Inc()
-			last = res
 		}
+		last = res // try the next owner in the chain
 	}
 	return last
 }
@@ -599,7 +548,7 @@ func (n *Node) fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 // window; every cluster-internal hop rides the batch envelope.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle(classPathPrefix(), n.local.Handler())
+	mux.Handle("/classes/", n.local.Handler())
 	// Versioned peer protocol: all cluster-internal traffic.
 	mux.HandleFunc(batchPath, n.handleBatch)
 	mux.HandleFunc(attestV1Prefix, n.handleAttest)
@@ -608,10 +557,6 @@ func (n *Node) Handler() http.Handler {
 	mux.Handle("/metrics", n.local.Telemetry().Handler())
 	return mux
 }
-
-// classPathPrefix mirrors the proxy front end's route without exporting
-// it from the proxy package.
-func classPathPrefix() string { return "/classes/" }
 
 // Health extends the local proxy's report with the cluster view: the
 // live membership (with per-member state and the epoch) and per-link
@@ -680,10 +625,6 @@ func (n *Node) PeerViews() []PeerView {
 
 // PeerErrors returns the count of failed peer fills (diagnostics).
 func (n *Node) PeerErrors() int64 { return n.cPeerErrors.Load() }
-
-// PeerServed returns how many peer-protocol requests this node answered
-// as an owner (diagnostics).
-func (n *Node) PeerServed() int64 { return n.cPeerServed.Load() }
 
 // HotReplicas returns how many peer fills were promoted into the local
 // cache as hot keys (diagnostics).

@@ -4,17 +4,13 @@ package cluster
 // every kind of class payload between nodes — fill (owner serves a
 // requested class), replica (push to a key's successors), handoff
 // (membership-change cache transfer, both pull and drain-push), and
-// prefetch (predicted successors piggybacked onto a fill). Every entry
-// carries its own attestation and reason; every handler re-verifies
-// bytes before they touch a cache. The shared peerEnter middleware does
-// what the five pre-v1 endpoints each did by hand: method check, epoch
-// piggyback in both directions, draining 429, admission backpressure,
-// and trace-span extraction.
-//
-// The pre-v1 routes (/peer/class, /peer/replica, /peer/handoff,
-// /peer/attest, /gossip) served one deprecation release as thin
-// aliases and have been removed; see DESIGN.md §14. All
-// cluster-internal traffic uses /peer/v1/*.
+// prefetch (predicted successors piggybacked onto a fill). BatchEntry is
+// the wire form of a proxy.Artifact; toWire and fromWire are the only
+// conversions, and fromWire re-verifies the seal, so bytes cannot touch
+// a cache unverified whatever the reason they moved. The shared
+// peerEnter middleware (server) and peerPost (client) carry what every
+// hop needs: method check, epoch piggyback in both directions, draining
+// and overload 429s, and trace spans.
 //
 // Prefetch piggyback: when an owner serves class A over a batch fill,
 // it consults its successor predictor (internal/prefetch, fed by the
@@ -106,8 +102,7 @@ type BatchEntry struct {
 
 // BatchError reports one entry or class the server could not serve or
 // accept; Status carries the per-item HTTP semantics (404 definitive
-// miss, 429 shed, 400 rejected payload) that whole-response codes used
-// to carry on the pre-v1 single-key routes.
+// miss, 429 shed, 400 rejected payload) one whole-response code cannot.
 type BatchError struct {
 	Arch   string `json:"arch,omitempty"`
 	Class  string `json:"class,omitempty"`
@@ -150,7 +145,7 @@ func (n *Node) peerEnter(w http.ResponseWriter, r *http.Request, method string, 
 // never pre-shed — the bytes are already on the wire and dropping them
 // only re-costs the push; fills let the proxy's admission control
 // decide (a cache hit needs no slot); handoff pulls shed under
-// pressure, like the pre-v1 route did.
+// pressure.
 func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr, ok := n.peerEnter(w, r, http.MethodPost, false)
 	if !ok {
@@ -175,10 +170,12 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		maxBytes := req.MaxBytes
-		if maxBytes <= 0 || maxBytes > n.cfg.HandoffMaxBytes {
-			maxBytes = n.cfg.HandoffMaxBytes
+		if maxBytes <= 0 || maxBytes > handoffMaxBytes {
+			maxBytes = handoffMaxBytes
 		}
-		resp.Entries = n.handoffSnapshot(req.Member, maxBytes)
+		for _, art := range n.handoffEntries(req.Member, maxBytes) {
+			resp.Entries = append(resp.Entries, toWire(art, proxy.ReasonHandoff))
+		}
 	default:
 		http.Error(w, "bad batch request", http.StatusBadRequest)
 		return
@@ -213,11 +210,9 @@ func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req Batc
 				Status: proxy.StatusFor(err), Error: err.Error()})
 			continue
 		}
-		e := BatchEntry{Arch: req.Arch, Class: class, Reason: proxy.ReasonFill,
-			Data: res.Data, Rejected: res.Info.Rejected, Stale: res.Info.Stale}
-		if res.Info.Attestation != nil {
-			e.Att = res.Info.Attestation.Encode()
-		}
+		e := toWire(&proxy.Artifact{Arch: req.Arch, Class: class, Data: res.Data,
+			Att: res.Info.Attestation, Rejected: res.Info.Rejected}, proxy.ReasonFill)
+		e.Stale = res.Info.Stale
 		resp.Entries = append(resp.Entries, e)
 		served = append(served, class)
 	}
@@ -263,23 +258,16 @@ func (n *Node) piggybackPrefetch(resp *BatchResponse, req BatchRequest, served [
 				continue
 			}
 			have[pred.Class] = true // dedup across served classes either way
-			data, att, ok := n.local.Peek(req.Arch, pred.Class)
-			if !ok {
+			art := n.local.Peek(req.Arch, pred.Class)
+			if art == nil || total+len(art.Data) > budget {
 				continue
 			}
-			if n.authority != nil && att == nil {
+			if n.authority != nil && art.Att == nil {
 				// Never push unattested bytes into a fleet that verifies.
 				continue
 			}
-			if total+len(data) > budget {
-				continue
-			}
-			e := BatchEntry{Arch: req.Arch, Class: pred.Class, Reason: proxy.ReasonPrefetch, Data: data}
-			if att != nil {
-				e.Att = att.Encode()
-			}
-			resp.Entries = append(resp.Entries, e)
-			total += len(data)
+			resp.Entries = append(resp.Entries, toWire(art, proxy.ReasonPrefetch))
+			total += len(art.Data)
 			pushed++
 		}
 	}
@@ -289,42 +277,67 @@ func (n *Node) piggybackPrefetch(resp *BatchResponse, req BatchRequest, served [
 	}
 }
 
-// ingestBatch accepts pushed entries (replica, handoff-push, prefetch),
-// re-verifying each against its own attestation before it can touch the
-// cache. Rejected entries come back as BatchErrors; the push is
-// best-effort, so a partial accept is a success with a shorter ledger.
-func (n *Node) ingestBatch(req BatchRequest) BatchResponse {
-	var resp BatchResponse
-	for _, e := range req.Entries {
-		if status, err := n.ingestEntry(e); err != nil {
-			resp.Errors = append(resp.Errors, BatchError{Arch: e.Arch, Class: e.Class,
-				Status: status, Error: err.Error()})
-		}
+// toWire is the one Artifact → BatchEntry conversion.
+func toWire(a *proxy.Artifact, reason string) BatchEntry {
+	e := BatchEntry{Arch: a.Arch, Class: a.Class, Reason: reason, Data: a.Data, Rejected: a.Rejected}
+	if a.Att != nil {
+		e.Att = a.Att.Encode()
 	}
-	return resp
+	return e
 }
 
-// ingestEntry verifies and warms one pushed entry — the single
-// ingestion gate behind the batch handler. Every entry re-verifies its
-// attestation against its bytes
-// here, whatever the reason; the caches only ever hold artifacts whose
-// seal checks out.
-func (n *Node) ingestEntry(e BatchEntry) (int, error) {
+// fromWire is the one BatchEntry → Artifact conversion, and the trust
+// gate of every hop: the entry must be well-formed and its seal must
+// verify against its bytes, or it is counted and discarded. A seal that
+// fails verification is corruption evidence against accuse, the peer
+// that served it ("" = sender unknown); a missing attestation proves
+// only a config mismatch.
+func (n *Node) fromWire(e BatchEntry, accuse string) (*proxy.Artifact, error) {
 	if e.Arch == "" || e.Class == "" || strings.Contains(e.Class, "..") ||
 		len(e.Data) == 0 || len(e.Data) > maxPeerClassBytes {
-		return http.StatusBadRequest, fmt.Errorf("cluster: bad batch entry %s/%s", e.Arch, e.Class)
+		return nil, resilience.Permanent(fmt.Errorf("cluster: bad batch entry %s/%s (%d bytes)", e.Arch, e.Class, len(e.Data)))
 	}
-	att, aerr := n.verifyPayload(e.Att, e.Arch, e.Class, e.Data)
-	if aerr != nil {
+	att, err := n.verifyPayload(e.Att, e.Arch, e.Class, e.Data)
+	if err != nil {
 		n.cAttestRejects.Inc()
-		return http.StatusBadRequest, fmt.Errorf("cluster: entry %s failed attestation: %w", e.Class, aerr)
+		if accuse != "" && errors.Is(err, attest.ErrVerify) {
+			n.noteDivergence(accuse)
+		}
+		return nil, fmt.Errorf("cluster: entry %s failed attestation: %w", e.Class, err)
 	}
 	reason := e.Reason
 	if reason == "" {
 		reason = proxy.ReasonReplica
 	}
-	n.local.Warm([]proxy.CacheEntry{{Arch: e.Arch, Class: e.Class, Data: e.Data, Att: att, Reason: reason}})
-	switch reason {
+	return &proxy.Artifact{Arch: e.Arch, Class: e.Class, Data: e.Data, Att: att, Rejected: e.Rejected, Source: reason}, nil
+}
+
+// ingestBatch accepts pushed entries (replica, handoff-push, prefetch).
+// Rejected entries come back as BatchErrors; the push is best-effort,
+// so a partial accept is a success with a shorter ledger.
+func (n *Node) ingestBatch(req BatchRequest) BatchResponse {
+	var resp BatchResponse
+	for _, e := range req.Entries {
+		if err := n.ingest(e, ""); err != nil {
+			resp.Errors = append(resp.Errors, BatchError{Arch: e.Arch, Class: e.Class,
+				Status: http.StatusBadRequest, Error: err.Error()})
+		}
+	}
+	return resp
+}
+
+// ingest verifies and warms one entry that arrived without being asked
+// for by a client — the single gate behind every push and pull. The
+// proxy's placement rules and ledgers take it from there.
+func (n *Node) ingest(e BatchEntry, accuse string) error {
+	art, err := n.fromWire(e, accuse)
+	if err != nil {
+		return err
+	}
+	if n.local.Warm([]*proxy.Artifact{art}) == 0 {
+		return nil // refused by the store (speculative, or caching off)
+	}
+	switch art.Source {
 	case proxy.ReasonHandoff:
 		n.cHandoffKeys.Inc()
 	case proxy.ReasonPrefetch:
@@ -332,51 +345,36 @@ func (n *Node) ingestEntry(e BatchEntry) (int, error) {
 	default:
 		n.cReplicaStored.Inc()
 	}
-	return 0, nil
+	return nil
 }
 
-// handoffSnapshot assembles the batch-protocol view of the cached
-// entries member now owns (see handoffEntries for the selection and
-// heat ordering).
-func (n *Node) handoffSnapshot(member string, maxBytes int) []BatchEntry {
-	entries := n.handoffEntries(member, maxBytes)
-	out := make([]BatchEntry, 0, len(entries))
-	for _, e := range entries {
-		be := BatchEntry{Arch: e.Arch, Class: e.Class, Reason: proxy.ReasonHandoff, Data: e.Data}
-		if e.Att != nil {
-			be.Att = e.Att.Encode()
-		}
-		out = append(out, be)
-	}
-	return out
-}
-
-// doBatch posts one batch envelope to peer and decodes the response.
-// Both directions piggyback the membership epoch; the caller's trace
-// rides the request header and the peer's spans come back shifted into
-// the local timeline. A 429 is returned as ErrOverloaded (with the
-// draining note recorded) so callers treat it as a healthy shed.
-func (n *Node) doBatch(ctx context.Context, peer string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
+// peerPost is the one client hop of the peer protocol: POST body to
+// peer+path and decode the JSON answer into out. Both directions
+// piggyback the membership epoch; the caller's trace rides the request
+// header and the peer's spans come back shifted into the local
+// timeline. A 429 is returned as ErrOverloaded (with the draining note
+// recorded) so callers treat it as a healthy shed. hdr lists extra
+// header name/value pairs; empty values are skipped.
+func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, body []byte, timeout time.Duration, out any, hdr ...string) error {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
-	body, err := json.Marshal(breq)
-	if err != nil {
-		return nil, resilience.Permanent(err)
-	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+batchPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, resilience.Permanent(err)
+		return resilience.Permanent(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	req.Header.Set(epochHeader, fmtEpoch(n.mship.Epoch()))
-	if id := tr.ID(); id != "" {
-		req.Header.Set(telemetry.TraceHeader, id)
+	hdr = append(hdr, telemetry.TraceHeader, tr.ID())
+	for i := 0; i+1 < len(hdr); i += 2 {
+		if hdr[i+1] != "" {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	n.noteEpoch(resp.Header.Get(epochHeader))
@@ -387,16 +385,28 @@ func (n *Node) doBatch(ctx context.Context, peer string, breq BatchRequest, time
 			if resp.Header.Get(drainingHeader) == "1" {
 				n.mship.NoteDraining(peer)
 			}
-			return nil, fmt.Errorf("%v: %w", err, proxy.ErrOverloaded)
+			return fmt.Errorf("%v: %w", err, proxy.ErrOverloaded)
 		}
-		return nil, err
+		return err
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(out); err != nil {
+		return fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
+	}
+	if spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); err == nil {
+		tr.AppendShifted(spans, hopStart)
+	}
+	return nil
+}
+
+// doBatch posts one batch envelope to peer and decodes the response.
+func (n *Node) doBatch(ctx context.Context, peer string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
+	body, err := json.Marshal(breq)
+	if err != nil {
+		return nil, resilience.Permanent(err)
 	}
 	var br BatchResponse
-	if derr := json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(&br); derr != nil {
-		return nil, fmt.Errorf("cluster: peer %s: bad batch response: %w", peer, derr)
-	}
-	if spans, derr := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); derr == nil {
-		tr.AppendShifted(spans, hopStart)
+	if err := n.peerPost(ctx, peer, batchPath, "application/json", body, timeout, &br); err != nil {
+		return nil, err
 	}
 	return &br, nil
 }
@@ -432,10 +442,9 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 	}
 	br, err := n.doBatch(ctx, owner, breq, n.cfg.PeerTimeout)
 	if err != nil {
-		return proxy.PeerResult{Outcome: proxy.PeerFailed, Err: err}
+		return proxy.PeerResult{Err: err}
 	}
-	res := proxy.PeerResult{Outcome: proxy.PeerFailed,
-		Err: fmt.Errorf("cluster: peer %s: no entry for %s", owner, l.Class)}
+	res := proxy.PeerResult{Err: fmt.Errorf("cluster: peer %s: no entry for %s", owner, l.Class)}
 	for _, be := range br.Errors {
 		if be.Class == l.Class {
 			res.Err = entryError(owner, be)
@@ -443,52 +452,17 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 	}
 	for _, e := range br.Entries {
 		switch {
-		case e.Reason == proxy.ReasonFill && e.Class == l.Class:
-			if len(e.Data) == 0 || len(e.Data) > maxPeerClassBytes {
-				res.Err = resilience.Permanent(fmt.Errorf("cluster: peer %s: %s: bad entry size %d", owner, l.Class, len(e.Data)))
-				continue
+		case e.Reason == proxy.ReasonFill && e.Arch == l.Arch && e.Class == l.Class:
+			if art, err := n.fromWire(e, owner); err != nil {
+				res.Err = fmt.Errorf("cluster: peer %s: %w", owner, err)
+			} else {
+				res = proxy.PeerResult{Art: art, Stale: e.Stale}
 			}
-			// Re-verify before trusting the bytes. A seal that fails
-			// verification is corruption evidence against the owner
-			// (ledger); a missing attestation proves only a config
-			// mismatch. Either way the bytes are discarded.
-			att, aerr := n.verifyPayload(e.Att, l.Arch, l.Class, e.Data)
-			if aerr != nil {
-				n.cAttestRejects.Inc()
-				if errors.Is(aerr, attest.ErrVerify) {
-					n.noteDivergence(owner)
-				}
-				res.Err = fmt.Errorf("cluster: peer %s: %s: %w", owner, l.Class, aerr)
-				continue
-			}
-			res = proxy.PeerResult{Outcome: proxy.PeerServed, Data: e.Data, Att: att,
-				Rejected: e.Rejected, Stale: e.Stale}
 		case e.Reason == proxy.ReasonPrefetch:
-			n.ingestPrefetchEntry(owner, e)
+			_ = n.ingest(e, owner) // a bad guess costs nothing but the guess
 		}
 	}
 	return res
-}
-
-// ingestPrefetchEntry warms one piggybacked successor. Same trust gate
-// as every other hop: verify or discard. The proxy's prefetch placement
-// (cold-end insert, never evict) and its waste ledger take it from
-// here.
-func (n *Node) ingestPrefetchEntry(owner string, e BatchEntry) {
-	if e.Arch == "" || e.Class == "" || len(e.Data) == 0 || len(e.Data) > maxPeerClassBytes {
-		return
-	}
-	att, aerr := n.verifyPayload(e.Att, e.Arch, e.Class, e.Data)
-	if aerr != nil {
-		n.cAttestRejects.Inc()
-		if errors.Is(aerr, attest.ErrVerify) {
-			n.noteDivergence(owner)
-		}
-		return
-	}
-	if n.local.Warm([]proxy.CacheEntry{{Arch: e.Arch, Class: e.Class, Data: e.Data, Att: att, Reason: proxy.ReasonPrefetch}}) > 0 {
-		n.cPrefetchReceived.Inc()
-	}
 }
 
 // pushEntries posts ingest entries to one peer. Reports how many the

@@ -53,11 +53,11 @@ func walkOrigin(t *testing.T) proxy.MapOrigin {
 // resident returns the transformed bytes the node holds for class.
 func resident(t *testing.T, n *Node, class string) []byte {
 	t.Helper()
-	data, _, ok := n.Proxy().Peek("dvm", class)
-	if !ok {
+	art := n.Proxy().Peek("dvm", class)
+	if art == nil {
 		t.Fatalf("%s not resident", class)
 	}
-	return data
+	return art.Data
 }
 
 // trainAndWarm teaches the owner the walk A->B->C and makes B and C
@@ -157,19 +157,18 @@ func TestFetchPeerIngestsPiggybackedPrefetch(t *testing.T) {
 	requester := newBatchTestNode(t, proxy.MapOrigin{}, Config{Self: "http://127.0.0.1:2"})
 	res := requester.fetchPeer(context.Background(), srv.URL,
 		proxy.Lookup{Client: "c1", Arch: "dvm", Class: "app/A"})
-	if res.Outcome != proxy.PeerServed || !bytes.Equal(res.Data, resident(t, owner, "app/A")) {
+	if res.Art == nil || !bytes.Equal(res.Art.Data, resident(t, owner, "app/A")) {
 		t.Fatalf("fetchPeer = %+v", res)
 	}
 	if got := requester.PrefetchReceived(); got != 1 {
 		t.Errorf("prefetch_received_total = %d, want 1", got)
 	}
 	// The predicted successor is now resident before anyone asks for it.
-	if data, _, ok := requester.Proxy().Peek("dvm", "app/B"); !ok || !bytes.Equal(data, resident(t, owner, "app/B")) {
-		t.Errorf("piggybacked app/B not resident: ok=%v", ok)
+	if art := requester.Proxy().Peek("dvm", "app/B"); art == nil || !bytes.Equal(art.Data, resident(t, owner, "app/B")) {
+		t.Errorf("piggybacked app/B not resident: %+v", art)
 	}
 	// And the requested class is NOT marked speculative.
-	inserted, _, _, _, _ := requester.Proxy().PrefetchStats()
-	if inserted != 1 {
+	if inserted := requester.Proxy().PrefetchStats().Inserted; inserted != 1 {
 		t.Errorf("prefetch_inserted_total = %d, want 1 (only app/B)", inserted)
 	}
 
@@ -177,7 +176,7 @@ func TestFetchPeerIngestsPiggybackedPrefetch(t *testing.T) {
 	noPre := newBatchTestNode(t, proxy.MapOrigin{}, Config{Self: "http://127.0.0.1:3", PrefetchK: -1})
 	res = noPre.fetchPeer(context.Background(), srv.URL,
 		proxy.Lookup{Client: "c2", Arch: "dvm", Class: "app/A"})
-	if res.Outcome != proxy.PeerServed {
+	if res.Art == nil {
 		t.Fatalf("fetchPeer = %+v", res)
 	}
 	if got := noPre.PrefetchReceived(); got != 0 {
@@ -401,7 +400,7 @@ func TestPushEntriesReportsAcceptedCount(t *testing.T) {
 	if got := pusher.pushEntries(context.Background(), srv.URL, entries); got != 1 {
 		t.Errorf("pushEntries = %d accepted, want 1", got)
 	}
-	if _, _, ok := n.Proxy().Peek("dvm", "app/X"); !ok {
+	if n.Proxy().Peek("dvm", "app/X") == nil {
 		t.Error("accepted entry not stored")
 	}
 }

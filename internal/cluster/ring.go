@@ -22,6 +22,14 @@
 // hit instead of a cold origin fetch. Hot keys — ones a node keeps
 // round-tripping for — are additionally replicated into the requesting
 // node's own LRU so ring owners do not become hotspots.
+//
+// A Node is its proxy's proxy.Fleet — the three places a miss touches
+// the cluster: Fill (node.go: ask the key's owner chain), Seal
+// (attest.go: quorum cross-check of an artifact produced here) and
+// Replicate (handoff.go: push it to the key's other owners). Class
+// bytes move between nodes only as proxy.Artifact values on the
+// /peer/v1/batch envelope (peerv1.go), whose one decoder, fromWire,
+// re-verifies the seal on every hop.
 package cluster
 
 import (

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dvm/internal/cluster"
-	"dvm/internal/netsim"
 	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
@@ -79,25 +78,11 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	inet := netsim.NewInternet(7)
-	delayed := proxy.DelayedOrigin{
-		Origin: origin,
-		Delay: func(string) {
-			if cfg.InternetScale > 0 {
-				lat := inet.FetchLatency()
-				if lat > 8*time.Second {
-					lat = 8 * time.Second
-				}
-				time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
-			}
-		},
-	}
+	delayed := syntheticInternet(origin, cfg)
 	mkProxy := func(int) proxy.Config {
 		return proxy.Config{
-			Pipeline:           ServicePipeline(StandardPolicy(), false),
-			CacheEnabled:       true,
-			MemoryBudget:       cfg.MemoryBudget,
-			PagingPenaltyPerMB: 150 * time.Millisecond,
+			Pipeline:     ServicePipeline(StandardPolicy(), false),
+			CacheEnabled: true,
 		}
 	}
 
@@ -134,8 +119,12 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		if s := traceSample(lc, cfg.Applets); s != "" && breakdown == "" {
 			breakdown = s
 		}
+		entries := make([]requestFunc, n)
+		for i, node := range lc.Nodes {
+			entries[i] = (&pagedHost{budget: cfg.MemoryBudget}).wrap(node.Request)
+		}
 		row, err := driveFleet(mode, n, clients, cfg, func(c int) requestFunc {
-			return lc.Nodes[c%n].Request
+			return entries[c%n]
 		})
 		if err != nil {
 			return ClusterScalingRow{}, err
@@ -149,10 +138,10 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		}
 		row = finishRow(row, total, cfg.Applets)
 		for _, node := range lc.Nodes {
-			_, hits, _, waste, _ := node.Proxy().PrefetchStats()
+			pf := node.Proxy().PrefetchStats()
 			row.PrefetchPushed += node.PrefetchPushed()
-			row.PrefetchHits += hits
-			row.PrefetchWaste += waste
+			row.PrefetchHits += pf.Hits
+			row.PrefetchWaste += pf.WasteBytes
 		}
 		return row, nil
 	}
@@ -163,8 +152,9 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		if err != nil {
 			return nil, "", err
 		}
-		row, err := driveFleet("round-robin", n, clients, cfg, func(c int) requestFunc {
-			return group.Request
+		request := pagedReplicas(group, cfg.MemoryBudget)
+		row, err := driveFleet("round-robin", n, clients, cfg, func(int) requestFunc {
+			return request
 		})
 		if err != nil {
 			return nil, "", err

@@ -99,6 +99,27 @@ func DefaultFig10Config() Fig10Config {
 	}
 }
 
+// syntheticInternet puts origin behind the synthetic Internet, scaled
+// into real sleeps, and the Figure 10 host-memory model (memory.go).
+func syntheticInternet(origin proxy.Origin, cfg Fig10Config) proxy.Origin {
+	inet := netsim.NewInternet(7)
+	return pagedOrigin{proxy.DelayedOrigin{
+		Origin: origin,
+		Delay: func(string) {
+			if cfg.InternetScale > 0 {
+				lat := inet.FetchLatency()
+				// Browsers and proxies of the era timed out slow
+				// fetches; cap the log-normal tail accordingly so the
+				// measurement window stays meaningful.
+				if lat > 8*time.Second {
+					lat = 8 * time.Second
+				}
+				time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
+			}
+		},
+	}}
+}
+
 // Fig10 drives N simultaneous clients continuously fetching different
 // applets through one proxy with caching disabled (the paper's worst
 // case) for a fixed window, and reports sustained throughput.
@@ -110,36 +131,16 @@ func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	inet := netsim.NewInternet(7)
+	upstream := syntheticInternet(origin, cfg)
 	rows := make([]Fig10Row, 0, len(clientCounts))
 	for _, n := range clientCounts {
-		delayed := proxy.DelayedOrigin{
-			Origin: origin,
-			Delay: func(string) {
-				if cfg.InternetScale > 0 {
-					lat := inet.FetchLatency()
-					// Browsers and proxies of the era timed out slow
-					// fetches; cap the log-normal tail accordingly so the
-					// measurement window stays meaningful.
-					if lat > 8*time.Second {
-						lat = 8 * time.Second
-					}
-					time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
-				}
-			},
-		}
 		pipe := ServicePipeline(StandardPolicy(), false)
 		pipe.SetWorkers(cfg.PipelineWorkers)
-		p := proxy.New(delayed, proxy.Config{
+		p := proxy.New(upstream, proxy.Config{
 			Pipeline:     pipe,
 			CacheEnabled: false, // worst case, per the paper
-			MemoryBudget: cfg.MemoryBudget,
-			// Thrashing is brutal once physical memory is oversubscribed;
-			// the penalty makes each paged request ~an order of magnitude
-			// slower, as the paper's 64 MB server exhibited past ~250
-			// clients.
-			PagingPenaltyPerMB: 150 * time.Millisecond,
 		})
+		request := (&pagedHost{budget: cfg.MemoryBudget}).wrap(p.Request)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var firstErr error
@@ -153,7 +154,7 @@ func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
 				defer wg.Done()
 				for f := 0; time.Now().Before(deadline); f++ {
 					applet := fmt.Sprintf("net/Applet%03d", (c+f)%cfg.Applets)
-					res, err := p.Request(context.Background(), proxy.Lookup{
+					res, err := request(context.Background(), proxy.Lookup{
 						Client: fmt.Sprintf("client-%d", c), Arch: "dvm", Class: applet,
 					})
 					mu.Lock()

@@ -68,8 +68,7 @@ type OverloadConfig struct {
 	MaxOutstanding int
 	Seed           uint64
 
-	// Proxy under test. MaxQueue 0 or ShedPolicy "none" is the
-	// unprotected baseline.
+	// Proxy under test. MaxQueue 0 is the unprotected baseline.
 	MaxQueue        int
 	MaxConcurrent   int
 	QueueDeadline   time.Duration

@@ -3,8 +3,6 @@ package eval
 import (
 	"testing"
 	"time"
-
-	"dvm/internal/proxy"
 )
 
 // smokeConfig is the CI-sized open-loop run: 10^4 simulated clients,
@@ -110,7 +108,7 @@ func TestOverloadAdmissionKeepsLatencyAndGoodput(t *testing.T) {
 	// coalescing alone can still absorb the excess; 4x is past any
 	// dedup ceiling.)
 	base := cfg
-	base.ShedPolicy = proxy.ShedNone
+	base.MaxQueue = 0
 	base.Multiples = []float64{4}
 	baseRows, baseText, err := Overload(base, sat)
 	if err != nil {
@@ -119,7 +117,7 @@ func TestOverloadAdmissionKeepsLatencyAndGoodput(t *testing.T) {
 	t.Log("\n" + baseText)
 	b := baseRows[0]
 	if b.Shed != 0 {
-		t.Errorf("unprotected baseline shed %d requests; ShedNone must disable admission", b.Shed)
+		t.Errorf("unprotected baseline shed %d requests; MaxQueue 0 must disable admission", b.Shed)
 	}
 	if b.Abandoned == 0 {
 		t.Error("unprotected baseline had zero client abandons at 4x saturation; overload never materialized")

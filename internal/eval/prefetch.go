@@ -154,11 +154,11 @@ func PrefetchBench(classes, classKB, budgetBytes int) (PrefetchBenchResult, stri
 	for _, n := range lc.Nodes {
 		res.Pushed += n.PrefetchPushed()
 		res.Received += n.PrefetchReceived()
-		inserted, hits, _, waste, resident := n.Proxy().PrefetchStats()
-		res.Inserted += inserted
-		res.Hits += hits
-		res.WasteBytes += waste
-		res.ResidentBytes += resident
+		pf := n.Proxy().PrefetchStats()
+		res.Inserted += pf.Inserted
+		res.Hits += pf.Hits
+		res.WasteBytes += pf.WasteBytes
+		res.ResidentBytes += pf.ResidentBytes
 	}
 
 	// Forged push: a prefetch-reason entry with no attestation must be
@@ -203,6 +203,5 @@ func probeUnattested(nodeURL string, p *proxy.Proxy) (bool, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		return false, err
 	}
-	_, _, cached := p.Peek("dvm", "net/Forged")
-	return len(br.Errors) == 1 && !cached, nil
+	return len(br.Errors) == 1 && p.Peek("dvm", "net/Forged") == nil, nil
 }

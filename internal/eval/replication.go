@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"dvm/internal/netsim"
 	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
@@ -42,32 +41,19 @@ func AblationReplication(clients int, replicaCounts []int, cfg Fig10Config) ([]A
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	inet := netsim.NewInternet(7)
-	delayed := proxy.DelayedOrigin{
-		Origin: origin,
-		Delay: func(string) {
-			if cfg.InternetScale > 0 {
-				lat := inet.FetchLatency()
-				if lat > 8*time.Second {
-					lat = 8 * time.Second
-				}
-				time.Sleep(time.Duration(float64(lat) * cfg.InternetScale))
-			}
-		},
-	}
+	upstream := syntheticInternet(origin, cfg)
 	rows := make([]AblationReplicationRow, 0, len(replicaCounts))
 	for _, nr := range replicaCounts {
-		group, err := proxy.NewReplicaGroup(delayed, nr, func(int) proxy.Config {
+		group, err := proxy.NewReplicaGroup(upstream, nr, func(int) proxy.Config {
 			return proxy.Config{
-				Pipeline:           ServicePipeline(StandardPolicy(), false),
-				CacheEnabled:       false,
-				MemoryBudget:       cfg.MemoryBudget,
-				PagingPenaltyPerMB: 150 * time.Millisecond,
+				Pipeline:     ServicePipeline(StandardPolicy(), false),
+				CacheEnabled: false,
 			}
 		})
 		if err != nil {
 			return nil, "", err
 		}
+		request := pagedReplicas(group, cfg.MemoryBudget)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var totalBytes int64
@@ -83,7 +69,7 @@ func AblationReplication(clients int, replicaCounts []int, cfg Fig10Config) ([]A
 				for f := 0; time.Now().Before(deadline); f++ {
 					applet := fmt.Sprintf("net/Applet%03d", (c+f)%cfg.Applets)
 					t0 := telemetry.StartTimer()
-					res, err := group.Request(context.Background(), proxy.Lookup{
+					res, err := request(context.Background(), proxy.Lookup{
 						Client: fmt.Sprintf("client-%d", c), Arch: "dvm", Class: applet,
 					})
 					d := t0.Elapsed()

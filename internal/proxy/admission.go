@@ -57,9 +57,6 @@ const (
 	// ShedFIFO keeps the bounded queue and deadline checks but no
 	// priority tricks: pure first-come-first-served with tail drop.
 	ShedFIFO = "fifo"
-	// ShedNone disables admission control entirely (the unbounded-queue
-	// baseline the overload evaluation compares against).
-	ShedNone = "none"
 )
 
 // peerClientPrefix marks requests arriving over the cluster peer
@@ -89,7 +86,7 @@ type waiter struct {
 }
 
 // admission is the bounded queue + shedding engine. A nil *admission
-// admits everything (ShedNone / MaxQueue 0).
+// admits everything (MaxQueue 0).
 type admission struct {
 	limit    int           // concurrent service slots
 	maxQueue int           // waiters bound

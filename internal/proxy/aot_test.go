@@ -15,18 +15,27 @@ import (
 
 // aotProxy builds a cached proxy whose AOT layer derives compiler.ArchDVM
 // artifacts from the "jvm" base architecture.
-func aotProxy(t *testing.T, o proxy.Origin, hook func(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error)) *proxy.Proxy {
+func aotProxy(t *testing.T, o proxy.Origin, fleet proxy.Fleet) *proxy.Proxy {
 	t.Helper()
 	return proxy.New(o, proxy.Config{
 		Pipeline:     fullPipeline(t),
 		CacheEnabled: true,
-		AOT: &proxy.AOTConfig{
-			Arch:          compiler.ArchDVM,
-			BaseArch:      "jvm",
-			Compile:       compiler.CompileArtifact,
-			AttestCompile: hook,
-		},
+		AOTBaseArch:  "jvm",
+		Fleet:        fleet,
 	})
+}
+
+// sealFleet is a one-node fleet that owns every key and seals with the
+// given function per mode (nil = that mode is not attested).
+type sealFleet map[proxy.SealMode]func(*proxy.Artifact) (*attest.Attestation, error)
+
+func (sealFleet) Fill(context.Context, proxy.Lookup) proxy.PeerResult { return proxy.PeerResult{} }
+func (sealFleet) Replicate(*proxy.Artifact)                           {}
+func (f sealFleet) Seal(_ context.Context, art *proxy.Artifact, _ []byte, mode proxy.SealMode) (*attest.Attestation, error) {
+	if seal := f[mode]; seal != nil {
+		return seal(art)
+	}
+	return nil, nil
 }
 
 // TestAOTDeriveMatchesFullPipeline is the AOT cache's core invariant:
@@ -144,9 +153,9 @@ func TestAOTSkipsRejectedBase(t *testing.T) {
 // rejects the derived bytes, the flight fails and nothing is cached.
 func TestAOTAttestCompileFailureFailsFlight(t *testing.T) {
 	wantErr := errors.New("fleet outvoted local compiler")
-	p := aotProxy(t, origin(t), func(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error) {
+	p := aotProxy(t, origin(t), sealFleet{proxy.SealCompile: func(*proxy.Artifact) (*attest.Attestation, error) {
 		return nil, wantErr
-	})
+	}})
 	if _, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "jvm", Class: "app/Main"}); err != nil {
 		t.Fatalf("base request: %v", err)
 	}
@@ -158,7 +167,7 @@ func TestAOTAttestCompileFailureFailsFlight(t *testing.T) {
 	if st.AttestFailures != 1 {
 		t.Errorf("attest_failures = %d, want 1", st.AttestFailures)
 	}
-	if _, _, ok := p.Peek(compiler.ArchDVM, "app/Main"); ok {
+	if p.Peek(compiler.ArchDVM, "app/Main") != nil {
 		t.Error("unattested derived artifact was cached")
 	}
 }
@@ -172,22 +181,22 @@ func TestCompileDigestVotesMatchDerivation(t *testing.T) {
 	if _, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "jvm", Class: "app/Main"}); err != nil {
 		t.Fatalf("base request: %v", err)
 	}
-	base, _, ok := p.Peek("jvm", "app/Main")
-	if !ok {
+	base := p.Peek("jvm", "app/Main")
+	if base == nil {
 		t.Fatal("base artifact not cached")
 	}
 	res, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: compiler.ArchDVM, Class: "app/Main"})
 	if err != nil {
 		t.Fatalf("derive request: %v", err)
 	}
-	d, err := p.CompileDigest(context.Background(), compiler.ArchDVM, "app/Main", base)
+	d, err := p.CompileDigest(compiler.ArchDVM, "app/Main", base.Data)
 	if err != nil {
 		t.Fatalf("CompileDigest: %v", err)
 	}
 	if want := attest.Digest(res.Data); d != want {
 		t.Errorf("compile vote %.12s != served artifact digest %.12s", d, want)
 	}
-	if _, err := p.CompileDigest(context.Background(), "sparc", "app/Main", base); err == nil {
+	if _, err := p.CompileDigest("sparc", "app/Main", base.Data); err == nil {
 		t.Error("CompileDigest voted for an architecture it does not compile")
 	}
 }

@@ -108,14 +108,8 @@ func (p *Proxy) Handler() http.Handler {
 // through the proxy directly (no HTTP hop) — the configuration used by
 // most experiments, where client and proxy share a benchmark process.
 func (p *Proxy) Loader(client, arch string) jvm.ClassLoader {
-	return p.LoaderContext(context.Background(), client, arch)
-}
-
-// LoaderContext is Loader with a caller-supplied base context: every
-// class resolution inherits its cancellation and deadline.
-func (p *Proxy) LoaderContext(ctx context.Context, client, arch string) jvm.ClassLoader {
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
-		res, err := p.Request(ctx, Lookup{Client: client, Arch: arch, Class: name})
+		res, err := p.Request(context.Background(), Lookup{Client: client, Arch: arch, Class: name})
 		return res.Data, err
 	})
 }

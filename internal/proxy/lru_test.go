@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -12,6 +13,26 @@ import (
 
 func lruProxy(budget int) *Proxy {
 	return New(MapOrigin{}, Config{CacheEnabled: true, CacheBudget: budget})
+}
+
+// storeMem puts data in the store under (x86, class) as a hot entry.
+func (p *Proxy) storeMem(class string, data []byte) {
+	p.store.put(&Artifact{Arch: "x86", Class: class, Data: data, Source: SourceOrigin})
+}
+
+// memGet is a memory hit on (x86, class).
+func (p *Proxy) memGet(class string) (art *Artifact, fresh, prefetched bool) {
+	return p.store.get("x86\x00" + class)
+}
+
+// residentClasses lists the resident class names, sorted.
+func residentClasses(p *Proxy) []string {
+	var out []string
+	for _, a := range p.CacheSnapshot(0, nil) {
+		out = append(out, a.Class)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestLRUCache(t *testing.T) {
@@ -27,9 +48,9 @@ func TestLRUCache(t *testing.T) {
 			name:   "fifo order without access",
 			budget: 200,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("b", pad(100), nil, false)
-				p.storeMem("c", pad(100), nil, false) // evicts a (oldest)
+				p.storeMem("a", pad(100))
+				p.storeMem("b", pad(100))
+				p.storeMem("c", pad(100)) // evicts a (oldest)
 			},
 			want:  []string{"b", "c"},
 			bytes: 200,
@@ -38,10 +59,10 @@ func TestLRUCache(t *testing.T) {
 			name:   "hit refreshes recency",
 			budget: 200,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("b", pad(100), nil, false)
+				p.storeMem("a", pad(100))
+				p.storeMem("b", pad(100))
 				p.memGet("a")             // a now most recent
-				p.storeMem("c", pad(100), nil, false) // evicts b, not a
+				p.storeMem("c", pad(100)) // evicts b, not a
 			},
 			want:  []string{"a", "c"},
 			bytes: 200,
@@ -50,10 +71,10 @@ func TestLRUCache(t *testing.T) {
 			name:   "re-store refreshes recency",
 			budget: 200,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("b", pad(100), nil, false)
-				p.storeMem("a", pad(100), nil, false) // replacement also refreshes
-				p.storeMem("c", pad(100), nil, false) // evicts b
+				p.storeMem("a", pad(100))
+				p.storeMem("b", pad(100))
+				p.storeMem("a", pad(100)) // replacement also refreshes
+				p.storeMem("c", pad(100)) // evicts b
 			},
 			want:  []string{"a", "c"},
 			bytes: 200,
@@ -62,10 +83,10 @@ func TestLRUCache(t *testing.T) {
 			name:   "replacement fixes byte accounting",
 			budget: 300,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("a", pad(50), nil, false) // shrink: 100 -> 50
-				p.storeMem("b", pad(100), nil, false)
-				p.storeMem("a", pad(150), nil, false) // grow: 50 -> 150
+				p.storeMem("a", pad(100))
+				p.storeMem("a", pad(50)) // shrink: 100 -> 50
+				p.storeMem("b", pad(100))
+				p.storeMem("a", pad(150)) // grow: 50 -> 150
 			},
 			want:  []string{"a", "b"},
 			bytes: 250,
@@ -74,9 +95,9 @@ func TestLRUCache(t *testing.T) {
 			name:   "replacement growth can evict others",
 			budget: 200,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("b", pad(100), nil, false)
-				p.storeMem("b", pad(150), nil, false) // grows over budget; evicts a
+				p.storeMem("a", pad(100))
+				p.storeMem("b", pad(100))
+				p.storeMem("b", pad(150)) // grows over budget; evicts a
 			},
 			want:  []string{"b"},
 			bytes: 150,
@@ -85,8 +106,8 @@ func TestLRUCache(t *testing.T) {
 			name:   "oversized entry skipped, cache intact",
 			budget: 200,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("big", pad(500), nil, false) // larger than the whole budget
+				p.storeMem("a", pad(100))
+				p.storeMem("big", pad(500)) // larger than the whole budget
 			},
 			want:  []string{"a"},
 			bytes: 100,
@@ -95,8 +116,8 @@ func TestLRUCache(t *testing.T) {
 			name:   "oversized replacement of resident key skipped",
 			budget: 200,
 			run: func(p *Proxy) {
-				p.storeMem("a", pad(100), nil, false)
-				p.storeMem("a", pad(500), nil, false) // stale entry stays; oversized skipped
+				p.storeMem("a", pad(100))
+				p.storeMem("a", pad(500)) // stale entry stays; oversized skipped
 			},
 			want:  []string{"a"},
 			bytes: 100,
@@ -106,7 +127,7 @@ func TestLRUCache(t *testing.T) {
 			budget: 0,
 			run: func(p *Proxy) {
 				for i := 0; i < 10; i++ {
-					p.storeMem(fmt.Sprintf("k%d", i), pad(100), nil, false)
+					p.storeMem(fmt.Sprintf("k%d", i), pad(100))
 				}
 			},
 			want:  []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9"},
@@ -117,7 +138,7 @@ func TestLRUCache(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := lruProxy(tc.budget)
 			tc.run(p)
-			got := p.CacheEntries()
+			got := residentClasses(p)
 			if len(got) != len(tc.want) {
 				t.Fatalf("entries = %v, want %v", got, tc.want)
 			}
@@ -126,8 +147,8 @@ func TestLRUCache(t *testing.T) {
 					t.Fatalf("entries = %v, want %v", got, tc.want)
 				}
 			}
-			if p.cacheBytes != tc.bytes {
-				t.Errorf("cacheBytes = %d, want %d", p.cacheBytes, tc.bytes)
+			if p.store.bytes != tc.bytes {
+				t.Errorf("cache bytes = %d, want %d", p.store.bytes, tc.bytes)
 			}
 		})
 	}
@@ -135,16 +156,16 @@ func TestLRUCache(t *testing.T) {
 
 func TestLRUReplacementServesFreshBytes(t *testing.T) {
 	p := lruProxy(0)
-	p.storeMem("k", []byte("stale"), nil, false)
-	p.storeMem("k", []byte("fresh"), nil, false)
-	got, _, _, _, _, ok := p.memGet("k")
-	if !ok || string(got) != "fresh" {
-		t.Fatalf("memGet = %q, %v; want fresh entry", got, ok)
+	p.storeMem("k", []byte("stale"))
+	p.storeMem("k", []byte("fresh"))
+	got, _, _ := p.memGet("k")
+	if got == nil || string(got.Data) != "fresh" {
+		t.Fatalf("memGet = %+v; want fresh entry", got)
 	}
 }
 
 func TestDiskCacheConcurrentWritersSameKey(t *testing.T) {
-	p := New(MapOrigin{}, Config{CacheEnabled: true, DiskCacheDir: t.TempDir()})
+	s := New(MapOrigin{}, Config{CacheEnabled: true, DiskCacheDir: t.TempDir()}).store
 	const writers = 16
 	payload := func(i int) []byte {
 		return bytes.Repeat([]byte{byte('a' + i)}, 4096)
@@ -154,9 +175,10 @@ func TestDiskCacheConcurrentWritersSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p.diskCachePut("k", payload(i), nil)
-			if data, _, _, ok := p.diskCacheGet("k"); ok {
+			s.save(&Artifact{Class: "k", Data: payload(i)})
+			if art, _ := s.load("\x00k"); art != nil {
 				// Any complete write is acceptable; torn bytes are not.
+				data := art.Data
 				if len(data) != 4096 || bytes.Count(data, data[:1]) != 4096 {
 					t.Errorf("torn read: len=%d first=%q", len(data), data[0])
 				}
@@ -164,10 +186,11 @@ func TestDiskCacheConcurrentWritersSameKey(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	data, _, _, ok := p.diskCacheGet("k")
-	if !ok {
+	art, _ := s.load("\x00k")
+	if art == nil {
 		t.Fatal("no entry after concurrent writes")
 	}
+	data := art.Data
 	if len(data) != 4096 || bytes.Count(data, data[:1]) != 4096 {
 		t.Fatalf("final entry torn: len=%d", len(data))
 	}

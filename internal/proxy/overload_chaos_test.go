@@ -115,10 +115,8 @@ func TestCoalescedFlightSurvivesLeaderCancel(t *testing.T) {
 		res, err := p.Request(context.Background(), proxy.Lookup{Client: "follower", Arch: "dvm", Class: "app/Dep"})
 		followerDone <- followerResult{res, err}
 	}()
-	// The worker holds one connection's memory; the follower joining the
-	// flight holds a second.
 	waitFor(t, "follower to join the flight", func() bool {
-		return p.Health().Gauges["inflight_bytes"] >= 2*256<<10
+		return p.Health().Gauges["flight_waiters"] == 2
 	})
 
 	cancelLeader()

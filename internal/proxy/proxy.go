@@ -10,15 +10,19 @@
 // stand-in so failures surface through the normal Java exception
 // mechanism on the client (§3.1).
 //
-// Concurrency: simultaneous misses for the same (arch, class) are
-// coalesced — one leader performs the origin fetch and the pipeline run
-// while followers wait and share the result. Followers still count as
-// requests and receive their own audit records, marked as coalesced
-// cache hits, so the administration console sees every client. The
-// result cache is a byte-budgeted LRU: hits refresh recency, replacing
-// a key updates the byte accounting, and an entry larger than the whole
-// budget is skipped (logged) rather than allowed to wipe the cache and
-// then fail to stay resident.
+// Three seams carry everything else. Everything the proxy holds or
+// moves is an *Artifact (artifact.go): the bytes with their seal and
+// their rejection flag. Everything it keeps lives in the store
+// (store.go): a byte-budgeted memory LRU in front of an optional disk
+// directory. And a miss is one flight (flight.go), admit → resolve →
+// seal → publish: simultaneous misses for one (arch, class) coalesce
+// onto it — one leader does the work, followers wait and share the
+// result, still counting as requests with their own audit records.
+// resolve asks an ordered list of sources: the fleet (Config.Fleet —
+// the key's ring owner already holds the transformed bytes), the AOT
+// derivation from a cached base artifact, the origin plus the pipeline.
+// What a source produced on this node is sealed by the fleet and
+// published to the store and the key's replicas exactly once.
 //
 // Failure semantics: the origin hop carries a per-attempt deadline, a
 // retry policy with backoff+jitter, and a circuit breaker
@@ -27,44 +31,33 @@
 // revalidated, but if the revalidating fetch fails the stale bytes are
 // served (stale-if-error, counted in Stats.StaleServed) — an
 // unreachable origin degrades freshness, never availability, matching
-// the paper's split between trust-critical and auxiliary services.
-//
-// Clustering: when Config.PeerFill is set (internal/cluster), a cache
-// miss is routed through it before the origin hop. The hook implements
-// the sharded-fleet protocol: if another node owns the key on the
-// consistent-hash ring, the transformed bytes are filled from that peer
-// (one origin fetch and one pipeline run cluster-wide); if this node is
-// the owner, or the peer hop fails, the miss falls through to the local
-// origin path, so a peer outage degrades sharing, never availability.
+// the paper's split between trust-critical and auxiliary services. A
+// peer outage likewise degrades sharing, never availability: the next
+// source answers. Past saturation, admission control (admission.go)
+// sheds deliberately instead of queueing to death.
 //
 // Telemetry: every request runs under a telemetry.Trace — created here
-// if the caller did not attach one to the ctx — and records spans for
-// each stage (proxy.request, queue.wait, peer.fill, origin.fetch,
-// pipeline), so the caller gets a per-stage latency breakdown even
-// across peer hops. All counters and latency histograms live in a
-// telemetry.Registry served on /metrics and /healthz; Stats is a
-// snapshot view derived from it.
+// if the caller did not attach one to the ctx — and records a span per
+// stage, so the caller gets a latency breakdown even across peer hops.
+// All counters and latency histograms live in a telemetry.Registry
+// served on /metrics and /healthz; Stats is a snapshot view of it.
 package proxy
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
+	"dvm/internal/compiler"
 	"dvm/internal/resilience"
 	"dvm/internal/rewrite"
 	"dvm/internal/telemetry"
-	"dvm/internal/verifier"
 )
 
 // ErrNotFound marks an origin's definitive "no such class" answer.
@@ -109,29 +102,18 @@ func (d DelayedOrigin) Fetch(ctx context.Context, name string) ([]byte, error) {
 	return d.Origin.Fetch(ctx, name)
 }
 
-// RequestRecord is one entry of the proxy's audit trail.
+// RequestRecord is one entry of the proxy's audit trail: who asked for
+// what, how it was served, and what the flight behind it went through.
+// The administration console must see failed and degraded requests too.
 type RequestRecord struct {
-	Client    string
-	Arch      string
-	Class     string
-	Bytes     int
-	CacheHit  bool
-	Coalesced bool // joined an in-flight fetch for the same class
-	Rejected  bool // verification failure, replacement served
-	// Stale marks a degraded response: the origin was unreachable and an
-	// expired cache entry was served instead (stale-if-error).
-	Stale bool
-	// Peer is the cluster node that supplied the bytes when the miss was
-	// filled over the peer protocol instead of from the origin.
-	Peer string
+	Lookup
+	RequestInfo
+	Bytes int
 	// PeerError records a failed peer-fill attempt that fell back to a
 	// local origin fetch (the owner was down or unreachable).
 	PeerError string
-	// Shed marks an admission-control decision (see RequestInfo.Shed).
-	Shed bool
-	// FetchError is set when the origin fetch (or replacement
-	// construction) failed; the administration console must see failed
-	// and degraded fetches too. With Stale set, bytes were still served.
+	// FetchError is why the request failed, or — with Stale set, when
+	// bytes were still served — why the origin could not revalidate.
 	FetchError string
 	Duration   time.Duration
 	ProxyTime  time.Duration // time spent parsing/transforming (excludes origin fetch)
@@ -164,8 +146,6 @@ type Config struct {
 	// FetchRetries is the number of retries after the first failed fetch
 	// attempt (0 = no retries). Not-found answers are never retried.
 	FetchRetries int
-	// RetryBase is the first backoff delay between retries (default 50ms).
-	RetryBase time.Duration
 	// RetrySeed makes the retry jitter deterministic (tests).
 	RetrySeed uint64
 	// BreakerThreshold is the number of consecutive origin failures that
@@ -175,15 +155,9 @@ type Config struct {
 	// half-open probe (default 5s).
 	BreakerCooldown time.Duration
 
-	// PeerFill, when set, is consulted on every cache miss before the
-	// origin hop. A sharded cluster (internal/cluster) uses it to route
-	// the miss to the ring node that owns the key and fill the cache from
-	// that peer's already-transformed copy. The full Lookup is passed so
-	// the hook can forward the client identity — the owner's prefetch
-	// predictor learns per-client request sequences from it. See
-	// PeerResult for the three possible outcomes; a nil hook (standalone
-	// proxy) always behaves as PeerSelf.
-	PeerFill func(ctx context.Context, l Lookup) PeerResult
+	// Fleet is the cluster this proxy is a member of (nil = standalone).
+	// See the Fleet interface.
+	Fleet Fleet
 
 	// MaxQueue bounds how many miss requests may wait for a service
 	// slot before new ones are shed (429). 0 disables admission control
@@ -200,111 +174,22 @@ type Config struct {
 	QueueDeadline time.Duration
 	// ShedPolicy selects what to shed under overload: ShedPriority
 	// (default — stale-serve before rejecting, peer fills before local
-	// misses, per-client fair shares), ShedFIFO (bounded queue, tail
-	// drop only), or ShedNone (admission disabled even with MaxQueue
-	// set).
+	// misses, per-client fair shares) or ShedFIFO (bounded queue, tail
+	// drop only).
 	ShedPolicy string
 
-	// OnTransformed, when set, observes every class this node transformed
-	// itself (origin fetch + pipeline run; peer-served and stale responses
-	// are not reported). The cluster layer uses it to push freshly-owned
-	// results to the key's replicas, attestation included. Called on the
-	// flight goroutine, so it must not block — enqueue and return.
-	OnTransformed func(arch, class string, data []byte, att *attest.Attestation)
+	// AOTBaseArch, when set, turns the compiler's output into a shared
+	// derived artifact: a miss for compiler.ArchDVM whose AOTBaseArch
+	// artifact (the pipeline output without the compile step, e.g.
+	// "jvm") is resident is answered by compiler.CompileArtifact over
+	// those bytes — no origin fetch, no pipeline run. Every filter ahead
+	// of the compiler is architecture-independent, so the result is
+	// byte-identical to the full pipeline's, and it caches, replicates
+	// and seals (SealCompile) like any other artifact.
+	AOTBaseArch string
 
-	// Attest, when set, turns each locally transformed class into a
-	// quorum-attested artifact before it is cached or served: the cluster
-	// layer dispatches the origin bytes to ring successors, compares
-	// output digests, and returns the sealed attestation on agreement.
-	// An error fails the flight — a node must never serve bytes its own
-	// fleet outvoted. Runs on the flight goroutine under the admission
-	// slot, so the quorum round-trip is part of the request's service
-	// time (that is the measured tax of -attest-quorum > 1).
-	Attest func(ctx context.Context, arch, class string, raw, out []byte) (*attest.Attestation, error)
-
-	// AOT, when set, turns the compiler's output into a fleet-shared
-	// derived artifact: a request for AOT.Arch whose base-architecture
-	// artifact is already cached locally is answered by compiling those
-	// bytes directly — no origin fetch, no full pipeline run. The fleet
-	// pays one origin fetch and one pipeline run per class under the
-	// base key, and each compiled variant is one cheap derivation on
-	// top of it. See AOTConfig.
-	AOT *AOTConfig
-
-	// MemoryBudget models the server's physical memory: when the bytes
-	// held by in-flight requests exceed it, each request pays a paging
-	// penalty proportional to the overshoot (reproduces the >250-client
-	// degradation of Figure 10). 0 disables the model.
-	MemoryBudget int64
-	// PagingPenaltyPerMB is the added delay per MiB of overshoot
-	// (default 2ms when MemoryBudget is set).
-	PagingPenaltyPerMB time.Duration
 	// OnAudit receives the audit trail (central administration console).
 	OnAudit func(RequestRecord)
-}
-
-// AOTConfig parameterizes the shared ahead-of-time code cache. The
-// compiled (Arch) artifact for a class is derived from the cached
-// base-architecture artifact instead of re-running the whole pipeline
-// over origin bytes. Every filter ahead of the compiler is
-// architecture-independent, so Compile(pipeline_base(raw)) is
-// byte-identical to pipeline_arch(raw): the derived artifact is exactly
-// what the full pipeline would have produced, and it caches, replicates
-// and attests like any other artifact.
-type AOTConfig struct {
-	// Arch is the derived architecture (the compiler's native format,
-	// e.g. compiler.ArchDVM).
-	Arch string
-	// BaseArch is the architecture whose cached artifact Compile
-	// consumes (the pipeline output without the compile step).
-	BaseArch string
-	// Compile derives the Arch artifact from a BaseArch artifact
-	// (parse, quicken, re-encode). It must be deterministic: attestation
-	// variants re-run it over the same base bytes and compare digests.
-	Compile func(base []byte) ([]byte, error)
-	// AttestCompile, when set, seals a derived artifact the way
-	// Config.Attest seals a transformed one: the cluster dispatches the
-	// base bytes to ring successors in compile mode, each re-derives and
-	// votes with its digest (CompileDigest). An error fails the flight.
-	AttestCompile func(ctx context.Context, arch, class string, base, out []byte) (*attest.Attestation, error)
-}
-
-// PeerOutcome says how a PeerFill attempt resolved.
-type PeerOutcome int
-
-const (
-	// PeerSelf: this node owns the key on the ring (or no routing
-	// applies); fetch from the origin and run the pipeline locally.
-	PeerSelf PeerOutcome = iota
-	// PeerServed: the owning peer returned the transformed class; serve
-	// it without touching the origin or the pipeline.
-	PeerServed
-	// PeerFailed: the owning peer was down or unreachable; degrade to a
-	// local origin fetch so a peer outage never fails a request.
-	PeerFailed
-)
-
-// PeerResult is the outcome of routing a cache miss through the cluster
-// ring (Config.PeerFill).
-type PeerResult struct {
-	Outcome PeerOutcome
-	// Data is the transformed class (Outcome == PeerServed).
-	Data []byte
-	// Att is the artifact's attestation, already verified against Data
-	// by the fill hook before the result is handed back.
-	Att *attest.Attestation
-	// CacheLocal stores the peer's bytes in this node's own cache too:
-	// the cluster replicates hot keys toward their readers so the ring
-	// owner does not become a hotspot.
-	CacheLocal bool
-	// Rejected and Stale mirror the owner's response flags so audit
-	// records and client semantics survive the peer hop.
-	Rejected bool
-	Stale    bool
-	// Peer identifies the node that served (or failed to serve) the key.
-	Peer string
-	// Err is the peer hop failure (Outcome == PeerFailed).
-	Err error
 }
 
 // Lookup names what a request wants and for whom. It is the single
@@ -334,12 +219,14 @@ type Result struct {
 }
 
 // RequestInfo describes how a request was served; the peer protocol
-// forwards it as response headers so flags survive the extra hop.
+// forwards it so flags survive the extra hop.
 type RequestInfo struct {
 	CacheHit  bool
-	Coalesced bool
-	Rejected  bool
-	Stale     bool
+	Coalesced bool // joined an in-flight fetch for the same class
+	Rejected  bool // verification failure, replacement served
+	// Stale marks a degraded response: the origin was unreachable (or
+	// the proxy overloaded) and an expired cache entry was served.
+	Stale bool
 	// Shed marks an overload decision: with Stale set the request was
 	// answered from expired cache instead of queueing a refetch;
 	// otherwise it was rejected (ErrOverloaded).
@@ -390,57 +277,13 @@ type Stats struct {
 	// compilation (cache hit or peer fill); CompileMisses counts local
 	// compilations — a cheap derivation from the cached base artifact,
 	// or a full pipeline run when no base was resident.
-	CompileHits    int64
-	CompileMisses  int64
-	BytesIn        int64
-	BytesOut         int64
-	ProxyTime        time.Duration
+	CompileHits   int64
+	CompileMisses int64
+	BytesIn       int64
+	BytesOut      int64
+	ProxyTime     time.Duration
 	// Breaker is the origin circuit-breaker snapshot.
 	Breaker resilience.BreakerCounts
-}
-
-// cacheEntry is one LRU cache element. prefetched marks a speculative
-// entry that has not been hit yet: the flag clears on first use, and an
-// entry evicted or overwritten with the flag still set is counted as
-// prefetch waste.
-type cacheEntry struct {
-	key        string
-	data       []byte
-	att        *attest.Attestation // trust metadata, nil when attestation is off
-	storedAt   time.Time
-	prefetched bool
-	// rejected marks a verification-failure replacement class. The flag
-	// survives caching so later hits report Rejected faithfully and the
-	// AOT derive path never compiles a replacement (replacements are
-	// architecture-independent; the regular path serves them as-is).
-	rejected bool
-}
-
-// flight is one in-progress origin fetch + pipeline run that concurrent
-// requests for the same key share. The work runs on its own detached
-// context (a worker goroutine), so the client that happened to arrive
-// first can disconnect without failing everyone else on the flight: the
-// work is canceled only when the last waiter leaves.
-type flight struct {
-	done   chan struct{}      // closed when the worker finishes
-	cancel context.CancelFunc // stops the worker; called on last leave
-
-	// waiters counts the requests awaiting this flight (guarded by
-	// Proxy.flightMu). When it reaches zero before done, nobody wants
-	// the result anymore and the worker is canceled.
-	waiters int
-
-	// Results, published before done is closed.
-	data      []byte
-	att       *attest.Attestation
-	rejected  bool
-	stale     bool
-	shed      bool   // admission control shed this flight (stale or rejected)
-	peer      string // cluster node that filled the miss, if any
-	peerErr   string // failed peer-fill attempt that fell back to origin
-	fetchErr  string // origin failure behind a stale-if-error response
-	proxyTime time.Duration
-	err       error
 }
 
 // Proxy is the static-service host.
@@ -449,20 +292,10 @@ type Proxy struct {
 	cfg     Config
 	breaker *resilience.Breaker
 	hop     resilience.Hop
-	now     func() time.Time // clock hook for TTL tests
-
-	mu         sync.Mutex
-	cache      map[string]*list.Element // key: arch + "\x00" + class
-	lru        *list.List               // front = most recently used
-	cacheBytes int
-	// prefetchResident tracks bytes of prefetched-but-not-yet-used
-	// entries (guarded by mu; exported as a gauge).
-	prefetchResident int
+	store   *store
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
-
-	inFlight atomic.Int64
 
 	// adm is the overload controller (nil = admission disabled).
 	adm *admission
@@ -499,26 +332,15 @@ type Proxy struct {
 	cCompileMisses *telemetry.Counter
 
 	// Batch-warm ingestion (replica push, handoff, prefetch — one path,
-	// one set of counters) and the prefetch ledger. Waste is explicit:
-	// prefetched bytes evicted or overwritten before first use are
-	// reported, not hidden.
-	cWarmed             *telemetry.Counter
-	cWarmedBytes        *telemetry.Counter
-	cPrefetchInserted   *telemetry.Counter
-	cPrefetchHits       *telemetry.Counter
-	cPrefetchSkipped    *telemetry.Counter
-	cPrefetchWasteBytes *telemetry.Counter
-	cPrefetchEvicted    *telemetry.Counter
+	// one set of counters).
+	cWarmed      *telemetry.Counter
+	cWarmedBytes *telemetry.Counter
 
 	hRequest     *telemetry.Histogram // whole-request latency; count == Requests
 	hOriginFetch *telemetry.Histogram
 	hPipeline    *telemetry.Histogram // parse+transform time; Sum backs Stats.ProxyTime
 	hAttest      *telemetry.Histogram // quorum round latency per attested artifact
 }
-
-// connectionMemory is the modeled per-connection server memory (socket
-// buffers, HTTP state, worker stack) held for an in-flight request.
-const connectionMemory = 256 << 10
 
 // New creates a proxy in front of origin.
 func New(origin Origin, cfg Config) *Proxy {
@@ -527,9 +349,6 @@ func New(origin Origin, cfg Config) *Proxy {
 	}
 	if cfg.Pipeline == nil {
 		cfg.Pipeline = rewrite.NewPipeline()
-	}
-	if cfg.MemoryBudget > 0 && cfg.PagingPenaltyPerMB == 0 {
-		cfg.PagingPenaltyPerMB = 2 * time.Millisecond
 	}
 	if cfg.MaxQueue > 0 {
 		if cfg.MaxConcurrent <= 0 {
@@ -545,12 +364,10 @@ func New(origin Origin, cfg Config) *Proxy {
 	p := &Proxy{
 		origin:  origin,
 		cfg:     cfg,
-		now:     time.Now,
-		cache:   make(map[string]*list.Element),
-		lru:     list.New(),
 		flights: make(map[string]*flight),
 		reg:     telemetry.NewRegistry("proxy"),
 	}
+	p.store = newStore(cfg, p.reg)
 	p.cRequests = p.reg.Counter("requests_total")
 	p.cCacheHits = p.reg.Counter("cache_hits_total")
 	p.cCoalesced = p.reg.Counter("coalesced_total")
@@ -572,21 +389,11 @@ func New(origin Origin, cfg Config) *Proxy {
 	p.cCompileMisses = p.reg.Counter("compile_misses_total")
 	p.cWarmed = p.reg.Counter("warm_entries_total")
 	p.cWarmedBytes = p.reg.Counter("warm_bytes_total")
-	p.cPrefetchInserted = p.reg.Counter("prefetch_inserted_total")
-	p.cPrefetchHits = p.reg.Counter("prefetch_hits_total")
-	p.cPrefetchSkipped = p.reg.Counter("prefetch_skipped_total")
-	p.cPrefetchWasteBytes = p.reg.Counter("prefetch_waste_bytes_total")
-	p.cPrefetchEvicted = p.reg.Counter("prefetch_evicted_unused_total")
-	p.reg.Gauge("prefetch_resident_unused_bytes", func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return float64(p.prefetchResident)
-	})
 	p.hRequest = p.reg.Histogram("request_seconds", nil)
 	p.hOriginFetch = p.reg.Histogram("origin_fetch_seconds", nil)
 	p.hPipeline = p.reg.Histogram("pipeline_seconds", nil)
 	p.hAttest = p.reg.Histogram("attest_quorum_seconds", nil)
-	if cfg.MaxQueue > 0 && cfg.ShedPolicy != ShedNone {
+	if cfg.MaxQueue > 0 {
 		// Expected service time for the deadline-aware drop: the live
 		// mean origin fetch plus the live mean pipeline run.
 		svc := func() time.Duration {
@@ -603,18 +410,21 @@ func New(origin Origin, cfg Config) *Proxy {
 		Timeout: cfg.FetchTimeout,
 		Retry: resilience.RetryPolicy{
 			Attempts: 1 + cfg.FetchRetries,
-			Base:     cfg.RetryBase,
 			Seed:     cfg.RetrySeed,
 		},
 		Breaker: p.breaker,
 		Retries: p.cFetchRetries,
 	}
-	p.reg.Gauge("cache_bytes", func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return float64(p.cacheBytes)
+	// Requests currently waiting on a flight, leaders included.
+	p.reg.Gauge("flight_waiters", func() float64 {
+		p.flightMu.Lock()
+		defer p.flightMu.Unlock()
+		n := 0
+		for _, f := range p.flights {
+			n += f.waiters
+		}
+		return float64(n)
 	})
-	p.reg.Gauge("inflight_bytes", func() float64 { return float64(p.inFlight.Load()) })
 	// The share of parsed Utf8 constants the lazy codec actually had to
 	// decode (process-wide): near 0 on pass-through traffic, rising only
 	// when filters touch names, descriptors, and attribute payloads.
@@ -636,16 +446,9 @@ func New(origin Origin, cfg Config) *Proxy {
 	return p
 }
 
-// Breaker exposes the origin circuit breaker (diagnostics, shared
-// upstream wiring).
-func (p *Proxy) Breaker() *resilience.Breaker { return p.breaker }
-
 // Telemetry exposes the proxy's metric registry (mounted on /metrics by
 // the HTTP front end; the cluster node adds its peer counters here).
 func (p *Proxy) Telemetry() *telemetry.Registry { return p.reg }
-
-// Node returns the name this proxy uses in trace spans.
-func (p *Proxy) Node() string { return p.cfg.Node }
 
 // Health reports the shared versioned health schema: degraded while the
 // origin breaker is open (requests are being answered from stale cache
@@ -715,138 +518,62 @@ func (p *Proxy) RequestLatency() telemetry.HistSnapshot {
 	return p.hRequest.Snapshot()
 }
 
-// Warm reasons: why a batch entry is being pushed into a node's cache.
-// Replica pushes, membership handoff, and predictive prefetch all share
-// the same ingestion path (Warm) and the same counters; the reason only
-// changes placement policy (prefetch inserts cold and never evicts).
-const (
-	ReasonFill     = "fill"
-	ReasonReplica  = "replica"
-	ReasonHandoff  = "handoff"
-	ReasonPrefetch = "prefetch"
-)
-
-// CacheEntry is one cache element on the wire or in a snapshot: batch
-// Warm ingestion, membership handoff, diagnostics. Att rides along so a
-// transferred artifact stays verifiable on the receiving node; Reason
-// says why it is being pushed (see the Reason* constants).
-type CacheEntry struct {
-	Arch   string
-	Class  string
-	Data   []byte
-	Att    *attest.Attestation `json:",omitempty"`
-	Reason string              `json:",omitempty"`
-	// Rejected marks a verification-failure replacement so the flag
-	// survives warm pushes and handoffs (see cacheEntry.rejected).
-	Rejected bool `json:",omitempty"`
+// CacheSnapshot returns cached artifacts most-recently-used first —
+// recency is the proxy's hotness signal — stopping once their data
+// exceeds maxBytes (0 = unbounded). keep filters (nil = all). The
+// cluster handoff path uses it to offer a new owner its hottest
+// inherited keys first.
+func (p *Proxy) CacheSnapshot(maxBytes int, keep func(arch, class string) bool) []*Artifact {
+	return p.store.snapshot(maxBytes, keep)
 }
 
-// CachedEntry is the old name of CacheEntry.
-//
-// Deprecated: use CacheEntry.
-type CachedEntry = CacheEntry
-
-// CacheSnapshot returns cached entries most-recently-used first —
-// recency is the proxy's hotness signal — stopping once the entries'
-// data exceeds maxBytes (0 = unbounded). keep filters entries (nil =
-// all). The cluster handoff path uses it to offer a new owner its
-// hottest inherited keys first.
-func (p *Proxy) CacheSnapshot(maxBytes int, keep func(arch, class string) bool) []CacheEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []CacheEntry
-	bytes := 0
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		arch, class := splitKey(ent.key)
-		if keep != nil && !keep(arch, class) {
-			continue
-		}
-		if maxBytes > 0 && bytes+len(ent.data) > maxBytes && len(out) > 0 {
-			break
-		}
-		out = append(out, CacheEntry{Arch: arch, Class: class, Data: ent.data, Att: ent.att, Rejected: ent.rejected})
-		bytes += len(ent.data)
-		if maxBytes > 0 && bytes >= maxBytes {
-			break
-		}
-	}
-	return out
-}
-
-// Warm inserts already-transformed classes into the cache without a
-// request: replication pushes, membership handoffs, and predictive
+// Warm puts already-transformed classes into the cache without a
+// request: replication pushes, membership handoffs and predictive
 // prefetch all seed a node's cache with results another node paid for,
-// through this one ingestion path with one set of counters. The caller
-// (the cluster layer) verifies each entry's attestation against its
-// bytes before warming; the proxy just stores them together.
+// through this one path with one set of counters. The caller (the
+// cluster layer) verifies each artifact's attestation against its bytes
+// first. Source says why each one is here; ReasonPrefetch artifacts are
+// speculative and are skipped, not forced, when they do not fit (see
+// store.put).
 //
-// Entries with Reason == ReasonPrefetch are speculative: they enter at
-// the cold end of the LRU and never evict resident entries — a guess
-// must not displace bytes a client actually asked for. Entries that do
-// not fit the remaining budget (or are already cached) are skipped and
-// counted, not forced.
-//
-// Returns the number of entries stored. No-op when caching is disabled.
-func (p *Proxy) Warm(entries []CacheEntry) int {
+// Returns the number stored. No-op when caching is disabled.
+func (p *Proxy) Warm(arts []*Artifact) int {
 	if !p.cfg.CacheEnabled {
 		return 0
 	}
 	stored := 0
-	for _, e := range entries {
-		key := e.Arch + "\x00" + e.Class
-		if e.Reason == ReasonPrefetch {
-			if p.storePrefetch(key, e.Data, e.Att, e.Rejected) {
-				p.cWarmed.Inc()
-				p.cWarmedBytes.Add(int64(len(e.Data)))
-				stored++
-			}
-			continue
+	for _, a := range arts {
+		if p.store.put(a) {
+			p.cWarmed.Inc()
+			p.cWarmedBytes.Add(int64(len(a.Data)))
+			stored++
 		}
-		p.storeMem(key, e.Data, e.Att, e.Rejected)
-		p.diskCachePut(key, e.Data, e.Att)
-		p.cWarmed.Inc()
-		p.cWarmedBytes.Add(int64(len(e.Data)))
-		stored++
 	}
 	return stored
 }
 
-// storePrefetch inserts a speculative entry at the cold end of the LRU.
-// It refuses rather than evicts when the budget is full: recency is the
-// proxy's hotness signal, so anything resident is by definition hotter
-// than a guess — this is the LRU pressure guard ("prefetch never evicts
-// a hotter key than it inserts"). The disk cache is not touched; a
-// guess does not deserve durable bytes.
-func (p *Proxy) storePrefetch(key string, data []byte, att *attest.Attestation, rejected bool) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.cache[key]; ok {
-		p.cPrefetchSkipped.Inc()
-		return false
+// Peek returns the fresh cached artifact for (arch, class) without
+// touching LRU recency, the prefetch ledger, or any counter (nil = not
+// resident or due for revalidation).
+func (p *Proxy) Peek(arch, class string) *Artifact {
+	if !p.cfg.CacheEnabled {
+		return nil
 	}
-	if p.cfg.CacheBudget > 0 && p.cacheBytes+len(data) > p.cfg.CacheBudget {
-		p.cPrefetchSkipped.Inc()
-		return false
-	}
-	p.cache[key] = p.lru.PushBack(&cacheEntry{key: key, data: data, att: att, storedAt: p.now(), prefetched: true, rejected: rejected})
-	p.cacheBytes += len(data)
-	p.prefetchResident += len(data)
-	p.cPrefetchInserted.Inc()
-	return true
+	return p.store.peek(arch + "\x00" + class)
 }
 
-// PrefetchStats reports the prefetch ledger: entries inserted, hits on
-// prefetched entries, entries skipped (already cached or no budget
-// headroom), bytes evicted or overwritten before first use (waste), and
-// bytes currently resident but not yet used.
-func (p *Proxy) PrefetchStats() (inserted, hits, skipped, wasteBytes, residentBytes int64) {
-	p.mu.Lock()
-	resident := int64(p.prefetchResident)
-	p.mu.Unlock()
-	return p.cPrefetchInserted.Load(), p.cPrefetchHits.Load(), p.cPrefetchSkipped.Load(),
-		p.cPrefetchWasteBytes.Load(), resident
+// PrefetchLedger is the prefetch account: every pushed byte ends as a
+// hit, resident, or reported waste.
+type PrefetchLedger struct {
+	Inserted      int64 // entries stored
+	Hits          int64 // first uses of a prefetched entry
+	Skipped       int64 // pushes refused (already cached or no headroom)
+	WasteBytes    int64 // evicted or overwritten before first use
+	ResidentBytes int64 // resident and not yet used
 }
+
+// PrefetchStats reports the prefetch ledger.
+func (p *Proxy) PrefetchStats() PrefetchLedger { return p.store.ledger() }
 
 // UnderPressure reports whether the admission queue is at least half
 // full — the same threshold at which stale entries are served instead
@@ -854,24 +581,13 @@ func (p *Proxy) PrefetchStats() (inserted, hits, skipped, wasteBytes, residentBy
 // shed at this point so overload never competes with client traffic.
 func (p *Proxy) UnderPressure() bool { return p.adm.pressured() }
 
-// CacheEntries returns the cached keys, sorted (diagnostics).
-func (p *Proxy) CacheEntries() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.cache))
-	for k := range p.cache {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Request serves one class to one client: the full intercept path. The
 // ctx bounds the whole request (client disconnect, caller deadline);
 // per-attempt origin deadlines come from Config.FetchTimeout. If the
 // ctx carries a telemetry trace the request joins it; otherwise a fresh
 // trace is created. Either way Result.Trace holds the timeline,
-// populated with a span per stage.
+// populated with a span per stage. Every request, served or failed,
+// leaves one audit record.
 func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 	tr := telemetry.FromContext(ctx)
 	if tr == nil {
@@ -880,49 +596,39 @@ func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 	}
 	span := tr.StartSpan(p.cfg.Node, "proxy.request")
 	p.cRequests.Inc()
-	data, info, err := p.serve(ctx, tr, span, l)
+	art, rec, err := p.serve(ctx, tr, l)
+	res := Result{Info: rec.RequestInfo, Trace: tr}
+	if art != nil {
+		res.Data = art.Data
+		p.cBytesOut.Add(int64(len(art.Data)))
+	}
+	if p.cfg.OnAudit != nil {
+		rec.Lookup, rec.Bytes, rec.Duration = l, len(res.Data), span.Elapsed()
+		if err != nil {
+			rec.FetchError = err.Error()
+		}
+		p.cfg.OnAudit(rec)
+	}
 	p.hRequest.Observe(span.End())
-	return Result{Data: data, Info: info, Trace: tr}, err
+	return res, err
 }
 
-// serve is the request body under the root span: cache probe, miss
-// coalescing, and the leader path.
-func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, span *telemetry.SpanTimer, l Lookup) ([]byte, RequestInfo, error) {
+// serve is the request body under the root span: memory probe, miss
+// coalescing, and the wait for the flight. The record it returns lacks
+// only what Request knows (who, how long).
+func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Artifact, RequestRecord, error) {
 	key := l.Arch + "\x00" + l.Class
 
-	var staleData []byte // expired cache entry kept for stale-if-error
-	var staleAtt *attest.Attestation
-	var haveStale bool
+	var stale *Artifact // expired entry kept for stale-if-error
 	if p.cfg.CacheEnabled {
-		data, att, fresh, prefetched, rejected, ok := p.memGet(key)
-		if !ok {
-			// Second level: the on-disk cache (survives proxy restarts).
-			// Only a fresh disk entry is promoted to memory; a stale one
-			// is kept solely as the stale-if-error fallback so it still
-			// gets revalidated on the next request.
-			if d, datt, diskFresh, hit := p.diskCacheGet(key); hit {
-				data, att, fresh, ok = d, datt, diskFresh, true
-				if diskFresh {
-					p.storeMem(key, d, datt, false)
-				}
-			}
-		}
-		if ok && fresh {
+		art, fresh, prefetched := p.store.get(key)
+		if fresh {
 			p.cCacheHits.Inc()
-			if a := p.cfg.AOT; a != nil && l.Arch == a.Arch {
-				// A resident compiled artifact: nobody compiles anything.
-				p.cCompileHits.Inc()
-			}
-			p.cBytesOut.Add(int64(len(data)))
-			p.audit(RequestRecord{
-				Client: l.Client, Arch: l.Arch, Class: l.Class, Bytes: len(data),
-				CacheHit: true, Rejected: rejected, Duration: span.Elapsed(),
-			})
-			return data, RequestInfo{CacheHit: true, Prefetched: prefetched, Rejected: rejected, Attestation: att}, nil
+			p.countCompileHit(l.Arch) // a resident compiled artifact: nobody compiles anything
+			return art, RequestRecord{RequestInfo: RequestInfo{
+				CacheHit: true, Prefetched: prefetched, Rejected: art.Rejected, Attestation: art.Att}}, nil
 		}
-		if ok {
-			staleData, staleAtt, haveStale = data, att, true
-		}
+		stale = art
 	}
 
 	// Coalesce concurrent misses: if another request is already fetching
@@ -932,7 +638,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, span *telemetry.
 	if f, ok := p.flights[key]; ok {
 		f.waiters++
 		p.flightMu.Unlock()
-		return p.awaitFlight(ctx, tr, span, key, f, l, false)
+		return p.awaitFlight(ctx, tr, key, f, l.Arch, false)
 	}
 	// First request for this key: start the flight on a context detached
 	// from this client. The client's disconnect must not fail the other
@@ -950,8 +656,16 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, span *telemetry.
 	if dl, ok := ctx.Deadline(); ok {
 		budget = time.Until(dl)
 	}
-	go p.runFlight(fctx, tr, f, key, l, staleData, staleAtt, haveStale, budget)
-	return p.awaitFlight(ctx, tr, span, key, f, l, true)
+	go p.runFlight(fctx, tr, f, key, l, stale, budget)
+	return p.awaitFlight(ctx, tr, key, f, l.Arch, true)
+}
+
+// countCompileHit counts a compiled-architecture artifact served
+// without compiling anything here (Stats.CompileHits).
+func (p *Proxy) countCompileHit(arch string) {
+	if p.cfg.AOTBaseArch != "" && arch == compiler.ArchDVM {
+		p.cCompileHits.Inc()
+	}
 }
 
 // leaveFlight drops one waiter from a flight. The last waiter to leave
@@ -972,22 +686,18 @@ func (p *Proxy) leaveFlight(key string, f *flight) {
 }
 
 // awaitFlight is the waiter path every request takes once a flight
-// exists for its key: hold connection memory (the client is a live
-// connection even while it waits), share the flight's result, and emit
-// this client's own audit record. The request that started the flight
-// (leader) waits without a span — the flight's own spans are already on
-// its trace; a follower's wait is a "queue.wait" span, because
-// coalescing trades duplicated work for queueing delay and the trace
-// shows exactly how much.
-func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *telemetry.SpanTimer, key string, f *flight, l Lookup, leader bool) ([]byte, RequestInfo, error) {
+// exists for its key: share the flight's result and account for this
+// client's own request. The request that started the flight (leader)
+// waits without a span — the flight's own spans are already on its
+// trace; a follower's wait is a "queue.wait" span, because coalescing
+// trades duplicated work for queueing delay and the trace shows exactly
+// how much.
+func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string, f *flight, arch string, leader bool) (*Artifact, RequestRecord, error) {
 	var wait *telemetry.SpanTimer
 	if !leader {
-		// The flight worker models its own connection memory; followers
-		// are additional live connections.
-		p.inFlight.Add(connectionMemory)
-		defer p.inFlight.Add(-connectionMemory)
 		wait = tr.StartSpan(p.cfg.Node, "queue.wait")
 	}
+	rec := RequestRecord{RequestInfo: RequestInfo{Coalesced: !leader}}
 	select {
 	case <-f.done:
 		if wait != nil {
@@ -1001,12 +711,12 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *tele
 		// continues for the others — unless this was the last waiter,
 		// in which case leaveFlight cancels the work.
 		p.leaveFlight(key, f)
-		err := ctx.Err()
-		p.audit(RequestRecord{
-			Client: l.Client, Arch: l.Arch, Class: l.Class,
-			Coalesced: !leader, FetchError: err.Error(), Duration: span.Elapsed(),
-		})
-		return nil, RequestInfo{Coalesced: !leader}, err
+		return nil, rec, ctx.Err()
+	}
+	rec.Shed = f.shed
+	if leader {
+		// Flight-level detail rides the leader's record.
+		rec.PeerError, rec.FetchError, rec.ProxyTime = f.peerErr, f.fetchErr, f.proxyTime
 	}
 	if f.err != nil {
 		if !leader {
@@ -1015,499 +725,27 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, span *tele
 			// waiters does not inflate fetch_errors_total by N+1.
 			p.cCoalescedFailures.Inc()
 		}
-		p.audit(RequestRecord{
-			Client: l.Client, Arch: l.Arch, Class: l.Class, Coalesced: !leader,
-			Shed: f.shed, FetchError: f.err.Error(), PeerError: f.peerErr,
-			Duration: span.Elapsed(),
-		})
-		return nil, RequestInfo{Coalesced: !leader, Shed: f.shed}, f.err
+		return nil, rec, f.err
 	}
-	info := RequestInfo{
-		Coalesced: !leader, Rejected: f.rejected, Stale: f.stale,
-		Shed: f.shed, Peer: f.peer, Attestation: f.att,
-	}
+	art := f.art
+	rec.Rejected, rec.Stale, rec.Peer, rec.Attestation = art.Rejected, f.stale, f.peer, art.Att
 	// A follower shares bytes another request paid for — a cache hit in
-	// all but storage; so does any waiter served a stale entry from this
-	// node's own cache (stale-if-error or a shed onto the stale copy).
-	info.CacheHit = !leader || (f.stale && f.peer == "")
-	if !leader {
+	// all but storage; so does the leader when the flight found the key
+	// fresh in the disk tier, and any waiter served a stale entry from
+	// this node's own cache (stale-if-error or a shed onto the stale
+	// copy).
+	disk := !f.stale && art.Source == SourceDisk
+	rec.CacheHit = !leader || disk || (f.stale && f.peer == "")
+	if !leader || disk {
 		p.cCacheHits.Inc()
+	}
+	if !leader {
 		p.cCoalesced.Inc()
+	} else if disk {
+		p.countCompileHit(arch)
 	}
 	if f.stale {
 		p.cStaleServed.Inc()
 	}
-	p.cBytesOut.Add(int64(len(f.data)))
-	rec := RequestRecord{
-		Client: l.Client, Arch: l.Arch, Class: l.Class, Bytes: len(f.data),
-		CacheHit: info.CacheHit, Coalesced: !leader, Rejected: f.rejected,
-		Stale: f.stale, Shed: f.shed, Peer: f.peer, Duration: span.Elapsed(),
-	}
-	if leader {
-		// Flight-level detail rides the leader's record, as it did when
-		// the leader ran the fetch inline.
-		rec.PeerError = f.peerErr
-		rec.FetchError = f.fetchErr
-		rec.ProxyTime = f.proxyTime
-	}
-	p.audit(rec)
-	return f.data, info, nil
-}
-
-// runFlight is the miss path, run by one worker goroutine per flight on
-// a context detached from the clients: admission control, peer fill
-// (sharded cluster), origin fetch (deadline + retry + breaker), memory
-// model, pipeline, caching. The result is published into f for the
-// waiters, who emit their own per-request counters and audit records.
-// When the origin is unreachable and a stale cache entry exists, it is
-// served instead (stale-if-error). ctx is canceled only when every
-// waiter has left (leaveFlight).
-func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, key string, l Lookup, staleData []byte, staleAtt *attest.Attestation, haveStale bool, budget time.Duration) {
-	defer func() {
-		// Unpublish before waking the waiters so a new request finds
-		// either the cached entry or no flight at all; leaveFlight may
-		// already have removed an abandoned flight.
-		p.flightMu.Lock()
-		if p.flights[key] == f {
-			delete(p.flights, key)
-		}
-		p.flightMu.Unlock()
-		close(f.done)
-		f.cancel()
-	}()
-
-	// Memory model: the flight holds connection state and transfer
-	// buffers for its whole lifetime (including the upstream fetch),
-	// plus the parsed class afterwards.
-	held := int64(connectionMemory)
-	p.inFlight.Add(held)
-	defer func() { p.inFlight.Add(-held) }()
-
-	// Admission: a flight is one unit of origin+pipeline work; cache
-	// hits and followers never reach this point. The controller may
-	// grant a slot, shed the flight onto its stale copy, or reject it.
-	if p.adm != nil {
-		wspan := tr.StartSpan(p.cfg.Node, "admission.wait")
-		outcome, aerr := p.adm.acquire(ctx, l.Client, haveStale, budget)
-		wspan.End()
-		switch outcome {
-		case admitStale:
-			f.data, f.att, f.stale, f.shed = staleData, staleAtt, true, true
-			p.touchStale(key)
-			return
-		case admitShed:
-			if errors.Is(aerr, ErrOverloaded) {
-				f.err, f.shed = aerr, true
-			} else {
-				// ctx expired while queued: every waiter left.
-				p.flightError(f, aerr)
-			}
-			return
-		}
-		defer p.adm.release()
-	}
-
-	// Sharded cluster: ask the key's ring owner before the origin. A
-	// peer-served miss skips both the origin fetch and the pipeline run —
-	// the owner already paid for them once on behalf of the whole fleet.
-	if p.cfg.PeerFill != nil {
-		fill := tr.StartSpan(p.cfg.Node, "peer.fill")
-		res := p.cfg.PeerFill(ctx, l)
-		fill.End()
-		switch res.Outcome {
-		case PeerServed:
-			p.cPeerFetches.Inc()
-			p.cPeerHits.Inc()
-			if a := p.cfg.AOT; a != nil && l.Arch == a.Arch {
-				// The owner paid the compilation; this node serves it free.
-				p.cCompileHits.Inc()
-			}
-			if p.cfg.CacheEnabled && res.CacheLocal {
-				// Hot key: replicate the owner's copy into the local LRU
-				// (and disk cache) so this node stops round-tripping for it.
-				// The fill hook already verified res.Att against res.Data.
-				p.storeMem(key, res.Data, res.Att, res.Rejected)
-				p.diskCachePut(key, res.Data, res.Att)
-			}
-			f.data, f.att, f.rejected, f.stale, f.peer = res.Data, res.Att, res.Rejected, res.Stale, res.Peer
-			return
-		case PeerFailed:
-			// Owner down or unreachable: degrade to a local origin fetch.
-			// Sharing is lost for this key, availability is not.
-			p.cPeerFetches.Inc()
-			if res.Err != nil {
-				f.peerErr = res.Err.Error()
-			}
-		default: // PeerSelf: this node owns the key
-			p.cOwnerFetches.Inc()
-		}
-	}
-
-	// Shared AOT code cache: a miss for the compiled architecture whose
-	// base-architecture artifact is already resident is answered by
-	// compiling those bytes directly — the origin fetch and the full
-	// pipeline run were paid once, under the base key; this request adds
-	// only the (cheap, deterministic) derivation. Rejected bases are
-	// skipped: a rejection replacement is architecture-independent and
-	// the regular path reproduces it exactly.
-	if a := p.cfg.AOT; a != nil && a.Compile != nil && l.Arch == a.Arch {
-		if base, baseRejected, ok := p.peekEntry(a.BaseArch, l.Class); ok && !baseRejected {
-			dspan := tr.StartSpan(p.cfg.Node, "aot.derive")
-			out, derr := a.Compile(base)
-			f.proxyTime = dspan.End()
-			p.hPipeline.Observe(f.proxyTime)
-			if derr == nil {
-				p.cCompileMisses.Inc()
-				var att *attest.Attestation
-				if a.AttestCompile != nil {
-					aspan := tr.StartSpan(p.cfg.Node, "attest.compile")
-					sealed, aerr := a.AttestCompile(ctx, l.Arch, l.Class, base, out)
-					p.hAttest.Observe(aspan.End())
-					if aerr != nil {
-						p.cAttestFailures.Inc()
-						p.flightError(f, fmt.Errorf("proxy: attesting compiled %s: %w", l.Class, aerr))
-						return
-					}
-					att = sealed
-					p.cAttested.Inc()
-				}
-				if p.cfg.CacheEnabled {
-					p.storeMem(key, out, att, false)
-					p.diskCachePut(key, out, att)
-				}
-				if p.cfg.OnTransformed != nil {
-					p.cfg.OnTransformed(l.Arch, l.Class, out, att)
-				}
-				f.data, f.att = out, att
-				return
-			}
-			// A base artifact the compiler cannot consume degrades to the
-			// full path below; the origin fetch re-derives from scratch.
-			log.Printf("proxy: aot: deriving %s from cached %s artifact: %v", l.Class, a.BaseArch, derr)
-		}
-	}
-
-	p.cOriginFetches.Inc()
-	fetch := tr.StartSpan(p.cfg.Node, "origin.fetch")
-	var raw []byte
-	err := p.hop.Do(ctx, func(actx context.Context) error {
-		b, ferr := p.origin.Fetch(actx, l.Class)
-		if ferr != nil {
-			if errors.Is(ferr, ErrNotFound) {
-				// A definitive answer, not an outage: no retry, no
-				// breaker penalty, no stale fallback.
-				return resilience.Permanent(ferr)
-			}
-			return ferr
-		}
-		raw = b
-		return nil
-	})
-	p.hOriginFetch.Observe(fetch.End())
-	if err != nil {
-		if haveStale && !errors.Is(err, ErrNotFound) {
-			// Degraded mode: the origin is down but we still hold the
-			// previous transformation. Freshness degrades; availability
-			// does not.
-			f.data, f.att, f.stale, f.fetchErr = staleData, staleAtt, true, err.Error()
-			p.touchStale(key)
-			return
-		}
-		p.flightError(f, err)
-		return
-	}
-	p.cBytesIn.Add(int64(len(raw)))
-	extra := int64(len(raw)) * 4 // parsed form is a few times the wire size
-	held += extra
-	total := p.inFlight.Add(extra)
-	if p.cfg.MemoryBudget > 0 && total > p.cfg.MemoryBudget {
-		overMB := float64(total-p.cfg.MemoryBudget) / (1 << 20)
-		penalty := time.Duration(overMB * float64(p.cfg.PagingPenaltyPerMB))
-		if penalty > 0 {
-			time.Sleep(penalty)
-		}
-	}
-
-	pipe := tr.StartSpan(p.cfg.Node, "pipeline")
-	rctx := rewrite.NewContext()
-	rctx.ClientID = l.Client
-	rctx.ClientArch = l.Arch
-	rctx.Trace = tr
-	rctx.Node = p.cfg.Node
-	out, perr := p.cfg.Pipeline.Process(raw, rctx)
-	rejected := false
-	if perr != nil {
-		// A verification (or other service) rejection becomes a
-		// replacement class that raises VerifyError on the client.
-		rejected = true
-		p.cRejections.Inc()
-		repl, rerr := verifier.MakeErrorClass(l.Class, perr.Error())
-		if rerr != nil {
-			p.hPipeline.Observe(pipe.End())
-			p.flightError(f, fmt.Errorf("proxy: building replacement for %s: %v (original error: %w)", l.Class, rerr, perr))
-			return
-		}
-		out = repl
-	}
-	f.proxyTime = pipe.End()
-	p.hPipeline.Observe(f.proxyTime)
-	if a := p.cfg.AOT; a != nil && l.Arch == a.Arch && !rejected {
-		// Full pipeline run for the compiled architecture: the compile
-		// step ran inside it (no resident base artifact to derive from).
-		p.cCompileMisses.Inc()
-	}
-
-	// Quorum attestation: before the artifact is cached or served, the
-	// hook cross-checks the output digest against ring successors and
-	// seals the agreement. A hook error fails the flight — divergence
-	// means these bytes cannot be trusted, and no client may see them.
-	var att *attest.Attestation
-	if p.cfg.Attest != nil {
-		aspan := tr.StartSpan(p.cfg.Node, "attest.quorum")
-		a, aerr := p.cfg.Attest(ctx, l.Arch, l.Class, raw, out)
-		p.hAttest.Observe(aspan.End())
-		if aerr != nil {
-			p.cAttestFailures.Inc()
-			p.flightError(f, fmt.Errorf("proxy: attesting %s: %w", l.Class, aerr))
-			return
-		}
-		att = a
-		p.cAttested.Inc()
-	}
-
-	if p.cfg.CacheEnabled {
-		p.storeMem(key, out, att, rejected)
-		p.diskCachePut(key, out, att)
-	}
-	if p.cfg.OnTransformed != nil {
-		p.cfg.OnTransformed(l.Arch, l.Class, out, att)
-	}
-	f.data, f.att, f.rejected = out, att, rejected
-}
-
-// flightError records a failed flight. A flight canceled because every
-// waiter already disconnected is an abandonment, not an origin failure:
-// nobody was refused service, so it gets its own counter instead of
-// inflating fetch_errors_total.
-func (p *Proxy) flightError(f *flight, err error) {
-	f.err = err
-	p.flightMu.Lock()
-	abandoned := f.waiters == 0
-	p.flightMu.Unlock()
-	if abandoned && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		p.cFlightsAbandoned.Inc()
-		return
-	}
-	p.cFetchErrors.Inc()
-}
-
-// memGet looks up the in-memory cache; a hit refreshes LRU recency.
-// fresh reports whether the entry is within CacheTTL (always true when
-// no TTL is configured). prefetched reports that this hit was the first
-// use of a speculatively pushed entry — the prefetch paid off; the flag
-// clears so the entry's later eviction is not miscounted as waste.
-func (p *Proxy) memGet(key string) (data []byte, att *attest.Attestation, fresh, prefetched, rejected, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.cache[key]
-	if !ok {
-		return nil, nil, false, false, false, false
-	}
-	p.lru.MoveToFront(el)
-	ent := el.Value.(*cacheEntry)
-	if ent.prefetched {
-		ent.prefetched = false
-		prefetched = true
-		p.prefetchResident -= len(ent.data)
-		p.cPrefetchHits.Inc()
-	}
-	fresh = p.cfg.CacheTTL <= 0 || p.now().Sub(ent.storedAt) <= p.cfg.CacheTTL
-	return ent.data, ent.att, fresh, prefetched, ent.rejected, true
-}
-
-// Peek returns the fresh cached bytes for (arch, class) without touching
-// LRU recency, the prefetch ledger, or any counter — the owner-side read
-// used to assemble a prefetch piggyback without distorting its own
-// hotness signal. Stale entries are not returned: pushing bytes due for
-// revalidation would spread staleness to peers.
-func (p *Proxy) Peek(arch, class string) (data []byte, att *attest.Attestation, ok bool) {
-	if !p.cfg.CacheEnabled {
-		return nil, nil, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.cache[arch+"\x00"+class]
-	if !ok {
-		return nil, nil, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if p.cfg.CacheTTL > 0 && p.now().Sub(ent.storedAt) > p.cfg.CacheTTL {
-		return nil, nil, false
-	}
-	return ent.data, ent.att, true
-}
-
-// peekEntry is Peek plus the rejection flag, for the AOT derive path:
-// same no-recency, fresh-only semantics, but the caller also learns
-// whether the resident bytes are a rejection replacement (which must
-// not be fed to the compiler).
-func (p *Proxy) peekEntry(arch, class string) (data []byte, rejected, ok bool) {
-	if !p.cfg.CacheEnabled {
-		return nil, false, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.cache[arch+"\x00"+class]
-	if !ok {
-		return nil, false, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if p.cfg.CacheTTL > 0 && p.now().Sub(ent.storedAt) > p.cfg.CacheTTL {
-		return nil, false, false
-	}
-	return ent.data, ent.rejected, true
-}
-
-// touchStale refreshes the timestamp on a stale entry that was just
-// served via stale-if-error, so a down origin is re-probed once per TTL
-// window per key instead of on every request (the breaker bounds the
-// damage regardless; this bounds audit noise).
-func (p *Proxy) touchStale(key string) {
-	if p.cfg.CacheTTL <= 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.cache[key]; ok {
-		el.Value.(*cacheEntry).storedAt = p.now()
-	}
-}
-
-// storeMem inserts or replaces an entry in the in-memory cache with LRU
-// eviction. A replacement (e.g. a fresher transform after a pipeline
-// config change, or a disk/memory disagreement) overwrites the stale
-// bytes and fixes the byte accounting.
-func (p *Proxy) storeMem(key string, data []byte, att *attest.Attestation, rejected bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cfg.CacheBudget > 0 && len(data) > p.cfg.CacheBudget {
-		// Caching this would evict everything and the entry still could
-		// not stay resident; serve it uncached instead.
-		log.Printf("proxy: cache: entry %q (%d bytes) exceeds cache budget (%d); not cached",
-			keyClass(key), len(data), p.cfg.CacheBudget)
-		return
-	}
-	if el, ok := p.cache[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		if ent.prefetched {
-			// Overwritten before first use (e.g. a TTL refetch landed on a
-			// speculative entry): the pushed bytes were waste.
-			p.notePrefetchWaste(ent)
-		}
-		p.cacheBytes += len(data) - len(ent.data)
-		ent.data = data
-		ent.att = att
-		ent.storedAt = p.now()
-		ent.rejected = rejected
-		p.lru.MoveToFront(el)
-	} else {
-		p.cache[key] = p.lru.PushFront(&cacheEntry{key: key, data: data, att: att, storedAt: p.now(), rejected: rejected})
-		p.cacheBytes += len(data)
-	}
-	for p.cfg.CacheBudget > 0 && p.cacheBytes > p.cfg.CacheBudget {
-		back := p.lru.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*cacheEntry)
-		if ent.prefetched {
-			p.notePrefetchWaste(ent)
-		}
-		p.lru.Remove(back)
-		delete(p.cache, ent.key)
-		p.cacheBytes -= len(ent.data)
-	}
-}
-
-// notePrefetchWaste records a speculative entry leaving the cache (or
-// being overwritten) before its first use. Caller holds p.mu.
-func (p *Proxy) notePrefetchWaste(ent *cacheEntry) {
-	ent.prefetched = false
-	p.prefetchResident -= len(ent.data)
-	p.cPrefetchWasteBytes.Add(int64(len(ent.data)))
-	p.cPrefetchEvicted.Inc()
-}
-
-// splitKey splits an arch\x00class cache key into its parts.
-func splitKey(key string) (arch, class string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[:i], key[i+1:]
-		}
-	}
-	return "", key
-}
-
-// keyClass extracts the class name from an arch\x00class cache key for
-// human-readable logs.
-func keyClass(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[i+1:]
-		}
-	}
-	return key
-}
-
-func (p *Proxy) audit(r RequestRecord) {
-	if p.cfg.OnAudit != nil {
-		p.cfg.OnAudit(r)
-	}
-}
-
-// TransformDigest runs the pipeline over raw origin bytes and returns
-// the canonical digest of what this node would serve for (arch, class) —
-// the variant half of quorum attestation (/peer/attest). It shares the
-// serving path's rejection-replacement semantics (a deterministic
-// pipeline produces a deterministic rejection, so replacements attest
-// like any other artifact) but touches neither the cache nor the
-// origin: the dispatching owner supplies the raw bytes, and only the
-// digest goes back on the wire.
-func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []byte) (string, error) {
-	rctx := rewrite.NewContext()
-	rctx.ClientArch = arch
-	rctx.Node = p.cfg.Node
-	rctx.Trace = telemetry.FromContext(ctx)
-	out, perr := p.cfg.Pipeline.Process(raw, rctx)
-	if perr != nil {
-		repl, rerr := verifier.MakeErrorClass(class, perr.Error())
-		if rerr != nil {
-			return "", fmt.Errorf("proxy: building replacement for %s: %v (original error: %w)", class, rerr, perr)
-		}
-		out = repl
-	}
-	return attest.Digest(out), nil
-}
-
-// CompileDigest derives the compiled artifact from already-transformed
-// base-architecture bytes and returns its digest — the compile-mode
-// variant vote of quorum attestation. The dispatching owner supplies
-// the base artifact it derived from; this node answers with the digest
-// of what its own compiler produces from the same input, so a corrupt
-// compiler (or memory) on either side shows up as divergence exactly
-// like a corrupt pipeline does on the transform route.
-func (p *Proxy) CompileDigest(ctx context.Context, arch, class string, base []byte) (string, error) {
-	a := p.cfg.AOT
-	if a == nil || a.Compile == nil {
-		return "", fmt.Errorf("proxy: no AOT compiler configured")
-	}
-	if arch != a.Arch {
-		return "", fmt.Errorf("proxy: AOT arch %q cannot vote for %q", a.Arch, arch)
-	}
-	_ = ctx
-	out, err := a.Compile(base)
-	if err != nil {
-		return "", fmt.Errorf("proxy: deriving %s: %w", class, err)
-	}
-	return attest.Digest(out), nil
+	return art, rec, nil
 }

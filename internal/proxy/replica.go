@@ -36,19 +36,6 @@ func NewReplicaGroup(origin Origin, n int, mkConfig func(i int) Config) (*Replic
 	return g, nil
 }
 
-// NewReplicaGroupMixed builds one replica per origin (used when replicas
-// sit on different hosts with different upstream connectivity).
-func NewReplicaGroupMixed(origins []Origin, mkConfig func(i int) Config) (*ReplicaGroup, error) {
-	if len(origins) == 0 {
-		return nil, fmt.Errorf("proxy: replica group needs at least 1 replica")
-	}
-	g := &ReplicaGroup{}
-	for i, o := range origins {
-		g.replicas = append(g.replicas, New(o, mkConfig(i)))
-	}
-	return g, nil
-}
-
 // Size returns the number of replicas.
 func (g *ReplicaGroup) Size() int { return len(g.replicas) }
 

@@ -2,8 +2,10 @@ package proxy_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dvm/internal/proxy"
@@ -43,13 +45,23 @@ func TestReplicaGroupRoundRobin(t *testing.T) {
 	}
 }
 
+// flakyOrigin fails every second fetch.
+type flakyOrigin struct {
+	proxy.Origin
+	n atomic.Int64
+}
+
+func (o *flakyOrigin) Fetch(ctx context.Context, name string) ([]byte, error) {
+	if o.n.Add(1)%2 == 0 {
+		return nil, errors.New("origin blip")
+	}
+	return o.Origin.Fetch(ctx, name)
+}
+
 func TestReplicaGroupFailover(t *testing.T) {
-	org := origin(t)
-	// Replica 0 fronts a broken origin; every request must fail over to
-	// the healthy replica regardless of which one round-robin picks.
-	broken := proxy.MapOrigin{}
-	group, err := proxy.NewReplicaGroupMixed(
-		[]proxy.Origin{broken, org},
+	// Every second origin fetch fails, whichever replica makes it; the
+	// request must fail over to the next replica and succeed there.
+	group, err := proxy.NewReplicaGroup(&flakyOrigin{Origin: origin(t)}, 2,
 		func(i int) proxy.Config { return proxy.Config{Pipeline: rewrite.NewPipeline()} })
 	if err != nil {
 		t.Fatal(err)

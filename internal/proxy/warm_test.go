@@ -10,13 +10,13 @@ import (
 // White-box tests for the batch Warm ingestion path and the prefetch
 // placement policy (cold-end insert, never-evict, waste accounting).
 
-func warmEntry(class string, n int, reason string) CacheEntry {
-	return CacheEntry{Arch: "x86", Class: class, Data: bytes.Repeat([]byte{'x'}, n), Reason: reason}
+func warmEntry(class string, n int, reason string) *Artifact {
+	return &Artifact{Arch: "x86", Class: class, Data: bytes.Repeat([]byte{'x'}, n), Source: reason}
 }
 
 func TestWarmBatchStoresAllReasons(t *testing.T) {
 	p := lruProxy(0)
-	stored := p.Warm([]CacheEntry{
+	stored := p.Warm([]*Artifact{
 		warmEntry("app/R", 100, ReasonReplica),
 		warmEntry("app/H", 100, ReasonHandoff),
 		warmEntry("app/P", 100, ReasonPrefetch),
@@ -25,7 +25,7 @@ func TestWarmBatchStoresAllReasons(t *testing.T) {
 		t.Fatalf("stored = %d, want 3", stored)
 	}
 	for _, class := range []string{"app/R", "app/H", "app/P"} {
-		if _, _, ok := p.Peek("x86", class); !ok {
+		if p.Peek("x86", class) == nil {
 			t.Errorf("%s not cached", class)
 		}
 	}
@@ -39,7 +39,7 @@ func TestWarmBatchStoresAllReasons(t *testing.T) {
 
 func TestWarmDisabledCache(t *testing.T) {
 	p := New(MapOrigin{}, Config{})
-	if n := p.Warm([]CacheEntry{warmEntry("app/A", 10, ReasonReplica)}); n != 0 {
+	if n := p.Warm([]*Artifact{warmEntry("app/A", 10, ReasonReplica)}); n != 0 {
 		t.Fatalf("stored = %d on disabled cache", n)
 	}
 }
@@ -47,86 +47,77 @@ func TestWarmDisabledCache(t *testing.T) {
 func TestPrefetchInsertsColdAndNeverEvicts(t *testing.T) {
 	p := lruProxy(300)
 	// Two resident entries a client actually asked for.
-	p.storeMem("x86\x00app/A", bytes.Repeat([]byte{'a'}, 100), nil, false)
-	p.storeMem("x86\x00app/B", bytes.Repeat([]byte{'b'}, 100), nil, false)
+	p.storeMem("app/A", bytes.Repeat([]byte{'a'}, 100))
+	p.storeMem("app/B", bytes.Repeat([]byte{'b'}, 100))
 	// Prefetch fits in the remaining 100 bytes: inserted at the cold end.
-	if n := p.Warm([]CacheEntry{warmEntry("app/P1", 100, ReasonPrefetch)}); n != 1 {
+	if n := p.Warm([]*Artifact{warmEntry("app/P1", 100, ReasonPrefetch)}); n != 1 {
 		t.Fatalf("fitting prefetch not stored")
 	}
 	// A second prefetch does not fit: skipped, nothing evicted.
-	if n := p.Warm([]CacheEntry{warmEntry("app/P2", 100, ReasonPrefetch)}); n != 0 {
+	if n := p.Warm([]*Artifact{warmEntry("app/P2", 100, ReasonPrefetch)}); n != 0 {
 		t.Fatalf("over-budget prefetch was stored")
 	}
 	for _, class := range []string{"app/A", "app/B", "app/P1"} {
-		if _, _, ok := p.Peek("x86", class); !ok {
+		if p.Peek("x86", class) == nil {
 			t.Errorf("%s missing after over-budget prefetch", class)
 		}
 	}
-	if got := p.cPrefetchSkipped.Load(); got != 1 {
+	if got := p.store.cSkipped.Load(); got != 1 {
 		t.Errorf("prefetch_skipped_total = %d, want 1", got)
 	}
 	// A real store under pressure evicts the unused prefetched entry
 	// first (it sits at the cold end) and counts its bytes as waste.
-	p.storeMem("x86\x00app/C", bytes.Repeat([]byte{'c'}, 100), nil, false)
-	if _, _, ok := p.Peek("x86", "app/P1"); ok {
+	p.storeMem("app/C", bytes.Repeat([]byte{'c'}, 100))
+	if p.Peek("x86", "app/P1") != nil {
 		t.Error("unused prefetched entry survived a real store under pressure")
 	}
-	if got := p.cPrefetchWasteBytes.Load(); got != 100 {
+	if got := p.store.cWasteBytes.Load(); got != 100 {
 		t.Errorf("prefetch_waste_bytes_total = %d, want 100", got)
 	}
-	if got := p.cPrefetchEvicted.Load(); got != 1 {
+	if got := p.store.cEvicted.Load(); got != 1 {
 		t.Errorf("prefetch_evicted_unused_total = %d, want 1", got)
 	}
-	if p.prefetchResident != 0 {
-		t.Errorf("prefetchResident = %d, want 0", p.prefetchResident)
+	if p.store.unused != 0 {
+		t.Errorf("prefetchResident = %d, want 0", p.store.unused)
 	}
 }
 
 func TestPrefetchHitClearsLedgerAndPromotes(t *testing.T) {
 	p := lruProxy(300)
-	p.Warm([]CacheEntry{warmEntry("app/P", 100, ReasonPrefetch)})
-	if p.prefetchResident != 100 {
-		t.Fatalf("prefetchResident = %d, want 100", p.prefetchResident)
+	p.Warm([]*Artifact{warmEntry("app/P", 100, ReasonPrefetch)})
+	if p.store.unused != 100 {
+		t.Fatalf("prefetchResident = %d, want 100", p.store.unused)
 	}
-	data, _, fresh, prefetched, _, ok := p.memGet("x86\x00app/P")
-	if !ok || !fresh || !prefetched || len(data) != 100 {
-		t.Fatalf("memGet = ok=%v fresh=%v prefetched=%v", ok, fresh, prefetched)
+	art, fresh, prefetched := p.memGet("app/P")
+	if art == nil || !fresh || !prefetched || len(art.Data) != 100 {
+		t.Fatalf("memGet = %+v fresh=%v prefetched=%v", art, fresh, prefetched)
 	}
-	if got := p.cPrefetchHits.Load(); got != 1 {
+	if got := p.store.cHits.Load(); got != 1 {
 		t.Errorf("prefetch_hits_total = %d, want 1", got)
 	}
-	if p.prefetchResident != 0 {
-		t.Errorf("prefetchResident = %d after hit, want 0", p.prefetchResident)
+	if p.store.unused != 0 {
+		t.Errorf("prefetchResident = %d after hit, want 0", p.store.unused)
 	}
 	// Second access is an ordinary hit, and later eviction is not waste.
-	if _, _, _, again, _, _ := p.memGet("x86\x00app/P"); again {
+	if _, _, again := p.memGet("app/P"); again {
 		t.Error("second hit still flagged prefetched")
 	}
-	p.storeMem("x86\x00app/A", bytes.Repeat([]byte{'a'}, 150), nil, false)
-	p.storeMem("x86\x00app/B", bytes.Repeat([]byte{'b'}, 150), nil, false) // evicts app/P
-	if got := p.cPrefetchWasteBytes.Load(); got != 0 {
+	p.storeMem("app/A", bytes.Repeat([]byte{'a'}, 150))
+	p.storeMem("app/B", bytes.Repeat([]byte{'b'}, 150)) // evicts app/P
+	if got := p.store.cWasteBytes.Load(); got != 0 {
 		t.Errorf("used prefetch counted as waste: %d bytes", got)
 	}
 }
 
 func TestPrefetchSkipsAlreadyCached(t *testing.T) {
 	p := lruProxy(0)
-	p.storeMem("x86\x00app/A", []byte("resident"), nil, false)
-	if n := p.Warm([]CacheEntry{warmEntry("app/A", 100, ReasonPrefetch)}); n != 0 {
+	p.storeMem("app/A", []byte("resident"))
+	if n := p.Warm([]*Artifact{warmEntry("app/A", 100, ReasonPrefetch)}); n != 0 {
 		t.Fatal("prefetch overwrote a resident entry")
 	}
-	if data, _, _ := mustPeek(t, p, "x86", "app/A"); string(data) != "resident" {
-		t.Errorf("resident bytes replaced: %q", data)
+	if art := p.Peek("x86", "app/A"); art == nil || string(art.Data) != "resident" {
+		t.Errorf("resident bytes replaced: %+v", art)
 	}
-}
-
-func mustPeek(t *testing.T, p *Proxy, arch, class string) ([]byte, int, bool) {
-	t.Helper()
-	data, _, ok := p.Peek(arch, class)
-	if !ok {
-		t.Fatalf("Peek(%s/%s) missed", arch, class)
-	}
-	return data, len(data), ok
 }
 
 // Property: across any interleaving of real stores, hits, and prefetch
@@ -139,8 +130,8 @@ func TestPrefetchNeverEvictsHotterKeysProperty(t *testing.T) {
 	const budget = 1000
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		real := lruProxy(budget)     // sees only the real traffic
-		mixed := lruProxy(budget)    // sees real traffic + prefetch pushes
+		real := lruProxy(budget)  // sees only the real traffic
+		mixed := lruProxy(budget) // sees real traffic + prefetch pushes
 		realKeys := map[string]bool{}
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(3) {
@@ -148,26 +139,26 @@ func TestPrefetchNeverEvictsHotterKeysProperty(t *testing.T) {
 				class := fmt.Sprintf("app/R%02d", rng.Intn(20))
 				size := 50 + rng.Intn(100)
 				data := bytes.Repeat([]byte{'r'}, size)
-				real.storeMem("x86\x00"+class, data, nil, false)
-				mixed.storeMem("x86\x00"+class, data, nil, false)
+				real.storeMem(class, data)
+				mixed.storeMem(class, data)
 				realKeys[class] = true
 			case 1: // real hit (recency touch)
 				class := fmt.Sprintf("app/R%02d", rng.Intn(20))
-				real.memGet("x86\x00" + class)
-				mixed.memGet("x86\x00" + class)
+				real.memGet(class)
+				mixed.memGet(class)
 			case 2: // speculative push, mixed proxy only
 				class := fmt.Sprintf("app/P%02d", rng.Intn(40))
 				if realKeys[class] {
 					continue
 				}
-				mixed.Warm([]CacheEntry{warmEntry(class, 50+rng.Intn(100), ReasonPrefetch)})
+				mixed.Warm([]*Artifact{warmEntry(class, 50+rng.Intn(100), ReasonPrefetch)})
 			}
 		}
 		// Every real key resident in the clean proxy must be resident in
 		// the mixed proxy too: prefetch never cost a real key its slot.
-		for _, key := range real.CacheEntries() {
+		for _, key := range residentClasses(real) {
 			found := false
-			for _, mk := range mixed.CacheEntries() {
+			for _, mk := range residentClasses(mixed) {
 				if mk == key {
 					found = true
 					break

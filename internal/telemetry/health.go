@@ -20,7 +20,7 @@ const (
 // Health is the versioned schema served on every daemon's /healthz.
 // PRs 1–3 left the proxy, the security server, and the cluster node
 // each with a bespoke text payload; this struct replaces all of them
-// with one JSON shape (documented in DESIGN.md §9) so fleet tooling can
+// with one JSON shape (documented in DESIGN.md §13) so fleet tooling can
 // poll any daemon the same way.
 type Health struct {
 	// V is the schema version (HealthSchemaVersion).

@@ -12,7 +12,7 @@
 // vs rewrite vs peer hop vs queue wait) can be printed at the entry
 // point.
 //
-// Conventions enforced across the repo (see DESIGN.md §9):
+// Conventions enforced across the repo (see DESIGN.md §13):
 //
 //   - All request timing goes through Timer / Trace spans / Histogram —
 //     never raw time.Since. A lint test (lint_test.go) fails the build
