@@ -21,7 +21,7 @@
 // Cluster mode (-self/-peers) joins this proxy to a sharded fleet: a
 // consistent-hash ring assigns every (arch, class) key an owner node,
 // and misses for keys owned elsewhere are filled from the owner over
-// the versioned batch peer protocol (POST /peer/v1/batch) instead of
+// the versioned batch peer protocol (POST /peer/v2/batch) instead of
 // refetched from the origin — one origin fetch and one pipeline run per
 // key across the whole fleet. Owners also piggyback each served class's
 // top -prefetch-k predicted first-use successors onto fill responses

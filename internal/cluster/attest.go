@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -55,6 +54,9 @@ type attestVote struct {
 // the shared AOT code cache keeps the N-variant trust property without
 // shipping origin bytes a second time.
 const attestModeHeader = "X-DVM-Attest-Mode"
+
+// maxVoteBytes bounds a variant's answer: one hex digest in JSON.
+const maxVoteBytes = 1 << 10
 
 // maxAttestExtraRounds bounds tie-break escalation: after the initial
 // quorum, at most this many extra variants are consulted one at a time
@@ -190,8 +192,11 @@ func (n *Node) variantDigest(ctx context.Context, peer, arch, class string, raw 
 	span := telemetry.FromContext(ctx).StartSpan(n.cfg.Self, "attest.variant")
 	defer span.End()
 	var v attestVote
-	err := n.peerPost(ctx, peer, attestV1Prefix+class+".class", "application/java-vm", raw, n.cfg.PeerTimeout, &v,
+	answer, err := n.peerPost(ctx, peer, attestV1Prefix+class+".class", "application/java-vm", raw, n.cfg.PeerTimeout, maxVoteBytes,
 		"X-DVM-Arch", arch, attestModeHeader, string(mode), "X-DVM-Client", "peer:"+n.cfg.Self)
+	if err == nil {
+		err = json.Unmarshal(answer, &v)
+	}
 	if err == nil && len(v.Digest) != 64 {
 		err = fmt.Errorf("cluster: variant %s: bad vote %q", peer, v.Digest)
 	}
@@ -228,8 +233,8 @@ func (n *Node) handleAttest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad attest request", http.StatusBadRequest)
 		return
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxPeerClassBytes+1))
-	if err != nil || len(raw) == 0 || len(raw) > maxPeerClassBytes {
+	raw, err := proxy.ReadSized(r.Body, r.ContentLength, maxPeerClassBytes)
+	if err != nil || len(raw) == 0 {
 		http.Error(w, "bad attest payload", http.StatusBadRequest)
 		return
 	}
@@ -267,23 +272,6 @@ func (n *Node) noteDivergence(peer string) {
 	if n.authority.Divergence(peer) && !already {
 		n.cAttestQuarantines.Inc()
 	}
-}
-
-// verifyPayload re-verifies an attestation header against received
-// bytes on behalf of a hop handler. With no authority configured it is
-// a no-op (nil attestation allowed).
-func (n *Node) verifyPayload(header, arch, class string, data []byte) (*attest.Attestation, error) {
-	if n.authority == nil {
-		return nil, nil
-	}
-	att, err := attest.Decode(header)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.authority.Verify(att, arch, class, data); err != nil {
-		return nil, err
-	}
-	return att, nil
 }
 
 // attestRejection classifies a peer-fill error as an attestation

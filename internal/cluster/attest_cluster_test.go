@@ -11,7 +11,6 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -309,7 +308,7 @@ func TestAttestByzantineChaos(t *testing.T) {
 }
 
 // TestReplicaPushRejectsBadAttestation is the replica-ingest hop
-// regression, on the batch envelope: a pushed entry whose payload is
+// regression, on the batch frame: a pushed entry whose payload is
 // unattested, sealed under the wrong key, or covering different bytes
 // must come back as a per-entry 400 BatchError and never warm the
 // receiver's cache; a correctly sealed push must land.
@@ -329,19 +328,20 @@ func TestReplicaPushRejectsBadAttestation(t *testing.T) {
 	defer c.Close()
 	target := c.Nodes[0]
 	data := []byte("pushed-artifact-bytes")
-	push := func(attHeader string) cluster.BatchResponse {
-		body, err := json.Marshal(cluster.BatchRequest{
+	push := func(att *attest.Attestation) cluster.BatchResponse {
+		req := cluster.BatchRequest{
 			Reason: proxy.ReasonReplica,
 			Member: c.Nodes[1].Self(),
 			Entries: []cluster.BatchEntry{{
 				Arch: "dvm", Class: "app/Pushed", Reason: proxy.ReasonReplica,
-				Data: data, Att: attHeader,
+				Data: data, Att: att,
 			}},
-		})
+		}
+		body, err := req.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(target.Self()+"/peer/v1/batch", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(target.Self()+cluster.BatchPath, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,8 +349,12 @@ func TestReplicaPushRejectsBadAttestation(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch push: status %d, want 200 with per-entry errors", resp.StatusCode)
 		}
+		answer, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var br cluster.BatchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		if err := br.UnmarshalBinary(answer); err != nil {
 			t.Fatal(err)
 		}
 		return br
@@ -359,15 +363,15 @@ func TestReplicaPushRejectsBadAttestation(t *testing.T) {
 	service := attest.New(attest.Config{Key: attestTestKey()})
 	forged := attest.New(attest.Config{Key: []byte("not-the-service-key")})
 	rejects := []struct {
-		name   string
-		header string
+		name string
+		att  *attest.Attestation
 	}{
-		{"unattested", ""},
-		{"wrong key", forged.Attest("dvm", "app/Pushed", data, 1, nil).Encode()},
-		{"tampered bytes", service.Attest("dvm", "app/Pushed", []byte("other bytes"), 1, nil).Encode()},
+		{"unattested", nil},
+		{"wrong key", forged.Attest("dvm", "app/Pushed", data, 1, nil)},
+		{"tampered bytes", service.Attest("dvm", "app/Pushed", []byte("other bytes"), 1, nil)},
 	}
 	for _, tc := range rejects {
-		br := push(tc.header)
+		br := push(tc.att)
 		if len(br.Errors) != 1 || br.Errors[0].Status != http.StatusBadRequest {
 			t.Errorf("%s replica push: errors = %+v, want one 400 entry error", tc.name, br.Errors)
 		}
@@ -382,7 +386,7 @@ func TestReplicaPushRejectsBadAttestation(t *testing.T) {
 		t.Errorf("replica_stored_total = %d, want 0", got)
 	}
 
-	if br := push(service.Attest("dvm", "app/Pushed", data, 1, nil).Encode()); len(br.Errors) != 0 {
+	if br := push(service.Attest("dvm", "app/Pushed", data, 1, nil)); len(br.Errors) != 0 {
 		t.Fatalf("valid replica push: errors = %+v, want none", br.Errors)
 	}
 	snap := target.Proxy().CacheSnapshot(1<<20, nil)

@@ -9,7 +9,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -41,13 +40,11 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	data := []byte("transformed-artifact-bytes")
 	service := attest.New(attest.Config{Key: key})
 
-	var header atomic.Value // the attestation the stub owner attaches
-	header.Store("")
+	var header atomic.Pointer[attest.Attestation] // the attestation the stub owner attaches
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(BatchResponse{Entries: []BatchEntry{{
+		serveFrame(w, BatchResponse{Entries: []BatchEntry{{
 			Arch: "dvm", Class: "app/Hop", Reason: proxy.ReasonFill,
-			Data: data, Att: header.Load().(string),
+			Data: data, Att: header.Load(),
 		}}})
 	}))
 	defer owner.Close()
@@ -68,7 +65,7 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 
 	// Correctly sealed attestation over different bytes: a digest
 	// mismatch is corruption evidence against the owner.
-	header.Store(service.Attest("dvm", "app/Hop", []byte("tampered"), 1, nil).Encode())
+	header.Store(service.Attest("dvm", "app/Hop", []byte("tampered"), 1, nil))
 	res = n.fetchPeer(ctx, owner.URL, lookup)
 	if res.Art != nil || !errors.Is(res.Err, attest.ErrVerify) {
 		t.Fatalf("tampered fill = %+v, want failed/ErrVerify", res)
@@ -79,7 +76,7 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 
 	// Seal under a different key: unforgeable without the service key.
 	forged := attest.New(attest.Config{Key: []byte("attacker-key")})
-	header.Store(forged.Attest("dvm", "app/Hop", data, 1, nil).Encode())
+	header.Store(forged.Attest("dvm", "app/Hop", data, 1, nil))
 	res = n.fetchPeer(ctx, owner.URL, lookup)
 	if res.Art != nil || !errors.Is(res.Err, attest.ErrVerify) {
 		t.Fatalf("forged-seal fill = %+v, want failed/ErrVerify", res)
@@ -91,7 +88,7 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 
 	// The honest case still works, and the verified attestation rides
 	// along with the bytes.
-	header.Store(service.Attest("dvm", "app/Hop", data, 1, nil).Encode())
+	header.Store(service.Attest("dvm", "app/Hop", data, 1, nil))
 	res = n.fetchPeer(ctx, owner.URL, lookup)
 	if res.Art == nil || !bytes.Equal(res.Art.Data, data) || res.Art.Att == nil {
 		t.Fatalf("valid fill = %+v, want served with attestation", res)
@@ -104,14 +101,13 @@ func TestPullHandoffRejectsTamperedEntries(t *testing.T) {
 	good := []byte("good-artifact")
 	entries := []BatchEntry{
 		{Arch: "dvm", Class: "app/Good", Data: good,
-			Att: service.Attest("dvm", "app/Good", good, 1, nil).Encode()},
+			Att: service.Attest("dvm", "app/Good", good, 1, nil)},
 		{Arch: "dvm", Class: "app/Tampered", Data: []byte("evil-artifact"),
-			Att: service.Attest("dvm", "app/Tampered", []byte("original"), 1, nil).Encode()},
+			Att: service.Attest("dvm", "app/Tampered", []byte("original"), 1, nil)},
 		{Arch: "dvm", Class: "app/Naked", Data: []byte("unattested-artifact")},
 	}
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(BatchResponse{Entries: entries})
+		serveFrame(w, BatchResponse{Entries: entries})
 	}))
 	defer peer.Close()
 
@@ -132,5 +128,14 @@ func TestPullHandoffRejectsTamperedEntries(t *testing.T) {
 	}
 	if got := n.cAttestRejects.Load(); got != 2 {
 		t.Errorf("attest_rejects_total = %d, want 2 (tampered + unattested)", got)
+	}
+	// The sender is accountable for what it hands off: exactly the one
+	// tampered entry is on its ledger. The unattested one proves only a
+	// config mismatch and accuses nobody.
+	if got := n.authority.Divergences(peer.URL); got != 1 {
+		t.Errorf("sender has %d divergences, want 1 (the tampered entry only)", got)
+	}
+	if sus := n.Suspicions(); len(sus) != 1 || sus[0].Peer != peer.URL {
+		t.Errorf("ledger = %+v, want only the sender", sus)
 	}
 }

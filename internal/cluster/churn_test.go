@@ -10,7 +10,6 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -282,10 +281,11 @@ func TestClusterDrainingRejectsPeerFills(t *testing.T) {
 	if err := c.Nodes[1].Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	body, _ := json.Marshal(cluster.BatchRequest{
+	fill := cluster.BatchRequest{
 		Reason: proxy.ReasonFill, Member: c.URLs()[0], Arch: "jdk", Classes: []string{"app/Applet000"},
-	})
-	resp, err := http.Post(c.URLs()[1]+"/peer/v1/batch", "application/json", bytes.NewReader(body))
+	}
+	body, _ := fill.MarshalBinary()
+	resp, err := http.Post(c.URLs()[1]+cluster.BatchPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,9 @@ func (n *Node) PullHandoff(ctx context.Context) int {
 // pullFrom pulls this node's inherited entries from one peer over the
 // batch protocol. Handed-off entries re-verify like any other hop
 // (ingest); an entry whose attestation fails is dropped — inheriting a
-// key is not worth inheriting corruption.
+// key is not worth inheriting corruption — and ledgered against the
+// peer: it verified those bytes before it stored them, so handing them
+// on tampered is its own divergence.
 func (n *Node) pullFrom(ctx context.Context, peer string) int {
 	br, err := n.doBatch(ctx, peer, BatchRequest{
 		Reason: proxy.ReasonHandoff, Member: n.cfg.Self, MaxBytes: handoffMaxBytes,
@@ -160,7 +162,7 @@ func (n *Node) pullFrom(ctx context.Context, peer string) int {
 	got := 0
 	for _, e := range br.Entries {
 		e.Reason = proxy.ReasonHandoff
-		if n.ingest(e, "") == nil {
+		if n.ingest(e, peer) == nil {
 			got++
 		}
 	}

@@ -34,7 +34,7 @@ const DefaultReplication = 2
 // Config parameterizes one cluster node.
 type Config struct {
 	// Self is this node's peer URL (e.g. "http://10.0.0.1:8642"); the
-	// other members reach its /peer/v1/* endpoints there.
+	// other members reach its /peer/* endpoints there.
 	Self string
 	// Peers seeds the membership view, including Self (added if absent).
 	// Unlike the pre-gossip design this need not be the full fleet: any
@@ -72,7 +72,7 @@ type Config struct {
 	Transport http.RoundTripper
 
 	// PrefetchK is how many predicted successors an owner piggybacks
-	// onto each fill it serves over /peer/v1/batch (0 = default 3,
+	// onto each fill it serves over the batch protocol (0 = default 3,
 	// <0 = prediction and piggybacking disabled).
 	PrefetchK int
 	// PrefetchBudget bounds the piggybacked prefetch bytes per fill
@@ -541,16 +541,17 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 }
 
 // Handler returns the node's HTTP interface: the client-facing class
-// routes of the local proxy, the versioned peer protocol (/peer/v1/*),
-// and a /healthz that includes the live membership view. The pre-v1
-// single-key routes (/peer/class, /peer/replica, /peer/handoff,
-// /peer/attest, /gossip) are gone after their one-release deprecation
-// window; every cluster-internal hop rides the batch envelope.
+// routes of the local proxy, the versioned peer protocol
+// (/peer/v2/batch, /peer/v1/attest/, /peer/v1/gossip), and a /healthz
+// that includes the live membership view. The pre-v1 single-key routes
+// (/peer/class, /peer/replica, /peer/handoff, /peer/attest, /gossip)
+// and the v1 JSON batch envelope are gone: every class payload that
+// moves between nodes rides the v2 batch frame.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/classes/", n.local.Handler())
 	// Versioned peer protocol: all cluster-internal traffic.
-	mux.HandleFunc(batchPath, n.handleBatch)
+	mux.HandleFunc(BatchPath, n.handleBatch)
 	mux.HandleFunc(attestV1Prefix, n.handleAttest)
 	mux.HandleFunc(gossipV1Path, n.handleGossip)
 	mux.Handle("/healthz", telemetry.HealthHandler(n.Health))

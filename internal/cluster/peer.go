@@ -1,16 +1,18 @@
 package cluster
 
-// The versioned peer protocol: one POST /peer/v1/batch envelope moves
+// The versioned peer protocol: one POST /peer/v2/batch exchange moves
 // every kind of class payload between nodes — fill (owner serves a
 // requested class), replica (push to a key's successors), handoff
 // (membership-change cache transfer, both pull and drain-push), and
-// prefetch (predicted successors piggybacked onto a fill). BatchEntry is
-// the wire form of a proxy.Artifact; toWire and fromWire are the only
-// conversions, and fromWire re-verifies the seal, so bytes cannot touch
-// a cache unverified whatever the reason they moved. The shared
-// peerEnter middleware (server) and peerPost (client) carry what every
-// hop needs: method check, epoch piggyback in both directions, draining
-// and overload 429s, and trace spans.
+// prefetch (predicted successors piggybacked onto a fill). Request and
+// response are one binary frame each (frame.go), sent with its
+// Content-Length and read into a buffer of exactly that size. BatchEntry
+// is the in-memory form of a proxy.Artifact in flight; toWire and
+// fromWire are the only conversions, and fromWire re-verifies the seal,
+// so bytes cannot touch a cache unverified whatever the reason they
+// moved. The shared peerEnter middleware (server) and peerPost (client)
+// carry what every hop needs: method check, epoch piggyback in both
+// directions, draining and overload 429s, and trace spans.
 //
 // Prefetch piggyback: when an owner serves class A over a batch fill,
 // it consults its successor predictor (internal/prefetch, fed by the
@@ -25,11 +27,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -40,8 +42,12 @@ import (
 )
 
 const (
-	// batchPath is the versioned peer envelope route.
-	batchPath = "/peer/v1/batch"
+	// BatchPath is the batch route. The version is the frame's: v1 was a
+	// JSON envelope and is gone, so an old-version peer answers 404 and
+	// the hop is refused whole, never half-understood.
+	BatchPath = "/peer/v2/batch"
+	// batchContentType labels a frame body.
+	batchContentType = "application/octet-stream"
 	// attestV1Prefix is the versioned variant-vote route (digest-only
 	// exchange; class bytes never ride it, so it stays off the batch).
 	attestV1Prefix = "/peer/v1/attest/"
@@ -49,71 +55,72 @@ const (
 	gossipV1Path = "/peer/v1/gossip"
 )
 
-// maxBatchBytes bounds one batch envelope read: a full-size class plus
-// a prefetch piggyback, with JSON/base64 overhead.
+// maxBatchBytes bounds one batch frame, either direction: a full-size
+// class plus a prefetch piggyback, or a handoff transfer.
 const maxBatchBytes = 48 << 20
 
 // defaultPrefetchBudget bounds piggybacked prefetch bytes per fill
 // response when Config leaves PrefetchBudget zero.
 const defaultPrefetchBudget = 256 << 10
 
-// BatchRequest is the one envelope every peer hop posts.
+// BatchRequest is the one request every peer hop posts.
 type BatchRequest struct {
 	// Reason is the request's purpose: proxy.ReasonFill with Classes,
 	// proxy.ReasonHandoff with Member (pull), or any ingest push with
 	// Entries (each entry carries its own reason).
-	Reason string `json:"reason"`
+	Reason string
 	// Member is the requesting node's peer URL.
-	Member string `json:"member,omitempty"`
+	Member string
 	// Client is the originating client id on a fill — forwarded so the
 	// owner's predictor learns per-client request sequences.
-	Client string `json:"client,omitempty"`
+	Client string
 	// Arch qualifies Classes on a fill.
-	Arch string `json:"arch,omitempty"`
+	Arch string
 	// Classes are the classes wanted (fill).
-	Classes []string `json:"classes,omitempty"`
+	Classes []string
 	// MaxBytes bounds the response: the handoff transfer, or the
 	// prefetch piggyback on a fill (server clamps to its own limit).
-	MaxBytes int `json:"maxBytes,omitempty"`
+	MaxBytes int
 	// NoPrefetch declines the prefetch piggyback on a fill (requester
 	// under admission pressure, or prediction disabled).
-	NoPrefetch bool `json:"noPrefetch,omitempty"`
+	NoPrefetch bool
 	// Entries is the ingest direction: replica push, drain-side handoff
 	// push, or a standalone prefetch push.
-	Entries []BatchEntry `json:"entries,omitempty"`
+	Entries []BatchEntry
 }
 
-// BatchEntry is one class artifact on the wire, with its trust metadata
+// BatchEntry is one class artifact in flight, with its trust metadata
 // and the reason it is moving.
 type BatchEntry struct {
-	Arch  string `json:"arch"`
-	Class string `json:"class"`
+	Arch  string
+	Class string
 	// Reason is one of the proxy.Reason* constants.
-	Reason string `json:"reason"`
-	Data   []byte `json:"data"`
-	// Att is the encoded attestation ("" = unattested; rejected on every
-	// hop when attestation is on).
-	Att string `json:"att,omitempty"`
+	Reason string
+	Data   []byte
+	// Att is the attestation as received, not yet verified (nil =
+	// unattested; rejected on every hop when attestation is on). Its
+	// Arch and Class do not travel: they are the entry's.
+	Att *attest.Attestation
 	// Rejected and Stale mirror the serving proxy's response flags
 	// (fill entries only).
-	Rejected bool `json:"rejected,omitempty"`
-	Stale    bool `json:"stale,omitempty"`
+	Rejected bool
+	Stale    bool
 }
 
 // BatchError reports one entry or class the server could not serve or
 // accept; Status carries the per-item HTTP semantics (404 definitive
 // miss, 429 shed, 400 rejected payload) one whole-response code cannot.
 type BatchError struct {
-	Arch   string `json:"arch,omitempty"`
-	Class  string `json:"class,omitempty"`
-	Status int    `json:"status"`
-	Error  string `json:"error"`
+	Arch   string
+	Class  string
+	Status int
+	Error  string
 }
 
-// BatchResponse answers a batch envelope.
+// BatchResponse answers a batch request.
 type BatchResponse struct {
-	Entries []BatchEntry `json:"entries,omitempty"`
-	Errors  []BatchError `json:"errors,omitempty"`
+	Entries []BatchEntry
+	Errors  []BatchError
 }
 
 // peerEnter is the shared middleware for every peer-protocol handler:
@@ -141,7 +148,7 @@ func (n *Node) peerEnter(w http.ResponseWriter, r *http.Request, method string, 
 	return telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader)), true
 }
 
-// handleBatch serves POST /peer/v1/batch. Ingest pushes (Entries) are
+// handleBatch serves POST /peer/v2/batch. Ingest pushes (Entries) are
 // never pre-shed — the bytes are already on the wire and dropping them
 // only re-costs the push; fills let the proxy's admission control
 // decide (a cache hit needs no slot); handoff pulls shed under
@@ -151,9 +158,21 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if r.ContentLength < 0 {
+		http.Error(w, "batch frame needs a Content-Length", http.StatusLengthRequired)
+		return
+	}
+	body, err := proxy.ReadSized(r.Body, r.ContentLength, maxBatchBytes)
+	if errors.Is(err, proxy.ErrBodyTooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad batch request", http.StatusBadRequest)
+	if err == nil {
+		err = req.UnmarshalBinary(body)
+	}
+	if err != nil {
+		http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	var resp BatchResponse
@@ -180,9 +199,11 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad batch request", http.StatusBadRequest)
 		return
 	}
+	frame := resp.encode()
 	w.Header().Set(telemetry.TraceSpansHeader, telemetry.EncodeSpans(tr.Spans()))
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	w.Header().Set("Content-Type", batchContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(frame.size()))
+	_ = frame.writeTo(w) // a requester that went away mid-write just retries
 }
 
 // serveBatchFill answers the fill direction: the requested classes plus
@@ -210,8 +231,7 @@ func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req Batc
 				Status: proxy.StatusFor(err), Error: err.Error()})
 			continue
 		}
-		e := toWire(&proxy.Artifact{Arch: req.Arch, Class: class, Data: res.Data,
-			Att: res.Info.Attestation, Rejected: res.Info.Rejected}, proxy.ReasonFill)
+		e := toWire(res.Art, proxy.ReasonFill)
 		e.Stale = res.Info.Stale
 		resp.Entries = append(resp.Entries, e)
 		served = append(served, class)
@@ -279,11 +299,7 @@ func (n *Node) piggybackPrefetch(resp *BatchResponse, req BatchRequest, served [
 
 // toWire is the one Artifact → BatchEntry conversion.
 func toWire(a *proxy.Artifact, reason string) BatchEntry {
-	e := BatchEntry{Arch: a.Arch, Class: a.Class, Reason: reason, Data: a.Data, Rejected: a.Rejected}
-	if a.Att != nil {
-		e.Att = a.Att.Encode()
-	}
-	return e
+	return BatchEntry{Arch: a.Arch, Class: a.Class, Reason: reason, Data: a.Data, Att: a.Att, Rejected: a.Rejected}
 }
 
 // fromWire is the one BatchEntry → Artifact conversion, and the trust
@@ -297,8 +313,10 @@ func (n *Node) fromWire(e BatchEntry, accuse string) (*proxy.Artifact, error) {
 		len(e.Data) == 0 || len(e.Data) > maxPeerClassBytes {
 		return nil, resilience.Permanent(fmt.Errorf("cluster: bad batch entry %s/%s (%d bytes)", e.Arch, e.Class, len(e.Data)))
 	}
-	att, err := n.verifyPayload(e.Att, e.Arch, e.Class, e.Data)
-	if err != nil {
+	att := e.Att
+	if n.authority == nil {
+		att = nil // a fleet that does not attest keeps no seals
+	} else if err := n.authority.Verify(att, e.Arch, e.Class, e.Data); err != nil {
 		n.cAttestRejects.Inc()
 		if accuse != "" && errors.Is(err, attest.ErrVerify) {
 			n.noteDivergence(accuse)
@@ -349,20 +367,22 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 }
 
 // peerPost is the one client hop of the peer protocol: POST body to
-// peer+path and decode the JSON answer into out. Both directions
-// piggyback the membership epoch; the caller's trace rides the request
-// header and the peer's spans come back shifted into the local
-// timeline. A 429 is returned as ErrOverloaded (with the draining note
-// recorded) so callers treat it as a healthy shed. hdr lists extra
-// header name/value pairs; empty values are skipped.
-func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, body []byte, timeout time.Duration, out any, hdr ...string) error {
+// peer+path and return the answer's body, at most maxResp bytes, read
+// into a buffer sized from its Content-Length (the caller decodes it in
+// place and may keep it). Both directions piggyback the membership
+// epoch; the caller's trace rides the request header and the peer's
+// spans come back shifted into the local timeline. A 429 is returned as
+// ErrOverloaded (with the draining note recorded) so callers treat it as
+// a healthy shed. hdr lists extra header name/value pairs; empty values
+// are skipped.
+func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, body []byte, timeout time.Duration, maxResp int, hdr ...string) ([]byte, error) {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
-		return resilience.Permanent(err)
+		return nil, resilience.Permanent(err)
 	}
 	req.Header.Set("Content-Type", contentType)
 	req.Header.Set(epochHeader, fmtEpoch(n.mship.Epoch()))
@@ -374,7 +394,7 @@ func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, bod
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	n.noteEpoch(resp.Header.Get(epochHeader))
@@ -385,28 +405,30 @@ func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, bod
 			if resp.Header.Get(drainingHeader) == "1" {
 				n.mship.NoteDraining(peer)
 			}
-			return fmt.Errorf("%v: %w", err, proxy.ErrOverloaded)
+			return nil, fmt.Errorf("%v: %w", err, proxy.ErrOverloaded)
 		}
-		return err
+		return nil, err
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(out); err != nil {
-		return fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
+	answer, err := proxy.ReadSized(resp.Body, resp.ContentLength, maxResp)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
 	}
 	if spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); err == nil {
 		tr.AppendShifted(spans, hopStart)
 	}
-	return nil
+	return answer, nil
 }
 
-// doBatch posts one batch envelope to peer and decodes the response.
+// doBatch posts one batch frame to peer and decodes the response frame
+// in place.
 func (n *Node) doBatch(ctx context.Context, peer string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
-	body, err := json.Marshal(breq)
+	answer, err := n.peerPost(ctx, peer, BatchPath, batchContentType, breq.encode().bytes(), timeout, maxBatchBytes)
 	if err != nil {
-		return nil, resilience.Permanent(err)
+		return nil, err
 	}
 	var br BatchResponse
-	if err := n.peerPost(ctx, peer, batchPath, "application/json", body, timeout, &br); err != nil {
-		return nil, err
+	if err := br.UnmarshalBinary(answer); err != nil {
+		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
 	}
 	return &br, nil
 }

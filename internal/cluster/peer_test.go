@@ -1,23 +1,31 @@
 package cluster
 
-// White-box tests for the versioned peer protocol: the /peer/v1/batch
-// envelope (fill + prefetch piggyback, per-entry attested ingest,
-// heat-ordered handoff) — and the absence of the removed pre-v1
-// single-key routes.
+// White-box tests for the versioned peer protocol: the /peer/v2/batch
+// frame exchange (fill + prefetch piggyback, per-entry attested ingest,
+// heat-ordered handoff), what a malformed or old-version frame gets, and
+// the absence of the removed pre-v1 routes and the v1 JSON envelope.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"dvm/internal/attest"
 	"dvm/internal/classgen"
 	"dvm/internal/proxy"
+	"dvm/internal/resilience"
 )
 
 // newBatchTestNode builds a manual-mode single-member node over origin.
@@ -73,21 +81,39 @@ func trainAndWarm(t *testing.T, owner *Node) {
 	}
 }
 
+// postBatch posts req as one frame and decodes the answering frame.
 func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, BatchResponse) {
 	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+batchPath, "application/json", bytes.NewReader(body))
+	return postFrame(t, url, req.encode().bytes())
+}
+
+// postFrame posts raw body bytes to the batch route.
+func postFrame(t *testing.T, url string, body []byte) (*http.Response, BatchResponse) {
+	t.Helper()
+	resp, err := http.Post(url+BatchPath, batchContentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
+	defer resp.Body.Close()
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var br BatchResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		if err := br.UnmarshalBinary(answer); err != nil {
 			t.Fatalf("bad batch response: %v", err)
 		}
 	}
 	return resp, br
+}
+
+// serveFrame answers a stub peer's request with br, the way handleBatch
+// does: Content-Length, then the frame.
+func serveFrame(w http.ResponseWriter, br BatchResponse) {
+	frame := br.encode()
+	w.Header().Set("Content-Length", strconv.Itoa(frame.size()))
+	_ = frame.writeTo(w)
 }
 
 func TestBatchFillPiggybacksPredictedSuccessors(t *testing.T) {
@@ -200,9 +226,9 @@ func TestBatchIngestRejectsUnattestedPerEntry(t *testing.T) {
 		Reason: proxy.ReasonReplica, Member: "http://pusher:1",
 		Entries: []BatchEntry{
 			{Arch: "dvm", Class: "app/Good", Reason: proxy.ReasonReplica, Data: good,
-				Att: service.Attest("dvm", "app/Good", good, 1, nil).Encode()},
+				Att: service.Attest("dvm", "app/Good", good, 1, nil)},
 			{Arch: "dvm", Class: "app/Tampered", Reason: proxy.ReasonReplica, Data: []byte("evil"),
-				Att: service.Attest("dvm", "app/Tampered", []byte("original"), 1, nil).Encode()},
+				Att: service.Attest("dvm", "app/Tampered", []byte("original"), 1, nil)},
 			{Arch: "dvm", Class: "app/Naked", Reason: proxy.ReasonPrefetch, Data: []byte("unattested")},
 		},
 	})
@@ -295,14 +321,72 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 	if !served {
 		t.Error("well-formed class not served alongside a rejected one")
 	}
-	// GET is not part of the v1 protocol.
-	getResp, err := http.Get(srv.URL + batchPath)
+	// GET is not part of the protocol.
+	getResp, err := http.Get(srv.URL + BatchPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET %s = %d, want 405", batchPath, getResp.StatusCode)
+		t.Errorf("GET %s = %d, want 405", BatchPath, getResp.StatusCode)
+	}
+
+	// Frame-level refusals: each is a clean 4xx for the whole request.
+	push := BatchRequest{Reason: proxy.ReasonReplica, Member: "http://r:1", Entries: []BatchEntry{
+		{Arch: "dvm", Class: "app/Pushed", Reason: proxy.ReasonReplica, Data: []byte("pushed-bytes")}}}
+	good := push.encode().bytes()
+	wrongMagic := append([]byte("DVMX"), good[4:]...)
+	wrongVersion := bytes.Clone(good)
+	wrongVersion[4] = 1
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"wrong magic", wrongMagic, http.StatusBadRequest},
+		{"wrong version", wrongVersion, http.StatusBadRequest},
+		{"trailing bytes after the last field", append(bytes.Clone(good), 0), http.StatusBadRequest},
+		{"frame cut inside the payload", good[:len(good)-3], http.StatusBadRequest},
+		{"empty body", nil, http.StatusBadRequest},
+	} {
+		if resp, _ := postFrame(t, srv.URL, tc.body); resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	// No Content-Length (a chunked request): the frame is never read.
+	chunked, _ := http.NewRequest(http.MethodPost, srv.URL+BatchPath, io.MultiReader(bytes.NewReader(good)))
+	resp, err = http.DefaultClient.Do(chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusLengthRequired {
+		t.Errorf("missing Content-Length: status = %d, want 411", resp.StatusCode)
+	}
+	// A declared length over the bound is refused before a byte of body
+	// is read or allocated for; one the body does not honour is a 400.
+	for _, tc := range []struct {
+		name     string
+		declared int
+		want     string
+	}{
+		{"Content-Length over maxBatchBytes", maxBatchBytes + 1, "413"},
+		{"body shorter than declared", len(good) + 10, "400"},
+	} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", BatchPath, tc.declared, good)
+		_ = conn.(*net.TCPConn).CloseWrite()
+		status, _ := bufio.NewReader(conn).ReadString('\n')
+		conn.Close()
+		if !strings.Contains(status, " "+tc.want+" ") {
+			t.Errorf("%s: status line %q, want %s", tc.name, strings.TrimSpace(status), tc.want)
+		}
+	}
+	if n.Proxy().Peek("dvm", "app/Pushed") != nil {
+		t.Error("a refused frame's entry reached the cache")
 	}
 }
 
@@ -324,6 +408,8 @@ func TestPreV1PeerRoutesRemoved(t *testing.T) {
 		{http.MethodPost, "/peer/handoff", `{"member":"http://127.0.0.1:1"}`},
 		{http.MethodPost, "/gossip", "{}"},
 		{http.MethodPost, "/peer/attest/app/A.class", "raw-bytes"},
+		// The v1 JSON envelope: replaced by the v2 frame, not kept beside it.
+		{http.MethodPost, "/peer/v1/batch", `{"reason":"fill","member":"http://127.0.0.1:1","arch":"dvm","classes":["app/A"]}`},
 	}
 	for _, tc := range gone {
 		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
@@ -344,10 +430,142 @@ func TestPreV1PeerRoutesRemoved(t *testing.T) {
 		Reason: proxy.ReasonFill, Member: "http://127.0.0.1:1", Arch: "dvm", Classes: []string{"app/A"},
 	})
 	if resp.StatusCode != http.StatusOK || len(br.Entries) != 1 {
-		t.Fatalf("v1 batch fill: status=%d entries=%d", resp.StatusCode, len(br.Entries))
+		t.Fatalf("batch fill: status=%d entries=%d", resp.StatusCode, len(br.Entries))
 	}
 	if !bytes.Equal(br.Entries[0].Data, resident(t, n, "app/A")) {
-		t.Error("v1 batch fill served different bytes than the resident artifact")
+		t.Error("batch fill served different bytes than the resident artifact")
+	}
+}
+
+// TestV1EnvelopeOnV2RouteRefused is the new-node half of a mixed-version
+// fleet: an old peer's JSON envelope posted at the v2 route is one clean
+// 400 — nothing ingested, no counter moved, no partial decode.
+func TestV1EnvelopeOnV2RouteRefused(t *testing.T) {
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{})
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	before := n.Health().Counters
+	v1 := `{"reason":"replica","member":"http://old:1","entries":[{"arch":"dvm","class":"app/Old","reason":"replica","data":"b2xkLWJ5dGVz"}]}`
+	resp, _ := postFrame(t, srv.URL, []byte(v1))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("v1 JSON body on %s: status = %d, want 400", BatchPath, resp.StatusCode)
+	}
+	if len(n.Proxy().CacheSnapshot(0, nil)) != 0 {
+		t.Error("v1 envelope was ingested by the v2 route")
+	}
+	if after := n.Health().Counters; !reflect.DeepEqual(before, after) {
+		t.Errorf("a refused frame moved counters:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// anyClassOrigin serves a fresh class under any name, so a test can draw
+// names until the ring places one where it needs it.
+type anyClassOrigin struct{}
+
+func (anyClassOrigin) Fetch(_ context.Context, name string) ([]byte, error) {
+	b := classgen.NewClass(name, "java/lang/Object")
+	b.DefaultInit()
+	return b.BuildBytes()
+}
+
+// TestOldVersionOwnerIsRefusedPerHop is the other half: the key's owner
+// is an old-version peer that only routes /peer/v1/batch, so the v2 post
+// is a 404. That is one failed hop — a peer error, a breaker failure —
+// and the load is served from this node's own origin with exactly the
+// bytes a standalone node produces: refusal, never corruption.
+func TestOldVersionOwnerIsRefusedPerHop(t *testing.T) {
+	var v2Posts atomic.Int64
+	oldMux := http.NewServeMux()
+	oldMux.HandleFunc("/peer/v1/batch", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{"entries":[]}`)
+	})
+	oldMux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == BatchPath {
+			v2Posts.Add(1)
+		}
+		http.NotFound(w, r)
+	})
+	old := httptest.NewServer(oldMux)
+	defer old.Close()
+
+	n := newBatchTestNode(t, anyClassOrigin{}, Config{
+		Peers: []string{old.URL}, Replication: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute,
+	})
+	var class string
+	for i := 0; class == ""; i++ {
+		if c := fmt.Sprintf("app/Mixed%03d", i); n.currentRing().Owner(KeyFor("dvm", c)) == old.URL {
+			class = c
+		}
+	}
+	res, err := n.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: class})
+	if err != nil {
+		t.Fatalf("load behind an old-version owner failed: %v", err)
+	}
+	ref := newBatchTestNode(t, anyClassOrigin{}, Config{Self: "http://127.0.0.1:9"})
+	want, err := ref.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: class})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Data, want.Data) {
+		t.Error("bytes served around the refused hop differ from a standalone node's")
+	}
+	if res.Info.Peer != "" {
+		t.Errorf("load attributed to peer %q, want local origin", res.Info.Peer)
+	}
+	if got := v2Posts.Load(); got != 1 {
+		t.Errorf("old peer saw %d v2 posts, want 1", got)
+	}
+	if got := n.PeerErrors(); got != 1 {
+		t.Errorf("peer_errors_total = %d, want 1", got)
+	}
+	if st := n.breaker(old.URL).State(); st != resilience.Open {
+		t.Errorf("link to the old-version peer is %v, want open (threshold 1)", st)
+	}
+}
+
+// TestIngestedArtifactsDoNotPinTheirFrame pins the alias rule: entries
+// of a multi-entry frame are copied out one by one, so what reaches the
+// store holds its own bytes and nothing of its neighbours; a lone entry
+// keeps the read buffer, with its capacity clipped to the class.
+func TestIngestedArtifactsDoNotPinTheirFrame(t *testing.T) {
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{})
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	payload := func(size int) []byte { return bytes.Repeat([]byte{0xCA}, size) }
+	multi := []BatchEntry{
+		{Arch: "dvm", Class: "app/M0", Reason: proxy.ReasonReplica, Data: payload(100)},
+		{Arch: "dvm", Class: "app/M1", Reason: proxy.ReasonHandoff, Data: payload(5000)},
+		{Arch: "dvm", Class: "app/M2", Reason: proxy.ReasonReplica, Data: payload(70000)},
+	}
+	if _, br := postBatch(t, srv.URL, BatchRequest{Reason: proxy.ReasonReplica, Member: "http://r:1", Entries: multi}); len(br.Errors) != 0 {
+		t.Fatalf("multi-entry push: %+v", br.Errors)
+	}
+	var prevEnd uintptr
+	for _, e := range multi {
+		got := resident(t, n, e.Class)
+		if !bytes.Equal(got, e.Data) {
+			t.Fatalf("%s: stored bytes differ", e.Class)
+		}
+		// One allocator size class is at most 1/8 above the request
+		// (plus the 16-byte granule for the smallest).
+		if slack := cap(got) - len(got); slack > len(got)/8+16 {
+			t.Errorf("%s: stored artifact has cap %d for %d bytes: it pins more than itself", e.Class, cap(got), len(got))
+		}
+		// Views of one frame sit a few header bytes apart; copies in
+		// three different size classes cannot.
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(got)))
+		if prevEnd != 0 && start >= prevEnd && start-prevEnd < 256 {
+			t.Errorf("%s: stored artifact starts %d bytes after its neighbour: both alias the frame", e.Class, start-prevEnd)
+		}
+		prevEnd = start + uintptr(len(got))
+	}
+	single := BatchEntry{Arch: "dvm", Class: "app/S", Reason: proxy.ReasonReplica, Data: payload(5000)}
+	if _, br := postBatch(t, srv.URL, BatchRequest{Reason: proxy.ReasonReplica, Member: "http://r:1", Entries: []BatchEntry{single}}); len(br.Errors) != 0 {
+		t.Fatalf("single-entry push: %+v", br.Errors)
+	}
+	if got := resident(t, n, "app/S"); !bytes.Equal(got, single.Data) || cap(got) != len(got) {
+		t.Errorf("single-entry artifact: len %d cap %d, want the class exactly (3-index alias of the frame)", len(got), cap(got))
 	}
 }
 

@@ -28,8 +28,8 @@
 // (attest.go: quorum cross-check of an artifact produced here) and
 // Replicate (handoff.go: push it to the key's other owners). Class
 // bytes move between nodes only as proxy.Artifact values on the
-// /peer/v1/batch envelope (peerv1.go), whose one decoder, fromWire,
-// re-verifies the seal on every hop.
+// /peer/v2/batch frame (peer.go, frame.go), whose one trust gate,
+// fromWire, re-verifies the seal on every hop.
 package cluster
 
 import (

@@ -15,8 +15,8 @@ package eval
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -190,17 +190,21 @@ func probeUnattested(nodeURL string, p *proxy.Proxy) (bool, error) {
 		Arch: "dvm", Class: "net/Forged", Reason: proxy.ReasonPrefetch,
 		Data: []byte("unattested-bytes"),
 	}}}
-	body, err := json.Marshal(breq)
+	body, err := breq.MarshalBinary()
 	if err != nil {
 		return false, err
 	}
-	resp, err := http.Post(nodeURL+"/peer/v1/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(nodeURL+cluster.BatchPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		return false, err
 	}
 	defer resp.Body.Close()
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return false, err
+	}
 	var br cluster.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	if err := br.UnmarshalBinary(answer); err != nil {
 		return false, err
 	}
 	return len(br.Errors) == 1 && p.Peek("dvm", "net/Forged") == nil, nil

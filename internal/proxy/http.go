@@ -120,6 +120,56 @@ func (p *Proxy) Loader(client, arch string) jvm.ClassLoader {
 // 16 MiB leaves room for embedded resources.
 const maxClassBytes = 16 << 20
 
+// ErrBodyTooLarge marks a body whose declared or actual length exceeds
+// the bound ReadSized was given.
+var ErrBodyTooLarge = errors.New("body exceeds size limit")
+
+// sizedReadChunk is the most ReadSized commits beyond the bytes it has
+// actually received: a sender that declares a huge length and then
+// stalls costs one chunk, not the declared size. Classes and single-class
+// peer frames are far below it, so the common case is one exact
+// allocation.
+const sizedReadChunk = 1 << 20
+
+// ReadSized reads a body of declared length n (an HTTP Content-Length;
+// negative = none declared) that may not exceed max bytes. A declared
+// length over max is refused before anything is allocated; otherwise the
+// result is one buffer of exactly n bytes, and a body that ends early is
+// io.ErrUnexpectedEOF, never a truncated result. Only with no declared
+// length does it fall back to a bounded io.ReadAll. Every hop of the
+// serve path that keeps the bytes it reads — the client loader, peer
+// frames, variant payloads — reads through here.
+func ReadSized(body io.Reader, n int64, max int) ([]byte, error) {
+	if n < 0 {
+		b, err := io.ReadAll(io.LimitReader(body, int64(max)+1))
+		if err == nil && len(b) > max {
+			return nil, fmt.Errorf("%w (limit %d)", ErrBodyTooLarge, max)
+		}
+		return b, err
+	}
+	if n > int64(max) {
+		return nil, fmt.Errorf("%w (%d declared, limit %d)", ErrBodyTooLarge, n, max)
+	}
+	size := int(n)
+	buf := make([]byte, 0, min(size, sizedReadChunk))
+	for {
+		m, err := io.ReadFull(body, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(buf) == size {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(size, len(buf)+sizedReadChunk))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
 // LoaderOptions parameterizes HTTPLoaderWith.
 type LoaderOptions struct {
 	// Timeout bounds each class fetch attempt (default 30s).
@@ -194,12 +244,15 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 				}
 				return err
 			}
-			b, err := io.ReadAll(io.LimitReader(resp.Body, maxClassBytes+1))
-			if err != nil {
-				return err
+			// The caller keeps the bytes (DefineClass), so the buffer is
+			// exactly the class: sized from the declared length, not
+			// regrown and not pooled.
+			b, err := ReadSized(resp.Body, resp.ContentLength, maxClassBytes)
+			if errors.Is(err, ErrBodyTooLarge) {
+				return resilience.Permanent(fmt.Errorf("proxy: %s: %w", name, err))
 			}
-			if len(b) > maxClassBytes {
-				return resilience.Permanent(fmt.Errorf("proxy: %s: response exceeds %d bytes", name, maxClassBytes))
+			if err != nil {
+				return fmt.Errorf("proxy: %s: reading class: %w", name, err) // a short body is worth a retry
 			}
 			data = b
 			return nil

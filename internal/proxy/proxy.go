@@ -208,7 +208,11 @@ type Lookup struct {
 // Result is everything a request produced: the transformed bytes, the
 // serving flags, and the request's cross-hop trace.
 type Result struct {
-	// Data is the transformed class.
+	// Art is the artifact that answered the request (nil on error): the
+	// resident one, shared by pointer, so a hop that forwards it — the
+	// peer protocol's fill — does not rebuild one from its parts.
+	Art *Artifact
+	// Data is the transformed class: Art.Data.
 	Data []byte
 	// Info describes how the response was served (cache/peer/stale...).
 	Info RequestInfo
@@ -238,8 +242,7 @@ type RequestInfo struct {
 	Peer       string // cluster node that supplied the bytes, if any
 	// Attestation is the artifact's trust metadata when attestation is
 	// enabled: the sealed digest + quorum record stored with the cache
-	// entry. The peer protocol forwards it as a response header so every
-	// hop can re-verify the bytes it received.
+	// entry (Result.Art.Att).
 	Attestation *attest.Attestation
 }
 
@@ -599,7 +602,7 @@ func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 	art, rec, err := p.serve(ctx, tr, l)
 	res := Result{Info: rec.RequestInfo, Trace: tr}
 	if art != nil {
-		res.Data = art.Data
+		res.Art, res.Data = art, art.Data
 		p.cBytesOut.Add(int64(len(art.Data)))
 	}
 	if p.cfg.OnAudit != nil {
