@@ -77,11 +77,10 @@ func printMethod(b *strings.Builder, cf *classfile.ClassFile, m *classfile.Membe
 		fmt.Fprintf(b, ".end method\n")
 		return nil
 	}
-	insts, err := bytecode.Decode(code.Bytecode)
+	insts, pcIdx, err := bytecode.DecodeWithIndex(code.Bytecode, false)
 	if err != nil {
 		return fmt.Errorf("asm: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
 	}
-	pcIdx := bytecode.PCMap(insts)
 
 	// Collect label positions: branch/switch targets and handler bounds.
 	labelAt := map[int]string{} // instruction index (or len(insts)) -> label
@@ -115,12 +114,12 @@ func printMethod(b *strings.Builder, cf *classfile.ClassFile, m *classfile.Membe
 	}
 	var handlers []hnd
 	for _, h := range code.Handlers {
-		si, ok1 := pcIdx[int(h.StartPC)]
-		hi, ok3 := pcIdx[int(h.HandlerPC)]
+		si, ok1 := pcIdx.At(int(h.StartPC))
+		hi, ok3 := pcIdx.At(int(h.HandlerPC))
 		ei := len(insts)
 		ok2 := int(h.EndPC) == len(code.Bytecode)
 		if !ok2 {
-			ei, ok2 = pcIdx[int(h.EndPC)]
+			ei, ok2 = pcIdx.At(int(h.EndPC))
 		}
 		if !ok1 || !ok2 || !ok3 {
 			return fmt.Errorf("asm: %s.%s: exception table off instruction boundaries", cf.Name(), cf.MemberName(m))

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dvm/internal/classfile"
@@ -297,12 +298,25 @@ func TestDecodeEncodeRoundTripEveryKind(t *testing.T) {
 	}
 }
 
-func TestPCMap(t *testing.T) {
+func TestPCIndex(t *testing.T) {
 	code := []byte{byte(Iconst0), byte(Bipush), 5, byte(Iadd), byte(Ireturn)}
-	insts := mustDecode(t, code)
-	m := PCMap(insts)
-	if m[0] != 0 || m[1] != 1 || m[3] != 2 || m[4] != 3 {
-		t.Errorf("PCMap = %v", m)
+	insts, x, err := DecodeWithIndex(code, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pc, want := range []int{0, 1, -1, 2, 3} {
+		got, ok := x.At(pc)
+		if ok != (want >= 0) || (ok && got != want) {
+			t.Errorf("At(%d) = %d, %v; want %d", pc, got, ok, want)
+		}
+	}
+	for _, pc := range []int{-1, len(code), len(code) + 7} {
+		if _, ok := x.At(pc); ok {
+			t.Errorf("At(%d) found an instruction outside the code", pc)
+		}
+	}
+	if rebuilt := IndexPCs(insts, len(code)); !slices.Equal(rebuilt, x) {
+		t.Errorf("IndexPCs = %v, decoder's index = %v", rebuilt, x)
 	}
 }
 

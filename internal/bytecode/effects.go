@@ -69,18 +69,16 @@ func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) 
 // inconsistency it returns the larger height, staying conservative.
 func MaxStack(insts []Inst, pool *classfile.ConstPool, handlersAt []int) (int, error) {
 	n := len(insts)
-	height := make([]int, n)
-	seen := make([]bool, n)
-	work := make([]int, 0, n+len(handlersAt))
+	reached := make([]int32, n) // 1 + the greatest entry height seen, 0 before the first visit
+	work := make([]int32, 0, n+len(handlersAt))
 
 	push := func(idx, h int) {
 		if idx < 0 || idx >= n {
 			return
 		}
-		if !seen[idx] || h > height[idx] {
-			seen[idx] = true
-			height[idx] = h
-			work = append(work, idx)
+		if int(reached[idx]) <= h {
+			reached[idx] = int32(h) + 1
+			work = append(work, int32(idx))
 		}
 	}
 	push(0, 0)
@@ -90,11 +88,11 @@ func MaxStack(insts []Inst, pool *classfile.ConstPool, handlersAt []int) (int, e
 
 	maxH := 0
 	for len(work) > 0 {
-		idx := work[len(work)-1]
+		idx := int(work[len(work)-1])
 		work = work[:len(work)-1]
-		h := height[idx]
-		in := insts[idx]
-		pop, pushN, err := StackEffect(in, pool)
+		h := int(reached[idx]) - 1
+		in := &insts[idx]
+		pop, pushN, err := StackEffect(*in, pool)
 		if err != nil {
 			return 0, err
 		}

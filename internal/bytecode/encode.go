@@ -16,35 +16,51 @@ import "encoding/binary"
 // so Encode reports an error rather than synthesizing an inverted-branch
 // trampoline.
 func Encode(insts []Inst) (code []byte, pcs []int, err error) {
-	n := len(insts)
-	if n == 0 {
-		return nil, nil, decodeErrf(0, "cannot encode empty instruction list")
-	}
-	work := make([]Inst, n)
+	work := make([]Inst, len(insts))
 	copy(work, insts)
+	if code, err = Assemble(work); err != nil {
+		return nil, nil, err
+	}
+	pcs = make([]int, len(work))
+	for i := range work {
+		pcs[i] = work[i].PC
+	}
+	return code, pcs, nil
+}
+
+// Assemble is Encode in place: the promotions are applied to the list
+// itself and every Inst.PC is set to the instruction's offset in the
+// returned code, so that afterwards the list is exactly what Decode
+// (DecodeExt, for extension opcodes) returns for that code. After an
+// error the list is partly promoted and must be discarded.
+func Assemble(work []Inst) ([]byte, error) {
+	n := len(work)
+	if n == 0 {
+		return nil, decodeErrf(0, "cannot encode empty instruction list")
+	}
 
 	// Validate targets before sizing.
 	for i := range work {
 		in := &work[i]
 		if in.Op.IsBranch() {
 			if in.Target < 0 || in.Target >= n {
-				return nil, nil, decodeErrf(i, "instruction %d: branch target %d out of range", i, in.Target)
+				return nil, decodeErrf(i, "instruction %d: branch target %d out of range", i, in.Target)
 			}
 		}
 		if in.Op.IsSwitch() {
 			if in.Switch == nil {
-				return nil, nil, decodeErrf(i, "instruction %d: switch without payload", i)
+				return nil, decodeErrf(i, "instruction %d: switch without payload", i)
 			}
 			if in.Switch.Default < 0 || in.Switch.Default >= n {
-				return nil, nil, decodeErrf(i, "instruction %d: switch default %d out of range", i, in.Switch.Default)
+				return nil, decodeErrf(i, "instruction %d: switch default %d out of range", i, in.Switch.Default)
 			}
 			for _, t := range in.Switch.Targets {
 				if t < 0 || t >= n {
-					return nil, nil, decodeErrf(i, "instruction %d: switch target %d out of range", i, t)
+					return nil, decodeErrf(i, "instruction %d: switch target %d out of range", i, t)
 				}
 			}
 			if in.Op == Lookupswitch && len(in.Switch.Keys) != len(in.Switch.Targets) {
-				return nil, nil, decodeErrf(i, "instruction %d: lookupswitch keys/targets mismatch", i)
+				return nil, decodeErrf(i, "instruction %d: lookupswitch keys/targets mismatch", i)
 			}
 		}
 	}
@@ -68,7 +84,6 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 		}
 	}
 
-	pcs = make([]int, n)
 	size := func(i int, pc int) int {
 		in := &work[i]
 		if in.Wide {
@@ -77,27 +92,18 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 			}
 			return 4
 		}
-		switch in.Op.OperandKind() {
-		case KindNone:
-			return 1
-		case KindS1, KindCPU1, KindLocal, KindAType:
-			return 2
-		case KindS2, KindCPU2, KindIinc, KindBranch2, KindExtLL, KindExtIincLd:
-			return 3
-		case KindMultiNew:
-			return 4
-		case KindBranch4, KindIfaceRef:
-			return 5
-		case KindExtCmpBr:
-			return 6
+		switch k := in.Op.OperandKind(); k {
 		case KindTable:
 			pad := (4 - ((pc + 1) % 4)) % 4
 			return 1 + pad + 12 + 4*len(in.Switch.Targets)
 		case KindLookup:
 			pad := (4 - ((pc + 1) % 4)) % 4
 			return 1 + pad + 8 + 8*len(in.Switch.Keys)
+		case KindWidePfx:
+			return 1
+		default:
+			return 1 + int(operandLen[k])
 		}
-		return 1
 	}
 
 	// Fixpoint: lay out, then widen any overflowing goto/jsr and re-lay
@@ -105,7 +111,7 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 	for iter := 0; ; iter++ {
 		pc := 0
 		for i := range work {
-			pcs[i] = pc
+			work[i].PC = pc
 			pc += size(i, pc)
 		}
 		changed := false
@@ -115,7 +121,7 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 			if k != KindBranch2 && k != KindExtCmpBr {
 				continue
 			}
-			off := pcs[in.Target] - pcs[i]
+			off := work[in.Target].PC - in.PC
 			if off >= -32768 && off <= 32767 {
 				continue
 			}
@@ -127,20 +133,20 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 				in.Op = JsrW
 				changed = true
 			default:
-				return nil, nil, decodeErrf(pcs[i], "conditional branch offset %d overflows 16 bits", off)
+				return nil, decodeErrf(in.PC, "conditional branch offset %d overflows 16 bits", off)
 			}
 		}
 		if !changed {
 			break
 		}
 		if iter > n {
-			return nil, nil, decodeErrf(0, "branch widening did not converge")
+			return nil, decodeErrf(0, "branch widening did not converge")
 		}
 	}
 
-	total := pcs[n-1] + size(n-1, pcs[n-1])
+	total := work[n-1].PC + size(n-1, work[n-1].PC)
 	if total > 0xFFFF {
-		return nil, nil, decodeErrf(0, "encoded method length %d exceeds 65535", total)
+		return nil, decodeErrf(0, "encoded method length %d exceeds 65535", total)
 	}
 	buf := make([]byte, 0, total)
 	u2 := func(v uint16) { buf = binary.BigEndian.AppendUint16(buf, v) }
@@ -172,9 +178,9 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 		case KindIinc:
 			buf = append(buf, byte(in.Index), byte(int8(in.Const)))
 		case KindBranch2:
-			u2(uint16(int16(pcs[in.Target] - pcs[i])))
+			u2(uint16(int16(work[in.Target].PC - in.PC)))
 		case KindBranch4:
-			u4(uint32(int32(pcs[in.Target] - pcs[i])))
+			u4(uint32(int32(work[in.Target].PC - in.PC)))
 		case KindIfaceRef:
 			u2(in.Index)
 			buf = append(buf, in.Count, 0)
@@ -187,30 +193,30 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 			for len(buf)%4 != 0 {
 				buf = append(buf, 0)
 			}
-			u4(uint32(int32(pcs[in.Switch.Default] - pcs[i])))
+			u4(uint32(int32(work[in.Switch.Default].PC - in.PC)))
 			u4(uint32(in.Switch.Low))
 			u4(uint32(in.Switch.Low + int32(len(in.Switch.Targets)) - 1))
 			for _, t := range in.Switch.Targets {
-				u4(uint32(int32(pcs[t] - pcs[i])))
+				u4(uint32(int32(work[t].PC - in.PC)))
 			}
 		case KindLookup:
 			for len(buf)%4 != 0 {
 				buf = append(buf, 0)
 			}
-			u4(uint32(int32(pcs[in.Switch.Default] - pcs[i])))
+			u4(uint32(int32(work[in.Switch.Default].PC - in.PC)))
 			u4(uint32(len(in.Switch.Keys)))
 			for k, key := range in.Switch.Keys {
 				u4(uint32(key))
-				u4(uint32(int32(pcs[in.Switch.Targets[k]] - pcs[i])))
+				u4(uint32(int32(work[in.Switch.Targets[k]].PC - in.PC)))
 			}
 		case KindExtLL:
 			buf = append(buf, byte(in.Index), in.ArrayType)
 		case KindExtCmpBr:
 			buf = append(buf, byte(in.Index), in.ArrayType, in.Count)
-			u2(uint16(int16(pcs[in.Target] - pcs[i])))
+			u2(uint16(int16(work[in.Target].PC - in.PC)))
 		case KindExtIincLd:
 			buf = append(buf, byte(in.Index), byte(int8(in.Const)))
 		}
 	}
-	return buf, pcs, nil
+	return buf, nil
 }

@@ -75,7 +75,22 @@ type Member struct {
 	owner              *ClassFile
 	spanStart, spanEnd int
 	dirty              bool
+
+	// decoded is the rewriting engine's memo of this method's decoded
+	// body (see Decoded); the classfile package only stores and drops it.
+	decoded any
 }
+
+// Decoded returns what SetDecoded last stored on the member, or nil. The
+// rewriting engine keeps one decoded form of a method body here so that
+// every pipeline stage finds it instead of decoding again; the holder
+// checks that it still describes the member's Code attribute, and
+// ClassFile.Release drops it.
+func (m *Member) Decoded() any { return m.decoded }
+
+// SetDecoded stores v as the member's decoded-body memo. Distinct
+// members may be set from distinct goroutines.
+func (m *Member) SetDecoded(v any) { m.decoded = v }
 
 // MarkDirty records that the member was structurally modified, forcing
 // Encode to re-serialize it instead of splicing its original bytes.

@@ -41,6 +41,9 @@ func (cf *ClassFile) Release() {
 	cf.Pool = nil
 	cf.parsedPool = nil
 	cf.raw = nil
+	for _, m := range cf.Methods {
+		m.decoded = nil // it describes bytes and pool indices that are gone
+	}
 	// Drop references held by the recycled containers so the old class's
 	// strings, entries, and input buffer can be collected.
 	clear(p.entries)

@@ -18,6 +18,9 @@ import (
 	"testing"
 
 	"dvm/internal/attest"
+	"dvm/internal/bytecode"
+	"dvm/internal/classfile"
+	"dvm/internal/classgen"
 	"dvm/internal/cluster"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
@@ -392,5 +395,81 @@ func TestReplicaPushRejectsBadAttestation(t *testing.T) {
 	snap := target.Proxy().CacheSnapshot(1<<20, nil)
 	if len(snap) != 1 || !bytes.Equal(snap[0].Data, data) || snap[0].Att == nil {
 		t.Fatalf("valid push not stored with its attestation: %d entries", len(snap))
+	}
+}
+
+// badSwitchOrigin serves, under any name, a class whose run() is three
+// lookupswitch instructions that each branch into their own padding: a
+// body the decoder refuses, with three equally wrong targets to name.
+type badSwitchOrigin struct{}
+
+func (badSwitchOrigin) Fetch(_ context.Context, name string) ([]byte, error) {
+	b := classgen.NewClass(name, "java/lang/Object")
+	b.Method(classfile.AccPublic|classfile.AccStatic, "run", "()V").Return()
+	cf, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	var code []byte
+	for i := 0; i < 3; i++ {
+		code = append(code, byte(bytecode.Lookupswitch), 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+	}
+	code = append(code, byte(bytecode.Return))
+	if err := cf.SetCode(cf.FindMethod("run", "()V"), &classfile.Code{MaxStack: 1, MaxLocals: 1, Bytecode: code}); err != nil {
+		return nil, err
+	}
+	return cf.Encode()
+}
+
+// TestRejectionAttestsIdentically: the verifier's message for a hostile
+// class is embedded in the replacement class, so owner and variant must
+// word it identically or an honest peer is ledgered as divergent (and
+// quarantined after three). The decoder used to name whichever of several
+// bad switch targets a map iteration reached first; here every node of a
+// 3-node quorum-2 fleet must serve the same Rejected bytes for each such
+// class with no divergence recorded.
+func TestRejectionAttestsIdentically(t *testing.T) {
+	const classes = 12
+	c, err := cluster.StartLocal(badSwitchOrigin{}, 3, verifyingProxyCfg, func(int) cluster.Config {
+		return cluster.Config{
+			Replication:    1,
+			GossipInterval: -1,
+			AttestKey:      attestTestKey(),
+			AttestQuorum:   2,
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := context.Background()
+	for _, class := range classNames(classes) {
+		var first []byte
+		for ni, n := range c.Nodes {
+			res, err := n.Request(ctx, proxy.Lookup{Client: fmt.Sprintf("client-%d", ni), Arch: "dvm", Class: class})
+			if err != nil {
+				t.Fatalf("node %d class %s: %v", ni, class, err)
+			}
+			if !res.Info.Rejected || res.Info.Attestation == nil {
+				t.Fatalf("node %d class %s: rejected=%v attestation=%v, want a sealed replacement",
+					ni, class, res.Info.Rejected, res.Info.Attestation)
+			}
+			if first == nil {
+				first = res.Data
+			} else if !bytes.Equal(res.Data, first) {
+				t.Errorf("node %d serves different replacement bytes for %s than node 0", ni, class)
+			}
+		}
+	}
+	for _, name := range []string{"attest_divergence_total", "attest_rejects_total", "attest_failures_total"} {
+		if got := sumCounter(c, name); got != 0 {
+			t.Errorf("sum %s = %d, want 0", name, got)
+		}
+	}
+	for i, n := range c.Nodes {
+		if s := n.Suspicions(); len(s) != 0 {
+			t.Errorf("node %d suspicion ledger = %+v, want empty", i, s)
+		}
 	}
 }

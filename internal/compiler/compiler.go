@@ -57,39 +57,28 @@ type Stats struct {
 func CompileClass(cf *classfile.ClassFile) (Stats, error) {
 	var st Stats
 	for _, m := range cf.Methods {
-		code, err := cf.CodeOf(m)
+		ed, err := rewrite.EditMethod(cf, m)
 		if err != nil {
-			return st, err
+			return st, fmt.Errorf("compiler: %w", err)
 		}
-		if code == nil {
+		if ed == nil {
 			continue
 		}
-		st.BytesBefore += len(code.Bytecode)
-		insts, err := bytecode.Decode(code.Bytecode)
-		if err != nil {
-			return st, fmt.Errorf("compiler: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
-		}
-		protected := protectedIndices(insts, code, cf)
-		fused, n := fuse(insts, protected)
+		before := len(ed.Code().Bytecode)
+		st.BytesBefore += before
+		n := fuse(ed)
 		if n == 0 {
-			st.BytesAfter += len(code.Bytecode)
+			st.BytesAfter += before
 			continue
 		}
-		newCode, pcs, err := bytecode.Encode(fused)
-		if err != nil {
-			return st, fmt.Errorf("compiler: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
-		}
-		// Rebuild the exception table over the new layout.
-		if err := remapHandlers(code, insts, fused, pcs, len(code.Bytecode), len(newCode)); err != nil {
-			return st, fmt.Errorf("compiler: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
-		}
-		code.Bytecode = newCode
-		if err := cf.SetCode(m, code); err != nil {
-			return st, err
+		// Fusion leaves stack depth and locals as they were, so only the
+		// layout is re-encoded; max_stack is not recomputed here.
+		if err := ed.CommitLayout(); err != nil {
+			return st, fmt.Errorf("compiler: %w", err)
 		}
 		st.MethodsCompiled++
 		st.Fusions += n
-		st.BytesAfter += len(newCode)
+		st.BytesAfter += len(ed.Code().Bytecode)
 	}
 	cf.RemoveAttribute(AttrCompiled)
 	cf.AddAttribute(AttrCompiled, []byte(ArchDVM))
@@ -119,9 +108,10 @@ func CompileArtifact(base []byte) ([]byte, error) {
 // branch/switch targets and exception-table boundaries. A fusion window
 // may start at a protected index but not contain one beyond its first
 // instruction.
-func protectedIndices(insts []bytecode.Inst, code *classfile.Code, cf *classfile.ClassFile) map[int]bool {
-	p := make(map[int]bool)
-	for _, in := range insts {
+func protectedIndices(ed *rewrite.MethodEditor) []bool {
+	p := make([]bool, len(ed.Insts)+1) // +1: a handler may end at the end of the code
+	for i := range ed.Insts {
+		in := &ed.Insts[i]
 		if in.Op.IsBranch() {
 			p[in.Target] = true
 		}
@@ -132,25 +122,21 @@ func protectedIndices(insts []bytecode.Inst, code *classfile.Code, cf *classfile
 			}
 		}
 	}
-	pcIdx := bytecode.PCMap(insts)
-	mark := func(pc uint16) {
-		if i, ok := pcIdx[int(pc)]; ok {
-			p[i] = true
-		}
-	}
-	for _, h := range code.Handlers {
-		mark(h.StartPC)
-		mark(h.EndPC)
-		mark(h.HandlerPC)
+	for _, h := range ed.Handlers {
+		p[h.Start], p[h.End], p[h.Target] = true, true, true
 	}
 	return p
 }
 
-// fuse rewrites the instruction list, replacing fusible windows with
-// superinstructions and remapping branch targets.
-func fuse(insts []bytecode.Inst, protected map[int]bool) ([]bytecode.Inst, int) {
-	out := make([]bytecode.Inst, 0, len(insts))
-	newIdx := make(map[int]int, len(insts))
+// fuse rewrites the editor's instruction list in place, replacing
+// fusible windows with superinstructions and remapping branch targets and
+// the exception table; it returns the number of fusions. Fusing only
+// shrinks the list, so the output cursor never passes the input cursor.
+func fuse(ed *rewrite.MethodEditor) int {
+	insts := ed.Insts
+	protected := protectedIndices(ed)
+	out := insts[:0]
+	newIdx := make([]int32, len(insts)+1) // old index of a window start (or the end) -> new index
 	fusions := 0
 
 	iloadIdx := func(in bytecode.Inst) (uint16, bool) {
@@ -166,7 +152,7 @@ func fuse(insts []bytecode.Inst, protected map[int]bool) ([]bytecode.Inst, int) 
 	i := 0
 	for i < len(insts) {
 		emit := func(in bytecode.Inst, consumed int) {
-			newIdx[i] = len(out)
+			newIdx[i] = int32(len(out))
 			out = append(out, in)
 			i += consumed
 		}
@@ -209,70 +195,30 @@ func fuse(insts []bytecode.Inst, protected map[int]bool) ([]bytecode.Inst, int) 
 		}
 		emit(insts[i], 1)
 	}
+	if fusions == 0 {
+		return 0 // every instruction was copied onto itself
+	}
+	newIdx[len(insts)] = int32(len(out))
+	ed.Insts = out
 
 	// Remap targets. Old targets always point at window starts (protected
 	// or untouched), which newIdx covers.
 	for j := range out {
 		in := &out[j]
 		if in.Op.IsBranch() {
-			in.Target = newIdx[in.Target]
+			in.Target = int(newIdx[in.Target])
 		} else if in.Op.IsSwitch() {
-			sw := *in.Switch
-			sw.Default = newIdx[sw.Default]
-			sw.Targets = append([]int(nil), in.Switch.Targets...)
-			for k, t := range sw.Targets {
-				sw.Targets[k] = newIdx[t]
+			in.Switch.Default = int(newIdx[in.Switch.Default])
+			for k, t := range in.Switch.Targets {
+				in.Switch.Targets[k] = int(newIdx[t])
 			}
-			in.Switch = &sw
 		}
 	}
-	return out, fusions
-}
-
-// remapHandlers rewrites the exception table PCs for the fused layout.
-// Fusion preserves each window's first instruction PC (Decode records
-// original PCs in Inst.PC), which protectedIndices guaranteed covers
-// every handler boundary.
-func remapHandlers(code *classfile.Code, oldInsts, newInsts []bytecode.Inst,
-	newPCs []int, oldCodeLen, newCodeLen int) error {
-	oldPCIdx := bytecode.PCMap(oldInsts)
-	oldToNew := make(map[int]int, len(newInsts))
-	for newI, in := range newInsts {
-		if oldI, ok := oldPCIdx[in.PC]; ok {
-			oldToNew[oldI] = newI
-		}
+	for j := range ed.Handlers {
+		h := &ed.Handlers[j]
+		h.Start, h.End, h.Target = int(newIdx[h.Start]), int(newIdx[h.End]), int(newIdx[h.Target])
 	}
-	mapPC := func(pc uint16, isEnd bool) (uint16, error) {
-		if isEnd && int(pc) == oldCodeLen {
-			return uint16(newCodeLen), nil
-		}
-		oldI, ok := oldPCIdx[int(pc)]
-		if !ok {
-			return 0, fmt.Errorf("handler pc %d not on instruction boundary", pc)
-		}
-		newI, ok := oldToNew[oldI]
-		if !ok {
-			return 0, fmt.Errorf("handler boundary %d was fused away", pc)
-		}
-		return uint16(newPCs[newI]), nil
-	}
-	for i := range code.Handlers {
-		h := &code.Handlers[i]
-		s, err := mapPC(h.StartPC, false)
-		if err != nil {
-			return err
-		}
-		e, err := mapPC(h.EndPC, true)
-		if err != nil {
-			return err
-		}
-		hp, err := mapPC(h.HandlerPC, false)
-		if err != nil {
-			return err
-		}
-		h.StartPC, h.EndPC, h.HandlerPC = s, e, hp
-	}
-	return nil
+	return fusions
 }
 
 // Filter returns the compilation service as a pipeline filter. It only

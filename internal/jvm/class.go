@@ -115,23 +115,21 @@ func (m *Method) prepare() error {
 	// The DVM client runtime accepts its own native format (extension
 	// opcodes emitted by the centralized compilation service) alongside
 	// standard bytecode.
-	insts, err := bytecode.DecodeExt(m.Code.Bytecode)
+	insts, pcIdx, err := bytecode.DecodeWithIndex(m.Code.Bytecode, true)
 	if err != nil {
 		return fmt.Errorf("jvm: %s: %w", m, err)
 	}
 	m.insts = insts
-	pcIdx := bytecode.PCMap(insts)
 	endIdx := func(pc uint16) (int, bool) {
 		if int(pc) == len(m.Code.Bytecode) {
 			return len(insts), true
 		}
-		i, ok := pcIdx[int(pc)]
-		return i, ok
+		return pcIdx.At(int(pc))
 	}
 	for _, h := range m.Code.Handlers {
-		si, ok1 := pcIdx[int(h.StartPC)]
+		si, ok1 := pcIdx.At(int(h.StartPC))
 		ei, ok2 := endIdx(h.EndPC)
-		hi, ok3 := pcIdx[int(h.HandlerPC)]
+		hi, ok3 := pcIdx.At(int(h.HandlerPC))
 		if !ok1 || !ok2 || !ok3 {
 			return fmt.Errorf("jvm: %s: exception table entry not on instruction boundary", m)
 		}

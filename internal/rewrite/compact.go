@@ -168,7 +168,7 @@ func compactCode(old, np *classfile.ConstPool, a *classfile.Attribute) error {
 	if err != nil {
 		return err
 	}
-	insts, err := bytecode.DecodeExt(code.Bytecode)
+	insts, oldPCIdx, err := bytecode.DecodeWithIndex(code.Bytecode, true)
 	if err != nil {
 		return err
 	}
@@ -183,8 +183,7 @@ func compactCode(old, np *classfile.ConstPool, a *classfile.Attribute) error {
 			in.Index = ni
 		}
 	}
-	oldPCIdx := bytecode.PCMap(insts)
-	newBytes, pcs, err := bytecode.Encode(insts)
+	newBytes, err := bytecode.Assemble(insts)
 	if err != nil {
 		return err
 	}
@@ -192,11 +191,11 @@ func compactCode(old, np *classfile.ConstPool, a *classfile.Attribute) error {
 		if isEnd && int(pc) == len(code.Bytecode) {
 			return uint16(len(newBytes)), nil
 		}
-		i, ok := oldPCIdx[int(pc)]
+		i, ok := oldPCIdx.At(int(pc))
 		if !ok {
 			return 0, fmt.Errorf("rewrite: handler pc %d off instruction boundary", pc)
 		}
-		return uint16(pcs[i]), nil
+		return uint16(insts[i].PC), nil
 	}
 	for i := range code.Handlers {
 		h := &code.Handlers[i]

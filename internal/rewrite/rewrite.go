@@ -5,9 +5,10 @@
 //
 // It provides two layers:
 //
-//   - MethodEditor: decode one method body into an instruction list,
-//     splice snippets at arbitrary positions with branch/exception-table
-//     fixup, and re-encode with max_stack recomputed.
+//   - MethodEditor: the decoded form of one method body — built once per
+//     method and shared by every stage — with snippet splicing at arbitrary
+//     positions, branch/exception-table fixup, and re-encoding with
+//     max_stack recomputed.
 //   - Pipeline: the proxy-side filter API of §3 — "an internal filtering
 //     API allows the logically separate services ... to be composed on
 //     the proxy host. Parsing and code generation are performed only once
@@ -18,71 +19,129 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 )
 
-// MethodEditor edits one method body. Obtain with EditMethod, splice with
-// InsertAt, and call Commit to re-encode into the classfile.
+// MethodEditor is the one decoded form of a method body: the instruction
+// list, the exception table in instruction indices and the Code header it
+// came from. It is built once per method and memoized on the member, so
+// every stage of a pipeline run — verifier phases 2–3, Instrument, the
+// security and monitor filters, the compiler's fusion pass — finds the
+// same editor through DecodeMethod/EditMethod rather than decoding again,
+// and Commit keeps it describing the bytes it just wrote. Splice with
+// InsertAt and call Commit to re-encode into the classfile.
 type MethodEditor struct {
 	cf     *classfile.ClassFile
 	member *classfile.Member
 	code   *classfile.Code
+	// attr and info identify the Code attribute payload this form
+	// describes; the memo is reused only while the member, in the same
+	// class, still carries exactly that payload.
+	attr *classfile.Attribute
+	info []byte
 
-	Insts    []bytecode.Inst
-	handlers []editHandler
+	Insts []bytecode.Inst
+	// Handlers is the exception table over Insts.
+	Handlers []Handler
 	// MaxLocals may be raised by snippets that need scratch locals.
 	MaxLocals int
+
+	pcIdx      bytecode.PCIndex // of code.Bytecode; nil until asked for after a Commit
+	handlerErr error            // the exception table is off instruction boundaries
+	edited     bool             // spliced since the last Commit
 }
 
-type editHandler struct {
-	start, end, handler int // instruction indices, end exclusive
-	catchType           uint16
+// Handler is one exception table entry in instruction indices; End is
+// exclusive and may equal len(Insts).
+type Handler struct {
+	Start, End, Target int
+	CatchType          uint16
 }
 
-// EditMethod decodes the method's Code attribute for editing. It returns
-// (nil, nil) for methods without code (abstract/native).
-func EditMethod(cf *classfile.ClassFile, m *classfile.Member) (*MethodEditor, error) {
-	code, err := cf.CodeOf(m)
+// DecodeMethod returns the decoded form of the method's body, building
+// and memoizing it on first use; (nil, nil) for methods without code
+// (abstract/native). It succeeds even when the exception table does not
+// sit on instruction boundaries — the verifier reports that itself, after
+// its operand checks — in which case Handlers is nil and EditMethod
+// refuses the method.
+func DecodeMethod(cf *classfile.ClassFile, m *classfile.Member) (*MethodEditor, error) {
+	attr := cf.FindAttr(m.Attributes, classfile.AttrCode)
+	if attr == nil {
+		return nil, nil
+	}
+	if ed, ok := m.Decoded().(*MethodEditor); ok && !ed.edited && ed.cf == cf && ed.attr == attr &&
+		len(ed.info) == len(attr.Info) && (len(attr.Info) == 0 || &ed.info[0] == &attr.Info[0]) {
+		return ed, nil
+	}
+	code, err := classfile.DecodeCode(attr)
 	if err != nil {
 		return nil, err
 	}
-	if code == nil {
-		return nil, nil
-	}
-	insts, err := bytecode.Decode(code.Bytecode)
+	insts, pcIdx, err := bytecode.DecodeWithIndex(code.Bytecode, false)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
 	}
-	pcIdx := bytecode.PCMap(insts)
 	ed := &MethodEditor{
-		cf:        cf,
-		member:    m,
-		code:      code,
+		cf: cf, member: m, code: code,
+		attr:      attr,
+		info:      attr.Info, // classfile:allow-alias — compared, never read; Release drops the memo
 		Insts:     insts,
 		MaxLocals: int(code.MaxLocals),
+		pcIdx:     pcIdx,
 	}
-	for _, h := range code.Handlers {
-		si, ok1 := pcIdx[int(h.StartPC)]
-		hi, ok3 := pcIdx[int(h.HandlerPC)]
-		var ei int
-		var ok2 bool
-		if int(h.EndPC) == len(code.Bytecode) {
-			ei, ok2 = len(insts), true
-		} else {
-			ei, ok2 = pcIdx[int(h.EndPC)]
+	if len(code.Handlers) > 0 {
+		ed.Handlers = make([]Handler, len(code.Handlers))
+	}
+	for i, h := range code.Handlers {
+		si, ok1 := pcIdx.At(int(h.StartPC))
+		hi, ok3 := pcIdx.At(int(h.HandlerPC))
+		ei, ok2 := len(insts), true
+		if int(h.EndPC) != len(code.Bytecode) {
+			ei, ok2 = pcIdx.At(int(h.EndPC))
 		}
 		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("rewrite: %s.%s: exception table not on instruction boundaries", cf.Name(), cf.MemberName(m))
+			ed.Handlers = nil
+			ed.handlerErr = fmt.Errorf("rewrite: %s.%s: exception table not on instruction boundaries", cf.Name(), cf.MemberName(m))
+			break
 		}
-		ed.handlers = append(ed.handlers, editHandler{start: si, end: ei, handler: hi, catchType: h.CatchType})
+		ed.Handlers[i] = Handler{Start: si, End: ei, Target: hi, CatchType: h.CatchType}
+	}
+	m.SetDecoded(ed)
+	return ed, nil
+}
+
+// EditMethod returns the method's decoded form for editing: DecodeMethod,
+// refusing a body whose exception table cannot be carried through a
+// splice.
+func EditMethod(cf *classfile.ClassFile, m *classfile.Member) (*MethodEditor, error) {
+	ed, err := DecodeMethod(cf, m)
+	if err != nil || ed == nil {
+		return nil, err
+	}
+	if ed.handlerErr != nil {
+		return nil, ed.handlerErr
 	}
 	return ed, nil
 }
 
 // Pool returns the class constant pool for interning snippet operands.
 func (ed *MethodEditor) Pool() *classfile.ConstPool { return ed.cf.Pool }
+
+// Code returns the Code attribute header the form currently describes:
+// max_stack, max_locals, the body bytes and the exception table in PCs.
+func (ed *MethodEditor) Code() *classfile.Code { return ed.code }
+
+// PCIndex maps byte offsets of Code().Bytecode to indices into Insts. It
+// is valid between commits, not while a splice is pending.
+func (ed *MethodEditor) PCIndex() bytecode.PCIndex {
+	if ed.pcIdx == nil {
+		ed.pcIdx = bytecode.IndexPCs(ed.Insts, len(ed.code.Bytecode))
+	}
+	return ed.pcIdx
+}
 
 // InsertAt splices snippet before instruction position (0 = method
 // entry; len(Insts) is not allowed — snippets always precede an existing
@@ -105,9 +164,7 @@ func (ed *MethodEditor) InsertAt(pos int, snippet []bytecode.Inst, captureBranch
 	if k == 0 {
 		return nil
 	}
-	// Resolve snippet-relative targets to absolute (post-shift) indices.
-	resolved := make([]bytecode.Inst, k)
-	copy(resolved, snippet)
+	// Check the snippet's relative targets before touching the method.
 	resolveTarget := func(t int) (int, error) {
 		switch {
 		case t == RelEnd:
@@ -123,37 +180,30 @@ func (ed *MethodEditor) InsertAt(pos int, snippet []bytecode.Inst, captureBranch
 		}
 		return 0, fmt.Errorf("rewrite: snippet branch without target")
 	}
-	for i := range resolved {
-		in := &resolved[i]
+	for i := range snippet {
+		in := &snippet[i]
 		if in.Op.IsBranch() {
-			t, err := resolveTarget(in.Target)
-			if err != nil {
+			if _, err := resolveTarget(in.Target); err != nil {
 				return err
 			}
-			in.Target = t
 		} else if in.Op.IsSwitch() {
 			if in.Switch == nil {
 				return fmt.Errorf("rewrite: snippet switch without payload")
 			}
-			sw := *in.Switch
-			d, err := resolveTarget(sw.Default)
-			if err != nil {
+			if _, err := resolveTarget(in.Switch.Default); err != nil {
 				return err
 			}
-			sw.Default = d
-			sw.Targets = append([]int(nil), in.Switch.Targets...)
-			for j, tt := range sw.Targets {
-				nt, err := resolveTarget(tt)
-				if err != nil {
+			for _, tt := range in.Switch.Targets {
+				if _, err := resolveTarget(tt); err != nil {
 					return err
 				}
-				sw.Targets[j] = nt
 			}
-			in.Switch = &sw
 		}
 	}
+	ed.edited = true
 
-	// Shift existing targets.
+	// Shift existing targets. The editor owns its switch payloads (Decode
+	// made them, or an earlier splice copied them), so they move in place.
 	shift := func(t int) int {
 		switch {
 		case t > pos:
@@ -171,43 +221,47 @@ func (ed *MethodEditor) InsertAt(pos int, snippet []bytecode.Inst, captureBranch
 		if in.Op.IsBranch() {
 			in.Target = shift(in.Target)
 		} else if in.Op.IsSwitch() {
+			in.Switch.Default = shift(in.Switch.Default)
+			for j, tt := range in.Switch.Targets {
+				in.Switch.Targets[j] = shift(tt)
+			}
+		}
+	}
+	for i := range ed.Handlers {
+		h := &ed.Handlers[i]
+		// A protected region grows to cover code inserted inside it; the
+		// snippet joins the region when inserted strictly within, and the
+		// handler entry shifts like a branch target.
+		if h.Start > pos {
+			h.Start += k
+		}
+		if h.End > pos {
+			h.End += k
+		}
+		if h.Target > pos || (h.Target == pos && !captureBranches) {
+			h.Target += k
+		}
+	}
+
+	// Open a gap of k at pos and copy the snippet in, resolving its
+	// relative targets there; the caller's snippet stays reusable.
+	ed.Insts = append(ed.Insts, snippet...)
+	copy(ed.Insts[pos+k:], ed.Insts[pos:])
+	copy(ed.Insts[pos:], snippet)
+	for i := pos; i < pos+k; i++ {
+		in := &ed.Insts[i]
+		if in.Op.IsBranch() {
+			in.Target, _ = resolveTarget(in.Target)
+		} else if in.Op.IsSwitch() {
 			sw := *in.Switch
-			sw.Default = shift(sw.Default)
-			sw.Targets = append([]int(nil), in.Switch.Targets...)
+			sw.Default, _ = resolveTarget(sw.Default)
+			sw.Targets = append([]int(nil), sw.Targets...)
 			for j, tt := range sw.Targets {
-				sw.Targets[j] = shift(tt)
+				sw.Targets[j], _ = resolveTarget(tt)
 			}
 			in.Switch = &sw
 		}
 	}
-	for i := range ed.handlers {
-		h := &ed.handlers[i]
-		// A protected region grows to cover code inserted inside it; the
-		// snippet joins the region when inserted strictly within, and the
-		// handler entry shifts like a branch target.
-		if h.start > pos {
-			h.start += k
-		}
-		if h.end > pos {
-			h.end += k
-		}
-		if h.handler > pos {
-			h.handler += k
-		} else if h.handler == pos {
-			if captureBranches {
-				// keep pointing at snippet start
-			} else {
-				h.handler += k
-			}
-		}
-	}
-
-	// Splice.
-	out := make([]bytecode.Inst, 0, len(ed.Insts)+k)
-	out = append(out, ed.Insts[:pos]...)
-	out = append(out, resolved...)
-	out = append(out, ed.Insts[pos:]...)
-	ed.Insts = out
 	return nil
 }
 
@@ -228,6 +282,7 @@ func (ed *MethodEditor) InsertBeforeReturns(snippet []bytecode.Inst) error {
 			positions = append(positions, i)
 		}
 	}
+	ed.Insts = slices.Grow(ed.Insts, len(positions)*len(snippet))
 	for n := len(positions) - 1; n >= 0; n-- {
 		if err := ed.InsertAt(positions[n], snippet, true); err != nil {
 			return err
@@ -241,44 +296,71 @@ func (ed *MethodEditor) InsertBeforeReturns(snippet []bytecode.Inst) error {
 // are dropped (offsets no longer correspond); other code attributes are
 // preserved verbatim.
 func (ed *MethodEditor) Commit() error {
-	code, pcs, err := bytecode.Encode(ed.Insts)
-	if err != nil {
-		return fmt.Errorf("rewrite: %s.%s: %w", ed.cf.Name(), ed.cf.MemberName(ed.member), err)
+	handlerStarts := make([]int, len(ed.Handlers))
+	for i, h := range ed.Handlers {
+		handlerStarts[i] = h.Target
 	}
-	var handlerStarts []int
-	for _, h := range ed.handlers {
-		handlerStarts = append(handlerStarts, h.handler)
+	// Computed before write re-stamps the PCs its messages quote, reported
+	// after an encoding error as it always was: a filter's failure text
+	// ends up in the replacement class an attested fleet votes on.
+	maxStack, stackErr := bytecode.MaxStack(ed.Insts, ed.cf.Pool, handlerStarts)
+	isLines := func(a *classfile.Attribute) bool { return ed.cf.AttrName(a) == classfile.AttrLineNumberTable }
+	attrs := ed.code.Attributes
+	if slices.ContainsFunc(attrs, isLines) {
+		attrs = slices.DeleteFunc(slices.Clone(attrs), isLines)
 	}
-	maxStack, err := bytecode.MaxStack(ed.Insts, ed.cf.Pool, handlerStarts)
+	return ed.write(uint16(maxStack), stackErr, attrs)
+}
+
+// CommitLayout re-encodes a body whose instructions were re-laid out
+// without changing what they do to the stack or the locals (the
+// compiler's superinstruction fusion): branch offsets and the exception
+// table are recomputed, max_stack and every code attribute are kept.
+func (ed *MethodEditor) CommitLayout() error {
+	return ed.write(ed.code.MaxStack, nil, ed.code.Attributes)
+}
+
+// write assembles Insts and installs the new Code attribute. The
+// in-memory form stays authoritative: afterwards Insts, Handlers and
+// Code() describe exactly the bytes written, so the next stage edits on
+// without decoding them.
+func (ed *MethodEditor) write(maxStack uint16, stackErr error, attrs []*classfile.Attribute) error {
+	code, err := bytecode.Assemble(ed.Insts)
+	if err == nil {
+		err = stackErr
+	}
 	if err != nil {
+		ed.member.SetDecoded(nil) // Insts no longer describe the member's bytes
 		return fmt.Errorf("rewrite: %s.%s: %w", ed.cf.Name(), ed.cf.MemberName(ed.member), err)
 	}
 	newCode := &classfile.Code{
-		MaxStack:  uint16(maxStack),
-		MaxLocals: uint16(ed.MaxLocals),
-		Bytecode:  code,
+		MaxStack:   maxStack,
+		MaxLocals:  uint16(ed.MaxLocals),
+		Bytecode:   code,
+		Attributes: attrs,
 	}
-	endPC := func(i int) uint16 {
-		if i >= len(pcs) {
+	pcOf := func(i int) uint16 {
+		if i >= len(ed.Insts) {
 			return uint16(len(code))
 		}
-		return uint16(pcs[i])
+		return uint16(ed.Insts[i].PC)
 	}
-	for _, h := range ed.handlers {
-		newCode.Handlers = append(newCode.Handlers, classfile.ExceptionHandler{
-			StartPC:   uint16(pcs[h.start]),
-			EndPC:     endPC(h.end),
-			HandlerPC: uint16(pcs[h.handler]),
-			CatchType: h.catchType,
-		})
+	if len(ed.Handlers) > 0 {
+		newCode.Handlers = make([]classfile.ExceptionHandler, len(ed.Handlers))
 	}
-	for _, a := range ed.code.Attributes {
-		if ed.cf.AttrName(a) == classfile.AttrLineNumberTable {
-			continue
+	for i, h := range ed.Handlers {
+		newCode.Handlers[i] = classfile.ExceptionHandler{
+			StartPC: pcOf(h.Start), EndPC: pcOf(h.End), HandlerPC: pcOf(h.Target), CatchType: h.CatchType,
 		}
-		newCode.Attributes = append(newCode.Attributes, a)
 	}
-	return ed.cf.SetCode(ed.member, newCode)
+	if err := ed.cf.SetCode(ed.member, newCode); err != nil {
+		return err
+	}
+	ed.code, ed.pcIdx, ed.edited = newCode, nil, false
+	ed.attr = ed.cf.FindAttr(ed.member.Attributes, classfile.AttrCode)
+	ed.info = ed.attr.Info // classfile:allow-alias — SetCode's fresh payload; compared, never read
+	ed.member.SetDecoded(ed)
+	return nil
 }
 
 // Snippet-relative branch target encoding. Snippets cannot know absolute

@@ -15,7 +15,8 @@ type Snippet struct {
 
 // NewSnippet starts a snippet against the given pool.
 func NewSnippet(pool *classfile.ConstPool) *Snippet {
-	return &Snippet{pool: pool}
+	// Room for an audit or access-check call without regrowing.
+	return &Snippet{pool: pool, insts: make([]bytecode.Inst, 0, 8)}
 }
 
 // Insts returns the accumulated instructions.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dvm/internal/classfile"
+	"dvm/internal/classgen"
 	"dvm/internal/workload"
 )
 
@@ -89,5 +90,48 @@ func BenchmarkVerifyAndInstrument(b *testing.B) {
 		if _, err := cf.Encode(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// straightLine builds a class whose one static method is n straight-line
+// instructions (iconst_1/pop pairs, then return), parsed from bytes as
+// the proxy sees classes.
+func straightLine(t *testing.T, n int) *classfile.ClassFile {
+	t.Helper()
+	b := classgen.NewClass("app/Line", "java/lang/Object")
+	m := b.Method(classfile.AccPublic|classfile.AccStatic, "run", "()V")
+	for i := 0; i < (n-1)/2; i++ {
+		m.IConst(1).Pop()
+	}
+	m.Return()
+	data, err := b.BuildBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cf
+}
+
+// TestVerifyAllocationDoesNotGrowWithMethodLength: phase 3 keeps its
+// in-frames in a pooled slab and interprets in one scratch frame, so in
+// steady state verifying a 2000-instruction method allocates what
+// verifying a 100-instruction one does (it used to clone two slices per
+// instruction visited).
+func TestVerifyAllocationDoesNotGrowWithMethodLength(t *testing.T) {
+	measure := func(n int) float64 {
+		cf := straightLine(t, n)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Verify(cf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := measure(100), measure(2000)
+	t.Logf("Verify allocations: %.0f at 100 instructions, %.0f at 2000", short, long)
+	if long-short >= 16 {
+		t.Errorf("Verify allocates %.0f times for 2000 instructions against %.0f for 100; the difference must stay under 16", long, short)
 	}
 }

@@ -95,11 +95,6 @@ type Assumption struct {
 	Scope string // "name desc" of the dependent method; "" = whole class
 }
 
-// key is the dedup identity (scope-insensitive for class-wide facts).
-func (a Assumption) key() string {
-	return fmt.Sprintf("%d\x00%s\x00%s\x00%s\x00%s", a.Kind, a.Class, a.Name, a.Desc, a.Scope)
-}
-
 // Error is a verification failure: the phase that rejected the class and
 // why. The distributed service converts these into replacement classes
 // that raise VerifyError on the client (§3.1: "verification errors are
@@ -126,21 +121,21 @@ type Result struct {
 }
 
 // assumptionSet dedups assumptions while preserving deterministic order.
+// An assumption is its own dedup identity: every field takes part.
 type assumptionSet struct {
-	seen map[string]struct{}
+	seen map[Assumption]struct{}
 	list []Assumption
 }
 
 func newAssumptionSet() *assumptionSet {
-	return &assumptionSet{seen: make(map[string]struct{})}
+	return &assumptionSet{seen: make(map[Assumption]struct{})}
 }
 
 func (s *assumptionSet) add(a Assumption) {
-	k := a.key()
-	if _, dup := s.seen[k]; dup {
+	if _, dup := s.seen[a]; dup {
 		return
 	}
-	s.seen[k] = struct{}{}
+	s.seen[a] = struct{}{}
 	s.list = append(s.list, a)
 }
 

@@ -1,12 +1,14 @@
 package verifier
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
 
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
+	"dvm/internal/rewrite"
 	"dvm/internal/telemetry"
 )
 
@@ -41,8 +43,9 @@ type methodResult struct {
 }
 
 // VerifyWith is Verify with explicit worker/telemetry options. Per-method
-// verification is embarrassingly parallel — phases 2 and 3 only read the
-// class — so the method loop fans out over opts.Workers goroutines. The
+// verification is embarrassingly parallel — phases 2 and 3 read the class
+// and write nothing but the method's own decoded-form memo — so the method
+// loop fans out over opts.Workers goroutines. The
 // result is deterministic regardless of worker count: census counts are
 // summed and assumptions deduplicated in method-table order, and the
 // reported error is the one from the lowest-indexed failing method.
@@ -108,28 +111,36 @@ func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
 }
 
 // verifyMethod runs phases 2 and 3 plus assumption collection for a
-// single method, writing into out. It only reads cf, which is what makes
-// concurrent calls over distinct methods safe.
+// single method, writing into out. Of cf it writes only the method's own
+// decoded-form memo, which is what makes concurrent calls over distinct
+// methods safe.
 func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, out *methodResult) {
-	code, err := cf.CodeOf(m)
+	ed, err := rewrite.DecodeMethod(cf, m)
 	if err != nil {
-		out.err = &Error{Phase: 2, Class: cf.Name(), Method: cf.MemberName(m), Msg: err.Error()}
+		// A body that does not decode is a phase-2 rejection in the
+		// decoder's own words; a Code attribute that does not parse is
+		// reported against the bare method name.
+		method, msg := cf.MemberName(m), err.Error()
+		var de *bytecode.DecodeError
+		if errors.As(err, &de) {
+			method, msg = method+cf.MemberDescriptor(m), de.Error()
+		}
+		out.err = &Error{Phase: 2, Class: cf.Name(), Method: method, Msg: msg}
 		return
 	}
-	if code == nil {
+	if ed == nil {
 		return
 	}
-	insts, err := phase2(cf, m, code, &out.census)
-	if err != nil {
+	if err := phase2(cf, m, ed, &out.census); err != nil {
 		out.err = err
 		return
 	}
-	if err := phase3(cf, m, code, insts, &out.census); err != nil {
+	if err := phase3(cf, m, ed, &out.census); err != nil {
 		out.err = err
 		return
 	}
 	local := newAssumptionSet()
-	collectMethodAssumptions(cf, m, insts, local)
+	collectMethodAssumptions(cf, m, ed.Insts, local)
 	out.assumptions = local.list
 }
 
