@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,14 +31,10 @@ func main() {
 	attestBench := flag.Bool("attest", false, "run the attestation quorum ablation (quorum 1 vs 2 vs 3 tax + Byzantine divergence detection)")
 	prefetchBench := flag.Bool("prefetch", false, "run the predictive-prefetch warm-vs-cold walk (2-node cluster, piggybacked successors, waste ledger)")
 	scale := flag.Int("scale", 1, "workload scale divisor (1 = paper scale)")
-	pipelineWorkers := flag.Int("pipeline-workers", 0, "static-service per-method fan-out (0 = GOMAXPROCS, 1 = sequential)")
-	benchPipeline := flag.String("bench-pipeline", "", "run the pipeline benchmark and write its JSON report to this path (e.g. BENCH_PIPELINE.json)")
-	benchIters := flag.Int("bench-iters", 200, "iterations per pipeline benchmark measurement")
-	benchBaseline := flag.String("bench-baseline", "", "recorded BENCH_PIPELINE.json to gate against; exits 1 on >20% regression in host-independent metrics")
 	flag.Parse()
 
-	if !*all && *figs == "" && !*applets && !*ablations && !*overload && !*churn && !*attestBench && !*prefetchBench && *benchPipeline == "" {
-		fmt.Fprintln(os.Stderr, "usage: dvmbench (-all | -fig N[,N...] | -applets | -ablations | -overload | -churn | -attest | -prefetch | -bench-pipeline FILE) [-scale N] [-pipeline-workers N]")
+	if !*all && *figs == "" && !*applets && !*ablations && !*overload && !*churn && !*attestBench && !*prefetchBench {
+		fmt.Fprintln(os.Stderr, "usage: dvmbench (-all | -fig N[,N...] | -applets | -ablations | -overload | -churn | -attest | -prefetch) [-scale N]")
 		os.Exit(2)
 	}
 	want := map[string]bool{}
@@ -108,48 +103,13 @@ func main() {
 			if *scale > 1 {
 				counts = []int{1, 10, 25, 50}
 			}
-			cfg := eval.DefaultFig10Config()
-			cfg.PipelineWorkers = *pipelineWorkers
-			_, text, err := eval.Fig10(counts, cfg)
+			_, text, err := eval.Fig10(counts, eval.DefaultFig10Config())
 			return text, err
-		})
-	}
-	if *benchPipeline != "" {
-		run("Pipeline benchmark (parse/encode codec + parallel static service)", func() (string, error) {
-			rep, text, err := eval.PipelineBench(*benchIters, nil)
-			if err != nil {
-				return "", err
-			}
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return "", err
-			}
-			// Gate before writing, so -bench-baseline FILE -bench-pipeline FILE
-			// compares against the previous recording when re-recording in place.
-			if *benchBaseline != "" {
-				raw, err := os.ReadFile(*benchBaseline)
-				if err != nil {
-					return "", err
-				}
-				var base eval.PipelineBenchReport
-				if err := json.Unmarshal(raw, &base); err != nil {
-					return "", fmt.Errorf("%s: %v", *benchBaseline, err)
-				}
-				if regs := eval.ComparePipelineBench(&base, rep, 0.2); len(regs) > 0 {
-					return "", fmt.Errorf("benchmark regression vs %s:\n  %s", *benchBaseline, strings.Join(regs, "\n  "))
-				}
-				text += "\nno regression vs " + *benchBaseline
-			}
-			if err := os.WriteFile(*benchPipeline, append(data, '\n'), 0o644); err != nil {
-				return "", err
-			}
-			return text + "\nreport written to " + *benchPipeline, nil
 		})
 	}
 	if *overload {
 		run("Overload: open-loop load sweep, admission control on", func() (string, error) {
 			cfg := eval.DefaultOverloadConfig()
-			cfg.PipelineWorkers = *pipelineWorkers
 			if *scale > 1 {
 				cfg.Clients /= *scale
 				cfg.Duration /= time.Duration(*scale)

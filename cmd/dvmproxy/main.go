@@ -125,7 +125,6 @@ func main() {
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "bound on reading a request's headers (slowloris guard)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long in-flight requests get to finish on shutdown")
-	pipelineWorkers := flag.Int("pipeline-workers", 0, "static-service per-method fan-out (0 = GOMAXPROCS, 1 = sequential)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrent origin-fetch+pipeline flights (0 = 8 x GOMAXPROCS)")
 	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
@@ -140,7 +139,6 @@ func main() {
 	}
 
 	pipe := rewrite.NewPipeline(verifier.Filter())
-	pipe.SetWorkers(*pipelineWorkers)
 	if *policyPath != "" {
 		data, err := os.ReadFile(*policyPath)
 		if err != nil {

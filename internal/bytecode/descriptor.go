@@ -108,6 +108,15 @@ func (m MethodType) String() string {
 // invocation), so repeat calls allocate nothing; returned values are
 // shared and must be treated as immutable.
 func ParseType(desc string) (Type, error) {
+	t, err := sharedType(desc)
+	if err != nil {
+		return Type{}, err
+	}
+	return *t, nil
+}
+
+// sharedType is ParseType returning the cache's own copy.
+func sharedType(desc string) (*Type, error) {
 	if t, ok := typeCache.get(desc); ok {
 		descHits.Add(1)
 		return t, nil
@@ -115,13 +124,13 @@ func ParseType(desc string) (Type, error) {
 	descMisses.Add(1)
 	t, rest, err := parseType(desc, false)
 	if err != nil {
-		return Type{}, err
+		return nil, err
 	}
 	if rest != "" {
-		return Type{}, fmt.Errorf("descriptor: trailing characters %q in %q", rest, desc)
+		return nil, fmt.Errorf("descriptor: trailing characters %q in %q", rest, desc)
 	}
-	typeCache.put(desc, t)
-	return t, nil
+	typeCache.put(desc, &t)
+	return &t, nil
 }
 
 func parseType(s string, allowVoid bool) (Type, string, error) {
@@ -187,6 +196,15 @@ func parseType(s string, allowVoid bool) (Type, string, error) {
 // ParseType's; the returned MethodType (including its Params slice) is
 // shared and must be treated as immutable.
 func ParseMethodType(desc string) (MethodType, error) {
+	mt, err := sharedMethodType(desc)
+	if err != nil {
+		return MethodType{}, err
+	}
+	return *mt, nil
+}
+
+// sharedMethodType is ParseMethodType returning the cache's own copy.
+func sharedMethodType(desc string) (*MethodType, error) {
 	if mt, ok := methodCache.get(desc); ok {
 		descHits.Add(1)
 		return mt, nil
@@ -195,15 +213,15 @@ func ParseMethodType(desc string) (MethodType, error) {
 	return parseMethodTypeUncached(desc)
 }
 
-func parseMethodTypeUncached(desc string) (MethodType, error) {
+func parseMethodTypeUncached(desc string) (*MethodType, error) {
 	if desc == "" || desc[0] != '(' {
-		return MethodType{}, fmt.Errorf("descriptor: method descriptor %q must start with '('", desc)
+		return nil, fmt.Errorf("descriptor: method descriptor %q must start with '('", desc)
 	}
 	s := desc[1:]
-	var mt MethodType
+	mt := new(MethodType)
 	for {
 		if s == "" {
-			return MethodType{}, fmt.Errorf("descriptor: unterminated parameter list in %q", desc)
+			return nil, fmt.Errorf("descriptor: unterminated parameter list in %q", desc)
 		}
 		if s[0] == ')' {
 			s = s[1:]
@@ -211,20 +229,20 @@ func parseMethodTypeUncached(desc string) (MethodType, error) {
 		}
 		t, rest, err := parseType(s, false)
 		if err != nil {
-			return MethodType{}, fmt.Errorf("descriptor: %q: %v", desc, err)
+			return nil, fmt.Errorf("descriptor: %q: %v", desc, err)
 		}
 		mt.Params = append(mt.Params, t)
 		if len(mt.Params) > 255 {
-			return MethodType{}, fmt.Errorf("descriptor: more than 255 parameters in %q", desc)
+			return nil, fmt.Errorf("descriptor: more than 255 parameters in %q", desc)
 		}
 		s = rest
 	}
 	ret, rest, err := parseType(s, true)
 	if err != nil {
-		return MethodType{}, fmt.Errorf("descriptor: %q: %v", desc, err)
+		return nil, fmt.Errorf("descriptor: %q: %v", desc, err)
 	}
 	if rest != "" {
-		return MethodType{}, fmt.Errorf("descriptor: trailing characters after return type in %q", desc)
+		return nil, fmt.Errorf("descriptor: trailing characters after return type in %q", desc)
 	}
 	mt.Ret = ret
 	methodCache.put(desc, mt)

@@ -3,6 +3,8 @@ package bytecode
 import (
 	"sync"
 	"sync/atomic"
+
+	"dvm/internal/classfile"
 )
 
 // The static service re-parses the same handful of descriptors on every
@@ -24,6 +26,14 @@ import (
 // and MethodType are treated as immutable everywhere: nothing in the
 // repo mutates Params/Elem after parsing (descriptor strings round-trip
 // through String() instead).
+//
+// In front of the shared cache sits a per-class one that needs no lock:
+// TypeAt, MethodTypeAt and the Ref* forms name a descriptor by its
+// constant-pool index and remember the parsed form, with the slot counts
+// StackEffect wants, on the pool itself (classfile.Descriptor). A class's
+// verification and rewriting therefore reach the shared maps at most
+// once per descriptor constant, however many instructions use it and
+// however often MaxStack walks them.
 
 const descCacheLimit = 4096
 
@@ -74,8 +84,8 @@ func (c *descCache[V]) reset() {
 }
 
 var (
-	typeCache   descCache[Type]
-	methodCache descCache[MethodType]
+	typeCache   descCache[*Type]
+	methodCache descCache[*MethodType]
 
 	descHits   atomic.Int64
 	descMisses atomic.Int64
@@ -94,4 +104,78 @@ func ResetDescriptorCache() {
 	methodCache.reset()
 	descHits.Store(0)
 	descMisses.Store(0)
+}
+
+// TypeAt parses the Utf8 constant at idx of pool as a field descriptor,
+// reporting what Utf8 or ParseType would. A failure is not remembered.
+func TypeAt(pool *classfile.ConstPool, idx uint16) (Type, error) {
+	t, _, err := fieldDescriptor(pool, idx)
+	if err != nil {
+		return Type{}, err
+	}
+	return *t, nil
+}
+
+// MethodTypeAt is TypeAt for a method descriptor.
+func MethodTypeAt(pool *classfile.ConstPool, idx uint16) (MethodType, error) {
+	mt, _, err := methodDescriptor(pool, idx)
+	if err != nil {
+		return MethodType{}, err
+	}
+	return *mt, nil
+}
+
+// RefType returns the parsed descriptor of the Fieldref at idx, failing
+// as pool.Ref and then ParseType would.
+func RefType(pool *classfile.ConstPool, idx uint16) (Type, error) {
+	d, err := pool.RefDescriptor(idx)
+	if err != nil {
+		return Type{}, err
+	}
+	return TypeAt(pool, d)
+}
+
+// RefMethodType is RefType for a Methodref or InterfaceMethodref.
+func RefMethodType(pool *classfile.ConstPool, idx uint16) (MethodType, error) {
+	d, err := pool.RefDescriptor(idx)
+	if err != nil {
+		return MethodType{}, err
+	}
+	return MethodTypeAt(pool, d)
+}
+
+func fieldDescriptor(pool *classfile.ConstPool, idx uint16) (*Type, classfile.Descriptor, error) {
+	d := pool.Descriptor(idx)
+	if t, ok := d.Parsed.(*Type); ok {
+		return t, d, nil
+	}
+	s, err := pool.Utf8(idx)
+	if err != nil {
+		return nil, d, err
+	}
+	t, err := sharedType(s)
+	if err != nil {
+		return nil, d, err
+	}
+	d = classfile.Descriptor{Parsed: t, Slots: uint8(t.Slots())}
+	pool.SetDescriptor(idx, d)
+	return t, d, nil
+}
+
+func methodDescriptor(pool *classfile.ConstPool, idx uint16) (*MethodType, classfile.Descriptor, error) {
+	d := pool.Descriptor(idx)
+	if mt, ok := d.Parsed.(*MethodType); ok {
+		return mt, d, nil
+	}
+	s, err := pool.Utf8(idx)
+	if err != nil {
+		return nil, d, err
+	}
+	mt, err := sharedMethodType(s)
+	if err != nil {
+		return nil, d, err
+	}
+	d = classfile.Descriptor{Parsed: mt, ParamSlots: uint16(mt.ParamSlots()), Slots: uint8(mt.Ret.Slots())}
+	pool.SetDescriptor(idx, d)
+	return mt, d, nil
 }

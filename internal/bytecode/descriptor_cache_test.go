@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"dvm/internal/classfile"
 )
 
 func TestDescriptorCacheHitsAndMisses(t *testing.T) {
@@ -149,5 +151,37 @@ func BenchmarkParseMethodTypeCold(b *testing.B) {
 		if _, err := parseMethodTypeUncached(descs[i%len(descs)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStackEffectRepeatVisitIsFree: resolving a member reference and
+// asking for its stack effect a second time reads both back from the
+// pool — no allocation, and no lookup in the shared descriptor cache.
+func TestStackEffectRepeatVisitIsFree(t *testing.T) {
+	pool := classfile.NewConstPool()
+	call := Inst{Op: Invokevirtual, Index: pool.AddMethodref("java/util/Hashtable", "put",
+		"(Ljava/lang/Object;Ljava/lang/Object;)Ljava/lang/Object;")}
+	load := Inst{Op: Getstatic, Index: pool.AddFieldref("demo/Main", "total", "J")}
+	visit := func() {
+		if ref, err := pool.Ref(call.Index); err != nil || ref.Name != "put" {
+			t.Fatalf("Ref = %v, %v", ref, err)
+		}
+		if pop, push, err := StackEffect(call, pool); err != nil || pop != 3 || push != 1 {
+			t.Fatalf("invokevirtual put: pops %d pushes %d (%v), want 3 and 1", pop, push, err)
+		}
+		if pop, push, err := StackEffect(load, pool); err != nil || pop != 0 || push != 2 {
+			t.Fatalf("getstatic J: pops %d pushes %d (%v), want 0 and 2", pop, push, err)
+		}
+		if mt, err := RefMethodType(pool, call.Index); err != nil || len(mt.Params) != 2 {
+			t.Fatalf("RefMethodType = %v, %v", mt, err)
+		}
+	}
+	visit()
+	h0, m0 := DescriptorCacheStats()
+	if n := testing.AllocsPerRun(100, visit); n != 0 {
+		t.Errorf("a repeat visit allocates %.0f times, want 0", n)
+	}
+	if h1, m1 := DescriptorCacheStats(); h1 != h0 || m1 != m0 {
+		t.Errorf("repeat visits made %d lookups in the shared descriptor cache, want 0", h1-h0+m1-m0)
 	}
 }

@@ -9,9 +9,10 @@ import (
 // StackEffect returns the operand-stack slot counts popped and pushed by
 // the instruction. Instructions whose effect depends on a constant-pool
 // reference (field accesses, invokes, multianewarray) resolve it through
-// pool. The rewriting engine uses this to recompute max_stack after
-// splicing code, and the dataflow verifier uses it for conservative
-// height tracking.
+// pool, which remembers the resolution and the descriptor's slot counts:
+// a repeat visit reads them back. The rewriting engine uses this to
+// recompute max_stack after splicing code, and the dataflow verifier
+// uses it for conservative height tracking.
 func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) {
 	info := ops[in.Op]
 	if info.pop >= 0 {
@@ -19,15 +20,15 @@ func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) 
 	}
 	switch in.Op {
 	case Getstatic, Putstatic, Getfield, Putfield:
-		ref, err := pool.Ref(in.Index)
+		idx, err := pool.RefDescriptor(in.Index)
 		if err != nil {
 			return 0, 0, err
 		}
-		ft, err := ParseType(ref.Desc)
+		_, d, err := fieldDescriptor(pool, idx)
 		if err != nil {
 			return 0, 0, err
 		}
-		s := ft.Slots()
+		s := int(d.Slots)
 		switch in.Op {
 		case Getstatic:
 			return 0, s, nil
@@ -39,19 +40,19 @@ func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) 
 			return 1 + s, 0, nil
 		}
 	case Invokevirtual, Invokespecial, Invokestatic, Invokeinterface:
-		ref, err := pool.Ref(in.Index)
+		idx, err := pool.RefDescriptor(in.Index)
 		if err != nil {
 			return 0, 0, err
 		}
-		mt, err := ParseMethodType(ref.Desc)
+		_, d, err := methodDescriptor(pool, idx)
 		if err != nil {
 			return 0, 0, err
 		}
-		pop = mt.ParamSlots()
+		pop = int(d.ParamSlots)
 		if in.Op != Invokestatic {
 			pop++ // receiver
 		}
-		return pop, mt.Ret.Slots(), nil
+		return pop, int(d.Slots), nil
 	case Multianewarray:
 		return int(in.Dims), 1, nil
 	}

@@ -282,6 +282,40 @@ func TestDecodeModifiedUTF8RejectsIllegalBytes(t *testing.T) {
 	}
 }
 
+// TestValidateAgreesWithDecode: the parse gate's validator accepts
+// exactly what the decoder does, and calls plain ASCII exactly the inputs
+// made of bytes 0x01–0x7F, whose bytes are then the decoded string's — at
+// every length, so the eight-bytes-at-a-time fast path and its tail are
+// both covered.
+func TestValidateAgreesWithDecode(t *testing.T) {
+	check := func(b []byte) bool {
+		ok, ascii := validateModifiedUTF8(b)
+		s, decodes := decodeModifiedUTF8(b)
+		plain := true
+		for _, c := range b {
+			plain = plain && c != 0 && c < 0x80
+		}
+		return ok == decodes && ascii == plain && (!ascii || s == string(b))
+	}
+	for n := 0; n <= 40; n++ {
+		plain := bytes.Repeat([]byte{'a'}, n)
+		if !check(plain) {
+			t.Fatalf("%d plain ASCII bytes: validator and decoder disagree", n)
+		}
+		for at := 0; at < n; at++ {
+			for _, odd := range [][]byte{{0x00}, {0x80}, {0xC3, 0xA9}, {0xC0, 0x80}, {0xE2, 0x82, 0xAC}, {0xF0}} {
+				b := append(append(append([]byte{}, plain[:at]...), odd...), plain[at+1:]...)
+				if !check(b) {
+					t.Fatalf("% x at byte %d of %d: validator and decoder disagree", odd, at, n)
+				}
+			}
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAttributeAddRemove(t *testing.T) {
 	cf := buildMinimal(t)
 	cf.AddAttribute("dvm.Test", []byte("payload"))

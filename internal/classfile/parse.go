@@ -2,7 +2,6 @@ package classfile
 
 import (
 	"encoding/binary"
-	"math"
 	"unicode/utf8"
 )
 
@@ -160,59 +159,48 @@ func parsePool(r *reader) (*ConstPool, error) {
 	}
 	pool := newParsePool(hint)
 	for len(pool.entries) < count {
-		tag := ConstTag(r.u1())
+		e := entry{tag: ConstTag(r.u1())}
 		if r.err != nil {
 			return nil, r.err
 		}
-		var c Constant
-		c.Tag = tag
-		switch tag {
+		var s utf8Entry
+		switch e.tag {
 		case TagUtf8:
 			n := int(r.u2())
-			raw := r.bytes(n)
+			s.raw = r.bytes(n)
 			if r.err != nil {
 				return nil, r.err
 			}
 			// Validate now (hostile input must fail at the parse gate) but
 			// defer building the Go string until something touches it.
-			if !validateModifiedUTF8(raw) {
+			var ok bool
+			if ok, s.ascii = validateModifiedUTF8(s.raw); !ok {
 				return nil, formatErrf(r.off, "malformed modified-UTF8 in constant %d", len(pool.entries))
 			}
-			c.raw = raw
-			c.lazy = true
 			statUtf8Seen.Add(1)
-		case TagInteger:
-			c.Int = int32(r.u4())
-		case TagFloat:
-			c.Float = math.Float32frombits(r.u4())
-		case TagLong:
+		case TagInteger, TagFloat:
+			e.num = uint64(r.u4())
+		case TagLong, TagDouble:
 			hi := uint64(r.u4())
-			lo := uint64(r.u4())
-			c.Long = int64(hi<<32 | lo)
-		case TagDouble:
-			hi := uint64(r.u4())
-			lo := uint64(r.u4())
-			c.Double = math.Float64frombits(hi<<32 | lo)
+			e.num = hi<<32 | uint64(r.u4())
 		case TagClass, TagString:
-			c.Ref1 = r.u2()
+			e.ref1 = r.u2()
 		case TagFieldref, TagMethodref, TagInterfaceMethodref, TagNameAndType:
-			c.Ref1 = r.u2()
-			c.Ref2 = r.u2()
+			e.ref1 = r.u2()
+			e.ref2 = r.u2()
 		default:
-			return nil, formatErrf(r.off, "unknown constant pool tag %d", tag)
+			return nil, formatErrf(r.off, "unknown constant pool tag %d", e.tag)
 		}
 		if r.err != nil {
 			return nil, r.err
 		}
-		if _, err := pool.append(c); err != nil {
-			return nil, err
-		}
-		if len(pool.entries) > count {
+		if e.wide() && len(pool.entries)+2 > count {
 			return nil, formatErrf(r.off, "Long/Double constant overruns declared pool count %d", count)
 		}
+		if _, err := pool.push(e, s); err != nil {
+			return nil, err
+		}
 	}
-	// The interning index is built lazily (ensureIndex) on the first Add*
-	// call, so classes that no filter adds constants to never pay for it.
 	return pool, nil
 }
 
@@ -291,23 +279,35 @@ func parseAttributes(r *reader) ([]*Attribute, error) {
 // validateModifiedUTF8 checks that b is well-formed modified UTF-8
 // without building the decoded string — the alloc-free twin of
 // decodeModifiedUTF8, run at the parse gate so hostile input still fails
-// early while well-formed strings decode lazily.
-func validateModifiedUTF8(b []byte) bool {
-	for i := 0; i < len(b); {
+// early while well-formed strings decode lazily. ascii reports that b is
+// plain ASCII, i.e. already the bytes of the string it decodes to.
+func validateModifiedUTF8(b []byte) (ok, ascii bool) {
+	ascii = true
+	// Names and descriptors are nearly always plain ASCII: take eight
+	// bytes at a time while none has its high bit set or is NUL.
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		const hi, lo = 0x8080808080808080, 0x0101010101010101
+		if w := binary.LittleEndian.Uint64(b[i:]); w&hi != 0 || (w-lo)&^w&hi != 0 {
+			break
+		}
+	}
+	for i < len(b) {
 		c := b[i]
 		switch {
 		case c == 0 || c >= 0xF0:
-			return false
+			return false, false
 		case c < 0x80:
 			i++
+			continue
 		case c&0xE0 == 0xC0:
 			if i+1 >= len(b) || b[i+1]&0xC0 != 0x80 {
-				return false
+				return false, false
 			}
 			i += 2
 		case c&0xF0 == 0xE0:
 			if i+2 >= len(b) || b[i+1]&0xC0 != 0x80 || b[i+2]&0xC0 != 0x80 {
-				return false
+				return false, false
 			}
 			// Mirror the decoder's CESU-8 surrogate-pair handling exactly,
 			// including which bytes it consumes, so validate and decode
@@ -317,15 +317,17 @@ func validateModifiedUTF8(b []byte) bool {
 				r2 := rune(b[i+3]&0x0F)<<12 | rune(b[i+4]&0x3F)<<6 | rune(b[i+5]&0x3F)
 				if r2 >= 0xDC00 && r2 <= 0xDFFF {
 					i += 6
+					ascii = false
 					continue
 				}
 			}
 			i += 3
 		default:
-			return false
+			return false, false
 		}
+		ascii = false
 	}
-	return true
+	return true, ascii
 }
 
 // decodeModifiedUTF8 decodes the JVM's "modified UTF-8": NUL is encoded as

@@ -135,8 +135,8 @@ func (cf *ClassFile) canSplice() bool {
 func (cf *ClassFile) encodeSplice() ([]byte, error) {
 	statSpliceEncodes.Add(1)
 	p := cf.Pool
-	if len(p.entries) > 0xFFFF {
-		return nil, formatErrf(-1, "constant pool too large (%d entries)", len(p.entries))
+	if err := p.encodable(); err != nil {
+		return nil, err
 	}
 	if len(cf.Interfaces) > 0xFFFF {
 		return nil, formatErrf(-1, "too many interfaces (%d)", len(cf.Interfaces))
@@ -240,14 +240,14 @@ func (cf *ClassFile) spliceMembers(w *writer, ms []*Member) error {
 func (p *ConstPool) entriesSize(from int) int {
 	n := 0
 	for i := from; i < len(p.entries); i++ {
-		c := p.entries[i]
-		switch c.Tag {
+		e := &p.entries[i]
+		switch e.tag {
 		case 0: // dead second slot of a Long/Double
 		case TagUtf8:
-			if c.raw != nil {
-				n += 1 + 2 + len(c.raw)
+			if u := &p.strs[e.num]; u.raw != nil {
+				n += 1 + 2 + len(u.raw)
 			} else {
-				n += 1 + 2 + modifiedUTF8Len(c.Str)
+				n += 1 + 2 + modifiedUTF8Len(u.str)
 			}
 		case TagInteger, TagFloat:
 			n += 1 + 4
@@ -262,12 +262,24 @@ func (p *ConstPool) entriesSize(from int) int {
 	return n
 }
 
-func encodePool(w *writer, p *ConstPool) error {
-	if p == nil {
+// encodable refuses a pool that cannot be serialized: absent, too large
+// for the count field, or one an Add* overflowed (the class's code then
+// names constants that were never added).
+func (p *ConstPool) encodable() error {
+	switch {
+	case p == nil:
 		return formatErrf(-1, "class has no constant pool")
-	}
-	if len(p.entries) > 0xFFFF {
+	case p.err != nil:
+		return p.err
+	case len(p.entries) > MaxPoolSize:
 		return formatErrf(-1, "constant pool too large (%d entries)", len(p.entries))
+	}
+	return nil
+}
+
+func encodePool(w *writer, p *ConstPool) error {
+	if err := p.encodable(); err != nil {
+		return err
 	}
 	w.u2(uint16(len(p.entries)))
 	return encodePoolEntries(w, p, 1)
@@ -276,48 +288,43 @@ func encodePool(w *writer, p *ConstPool) error {
 // encodePoolEntries serializes entries[from:] (no count prefix).
 func encodePoolEntries(w *writer, p *ConstPool, from int) error {
 	for i := from; i < len(p.entries); i++ {
-		c := p.entries[i]
-		if c.Tag == 0 {
+		e := &p.entries[i]
+		if e.tag == 0 {
 			continue // dead second slot of a Long/Double
 		}
-		w.u1(uint8(c.Tag))
-		switch c.Tag {
+		w.u1(uint8(e.tag))
+		switch e.tag {
 		case TagUtf8:
 			// Prefer the original bytes when the entry came from a parse:
-			// re-encoding from Str would canonicalize non-canonical
+			// re-encoding from the string would canonicalize non-canonical
 			// modified-UTF8 and make output depend on what was touched.
-			if c.raw != nil {
-				if len(c.raw) > 0xFFFF {
-					return formatErrf(-1, "Utf8 constant %d too long (%d bytes)", i, len(c.raw))
+			u := &p.strs[e.num]
+			if u.raw != nil {
+				if len(u.raw) > 0xFFFF {
+					return formatErrf(-1, "Utf8 constant %d too long (%d bytes)", i, len(u.raw))
 				}
-				w.u2(uint16(len(c.raw)))
-				w.raw(c.raw)
+				w.u2(uint16(len(u.raw)))
+				w.raw(u.raw)
 				continue
 			}
-			n := modifiedUTF8Len(c.Str)
+			n := modifiedUTF8Len(u.str)
 			if n > 0xFFFF {
 				return formatErrf(-1, "Utf8 constant %d too long (%d bytes)", i, n)
 			}
 			w.u2(uint16(n))
-			w.buf = appendModifiedUTF8(w.buf, c.Str)
-		case TagInteger:
-			w.u4(uint32(c.Int))
-		case TagFloat:
-			w.u4(math.Float32bits(c.Float))
-		case TagLong:
-			w.u4(uint32(uint64(c.Long) >> 32))
-			w.u4(uint32(uint64(c.Long)))
-		case TagDouble:
-			bits := math.Float64bits(c.Double)
-			w.u4(uint32(bits >> 32))
-			w.u4(uint32(bits))
+			w.buf = appendModifiedUTF8(w.buf, u.str)
+		case TagInteger, TagFloat:
+			w.u4(uint32(e.num))
+		case TagLong, TagDouble:
+			w.u4(uint32(e.num >> 32))
+			w.u4(uint32(e.num))
 		case TagClass, TagString:
-			w.u2(c.Ref1)
+			w.u2(e.ref1)
 		case TagFieldref, TagMethodref, TagInterfaceMethodref, TagNameAndType:
-			w.u2(c.Ref1)
-			w.u2(c.Ref2)
+			w.u2(e.ref1)
+			w.u2(e.ref2)
 		default:
-			return formatErrf(-1, "cannot encode constant %d with tag %d", i, c.Tag)
+			return formatErrf(-1, "cannot encode constant %d with tag %d", i, e.tag)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 	"dvm/internal/compiler"
 	"dvm/internal/rewrite"
@@ -71,15 +72,18 @@ func TestPipelineDecodesEachMethodOnce(t *testing.T) {
 }
 
 // TestPipelineAllocationBudget holds the static service to 1400
-// allocations on the BENCH_PIPELINE.json class (2927 were recorded there
-// at workers=1 when every stage decoded for itself).
+// allocations on a 15 KB workload class (2927 were recorded for it when
+// every stage decoded for itself).
 func TestPipelineAllocationBudget(t *testing.T) {
-	data, err := pipelineBenchClass()
+	spec := workload.Benchmarks()[0]
+	spec.Classes = 3
+	spec.TargetBytes = 32 * 1024
+	app, err := workload.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := app.Classes["jlex/C001"]
 	pipe := ServicePipeline(StandardPolicy(), false)
-	pipe.SetWorkers(1)
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := pipe.Process(data, rewrite.NewContext()); err != nil {
 			t.Fatal(err)
@@ -88,5 +92,62 @@ func TestPipelineAllocationBudget(t *testing.T) {
 	t.Logf("%d-byte class: %.0f allocations per Pipeline.Process", len(data), allocs)
 	if allocs > 1400 {
 		t.Errorf("Pipeline.Process allocates %.0f times for the %d-byte bench class, want <= 1400", allocs, len(data))
+	}
+}
+
+// TestDescriptorsReachSharedCacheOncePerClass: a class's verification and
+// rewriting parse each descriptor constant once and remember the result
+// on the pool, so one Pipeline.Process asks the shared, lock-guarded
+// descriptor cache at most once per NameAndType constant and declared
+// member of the finished class, plus a little slack for array class names
+// — however many instructions use a descriptor and however often
+// MaxStack walks them. (It used to grow with invokes × MaxStack passes.)
+func TestDescriptorsReachSharedCacheOncePerClass(t *testing.T) {
+	app, err := workload.Generate(workload.Benchmarks()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	for n, raw := range app.Classes {
+		if len(raw) > len(app.Classes[name]) || len(raw) == len(app.Classes[name]) && n < name {
+			name = n
+		}
+	}
+	pipe := ServicePipeline(StandardPolicy(), true)
+	ctx := rewrite.NewContext()
+	ctx.ClientArch = compiler.ArchDVM
+	h0, m0 := bytecode.DescriptorCacheStats()
+	out, err := pipe.Process(app.Classes[name], ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := bytecode.DescriptorCacheStats()
+
+	cf, err := classfile.Parse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invokes, budget := 0, len(cf.Fields)+len(cf.Methods)+8
+	for i := 1; i < cf.Pool.Size(); i++ {
+		if cf.Pool.Tag(uint16(i)) == classfile.TagNameAndType {
+			budget++
+		}
+	}
+	for _, m := range cf.Methods {
+		if ed, err := rewrite.DecodeMethod(cf, m); err == nil && ed != nil {
+			for _, in := range ed.Insts {
+				if in.Op.IsInvoke() || in.Op.IsFieldAccess() {
+					invokes++
+				}
+			}
+		}
+	}
+	lookups := int(h1 - h0 + m1 - m0)
+	t.Logf("%s: %d shared-cache lookups for %d member-reference instructions (budget %d)", name, lookups, invokes, budget)
+	if lookups > budget {
+		t.Errorf("%s: %d shared descriptor-cache lookups in one Pipeline.Process, want <= %d", name, lookups, budget)
+	}
+	if invokes < 16 {
+		t.Fatalf("fixture: %d member-reference instructions are too few to tell once per constant from once per use", invokes)
 	}
 }

@@ -79,9 +79,6 @@ type Fig10Config struct {
 	// sleeps (e.g. 0.001 turns 2.2 s into 2.2 ms). 0 disables upstream
 	// delay.
 	InternetScale float64
-	// PipelineWorkers bounds the static service's per-method fan-out
-	// (0 = GOMAXPROCS, 1 = sequential).
-	PipelineWorkers int
 }
 
 // DefaultFig10Config mirrors the paper's setup at a compressed
@@ -134,10 +131,8 @@ func Fig10(clientCounts []int, cfg Fig10Config) ([]Fig10Row, string, error) {
 	upstream := syntheticInternet(origin, cfg)
 	rows := make([]Fig10Row, 0, len(clientCounts))
 	for _, n := range clientCounts {
-		pipe := ServicePipeline(StandardPolicy(), false)
-		pipe.SetWorkers(cfg.PipelineWorkers)
 		p := proxy.New(upstream, proxy.Config{
-			Pipeline:     pipe,
+			Pipeline:     ServicePipeline(StandardPolicy(), false),
 			CacheEnabled: false, // worst case, per the paper
 		})
 		request := (&pagedHost{budget: cfg.MemoryBudget}).wrap(p.Request)

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"dvm/internal/classfile"
@@ -250,63 +249,7 @@ func Fig9(iterations int) ([]Fig9Row, string, error) {
 		[]string{"Operation", "Baseline(us)", "JDK check(us)", "JDK ovh(us)", "DVM download(ms)", "DVM check(us)", "DVM ovh(us)"},
 		cells)
 
-	// Reproduction extension: per-filter static-service cost with the
-	// parallel per-method fan-out (workers=1 vs GOMAXPROCS).
-	workers, err := fig9FilterWorkers(policy)
-	if err != nil {
-		return nil, "", err
-	}
-	return rows, text + "\nStatic service per-filter cost (parallel fan-out):\n" + workers, nil
-}
-
-// fig9FilterWorkers times each pipeline filter over a workload class at
-// workers=1 and workers=GOMAXPROCS and tables the per-filter speedup.
-// On a single-core host the column shows ~1.0x; the figure exists so a
-// multicore reproduction records its parallel gain per filter.
-func fig9FilterWorkers(policy *security.Policy) (string, error) {
-	data, err := pipelineBenchClass()
-	if err != nil {
-		return "", err
-	}
-	const reps = 20
-	timings := func(workerCount int) (map[string]time.Duration, []string, error) {
-		pipe := ServicePipeline(policy, false)
-		pipe.SetWorkers(workerCount)
-		ctx := rewrite.NewContext()
-		for i := 0; i < reps; i++ {
-			if _, err := pipe.Process(data, ctx); err != nil {
-				return nil, nil, err
-			}
-		}
-		var order []string
-		for _, f := range pipe.Filters() {
-			order = append(order, f.Name())
-		}
-		for k := range ctx.FilterTimings {
-			ctx.FilterTimings[k] /= reps
-		}
-		return ctx.FilterTimings, order, nil
-	}
-	seq, order, err := timings(1)
-	if err != nil {
-		return "", err
-	}
-	maxWorkers := runtime.GOMAXPROCS(0)
-	par, _, err := timings(maxWorkers)
-	if err != nil {
-		return "", err
-	}
-	var cells [][]string
-	for _, name := range order {
-		speedup := "1.00x"
-		if par[name] > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(seq[name])/float64(par[name]))
-		}
-		cells = append(cells, []string{name, us(seq[name]), us(par[name]), speedup})
-	}
-	return table(
-		[]string{"Filter", "workers=1(us)", fmt.Sprintf("workers=%d(us)", maxWorkers), "Speedup"},
-		cells), nil
+	return rows, text, nil
 }
 
 func us(d time.Duration) string {

@@ -32,19 +32,19 @@ const (
 // Filter returns the static half of the remote monitoring service:
 // a pipeline filter that rewrites applications to invoke the auditing
 // (and optionally profiling) dynamic components at method and
-// constructor boundaries. It implements rewrite.MethodFilter: Prepare
-// interns every constant and appends the first-use guard fields in
-// method-table order (keeping output deterministic), and the per-method
-// insertions then run concurrently on the pipeline's worker pool.
+// constructor boundaries.
 func Filter(cfg Config) rewrite.Filter {
 	return &auditFilter{cfg: cfg}
 }
 
+// auditFilter works in two passes over the method table: plan interns
+// every constant and appends the first-use guard fields in method-table
+// order, then Transform splices the snippets in. Planning everything
+// first is what fixes the order of the constants the filter adds, which
+// is part of the artifact the fleet attests.
 type auditFilter struct{ cfg Config }
 
-// auditPlan holds the pre-built snippets for one method. Snippets are
-// constructed against the pool during Prepare; replaying them in
-// TransformMethod touches the pool read-only.
+// auditPlan holds the pre-built snippets for one method.
 type auditPlan struct {
 	fu    []bytecode.Inst
 	enter []bytecode.Inst
@@ -52,35 +52,63 @@ type auditPlan struct {
 	sites int
 }
 
-const auditPlanNote = "monitor.plan"
-
 func (f *auditFilter) Name() string { return "monitor" }
 
-// Transform implements rewrite.Filter for standalone use; in a pipeline
-// the MethodFilter path is taken instead.
+// Transform implements rewrite.Filter.
 func (f *auditFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-
-// Prepare implements rewrite.MethodFilter: all pool interning and field
-// appends happen here, sequentially, in method-table order.
-func (f *auditFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	cfg := f.cfg
-	plans := make(map[*classfile.Member]*auditPlan)
-	profIdx := 0
-	for _, m := range cf.Methods {
-		name := cf.MemberName(m)
-		if cfg.Skip != nil && cfg.Skip(cf.Name(), name) {
+	plans, err := f.plan(cf)
+	if err != nil {
+		return err
+	}
+	ctx.AddIntNote(NoteAuditSites, 0)
+	for i, m := range cf.Methods {
+		plan := plans[i]
+		if plan.sites == 0 {
 			continue
 		}
 		ed, err := rewrite.EditMethod(cf, m)
 		if err != nil {
 			return err
 		}
+		if plan.fu != nil {
+			if err := ed.InsertEntry(plan.fu); err != nil {
+				return err
+			}
+		}
+		if plan.enter != nil {
+			if err := ed.InsertBeforeReturns(plan.exit); err != nil {
+				return err
+			}
+			if err := ed.InsertEntry(plan.enter); err != nil {
+				return err
+			}
+		}
+		if err := ed.Commit(); err != nil {
+			return err
+		}
+		ctx.AddIntNote(NoteAuditSites, plan.sites)
+	}
+	return nil
+}
+
+// plan returns the snippets for each method of cf, by method index.
+func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
+	cfg := f.cfg
+	plans := make([]auditPlan, len(cf.Methods))
+	profIdx := 0
+	for mi, m := range cf.Methods {
+		name := cf.MemberName(m)
+		if cfg.Skip != nil && cfg.Skip(cf.Name(), name) {
+			continue
+		}
+		ed, err := rewrite.EditMethod(cf, m)
+		if err != nil {
+			return nil, err
+		}
 		if ed == nil {
 			continue
 		}
-		plan := &auditPlan{}
+		plan := &plans[mi]
 		if cfg.FirstUse {
 			guard := "dvm$fu$" + strconv.Itoa(profIdx)
 			profIdx++
@@ -111,46 +139,8 @@ func (f *auditFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) err
 			plan.exit = exit.Insts()
 			plan.sites += 2
 		}
-		if plan.sites > 0 {
-			plans[m] = plan
-		}
 	}
-	ctx.SetNote(auditPlanNote, plans)
-	ctx.AddIntNote(NoteAuditSites, 0)
-	return nil
-}
-
-// TransformMethod implements rewrite.MethodFilter; safe to call
-// concurrently for distinct methods (pool reads + ctx accessors only).
-func (f *auditFilter) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	v, _ := ctx.Note(auditPlanNote)
-	plans, _ := v.(map[*classfile.Member]*auditPlan)
-	plan := plans[m]
-	if plan == nil {
-		return nil
-	}
-	ed, err := rewrite.EditMethod(cf, m)
-	if err != nil || ed == nil {
-		return err
-	}
-	if plan.fu != nil {
-		if err := ed.InsertEntry(plan.fu); err != nil {
-			return err
-		}
-	}
-	if plan.enter != nil {
-		if err := ed.InsertBeforeReturns(plan.exit); err != nil {
-			return err
-		}
-		if err := ed.InsertEntry(plan.enter); err != nil {
-			return err
-		}
-	}
-	if err := ed.Commit(); err != nil {
-		return err
-	}
-	ctx.AddIntNote(NoteAuditSites, plan.sites)
-	return nil
+	return plans, nil
 }
 
 // Attach wires a client VM to the collector: performs the handshake and

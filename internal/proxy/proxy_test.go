@@ -16,6 +16,7 @@ import (
 	"dvm/internal/rewrite"
 	"dvm/internal/security"
 	"dvm/internal/verifier"
+	"dvm/internal/workload"
 )
 
 // origin builds a small two-class application origin.
@@ -188,6 +189,54 @@ func TestRejectedClassBecomesVerifyError(t *testing.T) {
 	}
 	if thrown == nil || thrown.Class.Name != "java/lang/VerifyError" {
 		t.Errorf("thrown = %v, want VerifyError", jvm.DescribeThrowable(thrown))
+	}
+}
+
+// TestNearFullPoolServedAsRejected: a valid class whose constant pool
+// leaves the services no room is answered with a replacement class that
+// raises VerifyError saying so — not with a panic on the flight goroutine,
+// which nothing recovered and which ended the proxy process — and the
+// proxy goes on serving.
+func TestNearFullPoolServedAsRejected(t *testing.T) {
+	org := origin(t)
+	for class, count := range map[string]int{"app/Main": 65530, "app/Dep": 65535} {
+		padded, err := workload.PadPool(org[class], count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		org["full/"+class] = padded
+	}
+	p := proxy.New(org, proxy.Config{Pipeline: fullPipeline(t)})
+	for _, class := range []string{"full/app/Main", "full/app/Dep"} {
+		var first []byte
+		for run := 0; run < 2; run++ { // cache off: the pipeline runs both times
+			res, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: compiler.ArchDVM, Class: class})
+			if err != nil {
+				t.Fatalf("%s: rejection must not be a transport error: %v", class, err)
+			}
+			if !res.Info.Rejected || !bytes.Contains(res.Data, []byte("constant pool overflow")) {
+				t.Fatalf("%s: rejected=%v, want a replacement class naming the overflow", class, res.Info.Rejected)
+			}
+			if first == nil {
+				first = res.Data
+			} else if !bytes.Equal(first, res.Data) {
+				t.Errorf("%s: two runs produced different replacement bytes", class)
+			}
+		}
+		vm, err := jvm.New(jvm.MapLoader{class: first}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if thrown, err := vm.RunMain(class, nil); err != nil || thrown == nil || thrown.Class.Name != "java/lang/VerifyError" {
+			t.Errorf("%s: thrown = %v (%v), want VerifyError", class, jvm.DescribeThrowable(thrown), err)
+		}
+	}
+	if got := p.Stats().Rejections; got != 4 {
+		t.Errorf("rejections counted = %d, want 4", got)
+	}
+	res, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: compiler.ArchDVM, Class: "app/Main"})
+	if err != nil || res.Info.Rejected {
+		t.Errorf("the unpadded class after the rejections: rejected=%v err=%v", res.Info.Rejected, err)
 	}
 }
 

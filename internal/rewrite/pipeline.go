@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -22,8 +21,8 @@ type Context struct {
 	ClientArch string
 	// Notes lets filters publish results to later filters and to the
 	// proxy (e.g. the verifier's check census, the optimizer's split map).
-	// Filters must go through SetNote/Note/AddIntNote rather than the map
-	// so publication is safe from concurrent TransformMethod calls;
+	// Filters go through SetNote/Note/AddIntNote rather than the map, so a
+	// filter that starts goroutines of its own may publish from them;
 	// reading the map directly is fine once the pipeline has returned.
 	Notes map[string]any
 	// FilterTimings records wall-clock time spent per filter. Like Notes,
@@ -36,8 +35,7 @@ type Context struct {
 	Trace *telemetry.Trace
 	Node  string
 
-	mu      sync.Mutex
-	workers int // effective worker count for the current run (>= 1)
+	mu sync.Mutex
 }
 
 // NewContext returns an empty context.
@@ -64,8 +62,7 @@ func (c *Context) Note(key string) (any, bool) {
 }
 
 // AddIntNote adds delta to an integer note, creating it at delta if
-// absent. Concurrent per-method filter workers use this to accumulate
-// counters (audit sites, checks inserted) without racing.
+// absent (audit sites, checks inserted).
 func (c *Context) AddIntNote(key string, delta int) {
 	c.mu.Lock()
 	if prev, ok := c.Notes[key].(int); ok {
@@ -74,19 +71,6 @@ func (c *Context) AddIntNote(key string, delta int) {
 		c.Notes[key] = delta
 	}
 	c.mu.Unlock()
-}
-
-// Workers reports the worker count in effect for the current pipeline
-// run (always >= 1). Filters that manage their own internal parallelism
-// (the verifier) use it so one flag governs the whole pipeline.
-func (c *Context) Workers() int {
-	c.mu.Lock()
-	w := c.workers
-	c.mu.Unlock()
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (c *Context) addTiming(name string, d time.Duration) {
@@ -105,20 +89,6 @@ type Filter interface {
 	Transform(cf *classfile.ClassFile, ctx *Context) error
 }
 
-// MethodFilter is an optional extension for filters whose rewriting is
-// independent per method. The pipeline runs Prepare sequentially, then
-// fans TransformMethod out over the worker pool — so Prepare must intern
-// every constant-pool entry the method transformations will need (the
-// pool is frozen during the fan-out and panics on mutation), and
-// TransformMethod must touch only its own method plus ctx via the
-// locked note accessors. Output is deterministic by construction: each
-// method's transformation depends only on the plan built in Prepare.
-type MethodFilter interface {
-	Filter
-	Prepare(cf *classfile.ClassFile, ctx *Context) error
-	TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *Context) error
-}
-
 // FilterFunc adapts a function to the Filter interface.
 type FilterFunc struct {
 	FilterName string
@@ -135,10 +105,13 @@ func (f FilterFunc) Transform(cf *classfile.ClassFile, ctx *Context) error {
 
 // Pipeline composes filters. Process parses the class once, runs every
 // filter over the shared in-memory form, and serializes once — the
-// paper's single-parse proxy structure.
+// paper's single-parse proxy structure. One class is processed on the
+// goroutine that called Process, start to finish: a ClassFile and its
+// constant pool have one owner from Parse to Release, and concurrency
+// comes from the proxy running many classes at once, not from splitting
+// one. A Pipeline itself is immutable once built and may be shared.
 type Pipeline struct {
 	filters []Filter
-	workers int // 0 = GOMAXPROCS
 }
 
 // NewPipeline builds a pipeline from filters in application order.
@@ -151,19 +124,6 @@ func (p *Pipeline) Append(f Filter) { p.filters = append(p.filters, f) }
 
 // Filters returns the filter list in application order.
 func (p *Pipeline) Filters() []Filter { return p.filters }
-
-// SetWorkers bounds the per-method fan-out (MethodFilter stages and the
-// verifier's phase 2/3). n <= 0 restores the default of GOMAXPROCS;
-// n == 1 runs strictly sequentially. Any value yields identical bytes.
-func (p *Pipeline) SetWorkers(n int) { p.workers = n }
-
-// Workers reports the effective worker count the pipeline will use.
-func (p *Pipeline) Workers() int {
-	if p.workers > 0 {
-		return p.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Process runs the pipeline over one serialized class.
 func (p *Pipeline) Process(data []byte, ctx *Context) ([]byte, error) {
@@ -188,102 +148,31 @@ func (p *Pipeline) Process(data []byte, ctx *Context) ([]byte, error) {
 	return out, nil
 }
 
-// ProcessClass runs the filters over an already-parsed class.
-func (p *Pipeline) ProcessClass(cf *classfile.ClassFile, ctx *Context) error {
-	ctx.mu.Lock()
-	ctx.workers = p.Workers()
-	ctx.mu.Unlock()
-	for _, f := range p.filters {
-		span := ctx.Trace.StartSpan(ctx.Node, "filter."+f.Name())
-		start := telemetry.StartTimer()
-		var err error
-		if mf, ok := f.(MethodFilter); ok {
-			err = p.runMethodFilter(cf, mf, ctx)
-		} else {
-			err = f.Transform(cf, ctx)
-		}
-		ctx.addTiming(f.Name(), start.Elapsed())
-		span.End()
-		if err != nil {
-			return fmt.Errorf("rewrite: filter %s on %s: %w", f.Name(), cf.Name(), err)
-		}
-	}
-	return nil
-}
-
-// runMethodFilter executes one MethodFilter stage: sequential Prepare,
-// then TransformMethod over every method on the worker pool. The
-// constant pool is frozen for the duration of the fan-out, so a filter
-// that forgot to intern a constant in Prepare fails loudly (panic
-// recovered into an error) instead of racing. The first error in
-// method-table order wins, independent of scheduling.
-func (p *Pipeline) runMethodFilter(cf *classfile.ClassFile, mf MethodFilter, ctx *Context) error {
-	if err := mf.Prepare(cf, ctx); err != nil {
-		return err
-	}
-	workers := ctx.Workers()
-	if workers > len(cf.Methods) {
-		workers = len(cf.Methods)
-	}
-	if workers <= 1 {
-		for _, m := range cf.Methods {
-			if err := transformMethodSafe(mf, cf, m, ctx); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	cf.Pool.Freeze(true)
-	defer cf.Pool.Freeze(false)
-	errs := make([]error, len(cf.Methods))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = transformMethodSafe(mf, cf, cf.Methods[i], ctx)
-			}
-		}()
-	}
-	for i := range cf.Methods {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// transformMethodSafe converts a panic from a method transformation
-// (e.g. a frozen-pool violation) into an error tagged with the method,
-// so one bad method fails the class rather than the process.
-func transformMethodSafe(mf MethodFilter, cf *classfile.ClassFile, m *classfile.Member, ctx *Context) (err error) {
+// ProcessClass runs the filters over an already-parsed class. Whatever a
+// filter does wrong fails this class and nothing else: a panic is
+// recovered into the class's error (the proxy serves such a class as
+// rejected; it must not take the node down), and a filter that ran the
+// constant pool out of room is reported as that overflow, whichever
+// error the indices it then got back led it to.
+func (p *Pipeline) ProcessClass(cf *classfile.ClassFile, ctx *Context) (err error) {
+	var running Filter
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("method %s: panic: %v", cf.MemberName(m), r)
+			err = fmt.Errorf("rewrite: filter %s on %s: panic: %v", running.Name(), cf.Name(), r)
 		}
 	}()
-	return mf.TransformMethod(cf, m, ctx)
-}
-
-// ApplyMethodFilter runs a MethodFilter standalone (Prepare then every
-// method sequentially), for callers outside a Pipeline.
-func ApplyMethodFilter(mf MethodFilter, cf *classfile.ClassFile, ctx *Context) error {
-	if ctx == nil {
-		ctx = NewContext()
-	}
-	if err := mf.Prepare(cf, ctx); err != nil {
-		return err
-	}
-	for _, m := range cf.Methods {
-		if err := mf.TransformMethod(cf, m, ctx); err != nil {
-			return err
+	for _, f := range p.filters {
+		running = f
+		span := ctx.Trace.StartSpan(ctx.Node, "filter."+f.Name())
+		start := telemetry.StartTimer()
+		err := f.Transform(cf, ctx)
+		ctx.addTiming(f.Name(), start.Elapsed())
+		span.End()
+		if perr := cf.Pool.Err(); perr != nil {
+			err = perr
+		}
+		if err != nil {
+			return fmt.Errorf("rewrite: filter %s on %s: %w", f.Name(), cf.Name(), err)
 		}
 	}
 	return nil

@@ -27,11 +27,12 @@ func Filter(policy *Policy) rewrite.Filter {
 	return &enforceFilter{policy: policy}
 }
 
-// enforceFilter implements rewrite.MethodFilter: Prepare scans every
-// method for matching call sites and builds the check snippets (all pool
-// interning, in method-table order so output is deterministic), and the
-// per-method insert+commit work then fans out across the pipeline's
-// worker pool.
+// enforceFilter works in two passes over the method table: plan scans
+// every method for matching call sites and builds the check snippets
+// (all constant-pool interning, in method-table order), then Transform
+// splices them in. Planning everything first is what fixes the order of
+// the constants the filter adds and puts any decode error ahead of any
+// splice error — both are part of the artifact the fleet attests.
 type enforceFilter struct{ policy *Policy }
 
 // checkSite is one planned insertion: the snippet goes before the
@@ -41,29 +42,55 @@ type checkSite struct {
 	insts []bytecode.Inst
 }
 
-const enforcePlanNote = "security.plan"
-
 func (f *enforceFilter) Name() string { return "security" }
 
-// Transform implements rewrite.Filter for standalone use; in a pipeline
-// the MethodFilter path is taken instead.
+// Transform implements rewrite.Filter. Call-site checks are inserted with
+// captured branches so no control path can reach the operation unchecked.
 func (f *enforceFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	return rewrite.ApplyMethodFilter(f, cf, ctx)
-}
-
-// Prepare implements rewrite.MethodFilter. Constants are interned only
-// for sites that actually match, so a class with nothing to enforce
-// round-trips byte-identically.
-func (f *enforceFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) error {
 	if f.policy == nil {
 		return nil // no policy: nothing to enforce
 	}
-	policy := f.policy
-	plans := make(map[*classfile.Member][]checkSite)
-	for _, m := range cf.Methods {
+	plans, err := f.plan(cf)
+	if err != nil {
+		return err
+	}
+	ctx.AddIntNote(NoteChecksInserted, 0)
+	for i, m := range cf.Methods {
+		plan := plans[i]
+		if len(plan) == 0 {
+			continue
+		}
 		ed, err := rewrite.EditMethod(cf, m)
 		if err != nil {
 			return err
+		}
+		for _, cs := range plan {
+			if cs.pos < 0 {
+				if err := ed.InsertEntry(cs.insts); err != nil {
+					return err
+				}
+			} else if err := ed.InsertAt(cs.pos, cs.insts, true); err != nil {
+				return err
+			}
+		}
+		if err := ed.Commit(); err != nil {
+			return err
+		}
+		ctx.AddIntNote(NoteChecksInserted, len(plan))
+	}
+	return nil
+}
+
+// plan returns the insertions for each method of cf, by method index.
+// Constants are interned only for sites that actually match, so a class
+// with nothing to enforce round-trips byte-identically.
+func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
+	policy := f.policy
+	plans := make([][]checkSite, len(cf.Methods))
+	for mi, m := range cf.Methods {
+		ed, err := rewrite.EditMethod(cf, m)
+		if err != nil {
+			return nil, err
 		}
 		if ed == nil {
 			continue
@@ -132,44 +159,7 @@ func (f *enforceFilter) Prepare(cf *classfile.ClassFile, ctx *rewrite.Context) e
 			break
 		}
 
-		if len(plan) > 0 {
-			plans[m] = plan
-		}
+		plans[mi] = plan
 	}
-	ctx.SetNote(enforcePlanNote, plans)
-	ctx.AddIntNote(NoteChecksInserted, 0)
-	return nil
-}
-
-// TransformMethod implements rewrite.MethodFilter; safe to call
-// concurrently for distinct methods. Call-site checks are inserted with
-// captured branches so no control path can reach the operation unchecked.
-func (f *enforceFilter) TransformMethod(cf *classfile.ClassFile, m *classfile.Member, ctx *rewrite.Context) error {
-	if f.policy == nil {
-		return nil
-	}
-	v, _ := ctx.Note(enforcePlanNote)
-	plans, _ := v.(map[*classfile.Member][]checkSite)
-	plan := plans[m]
-	if len(plan) == 0 {
-		return nil
-	}
-	ed, err := rewrite.EditMethod(cf, m)
-	if err != nil || ed == nil {
-		return err
-	}
-	for _, cs := range plan {
-		if cs.pos < 0 {
-			if err := ed.InsertEntry(cs.insts); err != nil {
-				return err
-			}
-		} else if err := ed.InsertAt(cs.pos, cs.insts, true); err != nil {
-			return err
-		}
-	}
-	if err := ed.Commit(); err != nil {
-		return err
-	}
-	ctx.AddIntNote(NoteChecksInserted, len(plan))
-	return nil
+	return plans, nil
 }

@@ -1,8 +1,6 @@
 package verifier
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"dvm/internal/classfile"
@@ -46,26 +44,6 @@ func BenchmarkVerify(b *testing.B) {
 		if _, err := Verify(cf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkVerifyWorkers measures the parallel per-method fan-out at
-// several pool sizes. On a multicore proxy the speedup at workers=N is
-// roughly min(N, methods)×; on a single-core runner the variants should
-// at least not regress.
-func BenchmarkVerifyWorkers(b *testing.B) {
-	data, cf := benchClass(b)
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := VerifyWith(cf, Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

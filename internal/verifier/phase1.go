@@ -62,7 +62,7 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 			if !validMemberName(n) && n != "<init>" && n != "<clinit>" {
 				return fail("NameAndType %d: malformed name %q", i, n)
 			}
-			if err := validDescriptor(n, d); err != nil {
+			if err := validDescriptor(pool, n, d, e.Ref2); err != nil {
 				return fail("NameAndType %d: %v", i, err)
 			}
 		case classfile.TagFieldref, classfile.TagMethodref, classfile.TagInterfaceMethodref:
@@ -132,7 +132,7 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 		if !validMemberName(fn) || fn == "<init>" || fn == "<clinit>" {
 			return fail("field with malformed name %q", fn)
 		}
-		if _, err := bytecode.ParseType(fd); err != nil {
+		if _, err := bytecode.TypeAt(pool, f.DescriptorIndex); err != nil {
 			return fail("field %s: bad descriptor %q", fn, fd)
 		}
 		key := fn + " " + fd
@@ -162,7 +162,7 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 		if !validMemberName(mn) && mn != "<init>" && mn != "<clinit>" {
 			return fail("method with malformed name %q", mn)
 		}
-		mt, err := bytecode.ParseMethodType(md)
+		mt, err := bytecode.MethodTypeAt(pool, m.DescriptorIndex)
 		if err != nil {
 			return fail("method %s: bad descriptor %q", mn, md)
 		}
@@ -211,9 +211,11 @@ func validMemberName(n string) bool {
 	return n != "" && !strings.ContainsAny(n, ".;[/<>")
 }
 
-func validDescriptor(name, d string) error {
+// validDescriptor checks the descriptor d of a NameAndType, held by the
+// Utf8 constant at idx.
+func validDescriptor(pool *classfile.ConstPool, name, d string, idx uint16) error {
 	if strings.HasPrefix(d, "(") {
-		mt, err := bytecode.ParseMethodType(d)
+		mt, err := bytecode.MethodTypeAt(pool, idx)
 		if err != nil {
 			return err
 		}
@@ -222,7 +224,7 @@ func validDescriptor(name, d string) error {
 		}
 		return nil
 	}
-	_, err := bytecode.ParseType(d)
+	_, err := bytecode.TypeAt(pool, idx)
 	return err
 }
 

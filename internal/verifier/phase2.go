@@ -86,11 +86,7 @@ func phase2(cf *classfile.ClassFile, m *classfile.Member, ed *rewrite.MethodEdit
 			if pool.Tag(in.Index) != classfile.TagInterfaceMethodref {
 				return fail(in.PC, "invokeinterface operand %d has tag %s", in.Index, pool.Tag(in.Index))
 			}
-			ref, err := pool.Ref(in.Index)
-			if err != nil {
-				return fail(in.PC, "%v", err)
-			}
-			mt, err := bytecode.ParseMethodType(ref.Desc)
+			mt, err := bytecode.RefMethodType(pool, in.Index)
 			if err != nil {
 				return fail(in.PC, "%v", err)
 			}

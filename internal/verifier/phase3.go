@@ -285,7 +285,7 @@ func phase3(cf *classfile.ClassFile, m *classfile.Member, ed *rewrite.MethodEdit
 	f.inInit = f.mname == "<init>"
 	f.thisClass = f.intern(f.class)
 
-	mt, err := bytecode.ParseMethodType(f.mdesc)
+	mt, err := bytecode.MethodTypeAt(cf.Pool, m.DescriptorIndex)
 	if err != nil {
 		return f.fail(-1, "%v", err)
 	}
@@ -1064,11 +1064,7 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 
 	// Field access.
 	case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
-		ref, err := pool.Ref(inst.Index)
-		if err != nil {
-			return false, f.fail(idx, "%v", err)
-		}
-		ft, err := bytecode.ParseType(ref.Desc)
+		ft, err := bytecode.RefType(pool, inst.Index)
 		if err != nil {
 			return false, f.fail(idx, "%v", err)
 		}
@@ -1173,7 +1169,7 @@ func (f *frames) invoke(idx int) error {
 	if err != nil {
 		return f.fail(idx, "%v", err)
 	}
-	imt, err := bytecode.ParseMethodType(ref.Desc)
+	imt, err := bytecode.RefMethodType(f.cf.Pool, inst.Index)
 	if err != nil {
 		return f.fail(idx, "%v", err)
 	}

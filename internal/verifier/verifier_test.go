@@ -10,6 +10,7 @@ import (
 	"dvm/internal/classgen"
 	"dvm/internal/jvm"
 	"dvm/internal/rewrite"
+	"dvm/internal/workload"
 )
 
 func goodClass() *classgen.ClassBuilder {
@@ -571,5 +572,68 @@ func TestLocalHookMonolithicBaseline(t *testing.T) {
 	vm2.LoadHooks = append(vm2.LoadHooks, LocalHook(nil, nil))
 	if _, _, err := vm2.MainThread().InvokeByName("app/Main", "run", "()I", nil); err == nil {
 		t.Error("corrupted class accepted by monolithic client")
+	}
+}
+
+// TestVerifyErrorLowestMethodWins corrupts the bytecode of two methods
+// and checks that verification reports the one earlier in the method
+// table, in the same words every time: the text ends up in the
+// replacement class an attested fleet must agree on.
+func TestVerifyErrorLowestMethodWins(t *testing.T) {
+	spec := workload.Benchmarks()[0]
+	spec.Classes = 3
+	spec.TargetBytes = 24 * 1024
+	app, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := app.Classes["jlex/C001"]
+
+	// corrupt breaks the first two code-bearing methods, or only the second.
+	corrupt := func(onlySecond bool) (*classfile.ClassFile, string) {
+		cf, err := classfile.Parse(bytes.Clone(data)) // Code.Bytecode aliases the parsed buffer
+
+		if err != nil {
+			t.Fatal(err)
+		}
+		broken, first := 0, ""
+		for _, m := range cf.Methods {
+			code, err := cf.CodeOf(m)
+			if err != nil || code == nil {
+				continue
+			}
+			if broken++; broken == 1 {
+				first = cf.MemberName(m) + cf.MemberDescriptor(m)
+				if onlySecond {
+					continue
+				}
+			}
+			code.Bytecode[0] = 0xFF // impdep2: illegal in classfiles
+			if err := cf.SetCode(m, code); err != nil {
+				t.Fatal(err)
+			}
+			if broken == 2 {
+				return cf, first
+			}
+		}
+		t.Fatal("fixture: the class has fewer than two methods with code")
+		return nil, ""
+	}
+
+	cf, first := corrupt(false)
+	_, want := Verify(cf)
+	var ve *Error
+	if !asVerifierError(want, &ve) || ve.Phase != 2 || ve.Method != first {
+		t.Fatalf("two corrupted methods: error %v, want a phase-2 rejection of %s", want, first)
+	}
+	for i := 0; i < 5; i++ {
+		cf, _ := corrupt(false)
+		if _, err := Verify(cf); err == nil || err.Error() != want.Error() {
+			t.Fatalf("run %d reports %v, the first run reported %v", i, err, want)
+		}
+	}
+	cf, _ = corrupt(true)
+	if _, err := Verify(cf); !asVerifierError(err, &ve) || ve.Method == first {
+		t.Fatalf("only the second method corrupted: error %v still names %s", err, first)
 	}
 }

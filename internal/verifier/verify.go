@@ -2,9 +2,7 @@ package verifier
 
 import (
 	"errors"
-	"runtime"
 	"strings"
-	"sync"
 
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
@@ -12,15 +10,8 @@ import (
 	"dvm/internal/telemetry"
 )
 
-// Options configures a verification run.
+// Options carries a verification run's telemetry.
 type Options struct {
-	// Workers bounds the goroutines used for the per-method phases
-	// (2, 3, and assumption collection). 0 means GOMAXPROCS; 1 runs
-	// strictly sequentially. Any value produces identical results: the
-	// phases are independent per method, and the merge step folds
-	// per-method output back together in method-table order.
-	Workers int
-
 	// Trace/Node, when set, receive per-phase spans (verify.phase1,
 	// verify.phase3) on the request's telemetry trace.
 	Trace *telemetry.Trace
@@ -32,28 +23,14 @@ type Options struct {
 // not modify the class; Instrument (or the Filter) performs the
 // rewriting step.
 func Verify(cf *classfile.ClassFile) (*Result, error) {
-	return VerifyWith(cf, Options{Workers: 1})
+	return VerifyWith(cf, Options{})
 }
 
-// methodResult is the output of verifying one method in isolation.
-type methodResult struct {
-	census      Census
-	assumptions []Assumption
-	err         error
-}
-
-// VerifyWith is Verify with explicit worker/telemetry options. Per-method
-// verification is embarrassingly parallel — phases 2 and 3 read the class
-// and write nothing but the method's own decoded-form memo — so the method
-// loop fans out over opts.Workers goroutines. The
-// result is deterministic regardless of worker count: census counts are
-// summed and assumptions deduplicated in method-table order, and the
-// reported error is the one from the lowest-indexed failing method.
+// VerifyWith is Verify with telemetry options. Methods are verified one
+// after another in method-table order on the calling goroutine, so the
+// reported error is the one from the lowest-indexed failing method and
+// assumptions are collected in instruction order.
 func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	res := &Result{ClassName: cf.Name()}
 	sp := opts.Trace.StartSpan(opts.Node, "verify.phase1")
 	err := phase1(cf, &res.Census)
@@ -65,56 +42,22 @@ func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
 	collectClassAssumptions(cf, set)
 
 	sp = opts.Trace.StartSpan(opts.Node, "verify.phase3")
-	results := make([]methodResult, len(cf.Methods))
-	if workers > len(cf.Methods) {
-		workers = len(cf.Methods)
-	}
-	if workers <= 1 {
-		for i, m := range cf.Methods {
-			verifyMethod(cf, m, &results[i])
+	for _, m := range cf.Methods {
+		if err = verifyMethod(cf, m, &res.Census, set); err != nil {
+			break
 		}
-	} else {
-		// The lazy codec memoizes Utf8 decoding by writing into the pool;
-		// materialize everything before handing it to concurrent readers.
-		cf.Pool.Materialize()
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					verifyMethod(cf, cf.Methods[i], &results[i])
-				}
-			}()
-		}
-		for i := range cf.Methods {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
 	}
 	sp.End()
-
-	// Deterministic merge in method-table order.
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		res.Census.Add(results[i].census)
-		for _, a := range results[i].assumptions {
-			set.add(a)
-		}
+	if err != nil {
+		return nil, err
 	}
 	res.Assumptions = set.list
 	return res, nil
 }
 
 // verifyMethod runs phases 2 and 3 plus assumption collection for a
-// single method, writing into out. Of cf it writes only the method's own
-// decoded-form memo, which is what makes concurrent calls over distinct
-// methods safe.
-func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, out *methodResult) {
+// single method, adding to census and set.
+func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, census *Census, set *assumptionSet) error {
 	ed, err := rewrite.DecodeMethod(cf, m)
 	if err != nil {
 		// A body that does not decode is a phase-2 rejection in the
@@ -125,23 +68,19 @@ func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, out *methodResul
 		if errors.As(err, &de) {
 			method, msg = method+cf.MemberDescriptor(m), de.Error()
 		}
-		out.err = &Error{Phase: 2, Class: cf.Name(), Method: method, Msg: msg}
-		return
+		return &Error{Phase: 2, Class: cf.Name(), Method: method, Msg: msg}
 	}
 	if ed == nil {
-		return
+		return nil
 	}
-	if err := phase2(cf, m, ed, &out.census); err != nil {
-		out.err = err
-		return
+	if err := phase2(cf, m, ed, census); err != nil {
+		return err
 	}
-	if err := phase3(cf, m, ed, &out.census); err != nil {
-		out.err = err
-		return
+	if err := phase3(cf, m, ed, census); err != nil {
+		return err
 	}
-	local := newAssumptionSet()
-	collectMethodAssumptions(cf, m, ed.Insts, local)
-	out.assumptions = local.list
+	collectMethodAssumptions(cf, m, ed.Insts, set)
+	return nil
 }
 
 // collectClassAssumptions records the class-scoped environmental facts:

@@ -308,3 +308,22 @@ func (g *generator) text(n int) string {
 	}
 	return string(buf[:n])
 }
+
+// PadPool returns the class with Integer constants appended to its
+// constant pool until constant_pool_count is count. The result is a valid
+// class of the same behaviour; at a count near 65535 it leaves the
+// rewriting services no room for the constants they add, which is the
+// input the pool-overflow tests need.
+func PadPool(data []byte, count int) ([]byte, error) {
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	if cf.Pool.Size() > count {
+		return nil, fmt.Errorf("workload: pool already holds %d constants, cannot pad to %d", cf.Pool.Size(), count)
+	}
+	for v := int32(1 << 20); cf.Pool.Size() < count && cf.Pool.Err() == nil; v++ {
+		cf.Pool.AddInteger(v)
+	}
+	return cf.Encode()
+}
