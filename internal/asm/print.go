@@ -77,7 +77,7 @@ func printMethod(b *strings.Builder, cf *classfile.ClassFile, m *classfile.Membe
 		fmt.Fprintf(b, ".end method\n")
 		return nil
 	}
-	insts, pcIdx, err := bytecode.DecodeWithIndex(code.Bytecode, false)
+	insts, pcIdx, err := bytecode.DecodeWithIndex(nil, code.Bytecode, false)
 	if err != nil {
 		return fmt.Errorf("asm: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
 	}

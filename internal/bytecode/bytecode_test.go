@@ -300,7 +300,7 @@ func TestDecodeEncodeRoundTripEveryKind(t *testing.T) {
 
 func TestPCIndex(t *testing.T) {
 	code := []byte{byte(Iconst0), byte(Bipush), 5, byte(Iadd), byte(Ireturn)}
-	insts, x, err := DecodeWithIndex(code, false)
+	insts, x, err := DecodeWithIndex(nil, code, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestPCIndex(t *testing.T) {
 			t.Errorf("At(%d) found an instruction outside the code", pc)
 		}
 	}
-	if rebuilt := IndexPCs(insts, len(code)); !slices.Equal(rebuilt, x) {
+	if rebuilt := IndexPCs(nil, insts, len(code)); !slices.Equal(rebuilt, x) {
 		t.Errorf("IndexPCs = %v, decoder's index = %v", rebuilt, x)
 	}
 }

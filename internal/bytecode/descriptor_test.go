@@ -146,7 +146,7 @@ func TestMaxStackStraightLine(t *testing.T) {
 		{Op: Iadd, Target: -1},
 		{Op: Ireturn, Target: -1},
 	}
-	h, err := MaxStack(insts, nil, nil)
+	h, err := MaxStack(nil, insts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMaxStackBranchJoin(t *testing.T) {
 		{Op: Iconst2, Target: -1},
 		{Op: Ireturn, Target: -1},
 	}
-	h, err := MaxStack(insts, nil, nil)
+	h, err := MaxStack(nil, insts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestMaxStackHandlerEntry(t *testing.T) {
 		{Op: Return, Target: -1},
 		{Op: Athrow, Target: -1},
 	}
-	h, err := MaxStack(insts, nil, []int{1})
+	h, err := MaxStack(nil, insts, nil, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMaxStackUnderflow(t *testing.T) {
 		{Op: Iadd, Target: -1},
 		{Op: Ireturn, Target: -1},
 	}
-	if _, err := MaxStack(insts, nil, nil); err == nil {
+	if _, err := MaxStack(nil, insts, nil, nil); err == nil {
 		t.Fatal("underflow not detected")
 	}
 }

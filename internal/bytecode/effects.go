@@ -67,11 +67,15 @@ func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) 
 // The computation is a fixed-point over the control-flow graph and
 // assumes the code is well-formed enough that stack heights are
 // consistent at join points (which phase-3 verification guarantees); on
-// inconsistency it returns the larger height, staying conservative.
-func MaxStack(insts []Inst, pool *classfile.ConstPool, handlersAt []int) (int, error) {
+// inconsistency it returns the larger height, staying conservative. Its
+// tables are a's storage for the length of the call.
+func MaxStack(a *Arena, insts []Inst, pool *classfile.ConstPool, handlersAt []int) (int, error) {
 	n := len(insts)
-	reached := make([]int32, n) // 1 + the greatest entry height seen, 0 before the first visit
-	work := make([]int32, 0, n+len(handlersAt))
+	if a != nil {
+		defer a.i32.Release(a.i32.Mark())
+	}
+	reached := a.Int32s(n) // 1 + the greatest entry height seen, 0 before the first visit
+	work := a.Int32s(n + len(handlersAt))[:0]
 
 	push := func(idx, h int) {
 		if idx < 0 || idx >= n {

@@ -18,7 +18,7 @@ import "encoding/binary"
 func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 	work := make([]Inst, len(insts))
 	copy(work, insts)
-	if code, err = Assemble(work); err != nil {
+	if code, err = Assemble(nil, work); err != nil {
 		return nil, nil, err
 	}
 	pcs = make([]int, len(work))
@@ -31,9 +31,10 @@ func Encode(insts []Inst) (code []byte, pcs []int, err error) {
 // Assemble is Encode in place: the promotions are applied to the list
 // itself and every Inst.PC is set to the instruction's offset in the
 // returned code, so that afterwards the list is exactly what Decode
-// (DecodeExt, for extension opcodes) returns for that code. After an
-// error the list is partly promoted and must be discarded.
-func Assemble(work []Inst) ([]byte, error) {
+// (DecodeExt, for extension opcodes) returns for that code. The code is
+// a's storage (the heap's when a is nil). After an error the list is
+// partly promoted and must be discarded.
+func Assemble(a *Arena, work []Inst) ([]byte, error) {
 	n := len(work)
 	if n == 0 {
 		return nil, decodeErrf(0, "cannot encode empty instruction list")
@@ -148,7 +149,7 @@ func Assemble(work []Inst) ([]byte, error) {
 	if total > 0xFFFF {
 		return nil, decodeErrf(0, "encoded method length %d exceeds 65535", total)
 	}
-	buf := make([]byte, 0, total)
+	buf := a.Bytes(total)
 	u2 := func(v uint16) { buf = binary.BigEndian.AppendUint16(buf, v) }
 	u4 := func(v uint32) { buf = binary.BigEndian.AppendUint32(buf, v) }
 

@@ -89,7 +89,7 @@ func decodeErrf(pc int, format string, args ...any) error {
 // verification. Extension (DVM native format) opcodes are rejected; use
 // DecodeExt for code produced by the compilation service.
 func Decode(code []byte) ([]Inst, error) {
-	insts, _, err := DecodeWithIndex(code, false)
+	insts, _, err := DecodeWithIndex(nil, code, false)
 	return insts, err
 }
 
@@ -97,7 +97,7 @@ func Decode(code []byte) ([]Inst, error) {
 // by the centralized compilation service. Only the DVM client runtime
 // uses this entry point.
 func DecodeExt(code []byte) ([]Inst, error) {
-	insts, _, err := DecodeWithIndex(code, true)
+	insts, _, err := DecodeWithIndex(nil, code, true)
 	return insts, err
 }
 
@@ -117,9 +117,9 @@ func (x PCIndex) At(pc int) (int, bool) {
 }
 
 // IndexPCs builds the PCIndex of an instruction list from its recorded
-// PCs, for code of codeLen bytes.
-func IndexPCs(insts []Inst, codeLen int) PCIndex {
-	x := make(PCIndex, codeLen)
+// PCs, for code of codeLen bytes, in a's storage.
+func IndexPCs(a *Arena, insts []Inst, codeLen int) PCIndex {
+	x := PCIndex(a.Uint16s(codeLen))
 	for i := range insts {
 		x[insts[i].PC] = uint16(i + 1)
 	}
@@ -178,8 +178,10 @@ func countInsts(code []byte) int {
 }
 
 // DecodeWithIndex is Decode (or, with allowExt, DecodeExt) that also
-// returns the PC index it resolved branch targets through.
-func DecodeWithIndex(code []byte, allowExt bool) ([]Inst, PCIndex, error) {
+// returns the PC index it resolved branch targets through. The list and
+// the index are a's storage (the heap's when a is nil) and live as long
+// as it serves the class; switch payloads are always the heap's.
+func DecodeWithIndex(a *Arena, code []byte, allowExt bool) ([]Inst, PCIndex, error) {
 	if len(code) == 0 {
 		return nil, nil, decodeErrf(0, "empty code")
 	}
@@ -189,7 +191,7 @@ func DecodeWithIndex(code []byte, allowExt bool) ([]Inst, PCIndex, error) {
 	}
 	// Branch and switch targets are recorded as absolute byte offsets
 	// while decoding and resolved to instruction indices afterwards.
-	insts := make([]Inst, 0, countInsts(code))
+	insts := a.Insts(countInsts(code))
 
 	pc := 0
 	for pc < len(code) {
@@ -412,7 +414,7 @@ func DecodeWithIndex(code []byte, allowExt bool) ([]Inst, PCIndex, error) {
 	// Resolve targets in ascending instruction order, a switch's default
 	// before its arms, so that malformed code reports the same first error
 	// on every decode: rejected classes are attested byte for byte.
-	idx := IndexPCs(insts, len(code))
+	idx := IndexPCs(a, insts, len(code))
 	resolve := func(in *Inst, target *int) error {
 		t, ok := idx.At(*target)
 		if !ok {

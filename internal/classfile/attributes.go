@@ -44,20 +44,33 @@ type Code struct {
 
 // DecodeCode decodes an attribute known to be a Code attribute.
 func DecodeCode(a *Attribute) (*Code, error) {
+	c := new(Code)
+	if err := c.Decode(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Decode is DecodeCode into a Code the caller provides (the rewriting
+// engine keeps a class's Code headers in its arena); every field of c is
+// overwritten. On an error c is left partly filled.
+func (c *Code) Decode(a *Attribute) error {
 	statAttrsDecoded.Add(1)
 	r := &reader{data: a.Info}
-	c := &Code{
-		MaxStack:  r.u2(),
-		MaxLocals: r.u2(),
-	}
+	c.MaxStack = r.u2()
+	c.MaxLocals = r.u2()
 	codeLen := int(r.u4())
 	if r.err == nil && codeLen == 0 {
-		return nil, formatErrf(r.off, "Code attribute with empty bytecode")
+		return formatErrf(r.off, "Code attribute with empty bytecode")
 	}
 	c.Bytecode = r.bytes(codeLen)
 	handlerCount := int(r.u2())
 	if r.err == nil && handlerCount*8 > len(a.Info)-r.off {
-		return nil, formatErrf(r.off, "exception table count %d exceeds attribute", handlerCount)
+		return formatErrf(r.off, "exception table count %d exceeds attribute", handlerCount)
+	}
+	c.Handlers = nil
+	if r.err == nil && handlerCount > 0 {
+		c.Handlers = make([]ExceptionHandler, 0, handlerCount)
 	}
 	for i := 0; i < handlerCount && r.err == nil; i++ {
 		c.Handlers = append(c.Handlers, ExceptionHandler{
@@ -69,22 +82,31 @@ func DecodeCode(a *Attribute) (*Code, error) {
 	}
 	attrs, err := parseAttributes(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.Attributes = attrs
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(a.Info) {
-		return nil, formatErrf(r.off, "trailing bytes in Code attribute")
+		return formatErrf(r.off, "trailing bytes in Code attribute")
 	}
-	return c, nil
+	return nil
+}
+
+// EncodedLen is the size of the attribute payload Encode produces.
+func (c *Code) EncodedLen() int {
+	return 2 + 2 + 4 + len(c.Bytecode) + 2 + 8*len(c.Handlers) + attributesSize(c.Attributes)
 }
 
 // Encode serializes the Code structure into attribute payload form.
 func (c *Code) Encode() ([]byte, error) {
-	size := 2 + 2 + 4 + len(c.Bytecode) + 2 + 8*len(c.Handlers) + attributesSize(c.Attributes)
-	w := &writer{buf: make([]byte, 0, size)}
+	return c.AppendEncode(make([]byte, 0, c.EncodedLen()))
+}
+
+// AppendEncode appends the attribute payload to dst.
+func (c *Code) AppendEncode(dst []byte) ([]byte, error) {
+	w := &writer{buf: dst}
 	w.u2(c.MaxStack)
 	w.u2(c.MaxLocals)
 	if len(c.Bytecode) > 0xFFFFFFF {
@@ -126,17 +148,23 @@ func (cf *ClassFile) SetCode(m *Member, c *Code) error {
 	if err != nil {
 		return err
 	}
+	cf.SetCodeInfo(m, payload)
+	return nil
+}
+
+// SetCodeInfo is SetCode for a payload already encoded (Code.AppendEncode),
+// which the attribute then aliases until the class is encoded or released.
+func (cf *ClassFile) SetCodeInfo(m *Member, payload []byte) {
 	m.MarkDirty()
 	nameIdx := cf.Pool.AddUtf8(AttrCode)
 	for _, a := range m.Attributes {
 		if cf.AttrName(a) == AttrCode {
 			a.Info = payload
 			a.NameIndex = nameIdx
-			return nil
+			return
 		}
 	}
 	m.Attributes = append(m.Attributes, &Attribute{NameIndex: nameIdx, Info: payload})
-	return nil
 }
 
 // LineNumberEntry maps a bytecode offset to a source line.

@@ -159,7 +159,27 @@ type ConstPool struct {
 	nextRecent int
 
 	err error // sticky: an Add* found the pool full (see Err)
+
+	scratch Scratch // see ConstPool.Scratch
 }
+
+// Scratch is per-class storage that a layer above this package (the
+// rewriting engine's arena of decoded method bodies) keeps on the pool,
+// the way Member.Decoded and Descriptor.Parsed keep their memos: this
+// package only stores it. It shares the pool's life: Release resets it and
+// recycles it with the pool, so the next class parsed into the pool finds
+// it empty and warm.
+type Scratch interface {
+	// Reset ends the storage's service to one class. Nothing handed out
+	// from it may be used afterwards.
+	Reset()
+}
+
+// Scratch returns the pool's scratch storage, nil until SetScratch.
+func (p *ConstPool) Scratch() Scratch { return p.scratch }
+
+// SetScratch installs the pool's scratch storage.
+func (p *ConstPool) SetScratch(s Scratch) { p.scratch = s }
 
 // recentRef is one remembered answer of addRef.
 type recentRef struct {

@@ -99,14 +99,26 @@ func Parse(data []byte) (*ClassFile, error) {
 		return nil, formatErrf(0, "bad magic 0x%08X", magic)
 	}
 	cf := &ClassFile{raw: data}
+	if err := cf.parse(r); err != nil {
+		// A rejected class returns its recycled pool like an accepted one:
+		// malformed input is what a hostile origin sends most of.
+		cf.Release()
+		return nil, err
+	}
+	return cf, nil
+}
+
+// parse fills cf from r, positioned after the magic. On an error cf.Pool
+// is the pool taken from poolScratch, if parsing got that far.
+func (cf *ClassFile) parse(r *reader) (err error) {
+	data := r.data
 	cf.MinorVersion = r.u2()
 	cf.MajorVersion = r.u2()
 
-	pool, err := parsePool(r)
-	if err != nil {
-		return nil, err
+	if err := parsePool(r, cf); err != nil {
+		return err
 	}
-	cf.Pool = pool
+	pool := cf.Pool
 	cf.poolEnd = r.off
 	cf.parsedPool = pool
 	cf.parsedEntries = len(pool.entries)
@@ -117,7 +129,7 @@ func Parse(data []byte) (*ClassFile, error) {
 
 	ifaceCount := int(r.u2())
 	if r.err == nil && ifaceCount*2 > len(data)-r.off {
-		return nil, formatErrf(r.off, "interface count %d exceeds remaining data", ifaceCount)
+		return formatErrf(r.off, "interface count %d exceeds remaining data", ifaceCount)
 	}
 	cf.Interfaces = make([]uint16, 0, ifaceCount)
 	for i := 0; i < ifaceCount && r.err == nil; i++ {
@@ -125,31 +137,33 @@ func Parse(data []byte) (*ClassFile, error) {
 	}
 
 	if cf.Fields, err = parseMembers(r, cf); err != nil {
-		return nil, err
+		return err
 	}
 	if cf.Methods, err = parseMembers(r, cf); err != nil {
-		return nil, err
+		return err
 	}
 	cf.attrsStart = r.off
 	if cf.Attributes, err = parseAttributes(r); err != nil {
-		return nil, err
+		return err
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(data) {
-		return nil, formatErrf(r.off, "%d trailing bytes after class structure", len(data)-r.off)
+		return formatErrf(r.off, "%d trailing bytes after class structure", len(data)-r.off)
 	}
-	return cf, nil
+	return nil
 }
 
-func parsePool(r *reader) (*ConstPool, error) {
+// parsePool reads the constant pool into cf.Pool, which it sets as soon as
+// it has taken a pool from poolScratch so that a failed parse returns it.
+func parsePool(r *reader, cf *ClassFile) error {
 	count := int(r.u2())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if count == 0 {
-		return nil, formatErrf(r.off, "constant pool count must be at least 1")
+		return formatErrf(r.off, "constant pool count must be at least 1")
 	}
 	// Each pool entry is at least 3 bytes on disk; cap the size hint so a
 	// hostile count can't force a huge allocation up front.
@@ -158,10 +172,11 @@ func parsePool(r *reader) (*ConstPool, error) {
 		hint = max
 	}
 	pool := newParsePool(hint)
+	cf.Pool = pool
 	for len(pool.entries) < count {
 		e := entry{tag: ConstTag(r.u1())}
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		var s utf8Entry
 		switch e.tag {
@@ -169,13 +184,13 @@ func parsePool(r *reader) (*ConstPool, error) {
 			n := int(r.u2())
 			s.raw = r.bytes(n)
 			if r.err != nil {
-				return nil, r.err
+				return r.err
 			}
 			// Validate now (hostile input must fail at the parse gate) but
 			// defer building the Go string until something touches it.
 			var ok bool
 			if ok, s.ascii = validateModifiedUTF8(s.raw); !ok {
-				return nil, formatErrf(r.off, "malformed modified-UTF8 in constant %d", len(pool.entries))
+				return formatErrf(r.off, "malformed modified-UTF8 in constant %d", len(pool.entries))
 			}
 			statUtf8Seen.Add(1)
 		case TagInteger, TagFloat:
@@ -189,19 +204,19 @@ func parsePool(r *reader) (*ConstPool, error) {
 			e.ref1 = r.u2()
 			e.ref2 = r.u2()
 		default:
-			return nil, formatErrf(r.off, "unknown constant pool tag %d", e.tag)
+			return formatErrf(r.off, "unknown constant pool tag %d", e.tag)
 		}
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if e.wide() && len(pool.entries)+2 > count {
-			return nil, formatErrf(r.off, "Long/Double constant overruns declared pool count %d", count)
+			return formatErrf(r.off, "Long/Double constant overruns declared pool count %d", count)
 		}
 		if _, err := pool.push(e, s); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return pool, nil
+	return nil
 }
 
 func parseMembers(r *reader, cf *ClassFile) ([]*Member, error) {

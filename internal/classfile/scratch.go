@@ -32,9 +32,11 @@ func newParsePool(count int) *ConstPool {
 
 // Release returns the class's constant-pool scratch for reuse by later
 // parses. The caller promises that nothing retains a reference to the
-// ClassFile, its pool, or its Constants; retained strings are fine (they
-// are immutable and are not recycled). The rewrite pipeline calls this
-// after encoding a transformed class.
+// ClassFile, its pool, its Constants, or anything drawn from the pool's
+// Scratch (decoded method bodies, their instruction lists and PC indexes,
+// rewritten Code payloads); retained strings are fine (they are immutable
+// and are not recycled). The rewrite pipeline calls this on every exit
+// once it is done with a class, whether or not it produced one.
 func (cf *ClassFile) Release() {
 	p := cf.Pool
 	if p == nil {
@@ -46,6 +48,11 @@ func (cf *ClassFile) Release() {
 	for _, m := range cf.Methods {
 		m.decoded = nil // it describes bytes and pool indices that are gone
 	}
+	p.recycle()
+}
+
+// recycle empties the pool and returns it to poolScratch.
+func (p *ConstPool) recycle() {
 	// Empty the recycled containers: the next class parsed into them must
 	// see none of this one's resolved references or interned constants,
 	// and the old class's strings and input buffer must be collectable.
@@ -59,5 +66,8 @@ func (cf *ClassFile) Release() {
 	p.index = p.index[:0]
 	p.recent, p.nextRecent = [4]recentRef{}, 0
 	p.err = nil
+	if p.scratch != nil {
+		p.scratch.Reset()
+	}
 	poolScratch.Put(p)
 }

@@ -88,12 +88,17 @@ func attributesSize(attrs []*Attribute) int {
 // dirtied members are re-serialized, so encoding cost scales with what
 // was actually touched. The output is always a freshly allocated buffer;
 // it never aliases the parse input.
-func (cf *ClassFile) Encode() ([]byte, error) {
+func (cf *ClassFile) Encode() ([]byte, error) { return cf.AppendEncode(nil) }
+
+// AppendEncode is Encode appending to dst, for a caller that only hashes
+// or forwards the bytes and recycles the buffer. When dst lacks the room,
+// one buffer of exactly the needed size replaces it.
+func (cf *ClassFile) AppendEncode(dst []byte) ([]byte, error) {
 	if cf.canSplice() {
-		return cf.encodeSplice()
+		return cf.encodeSplice(dst)
 	}
 	statFullEncodes.Add(1)
-	w := &writer{buf: make([]byte, 0, cf.encodedSize())}
+	w := &writer{buf: roomFor(dst, cf.encodedSize())}
 	w.u4(Magic)
 	w.u2(cf.MinorVersion)
 	w.u2(cf.MajorVersion)
@@ -131,8 +136,17 @@ func (cf *ClassFile) canSplice() bool {
 		len(cf.Pool.entries) >= cf.parsedEntries
 }
 
-// encodeSplice is the splice fast path of Encode.
-func (cf *ClassFile) encodeSplice() ([]byte, error) {
+// roomFor returns dst with room for n more bytes, reallocated to exactly
+// that when it has less.
+func roomFor(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
+}
+
+// encodeSplice is the splice fast path of AppendEncode.
+func (cf *ClassFile) encodeSplice(dst []byte) ([]byte, error) {
 	statSpliceEncodes.Add(1)
 	p := cf.Pool
 	if err := p.encodable(); err != nil {
@@ -165,7 +179,7 @@ func (cf *ClassFile) encodeSplice() ([]byte, error) {
 		n += len(cf.raw) - cf.attrsStart
 	}
 
-	w := &writer{buf: make([]byte, 0, n)}
+	w := &writer{buf: roomFor(dst, n)}
 	w.u4(Magic)
 	w.u2(cf.MinorVersion)
 	w.u2(cf.MajorVersion)

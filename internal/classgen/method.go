@@ -512,7 +512,7 @@ func (m *MethodBuilder) finish() error {
 	if err != nil {
 		return err
 	}
-	maxStack, err := bytecode.MaxStack(insts, m.class.Pool(), handlerStarts)
+	maxStack, err := bytecode.MaxStack(nil, insts, m.class.Pool(), handlerStarts)
 	if err != nil {
 		return err
 	}

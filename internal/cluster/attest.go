@@ -233,11 +233,15 @@ func (n *Node) handleAttest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad attest request", http.StatusBadRequest)
 		return
 	}
-	raw, err := proxy.ReadSized(r.Body, r.ContentLength, maxPeerClassBytes)
+	// The payload is parsed, the result hashed, and only the digest kept.
+	buf := proxy.GetBuffer()
+	defer proxy.PutBuffer(buf)
+	raw, err := proxy.ReadSizedInto(*buf, r.Body, r.ContentLength, maxPeerClassBytes)
 	if err != nil || len(raw) == 0 {
 		http.Error(w, "bad attest payload", http.StatusBadRequest)
 		return
 	}
+	*buf = raw
 	ctx := telemetry.WithTrace(r.Context(), tr)
 	var digest string
 	var terr error

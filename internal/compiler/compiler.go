@@ -98,6 +98,7 @@ func CompileArtifact(base []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compiler: parsing base artifact: %w", err)
 	}
+	defer cf.Release() // the encoding below is a fresh buffer; the class is dead either way
 	if _, err := CompileClass(cf); err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func CompileArtifact(base []byte) ([]byte, error) {
 // may start at a protected index but not contain one beyond its first
 // instruction.
 func protectedIndices(ed *rewrite.MethodEditor) []bool {
-	p := make([]bool, len(ed.Insts)+1) // +1: a handler may end at the end of the code
+	p := ed.Arena().Bools(len(ed.Insts) + 1) // +1: a handler may end at the end of the code
 	for i := range ed.Insts {
 		in := &ed.Insts[i]
 		if in.Op.IsBranch() {
@@ -136,7 +137,7 @@ func fuse(ed *rewrite.MethodEditor) int {
 	insts := ed.Insts
 	protected := protectedIndices(ed)
 	out := insts[:0]
-	newIdx := make([]int32, len(insts)+1) // old index of a window start (or the end) -> new index
+	newIdx := ed.Arena().Int32s(len(insts) + 1) // old index of a window start (or the end) -> new index
 	fusions := 0
 
 	iloadIdx := func(in bytecode.Inst) (uint16, bool) {

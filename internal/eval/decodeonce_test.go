@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dvm/internal/bytecode"
@@ -71,9 +73,28 @@ func TestPipelineDecodesEachMethodOnce(t *testing.T) {
 	}
 }
 
-// TestPipelineAllocationBudget holds the static service to 1400
-// allocations on a 15 KB workload class (2927 were recorded for it when
-// every stage decoded for itself).
+// poolsAreLossy reports whether the test binary was built with -race.
+// Under the race detector sync.Pool drops a quarter of what it is given on
+// purpose, so recycled pools and arenas do not reach a steady state and an
+// allocation budget measures the detector, not the code; the tests that
+// hold one still run there, for the detector's sake, and only log.
+func poolsAreLossy() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPipelineAllocationBudget holds the static service to 126
+// allocations and three times its output in bytes on a 15 KB workload
+// class: 1.15 × the 110 allocations it makes now that a class's decoded
+// bodies live in its arena (270 before that, 2927 when every stage decoded
+// for itself), and 24.6 KB allocated for 16.0 KB of output where it used to
+// be 94.2 KB. A run is measured alone and the least of ten taken, because
+// a collection between runs can hand the next one a cold arena.
 func TestPipelineAllocationBudget(t *testing.T) {
 	spec := workload.Benchmarks()[0]
 	spec.Classes = 3
@@ -84,14 +105,32 @@ func TestPipelineAllocationBudget(t *testing.T) {
 	}
 	data := app.Classes["jlex/C001"]
 	pipe := ServicePipeline(StandardPolicy(), false)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := pipe.Process(data, rewrite.NewContext()); err != nil {
+	var out []byte
+	process := func() {
+		if out, err = pipe.Process(data, rewrite.NewContext()); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%d-byte class: %.0f allocations per Pipeline.Process", len(data), allocs)
-	if allocs > 1400 {
-		t.Errorf("Pipeline.Process allocates %.0f times for the %d-byte bench class, want <= 1400", allocs, len(data))
+	}
+	allocs := testing.AllocsPerRun(20, process)
+	var least uint64
+	for try := 0; try < 10; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		process()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; try == 0 || got < least {
+			least = got
+		}
+	}
+	t.Logf("%d-byte class, %d bytes out: %.0f allocations, %d bytes per Pipeline.Process", len(data), len(out), allocs, least)
+	if poolsAreLossy() {
+		return
+	}
+	if allocs > 126 {
+		t.Errorf("Pipeline.Process allocates %.0f times for the %d-byte bench class, want <= 126", allocs, len(data))
+	}
+	if least > uint64(3*len(out)) {
+		t.Errorf("Pipeline.Process allocates %d bytes for %d bytes of output, want <= 3x", least, len(out))
 	}
 }
 

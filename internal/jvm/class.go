@@ -115,7 +115,7 @@ func (m *Method) prepare() error {
 	// The DVM client runtime accepts its own native format (extension
 	// opcodes emitted by the centralized compilation service) alongside
 	// standard bytecode.
-	insts, pcIdx, err := bytecode.DecodeWithIndex(m.Code.Bytecode, true)
+	insts, pcIdx, err := bytecode.DecodeWithIndex(nil, m.Code.Bytecode, true)
 	if err != nil {
 		return fmt.Errorf("jvm: %s: %w", m, err)
 	}

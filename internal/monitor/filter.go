@@ -44,7 +44,8 @@ func Filter(cfg Config) rewrite.Filter {
 // is part of the artifact the fleet attests.
 type auditFilter struct{ cfg Config }
 
-// auditPlan holds the pre-built snippets for one method.
+// auditPlan holds the pre-built snippets for one method. They are the
+// class's arena storage; a plan lives from plan to the end of Transform.
 type auditPlan struct {
 	fu    []bytecode.Inst
 	enter []bytecode.Inst
@@ -125,7 +126,7 @@ func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
 			sn.LdcString(cf.Name()).LdcString(name).LdcString(cf.MemberDescriptor(m))
 			sn.InvokeStatic("dvm/Profile", "firstUse",
 				"(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;)V")
-			plan.fu = sn.Insts()
+			plan.fu = sn.Insts() // classfile:allow-alias — spliced in and dropped within Transform
 			plan.sites++
 		}
 		if cfg.Methods {
@@ -135,8 +136,8 @@ func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
 			exit := rewrite.NewSnippet(cf.Pool)
 			exit.LdcString(cf.Name()).LdcString(name)
 			exit.InvokeStatic("dvm/Audit", "exit", "(Ljava/lang/String;Ljava/lang/String;)V")
-			plan.enter = enter.Insts()
-			plan.exit = exit.Insts()
+			plan.enter = enter.Insts() // classfile:allow-alias — as fu
+			plan.exit = exit.Insts()   // classfile:allow-alias — as fu
 			plan.sites += 2
 		}
 	}

@@ -245,7 +245,7 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 	p.cBytesIn.Add(int64(len(raw)))
 
 	pipe := tr.StartSpan(p.cfg.Node, "pipeline")
-	out, rejected, err := p.transform(tr, l, raw)
+	out, rejected, err := p.transform(nil, tr, l, raw)
 	f.proxyTime = pipe.End()
 	p.hPipeline.Observe(f.proxyTime)
 	switch {
@@ -266,14 +266,14 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 // other service) rejection becomes a replacement class that raises
 // VerifyError on the client; a deterministic pipeline produces a
 // deterministic rejection, so replacements attest like any other
-// artifact.
-func (p *Proxy) transform(tr *telemetry.Trace, l Lookup, raw []byte) (out []byte, rejected bool, err error) {
+// artifact. The output is appended to dst.
+func (p *Proxy) transform(dst []byte, tr *telemetry.Trace, l Lookup, raw []byte) (out []byte, rejected bool, err error) {
 	rctx := rewrite.NewContext()
 	rctx.ClientID = l.Client
 	rctx.ClientArch = l.Arch
 	rctx.Trace = tr
 	rctx.Node = p.cfg.Node
-	out, perr := p.cfg.Pipeline.Process(raw, rctx)
+	out, perr := p.cfg.Pipeline.ProcessAppend(dst, raw, rctx)
 	if perr == nil {
 		return out, false, nil
 	}
@@ -330,12 +330,16 @@ func (p *Proxy) flightError(f *flight, err error) {
 // the digest of what this node would serve for (arch, class) — the
 // variant half of a SealTransform round. It touches neither the cache
 // nor the origin: the dispatching owner supplies the raw bytes, and
-// only the digest goes back on the wire.
+// only the digest goes back on the wire — so the artifact is encoded into
+// a recycled buffer and dropped once hashed.
 func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []byte) (string, error) {
-	out, _, err := p.transform(telemetry.FromContext(ctx), Lookup{Arch: arch, Class: class}, raw)
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	out, _, err := p.transform((*buf)[:0], telemetry.FromContext(ctx), Lookup{Arch: arch, Class: class}, raw)
 	if err != nil {
 		return "", err
 	}
+	*buf = out
 	return attest.Digest(out), nil
 }
 

@@ -138,8 +138,17 @@ const sizedReadChunk = 1 << 20
 // io.ErrUnexpectedEOF, never a truncated result. Only with no declared
 // length does it fall back to a bounded io.ReadAll. Every hop of the
 // serve path that keeps the bytes it reads — the client loader, peer
-// frames, variant payloads — reads through here.
+// frames — reads through here.
 func ReadSized(body io.Reader, n int64, max int) ([]byte, error) {
+	return ReadSizedInto(nil, body, n, max)
+}
+
+// ReadSizedInto is ReadSized reading into buf's storage as far as it
+// reaches (memory already committed: a sender that then stalls costs
+// nothing more). It is for a reader that drops the bytes before it returns
+// and recycles the buffer, such as an attestation variant, which parses
+// its payload, hashes the result and answers with the digest.
+func ReadSizedInto(buf []byte, body io.Reader, n int64, max int) ([]byte, error) {
 	if n < 0 {
 		b, err := io.ReadAll(io.LimitReader(body, int64(max)+1))
 		if err == nil && len(b) > max {
@@ -151,9 +160,12 @@ func ReadSized(body io.Reader, n int64, max int) ([]byte, error) {
 		return nil, fmt.Errorf("%w (%d declared, limit %d)", ErrBodyTooLarge, n, max)
 	}
 	size := int(n)
-	buf := make([]byte, 0, min(size, sizedReadChunk))
+	buf = buf[:0]
+	if cap(buf) < min(size, sizedReadChunk) {
+		buf = make([]byte, 0, min(size, sizedReadChunk))
+	}
 	for {
-		m, err := io.ReadFull(body, buf[len(buf):cap(buf)])
+		m, err := io.ReadFull(body, buf[len(buf):min(cap(buf), size)])
 		buf = buf[:len(buf)+m]
 		if err != nil {
 			if err == io.EOF {
@@ -168,6 +180,28 @@ func ReadSized(body io.Reader, n int64, max int) ([]byte, error) {
 		copy(grown, buf)
 		buf = grown
 	}
+}
+
+// maxPooledBuffer is the largest buffer PutBuffer keeps: room for any
+// class a fleet serves day to day, so that one 16 MiB payload does not stay
+// pinned in the pool.
+const maxPooledBuffer = 1 << 20
+
+var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBuffer returns a recycled buffer, possibly of zero capacity, for bytes
+// that are dead before the caller returns: a variant's payload and its
+// encoded output are parsed or hashed and never stored. Store a grown
+// buffer back through the pointer before PutBuffer.
+func GetBuffer() *[]byte { return bufferPool.Get().(*[]byte) }
+
+// PutBuffer recycles a buffer from GetBuffer. Nothing may still refer to
+// its bytes.
+func PutBuffer(b *[]byte) {
+	if cap(*b) > maxPooledBuffer {
+		*b = nil
+	}
+	bufferPool.Put(b)
 }
 
 // LoaderOptions parameterizes HTTPLoaderWith.

@@ -168,7 +168,7 @@ func compactCode(old, np *classfile.ConstPool, a *classfile.Attribute) error {
 	if err != nil {
 		return err
 	}
-	insts, oldPCIdx, err := bytecode.DecodeWithIndex(code.Bytecode, true)
+	insts, oldPCIdx, err := bytecode.DecodeWithIndex(nil, code.Bytecode, true)
 	if err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func compactCode(old, np *classfile.ConstPool, a *classfile.Attribute) error {
 			in.Index = ni
 		}
 	}
-	newBytes, err := bytecode.Assemble(insts)
+	newBytes, err := bytecode.Assemble(nil, insts)
 	if err != nil {
 		return err
 	}

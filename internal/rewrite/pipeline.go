@@ -127,6 +127,13 @@ func (p *Pipeline) Filters() []Filter { return p.filters }
 
 // Process runs the pipeline over one serialized class.
 func (p *Pipeline) Process(data []byte, ctx *Context) ([]byte, error) {
+	return p.ProcessAppend(nil, data, ctx)
+}
+
+// ProcessAppend is Process appending the transformed class to dst, for a
+// caller that recycles the buffer (an attestation variant only hashes what
+// it produces).
+func (p *Pipeline) ProcessAppend(dst, data []byte, ctx *Context) ([]byte, error) {
 	if ctx == nil {
 		ctx = NewContext()
 	}
@@ -134,17 +141,19 @@ func (p *Pipeline) Process(data []byte, ctx *Context) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: pipeline parse: %w", err)
 	}
+	// The class graph is dead once it is re-serialized or rejected, so the
+	// pool and the arena go back for the next parse on every exit: a stream
+	// of classes some filter refuses must cost no more than one it accepts.
+	// Filters publish only value types and strings through Notes, and an
+	// error is formatted text, never the ClassFile or anything decoded.
+	defer cf.Release()
 	if err := p.ProcessClass(cf, ctx); err != nil {
 		return nil, err
 	}
-	out, err := cf.Encode()
+	out, err := cf.AppendEncode(dst)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: pipeline encode: %w", err)
 	}
-	// The class graph is dead now that it is re-serialized; recycle the
-	// pool scratch for the next parse. Filters publish only value types
-	// and strings through Notes, never the ClassFile itself.
-	cf.Release()
 	return out, nil
 }
 

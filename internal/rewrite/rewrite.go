@@ -35,6 +35,7 @@ import (
 // InsertAt and call Commit to re-encode into the classfile.
 type MethodEditor struct {
 	cf     *classfile.ClassFile
+	sc     *scratch // cf's arena: Insts, pcIdx and code.Bytecode after a Commit are its storage
 	member *classfile.Member
 	code   *classfile.Code
 	// attr and info identify the Code attribute payload this form
@@ -43,6 +44,10 @@ type MethodEditor struct {
 	attr *classfile.Attribute
 	info []byte
 
+	// Insts is the instruction list, in the class's arena like everything
+	// else here: it lives until ClassFile.Release and must not be kept past
+	// it. The Insert methods grow it in the arena; a stage may shrink or
+	// rewrite it in place.
 	Insts []bytecode.Inst
 	// Handlers is the exception table over Insts.
 	Handlers []Handler
@@ -72,20 +77,25 @@ func DecodeMethod(cf *classfile.ClassFile, m *classfile.Member) (*MethodEditor, 
 	if attr == nil {
 		return nil, nil
 	}
-	if ed, ok := m.Decoded().(*MethodEditor); ok && !ed.edited && ed.cf == cf && ed.attr == attr &&
+	if ed, ok := m.Decoded().(*MethodEditor); ok && !ed.edited && ed.cf == cf && ed.member == m && ed.attr == attr &&
 		len(ed.info) == len(attr.Info) && (len(attr.Info) == 0 || &ed.info[0] == &attr.Info[0]) {
 		return ed, nil
 	}
-	code, err := classfile.DecodeCode(attr)
-	if err != nil {
+	sc := scratchOf(cf.Pool)
+	code := &sc.codes.Take(1)[0]
+	if err := code.Decode(attr); err != nil {
 		return nil, err
 	}
-	insts, pcIdx, err := bytecode.DecodeWithIndex(code.Bytecode, false)
+	insts, pcIdx, err := bytecode.DecodeWithIndex(&sc.Arena, code.Bytecode, false)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: %s.%s: %w", cf.Name(), cf.MemberName(m), err)
 	}
-	ed := &MethodEditor{
-		cf: cf, member: m, code: code,
+	// The list is the arena's newest allocation, so this reserves room where
+	// it lies: the stages that splice into the method then rarely move it.
+	insts = sc.GrowInsts(insts, len(insts)/4+16)
+	ed := &sc.editors.Take(1)[0]
+	*ed = MethodEditor{
+		cf: cf, sc: sc, member: m, code: code,
 		attr:      attr,
 		info:      attr.Info, // classfile:allow-alias — compared, never read; Release drops the memo
 		Insts:     insts,
@@ -93,7 +103,7 @@ func DecodeMethod(cf *classfile.ClassFile, m *classfile.Member) (*MethodEditor, 
 		pcIdx:     pcIdx,
 	}
 	if len(code.Handlers) > 0 {
-		ed.Handlers = make([]Handler, len(code.Handlers))
+		ed.Handlers = sc.handlers.Take(len(code.Handlers))
 	}
 	for i, h := range code.Handlers {
 		si, ok1 := pcIdx.At(int(h.StartPC))
@@ -130,6 +140,11 @@ func EditMethod(cf *classfile.ClassFile, m *classfile.Member) (*MethodEditor, er
 // Pool returns the class constant pool for interning snippet operands.
 func (ed *MethodEditor) Pool() *classfile.ConstPool { return ed.cf.Pool }
 
+// Arena returns the storage of the method's class, for tables a stage
+// needs while it edits: like Insts, what it hands out goes when the class
+// is released.
+func (ed *MethodEditor) Arena() *bytecode.Arena { return &ed.sc.Arena }
+
 // Code returns the Code attribute header the form currently describes:
 // max_stack, max_locals, the body bytes and the exception table in PCs.
 func (ed *MethodEditor) Code() *classfile.Code { return ed.code }
@@ -138,7 +153,7 @@ func (ed *MethodEditor) Code() *classfile.Code { return ed.code }
 // is valid between commits, not while a splice is pending.
 func (ed *MethodEditor) PCIndex() bytecode.PCIndex {
 	if ed.pcIdx == nil {
-		ed.pcIdx = bytecode.IndexPCs(ed.Insts, len(ed.code.Bytecode))
+		ed.pcIdx = bytecode.IndexPCs(&ed.sc.Arena, ed.Insts, len(ed.code.Bytecode))
 	}
 	return ed.pcIdx
 }
@@ -245,8 +260,9 @@ func (ed *MethodEditor) InsertAt(pos int, snippet []bytecode.Inst, captureBranch
 
 	// Open a gap of k at pos and copy the snippet in, resolving its
 	// relative targets there; the caller's snippet stays reusable.
-	ed.Insts = append(ed.Insts, snippet...)
-	copy(ed.Insts[pos+k:], ed.Insts[pos:])
+	n := len(ed.Insts)
+	ed.Insts = ed.sc.GrowInsts(ed.Insts, k)[:n+k]
+	copy(ed.Insts[pos+k:], ed.Insts[pos:n])
 	copy(ed.Insts[pos:], snippet)
 	for i := pos; i < pos+k; i++ {
 		in := &ed.Insts[i]
@@ -275,17 +291,20 @@ func (ed *MethodEditor) InsertEntry(snippet []bytecode.Inst) error {
 // instruction (used by audit exit events). athrow exits are not covered;
 // callers needing those wrap with a handler.
 func (ed *MethodEditor) InsertBeforeReturns(snippet []bytecode.Inst) error {
-	// Collect positions first; splicing shifts indices.
-	var positions []int
-	for i, in := range ed.Insts {
-		if in.Op.IsReturn() {
-			positions = append(positions, i)
+	// Back to front: a splice shifts only the indices after it. Room for
+	// every copy is taken at once, so the list moves at most once.
+	returns := 0
+	for i := range ed.Insts {
+		if ed.Insts[i].Op.IsReturn() {
+			returns++
 		}
 	}
-	ed.Insts = slices.Grow(ed.Insts, len(positions)*len(snippet))
-	for n := len(positions) - 1; n >= 0; n-- {
-		if err := ed.InsertAt(positions[n], snippet, true); err != nil {
-			return err
+	ed.Insts = ed.sc.GrowInsts(ed.Insts, returns*len(snippet))
+	for i := len(ed.Insts) - 1; i >= 0; i-- {
+		if ed.Insts[i].Op.IsReturn() {
+			if err := ed.InsertAt(i, snippet, true); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -303,7 +322,7 @@ func (ed *MethodEditor) Commit() error {
 	// Computed before write re-stamps the PCs its messages quote, reported
 	// after an encoding error as it always was: a filter's failure text
 	// ends up in the replacement class an attested fleet votes on.
-	maxStack, stackErr := bytecode.MaxStack(ed.Insts, ed.cf.Pool, handlerStarts)
+	maxStack, stackErr := bytecode.MaxStack(&ed.sc.Arena, ed.Insts, ed.cf.Pool, handlerStarts)
 	isLines := func(a *classfile.Attribute) bool { return ed.cf.AttrName(a) == classfile.AttrLineNumberTable }
 	attrs := ed.code.Attributes
 	if slices.ContainsFunc(attrs, isLines) {
@@ -325,7 +344,7 @@ func (ed *MethodEditor) CommitLayout() error {
 // Code() describe exactly the bytes written, so the next stage edits on
 // without decoding them.
 func (ed *MethodEditor) write(maxStack uint16, stackErr error, attrs []*classfile.Attribute) error {
-	code, err := bytecode.Assemble(ed.Insts)
+	code, err := bytecode.Assemble(&ed.sc.Arena, ed.Insts)
 	if err == nil {
 		err = stackErr
 	}
@@ -333,7 +352,8 @@ func (ed *MethodEditor) write(maxStack uint16, stackErr error, attrs []*classfil
 		ed.member.SetDecoded(nil) // Insts no longer describe the member's bytes
 		return fmt.Errorf("rewrite: %s.%s: %w", ed.cf.Name(), ed.cf.MemberName(ed.member), err)
 	}
-	newCode := &classfile.Code{
+	newCode := &ed.sc.codes.Take(1)[0]
+	*newCode = classfile.Code{
 		MaxStack:   maxStack,
 		MaxLocals:  uint16(ed.MaxLocals),
 		Bytecode:   code,
@@ -346,19 +366,21 @@ func (ed *MethodEditor) write(maxStack uint16, stackErr error, attrs []*classfil
 		return uint16(ed.Insts[i].PC)
 	}
 	if len(ed.Handlers) > 0 {
-		newCode.Handlers = make([]classfile.ExceptionHandler, len(ed.Handlers))
+		newCode.Handlers = ed.sc.table.Take(len(ed.Handlers))
 	}
 	for i, h := range ed.Handlers {
 		newCode.Handlers[i] = classfile.ExceptionHandler{
 			StartPC: pcOf(h.Start), EndPC: pcOf(h.End), HandlerPC: pcOf(h.Target), CatchType: h.CatchType,
 		}
 	}
-	if err := ed.cf.SetCode(ed.member, newCode); err != nil {
+	payload, err := newCode.AppendEncode(ed.sc.Bytes(newCode.EncodedLen()))
+	if err != nil {
 		return err
 	}
+	ed.cf.SetCodeInfo(ed.member, payload)
 	ed.code, ed.pcIdx, ed.edited = newCode, nil, false
 	ed.attr = ed.cf.FindAttr(ed.member.Attributes, classfile.AttrCode)
-	ed.info = ed.attr.Info // classfile:allow-alias — SetCode's fresh payload; compared, never read
+	ed.info = ed.attr.Info // classfile:allow-alias — the payload just installed; compared, never read
 	ed.member.SetDecoded(ed)
 	return nil
 }

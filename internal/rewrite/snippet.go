@@ -10,13 +10,19 @@ import (
 // snippet use the Rel* sentinels from this package.
 type Snippet struct {
 	pool  *classfile.ConstPool
+	sc    *scratch
 	insts []bytecode.Inst
 }
 
-// NewSnippet starts a snippet against the given pool.
+// NewSnippet starts a snippet against the given pool. The snippet and
+// its instructions are storage of the pool's class, like the method bodies
+// they are spliced into, and go when the class is released.
 func NewSnippet(pool *classfile.ConstPool) *Snippet {
+	sc := scratchOf(pool)
+	s := &sc.snippets.Take(1)[0]
 	// Room for an audit or access-check call without regrowing.
-	return &Snippet{pool: pool, insts: make([]bytecode.Inst, 0, 8)}
+	*s = Snippet{pool: pool, sc: sc, insts: sc.Insts(8)}
+	return s
 }
 
 // Insts returns the accumulated instructions.
@@ -29,7 +35,9 @@ func (s *Snippet) emit(in bytecode.Inst) *Snippet {
 	if !in.Op.IsBranch() && !in.Op.IsSwitch() {
 		in.Target = -1
 	}
-	s.insts = append(s.insts, in)
+	n := len(s.insts)
+	s.insts = s.sc.GrowInsts(s.insts, 1)[:n+1]
+	s.insts[n] = in
 	return s
 }
 

@@ -138,7 +138,7 @@ func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
 				sn.LdcString("")
 				sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
 			}
-			plan = append(plan, checkSite{pos: st.pos, insts: sn.Insts()})
+			plan = append(plan, checkSite{pos: st.pos, insts: sn.Insts()}) // classfile:allow-alias — spliced in and dropped within Transform
 		}
 
 		// Method-boundary instrumentation: the class itself declares an
@@ -155,7 +155,7 @@ func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
 			sn.LdcString(op.Permission)
 			sn.LdcString("")
 			sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
-			plan = append(plan, checkSite{pos: -1, insts: sn.Insts()})
+			plan = append(plan, checkSite{pos: -1, insts: sn.Insts()}) // classfile:allow-alias — as above
 			break
 		}
 

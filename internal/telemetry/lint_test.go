@@ -120,6 +120,13 @@ func lintFile(t *testing.T, path string) []string {
 // with a `classfile:allow-alias` comment on the offending line, which
 // is the reviewer's cue to check that the bytes provably outlive the
 // retainer or were copied upstream.
+//
+// The decoded form of a method body is the same hazard one layer up: a
+// MethodEditor's Insts and PCIndex() and a Snippet's Insts() are storage
+// of the class's arena, which Release recycles too. Outside
+// internal/rewrite and internal/bytecode (which own that storage) the
+// rule flags them in the same three shapes, in every file that imports
+// the rewrite package, with the same escape.
 func TestClassfileAliasLint(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -148,19 +155,25 @@ func TestClassfileAliasLint(t *testing.T) {
 		}
 	}
 	if len(violations) > 0 {
-		t.Fatalf("classfile-alias-lint: Attribute.Info / Code.Bytecode are views into a pooled buffer (ClassFile.Release); copy before retaining, or annotate `classfile:allow-alias`\n  %s",
+		t.Fatalf("classfile-alias-lint: Attribute.Info / Code.Bytecode are views into a pooled buffer, MethodEditor.Insts / PCIndex() / Snippet.Insts() into the class's arena (both recycled by ClassFile.Release); copy before retaining, or annotate `classfile:allow-alias`\n  %s",
 			strings.Join(violations, "\n  "))
 	}
 }
 
 // aliasFields are the classfile slice fields that may alias the pooled
-// parse buffer.
-var aliasFields = map[string]bool{"Info": true, "Bytecode": true}
+// parse buffer; arenaFields and arenaCalls are the rewrite package's views
+// into the class's arena.
+var (
+	aliasFields = map[string]bool{"Info": true, "Bytecode": true}
+	arenaFields = map[string]bool{"Insts": true}
+	arenaCalls  = map[string]bool{"Insts": true, "PCIndex": true}
+)
 
 // aliasSource unwraps parens and re-slicings; it reports whether expr
 // bottoms out at a bare X.Info / X.Bytecode selector (the alias itself,
-// as opposed to a value computed from it).
-func aliasSource(expr ast.Expr) (string, bool) {
+// as opposed to a value computed from it) or, with arena set, at X.Insts,
+// X.Insts() or X.PCIndex().
+func aliasSource(expr ast.Expr, arena bool) (string, bool) {
 	for {
 		switch e := expr.(type) {
 		case *ast.ParenExpr:
@@ -168,8 +181,13 @@ func aliasSource(expr ast.Expr) (string, bool) {
 		case *ast.SliceExpr:
 			expr = e.X
 		case *ast.SelectorExpr:
-			if aliasFields[e.Sel.Name] {
+			if aliasFields[e.Sel.Name] || arena && arenaFields[e.Sel.Name] {
 				return e.Sel.Name, true
+			}
+			return "", false
+		case *ast.CallExpr:
+			if sel, ok := e.Fun.(*ast.SelectorExpr); ok && arena && len(e.Args) == 0 && arenaCalls[sel.Sel.Name] {
+				return sel.Sel.Name + "()", true
 			}
 			return "", false
 		default:
@@ -184,7 +202,11 @@ func lintAliases(t *testing.T, path string) []string {
 	if err != nil {
 		t.Fatalf("parse %s: %v", path, err)
 	}
-	if importAlias(f, "dvm/internal/classfile") == "" {
+	// The arena rule applies where the rewrite package is imported, except
+	// in the two packages that own the storage.
+	dir := filepath.Base(filepath.Dir(path))
+	arena := importAlias(f, "dvm/internal/rewrite") != "" && dir != "rewrite" && dir != "bytecode"
+	if importAlias(f, "dvm/internal/classfile") == "" && !arena {
 		return nil
 	}
 	allowed := make(map[int]bool)
@@ -211,13 +233,13 @@ func lintAliases(t *testing.T, path string) []string {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					val = kv.Value
 				}
-				if name, ok := aliasSource(val); ok {
+				if name, ok := aliasSource(val, arena); ok {
 					flag(val.Pos(), "."+name+" retained in composite literal")
 				}
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range node.Rhs {
-				name, ok := aliasSource(rhs)
+				name, ok := aliasSource(rhs, arena)
 				if !ok {
 					continue
 				}
@@ -258,23 +280,63 @@ func bad(a *classfile.Attribute, c *classfile.Code, m map[string][]byte) []keep 
 	return []keep{{b: copied}, {b: local[:0]}, k}
 }
 `
-	path := filepath.Join(t.TempDir(), "aliases.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got := lintAliases(t, path)
-	if len(got) != 3 {
-		t.Fatalf("lintAliases flagged %d sites, want 3:\n  %s", len(got), strings.Join(got, "\n  "))
-	}
-	for _, want := range []string{"composite literal", "struct field", "map/slice element"} {
-		found := false
-		for _, v := range got {
-			if strings.Contains(v, want) {
-				found = true
-			}
+	arenaSrc := `package scratch
+
+import (
+	"dvm/internal/bytecode"
+	"dvm/internal/rewrite"
+)
+
+type plan struct {
+	insts []bytecode.Inst
+	index bytecode.PCIndex
+}
+
+func bad(ed *rewrite.MethodEditor, sn *rewrite.Snippet, m map[string][]bytecode.Inst) []plan {
+	p := plan{insts: ed.Insts}       // violation: composite literal
+	p.index = ed.PCIndex()           // violation: struct field
+	m["x"] = sn.Insts()              // violation: map element
+	p.insts = ed.Insts[1:]           // violation: struct field (re-slice)
+	m["y"] = ed.Insts                // classfile:allow-alias
+	local := ed.Insts                // ok: local
+	_ = len(ed.PCIndex())            // ok: consumed
+	_ = ed.InsertEntry(sn.Insts())   // ok: call argument
+	ed.Insts = local[:0]             // ok: the editor's own field, not a retention of it
+	copied := append([]bytecode.Inst(nil), ed.Insts...) // ok: copy
+	return []plan{{insts: copied}, p}
+}
+`
+	for _, tc := range []struct {
+		name, dir, src string
+		want           []string
+	}{
+		{"pooled buffer", "scratch", src, []string{"composite literal", "struct field", "map/slice element"}},
+		{"arena", "scratch", arenaSrc, []string{"composite literal", "struct field", "map/slice element", "struct field"}},
+		// The packages that own the arena may keep its slices.
+		{"arena, owner", "rewrite", arenaSrc, nil},
+	} {
+		dir := filepath.Join(t.TempDir(), tc.dir)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if !found {
-			t.Errorf("no violation mentions %q in %v", want, got)
+		path := filepath.Join(dir, "aliases.go")
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := lintAliases(t, path)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: lintAliases flagged %d sites, want %d:\n  %s", tc.name, len(got), len(tc.want), strings.Join(got, "\n  "))
+		}
+		for _, want := range tc.want {
+			found := false
+			for _, v := range got {
+				if strings.Contains(v, want) {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("%s: no violation mentions %q in %v", tc.name, want, got)
+			}
 		}
 	}
 }

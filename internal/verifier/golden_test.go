@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 	"dvm/internal/workload"
 )
@@ -84,18 +85,28 @@ func TestVerdictGolden(t *testing.T) {
 	}
 }
 
-// verdictLine parses and verifies one mutant.
+// verdictLine parses and verifies one mutant, in the pool and arena the
+// mutant before it released.
 func verdictLine(data []byte) string {
 	cf, err := classfile.Parse(data)
 	if err != nil {
 		return "unparsed"
 	}
+	defer cf.Release()
 	res, err := Verify(cf)
 	if err != nil {
 		h := sha256.Sum256([]byte(err.Error()))
 		return fmt.Sprintf("rejected %x", h[:8])
 	}
 	return fmt.Sprintf("accepted %d %d %d %d", res.Census.Phase1, res.Census.Phase2, res.Census.Phase3, len(res.Assumptions))
+}
+
+// TestPoisonedArena reruns the verdict golden with Release poisoning the
+// arena it recycles: a verdict, error text or census that drew on a
+// released mutant's decoded bodies would come out different.
+func TestPoisonedArena(t *testing.T) {
+	defer bytecode.PoisonOnReset(bytecode.PoisonOnReset(true))
+	t.Run("VerdictGolden", TestVerdictGolden)
 }
 
 // bytecodeRanges returns [offset, length] of every method body in data.
