@@ -231,10 +231,17 @@ func (a *Authority) QuorumFor(arch, class string) int {
 // Attest seals an artifact that won its vote (or ran at quorum 1) and
 // returns the finished record. Voters should include the local node.
 func (a *Authority) Attest(arch, class string, data []byte, quorum int, voters []string) *Attestation {
+	return a.AttestDigest(arch, class, Digest(data), quorum, voters)
+}
+
+// AttestDigest is Attest for a caller that already holds the artifact's
+// Digest — the owner of a quorum round hashed its bytes to tally the
+// votes — so each artifact is hashed once.
+func (a *Authority) AttestDigest(arch, class, digest string, quorum int, voters []string) *Attestation {
 	att := &Attestation{
 		Arch:   arch,
 		Class:  class,
-		Digest: Digest(data),
+		Digest: digest,
 		Quorum: quorum,
 		Voters: append([]string(nil), voters...),
 	}

@@ -72,11 +72,13 @@ func (n *Node) Seal(ctx context.Context, art *proxy.Artifact, payload []byte, mo
 	if n.authority == nil {
 		return nil, nil
 	}
-	arch, class, out := art.Arch, art.Class, art.Data
-	local := attest.Digest(out)
+	// The artifact is hashed once: the digest is both the owner's vote and
+	// what the seal covers.
+	arch, class := art.Arch, art.Class
+	local := attest.Digest(art.Data)
 	want := n.authority.QuorumFor(arch, class)
 	if want <= 1 {
-		return n.authority.Attest(arch, class, out, 1, []string{n.cfg.Self}), nil
+		return n.authority.AttestDigest(arch, class, local, 1, []string{n.cfg.Self}), nil
 	}
 	candidates := n.variantCandidates(arch, class)
 	votes, rest := n.collectVotes(ctx, arch, class, payload, candidates, want-1, mode)
@@ -85,7 +87,7 @@ func (n *Node) Seal(ctx context.Context, art *proxy.Artifact, payload []byte, mo
 		// Availability wins: seal at quorum 1 (counted, so a fleet that
 		// silently stopped cross-checking is visible in telemetry).
 		n.cAttestDegraded.Inc()
-		return n.authority.Attest(arch, class, out, 1, []string{n.cfg.Self}), nil
+		return n.authority.AttestDigest(arch, class, local, 1, []string{n.cfg.Self}), nil
 	}
 	majority, minority := attest.Tally(n.cfg.Self, local, votes)
 	// Tie-break: a split vote re-runs at a higher quorum, one extra
@@ -124,7 +126,7 @@ func (n *Node) Seal(ctx context.Context, art *proxy.Artifact, payload []byte, mo
 			voters = append(voters, v.Voter)
 		}
 	}
-	return n.authority.Attest(arch, class, out, len(voters), voters), nil
+	return n.authority.AttestDigest(arch, class, local, len(voters), voters), nil
 }
 
 // variantCandidates lists the peers eligible to vote on a key: the
@@ -256,7 +258,7 @@ func (n *Node) handleAttest(w http.ResponseWriter, r *http.Request) {
 		digest, terr = n.local.TransformDigest(ctx, arch, name, raw)
 		span.End()
 	}
-	w.Header().Set(telemetry.TraceSpansHeader, telemetry.EncodeSpans(tr.Spans()))
+	tr.WriteSpans(w.Header())
 	if terr != nil {
 		http.Error(w, terr.Error(), http.StatusInternalServerError)
 		return

@@ -548,8 +548,8 @@ func TestClusterClientLoaderFailover(t *testing.T) {
 }
 
 // TestClusterTraceCrossHop is the tentpole acceptance scenario for the
-// telemetry layer: a cold request from a non-owner must come back with
-// one trace whose spans cover the whole journey — the requester's
+// telemetry layer: a traced cold request from a non-owner must come back
+// with one trace whose spans cover the whole journey — the requester's
 // proxy.request and peer.fill, then (shifted onto the requester's
 // timeline from the X-DVM-Trace-Spans response header) the owner's
 // proxy.request and origin.fetch — in start order, with durations.
@@ -572,12 +572,14 @@ func TestClusterTraceCrossHop(t *testing.T) {
 	if class == "" {
 		t.Fatal("ring assigned every class to node 0")
 	}
-	res, err := n0.Request(context.Background(), proxy.Lookup{Client: "trace", Arch: "dvm", Class: class})
+	// Tracing is opt-in: the caller asks for a timeline by attaching one.
+	tr := telemetry.NewTrace()
+	res, err := n0.Request(telemetry.WithTrace(context.Background(), tr), proxy.Lookup{Client: "trace", Arch: "dvm", Class: class})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
-		t.Fatal("result carries no trace")
+	if res.Trace != tr {
+		t.Fatal("result does not carry the caller's trace")
 	}
 	spans := res.Trace.Spans()
 	if len(spans) < 3 {

@@ -32,6 +32,10 @@ type LocalCluster struct {
 	stopped []bool
 }
 
+// listenLocal binds one node's loopback listener. A variable so a test
+// can count the connections a fleet accepts (export_test.go).
+var listenLocal = func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+
 // StartLocal builds and serves n nodes over origin. mkProxy(i) supplies
 // each node's proxy config (nil = cache enabled, defaults otherwise);
 // mkCluster(i) supplies each node's cluster config, whose Self and
@@ -45,7 +49,7 @@ func StartLocal(origin proxy.Origin, n int, mkProxy func(i int) proxy.Config, mk
 	c := &LocalCluster{origin: origin, mkProxy: mkProxy, mkClust: mkCluster, stopped: make([]bool, n)}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+		l, err := listenLocal()
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -101,7 +105,7 @@ func (c *LocalCluster) startNode(i int, self string, peers []string) error {
 func (c *LocalCluster) AddNode(peers []string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := listenLocal()
 	if err != nil {
 		return -1, err
 	}

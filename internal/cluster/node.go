@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -68,7 +69,8 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Transport overrides the peer HTTP transport (fault injection via
-	// netsim.LinkFaults / netsim.FaultyTransport).
+	// netsim.LinkFaults / netsim.FaultyTransport). Nil = the node's own
+	// (newPeerTransport), whose idle connections Close releases.
 	Transport http.RoundTripper
 
 	// PrefetchK is how many predicted successors an owner piggybacks
@@ -118,7 +120,10 @@ type Node struct {
 	cfg    Config
 	local  *proxy.Proxy
 	client *http.Client
-	mship  *membership
+	// transport is the peer transport the node built for itself (nil when
+	// Config.Transport was supplied): Close drops its idle connections.
+	transport *http.Transport
+	mship     *membership
 
 	ringMu sync.RWMutex
 	ring   *Ring // rebuilt on every membership change; read via currentRing
@@ -216,6 +221,10 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		pokeCh:    make(chan struct{}, 1),
 		handoffCh: make(chan struct{}, 1),
 		replCh:    make(chan *proxy.Artifact, replQueueLen),
+	}
+	if cfg.Transport == nil {
+		n.transport = newPeerTransport()
+		n.client.Transport = n.transport
 	}
 	n.gossip.fails = make(map[string]int)
 	ring, err := NewRing(n.mship.RingMembers(), cfg.VirtualNodes, cfg.Seed)
@@ -357,12 +366,42 @@ func (n *Node) currentRing() *Ring {
 }
 
 // Close stops the node's background goroutines (gossip, handoff,
-// replication). It does not announce a departure — that is Drain; a
-// bare Close looks to the fleet like a crash, which is exactly what the
-// failure-detection tests want.
+// replication) and drops the idle peer connections of the transport the
+// node built for itself. It does not announce a departure — that is
+// Drain; a bare Close looks to the fleet like a crash, which is exactly
+// what the failure-detection tests want.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.closed) })
 	n.wg.Wait()
+	if n.transport != nil {
+		n.transport.CloseIdleConnections()
+	}
+}
+
+// peerWriteBuffer is the peer transport's write buffer: a whole class
+// frame goes out in one write instead of spilling into a per-request
+// copy buffer and a second write.
+const peerWriteBuffer = 16 << 10
+
+// newPeerTransport builds a node's own peer transport: the default
+// transport's dialer and timeouts, with an idle pool per peer that covers
+// the node's own concurrency — one connection per flight that may be
+// talking to that peer at once — so steady peer traffic reuses its
+// connections instead of dialing (http.DefaultTransport keeps two per
+// host, shared by every node in the process).
+func newPeerTransport() *http.Transport {
+	return &http.Transport{
+		Proxy: http.ProxyFromEnvironment,
+		DialContext: (&net.Dialer{
+			Timeout:   30 * time.Second,
+			KeepAlive: 30 * time.Second,
+		}).DialContext,
+		MaxIdleConnsPerHost:   proxy.DefaultMaxConcurrent(),
+		IdleConnTimeout:       90 * time.Second,
+		TLSHandshakeTimeout:   10 * time.Second,
+		ExpectContinueTimeout: time.Second,
+		WriteBufferSize:       peerWriteBuffer,
+	}
 }
 
 // Proxy returns the node's local proxy (stats, diagnostics).

@@ -125,8 +125,9 @@ type BatchResponse struct {
 
 // peerEnter is the shared middleware for every peer-protocol handler:
 // method check, epoch piggyback both ways, draining 429, optional
-// admission backpressure shed, and trace join. Returns ok=false with
-// the response already written when the request must not proceed.
+// admission backpressure shed, and trace join (nil when the caller sent
+// no trace: the hop then records and returns no spans). Returns ok=false
+// with the response already written when the request must not proceed.
 func (n *Node) peerEnter(w http.ResponseWriter, r *http.Request, method string, sheddable bool) (*telemetry.Trace, bool) {
 	if r.Method != method {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -200,7 +201,7 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	frame := resp.encode()
-	w.Header().Set(telemetry.TraceSpansHeader, telemetry.EncodeSpans(tr.Spans()))
+	tr.WriteSpans(w.Header())
 	w.Header().Set("Content-Type", batchContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(frame.size()))
 	_ = frame.writeTo(w) // a requester that went away mid-write just retries
@@ -370,8 +371,9 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 // peer+path and return the answer's body, at most maxResp bytes, read
 // into a buffer sized from its Content-Length (the caller decodes it in
 // place and may keep it). Both directions piggyback the membership
-// epoch; the caller's trace rides the request header and the peer's
-// spans come back shifted into the local timeline. A 429 is returned as
+// epoch. On a traced request the trace rides the request header and the
+// peer's spans come back shifted into the local timeline; an untraced
+// one sends and reads neither trace header. A 429 is returned as
 // ErrOverloaded (with the draining note recorded) so callers treat it as
 // a healthy shed. hdr lists extra header name/value pairs; empty values
 // are skipped.
@@ -386,7 +388,9 @@ func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, bod
 	}
 	req.Header.Set("Content-Type", contentType)
 	req.Header.Set(epochHeader, fmtEpoch(n.mship.Epoch()))
-	hdr = append(hdr, telemetry.TraceHeader, tr.ID())
+	if tr != nil {
+		req.Header.Set(telemetry.TraceHeader, tr.ID())
+	}
 	for i := 0; i+1 < len(hdr); i += 2 {
 		if hdr[i+1] != "" {
 			req.Header.Set(hdr[i], hdr[i+1])
@@ -413,8 +417,10 @@ func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, bod
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
 	}
-	if spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); err == nil {
-		tr.AppendShifted(spans, hopStart)
+	if tr != nil {
+		if spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); err == nil {
+			tr.AppendShifted(spans, hopStart)
+		}
 	}
 	return answer, nil
 }

@@ -215,13 +215,14 @@ func traceSample(lc *cluster.LocalCluster, applets int) string {
 		if n0.Ring().Owner(cluster.KeyFor("dvm", class)) == n0.Self() {
 			continue
 		}
-		res, err := n0.Request(context.Background(), proxy.Lookup{Client: "trace-probe", Arch: "dvm", Class: class})
-		if err != nil {
+		// Tracing is opt-in: this probe is the one request that asks.
+		tr := telemetry.NewTrace()
+		if _, err := n0.Request(telemetry.WithTrace(context.Background(), tr), proxy.Lookup{Client: "trace-probe", Arch: "dvm", Class: class}); err != nil {
 			return ""
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "trace %s — cold peer-filled request for %s, per-stage:\n", res.Trace.ID(), class)
-		for _, s := range res.Trace.Spans() {
+		fmt.Fprintf(&b, "trace %s — cold peer-filled request for %s, per-stage:\n", tr.ID(), class)
+		for _, s := range tr.Spans() {
 			fmt.Fprintf(&b, "  %-14s %-24s start=%-9s dur=%s ms\n", s.Stage, s.Node, ms(s.Start)+" ms", ms(s.Dur))
 		}
 		return b.String()

@@ -77,13 +77,15 @@ func (p *Proxy) Handler() http.Handler {
 		}
 		client := r.Header.Get("X-DVM-Client")
 		arch := r.Header.Get("X-DVM-Arch")
-		// Continue the caller's trace (or start one) so the response can
-		// carry this hop's per-stage spans back to the requester.
+		// Continue the caller's trace, if it sent one, so the response can
+		// carry this hop's per-stage spans back to the requester. An
+		// untraced request gets neither trace header.
 		tr := telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader))
-		ctx := telemetry.WithTrace(r.Context(), tr)
-		res, err := p.Request(ctx, Lookup{Client: client, Arch: arch, Class: name})
-		w.Header().Set(telemetry.TraceHeader, tr.ID())
-		w.Header().Set(telemetry.TraceSpansHeader, telemetry.EncodeSpans(tr.Spans()))
+		res, err := p.Request(telemetry.WithTrace(r.Context(), tr), Lookup{Client: client, Arch: arch, Class: name})
+		if tr != nil {
+			w.Header().Set(telemetry.TraceHeader, tr.ID())
+			tr.WriteSpans(w.Header())
+		}
 		if err != nil {
 			status := StatusFor(err)
 			if status == http.StatusServiceUnavailable {

@@ -36,11 +36,12 @@
 // source answers. Past saturation, admission control (admission.go)
 // sheds deliberately instead of queueing to death.
 //
-// Telemetry: every request runs under a telemetry.Trace — created here
-// if the caller did not attach one to the ctx — and records a span per
-// stage, so the caller gets a latency breakdown even across peer hops.
+// Telemetry: a request whose caller attached a telemetry.Trace to the
+// ctx records a span per stage on it, so the caller gets a latency
+// breakdown even across peer hops; an untraced request records none.
 // All counters and latency histograms live in a telemetry.Registry
-// served on /metrics and /healthz; Stats is a snapshot view of it.
+// served on /metrics and /healthz, fed from the stage timers whether or
+// not the request is traced; Stats is a snapshot view of it.
 package proxy
 
 import (
@@ -216,9 +217,10 @@ type Result struct {
 	Data []byte
 	// Info describes how the response was served (cache/peer/stale...).
 	Info RequestInfo
-	// Trace is the request's timeline — the ctx trace if the caller
-	// attached one, else one created at entry. Present on errors too, so
-	// a caller can see where a failed request spent its time.
+	// Trace is the request's timeline: the trace the caller attached to
+	// the ctx (telemetry.WithTrace), or nil when the caller asked for
+	// none — a request never mints a trace of its own. Present on errors
+	// too, so a caller can see where a failed request spent its time.
 	Trace *telemetry.Trace
 }
 
@@ -345,6 +347,11 @@ type Proxy struct {
 	hAttest      *telemetry.Histogram // quorum round latency per attested artifact
 }
 
+// DefaultMaxConcurrent is the concurrency Config.MaxConcurrent defaults
+// to: 8 flights per processor, enough to keep the processors busy across
+// origin waits. A cluster node sizes its per-peer connection pool from it.
+func DefaultMaxConcurrent() int { return 8 * runtime.GOMAXPROCS(0) }
+
 // New creates a proxy in front of origin.
 func New(origin Origin, cfg Config) *Proxy {
 	if cfg.Node == "" {
@@ -355,7 +362,7 @@ func New(origin Origin, cfg Config) *Proxy {
 	}
 	if cfg.MaxQueue > 0 {
 		if cfg.MaxConcurrent <= 0 {
-			cfg.MaxConcurrent = 8 * runtime.GOMAXPROCS(0)
+			cfg.MaxConcurrent = DefaultMaxConcurrent()
 		}
 		if cfg.QueueDeadline <= 0 {
 			cfg.QueueDeadline = time.Second
@@ -587,16 +594,12 @@ func (p *Proxy) UnderPressure() bool { return p.adm.pressured() }
 // Request serves one class to one client: the full intercept path. The
 // ctx bounds the whole request (client disconnect, caller deadline);
 // per-attempt origin deadlines come from Config.FetchTimeout. If the
-// ctx carries a telemetry trace the request joins it; otherwise a fresh
-// trace is created. Either way Result.Trace holds the timeline,
-// populated with a span per stage. Every request, served or failed,
-// leaves one audit record.
+// ctx carries a telemetry trace the request records a span per stage on
+// it, and Result.Trace returns it; an untraced request records nothing
+// and no trace is minted for it. The histograms are fed either way.
+// Every request, served or failed, leaves one audit record.
 func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 	tr := telemetry.FromContext(ctx)
-	if tr == nil {
-		tr = telemetry.NewTrace()
-		ctx = telemetry.WithTrace(ctx, tr)
-	}
 	span := tr.StartSpan(p.cfg.Node, "proxy.request")
 	p.cRequests.Inc()
 	art, rec, err := p.serve(ctx, tr, l)
@@ -696,18 +699,18 @@ func (p *Proxy) leaveFlight(key string, f *flight) {
 // trades duplicated work for queueing delay and the trace shows exactly
 // how much.
 func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string, f *flight, arch string, leader bool) (*Artifact, RequestRecord, error) {
-	var wait *telemetry.SpanTimer
+	var wait telemetry.SpanTimer
 	if !leader {
 		wait = tr.StartSpan(p.cfg.Node, "queue.wait")
 	}
 	rec := RequestRecord{RequestInfo: RequestInfo{Coalesced: !leader}}
 	select {
 	case <-f.done:
-		if wait != nil {
+		if !leader {
 			wait.End()
 		}
 	case <-ctx.Done():
-		if wait != nil {
+		if !leader {
 			wait.End()
 		}
 		// This client gave up (disconnect or deadline); the flight

@@ -142,13 +142,14 @@ func (v *VersionedServer) Handler() http.Handler {
 			return
 		}
 		// A traced client (X-DVM-Trace) gets this hop's span back in the
-		// response so domain-fetch time shows up in its timeline.
+		// response so domain-fetch time shows up in its timeline; an
+		// untraced one gets no span header. The histogram sees every call.
 		tr := telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader))
 		span := tr.StartSpan("secd", "secd.domain")
 		v.cDomains.Inc()
 		grants := v.FetchDomain(sid)
 		v.hDomain.Observe(span.End())
-		w.Header().Set(telemetry.TraceSpansHeader, telemetry.EncodeSpans(tr.Spans()))
+		tr.WriteSpans(w.Header())
 		writeJSONSec(w, wireDomain{Version: v.Version(), Grants: grants})
 	})
 	mux.HandleFunc("/decide", func(w http.ResponseWriter, r *http.Request) {
@@ -158,7 +159,7 @@ func (v *VersionedServer) Handler() http.Handler {
 		v.cDecides.Inc()
 		allowed := v.Decide(q.Get("sid"), q.Get("perm"), q.Get("target"))
 		v.hDecide.Observe(span.End())
-		w.Header().Set(telemetry.TraceSpansHeader, telemetry.EncodeSpans(tr.Spans()))
+		tr.WriteSpans(w.Header())
 		writeJSONSec(w, map[string]bool{"allowed": allowed})
 	})
 	mux.HandleFunc("/poll", func(w http.ResponseWriter, r *http.Request) {

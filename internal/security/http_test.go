@@ -101,6 +101,54 @@ func TestVersionedServerPollBlocksAndWakes(t *testing.T) {
 	}
 }
 
+// TestSecdMetricsIndependentOfTracing: untraced /domain and /decide calls
+// feed domain_seconds and decide_seconds with real durations and get no
+// span header back; a traced call gets its span.
+func TestSecdMetricsIndependentOfTracing(t *testing.T) {
+	vs := NewVersionedServer(NewServer(testPolicy(t)))
+	ts := httptest.NewServer(vs.Handler())
+	defer ts.Close()
+	call := func(path, trace string) http.Header {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace != "" {
+			req.Header.Set(telemetry.TraceHeader, trace)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s", path, resp.Status)
+		}
+		return resp.Header
+	}
+	const n = 5
+	paths := map[string]string{
+		"domain_seconds": "/domain?sid=apps",
+		"decide_seconds": "/decide?sid=apps&perm=property.get&target=user.name",
+	}
+	for hist, path := range paths {
+		for i := 0; i < n; i++ {
+			if v := call(path, "").Values(telemetry.TraceSpansHeader); v != nil {
+				t.Errorf("untraced %s answered with spans %q", path, v)
+			}
+		}
+		if s := vs.Telemetry().Histogram(hist, nil).Snapshot(); s.Count() != n || s.Sum <= 0 {
+			t.Errorf("%s: count %d sum %v, want count %d and a positive sum", hist, s.Count(), s.Sum, n)
+		}
+		spans, err := telemetry.DecodeSpans(call(path, "abc").Get(telemetry.TraceSpansHeader))
+		if err != nil || len(spans) != 1 {
+			t.Errorf("traced %s answered with spans %v (err %v), want one", path, spans, err)
+		}
+	}
+}
+
 // TestSecdHealthzSharedSchema: the security daemon serves the same
 // versioned health JSON as every other daemon, with its policy version
 // and waiter count as gauges, plus Prometheus metrics on /metrics.

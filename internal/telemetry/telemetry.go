@@ -6,11 +6,12 @@
 // The paper treats profiling and monitoring as first-class DVM services
 // (§4.3); this package extends that stance to the infrastructure
 // itself. A request that hops client → non-owner proxy → owner peer →
-// origin can be followed end to end: a Trace rides context.Context
-// locally and the X-DVM-Trace header across HTTP hops, and each hop's
-// spans return to the caller so per-stage breakdowns (fetch vs verify
-// vs rewrite vs peer hop vs queue wait) can be printed at the entry
-// point.
+// origin can be followed end to end when its entry point asks for it: a
+// Trace rides context.Context locally and the X-DVM-Trace header across
+// HTTP hops, and each hop's spans return to the caller so per-stage
+// breakdowns (fetch vs verify vs rewrite vs peer hop vs queue wait) can
+// be printed at the entry point. An untraced request carries no trace on
+// any hop; its stage timers still feed the histograms.
 //
 // Conventions enforced across the repo (see DESIGN.md §13):
 //

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,11 +15,12 @@ import (
 // hop (proxy front end, peer fill, security server, monitoring
 // console). The receiving daemon joins the trace under that ID and
 // returns its spans in TraceSpansHeader on the response, so the caller
-// ends up holding the whole cross-host timeline.
+// ends up holding the whole cross-host timeline. A request without the
+// header is untraced, and its response carries neither header.
 const TraceHeader = "X-DVM-Trace"
 
 // TraceSpansHeader carries the hop's recorded spans back on the
-// response, encoded with EncodeSpans.
+// response, encoded with EncodeSpans (see Trace.WriteSpans).
 const TraceSpansHeader = "X-DVM-Trace-Spans"
 
 // Span is one timed stage of a request: which node did what, when it
@@ -39,9 +41,13 @@ type Span struct {
 }
 
 // Trace is a request's cross-hop timeline: an identifier plus the span
-// records accumulated while the request moved through daemons. All
+// records accumulated while the request moved through daemons. A request
+// has a trace only if its entry point asked for one — an in-process
+// caller by putting NewTrace in the context, an HTTP caller by sending
+// TraceHeader — and nothing below the entry point ever mints one. All
 // methods are safe for concurrent use and safe on a nil receiver (a nil
-// trace records nothing), so untraced paths pay nothing.
+// trace records nothing, sends no header and allocates nothing), so
+// untraced paths pay nothing.
 type Trace struct {
 	id    string
 	birth Timer
@@ -50,16 +56,17 @@ type Trace struct {
 	spans []Span
 }
 
-// NewTrace creates a trace with a fresh process-unique ID. The entry
-// point (client, bench loop, HTTP front end) creates the trace; every
-// deeper layer only adds spans.
+// NewTrace creates a trace with a fresh process-unique ID: the caller
+// asks for a timeline of its request. Only an entry point (client, bench
+// loop, test) creates one; every deeper layer only adds spans.
 func NewTrace() *Trace { return &Trace{id: newTraceID(), birth: StartTimer()} }
 
-// JoinTrace creates a trace that continues an upstream request under
-// its existing ID (from TraceHeader). An empty id gets a fresh one.
+// JoinTrace continues an upstream request's trace under its existing ID
+// (from TraceHeader). An empty id means the caller asked for no trace:
+// the result is nil, and the hop records and returns no spans.
 func JoinTrace(id string) *Trace {
 	if id == "" {
-		return NewTrace()
+		return nil
 	}
 	return &Trace{id: id, birth: StartTimer()}
 }
@@ -80,14 +87,17 @@ func (t *Trace) Elapsed() time.Duration {
 	return t.birth.Elapsed()
 }
 
-// StartSpan begins timing one stage. End records the span; a span that
-// is never ended records nothing. Safe on a nil trace (returns a nil
-// SpanTimer whose methods no-op).
-func (t *Trace) StartSpan(node, stage string) *SpanTimer {
-	if t == nil {
-		return nil
+// StartSpan begins timing one stage. End returns the stage's duration
+// and, on a traced request, records the span; a span that is never ended
+// records nothing. On a nil trace the timer still measures — histograms
+// fed from End see real durations whether or not anyone asked for a
+// trace — but records nothing and allocates nothing.
+func (t *Trace) StartSpan(node, stage string) SpanTimer {
+	s := SpanTimer{tm: StartTimer()}
+	if t != nil {
+		s.rec = &spanRecord{t: t, node: node, stage: stage, start: t.Elapsed()}
 	}
-	return &SpanTimer{t: t, node: node, stage: stage, start: t.Elapsed(), tm: StartTimer()}
+	return s
 }
 
 // append adds finished spans (already in this trace's timeline).
@@ -129,14 +139,21 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// SpanTimer is one in-progress span. End is idempotent: the span is
-// recorded once, and later Ends return the recorded duration.
+// SpanTimer times one in-progress stage. It is a value: the timing lives
+// in it, and only a traced request's span record is allocated. On a
+// traced request End is idempotent — the span is recorded once, and
+// later Ends return the recorded duration.
 type SpanTimer struct {
+	tm  Timer
+	rec *spanRecord // nil on an untraced request
+}
+
+// spanRecord is the part of a span that only a traced request keeps.
+type spanRecord struct {
 	t     *Trace
 	node  string
 	stage string
 	start time.Duration
-	tm    Timer
 
 	mu    sync.Mutex
 	done  bool
@@ -144,29 +161,25 @@ type SpanTimer struct {
 }
 
 // Elapsed returns the time since the span started without ending it.
-func (s *SpanTimer) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.tm.Elapsed()
-}
+func (s SpanTimer) Elapsed() time.Duration { return s.tm.Elapsed() }
 
-// End records the span on its trace and returns its duration.
-func (s *SpanTimer) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	if s.done {
-		d := s.total
-		s.mu.Unlock()
+// End returns the stage's duration and records the span on a traced
+// request.
+func (s SpanTimer) End() time.Duration {
+	d := s.tm.Elapsed()
+	r := s.rec
+	if r == nil {
 		return d
 	}
-	s.done = true
-	s.total = s.tm.Elapsed()
-	d := s.total
-	s.mu.Unlock()
-	s.t.append(Span{Stage: s.stage, Node: s.node, Start: s.start, Dur: d})
+	r.mu.Lock()
+	if r.done {
+		d = r.total
+		r.mu.Unlock()
+		return d
+	}
+	r.done, r.total = true, d
+	r.mu.Unlock()
+	r.t.append(Span{Stage: r.stage, Node: r.node, Start: r.start, Dur: d})
 	return d
 }
 
@@ -174,8 +187,12 @@ func (s *SpanTimer) End() time.Duration {
 type traceKey struct{}
 
 // WithTrace attaches tr to ctx; every layer below finds it with
-// FromContext.
+// FromContext. A nil trace leaves ctx as it is, so an untraced request
+// costs no context value.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
+	if tr == nil {
+		return ctx
+	}
 	return context.WithValue(ctx, traceKey{}, tr)
 }
 
@@ -184,6 +201,15 @@ func WithTrace(ctx context.Context, tr *Trace) context.Context {
 func FromContext(ctx context.Context) *Trace {
 	tr, _ := ctx.Value(traceKey{}).(*Trace)
 	return tr
+}
+
+// WriteSpans puts the trace's spans in TraceSpansHeader on a hop's
+// response, for the caller to re-base onto its own timeline. An untraced
+// request (nil) writes nothing.
+func (t *Trace) WriteSpans(h http.Header) {
+	if t != nil {
+		h.Set(TraceSpansHeader, EncodeSpans(t.Spans()))
+	}
 }
 
 // EncodeSpans renders spans for the TraceSpansHeader response header:

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -87,16 +88,38 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestNilTraceSafe: an untraced request (nil trace) records, writes and
+// allocates nothing, but its stage timers still measure — the histograms
+// fed from End must not depend on whether anyone asked for a trace.
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
 	if tr.ID() != "" || tr.Elapsed() != 0 || tr.Spans() != nil {
 		t.Fatal("nil trace leaked state")
 	}
-	sp := tr.StartSpan("n", "s") // nil SpanTimer
-	if sp.Elapsed() != 0 || sp.End() != 0 {
-		t.Fatal("nil span timer leaked state")
+	sp := tr.StartSpan("n", "s")
+	time.Sleep(time.Millisecond)
+	if sp.Elapsed() < time.Millisecond || sp.End() < time.Millisecond {
+		t.Fatal("untraced span timer did not measure the stage")
 	}
 	tr.AppendShifted([]Span{{Stage: "x"}}, 0) // must not panic
+	if tr.Spans() != nil {
+		t.Fatal("nil trace recorded spans")
+	}
+	h := http.Header{}
+	tr.WriteSpans(h)
+	if len(h) != 0 {
+		t.Fatalf("nil trace wrote headers: %v", h)
+	}
+	ctx := context.Background()
+	if WithTrace(ctx, tr) != ctx {
+		t.Fatal("attaching a nil trace changed the context")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s := tr.StartSpan("n", "s")
+		s.End()
+	}); n != 0 {
+		t.Fatalf("timing an untraced stage allocated %.0f times", n)
+	}
 }
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -114,8 +137,9 @@ func TestJoinTraceKeepsID(t *testing.T) {
 	if got := JoinTrace("abc123").ID(); got != "abc123" {
 		t.Fatalf("joined ID = %q", got)
 	}
-	if JoinTrace("").ID() == "" {
-		t.Fatal("empty join did not mint an ID")
+	// No header means the caller asked for no trace: nothing is minted.
+	if tr := JoinTrace(""); tr != nil {
+		t.Fatalf("empty join minted trace %q", tr.ID())
 	}
 	a, b := NewTrace(), NewTrace()
 	if a.ID() == b.ID() {
