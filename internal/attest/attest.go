@@ -249,6 +249,27 @@ func (a *Authority) AttestDigest(arch, class, digest string, quorum int, voters 
 	return att
 }
 
+// proposalRecord is the canonical byte form a proposal's MAC covers. Its
+// prefix differs from record's, so neither MAC can stand in for the other.
+func proposalRecord(arch, class, mode string, commit []byte, voters []string) []byte {
+	return []byte(fmt.Sprintf("dvm-propose\x00%s\x00%s\x00%s\x00%x\x00%s",
+		arch, class, mode, commit, strings.Join(voters, ",")))
+}
+
+// SealProposal is the service MAC over a quorum owner's offer to let a
+// voter keep its own output: the key, the seal mode, commit (SHA-256 of
+// the owner's digest) and the voters the owner will seal under. A voter
+// seals a copy of its own only on an offer that verifies, so only a key
+// holder can place sealed bytes in a voter's cache.
+func (a *Authority) SealProposal(arch, class, mode string, commit []byte, voters []string) []byte {
+	return a.signer.SealBytes(proposalRecord(arch, class, mode, commit, voters))
+}
+
+// VerifyProposal reports whether mac is SealProposal's MAC over the offer.
+func (a *Authority) VerifyProposal(arch, class, mode string, commit []byte, voters []string, mac []byte) bool {
+	return a.signer.VerifySeal(proposalRecord(arch, class, mode, commit, voters), mac)
+}
+
 // Verify checks an attestation against the payload it claims to cover:
 // the key must match, the recomputed digest must match, and the seal
 // must verify under the service key. A nil attestation is ErrUnattested.

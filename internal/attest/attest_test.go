@@ -1,6 +1,7 @@
 package attest
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -59,6 +60,37 @@ func TestVerifyRejectsForeignKeyAndKeyMismatch(t *testing.T) {
 	}
 	if err := a.Verify(nil, "x86", "C", data); !errors.Is(err, ErrUnattested) {
 		t.Fatalf("nil attestation: err = %v, want ErrUnattested", err)
+	}
+}
+
+// TestProposalSealBindsEveryField: a proposal MAC verifies for the offer
+// it was made over and for no offer that differs in one field, under no
+// other key, and it is never an attestation seal.
+func TestProposalSealBindsEveryField(t *testing.T) {
+	a := New(Config{Key: []byte("k")})
+	commit := []byte("0123456789abcdef0123456789abcdef")
+	voters := []string{"http://a:1", "http://b:2"}
+	mac := a.SealProposal("dvm", "app/C", "", commit, voters)
+	if !a.VerifyProposal("dvm", "app/C", "", commit, voters, mac) {
+		t.Fatal("a fresh proposal does not verify")
+	}
+	other := []byte("fedcba9876543210fedcba9876543210")
+	for name, ok := range map[string]bool{
+		"arch":      a.VerifyProposal("jvm", "app/C", "", commit, voters, mac),
+		"class":     a.VerifyProposal("dvm", "app/D", "", commit, voters, mac),
+		"mode":      a.VerifyProposal("dvm", "app/C", "compile", commit, voters, mac),
+		"commit":    a.VerifyProposal("dvm", "app/C", "", other, voters, mac),
+		"voters":    a.VerifyProposal("dvm", "app/C", "", commit, []string{"http://a:1", "http://evil:2"}, mac),
+		"no MAC":    a.VerifyProposal("dvm", "app/C", "", commit, voters, nil),
+		"other key": New(Config{Key: []byte("other")}).VerifyProposal("dvm", "app/C", "", commit, voters, mac),
+	} {
+		if ok {
+			t.Errorf("a proposal with another %s verifies", name)
+		}
+	}
+	att := a.AttestDigest("dvm", "app/C", string(commit), 2, voters)
+	if bytes.Equal(att.Seal, mac) || a.VerifyProposal("dvm", "app/C", "", commit, voters, att.Seal) {
+		t.Error("an attestation seal stands in for a proposal MAC")
 	}
 }
 

@@ -77,3 +77,6 @@ func (c *countedConn) Close() error {
 	c.once.Do(func() { c.open.Add(-1) })
 	return c.Conn.Close()
 }
+
+// bytes flattens a frame for tests that post or compare whole frames.
+func (f *frameEnc) bytes() []byte { return f.appendTo(nil) }

@@ -7,8 +7,11 @@ package cluster
 //
 //	frame    = "DVMB" version(1 byte = 2) body
 //	request  = str reason, str member, str client, str arch,
-//	           n, n × str class, maxBytes, noPrefetch(1 byte), entries
-//	response = entries, n, n × (str arch, str class, status, str message)
+//	           n, n × str class, maxBytes, noPrefetch(1 byte), entries,
+//	           [reason "vote": str mode, bytes commit, n, n × str voter,
+//	            bytes seal, bytes payload]
+//	response = entries, n, n × (str arch, str class, status, str message),
+//	           [if bytes remain, ballot: digest(32 raw bytes), kept(1 byte)]
 //	entries  = n, n × entry
 //	entry    = flags(1 byte: 1 rejected, 2 stale, 4 attested),
 //	           str reason, str arch, str class,
@@ -34,6 +37,7 @@ import (
 	"math"
 
 	"dvm/internal/attest"
+	"dvm/internal/proxy"
 )
 
 const (
@@ -59,15 +63,13 @@ const (
 
 var errFrame = errors.New("cluster: bad batch frame")
 
-// frameEnc builds one frame. Everything but class payloads accumulates
-// in meta; a payload stays where it is (an Artifact's Data) and cut
-// records the meta offset it is spliced in at, so the server writes
-// header bytes then the artifact's own bytes, with no copy of a class in
-// between.
+// frameEnc builds a frame as runs — metadata, payload, metadata, … — so a
+// payload (an Artifact's Data) is never copied on its way to the wire. A
+// closed run stays valid as meta grows: appends never rewrite its bytes.
 type frameEnc struct {
 	meta []byte
-	cut  []int
-	data [][]byte
+	runs [][]byte // closed runs; the open one is meta[from:]
+	from int
 }
 
 func newFrameEnc() *frameEnc {
@@ -113,57 +115,69 @@ func (f *frameEnc) entries(es []BatchEntry) {
 		f.str(e.Arch)
 		f.str(e.Class)
 		if att := e.Att; att != nil {
-			// A digest that is not 64 hex digits travels as whatever
-			// prefix decoded plus zeros, and fails verification there.
-			var dg [sha256.Size]byte
-			_, _ = hex.Decode(dg[:], []byte(att.Digest[:min(len(att.Digest), 2*len(dg))]))
-			f.meta = append(f.meta, dg[:]...)
+			f.digest(att.Digest)
 			f.uvarint(att.Quorum)
-			f.uvarint(len(att.Voters))
-			for _, v := range att.Voters {
-				f.str(v)
-			}
+			f.strs(att.Voters)
 			f.uvarint(len(att.Seal))
 			f.meta = append(f.meta, att.Seal...)
 		}
-		f.uvarint(len(e.Data))
-		f.cut = append(f.cut, len(f.meta))
-		f.data = append(f.data, e.Data)
+		f.payload(e.Data)
 	}
+}
+
+func (f *frameEnc) blob(b []byte) {
+	f.uvarint(len(b))
+	f.meta = append(f.meta, b...)
+}
+
+func (f *frameEnc) strs(ss []string) {
+	f.uvarint(len(ss))
+	for _, s := range ss {
+		f.str(s)
+	}
+}
+
+// digest writes a hex digest as 32 raw bytes; one that is not 64 hex
+// digits travels as its decodable prefix plus zeros, and fails there.
+func (f *frameEnc) digest(s string) {
+	var dg [sha256.Size]byte
+	_, _ = hex.Decode(dg[:], []byte(s[:min(len(s), 2*len(dg))]))
+	f.meta = append(f.meta, dg[:]...)
+}
+
+// payload closes the open metadata run and splices b in after it.
+func (f *frameEnc) payload(b []byte) {
+	f.uvarint(len(b))
+	f.runs = append(f.runs, f.meta[f.from:], b)
+	f.from = len(f.meta)
 }
 
 // size is the frame's length on the wire (the Content-Length).
 func (f *frameEnc) size() int {
-	n := len(f.meta)
-	for _, d := range f.data {
-		n += len(d)
+	n := len(f.meta) - f.from
+	for _, r := range f.runs {
+		n += len(r)
 	}
 	return n
 }
 
-// writeTo writes the frame: metadata runs interleaved with the payloads
-// they describe.
+// writeTo writes the frame run by run.
 func (f *frameEnc) writeTo(w io.Writer) error {
-	from := 0
-	for i, at := range f.cut {
-		if _, err := w.Write(f.meta[from:at]); err != nil {
+	for _, r := range f.runs {
+		if _, err := w.Write(r); err != nil {
 			return err
 		}
-		if _, err := w.Write(f.data[i]); err != nil {
-			return err
-		}
-		from = at
 	}
-	_, err := w.Write(f.meta[from:])
+	_, err := w.Write(f.meta[f.from:])
 	return err
 }
 
-// bytes flattens the frame into one exactly-sized buffer (a request
-// body, which the HTTP client must be able to replay).
-func (f *frameEnc) bytes() []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, f.size()))
-	_ = f.writeTo(buf)
-	return buf.Bytes()
+// appendTo appends the frame, runs joined, to dst.
+func (f *frameEnc) appendTo(dst []byte) []byte {
+	for _, r := range f.runs {
+		dst = append(dst, r...)
+	}
+	return append(dst, f.meta[f.from:]...)
 }
 
 func (r *BatchRequest) encode() *frameEnc {
@@ -172,13 +186,17 @@ func (r *BatchRequest) encode() *frameEnc {
 	f.str(r.Member)
 	f.str(r.Client)
 	f.str(r.Arch)
-	f.uvarint(len(r.Classes))
-	for _, c := range r.Classes {
-		f.str(c)
-	}
+	f.strs(r.Classes)
 	f.uvarint(r.MaxBytes)
 	f.flag(r.NoPrefetch)
 	f.entries(r.Entries)
+	if v := &r.Vote; r.Reason == reasonVote {
+		f.str(string(v.Mode))
+		f.blob(v.Commit)
+		f.strs(v.Voters)
+		f.blob(v.Seal)
+		f.payload(v.Payload)
+	}
 	return f
 }
 
@@ -192,11 +210,15 @@ func (r *BatchResponse) encode() *frameEnc {
 		f.uvarint(e.Status)
 		f.str(e.Error)
 	}
+	if b := r.Vote; b != nil {
+		f.digest(b.Digest)
+		f.flag(b.Kept)
+	}
 	return f
 }
 
 // MarshalBinary encodes the request as one frame.
-func (r *BatchRequest) MarshalBinary() ([]byte, error) { return r.encode().bytes(), nil }
+func (r *BatchRequest) MarshalBinary() ([]byte, error) { return r.encode().appendTo(nil), nil }
 
 // frameDec is a cursor over one received frame. The first malformed
 // field latches err and every later read yields zero values, so a
@@ -348,6 +370,10 @@ func (r *BatchRequest) UnmarshalBinary(b []byte) error {
 		NoPrefetch: d.flag("noPrefetch"),
 		Entries:    d.entries(),
 	}
+	if r.Reason == reasonVote {
+		r.Vote = Proposal{Mode: proxy.SealMode(d.str("seal mode")), Commit: d.bytes("commitment"),
+			Voters: d.strs("proposed voters"), Seal: d.bytes("proposal seal"), Payload: d.bytes("vote payload")}
+	}
 	return d.finish()
 }
 
@@ -365,6 +391,9 @@ func (r *BatchResponse) UnmarshalBinary(b []byte) error {
 				Status: d.uvarint("error status"), Error: d.str("error message"),
 			}
 		}
+	}
+	if len(d.b) > 0 {
+		r.Vote = &Ballot{Digest: hex.EncodeToString(d.take(sha256.Size, "ballot digest")), Kept: d.flag("kept")}
 	}
 	return d.finish()
 }

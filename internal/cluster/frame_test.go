@@ -2,15 +2,17 @@ package cluster
 
 // The frame codec's own tests: round trips, the allocation bound on
 // hostile input, and FuzzPeerFrame, whose seed corpus is real workload
-// classes wrapped the four ways the protocol moves them, cut short at
-// every metadata byte.
+// classes wrapped the ways the protocol moves them, votes included, cut
+// short at every metadata byte.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -37,7 +39,9 @@ func frameSeedClasses(tb testing.TB, n int) (names []string, classes map[string]
 
 // seedFrames builds one frame per way a class moves: a fill request and
 // its attested response with a prefetch piggyback and a per-item error,
-// a replica push, a handoff pull request and a drain-side handoff push.
+// a replica push, a handoff pull request, a drain-side handoff push, and
+// the vote — a request with its proposal, one without (a tie-break
+// round), and the ballot that answers it.
 func seedFrames(tb testing.TB) (requests, responses []*frameEnc) {
 	tb.Helper()
 	names, classes := frameSeedClasses(tb, 3)
@@ -62,10 +66,17 @@ func seedFrames(tb testing.TB) (requests, responses []*frameEnc) {
 	}
 	lone := BatchResponse{Entries: []BatchEntry{entry(0, proxy.ReasonFill)}}
 	refused := BatchResponse{Errors: []BatchError{{Arch: "dvm", Class: names[0], Status: 400, Error: "failed attestation"}}}
-	for _, r := range []*BatchRequest{&fill, &replica, &pull, &drain} {
+	commit := sha256.Sum256([]byte(attest.Digest(classes[names[0]])))
+	vote := BatchRequest{Reason: reasonVote, Member: "http://a:1", Arch: "dvm", Classes: names[:1],
+		Vote: Proposal{Mode: proxy.SealCompile, Payload: classes[names[0]], Commit: commit[:], Voters: []string{"http://a:1", "http://b:1"},
+			Seal: attest.New(attest.Config{Key: []byte("frame-seed-key")}).SealProposal("dvm", names[0], string(proxy.SealCompile), commit[:], []string{"http://a:1", "http://b:1"})}}
+	tieBreak := BatchRequest{Reason: reasonVote, Member: "http://a:1", Arch: "dvm", Classes: names[1:2],
+		Vote: Proposal{Payload: classes[names[1]]}}
+	ballot := BatchResponse{Vote: &Ballot{Digest: attest.Digest(classes[names[0]]), Kept: true}}
+	for _, r := range []*BatchRequest{&fill, &replica, &pull, &drain, &vote, &tieBreak} {
 		requests = append(requests, r.encode())
 	}
-	for _, r := range []*BatchResponse{&filled, &lone, &refused, {}} {
+	for _, r := range []*BatchResponse{&filled, &lone, &refused, {}, &ballot} {
 		responses = append(responses, r.encode())
 	}
 	return requests, responses
@@ -111,6 +122,14 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := service.Verify(e.Att, e.Arch, e.Class, e.Data); err != nil {
 			t.Errorf("%s: seal does not verify after the trip: %v", e.Class, err)
 		}
+	}
+	// And the vote's proposal MAC, under the request's key.
+	var vote BatchRequest
+	if err := vote.UnmarshalBinary(requests[4].bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if p := vote.Vote; !service.VerifyProposal(vote.Arch, vote.Classes[0], string(p.Mode), p.Commit, p.Voters, p.Seal) {
+		t.Error("the vote's proposal MAC does not verify after the trip")
 	}
 }
 
@@ -216,17 +235,17 @@ func FuzzPeerFrame(f *testing.F) {
 		f.Add(whole)
 		// Cut at every byte of every metadata run (so at every field
 		// boundary, and inside every field), and inside and right after
-		// each payload.
-		from, at := 0, 0
-		for i, cut := range enc.cut {
-			for ; from < cut; from, at = from+1, at+1 {
+		// each payload (the odd runs).
+		at := 0
+		for i, run := range append(slices.Clip(enc.runs), enc.meta[enc.from:]) {
+			if i%2 == 1 {
+				f.Add(whole[:at+len(run)/2])
+				at += len(run)
+				continue
+			}
+			for end := at + len(run); at < end; at++ {
 				f.Add(whole[:at])
 			}
-			f.Add(whole[:at+len(enc.data[i])/2])
-			at += len(enc.data[i])
-		}
-		for ; at < len(whole); at++ {
-			f.Add(whole[:at])
 		}
 		f.Add(append(bytes.Clone(whole), 0))
 	}

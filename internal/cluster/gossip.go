@@ -169,20 +169,14 @@ func (n *Node) gossipLoop() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.cfg.GossipInterval)
 	defer t.Stop()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-n.closed
-		cancel()
-	}()
 	for {
 		select {
-		case <-n.closed:
+		case <-n.life.Done():
 			return
 		case <-t.C:
 		case <-n.pokeCh:
 		}
-		n.gossipRound(ctx)
+		n.gossipRound(n.life)
 	}
 }
 

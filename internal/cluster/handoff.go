@@ -3,15 +3,18 @@ package cluster
 // Replication and cache handoff: the warm paths that keep an ownership
 // change from turning into a cold-start storm.
 //
-// Replication (push, continuous): every artifact this node produces
-// itself is pushed, asynchronously and best-effort, to the key's other
-// ring owners (Replication-1 successors). A push lands in the
-// receiver's cache via proxy.Warm, so when a primary dies its successor
-// already holds the bytes — the remap degrades to a warm replica hit
-// instead of an origin fetch plus a pipeline run. The push queue is a
-// small bounded channel drained by one worker: the transform path never
-// blocks on replication, and under a flood pushes are dropped (counted)
-// rather than queued without bound.
+// Replication (continuous): every artifact this node produces itself
+// ends up, asynchronously and best-effort, on the key's other ring owners
+// (Replication-1 successors), in their caches via proxy.Warm, so when a
+// primary dies its successor already holds the bytes — the remap
+// degrades to a warm replica hit instead of an origin fetch plus a
+// pipeline run. A quorum-2 voter that agreed already holds them: it kept
+// its own output (attest.go). Seal pushes to the owners that did not. The
+// push queue is a small bounded channel drained by one worker, each push
+// under the peer's breaker and on the node's lifetime: the transform path
+// never blocks on replication, under a flood pushes are dropped (counted)
+// rather than queued without bound, and neither a dead owner nor Close
+// waits out a peer timeout per queued push.
 //
 // Handoff (pull, on membership change): when the ring changes under a
 // node — it just joined, or a death promoted it to primary for keys it
@@ -26,9 +29,11 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
+	"dvm/internal/attest"
 	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
@@ -46,48 +51,47 @@ const (
 // gone — exactly when queuing more would hurt.
 const replQueueLen = 256
 
-// Replicate implements proxy.Fleet: enqueue the freshly sealed artifact
-// for replication to its other owners. Runs on the flight goroutine —
-// must never block.
-func (n *Node) Replicate(art *proxy.Artifact) {
+// replication is one queued push: the entry with the attestation Seal
+// produced (the proxy sets art.Att later), and the owners owed a copy.
+type replication struct {
+	entry BatchEntry
+	to    []string
+}
+
+// replicate queues art for the key's other live ring owners that did not
+// keep it as voters. Runs on the flight goroutine — must never block.
+func (n *Node) replicate(art *proxy.Artifact, att *attest.Attestation, kept []string) {
 	if n.cfg.Replication <= 1 {
 		return
 	}
+	to := slices.DeleteFunc(n.currentRing().Owners(KeyFor(art.Arch, art.Class), n.cfg.Replication), func(o string) bool {
+		return o == n.cfg.Self || slices.Contains(kept, o) || n.mship.State(o) != stateAlive
+	})
+	if len(to) == 0 {
+		return
+	}
+	e := toWire(art, proxy.ReasonReplica)
+	e.Att = att
 	select {
-	case n.replCh <- art:
+	case n.replCh <- replication{e, to}:
 	default:
 		n.cReplicaDrops.Inc()
 	}
 }
 
-// replWorker drains the push queue.
+// replWorker drains the push queue until Close.
 func (n *Node) replWorker() {
 	defer n.wg.Done()
 	for {
 		select {
-		case <-n.closed:
+		case <-n.life.Done():
 			return
-		case it := <-n.replCh:
-			n.pushReplicas(it)
-		}
-	}
-}
-
-// pushReplicas sends one transformed class to the key's other owners
-// over the batch protocol. Best-effort: a failed push costs nothing but
-// the warm copy.
-func (n *Node) pushReplicas(art *proxy.Artifact) {
-	e := toWire(art, proxy.ReasonReplica)
-	owners := n.currentRing().Owners(KeyFor(art.Arch, art.Class), n.cfg.Replication)
-	for _, o := range owners {
-		if o == n.cfg.Self {
-			continue
-		}
-		if n.mship.State(o) != stateAlive {
-			continue
-		}
-		if n.pushEntries(context.Background(), o, []BatchEntry{e}) > 0 {
-			n.cReplicaPush.Inc()
+		case r := <-n.replCh:
+			for _, o := range r.to {
+				if n.life.Err() == nil && n.pushEntries(n.life, o, []BatchEntry{r.entry}) > 0 {
+					n.cReplicaPush.Inc()
+				}
+			}
 		}
 	}
 }
@@ -153,7 +157,7 @@ func (n *Node) PullHandoff(ctx context.Context) int {
 // peer: it verified those bytes before it stored them, so handing them
 // on tampered is its own divergence.
 func (n *Node) pullFrom(ctx context.Context, peer string) int {
-	br, err := n.doBatch(ctx, peer, BatchRequest{
+	br, err := n.doBatch(ctx, peer, BatchPath, BatchRequest{
 		Reason: proxy.ReasonHandoff, Member: n.cfg.Self, MaxBytes: handoffMaxBytes,
 	}, handoffTimeout)
 	if err != nil {
@@ -209,16 +213,16 @@ func (n *Node) handoffWorker() {
 	defer n.wg.Done()
 	for {
 		select {
-		case <-n.closed:
+		case <-n.life.Done():
 			return
 		case <-n.handoffCh:
 		}
 		select {
-		case <-n.closed:
+		case <-n.life.Done():
 			return
 		case <-time.After(n.cfg.GossipInterval):
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), handoffTimeout)
+		ctx, cancel := context.WithTimeout(n.life, handoffTimeout)
 		n.PullHandoff(ctx)
 		cancel()
 	}

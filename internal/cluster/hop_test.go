@@ -1,14 +1,17 @@
 package cluster_test
 
-// What an untraced hop carries and what a node keeps of its peer
-// connections: no trace header on any hop unless the entry point asked
-// for a trace, histograms fed regardless, peer connections pooled per
-// node and released by Close.
+// What an attested cold load sends over which hop, and what a node keeps
+// of its peer connections: three exchanges (client, fill, vote) with the
+// voter keeping its own output as the key's replica, no trace header on
+// any hop unless the entry point asked for a trace, histograms fed
+// regardless, peer connections pooled per node and released by Close.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -56,20 +59,21 @@ func coldClasses(lc *cluster.LocalCluster, entry int, prefix string, n int) []st
 	return out
 }
 
-// waitPushed waits until the fleet has pushed at least want replicas, so
-// the asynchronous replica hop is part of what a test observes.
-func waitPushed(t *testing.T, lc *cluster.LocalCluster, want int64) {
+// waitStored waits until the fleet holds at least want replicas, kept by
+// voters or pushed, so whatever replica hop a load causes is part of what
+// a test observes.
+func waitStored(t *testing.T, lc *cluster.LocalCluster, want int64) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		var pushed int64
+		var stored int64
 		for _, n := range lc.Nodes {
-			pushed += n.ReplicasPushed()
+			stored += n.ReplicasStored()
 		}
-		if pushed >= want {
+		if stored >= want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas pushed = %d, want >= %d", pushed, want)
+			t.Fatalf("replicas stored = %d, want >= %d", stored, want)
 		}
 	}
 }
@@ -90,7 +94,7 @@ func newHeaderRecorder() *headerRecorder {
 
 func (h *headerRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	route := req.URL.Path
-	for _, p := range []string{"/classes/", cluster.BatchPath, "/peer/v1/attest/"} {
+	for _, p := range []string{"/classes/", cluster.BatchPath, cluster.VotePath} {
 		if strings.HasPrefix(route, p) {
 			route = p
 		}
@@ -117,11 +121,10 @@ func (h *headerRecorder) note(route, dir string, hdr http.Header) {
 }
 
 // TestUntracedHopsCarryNoTrace: a cold attested load through HTTPLoader,
-// with nobody asking for a trace, crosses four HTTP exchanges — client →
-// entry, entry → owner fill, owner → variant vote, owner → replica push —
-// and not one of them sends or receives X-DVM-Trace or X-DVM-Trace-Spans.
-// It also proves cluster.Config.Transport is honoured: the recorder sees
-// every peer hop.
+// with nobody asking for a trace, crosses three HTTP exchanges — client →
+// entry, entry → owner fill, owner → variant vote — and not one of them
+// sends or receives X-DVM-Trace or X-DVM-Trace-Spans. It also proves
+// cluster.Config.Transport is honoured: the recorder sees every peer hop.
 func TestUntracedHopsCarryNoTrace(t *testing.T) {
 	rec := newHeaderRecorder()
 	lc := attestedFleet(t, rec)
@@ -133,20 +136,71 @@ func TestUntracedHopsCarryNoTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitPushed(t, lc, loads)
+	waitStored(t, lc, loads)
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	for _, route := range []string{"/classes/", cluster.BatchPath, "/peer/v1/attest/"} {
+	for _, route := range []string{"/classes/", cluster.BatchPath, cluster.VotePath} {
 		if rec.routes[route] < loads {
 			t.Errorf("%s carried %d requests, want >= %d (routes: %v)", route, rec.routes[route], loads, rec.routes)
 		}
 	}
-	if rec.routes[cluster.BatchPath] < 2*loads {
-		t.Errorf("%d batch hops, want a fill and a replica push per load (%d)", rec.routes[cluster.BatchPath], 2*loads)
-	}
 	for _, s := range rec.traced {
 		t.Errorf("untraced load carried a trace header: %s", s)
+	}
+}
+
+// TestVoterKeepsItsOwnOutput: on the cold_attest_3n fleet shape the
+// owner's first variant is also the key's replica owner, so the vote is
+// the replica. After N cold attested loads each key's replica holds bytes
+// identical to the owner's under an attestation equal to the owner's, seal
+// included, and nothing was pushed: a load is exactly one client
+// exchange, one fill and one vote.
+func TestVoterKeepsItsOwnOutput(t *testing.T) {
+	rec := newHeaderRecorder()
+	lc := attestedFleet(t, rec)
+	defer lc.Close()
+	const loads = 6
+	loader := proxy.HTTPLoaderWith(lc.URLs()[0], "client", "dvm", proxy.LoaderOptions{Transport: rec})
+	classes := coldClasses(lc, 0, "Kept", loads)
+	for _, class := range classes {
+		if _, err := loader.Load(class); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byURL := map[string]*cluster.Node{}
+	for _, n := range lc.Nodes {
+		byURL[n.Self()] = n
+	}
+	for _, class := range classes {
+		owners := lc.Nodes[0].Ring().Owners(cluster.KeyFor("dvm", class), 2)
+		owned := byURL[owners[0]].Proxy().Peek("dvm", class)
+		replica := byURL[owners[1]].Proxy().Peek("dvm", class)
+		if owned == nil || replica == nil {
+			t.Fatalf("%s: owner holds %v, replica holds %v", class, owned != nil, replica != nil)
+		}
+		if !bytes.Equal(replica.Data, owned.Data) || replica.Source != proxy.ReasonReplica {
+			t.Errorf("%s: replica (source %q) differs from the owner's artifact", class, replica.Source)
+		}
+		if !reflect.DeepEqual(replica.Att, owned.Att) {
+			t.Errorf("%s: replica attestation %+v, owner's %+v", class, replica.Att, owned.Att)
+		}
+		if want := []string{owners[0], owners[1]}; owned.Att == nil || !reflect.DeepEqual(owned.Att.Voters, want) {
+			t.Errorf("%s: sealed by %+v, want voters %v", class, owned.Att, want)
+		}
+	}
+	var pushed, stored int64
+	for _, n := range lc.Nodes {
+		pushed += n.ReplicasPushed()
+		stored += n.ReplicasStored()
+	}
+	if pushed != 0 || stored != loads {
+		t.Errorf("replicas pushed = %d, stored = %d; want 0 and %d (every copy kept by its voter)", pushed, stored, loads)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if want := map[string]int{"/classes/": loads, cluster.BatchPath: loads, cluster.VotePath: loads}; !reflect.DeepEqual(rec.routes, want) {
+		t.Errorf("exchanges by route = %v, want %v", rec.routes, want)
 	}
 }
 
@@ -193,13 +247,16 @@ func TestFleetMetricsIndependentOfTracing(t *testing.T) {
 
 // TestPeerConnectionsAreReused: a node keeps its peer connections. 500
 // cold attested loads from 2 concurrent clients, entering at two nodes —
-// a fill, a variant vote and a replica push per load — dial no more
+// three exchanges per load, two of them between nodes: a fill and a
+// variant vote, the voter keeping its output as the replica — dial no more
 // connections than the exchanges that can be in flight at once on each
-// ordered pair of nodes: one fill or vote per client and the owner's one
-// replica push, plus one dial per pair that lost its race to a connection
-// coming free. Once those exist, the second 250 loads dial almost none.
-// A pool of two idle connections per host, shared by every node in the
-// process, redials throughout (80 connections at the parent).
+// ordered pair of nodes. A load holds at most one exchange on any ordered
+// pair (its fill and its vote never share a direction between the same
+// two nodes), so that is one per client, plus one dial per pair that lost
+// its race to a connection coming free: pairs × (clients + 1). Once those
+// exist, the second 250 loads dial almost none. A pool of two idle
+// connections per host, shared by every node in the process, redials
+// throughout (80 connections before nodes owned their transport).
 func TestPeerConnectionsAreReused(t *testing.T) {
 	conns := cluster.CountConns(t)
 	lc := attestedFleet(t, nil)
@@ -226,13 +283,13 @@ func TestPeerConnectionsAreReused(t *testing.T) {
 		}
 	}
 	load("A")
-	waitPushed(t, lc, clients*perClient/2)
+	waitStored(t, lc, clients*perClient/2)
 	first := conns.Accepted()
 	load("B")
-	waitPushed(t, lc, clients*perClient)
+	waitStored(t, lc, clients*perClient)
 	total := conns.Accepted()
 	t.Logf("fleet accepted %d connections for %d cold loads, %d of them during the second half", total, clients*perClient, total-first)
-	if bound := pairs * (clients + 2); total > bound {
+	if bound := pairs * (clients + 1); total > bound {
 		t.Errorf("fleet accepted %d connections for %d cold loads, want <= %d", total, clients*perClient, bound)
 	}
 	if total-first > pairs {
@@ -241,9 +298,11 @@ func TestPeerConnectionsAreReused(t *testing.T) {
 }
 
 // TestNodeCloseReleasesConnections: a node owns its peer connections and
-// Close releases them. A crashed node (LocalCluster.Stop) leaves no
-// connection open at the peers that outlive it, and fleets started and
-// closed over and over leave no goroutines behind.
+// Close releases them. After cold attested loads — three exchanges each,
+// the voter keeping its output as the replica — a crashed node
+// (LocalCluster.Stop) leaves no connection open at the peers that outlive
+// it, and fleets started and closed over and over leave no goroutines
+// behind.
 func TestNodeCloseReleasesConnections(t *testing.T) {
 	conns := cluster.CountConns(t)
 	lc := attestedFleet(t, nil)
@@ -254,7 +313,7 @@ func TestNodeCloseReleasesConnections(t *testing.T) {
 			}
 		}
 	}
-	waitPushed(t, lc, 40)
+	waitStored(t, lc, 40)
 	if conns.Open(2) == 0 {
 		t.Fatal("node 2 holds no peer connections to release")
 	}

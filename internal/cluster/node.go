@@ -113,7 +113,7 @@ type Config struct {
 const defaultHotThreshold = 8
 
 // Node is one member of a sharded proxy cluster: a local proxy whose
-// Fleet it is (Fill, Seal, Replicate), the peer-protocol client and
+// Fleet it is (Fill, Seal), the peer-protocol client and
 // server halves, and the live-membership machinery (gossip.go,
 // membership.go, handoff.go).
 type Node struct {
@@ -142,12 +142,12 @@ type Node struct {
 	predictor *prefetch.Predictor
 
 	gossip    gossipState
-	closed    chan struct{}
-	closeOnce sync.Once
+	life      context.Context // ends at Close, with the hops it bounds
+	stop      context.CancelFunc
 	wg        sync.WaitGroup
-	pokeCh    chan struct{}        // coalesced "gossip now" requests
-	handoffCh chan struct{}        // coalesced "pull handoff" requests
-	replCh    chan *proxy.Artifact // replication push queue
+	pokeCh    chan struct{}    // coalesced "gossip now" requests
+	handoffCh chan struct{}    // coalesced "pull handoff" requests
+	replCh    chan replication // replication push queue
 
 	// Cluster counters live in the local proxy's telemetry registry, so
 	// one /metrics scrape covers the node end to end.
@@ -163,7 +163,7 @@ type Node struct {
 	cDeaths           *telemetry.Counter // suspects this node promoted to dead
 	cEpochMismatch    *telemetry.Counter // piggybacked epochs that disagreed with ours
 	cReplicaPush      *telemetry.Counter // replicas pushed to successors
-	cReplicaStored    *telemetry.Counter // replicas accepted into the local cache
+	cReplicaStored    *telemetry.Counter // replicas accepted into the local cache, pushed or kept
 	cReplicaDrops     *telemetry.Counter // replication pushes dropped (queue full)
 	cHandoffKeys      *telemetry.Counter // keys transferred by handoff (either direction)
 	// Attestation counters (zero when attestation is off).
@@ -217,11 +217,11 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		mship:     newMembership(cfg.Self, peers, nil),
 		breakers:  make(map[string]*resilience.Breaker),
 		hot:       make(map[string]int),
-		closed:    make(chan struct{}),
 		pokeCh:    make(chan struct{}, 1),
 		handoffCh: make(chan struct{}, 1),
-		replCh:    make(chan *proxy.Artifact, replQueueLen),
+		replCh:    make(chan replication, replQueueLen),
 	}
+	n.life, n.stop = context.WithCancel(context.Background())
 	if cfg.Transport == nil {
 		n.transport = newPeerTransport()
 		n.client.Transport = n.transport
@@ -336,7 +336,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 			n.wg.Add(1)
 			go func() {
 				defer n.wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 2*n.cfg.PeerTimeout)
+				ctx, cancel := context.WithTimeout(n.life, 2*n.cfg.PeerTimeout)
 				defer cancel()
 				n.gossipRound(ctx)
 				n.pokeHandoff()
@@ -366,12 +366,12 @@ func (n *Node) currentRing() *Ring {
 }
 
 // Close stops the node's background goroutines (gossip, handoff,
-// replication) and drops the idle peer connections of the transport the
-// node built for itself. It does not announce a departure — that is
-// Drain; a bare Close looks to the fleet like a crash, which is exactly
-// what the failure-detection tests want.
+// replication) mid-hop and drops the idle peer connections of the
+// transport the node built for itself. It does not announce a departure
+// — that is Drain; a bare Close looks to the fleet like a crash, which is
+// exactly what the failure-detection tests want.
 func (n *Node) Close() {
-	n.closeOnce.Do(func() { close(n.closed) })
+	n.stop()
 	n.wg.Wait()
 	if n.transport != nil {
 		n.transport.CloseIdleConnections()
@@ -581,17 +581,16 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 
 // Handler returns the node's HTTP interface: the client-facing class
 // routes of the local proxy, the versioned peer protocol
-// (/peer/v2/batch, /peer/v1/attest/, /peer/v1/gossip), and a /healthz
-// that includes the live membership view. The pre-v1 single-key routes
-// (/peer/class, /peer/replica, /peer/handoff, /peer/attest, /gossip)
-// and the v1 JSON batch envelope are gone: every class payload that
-// moves between nodes rides the v2 batch frame.
+// (/peer/v2/batch, /peer/v2/vote, /peer/v1/gossip), and a /healthz that
+// includes the live membership view. The pre-v1 single-key routes and
+// the v1 JSON batch and vote are gone: every class payload and every
+// vote that moves between nodes rides the v2 frame.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/classes/", n.local.Handler())
 	// Versioned peer protocol: all cluster-internal traffic.
 	mux.HandleFunc(BatchPath, n.handleBatch)
-	mux.HandleFunc(attestV1Prefix, n.handleAttest)
+	mux.HandleFunc(VotePath, n.handleVote)
 	mux.HandleFunc(gossipV1Path, n.handleGossip)
 	mux.Handle("/healthz", telemetry.HealthHandler(n.Health))
 	mux.Handle("/metrics", n.local.Telemetry().Handler())
@@ -674,11 +673,11 @@ func (n *Node) HotReplicas() int64 { return n.cHotReplicas.Load() }
 // (diagnostics).
 func (n *Node) PeerBackpressure() int64 { return n.cPeerBackpressure.Load() }
 
-// ReplicasStored returns how many pushed replicas this node accepted
-// into its cache (diagnostics).
+// ReplicasStored returns how many replicas, pushed or kept as a voter,
+// this node accepted into its cache (diagnostics).
 func (n *Node) ReplicasStored() int64 { return n.cReplicaStored.Load() }
 
-// ReplicasPushed returns how many replicas this node pushed to
+// ReplicasPushed returns how many full replica pushes this node made to
 // successors (diagnostics).
 func (n *Node) ReplicasPushed() int64 { return n.cReplicaPush.Load() }
 

@@ -4,15 +4,18 @@ package cluster
 // every kind of class payload between nodes — fill (owner serves a
 // requested class), replica (push to a key's successors), handoff
 // (membership-change cache transfer, both pull and drain-push), and
-// prefetch (predicted successors piggybacked onto a fill). Request and
-// response are one binary frame each (frame.go), sent with its
+// prefetch (predicted successors piggybacked onto a fill) — and the same
+// frame on POST /peer/v2/vote carries a quorum vote (attest.go). Request
+// and response are one binary frame each (frame.go), sent with its
 // Content-Length and read into a buffer of exactly that size. BatchEntry
 // is the in-memory form of a proxy.Artifact in flight; toWire and
 // fromWire are the only conversions, and fromWire re-verifies the seal,
 // so bytes cannot touch a cache unverified whatever the reason they
-// moved. The shared peerEnter middleware (server) and peerPost (client)
-// carry what every hop needs: method check, epoch piggyback in both
-// directions, draining and overload 429s, and trace spans.
+// moved. A vote moves no artifact: its payload is derived from, never
+// cached, and a voter keeps only its own output, on a proposal the
+// owner sealed. The shared peerEnter middleware (server) and doBatch
+// (client) carry what every hop needs: method check, epoch piggyback in
+// both directions, draining and overload 429s, and trace spans.
 //
 // Prefetch piggyback: when an owner serves class A over a batch fill,
 // it consults its successor predictor (internal/prefetch, fed by the
@@ -31,8 +34,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
@@ -48,9 +53,10 @@ const (
 	BatchPath = "/peer/v2/batch"
 	// batchContentType labels a frame body.
 	batchContentType = "application/octet-stream"
-	// attestV1Prefix is the versioned variant-vote route (digest-only
-	// exchange; class bytes never ride it, so it stays off the batch).
-	attestV1Prefix = "/peer/v1/attest/"
+	// VotePath is the vote route. It is its own, not a batch reason,
+	// because a vote frame is read into a recycled buffer and dropped with
+	// the request, where a batch frame becomes the artifacts it carries.
+	VotePath = "/peer/v2/vote"
 	// gossipV1Path is the versioned membership-exchange route.
 	gossipV1Path = "/peer/v1/gossip"
 )
@@ -66,8 +72,8 @@ const defaultPrefetchBudget = 256 << 10
 // BatchRequest is the one request every peer hop posts.
 type BatchRequest struct {
 	// Reason is the request's purpose: proxy.ReasonFill with Classes,
-	// proxy.ReasonHandoff with Member (pull), or any ingest push with
-	// Entries (each entry carries its own reason).
+	// proxy.ReasonHandoff with Member (pull), any ingest push with Entries
+	// (each carries its own reason), or reasonVote (Arch, a class, Vote).
 	Reason string
 	// Member is the requesting node's peer URL.
 	Member string
@@ -87,6 +93,8 @@ type BatchRequest struct {
 	// Entries is the ingest direction: replica push, drain-side handoff
 	// push, or a standalone prefetch push.
 	Entries []BatchEntry
+	// Vote is a vote request's own part (only with Reason reasonVote).
+	Vote Proposal
 }
 
 // BatchEntry is one class artifact in flight, with its trust metadata
@@ -121,6 +129,8 @@ type BatchError struct {
 type BatchResponse struct {
 	Entries []BatchEntry
 	Errors  []BatchError
+	// Vote is a voter's answer (nil on every other exchange).
+	Vote *Ballot
 }
 
 // peerEnter is the shared middleware for every peer-protocol handler:
@@ -159,21 +169,8 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if r.ContentLength < 0 {
-		http.Error(w, "batch frame needs a Content-Length", http.StatusLengthRequired)
-		return
-	}
-	body, err := proxy.ReadSized(r.Body, r.ContentLength, maxBatchBytes)
-	if errors.Is(err, proxy.ErrBodyTooLarge) {
-		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
 	var req BatchRequest
-	if err == nil {
-		err = req.UnmarshalBinary(body)
-	}
-	if err != nil {
-		http.Error(w, "bad batch request: "+err.Error(), http.StatusBadRequest)
+	if _, ok := readFrame(w, r, nil, maxBatchBytes, &req); !ok {
 		return
 	}
 	var resp BatchResponse
@@ -200,7 +197,35 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad batch request", http.StatusBadRequest)
 		return
 	}
-	frame := resp.encode()
+	writeFrame(w, tr, resp.encode())
+}
+
+// readFrame reads a peer request's frame, at most max bytes, into dst's
+// storage (nil: a buffer of its own) and decodes it into req. A frame
+// must declare its length (411) within the bound (413), and one that does
+// not decode is a 400; on any of them readFrame answers and reports false.
+func readFrame(w http.ResponseWriter, r *http.Request, dst []byte, max int, req *BatchRequest) ([]byte, bool) {
+	if r.ContentLength < 0 {
+		http.Error(w, "frame needs a Content-Length", http.StatusLengthRequired)
+		return nil, false
+	}
+	body, err := proxy.ReadSizedInto(dst, r.Body, r.ContentLength, max)
+	if errors.Is(err, proxy.ErrBodyTooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	if err == nil {
+		err = req.UnmarshalBinary(body)
+	}
+	if err != nil {
+		http.Error(w, "bad peer request: "+err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
+}
+
+// writeFrame answers a peer request with one frame.
+func writeFrame(w http.ResponseWriter, tr *telemetry.Trace, frame *frameEnc) {
 	tr.WriteSpans(w.Header())
 	w.Header().Set("Content-Type", batchContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(frame.size()))
@@ -367,34 +392,48 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 	return nil
 }
 
-// peerPost is the one client hop of the peer protocol: POST body to
-// peer+path and return the answer's body, at most maxResp bytes, read
-// into a buffer sized from its Content-Length (the caller decodes it in
-// place and may keep it). Both directions piggyback the membership
-// epoch. On a traced request the trace rides the request header and the
-// peer's spans come back shifted into the local timeline; an untraced
-// one sends and reads neither trace header. A 429 is returned as
-// ErrOverloaded (with the draining note recorded) so callers treat it as
-// a healthy shed. hdr lists extra header name/value pairs; empty values
-// are skipped.
-func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, body []byte, timeout time.Duration, maxResp int, hdr ...string) ([]byte, error) {
+// doBatch is the one client hop of the peer protocol: POST breq as one
+// frame to peer+path and decode the answer, read into a buffer sized from
+// its Content-Length, in place (its entries may alias that buffer). Both
+// directions piggyback the membership epoch. On a traced request the
+// trace rides the request header and the peer's spans come back shifted
+// into the local timeline; an untraced one sends and reads neither trace
+// header. A 429 is returned as ErrOverloaded (with the draining note
+// recorded) so callers treat it as a healthy shed.
+func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
+	frame := breq.encode()
+	body := frame.meta
+	if len(frame.runs) > 0 {
+		// The transport sends a *bytes.Reader body with its headers in one
+		// write, any other reader through a header flush and a copy buffer of
+		// its own: join the runs in a recycled buffer, freed once written.
+		buf, wrote := proxy.GetBuffer(), new(atomic.Bool)
+		body = frame.appendTo((*buf)[:0])
+		// Only a write that succeeded frees it: after a failed one the
+		// transport may replay the body from the same bytes.
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{WroteRequest: func(i httptrace.WroteRequestInfo) {
+			if i.Err == nil {
+				wrote.Store(true)
+			}
+		}})
+		defer func() {
+			if *buf = body; wrote.Load() {
+				proxy.PutBuffer(buf)
+			}
+		}()
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", batchContentType)
 	req.Header.Set(epochHeader, fmtEpoch(n.mship.Epoch()))
 	if tr != nil {
 		req.Header.Set(telemetry.TraceHeader, tr.ID())
-	}
-	for i := 0; i+1 < len(hdr); i += 2 {
-		if hdr[i+1] != "" {
-			req.Header.Set(hdr[i], hdr[i+1])
-		}
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -413,7 +452,11 @@ func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, bod
 		}
 		return nil, err
 	}
-	answer, err := proxy.ReadSized(resp.Body, resp.ContentLength, maxResp)
+	answer, err := proxy.ReadSized(resp.Body, resp.ContentLength, maxBatchBytes)
+	var br BatchResponse
+	if err == nil {
+		err = br.UnmarshalBinary(answer)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
 	}
@@ -422,21 +465,30 @@ func (n *Node) peerPost(ctx context.Context, peer, path, contentType string, bod
 			tr.AppendShifted(spans, hopStart)
 		}
 	}
-	return answer, nil
+	return &br, nil
 }
 
-// doBatch posts one batch frame to peer and decodes the response frame
-// in place.
-func (n *Node) doBatch(ctx context.Context, peer string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
-	answer, err := n.peerPost(ctx, peer, BatchPath, batchContentType, breq.encode().bytes(), timeout, maxBatchBytes)
-	if err != nil {
+// hop is doBatch under peer's circuit breaker: a 429 (backpressure or
+// drain) is a healthy shed, a caller that gave up (its context ended)
+// proves nothing about the link, and anything else feeds the breaker like
+// any other peer-protocol failure. A per-item error inside a good answer
+// — a variant that cannot derive — is a success for the link.
+func (n *Node) hop(ctx context.Context, peer, path string, breq BatchRequest) (*BatchResponse, error) {
+	b := n.breaker(peer)
+	if err := b.Allow(); err != nil {
 		return nil, err
 	}
-	var br BatchResponse
-	if err := br.UnmarshalBinary(answer); err != nil {
-		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
+	br, err := n.doBatch(ctx, peer, path, breq, n.cfg.PeerTimeout)
+	switch {
+	case err == nil:
+		b.Success()
+		n.mship.Refute(peer) // direct evidence of life
+	case errors.Is(err, proxy.ErrOverloaded):
+		b.Success()
+	case ctx.Err() == nil:
+		b.Failure()
 	}
-	return &br, nil
+	return br, err
 }
 
 // entryError maps a per-item BatchError back to the error semantics the
@@ -468,7 +520,7 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 		NoPrefetch: n.predictor == nil || n.local.UnderPressure(),
 		MaxBytes:   n.cfg.PrefetchBudget,
 	}
-	br, err := n.doBatch(ctx, owner, breq, n.cfg.PeerTimeout)
+	br, err := n.doBatch(ctx, owner, BatchPath, breq, n.cfg.PeerTimeout)
 	if err != nil {
 		return proxy.PeerResult{Err: err}
 	}
@@ -493,14 +545,14 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 	return res
 }
 
-// pushEntries posts ingest entries to one peer. Reports how many the
-// peer accepted (best-effort; a shed or dead peer just means colder
-// caches).
+// pushEntries posts ingest entries to one peer under its breaker.
+// Reports how many the peer accepted (best-effort; a shed or dead peer
+// just means colder caches).
 func (n *Node) pushEntries(ctx context.Context, peer string, entries []BatchEntry) int {
 	if len(entries) == 0 {
 		return 0
 	}
-	br, err := n.doBatch(ctx, peer, BatchRequest{Reason: entries[0].Reason, Member: n.cfg.Self, Entries: entries}, n.cfg.PeerTimeout)
+	br, err := n.hop(ctx, peer, BatchPath, BatchRequest{Reason: entries[0].Reason, Member: n.cfg.Self, Entries: entries})
 	if err != nil {
 		return 0
 	}

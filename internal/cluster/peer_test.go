@@ -353,37 +353,58 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
-	// No Content-Length (a chunked request): the frame is never read.
-	chunked, _ := http.NewRequest(http.MethodPost, srv.URL+BatchPath, io.MultiReader(bytes.NewReader(good)))
-	resp, err = http.DefaultClient.Do(chunked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusLengthRequired {
-		t.Errorf("missing Content-Length: status = %d, want 411", resp.StatusCode)
-	}
-	// A declared length over the bound is refused before a byte of body
-	// is read or allocated for; one the body does not honour is a 400.
-	for _, tc := range []struct {
-		name     string
-		declared int
-		want     string
-	}{
-		{"Content-Length over maxBatchBytes", maxBatchBytes + 1, "413"},
-		{"body shorter than declared", len(good) + 10, "400"},
-	} {
-		conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+	// The same refusals on the vote route, whose whole frame is bounded
+	// like one class: no Content-Length (a chunked request) and the frame
+	// is never read; a declared length over the bound is refused before a
+	// byte of body is read or allocated for; one the body does not honour
+	// is a 400.
+	vote := BatchRequest{Reason: reasonVote, Member: "http://r:1", Arch: "dvm", Classes: []string{"app/A"},
+		Vote: Proposal{Payload: walkOrigin(t)["app/A"]}}
+	for _, route := range []struct {
+		path  string
+		frame []byte
+		bound int
+	}{{BatchPath, good, maxBatchBytes}, {VotePath, vote.encode().bytes(), maxPeerClassBytes}} {
+		chunked, _ := http.NewRequest(http.MethodPost, srv.URL+route.path, io.MultiReader(bytes.NewReader(route.frame)))
+		resp, err = http.DefaultClient.Do(chunked)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", BatchPath, tc.declared, good)
-		_ = conn.(*net.TCPConn).CloseWrite()
-		status, _ := bufio.NewReader(conn).ReadString('\n')
-		conn.Close()
-		if !strings.Contains(status, " "+tc.want+" ") {
-			t.Errorf("%s: status line %q, want %s", tc.name, strings.TrimSpace(status), tc.want)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusLengthRequired {
+			t.Errorf("%s, missing Content-Length: status = %d, want 411", route.path, resp.StatusCode)
 		}
+		for _, tc := range []struct {
+			name     string
+			declared int
+			want     string
+		}{
+			{"Content-Length over the bound", route.bound + 1, "413"},
+			{"body shorter than declared", len(route.frame) + 10, "400"},
+		} {
+			conn, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", route.path, tc.declared, route.frame)
+			_ = conn.(*net.TCPConn).CloseWrite()
+			status, _ := bufio.NewReader(conn).ReadString('\n')
+			conn.Close()
+			if !strings.Contains(status, " "+tc.want+" ") {
+				t.Errorf("%s, %s: status line %q, want %s", route.path, tc.name, strings.TrimSpace(status), tc.want)
+			}
+		}
+	}
+	// The well-formed vote is answered: the refusals above are the bounds'.
+	resp, err = http.Post(srv.URL+VotePath, batchContentType, bytes.NewReader(vote.encode().bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var ballot BatchResponse
+	if err := ballot.UnmarshalBinary(answer); resp.StatusCode != http.StatusOK || err != nil || ballot.Vote == nil {
+		t.Errorf("well-formed vote: status %d, %v, ballot %v; want 200 and a ballot", resp.StatusCode, err, ballot.Vote)
 	}
 	if n.Proxy().Peek("dvm", "app/Pushed") != nil {
 		t.Error("a refused frame's entry reached the cache")
@@ -392,8 +413,8 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 
 // TestPreV1PeerRoutesRemoved pins the other side of the deprecation
 // contract: the one-release alias window is over, so the pre-v1
-// single-key routes are unrouted (404) and the versioned protocol is
-// the only peer surface. The paths are spelled as literals on purpose —
+// single-key routes, the v1 JSON batch and the v1 JSON vote are unrouted
+// (404) and the versioned protocol is the only peer surface. The paths are spelled as literals on purpose —
 // the constants are gone with the handlers.
 func TestPreV1PeerRoutesRemoved(t *testing.T) {
 	n := newBatchTestNode(t, walkOrigin(t), Config{})
@@ -408,6 +429,8 @@ func TestPreV1PeerRoutesRemoved(t *testing.T) {
 		{http.MethodPost, "/peer/handoff", `{"member":"http://127.0.0.1:1"}`},
 		{http.MethodPost, "/gossip", "{}"},
 		{http.MethodPost, "/peer/attest/app/A.class", "raw-bytes"},
+		// The JSON vote: replaced by the frame on /peer/v2/vote.
+		{http.MethodPost, "/peer/v1/attest/app/A.class", "raw-bytes"},
 		// The v1 JSON envelope: replaced by the v2 frame, not kept beside it.
 		{http.MethodPost, "/peer/v1/batch", `{"reason":"fill","member":"http://127.0.0.1:1","arch":"dvm","classes":["app/A"]}`},
 	}

@@ -186,6 +186,15 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			waitUntil(t, "the replica to land", func() bool { return nodes[0].Proxy().Peek(rejBase, class) != nil })
 			return nodes[0].Proxy(), class, nil
 		}},
+		{"kept by voter", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
+			nodes := rejFleet(t, Config{Replication: 2, PrefetchK: -1, AttestKey: []byte("rejected-key"), AttestQuorum: 2})
+			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
+			rejRequest(t, nodes[1].Proxy(), rejBase, class)
+			if nodes[0].ReplicasStored() != 1 || nodes[1].ReplicasPushed() != 0 {
+				t.Fatalf("not kept by the voter: stored %d, pushed %d", nodes[0].ReplicasStored(), nodes[1].ReplicasPushed())
+			}
+			return nodes[0].Proxy(), class, nil
+		}},
 		{"handoff pull", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
 			nodes := rejFleet(t, Config{Replication: 1, PrefetchK: -1})
 			// Node 1 holds a key node 0 owns — as after node 0 joins.

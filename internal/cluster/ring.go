@@ -17,19 +17,19 @@
 // degrades that node to fetching from the origin itself AND feeds the
 // suspicion machinery — so a peer outage costs sharing, never
 // availability, and is eventually excised from every ring. Keys are
-// replicated to R owners (the ring successor holds a warm copy pushed
-// after every transform), so a primary's death degrades to a replica
-// hit instead of a cold origin fetch. Hot keys — ones a node keeps
-// round-tripping for — are additionally replicated into the requesting
-// node's own LRU so ring owners do not become hotspots.
+// replicated to R owners (the ring successor holds a warm copy, kept as
+// it voted or pushed after the seal), so a primary's death degrades to a
+// replica hit instead of a cold origin fetch. Hot keys — ones a node
+// keeps round-tripping for — are additionally replicated into the
+// requesting node's own LRU so ring owners do not become hotspots.
 //
-// A Node is its proxy's proxy.Fleet — the three places a miss touches
-// the cluster: Fill (node.go: ask the key's owner chain), Seal
-// (attest.go: quorum cross-check of an artifact produced here) and
-// Replicate (handoff.go: push it to the key's other owners). Class
-// bytes move between nodes only as proxy.Artifact values on the
-// /peer/v2/batch frame (peer.go, frame.go), whose one trust gate,
-// fromWire, re-verifies the seal on every hop.
+// A Node is its proxy's proxy.Fleet — the two places a miss touches the
+// cluster: Fill (node.go: ask the key's owner chain) and Seal (attest.go:
+// quorum cross-check of an artifact produced here, then handoff.go: copies
+// on the key's other owners). Artifacts move between nodes only as
+// proxy.Artifact values on the /peer/v2/batch frame (peer.go, frame.go),
+// whose one trust gate, fromWire, re-verifies the seal on every hop; a
+// vote's payload on /peer/v2/vote is derived from and never cached.
 package cluster
 
 import (

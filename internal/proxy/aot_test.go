@@ -30,7 +30,6 @@ func aotProxy(t *testing.T, o proxy.Origin, fleet proxy.Fleet) *proxy.Proxy {
 type sealFleet map[proxy.SealMode]func(*proxy.Artifact) (*attest.Attestation, error)
 
 func (sealFleet) Fill(context.Context, proxy.Lookup) proxy.PeerResult { return proxy.PeerResult{} }
-func (sealFleet) Replicate(*proxy.Artifact)                           {}
 func (f sealFleet) Seal(_ context.Context, art *proxy.Artifact, _ []byte, mode proxy.SealMode) (*attest.Attestation, error) {
 	if seal := f[mode]; seal != nil {
 		return seal(art)
@@ -172,9 +171,9 @@ func TestAOTAttestCompileFailureFailsFlight(t *testing.T) {
 	}
 }
 
-// TestCompileDigestVotesMatchDerivation: a variant's compile-mode vote
-// equals the digest of the owner's derived artifact when both compilers
-// agree, and the route refuses to vote for an architecture it does not
+// TestCompileDigestVotesMatchDerivation: a variant's compile-mode
+// derivation equals the owner's derived artifact when both compilers
+// agree, and a proxy refuses to derive for an architecture it does not
 // compile.
 func TestCompileDigestVotesMatchDerivation(t *testing.T) {
 	p := aotProxy(t, origin(t), nil)
@@ -189,14 +188,14 @@ func TestCompileDigestVotesMatchDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("derive request: %v", err)
 	}
-	d, err := p.CompileDigest(compiler.ArchDVM, "app/Main", base.Data)
-	if err != nil {
-		t.Fatalf("CompileDigest: %v", err)
+	out, rejected, err := p.Derive(context.Background(), nil, compiler.ArchDVM, "app/Main", base.Data, proxy.SealCompile)
+	if err != nil || rejected {
+		t.Fatalf("Derive: rejected=%v err=%v", rejected, err)
 	}
-	if want := attest.Digest(res.Data); d != want {
+	if d, want := attest.Digest(out), attest.Digest(res.Data); d != want {
 		t.Errorf("compile vote %.12s != served artifact digest %.12s", d, want)
 	}
-	if _, err := p.CompileDigest("sparc", "app/Main", base.Data); err == nil {
-		t.Error("CompileDigest voted for an architecture it does not compile")
+	if _, _, err := p.Derive(context.Background(), nil, "sparc", "app/Main", base.Data, proxy.SealCompile); err == nil {
+		t.Error("Derive compiled for an architecture it does not compile")
 	}
 }

@@ -38,7 +38,7 @@ const (
 	SourceDisk   = "disk"   // reloaded from the disk tier
 
 	ReasonFill     = "fill"     // served by the key's owner on a miss
-	ReasonReplica  = "replica"  // pushed by the owner to its successors
+	ReasonReplica  = "replica"  // a ring owner's copy, pushed or kept as it voted
 	ReasonHandoff  = "handoff"  // moved on a membership change
 	ReasonPrefetch = "prefetch" // pushed speculatively; placed cold, never evicts
 )
@@ -59,8 +59,9 @@ const (
 
 // Fleet is what a proxy needs from the cluster it is a member of
 // (implemented by *cluster.Node; nil = standalone). A miss asks the
-// fleet first, an artifact produced here is sealed by the fleet before
-// anyone sees it, and a sealed artifact is offered back to the fleet.
+// fleet first, and an artifact produced here is sealed by the fleet —
+// which also places its copies on the key's other owners — before anyone
+// sees it.
 type Fleet interface {
 	// Fill routes a miss through the key's ring owners. The full Lookup
 	// is passed so the owner's prefetch predictor learns per-client
@@ -72,11 +73,10 @@ type Fleet interface {
 	// flight: a node never serves bytes its own fleet outvoted. A nil
 	// attestation with a nil error means the fleet does not attest.
 	// Runs under the admission slot, so the quorum round trip is part
-	// of the key's one-time service cost.
+	// of the key's one-time service cost. Seal also places copies on the
+	// key's other owners that lack one, asynchronously; that work must not
+	// read art.Att, which the proxy sets after Seal returns.
 	Seal(ctx context.Context, art *Artifact, payload []byte, mode SealMode) (*attest.Attestation, error)
-	// Replicate offers a freshly sealed artifact to the key's other
-	// owners. Called on the flight goroutine: enqueue and return.
-	Replicate(art *Artifact)
 }
 
 // PeerResult is the outcome of Fleet.Fill. Art set (its Source is

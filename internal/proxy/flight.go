@@ -112,9 +112,6 @@ func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, k
 	if r.retain && p.cfg.CacheEnabled {
 		p.store.put(r.art)
 	}
-	if local && p.cfg.Fleet != nil {
-		p.cfg.Fleet.Replicate(r.art)
-	}
 	f.art = r.art
 }
 
@@ -326,34 +323,34 @@ func (p *Proxy) flightError(f *flight, err error) {
 	p.cFetchErrors.Inc()
 }
 
-// TransformDigest runs the pipeline over raw origin bytes and returns
-// the digest of what this node would serve for (arch, class) — the
-// variant half of a SealTransform round. It touches neither the cache
-// nor the origin: the dispatching owner supplies the raw bytes, and
-// only the digest goes back on the wire — so the artifact is encoded into
+// Derive re-derives the artifact for (arch, class) from payload under
+// mode and reports whether it is a rejection replacement: the variant half
+// of a seal round. It touches neither the cache nor the origin; the
+// dispatching owner supplies the payload — raw origin bytes for a
+// transform, already transformed base-architecture bytes for a
+// compilation, so a corrupt compiler (or memory) on either side shows up
+// as divergence exactly like a corrupt pipeline does. A transform appends
+// to dst (a recycled buffer); a compilation returns fresh bytes.
+func (p *Proxy) Derive(ctx context.Context, dst []byte, arch, class string, payload []byte, mode SealMode) (out []byte, rejected bool, err error) {
+	switch {
+	case mode == SealTransform:
+		return p.transform(dst, telemetry.FromContext(ctx), Lookup{Arch: arch, Class: class}, payload)
+	case mode != SealCompile || p.cfg.AOTBaseArch == "" || arch != compiler.ArchDVM:
+		return nil, false, fmt.Errorf("proxy: not configured to derive %q in mode %q", arch, mode)
+	}
+	out, err = compiler.CompileArtifact(payload)
+	return out, false, err
+}
+
+// TransformDigest is the digest of a transform-mode Derive, encoded into
 // a recycled buffer and dropped once hashed.
 func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []byte) (string, error) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	out, _, err := p.transform((*buf)[:0], telemetry.FromContext(ctx), Lookup{Arch: arch, Class: class}, raw)
+	out, _, err := p.Derive(ctx, (*buf)[:0], arch, class, raw, SealTransform)
 	if err != nil {
 		return "", err
 	}
 	*buf = out
-	return attest.Digest(out), nil
-}
-
-// CompileDigest derives the compiled artifact from already-transformed
-// base-architecture bytes and returns its digest — the variant half of
-// a SealCompile round, so a corrupt compiler (or memory) on either side
-// shows up as divergence exactly like a corrupt pipeline does.
-func (p *Proxy) CompileDigest(arch, class string, base []byte) (string, error) {
-	if p.cfg.AOTBaseArch == "" || arch != compiler.ArchDVM {
-		return "", fmt.Errorf("proxy: not configured to compile for %q", arch)
-	}
-	out, err := compiler.CompileArtifact(base)
-	if err != nil {
-		return "", fmt.Errorf("proxy: deriving %s: %w", class, err)
-	}
 	return attest.Digest(out), nil
 }
