@@ -149,7 +149,7 @@ func main() {
 					classes = 8
 				}
 			}
-			_, text, err := eval.PrefetchBench(classes, kb, 0)
+			_, text, err := eval.PrefetchBench(classes, kb)
 			return text, err
 		})
 	}

@@ -9,7 +9,7 @@
 //	         [-no-cache] [-no-compile] [-audit-log proxy-audit.log]
 //	         [-fetch-timeout 10s] [-retries 2] [-breaker-threshold 5]
 //	         [-cache-ttl 0]
-//	         [-max-queue 256 -queue-deadline 100ms -shed-policy priority]
+//	         [-max-queue 256 -queue-deadline 100ms]
 //	         [-self http://10.0.0.1:8642 -peers http://10.0.0.1:8642,http://10.0.0.2:8642]
 //
 // The origin directory maps internal class names to files:
@@ -25,12 +25,14 @@
 // refetched from the origin — one origin fetch and one pipeline run per
 // key across the whole fleet. Owners also piggyback each served class's
 // top -prefetch-k predicted first-use successors onto fill responses
-// (byte-budgeted by -prefetch-budget, thresholded by
-// -prefetch-confidence), pre-warming the requester's cache before the
-// client asks; -prefetch-k -1 disables the predictor. Membership is
-// live: -peers is only a seed list, gossip (every -gossip-interval)
-// discovers the rest of the fleet, detects failures (suspect, then dead
-// after -suspect-timeout), and rebalances the ring on joins and leaves.
+// (256 KiB per response, successors of confidence 0.25 or more),
+// pre-warming the requester's cache before the client asks;
+// -prefetch-k -1 disables the predictor. Every member places keys on
+// the same ring (512 virtual nodes per member, seed 0), so no two
+// members can disagree on who owns a key. Membership is live: -peers is
+// only a seed list, gossip (every -gossip-interval) discovers the rest
+// of the fleet, detects failures (suspect, then dead after
+// -suspect-timeout), and rebalances the ring on joins and leaves.
 // Each key is replicated to -replication owners, so a node death
 // degrades to a warm replica hit. A peer that stops answering trips a
 // per-link breaker (feeding failure suspicion) and this node degrades
@@ -43,7 +45,7 @@
 // agreement the artifact is sealed under the shared key. Every peer hop
 // (fill, replica push, handoff) re-verifies the seal before trusting
 // the bytes; a peer whose bytes or votes diverge is quarantined after
-// -quarantine-after strikes and surfaced in /healthz.
+// three strikes and surfaced in /healthz.
 //
 // The server drains gracefully on SIGINT/SIGTERM: with -drain (the
 // default) a cluster node first announces its departure and hands its
@@ -106,7 +108,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before probing")
 	self := flag.String("self", "", "this node's peer URL in a sharded proxy cluster (e.g. http://10.0.0.1:8642); empty = standalone")
 	peers := flag.String("peers", "", "comma-separated seed peer URLs; gossip discovers the rest of the fleet from any live subset")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default)")
 	replication := flag.Int("replication", 0, "ring owners per key: primary plus warm replicas (0 = default 2, 1 = no replication)")
 	gossipInterval := flag.Duration("gossip-interval", 500*time.Millisecond, "membership gossip period")
 	suspectTimeout := flag.Duration("suspect-timeout", 3*time.Second, "how long an unrefuted suspect survives before being declared dead")
@@ -114,13 +115,9 @@ func main() {
 	hotThreshold := flag.Int("hot-threshold", 0, "peer fills of one key before it is replicated into the local cache (0 = default 8, -1 = never)")
 	attestKey := flag.String("attest-key", "", "shared service key enabling quorum attestation: artifacts are sealed under it and re-verified on every peer hop (all members must agree; empty = attestation off)")
 	attestQuorum := flag.Int("attest-quorum", 2, "variants per attested key, owner included (1 = seal locally without cross-checking)")
-	attestPolicy := flag.String("attest-policy", "always", "which keys run at the full quorum: always, sampled (1-in-attest-sample-rate by key hash), or hot (keys past -hot-threshold)")
-	attestSampleRate := flag.Int("attest-sample-rate", 0, "1-in-N rate for -attest-policy sampled (0 = default 16)")
-	quarantineAfter := flag.Int("quarantine-after", 0, "attestation divergences before a peer is quarantined: excluded from fills and variant votes (0 = default 3)")
+	attestPolicy := flag.String("attest-policy", "always", "which keys run at the full quorum: always, sampled (1 in 16 by key hash), or hot (keys past -hot-threshold)")
 	aotBaseArch := flag.String("aot-base-arch", "", "enable the shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off); standalone or cluster")
 	prefetchK := flag.Int("prefetch-k", 0, "predictive prefetch: top-k first-use successors piggybacked onto each peer fill (0 = default 3, -1 disables the predictor)")
-	prefetchBudget := flag.Int("prefetch-budget", 0, "predictive prefetch: byte budget per piggyback batch (0 = default 256KiB)")
-	prefetchConfidence := flag.Float64("prefetch-confidence", 0, "predictive prefetch: minimum successor confidence (edge weight / out-weight) to piggyback (0 = default 0.25)")
 	peerTimeout := flag.Duration("peer-timeout", 3*time.Second, "deadline for one peer class fetch")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "bound on reading a request's headers (slowloris guard)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle connection timeout")
@@ -128,7 +125,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrent origin-fetch+pipeline flights (0 = 8 x GOMAXPROCS)")
 	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
-	shedPolicy := flag.String("shed-policy", proxy.ShedPriority, "what to shed under overload: priority (stale-serve first, peers before clients) or fifo (tail-drop only); -max-queue 0 turns admission control off")
 	flag.Parse()
 	if *originDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: dvmproxy -origin dir [-addr :8642] [-policy policy.xml] [-self URL -peers URL,...]")
@@ -169,11 +165,7 @@ func main() {
 		MaxQueue:         *maxQueue,
 		MaxConcurrent:    *maxConcurrent,
 		QueueDeadline:    *queueDeadline,
-		ShedPolicy:       *shedPolicy,
 		AOTBaseArch:      *aotBaseArch,
-	}
-	if *shedPolicy != proxy.ShedPriority && *shedPolicy != proxy.ShedFIFO {
-		log.Fatalf("dvmproxy: -shed-policy %q: want %s or %s", *shedPolicy, proxy.ShedPriority, proxy.ShedFIFO)
 	}
 	if *aotBaseArch != "" {
 		log.Printf("dvmproxy: AOT code cache on: misses for the compiled arch derive from cached %q artifacts (one compilation per key)",
@@ -198,39 +190,33 @@ func main() {
 	if *self != "" {
 		var err error
 		node, err = cluster.NewNode(origin, cfg, cluster.Config{
-			Self:               *self,
-			Peers:              splitList(*peers),
-			VirtualNodes:       *vnodes,
-			Replication:        *replication,
-			GossipInterval:     *gossipInterval,
-			SuspectTimeout:     *suspectTimeout,
-			HotThreshold:       *hotThreshold,
-			PeerTimeout:        *peerTimeout,
-			BreakerThreshold:   *breakerThreshold,
-			BreakerCooldown:    *breakerCooldown,
-			AttestKey:          []byte(*attestKey),
-			AttestQuorum:       *attestQuorum,
-			AttestPolicy:       *attestPolicy,
-			AttestSampleRate:   *attestSampleRate,
-			QuarantineAfter:    *quarantineAfter,
-			PrefetchK:          *prefetchK,
-			PrefetchBudget:     *prefetchBudget,
-			PrefetchConfidence: *prefetchConfidence,
+			Self:             *self,
+			Peers:            splitList(*peers),
+			Replication:      *replication,
+			GossipInterval:   *gossipInterval,
+			SuspectTimeout:   *suspectTimeout,
+			HotThreshold:     *hotThreshold,
+			PeerTimeout:      *peerTimeout,
+			BreakerThreshold: *breakerThreshold,
+			BreakerCooldown:  *breakerCooldown,
+			AttestKey:        []byte(*attestKey),
+			AttestQuorum:     *attestQuorum,
+			AttestPolicy:     *attestPolicy,
+			PrefetchK:        *prefetchK,
 		})
 		if err != nil {
 			log.Fatalf("dvmproxy: %v", err)
 		}
 		handler = node.Handler()
 		stats = node.Proxy().Stats
-		log.Printf("dvmproxy: cluster node %s with %d members (ring seed 0, vnodes %d, replication %d, gossip %s, suspect timeout %s)",
-			*self, node.Ring().Size(), *vnodes, *replication, *gossipInterval, *suspectTimeout)
+		log.Printf("dvmproxy: cluster node %s with %d members (replication %d, gossip %s, suspect timeout %s)",
+			*self, node.Ring().Size(), *replication, *gossipInterval, *suspectTimeout)
 		if *attestKey != "" {
 			log.Printf("dvmproxy: quorum attestation on (quorum %d, policy %s): artifacts are sealed and re-verified on every peer hop",
 				*attestQuorum, *attestPolicy)
 		}
 		if *prefetchK >= 0 {
-			log.Printf("dvmproxy: predictive prefetch on (top-k %d, budget %dB, confidence %.2f; 0 = package default)",
-				*prefetchK, *prefetchBudget, *prefetchConfidence)
+			log.Printf("dvmproxy: predictive prefetch on (top-k %d; 0 = package default)", *prefetchK)
 		}
 	} else {
 		p := proxy.New(origin, cfg)

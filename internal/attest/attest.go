@@ -60,8 +60,8 @@ func Digest(data []byte) string {
 // replication push, handoff). Receivers recompute the payload digest
 // and check the seal before accepting the bytes.
 type Attestation struct {
-	Arch   string `json:"arch"`
-	Class  string `json:"class"`
+	Arch  string `json:"arch"`
+	Class string `json:"class"`
 	// Digest is the hex SHA-256 of the transformed bytes.
 	Digest string `json:"digest"`
 	// Quorum is how many identical variant digests backed this artifact
@@ -110,7 +110,7 @@ type Mode string
 const (
 	// ModeAlways attests every transform at the configured quorum.
 	ModeAlways Mode = "always"
-	// ModeSampled attests 1-in-SampleRate keys (deterministic by key
+	// ModeSampled attests 1 key in SampleRate (deterministic by key
 	// hash, so the same key is always either sampled or not).
 	ModeSampled Mode = "sampled"
 	// ModeHot attests only keys the caller's hot-set reports hot;
@@ -125,8 +125,6 @@ type Policy struct {
 	Quorum int
 	// Mode is the key selector; unselected keys run at quorum 1.
 	Mode Mode
-	// SampleRate is the 1-in-N rate for ModeSampled (default 16).
-	SampleRate int
 	// Hot reports whether a key is hot, for ModeHot. Nil means nothing
 	// is hot.
 	Hot func(arch, class string) bool
@@ -139,15 +137,11 @@ func (p Policy) QuorumFor(arch, class string) int {
 	}
 	switch p.Mode {
 	case ModeSampled:
-		rate := p.SampleRate
-		if rate <= 0 {
-			rate = 16
-		}
 		h := fnv.New32a()
 		h.Write([]byte(arch))
 		h.Write([]byte{0})
 		h.Write([]byte(class))
-		if h.Sum32()%uint32(rate) != 0 {
+		if h.Sum32()%SampleRate != 0 {
 			return 1
 		}
 	case ModeHot:
@@ -169,12 +163,15 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("attest: unknown policy mode %q (want always|sampled|hot)", s)
 }
 
-// DefaultQuarantineAfter is the divergence count that quarantines a
-// peer when Config leaves it zero. Three: one divergence is already
-// damning given a deterministic pipeline, but transient memory
-// corruption exists; three independent minority votes do not happen by
-// accident.
-const DefaultQuarantineAfter = 3
+// SampleRate is ModeSampled's rate: one key in 16 runs at the full
+// quorum.
+const SampleRate = 16
+
+// QuarantineAfter is the divergence count that quarantines a peer.
+// Three: one divergence is already damning given a deterministic
+// pipeline, but transient memory corruption exists; three independent
+// minority votes do not happen by accident.
+const QuarantineAfter = 3
 
 // Suspicion is one peer's standing in the ledger, as surfaced in
 // /healthz.
@@ -188,9 +185,8 @@ type Suspicion struct {
 // won their vote, verifies artifacts arriving on any hop, and keeps the
 // per-peer suspicion ledger.
 type Authority struct {
-	signer          *signing.Signer
-	policy          Policy
-	quarantineAfter int
+	signer *signing.Signer
+	policy Policy
 
 	mu     sync.Mutex
 	ledger map[string]int // peer → divergence count
@@ -202,22 +198,14 @@ type Config struct {
 	Key []byte
 	// Policy selects keys and quorum.
 	Policy Policy
-	// QuarantineAfter is the divergence count that quarantines a peer
-	// (default DefaultQuarantineAfter).
-	QuarantineAfter int
 }
 
 // New builds an Authority.
 func New(cfg Config) *Authority {
-	k := cfg.QuarantineAfter
-	if k <= 0 {
-		k = DefaultQuarantineAfter
-	}
 	return &Authority{
-		signer:          signing.NewSigner(cfg.Key),
-		policy:          cfg.Policy,
-		quarantineAfter: k,
-		ledger:          make(map[string]int),
+		signer: signing.NewSigner(cfg.Key),
+		policy: cfg.Policy,
+		ledger: make(map[string]int),
 	}
 }
 
@@ -299,7 +287,7 @@ func (a *Authority) Divergence(peer string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.ledger[peer]++
-	return a.ledger[peer] >= a.quarantineAfter
+	return a.ledger[peer] >= QuarantineAfter
 }
 
 // Quarantined reports whether peer has crossed the divergence
@@ -308,7 +296,7 @@ func (a *Authority) Divergence(peer string) bool {
 func (a *Authority) Quarantined(peer string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.ledger[peer] >= a.quarantineAfter
+	return a.ledger[peer] >= QuarantineAfter
 }
 
 // Divergences returns peer's current ledger count.
@@ -327,7 +315,7 @@ func (a *Authority) Suspicions() []Suspicion {
 		out = append(out, Suspicion{
 			Peer:        p,
 			Divergences: n,
-			Quarantined: n >= a.quarantineAfter,
+			Quarantined: n >= QuarantineAfter,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })

@@ -122,7 +122,7 @@ func TestPolicyQuorumFor(t *testing.T) {
 	}
 
 	// Sampled: deterministic per key, roughly 1-in-rate overall.
-	sampled := Policy{Quorum: 2, Mode: ModeSampled, SampleRate: 4}
+	sampled := Policy{Quorum: 2, Mode: ModeSampled}
 	hits := 0
 	for i := 0; i < 400; i++ {
 		class := "net/Applet" + strings.Repeat("x", i%7) + string(rune('a'+i%26))
@@ -159,7 +159,7 @@ func TestParseMode(t *testing.T) {
 }
 
 func TestLedgerQuarantine(t *testing.T) {
-	a := New(Config{Key: []byte("k"), QuarantineAfter: 3})
+	a := New(Config{Key: []byte("k")})
 	p := "http://evil:1"
 	if a.Quarantined(p) {
 		t.Fatal("fresh peer already quarantined")

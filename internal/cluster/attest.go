@@ -126,7 +126,7 @@ func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, 
 		// Every candidate was down, shedding, refusing or already
 		// quarantined. Availability wins: seal at quorum 1 (counted, so a
 		// fleet that silently stopped cross-checking is visible in telemetry).
-		n.cAttestDegraded.Inc()
+		n.m.AttestDegraded.Inc()
 		return n.authority.AttestDigest(arch, class, local, 1, []string{n.cfg.Self}), nil, nil
 	}
 	majority, minority := attest.Tally(n.cfg.Self, local, votes)
@@ -222,7 +222,7 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, prop Propos
 				span.End()
 				if errors.Is(err, proxy.ErrOverloaded) {
 					// Deliberate shed: the variant is healthy but loaded or leaving.
-					n.cPeerBackpressure.Inc()
+					n.m.PeerBackpressure.Inc()
 				}
 				if err != nil {
 					br = &BatchResponse{} // down or shedding: no ballot
@@ -282,7 +282,7 @@ func (n *Node) handleVote(w http.ResponseWriter, r *http.Request) {
 		resp.Errors = []BatchError{{Arch: arch, Class: class, Status: http.StatusUnprocessableEntity, Error: err.Error()}}
 	} else {
 		*buf = out
-		n.cAttestVariants.Inc()
+		n.m.AttestVariants.Inc()
 		resp.Vote = &Ballot{Digest: attest.Digest(out)}
 		if n.keeps(&req, resp.Vote.Digest, len(out)) {
 			// An exact-size copy: out is a recycled buffer.
@@ -290,7 +290,7 @@ func (n *Node) handleVote(w http.ResponseWriter, r *http.Request) {
 				Att:      n.authority.AttestDigest(arch, class, resp.Vote.Digest, len(prop.Voters), prop.Voters),
 				Rejected: rejected, Source: proxy.ReasonReplica}
 			if resp.Vote.Kept = n.local.Warm([]*proxy.Artifact{art}) > 0; resp.Vote.Kept {
-				n.cReplicaStored.Inc()
+				n.m.ReplicaStored.Inc()
 			}
 		}
 	}
@@ -325,10 +325,10 @@ func (n *Node) keeps(req *BatchRequest, digest string, size int) bool {
 // on crossing the threshold — the quarantine log line. Self-divergence
 // lands in the ledger too; the operator sees a sick node flag itself.
 func (n *Node) noteDivergence(peer string) {
-	n.cAttestDivergence.Inc()
+	n.m.AttestDivergence.Inc()
 	already := n.authority.Quarantined(peer)
 	if n.authority.Divergence(peer) && !already {
-		n.cAttestQuarantines.Inc()
+		n.m.AttestQuarantines.Inc()
 	}
 }
 

@@ -117,7 +117,7 @@ func TestAttestQuorumSealsArtifacts(t *testing.T) {
 // is always a 1-1 tie), and (d) refuse to let the Byzantine node serve
 // its own corrupt output (its flight loses the vote and fails).
 func TestAttestByzantineChaos(t *testing.T) {
-	const nodes, classes, quarantineAfter = 4, 90, 3
+	const nodes, classes, quarantineAfter = 4, 90, attest.QuarantineAfter
 	const byz = 3
 	raw := corpus(t, classes)
 	var adversary netsim.Byzantine
@@ -130,11 +130,10 @@ func TestAttestByzantineChaos(t *testing.T) {
 	}
 	c, err := cluster.StartLocal(raw, nodes, mkProxy, func(int) cluster.Config {
 		return cluster.Config{
-			Replication:     2,
-			GossipInterval:  -1,
-			AttestKey:       attestTestKey(),
-			AttestQuorum:    2,
-			QuarantineAfter: quarantineAfter,
+			Replication:    2,
+			GossipInterval: -1,
+			AttestKey:      attestTestKey(),
+			AttestQuorum:   2,
 			// The Byzantine node answers fills for its own keys with 500s
 			// (its flights lose the vote); keep the breakers closed so the
 			// test proves attestation, not failure detection, contains it.

@@ -82,7 +82,7 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 		t.Fatalf("forged-seal fill = %+v, want failed/ErrVerify", res)
 	}
 
-	if got := n.cAttestRejects.Load(); got != 3 {
+	if got := n.m.AttestRejects.Load(); got != 3 {
 		t.Errorf("attest_rejects_total = %d, want 3", got)
 	}
 
@@ -123,10 +123,10 @@ func TestPullHandoffRejectsTamperedEntries(t *testing.T) {
 	if snap[0].Att == nil {
 		t.Error("handed-off entry lost its attestation")
 	}
-	if got := n.cHandoffKeys.Load(); got != 1 {
+	if got := n.m.HandoffKeys.Load(); got != 1 {
 		t.Errorf("handoff_keys_total = %d, want 1", got)
 	}
-	if got := n.cAttestRejects.Load(); got != 2 {
+	if got := n.m.AttestRejects.Load(); got != 2 {
 		t.Errorf("attest_rejects_total = %d, want 2 (tampered + unattested)", got)
 	}
 	// The sender is accountable for what it hands off: exactly the one

@@ -90,7 +90,7 @@ func TestClusterPeerBackpressureFallsBackLocally(t *testing.T) {
 		}
 	}
 
-	if got := n.PeerBackpressure(); got != attempts {
+	if got := n.Metrics().PeerBackpressure.Load(); got != attempts {
 		t.Errorf("PeerBackpressure = %d, want %d", got, attempts)
 	}
 	if got := n.PeerErrors(); got != 0 {
@@ -120,7 +120,6 @@ func TestClusterOwnerShedsPeerFill(t *testing.T) {
 			cfg.MaxQueue = 1
 			cfg.MaxConcurrent = 1
 			cfg.QueueDeadline = 5 * time.Second
-			cfg.ShedPolicy = proxy.ShedFIFO
 		}
 		return cfg
 	}, nil)
@@ -157,7 +156,7 @@ func TestClusterOwnerShedsPeerFill(t *testing.T) {
 		t.Fatal("empty response via local fallback")
 	}
 
-	if got := c.Nodes[0].PeerBackpressure(); got != 1 {
+	if got := c.Nodes[0].Metrics().PeerBackpressure.Load(); got != 1 {
 		t.Errorf("requester PeerBackpressure = %d, want 1", got)
 	}
 	if got := c.Nodes[0].PeerErrors(); got != 0 {

@@ -233,7 +233,7 @@ func TestClusterDrainHandsOffCache(t *testing.T) {
 	if err := c.Drain(ctx, leaver); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if c.Nodes[leaver].HandoffKeys() == 0 {
+	if c.Nodes[leaver].Metrics().HandoffKeys.Load() == 0 {
 		t.Error("drain pushed no cache entries")
 	}
 	for _, i := range []int{0, 2} {

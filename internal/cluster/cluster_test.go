@@ -172,17 +172,17 @@ func TestClusterSingleOriginFetchPerKey(t *testing.T) {
 
 	// The round-robin baseline: same workload, N independent caches.
 	org2 := &countingOrigin{inner: corpus(t, classes)}
-	group, err := proxy.NewReplicaGroup(org2, nodes, func(int) proxy.Config {
-		return verifyingProxyCfg(0)
-	})
-	if err != nil {
-		t.Fatal(err)
+	replicas := make([]*proxy.Proxy, nodes)
+	for i := range replicas {
+		replicas[i] = proxy.New(org2, verifyingProxyCfg(i))
 	}
+	next := 0
 	for round := 0; round < nodes; round++ {
 		for _, class := range classNames(classes) {
-			if _, err := group.Request(ctx, proxy.Lookup{Client: "client", Arch: "dvm", Class: class}); err != nil {
+			if _, err := replicas[next%nodes].Request(ctx, proxy.Lookup{Client: "client", Arch: "dvm", Class: class}); err != nil {
 				t.Fatal(err)
 			}
+			next++
 		}
 	}
 	if rr := org2.fetches.Load(); rr < int64(2*classes) {
@@ -296,7 +296,7 @@ func TestClusterHotKeyReplication(t *testing.T) {
 	if s.PeerFetches != 3 {
 		t.Errorf("peer fetches = %d, want exactly HotThreshold=3 (then served from the local replica)", s.PeerFetches)
 	}
-	if c.Nodes[0].HotReplicas() == 0 {
+	if c.Nodes[0].Metrics().HotReplicas.Load() == 0 {
 		t.Error("hot key was never replicated locally")
 	}
 	if org.fetches.Load() != 1 {

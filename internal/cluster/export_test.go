@@ -80,3 +80,6 @@ func (c *countedConn) Close() error {
 
 // bytes flattens a frame for tests that post or compare whole frames.
 func (f *frameEnc) bytes() []byte { return f.appendTo(nil) }
+
+// Metrics exposes a node's metric declaration to the external tests.
+func (n *Node) Metrics() *nodeMetrics { return &n.m }

@@ -67,7 +67,7 @@ func (n *Node) handleGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.mship.Merge(v)
-	n.cGossipRounds.Inc()
+	n.m.GossipRounds.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(n.mship.View())
 }
@@ -119,7 +119,7 @@ func (n *Node) gossipRound(ctx context.Context) {
 			n.mship.Refute(p)
 			continue
 		}
-		n.cGossipFails.Inc()
+		n.m.GossipFails.Inc()
 		n.gossip.mu.Lock()
 		n.gossip.fails[p]++
 		f := n.gossip.fails[p]
@@ -134,7 +134,7 @@ func (n *Node) gossipRound(ctx context.Context) {
 // suspect raises a failure suspicion about peer and counts it.
 func (n *Node) suspect(peer string) {
 	if n.mship.State(peer) < stateSuspect {
-		n.cSuspects.Inc()
+		n.m.Suspects.Inc()
 	}
 	n.mship.Suspect(peer)
 }
@@ -143,7 +143,7 @@ func (n *Node) suspect(peer string) {
 func (n *Node) sweep() {
 	died := n.mship.SweepSuspects(n.cfg.SuspectTimeout)
 	for range died {
-		n.cDeaths.Inc()
+		n.m.Deaths.Inc()
 	}
 }
 
@@ -196,7 +196,7 @@ func (n *Node) noteEpoch(header string) {
 	if err != nil || e == n.mship.Epoch() {
 		return
 	}
-	n.cEpochMismatch.Inc()
+	n.m.EpochMismatch.Inc()
 	n.pokeGossip()
 }
 

@@ -75,7 +75,7 @@ func (n *Node) replicate(art *proxy.Artifact, att *attest.Attestation, kept []st
 	select {
 	case n.replCh <- replication{e, to}:
 	default:
-		n.cReplicaDrops.Inc()
+		n.m.ReplicaDrops.Inc()
 	}
 }
 
@@ -89,7 +89,7 @@ func (n *Node) replWorker() {
 		case r := <-n.replCh:
 			for _, o := range r.to {
 				if n.life.Err() == nil && n.pushEntries(n.life, o, []BatchEntry{r.entry}) > 0 {
-					n.cReplicaPush.Inc()
+					n.m.ReplicaPush.Inc()
 				}
 			}
 		}
@@ -146,7 +146,7 @@ func (n *Node) PullHandoff(ctx context.Context) int {
 		}
 		total += n.pullFrom(ctx, p)
 	}
-	n.hHandoff.Observe(timer.Elapsed())
+	n.m.Handoff.Observe(timer.Elapsed())
 	return total
 }
 
@@ -198,7 +198,7 @@ func (n *Node) pushHandoff(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n.cHandoffKeys.Add(int64(n.pushEntries(ctx, owner, batches[owner])))
+		n.m.HandoffKeys.Add(int64(n.pushEntries(ctx, owner, batches[owner])))
 	}
 	return nil
 }

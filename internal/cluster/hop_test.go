@@ -67,7 +67,7 @@ func waitStored(t *testing.T, lc *cluster.LocalCluster, want int64) {
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		var stored int64
 		for _, n := range lc.Nodes {
-			stored += n.ReplicasStored()
+			stored += n.Metrics().ReplicaStored.Load()
 		}
 		if stored >= want {
 			return
@@ -192,7 +192,7 @@ func TestVoterKeepsItsOwnOutput(t *testing.T) {
 	var pushed, stored int64
 	for _, n := range lc.Nodes {
 		pushed += n.ReplicasPushed()
-		stored += n.ReplicasStored()
+		stored += n.Metrics().ReplicaStored.Load()
 	}
 	if pushed != 0 || stored != loads {
 		t.Errorf("replicas pushed = %d, stored = %d; want 0 and %d (every copy kept by its voter)", pushed, stored, loads)

@@ -43,10 +43,6 @@ type Config struct {
 	// gossip exchange pulls in the rest. A node started with only itself
 	// joins nothing until someone gossips to it.
 	Peers []string
-	// VirtualNodes per member on the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// Seed perturbs ring placement; all members must share it.
-	Seed uint64
 	// Replication is the ring owners per key: the primary plus
 	// Replication-1 successors holding pushed warm copies
 	// (0 = DefaultReplication; 1 disables replication).
@@ -77,14 +73,6 @@ type Config struct {
 	// onto each fill it serves over the batch protocol (0 = default 3,
 	// <0 = prediction and piggybacking disabled).
 	PrefetchK int
-	// PrefetchBudget bounds the piggybacked prefetch bytes per fill
-	// response, both offered by the requester and clamped by the owner
-	// (0 = default 256 KiB).
-	PrefetchBudget int
-	// PrefetchConfidence is the minimum successor confidence — the
-	// edge's share of its source key's outgoing weight — for a
-	// prediction to be pushed (0 = default 0.25).
-	PrefetchConfidence float64
 
 	// AttestKey, when set, enables quorum attestation: every locally
 	// transformed artifact is sealed under this shared service key, and
@@ -97,15 +85,10 @@ type Config struct {
 	// no variant traffic).
 	AttestQuorum int
 	// AttestPolicy selects which keys run at AttestQuorum: "always"
-	// (default), "sampled" (1-in-AttestSampleRate by key hash), or "hot"
-	// (keys past HotThreshold; others seal at quorum 1).
+	// (default), "sampled" (1 key in attest.SampleRate by key hash), or
+	// "hot" (keys past HotThreshold; others seal at quorum 1). A peer is
+	// quarantined after attest.QuarantineAfter divergences.
 	AttestPolicy string
-	// AttestSampleRate is the 1-in-N rate for the "sampled" policy
-	// (0 = default 16).
-	AttestSampleRate int
-	// QuarantineAfter is how many divergences put a peer in quarantine
-	// (0 = attest.DefaultQuarantineAfter).
-	QuarantineAfter int
 }
 
 // defaultHotThreshold is the peer-fill count after which a key is
@@ -151,33 +134,38 @@ type Node struct {
 
 	// Cluster counters live in the local proxy's telemetry registry, so
 	// one /metrics scrape covers the node end to end.
-	cPeerErrors  *telemetry.Counter // failed peer-fill attempts (fell back to local origin)
-	cPeerServed  *telemetry.Counter // peer-protocol requests this node answered as owner
-	cHotReplicas *telemetry.Counter // keys promoted into the local cache as hot
-	// cPeerBackpressure counts fills the owner shed with 429: deliberate
+	m nodeMetrics
+}
+
+// nodeMetrics is the node's metric declaration (telemetry.Declare).
+type nodeMetrics struct {
+	PeerErrors  *telemetry.Counter `metric:"peer_errors_total"`  // failed peer-fill attempts (fell back to local origin)
+	PeerServed  *telemetry.Counter `metric:"peer_served_total"`  // peer-protocol requests this node answered as owner
+	HotReplicas *telemetry.Counter `metric:"hot_replicas_total"` // keys promoted into the local cache as hot
+	// PeerBackpressure counts fills the owner shed with 429: deliberate
 	// overload backpressure, not peer failures (no breaker penalty).
-	cPeerBackpressure *telemetry.Counter
-	cGossipRounds     *telemetry.Counter // gossip exchanges handled or initiated
-	cGossipFails      *telemetry.Counter // failed gossip exchanges
-	cSuspects         *telemetry.Counter // suspicions this node raised
-	cDeaths           *telemetry.Counter // suspects this node promoted to dead
-	cEpochMismatch    *telemetry.Counter // piggybacked epochs that disagreed with ours
-	cReplicaPush      *telemetry.Counter // replicas pushed to successors
-	cReplicaStored    *telemetry.Counter // replicas accepted into the local cache, pushed or kept
-	cReplicaDrops     *telemetry.Counter // replication pushes dropped (queue full)
-	cHandoffKeys      *telemetry.Counter // keys transferred by handoff (either direction)
+	PeerBackpressure *telemetry.Counter `metric:"peer_backpressure_total"`
+	GossipRounds     *telemetry.Counter `metric:"gossip_rounds_total"`   // gossip exchanges handled or initiated
+	GossipFails      *telemetry.Counter `metric:"gossip_failures_total"` // failed gossip exchanges
+	Suspects         *telemetry.Counter `metric:"member_suspects_total"` // suspicions this node raised
+	Deaths           *telemetry.Counter `metric:"member_deaths_total"`   // suspects this node promoted to dead
+	EpochMismatch    *telemetry.Counter `metric:"epoch_mismatch_total"`  // piggybacked epochs that disagreed with ours
+	ReplicaPush      *telemetry.Counter `metric:"replica_push_total"`    // replicas pushed to successors
+	ReplicaStored    *telemetry.Counter `metric:"replica_stored_total"`  // replicas accepted into the local cache, pushed or kept
+	ReplicaDrops     *telemetry.Counter `metric:"replica_dropped_total"` // replication pushes dropped (queue full)
+	HandoffKeys      *telemetry.Counter `metric:"handoff_keys_total"`    // keys transferred by handoff (either direction)
 	// Attestation counters (zero when attestation is off).
-	cAttestDivergence  *telemetry.Counter // minority votes + corrupt payloads, per voter per round
-	cAttestVariants    *telemetry.Counter // variant votes this node served
-	cAttestRejects     *telemetry.Counter // inbound payloads rejected for missing/failed attestation
-	cAttestDegraded    *telemetry.Counter // quorum rounds sealed at 1 because no variant was reachable
-	cAttestQuarantines *telemetry.Counter // peers newly quarantined by this node's ledger
+	AttestDivergence  *telemetry.Counter `metric:"attest_divergence_total"`  // minority votes + corrupt payloads, per voter per round
+	AttestVariants    *telemetry.Counter `metric:"attest_variants_total"`    // variant votes this node served
+	AttestRejects     *telemetry.Counter `metric:"attest_rejects_total"`     // inbound payloads rejected for missing/failed attestation
+	AttestDegraded    *telemetry.Counter `metric:"attest_degraded_total"`    // quorum rounds sealed at 1 because no variant was reachable
+	AttestQuarantines *telemetry.Counter `metric:"attest_quarantines_total"` // peers newly quarantined by this node's ledger
 	// Prefetch counters (zero when prediction is off).
-	cPrefetchPushed   *telemetry.Counter   // successor entries piggybacked onto served fills
-	cPrefetchReceived *telemetry.Counter   // piggybacked entries accepted into the local cache
-	hPeerFetch        *telemetry.Histogram // peer-protocol hop latency
-	hHandoff          *telemetry.Histogram // handoff pull duration
-	hPrefetchBatch    *telemetry.Histogram // piggybacked bytes per fill (byte-valued buckets)
+	PrefetchPushed   *telemetry.Counter   `metric:"prefetch_pushed_total"`      // successor entries piggybacked onto served fills
+	PrefetchReceived *telemetry.Counter   `metric:"prefetch_received_total"`    // piggybacked entries accepted into the local cache
+	PeerFetch        *telemetry.Histogram `metric:"peer_fetch_seconds"`         // peer-protocol hop latency
+	Handoff          *telemetry.Histogram `metric:"handoff_seconds"`            // handoff pull duration
+	PrefetchBatch    *telemetry.Histogram `metric:"prefetch_batch_bytes,bytes"` // piggybacked bytes per fill
 }
 
 // NewNode builds the node's proxy over origin with pcfg and makes the
@@ -208,9 +196,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = 3 * time.Second
 	}
-	if cfg.PrefetchBudget <= 0 {
-		cfg.PrefetchBudget = defaultPrefetchBudget
-	}
 	n := &Node{
 		cfg:       cfg,
 		client:    &http.Client{Transport: cfg.Transport},
@@ -227,7 +212,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		n.client.Transport = n.transport
 	}
 	n.gossip.fails = make(map[string]int)
-	ring, err := NewRing(n.mship.RingMembers(), cfg.VirtualNodes, cfg.Seed)
+	ring, err := NewRing(n.mship.RingMembers(), DefaultVirtualNodes, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -244,10 +229,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	}
 	pcfg.Fleet = n
 	if cfg.PrefetchK >= 0 {
-		n.predictor = prefetch.New(prefetch.Config{
-			TopK:          cfg.PrefetchK,
-			MinConfidence: cfg.PrefetchConfidence,
-		})
+		n.predictor = prefetch.New(prefetch.Config{TopK: cfg.PrefetchK})
 	}
 	if len(cfg.AttestKey) > 0 {
 		mode, err := attest.ParseMode(cfg.AttestPolicy)
@@ -257,12 +239,10 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		n.authority = attest.New(attest.Config{
 			Key: cfg.AttestKey,
 			Policy: attest.Policy{
-				Quorum:     cfg.AttestQuorum,
-				Mode:       mode,
-				SampleRate: cfg.AttestSampleRate,
-				Hot:        n.isHotKey,
+				Quorum: cfg.AttestQuorum,
+				Mode:   mode,
+				Hot:    n.isHotKey,
 			},
-			QuarantineAfter: cfg.QuarantineAfter,
 		})
 	}
 	if pcfg.Node == "" {
@@ -270,24 +250,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	}
 	n.local = proxy.New(origin, pcfg)
 	reg := n.local.Telemetry()
-	n.cPeerErrors = reg.Counter("peer_errors_total")
-	n.cPeerServed = reg.Counter("peer_served_total")
-	n.cHotReplicas = reg.Counter("hot_replicas_total")
-	n.cPeerBackpressure = reg.Counter("peer_backpressure_total")
-	n.cGossipRounds = reg.Counter("gossip_rounds_total")
-	n.cGossipFails = reg.Counter("gossip_failures_total")
-	n.cSuspects = reg.Counter("member_suspects_total")
-	n.cDeaths = reg.Counter("member_deaths_total")
-	n.cEpochMismatch = reg.Counter("epoch_mismatch_total")
-	n.cReplicaPush = reg.Counter("replica_push_total")
-	n.cReplicaStored = reg.Counter("replica_stored_total")
-	n.cReplicaDrops = reg.Counter("replica_dropped_total")
-	n.cHandoffKeys = reg.Counter("handoff_keys_total")
-	n.cAttestDivergence = reg.Counter("attest_divergence_total")
-	n.cAttestVariants = reg.Counter("attest_variants_total")
-	n.cAttestRejects = reg.Counter("attest_rejects_total")
-	n.cAttestDegraded = reg.Counter("attest_degraded_total")
-	n.cAttestQuarantines = reg.Counter("attest_quarantines_total")
+	reg.Declare(&n.m)
 	if n.authority != nil {
 		reg.Gauge("attest_quarantined_peers", func() float64 {
 			q := 0
@@ -299,15 +262,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 			return float64(q)
 		})
 	}
-	n.cPrefetchPushed = reg.Counter("prefetch_pushed_total")
-	n.cPrefetchReceived = reg.Counter("prefetch_received_total")
-	n.hPeerFetch = reg.Histogram("peer_fetch_seconds", nil)
-	n.hHandoff = reg.Histogram("handoff_seconds", nil)
-	// Byte-valued buckets: the histogram type counts time.Durations, so
-	// the bounds are byte counts cast to Duration (1 KiB .. 4 MiB).
-	n.hPrefetchBatch = reg.Histogram("prefetch_batch_bytes", []time.Duration{
-		1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20,
-	})
 	reg.Gauge("ring_members", func() float64 { return float64(n.currentRing().Size()) })
 	reg.Gauge("membership_epoch", func() float64 { return float64(n.mship.Epoch()) })
 	for st, name := range map[memberState]string{
@@ -349,7 +303,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 // rebuildRing recomputes the ring from the current ring-eligible
 // membership.
 func (n *Node) rebuildRing() {
-	ring, err := NewRing(n.mship.RingMembers(), n.cfg.VirtualNodes, n.cfg.Seed)
+	ring, err := NewRing(n.mship.RingMembers(), DefaultVirtualNodes, 0)
 	if err != nil {
 		return // membership guarantees at least self; unreachable
 	}
@@ -529,14 +483,14 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 		if n.authority != nil && n.authority.Quarantined(owner) {
 			// The ledger says this peer has served divergent bytes: never
 			// fill from it, even if its link is healthy.
-			n.cAttestRejects.Inc()
+			n.m.AttestRejects.Inc()
 			last = proxy.PeerResult{Peer: owner, Err: fmt.Errorf("cluster: peer %s quarantined: %w", owner, attest.ErrVerify)}
 			continue
 		}
 		b := n.breaker(owner)
 		if err := b.Allow(); err != nil {
 			// The link is presumed down: skip the network hop.
-			n.cPeerErrors.Inc()
+			n.m.PeerErrors.Inc()
 			last = proxy.PeerResult{Peer: owner, Err: err}
 			continue
 		}
@@ -548,7 +502,7 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 			n.mship.Refute(owner) // direct evidence of life
 			if hot {
 				res.CacheLocal = true
-				n.cHotReplicas.Inc()
+				n.m.HotReplicas.Inc()
 			}
 			return res
 		case errors.Is(res.Err, proxy.ErrOverloaded):
@@ -556,23 +510,23 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 			// peer is healthy — no breaker penalty, counted apart from
 			// real failures — but it will not serve us.
 			b.Success()
-			n.cPeerBackpressure.Inc()
+			n.m.PeerBackpressure.Inc()
 		case attestRejection(res.Err):
 			// The payload failed re-verification: the link is healthy (no
 			// breaker penalty) but the bytes cannot be used. fromWire
 			// already fed the ledger for corrupt payloads.
 			b.Success()
-			n.cPeerErrors.Inc()
+			n.m.PeerErrors.Inc()
 		case resilience.IsPermanent(res.Err):
 			// A definitive answer (e.g. the owner's origin says not
 			// found): the peer is healthy, only this key is unservable.
 			// No other owner will do better.
 			b.Success()
-			n.cPeerErrors.Inc()
+			n.m.PeerErrors.Inc()
 			return res
 		default:
 			b.Failure()
-			n.cPeerErrors.Inc()
+			n.m.PeerErrors.Inc()
 		}
 		last = res // try the next owner in the chain
 	}
@@ -663,24 +617,8 @@ func (n *Node) PeerViews() []PeerView {
 }
 
 // PeerErrors returns the count of failed peer fills (diagnostics).
-func (n *Node) PeerErrors() int64 { return n.cPeerErrors.Load() }
-
-// HotReplicas returns how many peer fills were promoted into the local
-// cache as hot keys (diagnostics).
-func (n *Node) HotReplicas() int64 { return n.cHotReplicas.Load() }
-
-// PeerBackpressure returns how many peer fills the owner shed with 429
-// (diagnostics).
-func (n *Node) PeerBackpressure() int64 { return n.cPeerBackpressure.Load() }
-
-// ReplicasStored returns how many replicas, pushed or kept as a voter,
-// this node accepted into its cache (diagnostics).
-func (n *Node) ReplicasStored() int64 { return n.cReplicaStored.Load() }
+func (n *Node) PeerErrors() int64 { return n.m.PeerErrors.Load() }
 
 // ReplicasPushed returns how many full replica pushes this node made to
 // successors (diagnostics).
-func (n *Node) ReplicasPushed() int64 { return n.cReplicaPush.Load() }
-
-// HandoffKeys returns how many keys handoff moved through this node,
-// pulled or pushed (diagnostics).
-func (n *Node) HandoffKeys() int64 { return n.cHandoffKeys.Load() }
+func (n *Node) ReplicasPushed() int64 { return n.m.ReplicaPush.Load() }

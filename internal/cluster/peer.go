@@ -65,9 +65,9 @@ const (
 // class plus a prefetch piggyback, or a handoff transfer.
 const maxBatchBytes = 48 << 20
 
-// defaultPrefetchBudget bounds piggybacked prefetch bytes per fill
-// response when Config leaves PrefetchBudget zero.
-const defaultPrefetchBudget = 256 << 10
+// prefetchBudget bounds the piggybacked prefetch bytes per fill
+// response, both offered by the requester and clamped by the owner.
+const prefetchBudget = 256 << 10
 
 // BatchRequest is the one request every peer hop posts.
 type BatchRequest struct {
@@ -278,7 +278,7 @@ func (n *Node) serveFill(ctx context.Context, client, arch, class string) (proxy
 	}
 	res, err := n.local.Request(withLocalOnly(ctx), proxy.Lookup{Client: client, Arch: arch, Class: class})
 	if err == nil {
-		n.cPeerServed.Inc()
+		n.m.PeerServed.Inc()
 	}
 	return res, err
 }
@@ -289,8 +289,8 @@ func (n *Node) serveFill(ctx context.Context, client, arch, class string) (proxy
 // budget, highest-confidence first.
 func (n *Node) piggybackPrefetch(resp *BatchResponse, req BatchRequest, served []string) {
 	budget := req.MaxBytes
-	if budget <= 0 || budget > n.cfg.PrefetchBudget {
-		budget = n.cfg.PrefetchBudget
+	if budget <= 0 || budget > prefetchBudget {
+		budget = prefetchBudget
 	}
 	have := make(map[string]bool, len(req.Classes))
 	for _, c := range req.Classes {
@@ -318,8 +318,8 @@ func (n *Node) piggybackPrefetch(resp *BatchResponse, req BatchRequest, served [
 		}
 	}
 	if pushed > 0 {
-		n.cPrefetchPushed.Add(int64(pushed))
-		n.hPrefetchBatch.Observe(time.Duration(total))
+		n.m.PrefetchPushed.Add(int64(pushed))
+		n.m.PrefetchBatch.Observe(time.Duration(total))
 	}
 }
 
@@ -343,7 +343,7 @@ func (n *Node) fromWire(e BatchEntry, accuse string) (*proxy.Artifact, error) {
 	if n.authority == nil {
 		att = nil // a fleet that does not attest keeps no seals
 	} else if err := n.authority.Verify(att, e.Arch, e.Class, e.Data); err != nil {
-		n.cAttestRejects.Inc()
+		n.m.AttestRejects.Inc()
 		if accuse != "" && errors.Is(err, attest.ErrVerify) {
 			n.noteDivergence(accuse)
 		}
@@ -383,11 +383,11 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 	}
 	switch art.Source {
 	case proxy.ReasonHandoff:
-		n.cHandoffKeys.Inc()
+		n.m.HandoffKeys.Inc()
 	case proxy.ReasonPrefetch:
-		n.cPrefetchReceived.Inc()
+		n.m.PrefetchReceived.Inc()
 	default:
-		n.cReplicaStored.Inc()
+		n.m.ReplicaStored.Inc()
 	}
 	return nil
 }
@@ -508,7 +508,7 @@ func entryError(peer string, be BatchError) error {
 // and ingests whatever prefetch entries the owner piggybacked.
 func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) proxy.PeerResult {
 	hopTimer := telemetry.StartTimer()
-	defer func() { n.hPeerFetch.Observe(hopTimer.Elapsed()) }()
+	defer func() { n.m.PeerFetch.Observe(hopTimer.Elapsed()) }()
 	breq := BatchRequest{
 		Reason:  proxy.ReasonFill,
 		Member:  n.cfg.Self,
@@ -518,7 +518,7 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 		// Decline the piggyback while under local pressure: speculative
 		// ingestion must not compete with admission-controlled work.
 		NoPrefetch: n.predictor == nil || n.local.UnderPressure(),
-		MaxBytes:   n.cfg.PrefetchBudget,
+		MaxBytes:   prefetchBudget,
 	}
 	br, err := n.doBatch(ctx, owner, BatchPath, breq, n.cfg.PeerTimeout)
 	if err != nil {
@@ -567,11 +567,3 @@ func (n *Node) FeedProfile(arch string, classes []string) {
 		n.predictor.ObserveOrder(arch, classes)
 	}
 }
-
-// PrefetchPushed returns how many successor entries this node has
-// piggybacked onto fills it served (diagnostics).
-func (n *Node) PrefetchPushed() int64 { return n.cPrefetchPushed.Load() }
-
-// PrefetchReceived returns how many piggybacked entries this node has
-// accepted into its cache (diagnostics).
-func (n *Node) PrefetchReceived() int64 { return n.cPrefetchReceived.Load() }

@@ -146,7 +146,7 @@ func TestBatchFillPiggybacksPredictedSuccessors(t *testing.T) {
 	if len(pre) != 1 || pre[0].Class != "app/B" || !bytes.Equal(pre[0].Data, resident(t, owner, "app/B")) {
 		t.Fatalf("prefetch entries = %+v, want exactly app/B", pre)
 	}
-	if got := owner.PrefetchPushed(); got != 1 {
+	if got := owner.m.PrefetchPushed.Load(); got != 1 {
 		t.Errorf("prefetch_pushed_total = %d, want 1", got)
 	}
 
@@ -186,7 +186,7 @@ func TestFetchPeerIngestsPiggybackedPrefetch(t *testing.T) {
 	if res.Art == nil || !bytes.Equal(res.Art.Data, resident(t, owner, "app/A")) {
 		t.Fatalf("fetchPeer = %+v", res)
 	}
-	if got := requester.PrefetchReceived(); got != 1 {
+	if got := requester.m.PrefetchReceived.Load(); got != 1 {
 		t.Errorf("prefetch_received_total = %d, want 1", got)
 	}
 	// The predicted successor is now resident before anyone asks for it.
@@ -205,7 +205,7 @@ func TestFetchPeerIngestsPiggybackedPrefetch(t *testing.T) {
 	if res.Art == nil {
 		t.Fatalf("fetchPeer = %+v", res)
 	}
-	if got := noPre.PrefetchReceived(); got != 0 {
+	if got := noPre.m.PrefetchReceived.Load(); got != 0 {
 		t.Errorf("prefetch-disabled requester accepted %d piggybacked entries", got)
 	}
 }
@@ -250,10 +250,10 @@ func TestBatchIngestRejectsUnattestedPerEntry(t *testing.T) {
 	if len(snap) != 1 || snap[0].Class != "app/Good" {
 		t.Fatalf("cache after mixed push = %+v, want only app/Good", snap)
 	}
-	if got := n.cAttestRejects.Load(); got != 2 {
+	if got := n.m.AttestRejects.Load(); got != 2 {
 		t.Errorf("attest_rejects_total = %d, want 2", got)
 	}
-	if got := n.ReplicasStored(); got != 1 {
+	if got := n.m.ReplicaStored.Load(); got != 1 {
 		t.Errorf("replica_stored_total = %d, want 1", got)
 	}
 }

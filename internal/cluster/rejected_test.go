@@ -174,8 +174,8 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			nodes := rejFleet(t, Config{Replication: 1, PrefetchK: -1, HotThreshold: 1})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			res, err := nodes[0].Request(ctx, proxy.Lookup{Client: "c", Arch: rejBase, Class: class})
-			if err != nil || nodes[0].HotReplicas() != 1 {
-				t.Fatalf("fill not kept as a hot copy: hot=%d err=%v", nodes[0].HotReplicas(), err)
+			if err != nil || nodes[0].m.HotReplicas.Load() != 1 {
+				t.Fatalf("fill not kept as a hot copy: hot=%d err=%v", nodes[0].m.HotReplicas.Load(), err)
 			}
 			return nodes[0].Proxy(), class, &res
 		}},
@@ -190,8 +190,8 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			nodes := rejFleet(t, Config{Replication: 2, PrefetchK: -1, AttestKey: []byte("rejected-key"), AttestQuorum: 2})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			rejRequest(t, nodes[1].Proxy(), rejBase, class)
-			if nodes[0].ReplicasStored() != 1 || nodes[1].ReplicasPushed() != 0 {
-				t.Fatalf("not kept by the voter: stored %d, pushed %d", nodes[0].ReplicasStored(), nodes[1].ReplicasPushed())
+			if nodes[0].m.ReplicaStored.Load() != 1 || nodes[1].ReplicasPushed() != 0 {
+				t.Fatalf("not kept by the voter: stored %d, pushed %d", nodes[0].m.ReplicaStored.Load(), nodes[1].ReplicasPushed())
 			}
 			return nodes[0].Proxy(), class, nil
 		}},
@@ -223,8 +223,8 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			if _, err := nodes[0].Request(ctx, proxy.Lookup{Client: "c", Arch: rejBase, Class: first}); err != nil {
 				t.Fatal(err)
 			}
-			if nodes[0].PrefetchReceived() != 1 {
-				t.Fatalf("prefetch_received_total = %d, want 1", nodes[0].PrefetchReceived())
+			if nodes[0].m.PrefetchReceived.Load() != 1 {
+				t.Fatalf("prefetch_received_total = %d, want 1", nodes[0].m.PrefetchReceived.Load())
 			}
 			return nodes[0].Proxy(), class, nil
 		}},

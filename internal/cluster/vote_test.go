@@ -170,7 +170,7 @@ func TestVoteFallbacksPlaceEveryReplica(t *testing.T) {
 			pollUntil(t, "the pushes to be counted", func() bool { return owner.ReplicasPushed() >= row.pushed })
 			var stored int64
 			for _, n := range lc.Nodes {
-				stored += n.ReplicasStored()
+				stored += n.Metrics().ReplicaStored.Load()
 			}
 			if pushed := owner.ReplicasPushed(); pushed != row.pushed || stored != row.kept+row.pushed {
 				t.Errorf("pushed %d, stored %d; want %d pushed and %d kept", pushed, stored, row.pushed, row.kept)
@@ -358,11 +358,11 @@ func TestForgedProposalKeepsNothing(t *testing.T) {
 			t.Errorf("%s: kept %v, digest %.12s (want not kept, %.12s)", name, b.Kept, b.Digest, digest)
 		}
 	}
-	if got := voter.ReplicasStored(); got != 0 || voter.Proxy().Peek("dvm", class) != nil {
+	if got := voter.Metrics().ReplicaStored.Load(); got != 0 || voter.Proxy().Peek("dvm", class) != nil {
 		t.Fatalf("forged offers left %d replicas stored, resident %v", got, voter.Proxy().Peek("dvm", class) != nil)
 	}
 	offer.Seal = attest.New(attest.Config{Key: key}).SealProposal("dvm", class, "", commit[:], voters)
-	if b := vote(offer); !b.Kept || voter.ReplicasStored() != 1 {
-		t.Errorf("a sealed offer: kept %v, replicas stored %d; want kept and 1", b.Kept, voter.ReplicasStored())
+	if b := vote(offer); !b.Kept || voter.Metrics().ReplicaStored.Load() != 1 {
+		t.Errorf("a sealed offer: kept %v, replicas stored %d; want kept and 1", b.Kept, voter.Metrics().ReplicaStored.Load())
 	}
 }

@@ -44,9 +44,6 @@ type AttestBenchConfig struct {
 	ZipfS float64
 	// Quorums are the ablation points (default 1, 2, 3).
 	Quorums []int
-	// QuarantineAfter is the divergence threshold for the Byzantine leg
-	// (0 = attest default).
-	QuarantineAfter int
 	// Seed drives the deterministic client PRNGs.
 	Seed uint64
 }
@@ -122,9 +119,8 @@ func attestFleet(origin proxy.Origin, cfg AttestBenchConfig, quorum, byzantine i
 	}
 	return cluster.StartLocal(origin, cfg.Nodes, mkProxy, func(int) cluster.Config {
 		ccfg := cluster.Config{
-			Replication:     2,
-			GossipInterval:  -1, // static fleet: no churn in this bench
-			QuarantineAfter: cfg.QuarantineAfter,
+			Replication:    2,
+			GossipInterval: -1, // static fleet: no churn in this bench
 		}
 		if quorum >= 1 {
 			ccfg.AttestKey = []byte("attest-bench-service-key")

@@ -339,7 +339,7 @@ func churnRun(cfg ChurnConfig, r int) (ChurnRow, error) {
 		Failures:      failures.Load(),
 		OriginFetches: counting.fetches.Load(),
 		RemapFrac:     float64(remapped) / remapProbes,
-		HandoffKeys:   lc.Nodes[joined].HandoffKeys(),
+		HandoffKeys:   nodeCounter(lc.Nodes[joined], "handoff_keys_total"),
 		EpochAgreed:   agreed,
 	}
 	gauges := ref.Health().Gauges

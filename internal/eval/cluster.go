@@ -139,7 +139,7 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		row = finishRow(row, total, cfg.Applets)
 		for _, node := range lc.Nodes {
 			pf := node.Proxy().PrefetchStats()
-			row.PrefetchPushed += node.PrefetchPushed()
+			row.PrefetchPushed += nodeCounter(node, "prefetch_pushed_total")
 			row.PrefetchHits += pf.Hits
 			row.PrefetchWaste += pf.WasteBytes
 		}
@@ -148,7 +148,7 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 
 	for _, n := range nodeCounts {
 		// Round-robin baseline: N independent caches.
-		group, err := proxy.NewReplicaGroup(delayed, n, mkProxy)
+		group, err := NewReplicaGroup(delayed, n, mkProxy)
 		if err != nil {
 			return nil, "", err
 		}
@@ -322,4 +322,9 @@ func finishRow(row ClusterScalingRow, s proxy.Stats, distinct int) ClusterScalin
 		row.HitRate = float64(s.CacheHits) / float64(s.Requests)
 	}
 	return row
+}
+
+// nodeCounter reads one of a node's counters by its Prometheus name.
+func nodeCounter(n *cluster.Node, name string) int64 {
+	return n.Proxy().Telemetry().CounterValues()[name]
 }

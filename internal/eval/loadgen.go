@@ -72,7 +72,6 @@ type OverloadConfig struct {
 	MaxQueue      int
 	MaxConcurrent int
 	QueueDeadline time.Duration
-	ShedPolicy    string
 }
 
 // DefaultOverloadConfig is sized so the full multiple sweep finishes in
@@ -107,7 +106,6 @@ func DefaultOverloadConfig() OverloadConfig {
 		// light-load tail: better to refuse than to serve a request the
 		// client has mentally abandoned.
 		QueueDeadline: 25 * time.Millisecond,
-		ShedPolicy:    proxy.ShedPriority,
 	}
 }
 
@@ -237,7 +235,6 @@ func overloadProxy(origin proxy.Origin, cfg OverloadConfig) *proxy.Proxy {
 		MaxQueue:      cfg.MaxQueue,
 		MaxConcurrent: cfg.MaxConcurrent,
 		QueueDeadline: cfg.QueueDeadline,
-		ShedPolicy:    cfg.ShedPolicy,
 	})
 }
 

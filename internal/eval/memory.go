@@ -107,7 +107,7 @@ func (o pagedOrigin) Fetch(ctx context.Context, name string) ([]byte, error) {
 
 // pagedReplicas gives each replica of g a host of its own (each replica
 // brings its own RAM) and returns the group's round-robin entry point.
-func pagedReplicas(g *proxy.ReplicaGroup, budget int64) requestFunc {
+func pagedReplicas(g *ReplicaGroup, budget int64) requestFunc {
 	if budget <= 0 {
 		return g.Request
 	}

@@ -28,8 +28,7 @@ import (
 
 // PrefetchBenchResult is the outcome of one warm-vs-cold comparison.
 type PrefetchBenchResult struct {
-	Classes     int
-	BudgetBytes int
+	Classes int
 	// RemoteClasses is how many of the walk's classes the *other* node
 	// owns in the prefetching fleet — the number of peer round trips the
 	// walk would need with no prefetcher. Every one of them ends as
@@ -53,10 +52,10 @@ type PrefetchBenchResult struct {
 }
 
 // PrefetchBench runs the two-node warm-vs-cold walk. classKB sizes each
-// class; budgetBytes caps one piggyback batch (0 = the cluster
-// default). Attestation is on, so every piggybacked entry carries a
+// class; a piggyback batch is capped by the cluster's prefetch budget.
+// Attestation is on, so every piggybacked entry carries a
 // seal the requester re-verifies.
-func PrefetchBench(classes, classKB, budgetBytes int) (PrefetchBenchResult, string, error) {
+func PrefetchBench(classes, classKB int) (PrefetchBenchResult, string, error) {
 	if classes < 2 {
 		return PrefetchBenchResult{}, "", fmt.Errorf("eval: prefetch bench needs >= 2 classes")
 	}
@@ -89,7 +88,6 @@ func PrefetchBench(classes, classKB, budgetBytes int) (PrefetchBenchResult, stri
 				GossipInterval: -1,
 				AttestKey:      key,
 				PrefetchK:      k,
-				PrefetchBudget: budgetBytes,
 			}
 		})
 		if err != nil {
@@ -126,7 +124,7 @@ func PrefetchBench(classes, classKB, budgetBytes int) (PrefetchBenchResult, stri
 		return lats, lc, nil
 	}
 
-	res := PrefetchBenchResult{Classes: classes, BudgetBytes: budgetBytes}
+	res := PrefetchBenchResult{Classes: classes}
 
 	base, lcBase, err := run(false)
 	if err != nil {
@@ -152,8 +150,8 @@ func PrefetchBench(classes, classKB, budgetBytes int) (PrefetchBenchResult, stri
 		}
 	}
 	for _, n := range lc.Nodes {
-		res.Pushed += n.PrefetchPushed()
-		res.Received += n.PrefetchReceived()
+		res.Pushed += nodeCounter(n, "prefetch_pushed_total")
+		res.Received += nodeCounter(n, "prefetch_received_total")
 		pf := n.Proxy().PrefetchStats()
 		res.Inserted += pf.Inserted
 		res.Hits += pf.Hits
@@ -169,8 +167,7 @@ func PrefetchBench(classes, classKB, budgetBytes int) (PrefetchBenchResult, stri
 	}
 
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "2-node warm-vs-cold walk, %d classes x %dKB, prefetch budget %dB (0 = default)\n",
-		classes, classKB, budgetBytes)
+	fmt.Fprintf(&b, "2-node warm-vs-cold walk, %d classes x %dKB\n", classes, classKB)
 	b.WriteString(table(
 		[]string{"Mode", "Walk p50 (ms)", "Walk p99 (ms)", "Peer hops"},
 		[][]string{

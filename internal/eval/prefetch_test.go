@@ -11,7 +11,7 @@ import (
 // or reported as waste — nothing hidden), and the ingestion gate must
 // refuse unattested prefetch pushes.
 func TestPrefetchSmoke(t *testing.T) {
-	res, text, err := PrefetchBench(48, 4, 0)
+	res, text, err := PrefetchBench(48, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
-package proxy
+package eval
 
 import (
 	"context"
 	"fmt"
 	"sync/atomic"
 
+	"dvm/internal/proxy"
 	"dvm/internal/telemetry"
 )
 
@@ -17,21 +18,23 @@ import (
 // Static service components need no shared mutable state ("they do not
 // inherently need to synchronize with clients or require exclusive
 // access to shared state"), so replicas are plain copies; requests are
-// spread round-robin and a replica failure falls over to the next.
+// spread round-robin and a replica failure falls over to the next. It is
+// the experiments' unsharded baseline, not a deployment mode: a fleet is
+// internal/cluster.
 type ReplicaGroup struct {
-	replicas []*Proxy
+	replicas []*proxy.Proxy
 	next     atomic.Uint64
 }
 
 // NewReplicaGroup builds n replicas over the origin, each with its own
 // cache and pipeline built by mkConfig (called once per replica).
-func NewReplicaGroup(origin Origin, n int, mkConfig func(i int) Config) (*ReplicaGroup, error) {
+func NewReplicaGroup(origin proxy.Origin, n int, mkConfig func(i int) proxy.Config) (*ReplicaGroup, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("proxy: replica group needs at least 1 replica")
+		return nil, fmt.Errorf("eval: replica group needs at least 1 replica")
 	}
 	g := &ReplicaGroup{}
 	for i := 0; i < n; i++ {
-		g.replicas = append(g.replicas, New(origin, mkConfig(i)))
+		g.replicas = append(g.replicas, proxy.New(origin, mkConfig(i)))
 	}
 	return g, nil
 }
@@ -40,16 +43,16 @@ func NewReplicaGroup(origin Origin, n int, mkConfig func(i int) Config) (*Replic
 func (g *ReplicaGroup) Size() int { return len(g.replicas) }
 
 // Replica returns the i-th replica (diagnostics, per-replica stats).
-func (g *ReplicaGroup) Replica(i int) *Proxy { return g.replicas[i] }
+func (g *ReplicaGroup) Replica(i int) *proxy.Proxy { return g.replicas[i] }
 
 // Request serves a class from the next replica in round-robin order,
 // failing over to the remaining replicas on error. The caller's ctx
 // bounds the whole failover sweep; once it expires no further replicas
 // are tried.
-func (g *ReplicaGroup) Request(ctx context.Context, l Lookup) (Result, error) {
+func (g *ReplicaGroup) Request(ctx context.Context, l proxy.Lookup) (proxy.Result, error) {
 	start := int(g.next.Add(1)-1) % len(g.replicas)
 	var firstErr error
-	var firstRes Result
+	var firstRes proxy.Result
 	for i := 0; i < len(g.replicas); i++ {
 		if cerr := ctx.Err(); cerr != nil {
 			if firstErr == nil {
@@ -79,29 +82,12 @@ func (g *ReplicaGroup) RequestLatency() telemetry.HistSnapshot {
 	return s
 }
 
-// Stats aggregates the replica counters.
-func (g *ReplicaGroup) Stats() Stats {
-	var out Stats
+// Stats sums every counter of the replicas' Stats (the breaker snapshot,
+// which does not add up, is left zero).
+func (g *ReplicaGroup) Stats() proxy.Stats {
+	var out proxy.Stats
 	for _, p := range g.replicas {
-		s := p.Stats()
-		out.Requests += s.Requests
-		out.CacheHits += s.CacheHits
-		out.Coalesced += s.Coalesced
-		out.OriginFetches += s.OriginFetches
-		out.FetchRetries += s.FetchRetries
-		out.FetchErrors += s.FetchErrors
-		out.StaleServed += s.StaleServed
-		out.PeerFetches += s.PeerFetches
-		out.PeerHits += s.PeerHits
-		out.OwnerFetches += s.OwnerFetches
-		out.Rejections += s.Rejections
-		out.Shed += s.Shed
-		out.ShedStale += s.ShedStale
-		out.CoalescedFailures += s.CoalescedFailures
-		out.FlightsAbandoned += s.FlightsAbandoned
-		out.BytesIn += s.BytesIn
-		out.BytesOut += s.BytesOut
-		out.ProxyTime += s.ProxyTime
+		telemetry.Add(&out, p.Stats())
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package proxy_test
+package eval
 
 import (
 	"context"
@@ -8,14 +8,23 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dvm/internal/compiler"
 	"dvm/internal/proxy"
 	"dvm/internal/rewrite"
 	"dvm/internal/verifier"
 )
 
+func replicaCorpus(t *testing.T) proxy.MapOrigin {
+	t.Helper()
+	org, err := Corpus(4, 2048, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return org
+}
+
 func TestReplicaGroupRoundRobin(t *testing.T) {
-	org := origin(t)
-	g, err := proxy.NewReplicaGroup(org, 3, func(i int) proxy.Config {
+	g, err := NewReplicaGroup(replicaCorpus(t), 3, func(i int) proxy.Config {
 		return proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true}
 	})
 	if err != nil {
@@ -25,7 +34,7 @@ func TestReplicaGroupRoundRobin(t *testing.T) {
 		t.Fatalf("Size = %d", g.Size())
 	}
 	for i := 0; i < 9; i++ {
-		if _, err := g.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/Dep"}); err != nil {
+		if _, err := g.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "net/Applet001"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,13 +70,13 @@ func (o *flakyOrigin) Fetch(ctx context.Context, name string) ([]byte, error) {
 func TestReplicaGroupFailover(t *testing.T) {
 	// Every second origin fetch fails, whichever replica makes it; the
 	// request must fail over to the next replica and succeed there.
-	group, err := proxy.NewReplicaGroup(&flakyOrigin{Origin: origin(t)}, 2,
+	group, err := NewReplicaGroup(&flakyOrigin{Origin: replicaCorpus(t)}, 2,
 		func(i int) proxy.Config { return proxy.Config{Pipeline: rewrite.NewPipeline()} })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := group.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/Dep"}); err != nil {
+		if _, err := group.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "net/Applet001"}); err != nil {
 			t.Fatalf("request %d failed despite healthy replica: %v", i, err)
 		}
 	}
@@ -78,8 +87,7 @@ func TestReplicaGroupFailover(t *testing.T) {
 }
 
 func TestReplicaGroupConcurrent(t *testing.T) {
-	org := origin(t)
-	g, err := proxy.NewReplicaGroup(org, 4, func(i int) proxy.Config {
+	g, err := NewReplicaGroup(replicaCorpus(t), 4, func(i int) proxy.Config {
 		return proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true}
 	})
 	if err != nil {
@@ -91,10 +99,7 @@ func TestReplicaGroupConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			name := "app/Main"
-			if i%2 == 0 {
-				name = "app/Dep"
-			}
+			name := fmt.Sprintf("net/Applet%03d", i%2)
 			if _, err := g.Request(context.Background(), proxy.Lookup{Client: fmt.Sprintf("c%d", i), Arch: "dvm", Class: name}); err != nil {
 				errs <- err
 			}
@@ -111,7 +116,46 @@ func TestReplicaGroupConcurrent(t *testing.T) {
 }
 
 func TestReplicaGroupRejectsEmpty(t *testing.T) {
-	if _, err := proxy.NewReplicaGroup(origin(t), 0, func(int) proxy.Config { return proxy.Config{} }); err == nil {
+	if _, err := NewReplicaGroup(replicaCorpus(t), 0, func(int) proxy.Config { return proxy.Config{} }); err == nil {
 		t.Fatal("accepted zero replicas")
+	}
+}
+
+// TestReplicaGroupStatsSumsEveryCounter: the group's Stats is the sum of
+// its replicas' for every counter, the AOT code cache's included — a
+// hand-kept list of fields to add had dropped CompileHits and
+// CompileMisses, so the round-robin baseline reported zero compilations.
+func TestReplicaGroupStatsSumsEveryCounter(t *testing.T) {
+	g, err := NewReplicaGroup(replicaCorpus(t), 2, func(int) proxy.Config {
+		return proxy.Config{Pipeline: ServicePipeline(StandardPolicy(), true), CacheEnabled: true, AOTBaseArch: "jvm"}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 4; i++ {
+			l := proxy.Lookup{Client: "c", Arch: compiler.ArchDVM, Class: fmt.Sprintf("net/Applet%03d", i)}
+			if _, err := g.Request(context.Background(), l); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want proxy.Stats
+	for i := 0; i < g.Size(); i++ {
+		s := g.Replica(i).Stats()
+		want.Requests += s.Requests
+		want.CompileHits += s.CompileHits
+		want.CompileMisses += s.CompileMisses
+		want.ProxyTime += s.ProxyTime
+	}
+	got := g.Stats()
+	if want.CompileMisses == 0 || want.CompileHits == 0 {
+		t.Fatalf("replicas counted %d compile misses and %d hits; the workload should produce both", want.CompileMisses, want.CompileHits)
+	}
+	if got.Requests != want.Requests || got.CompileMisses != want.CompileMisses ||
+		got.CompileHits != want.CompileHits || got.ProxyTime != want.ProxyTime {
+		t.Errorf("group Stats requests/compile misses/compile hits/proxy time = %d/%d/%d/%v, replicas summed %d/%d/%d/%v",
+			got.Requests, got.CompileMisses, got.CompileHits, got.ProxyTime,
+			want.Requests, want.CompileMisses, want.CompileHits, want.ProxyTime)
 	}
 }

@@ -44,7 +44,7 @@ func AblationReplication(clients int, replicaCounts []int, cfg Fig10Config) ([]A
 	upstream := syntheticInternet(origin, cfg)
 	rows := make([]AblationReplicationRow, 0, len(replicaCounts))
 	for _, nr := range replicaCounts {
-		group, err := proxy.NewReplicaGroup(upstream, nr, func(int) proxy.Config {
+		group, err := NewReplicaGroup(upstream, nr, func(int) proxy.Config {
 			return proxy.Config{
 				Pipeline:     ServicePipeline(StandardPolicy(), false),
 				CacheEnabled: false,

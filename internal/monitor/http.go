@@ -83,7 +83,7 @@ func (c *Collector) Handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			c.cBatches.Inc()
+			c.m.Batches.Inc()
 			for _, e := range batch.Events {
 				if err := c.RecordAt(batch.Session, e.Class, e.Method, e.Kind, e.Time); err != nil {
 					http.Error(w, err.Error(), http.StatusForbidden)

@@ -48,10 +48,12 @@ type Collector struct {
 	seq      int64
 	nextID   int
 
-	reg       *telemetry.Registry
-	cEvents   *telemetry.Counter
-	cBatches  *telemetry.Counter
-	cRejected *telemetry.Counter
+	reg *telemetry.Registry
+	m   struct {
+		Events   *telemetry.Counter `metric:"events_total"`
+		Batches  *telemetry.Counter `metric:"batches_total"`
+		Rejected *telemetry.Counter `metric:"rejected_total"`
+	}
 
 	onFirstUse func(session, class, method string)
 }
@@ -69,9 +71,7 @@ type sessionRecord struct {
 func NewCollector() *Collector {
 	c := &Collector{sessions: make(map[string]*sessionRecord)}
 	c.reg = telemetry.NewRegistry("monitor")
-	c.cEvents = c.reg.Counter("events_total")
-	c.cBatches = c.reg.Counter("batches_total")
-	c.cRejected = c.reg.Counter("rejected_total")
+	c.reg.Declare(&c.m)
 	c.reg.Gauge("sessions", func() float64 {
 		return float64(len(c.Sessions()))
 	})
@@ -139,11 +139,11 @@ func (c *Collector) recordAt(session, class, method, kind string, at time.Time) 
 	defer c.mu.Unlock()
 	s, ok := c.sessions[session]
 	if !ok {
-		c.cRejected.Inc()
+		c.m.Rejected.Inc()
 		return false, fmt.Errorf("monitor: unknown session %q", session)
 	}
 	c.seq++
-	c.cEvents.Inc()
+	c.m.Events.Inc()
 	c.events = append(c.events, Event{
 		Session: session, Class: class, Method: method, Kind: kind,
 		Seq: c.seq, Time: at,

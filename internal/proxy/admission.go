@@ -49,16 +49,6 @@ import (
 // answer, not an outage: it never trips breakers and is not retried.
 var ErrOverloaded = errors.New("proxy overloaded")
 
-// Shed policies (Config.ShedPolicy).
-const (
-	// ShedPriority is the default: stale-serve before rejecting, shed
-	// peer fills before local misses, per-client fair queue shares.
-	ShedPriority = "priority"
-	// ShedFIFO keeps the bounded queue and deadline checks but no
-	// priority tricks: pure first-come-first-served with tail drop.
-	ShedFIFO = "fifo"
-)
-
 // peerClientPrefix marks requests arriving over the cluster peer
 // protocol; internal/cluster sets X-DVM-Client to "peer:<self>".
 const peerClientPrefix = "peer:"
@@ -91,7 +81,6 @@ type admission struct {
 	limit    int           // concurrent service slots
 	maxQueue int           // waiters bound
 	deadline time.Duration // max time in queue (0 = bounded only by ctx)
-	priority bool          // ShedPriority vs ShedFIFO
 	svcTime  func() time.Duration
 
 	mu        sync.Mutex
@@ -101,13 +90,19 @@ type admission struct {
 	order     []string             // round-robin rotation of clients with waiters
 	inOrder   map[string]bool
 
-	cAdmitted     *telemetry.Counter
-	cShedFull     *telemetry.Counter
-	cShedDeadline *telemetry.Counter
-	cShedFair     *telemetry.Counter
-	cShedPeer     *telemetry.Counter
-	cShedStale    *telemetry.Counter
-	hWait         *telemetry.Histogram
+	m admissionMetrics
+}
+
+// admissionMetrics is the controller's metric declaration
+// (telemetry.Declare); ShedStale is reported as Stats.ShedStale.
+type admissionMetrics struct {
+	Admitted     *telemetry.Counter   `metric:"admitted_total"`
+	ShedFull     *telemetry.Counter   `metric:"shed_queue_full_total"`
+	ShedDeadline *telemetry.Counter   `metric:"shed_deadline_total"`
+	ShedFair     *telemetry.Counter   `metric:"shed_fair_share_total"`
+	ShedPeer     *telemetry.Counter   `metric:"shed_backpressure_total"`
+	ShedStale    *telemetry.Counter   `metric:"shed_stale_served_total"`
+	Wait         *telemetry.Histogram `metric:"admission_wait_seconds"`
 }
 
 // newAdmission wires the controller and its metrics into the proxy's
@@ -119,19 +114,11 @@ func newAdmission(cfg Config, reg *telemetry.Registry, svcTime func() time.Durat
 		limit:    cfg.MaxConcurrent,
 		maxQueue: cfg.MaxQueue,
 		deadline: cfg.QueueDeadline,
-		priority: cfg.ShedPolicy == "" || cfg.ShedPolicy == ShedPriority,
 		svcTime:  svcTime,
 		queues:   make(map[string][]*waiter),
 		inOrder:  make(map[string]bool),
-
-		cAdmitted:     reg.Counter("admitted_total"),
-		cShedFull:     reg.Counter("shed_queue_full_total"),
-		cShedDeadline: reg.Counter("shed_deadline_total"),
-		cShedFair:     reg.Counter("shed_fair_share_total"),
-		cShedPeer:     reg.Counter("shed_backpressure_total"),
-		cShedStale:    reg.Counter("shed_stale_served_total"),
-		hWait:         reg.Histogram("admission_wait_seconds", nil),
 	}
+	reg.Declare(&a.m)
 	reg.Gauge("queue_depth", func() float64 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
@@ -158,9 +145,12 @@ func newAdmission(cfg Config, reg *telemetry.Registry, svcTime func() time.Durat
 }
 
 // shedTotal sums the rejection counters (not stale-serves: those
-// requests were answered).
+// requests were answered). Nil-safe: no admission control, no sheds.
 func (a *admission) shedTotal() int64 {
-	return a.cShedFull.Load() + a.cShedDeadline.Load() + a.cShedFair.Load() + a.cShedPeer.Load()
+	if a == nil {
+		return 0
+	}
+	return a.m.ShedFull.Load() + a.m.ShedDeadline.Load() + a.m.ShedFair.Load() + a.m.ShedPeer.Load()
 }
 
 // pressured reports whether the queue is at least half full (the
@@ -187,7 +177,7 @@ func (a *admission) acquire(ctx ctxDone, client string, haveStale bool, budget t
 	a.mu.Lock()
 	if a.inService < a.limit && a.queued == 0 {
 		a.inService++
-		a.cAdmitted.Inc()
+		a.m.Admitted.Inc()
 		a.mu.Unlock()
 		return admitOK, nil
 	}
@@ -195,39 +185,39 @@ func (a *admission) acquire(ctx ctxDone, client string, haveStale bool, budget t
 	// The request must wait; decide whether it should be shed instead.
 	full := a.queued >= a.maxQueue
 	pressured := a.queued*2 >= a.maxQueue
-	if a.priority && haveStale && pressured {
+	if haveStale && pressured {
 		// Serve the stale copy instead of queueing a refetch: under
 		// pressure, freshness degrades before availability.
-		a.cShedStale.Inc()
+		a.m.ShedStale.Inc()
 		a.mu.Unlock()
 		return admitStale, nil
 	}
 	if full {
-		a.cShedFull.Inc()
+		a.m.ShedFull.Inc()
 		a.mu.Unlock()
 		return admitShed, fmt.Errorf("proxy: admission queue full (%d waiting): %w", a.maxQueue, ErrOverloaded)
 	}
-	if a.priority && strings.HasPrefix(client, peerClientPrefix) && a.queued*4 >= a.maxQueue*3 {
+	if strings.HasPrefix(client, peerClientPrefix) && a.queued*4 >= a.maxQueue*3 {
 		// A cluster sibling asking us as the ring owner has its own
 		// origin fallback; shed it before any local client.
-		a.cShedPeer.Inc()
+		a.m.ShedPeer.Inc()
 		a.mu.Unlock()
 		return admitShed, fmt.Errorf("proxy: peer fill shed under load: %w", ErrOverloaded)
 	}
-	if a.priority {
-		active := len(a.queues)
-		if _, ok := a.queues[client]; !ok {
-			active++
-		}
-		share := a.maxQueue / active
-		if share < 1 {
-			share = 1
-		}
-		if len(a.queues[client]) >= share {
-			a.cShedFair.Inc()
-			a.mu.Unlock()
-			return admitShed, fmt.Errorf("proxy: client %q over its fair queue share (%d): %w", client, share, ErrOverloaded)
-		}
+	// A client already holding its fair share of the queue is shed, so
+	// one backlogged client cannot crowd the others out.
+	active := len(a.queues)
+	if _, ok := a.queues[client]; !ok {
+		active++
+	}
+	share := a.maxQueue / active
+	if share < 1 {
+		share = 1
+	}
+	if len(a.queues[client]) >= share {
+		a.m.ShedFair.Inc()
+		a.mu.Unlock()
+		return admitShed, fmt.Errorf("proxy: client %q over its fair queue share (%d): %w", client, share, ErrOverloaded)
 	}
 	// Deadline-aware drop: if the expected wait plus the expected
 	// service time (live histogram means) cannot fit the requester's
@@ -235,12 +225,12 @@ func (a *admission) acquire(ctx ctxDone, client string, haveStale bool, budget t
 	if svc := a.svcTime(); svc > 0 && budget >= 0 {
 		expect := svc + svc*time.Duration(a.queued)/time.Duration(a.limit)
 		if expect > budget {
-			if a.priority && haveStale {
-				a.cShedStale.Inc()
+			if haveStale {
+				a.m.ShedStale.Inc()
 				a.mu.Unlock()
 				return admitStale, nil
 			}
-			a.cShedDeadline.Inc()
+			a.m.ShedDeadline.Inc()
 			a.mu.Unlock()
 			return admitShed, fmt.Errorf("proxy: expected wait %v exceeds request budget %v: %w", expect, budget, ErrOverloaded)
 		}
@@ -264,7 +254,7 @@ func (a *admission) acquire(ctx ctxDone, client string, haveStale bool, budget t
 	wait := telemetry.StartTimer()
 	select {
 	case <-w.ready:
-		a.hWait.Observe(wait.Elapsed())
+		a.m.Wait.Observe(wait.Elapsed())
 		return admitOK, nil
 	case <-ctx.Done():
 	case <-timeout:
@@ -273,21 +263,21 @@ func (a *admission) acquire(ctx ctxDone, client string, haveStale bool, budget t
 	if w.granted {
 		// Raced with a grant: the slot is already ours, use it.
 		a.mu.Unlock()
-		a.hWait.Observe(wait.Elapsed())
+		a.m.Wait.Observe(wait.Elapsed())
 		return admitOK, nil
 	}
 	a.removeLocked(w)
 	a.mu.Unlock()
-	a.hWait.Observe(wait.Elapsed())
+	a.m.Wait.Observe(wait.Elapsed())
 	if err := ctx.Err(); err != nil {
 		// Every waiter on this flight left; not a shed, an abandonment.
 		return admitShed, err
 	}
-	if a.priority && haveStale {
-		a.cShedStale.Inc()
+	if haveStale {
+		a.m.ShedStale.Inc()
 		return admitStale, nil
 	}
-	a.cShedDeadline.Inc()
+	a.m.ShedDeadline.Inc()
 	return admitShed, fmt.Errorf("proxy: queued longer than %v: %w", a.deadline, ErrOverloaded)
 }
 
@@ -313,7 +303,7 @@ func (a *admission) grantLocked() {
 		}
 		w.granted = true
 		a.inService++
-		a.cAdmitted.Inc()
+		a.m.Admitted.Inc()
 		close(w.ready)
 	}
 }

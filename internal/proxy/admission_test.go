@@ -14,7 +14,7 @@ import (
 	"dvm/internal/telemetry"
 )
 
-func newTestAdmission(limit, maxQueue int, deadline time.Duration, policy string, svc func() time.Duration) *admission {
+func newTestAdmission(limit, maxQueue int, deadline time.Duration, svc func() time.Duration) *admission {
 	reg := telemetry.NewRegistry("proxy")
 	if svc == nil {
 		svc = func() time.Duration { return 0 }
@@ -23,7 +23,6 @@ func newTestAdmission(limit, maxQueue int, deadline time.Duration, policy string
 		MaxConcurrent: limit,
 		MaxQueue:      maxQueue,
 		QueueDeadline: deadline,
-		ShedPolicy:    policy,
 	}, reg, svc, reg.Counter("requests_total"))
 }
 
@@ -62,7 +61,7 @@ func TestAdmissionNilAdmitsEverything(t *testing.T) {
 }
 
 func TestAdmissionGrantsFreedSlotToWaiter(t *testing.T) {
-	a := newTestAdmission(1, 4, 0, ShedFIFO, nil)
+	a := newTestAdmission(1, 4, 0, nil)
 	mustAdmit(t, a, "c1")
 	got := make(chan error, 1)
 	go func() {
@@ -77,14 +76,14 @@ func TestAdmissionGrantsFreedSlotToWaiter(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatalf("queued waiter: %v", err)
 	}
-	if n := a.cAdmitted.Load(); n != 2 {
+	if n := a.m.Admitted.Load(); n != 2 {
 		t.Errorf("admitted_total = %d, want 2", n)
 	}
 	a.release()
 }
 
 func TestAdmissionQueueFullRejects(t *testing.T) {
-	a := newTestAdmission(1, 1, 0, ShedFIFO, nil)
+	a := newTestAdmission(1, 1, 0, nil)
 	mustAdmit(t, a, "c1")
 	go a.acquire(context.Background(), "c2", false, -1)
 	waitQueued(t, a, 1)
@@ -92,7 +91,7 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 	if out != admitShed || !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("acquire over full queue = %v, %v; want admitShed/ErrOverloaded", out, err)
 	}
-	if n := a.cShedFull.Load(); n != 1 {
+	if n := a.m.ShedFull.Load(); n != 1 {
 		t.Errorf("shed_queue_full_total = %d, want 1", n)
 	}
 	a.release() // drain the queued waiter
@@ -103,7 +102,7 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 // queue pressure a request that a stale cache entry could answer is
 // shed onto that entry (still served) before anyone is rejected.
 func TestAdmissionStaleBeforeReject(t *testing.T) {
-	a := newTestAdmission(1, 2, 0, ShedPriority, nil)
+	a := newTestAdmission(1, 2, 0, nil)
 	mustAdmit(t, a, "c1")
 	go a.acquire(context.Background(), "c2", false, -1)
 	waitQueued(t, a, 1) // queued*2 >= maxQueue: pressured
@@ -112,7 +111,7 @@ func TestAdmissionStaleBeforeReject(t *testing.T) {
 	if out != admitStale || err != nil {
 		t.Fatalf("pressured acquire with stale = %v, %v; want admitStale", out, err)
 	}
-	if n := a.cShedStale.Load(); n != 1 {
+	if n := a.m.ShedStale.Load(); n != 1 {
 		t.Errorf("shed_stale_served_total = %d, want 1", n)
 	}
 	// The same request without a stale fallback queues (not pressured
@@ -130,24 +129,10 @@ func TestAdmissionStaleBeforeReject(t *testing.T) {
 	a.release()
 }
 
-// TestAdmissionFIFOIgnoresStale: the fifo policy has no priority
-// tricks — a stale fallback does not change the tail-drop decision.
-func TestAdmissionFIFOIgnoresStale(t *testing.T) {
-	a := newTestAdmission(1, 1, 0, ShedFIFO, nil)
-	mustAdmit(t, a, "c1")
-	go a.acquire(context.Background(), "c2", false, -1)
-	waitQueued(t, a, 1)
-	if out, err := a.acquire(context.Background(), "c3", true, -1); out != admitShed || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("fifo full-queue acquire = %v, %v; want rejection despite stale", out, err)
-	}
-	a.release()
-	a.release()
-}
-
 // TestAdmissionFairShare: a client hogging the queue is shed once it
 // exceeds its share of the slots while other clients still get in.
 func TestAdmissionFairShare(t *testing.T) {
-	a := newTestAdmission(1, 4, 0, ShedPriority, nil)
+	a := newTestAdmission(1, 4, 0, nil)
 	mustAdmit(t, a, "holder")
 	// hog queues two flights, other one: active clients = 2, share = 2.
 	go a.acquire(context.Background(), "hog", false, -1)
@@ -161,7 +146,7 @@ func TestAdmissionFairShare(t *testing.T) {
 	if out != admitShed || !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("hog over share = %v, %v; want rejection", out, err)
 	}
-	if n := a.cShedFair.Load(); n != 1 {
+	if n := a.m.ShedFair.Load(); n != 1 {
 		t.Errorf("shed_fair_share_total = %d, want 1", n)
 	}
 	// A second distinct client still fits (queue not full, share 1 used 0).
@@ -177,7 +162,7 @@ func TestAdmissionFairShare(t *testing.T) {
 // cluster sibling's fill (which has its own origin fallback) is shed
 // while a local client with the same timing still queues.
 func TestAdmissionPeerShedBeforeClients(t *testing.T) {
-	a := newTestAdmission(1, 4, 0, ShedPriority, nil)
+	a := newTestAdmission(1, 4, 0, nil)
 	mustAdmit(t, a, "holder")
 	for i, c := range []string{"a", "b", "c"} {
 		go a.acquire(context.Background(), c, false, -1)
@@ -187,7 +172,7 @@ func TestAdmissionPeerShedBeforeClients(t *testing.T) {
 	if out != admitShed || !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("peer fill at 3/4 pressure = %v, %v; want rejection", out, err)
 	}
-	if n := a.cShedPeer.Load(); n != 1 {
+	if n := a.m.ShedPeer.Load(); n != 1 {
 		t.Errorf("shed_backpressure_total = %d, want 1", n)
 	}
 	// A local client in the same state is still admitted to the queue.
@@ -212,13 +197,13 @@ func TestAdmissionPeerShedBeforeClients(t *testing.T) {
 // cannot cover the expected wait plus service time is refused at the
 // door instead of queued to die.
 func TestAdmissionDeadlineAwareDrop(t *testing.T) {
-	a := newTestAdmission(1, 10, 0, ShedPriority, func() time.Duration { return 100 * time.Millisecond })
+	a := newTestAdmission(1, 10, 0, func() time.Duration { return 100 * time.Millisecond })
 	mustAdmit(t, a, "c1")
 	out, err := a.acquire(context.Background(), "c2", false, 10*time.Millisecond)
 	if out != admitShed || !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("doomed request = %v, %v; want rejection", out, err)
 	}
-	if n := a.cShedDeadline.Load(); n != 1 {
+	if n := a.m.ShedDeadline.Load(); n != 1 {
 		t.Errorf("shed_deadline_total = %d, want 1", n)
 	}
 	// With a stale fallback the doomed request degrades instead.
@@ -241,13 +226,13 @@ func TestAdmissionDeadlineAwareDrop(t *testing.T) {
 
 // TestAdmissionQueueDeadline: a waiter stuck past QueueDeadline is shed.
 func TestAdmissionQueueDeadline(t *testing.T) {
-	a := newTestAdmission(1, 4, 20*time.Millisecond, ShedPriority, nil)
+	a := newTestAdmission(1, 4, 20*time.Millisecond, nil)
 	mustAdmit(t, a, "c1")
 	out, err := a.acquire(context.Background(), "c2", false, -1)
 	if out != admitShed || !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expired waiter = %v, %v; want rejection", out, err)
 	}
-	if n := a.cShedDeadline.Load(); n != 1 {
+	if n := a.m.ShedDeadline.Load(); n != 1 {
 		t.Errorf("shed_deadline_total = %d, want 1", n)
 	}
 	// With a stale fallback the expired waiter degrades instead.
@@ -260,7 +245,7 @@ func TestAdmissionQueueDeadline(t *testing.T) {
 // TestAdmissionCanceledWaiter: a waiter whose ctx dies while queued is
 // an abandonment (ctx error), not a shed.
 func TestAdmissionCanceledWaiter(t *testing.T) {
-	a := newTestAdmission(1, 4, 0, ShedPriority, nil)
+	a := newTestAdmission(1, 4, 0, nil)
 	mustAdmit(t, a, "c1")
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
@@ -285,7 +270,7 @@ func TestAdmissionCanceledWaiter(t *testing.T) {
 // TestAdmissionRoundRobinAcrossClients: freed slots rotate over the
 // queued clients instead of draining one client's backlog first.
 func TestAdmissionRoundRobinAcrossClients(t *testing.T) {
-	a := newTestAdmission(1, 8, 0, ShedFIFO, nil)
+	a := newTestAdmission(1, 8, 0, nil)
 	mustAdmit(t, a, "holder")
 	order := make(chan string, 3)
 	enqueue := func(name, client string, depth int) {

@@ -62,7 +62,6 @@ func TestStaleIfErrorServesExpiredEntry(t *testing.T) {
 		Pipeline:     rewrite.NewPipeline(),
 		CacheEnabled: true,
 		CacheTTL:     5 * time.Millisecond,
-		RetrySeed:    1,
 	})
 	wantRes, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/Dep"})
 	if err != nil {
@@ -103,7 +102,6 @@ func TestChaosThirtyPercentErrorOrigin(t *testing.T) {
 		CacheEnabled:     true,
 		CacheTTL:         time.Millisecond,
 		FetchRetries:     1,
-		RetrySeed:        7,
 		BreakerThreshold: -1, // isolate stale-if-error from breaker fail-fast
 	})
 	for _, class := range []string{"app/Main", "app/Dep"} {

@@ -178,15 +178,15 @@ func (p *Proxy) fromPeer(ctx context.Context, tr *telemetry.Trace, f *flight, l 
 	fill.End()
 	switch {
 	case res.Art != nil:
-		p.cPeerFetches.Inc()
-		p.cPeerHits.Inc()
+		p.m.PeerFetches.Inc()
+		p.m.PeerHits.Inc()
 		p.countCompileHit(l.Arch) // the owner paid the compilation
 		f.stale, f.peer = res.Stale, res.Peer
 	case res.Err != nil:
-		p.cPeerFetches.Inc()
+		p.m.PeerFetches.Inc()
 		f.peerErr = res.Err.Error()
 	default:
-		p.cOwnerFetches.Inc()
+		p.m.OwnerFetches.Inc()
 	}
 	return resolved{art: res.Art, retain: res.CacheLocal}, nil
 }
@@ -209,12 +209,12 @@ func (p *Proxy) fromBase(_ context.Context, tr *telemetry.Trace, f *flight, l Lo
 	span := tr.StartSpan(p.cfg.Node, "aot.derive")
 	out, err := compiler.CompileArtifact(base.Data)
 	f.proxyTime = span.End()
-	p.hPipeline.Observe(f.proxyTime)
+	p.m.Pipeline.Observe(f.proxyTime)
 	if err != nil {
 		log.Printf("proxy: aot: deriving %s from cached %s artifact: %v", l.Class, base.Arch, err)
 		return resolved{}, nil
 	}
-	p.cCompileMisses.Inc()
+	p.m.CompileMisses.Inc()
 	art := &Artifact{Arch: l.Arch, Class: l.Class, Data: out, Source: SourceDerive}
 	return resolved{art: art, payload: base.Data, mode: SealCompile, retain: true}, nil
 }
@@ -222,7 +222,7 @@ func (p *Proxy) fromBase(_ context.Context, tr *telemetry.Trace, f *flight, l Lo
 // fromOrigin is the paper's path: fetch the original bytes (deadline,
 // retry, breaker) and run the static service pipeline over them.
 func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, l Lookup) (resolved, error) {
-	p.cOriginFetches.Inc()
+	p.m.OriginFetches.Inc()
 	fetch := tr.StartSpan(p.cfg.Node, "origin.fetch")
 	var raw []byte
 	err := p.hop.Do(ctx, func(actx context.Context) error {
@@ -235,25 +235,25 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 		raw = b
 		return ferr
 	})
-	p.hOriginFetch.Observe(fetch.End())
+	p.m.OriginFetch.Observe(fetch.End())
 	if err != nil {
 		return resolved{}, err
 	}
-	p.cBytesIn.Add(int64(len(raw)))
+	p.m.BytesIn.Add(int64(len(raw)))
 
 	pipe := tr.StartSpan(p.cfg.Node, "pipeline")
 	out, rejected, err := p.transform(nil, tr, l, raw)
 	f.proxyTime = pipe.End()
-	p.hPipeline.Observe(f.proxyTime)
+	p.m.Pipeline.Observe(f.proxyTime)
 	switch {
 	case err != nil:
 		return resolved{}, err
 	case rejected:
-		p.cRejections.Inc()
+		p.m.Rejections.Inc()
 	case p.cfg.AOTBaseArch != "" && l.Arch == compiler.ArchDVM:
 		// The compile step ran inside the pipeline (no resident base to
 		// derive from).
-		p.cCompileMisses.Inc()
+		p.m.CompileMisses.Inc()
 	}
 	art := &Artifact{Arch: l.Arch, Class: l.Class, Data: out, Rejected: rejected, Source: SourceOrigin}
 	return resolved{art: art, payload: raw, retain: true}, nil
@@ -296,12 +296,12 @@ func (p *Proxy) seal(ctx context.Context, tr *telemetry.Trace, r resolved) error
 	att, err := p.cfg.Fleet.Seal(ctx, r.art, r.payload, r.mode)
 	switch {
 	case err != nil:
-		p.hAttest.Observe(span.End())
-		p.cAttestFailures.Inc()
+		p.m.Attest.Observe(span.End())
+		p.m.AttestFailures.Inc()
 		return fmt.Errorf("proxy: attesting %s (%s): %w", r.art.Class, stage, err)
 	case att != nil:
-		p.hAttest.Observe(span.End())
-		p.cAttested.Inc()
+		p.m.Attest.Observe(span.End())
+		p.m.Attested.Inc()
 		r.art.Att = att
 	}
 	return nil
@@ -317,10 +317,10 @@ func (p *Proxy) flightError(f *flight, err error) {
 	abandoned := f.waiters == 0
 	p.flightMu.Unlock()
 	if abandoned && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		p.cFlightsAbandoned.Inc()
+		p.m.FlightsAbandoned.Inc()
 		return
 	}
-	p.cFetchErrors.Inc()
+	p.m.FetchErrors.Inc()
 }
 
 // Derive re-derives the artifact for (arch, class) from payload under

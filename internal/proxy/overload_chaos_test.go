@@ -239,7 +239,6 @@ func TestOverloadQueueFullRejects(t *testing.T) {
 		MaxQueue:      2,
 		MaxConcurrent: 1,
 		QueueDeadline: 5 * time.Second,
-		ShedPolicy:    proxy.ShedFIFO,
 	})
 
 	results := make(chan error, 3)
@@ -331,7 +330,6 @@ func TestOverloadShedsStaleBeforeReject(t *testing.T) {
 		MaxQueue:      2,
 		MaxConcurrent: 1,
 		QueueDeadline: 5 * time.Second,
-		ShedPolicy:    proxy.ShedPriority,
 	})
 
 	// Prime the key, then let it expire.

@@ -147,8 +147,6 @@ type Config struct {
 	// FetchRetries is the number of retries after the first failed fetch
 	// attempt (0 = no retries). Not-found answers are never retried.
 	FetchRetries int
-	// RetrySeed makes the retry jitter deterministic (tests).
-	RetrySeed uint64
 	// BreakerThreshold is the number of consecutive origin failures that
 	// trips the origin circuit breaker (0 = default 5, <0 = disabled).
 	BreakerThreshold int
@@ -163,7 +161,8 @@ type Config struct {
 	// MaxQueue bounds how many miss requests may wait for a service
 	// slot before new ones are shed (429). 0 disables admission control
 	// entirely: today's unbounded behavior. See admission.go for the
-	// shed ordering.
+	// shed ordering: stale-serve before rejecting, peer fills before
+	// local misses, per-client fair shares.
 	MaxQueue int
 	// MaxConcurrent bounds the flights doing origin-fetch + pipeline
 	// work at once when admission control is enabled (default
@@ -173,11 +172,6 @@ type Config struct {
 	// QueueDeadline bounds how long a flight may wait for a service
 	// slot before it is shed (default 1s when admission is enabled).
 	QueueDeadline time.Duration
-	// ShedPolicy selects what to shed under overload: ShedPriority
-	// (default — stale-serve before rejecting, peer fills before local
-	// misses, per-client fair shares) or ShedFIFO (bounded queue, tail
-	// drop only).
-	ShedPolicy string
 
 	// AOTBaseArch, when set, turns the compiler's output into a shared
 	// derived artifact: a miss for compiler.ArchDVM whose AOTBaseArch
@@ -250,7 +244,8 @@ type RequestInfo struct {
 
 // Stats is a snapshot of proxy counters, derived from the telemetry
 // registry (the registry is the source of truth; this struct is the
-// ergonomic Go view of it).
+// ergonomic Go view of it). A counter field is filled from the metric
+// declaration field of the same name (metrics, admissionMetrics).
 type Stats struct {
 	Requests      int64
 	CacheHits     int64
@@ -272,10 +267,11 @@ type Stats struct {
 	// underlying fetch error appears once in FetchErrors.
 	CoalescedFailures int64
 	// FlightsAbandoned counts flights canceled because every waiting
-	// client disconnected first.
+	// client disconnected first (not an origin failure).
 	FlightsAbandoned int64
 	// Attested counts artifacts sealed after a quorum round;
-	// AttestFailures counts flights failed by the attest hook.
+	// AttestFailures counts flights failed by the attest hook (local
+	// divergence, no quorum).
 	Attested       int64
 	AttestFailures int64
 	// CompileHits counts AOT-arch artifacts served without a local
@@ -306,45 +302,41 @@ type Proxy struct {
 	adm *admission
 
 	reg *telemetry.Registry
+	m   metrics
+}
 
-	cRequests      *telemetry.Counter
-	cCacheHits     *telemetry.Counter
-	cCoalesced     *telemetry.Counter
-	cOriginFetches *telemetry.Counter
-	cFetchErrors   *telemetry.Counter
-	cStaleServed   *telemetry.Counter
-	cPeerFetches   *telemetry.Counter
-	cPeerHits      *telemetry.Counter
-	cOwnerFetches  *telemetry.Counter
-	cRejections    *telemetry.Counter
-	cBytesIn       *telemetry.Counter
-	cBytesOut      *telemetry.Counter
-	cFetchRetries  *telemetry.Counter
-	// cCoalescedFailures counts followers whose shared flight failed;
-	// the underlying fetch error is counted once, on the flight.
-	cCoalescedFailures *telemetry.Counter
-	// cFlightsAbandoned counts flights canceled because every waiter
-	// disconnected before the result arrived (not an origin failure).
-	cFlightsAbandoned *telemetry.Counter
-	// cAttested counts artifacts that finished a quorum round and were
-	// sealed; cAttestFailures counts flights failed by the attest hook
-	// (local divergence, no quorum).
-	cAttested       *telemetry.Counter
-	cAttestFailures *telemetry.Counter
-	// cCompileHits / cCompileMisses implement the AOT code cache's
-	// "fleet pays one compilation per class" accounting (see Stats).
-	cCompileHits   *telemetry.Counter
-	cCompileMisses *telemetry.Counter
-
+// metrics is the proxy's metric declaration (telemetry.Declare). Stats
+// documents the counters it reports under the same field names.
+type metrics struct {
+	Requests          *telemetry.Counter `metric:"requests_total"`
+	CacheHits         *telemetry.Counter `metric:"cache_hits_total"`
+	Coalesced         *telemetry.Counter `metric:"coalesced_total"`
+	OriginFetches     *telemetry.Counter `metric:"origin_fetches_total"`
+	FetchErrors       *telemetry.Counter `metric:"fetch_errors_total"`
+	StaleServed       *telemetry.Counter `metric:"stale_served_total"`
+	PeerFetches       *telemetry.Counter `metric:"peer_fetches_total"`
+	PeerHits          *telemetry.Counter `metric:"peer_hits_total"`
+	OwnerFetches      *telemetry.Counter `metric:"owner_fetches_total"`
+	Rejections        *telemetry.Counter `metric:"rejections_total"`
+	BytesIn           *telemetry.Counter `metric:"bytes_in_total"`
+	BytesOut          *telemetry.Counter `metric:"bytes_out_total"`
+	FetchRetries      *telemetry.Counter `metric:"fetch_retries_total"`
+	CoalescedFailures *telemetry.Counter `metric:"coalesced_failures_total"`
+	FlightsAbandoned  *telemetry.Counter `metric:"flights_abandoned_total"`
+	Attested          *telemetry.Counter `metric:"attested_keys_total"`
+	AttestFailures    *telemetry.Counter `metric:"attest_failures_total"`
+	CompileHits       *telemetry.Counter `metric:"compile_hits_total"`
+	CompileMisses     *telemetry.Counter `metric:"compile_misses_total"`
 	// Batch-warm ingestion (replica push, handoff, prefetch — one path,
 	// one set of counters).
-	cWarmed      *telemetry.Counter
-	cWarmedBytes *telemetry.Counter
+	Warmed      *telemetry.Counter `metric:"warm_entries_total"`
+	WarmedBytes *telemetry.Counter `metric:"warm_bytes_total"`
 
-	hRequest     *telemetry.Histogram // whole-request latency; count == Requests
-	hOriginFetch *telemetry.Histogram
-	hPipeline    *telemetry.Histogram // parse+transform time; Sum backs Stats.ProxyTime
-	hAttest      *telemetry.Histogram // quorum round latency per attested artifact
+	Request     *telemetry.Histogram `metric:"request_seconds"` // whole-request latency; count == Requests
+	OriginFetch *telemetry.Histogram `metric:"origin_fetch_seconds"`
+	Pipeline    *telemetry.Histogram `metric:"pipeline_seconds"`      // parse+transform time; Sum backs Stats.ProxyTime
+	Attest      *telemetry.Histogram `metric:"attest_quorum_seconds"` // quorum round latency per attested artifact
+	BreakerOpen *telemetry.Histogram `metric:"breaker_open_seconds"`
 }
 
 // DefaultMaxConcurrent is the concurrency Config.MaxConcurrent defaults
@@ -367,9 +359,6 @@ func New(origin Origin, cfg Config) *Proxy {
 		if cfg.QueueDeadline <= 0 {
 			cfg.QueueDeadline = time.Second
 		}
-		if cfg.ShedPolicy == "" {
-			cfg.ShedPolicy = ShedPriority
-		}
 	}
 	p := &Proxy{
 		origin:  origin,
@@ -378,52 +367,25 @@ func New(origin Origin, cfg Config) *Proxy {
 		reg:     telemetry.NewRegistry("proxy"),
 	}
 	p.store = newStore(cfg, p.reg)
-	p.cRequests = p.reg.Counter("requests_total")
-	p.cCacheHits = p.reg.Counter("cache_hits_total")
-	p.cCoalesced = p.reg.Counter("coalesced_total")
-	p.cOriginFetches = p.reg.Counter("origin_fetches_total")
-	p.cFetchErrors = p.reg.Counter("fetch_errors_total")
-	p.cStaleServed = p.reg.Counter("stale_served_total")
-	p.cPeerFetches = p.reg.Counter("peer_fetches_total")
-	p.cPeerHits = p.reg.Counter("peer_hits_total")
-	p.cOwnerFetches = p.reg.Counter("owner_fetches_total")
-	p.cRejections = p.reg.Counter("rejections_total")
-	p.cBytesIn = p.reg.Counter("bytes_in_total")
-	p.cBytesOut = p.reg.Counter("bytes_out_total")
-	p.cFetchRetries = p.reg.Counter("fetch_retries_total")
-	p.cCoalescedFailures = p.reg.Counter("coalesced_failures_total")
-	p.cFlightsAbandoned = p.reg.Counter("flights_abandoned_total")
-	p.cAttested = p.reg.Counter("attested_keys_total")
-	p.cAttestFailures = p.reg.Counter("attest_failures_total")
-	p.cCompileHits = p.reg.Counter("compile_hits_total")
-	p.cCompileMisses = p.reg.Counter("compile_misses_total")
-	p.cWarmed = p.reg.Counter("warm_entries_total")
-	p.cWarmedBytes = p.reg.Counter("warm_bytes_total")
-	p.hRequest = p.reg.Histogram("request_seconds", nil)
-	p.hOriginFetch = p.reg.Histogram("origin_fetch_seconds", nil)
-	p.hPipeline = p.reg.Histogram("pipeline_seconds", nil)
-	p.hAttest = p.reg.Histogram("attest_quorum_seconds", nil)
+	p.reg.Declare(&p.m)
 	if cfg.MaxQueue > 0 {
 		// Expected service time for the deadline-aware drop: the live
 		// mean origin fetch plus the live mean pipeline run.
 		svc := func() time.Duration {
-			return p.hOriginFetch.Snapshot().Mean() + p.hPipeline.Snapshot().Mean()
+			return p.m.OriginFetch.Snapshot().Mean() + p.m.Pipeline.Snapshot().Mean()
 		}
-		p.adm = newAdmission(cfg, p.reg, svc, p.cRequests)
+		p.adm = newAdmission(cfg, p.reg, svc, p.m.Requests)
 	}
 	p.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 		Threshold:     cfg.BreakerThreshold,
 		Cooldown:      cfg.BreakerCooldown,
-		OpenDurations: p.reg.Histogram("breaker_open_seconds", nil),
+		OpenDurations: p.m.BreakerOpen,
 	})
 	p.hop = resilience.Hop{
 		Timeout: cfg.FetchTimeout,
-		Retry: resilience.RetryPolicy{
-			Attempts: 1 + cfg.FetchRetries,
-			Seed:     cfg.RetrySeed,
-		},
+		Retry:   resilience.RetryPolicy{Attempts: 1 + cfg.FetchRetries},
 		Breaker: p.breaker,
-		Retries: p.cFetchRetries,
+		Retries: p.m.FetchRetries,
 	}
 	// Requests currently waiting on a flight, leaders included.
 	p.reg.Gauge("flight_waiters", func() float64 {
@@ -478,54 +440,22 @@ func (p *Proxy) Health() telemetry.Health {
 
 // Stats returns a snapshot of the counters, read from the registry.
 func (p *Proxy) Stats() Stats {
-	return Stats{
-		Requests:      p.cRequests.Load(),
-		CacheHits:     p.cCacheHits.Load(),
-		Coalesced:     p.cCoalesced.Load(),
-		OriginFetches: p.cOriginFetches.Load(),
-		FetchRetries:  p.cFetchRetries.Load(),
-		FetchErrors:   p.cFetchErrors.Load(),
-		StaleServed:   p.cStaleServed.Load(),
-		PeerFetches:   p.cPeerFetches.Load(),
-		PeerHits:      p.cPeerHits.Load(),
-		OwnerFetches:  p.cOwnerFetches.Load(),
-		Rejections:    p.cRejections.Load(),
-		Shed:          p.shedTotal(),
-		ShedStale:     p.shedStale(),
-
-		CoalescedFailures: p.cCoalescedFailures.Load(),
-		FlightsAbandoned:  p.cFlightsAbandoned.Load(),
-		Attested:          p.cAttested.Load(),
-		AttestFailures:    p.cAttestFailures.Load(),
-		CompileHits:       p.cCompileHits.Load(),
-		CompileMisses:     p.cCompileMisses.Load(),
-		BytesIn:           p.cBytesIn.Load(),
-		BytesOut:          p.cBytesOut.Load(),
-		ProxyTime:         p.hPipeline.Snapshot().Sum,
-		Breaker:           p.breaker.Counts(),
+	s := Stats{
+		Shed:      p.adm.shedTotal(),
+		ProxyTime: p.m.Pipeline.Snapshot().Sum,
+		Breaker:   p.breaker.Counts(),
 	}
-}
-
-// shedTotal reports requests rejected by admission control.
-func (p *Proxy) shedTotal() int64 {
-	if p.adm == nil {
-		return 0
+	telemetry.Add(&s, &p.m)
+	if p.adm != nil {
+		telemetry.Add(&s, &p.adm.m)
 	}
-	return p.adm.shedTotal()
-}
-
-// shedStale reports overload decisions answered from expired cache.
-func (p *Proxy) shedStale() int64 {
-	if p.adm == nil {
-		return 0
-	}
-	return p.adm.cShedStale.Load()
+	return s
 }
 
 // RequestLatency snapshots the whole-request latency histogram; cluster
 // aggregation merges these across nodes.
 func (p *Proxy) RequestLatency() telemetry.HistSnapshot {
-	return p.hRequest.Snapshot()
+	return p.m.Request.Snapshot()
 }
 
 // CacheSnapshot returns cached artifacts most-recently-used first —
@@ -554,8 +484,8 @@ func (p *Proxy) Warm(arts []*Artifact) int {
 	stored := 0
 	for _, a := range arts {
 		if p.store.put(a) {
-			p.cWarmed.Inc()
-			p.cWarmedBytes.Add(int64(len(a.Data)))
+			p.m.Warmed.Inc()
+			p.m.WarmedBytes.Add(int64(len(a.Data)))
 			stored++
 		}
 	}
@@ -601,12 +531,12 @@ func (p *Proxy) UnderPressure() bool { return p.adm.pressured() }
 func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 	tr := telemetry.FromContext(ctx)
 	span := tr.StartSpan(p.cfg.Node, "proxy.request")
-	p.cRequests.Inc()
+	p.m.Requests.Inc()
 	art, rec, err := p.serve(ctx, tr, l)
 	res := Result{Info: rec.RequestInfo, Trace: tr}
 	if art != nil {
 		res.Art, res.Data = art, art.Data
-		p.cBytesOut.Add(int64(len(art.Data)))
+		p.m.BytesOut.Add(int64(len(art.Data)))
 	}
 	if p.cfg.OnAudit != nil {
 		rec.Lookup, rec.Bytes, rec.Duration = l, len(res.Data), span.Elapsed()
@@ -615,7 +545,7 @@ func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 		}
 		p.cfg.OnAudit(rec)
 	}
-	p.hRequest.Observe(span.End())
+	p.m.Request.Observe(span.End())
 	return res, err
 }
 
@@ -629,7 +559,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 	if p.cfg.CacheEnabled {
 		art, fresh, prefetched := p.store.get(key)
 		if fresh {
-			p.cCacheHits.Inc()
+			p.m.CacheHits.Inc()
 			p.countCompileHit(l.Arch) // a resident compiled artifact: nobody compiles anything
 			return art, RequestRecord{RequestInfo: RequestInfo{
 				CacheHit: true, Prefetched: prefetched, Rejected: art.Rejected, Attestation: art.Att}}, nil
@@ -670,7 +600,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 // without compiling anything here (Stats.CompileHits).
 func (p *Proxy) countCompileHit(arch string) {
 	if p.cfg.AOTBaseArch != "" && arch == compiler.ArchDVM {
-		p.cCompileHits.Inc()
+		p.m.CompileHits.Inc()
 	}
 }
 
@@ -729,7 +659,7 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string
 			// The fetch error itself was counted once, on the flight;
 			// followers count separately so one bad origin fetch with N
 			// waiters does not inflate fetch_errors_total by N+1.
-			p.cCoalescedFailures.Inc()
+			p.m.CoalescedFailures.Inc()
 		}
 		return nil, rec, f.err
 	}
@@ -743,15 +673,15 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string
 	disk := !f.stale && art.Source == SourceDisk
 	rec.CacheHit = !leader || disk || (f.stale && f.peer == "")
 	if !leader || disk {
-		p.cCacheHits.Inc()
+		p.m.CacheHits.Inc()
 	}
 	if !leader {
-		p.cCoalesced.Inc()
+		p.m.Coalesced.Inc()
 	} else if disk {
 		p.countCompileHit(arch)
 	}
 	if f.stale {
-		p.cStaleServed.Inc()
+		p.m.StaleServed.Inc()
 	}
 	return art, rec, nil
 }

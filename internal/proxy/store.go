@@ -36,12 +36,22 @@ type store struct {
 	bytes  int
 	unused int // bytes of prefetched entries nobody has hit yet
 
+	m storeMetrics
+}
+
+// storeMetrics is the store's metric declaration (telemetry.Declare).
+// The prefetch ledger's counters share PrefetchLedger's field names.
+type storeMetrics struct {
 	// The prefetch ledger. Waste is explicit: prefetched bytes evicted
 	// or overwritten before first use are reported, not hidden.
-	cInserted, cHits, cSkipped, cWasteBytes, cEvicted *telemetry.Counter
-	// cDiskCorrupt counts disk entries discarded because their bytes no
+	Inserted   *telemetry.Counter `metric:"prefetch_inserted_total"`
+	Hits       *telemetry.Counter `metric:"prefetch_hits_total"`
+	Skipped    *telemetry.Counter `metric:"prefetch_skipped_total"`
+	WasteBytes *telemetry.Counter `metric:"prefetch_waste_bytes_total"`
+	Evicted    *telemetry.Counter `metric:"prefetch_evicted_unused_total"`
+	// DiskCorrupt counts disk entries discarded because their bytes no
 	// longer match their seal.
-	cDiskCorrupt *telemetry.Counter
+	DiskCorrupt *telemetry.Counter `metric:"disk_corrupt_total"`
 }
 
 // entry is one element of the LRU ring. The links are intrusive — the
@@ -69,14 +79,8 @@ func newStore(cfg Config, reg *telemetry.Registry) *store {
 	s := &store{
 		budget: cfg.CacheBudget, ttl: cfg.CacheTTL, dir: cfg.DiskCacheDir,
 		cache: make(map[string]*entry),
-
-		cInserted:    reg.Counter("prefetch_inserted_total"),
-		cHits:        reg.Counter("prefetch_hits_total"),
-		cSkipped:     reg.Counter("prefetch_skipped_total"),
-		cWasteBytes:  reg.Counter("prefetch_waste_bytes_total"),
-		cEvicted:     reg.Counter("prefetch_evicted_unused_total"),
-		cDiskCorrupt: reg.Counter("disk_corrupt_total"),
 	}
+	reg.Declare(&s.m)
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	gauge := func(name string, v *int) {
 		reg.Gauge(name, func() float64 {
@@ -111,7 +115,7 @@ func (s *store) get(key string) (art *Artifact, fresh, prefetched bool) {
 	if ent.prefetched {
 		ent.prefetched, prefetched = false, true
 		s.unused -= len(ent.art.Data)
-		s.cHits.Inc()
+		s.m.Hits.Inc()
 	}
 	return ent.art, s.fresh(ent.storedAt), prefetched
 }
@@ -167,7 +171,7 @@ func (s *store) remember(art *Artifact) bool {
 	switch {
 	case art.Source == ReasonPrefetch:
 		if resident || (s.budget > 0 && s.bytes+size > s.budget) {
-			s.cSkipped.Inc()
+			s.m.Skipped.Inc()
 			return false
 		}
 		ent = &entry{key: key, art: art, storedAt: time.Now(), prefetched: true}
@@ -175,7 +179,7 @@ func (s *store) remember(art *Artifact) bool {
 		s.cache[key] = ent
 		s.bytes += size
 		s.unused += size
-		s.cInserted.Inc()
+		s.m.Inserted.Inc()
 		return true
 	case s.budget > 0 && size > s.budget:
 		log.Printf("proxy: cache: entry %q (%d bytes) exceeds cache budget (%d); not cached", art.Class, size, s.budget)
@@ -209,15 +213,16 @@ func (s *store) wasted(ent *entry) {
 	}
 	ent.prefetched = false
 	s.unused -= len(ent.art.Data)
-	s.cWasteBytes.Add(int64(len(ent.art.Data)))
-	s.cEvicted.Inc()
+	s.m.WasteBytes.Add(int64(len(ent.art.Data)))
+	s.m.Evicted.Inc()
 }
 
 func (s *store) ledger() PrefetchLedger {
 	s.mu.Lock()
-	resident := int64(s.unused)
+	l := PrefetchLedger{ResidentBytes: int64(s.unused)}
 	s.mu.Unlock()
-	return PrefetchLedger{s.cInserted.Load(), s.cHits.Load(), s.cSkipped.Load(), s.cWasteBytes.Load(), resident}
+	telemetry.Add(&l, &s.m)
+	return l
 }
 
 // snapshot returns resident artifacts most-recently-used first —
@@ -285,7 +290,7 @@ func (s *store) load(key string) (art *Artifact, fresh bool) {
 		}
 	}
 	if a := art.Att; a != nil && (a.Arch != arch || a.Class != class || a.Digest != attest.Digest(data)) {
-		s.cDiskCorrupt.Inc()
+		s.m.DiskCorrupt.Inc()
 		log.Printf("proxy: disk cache: %s/%s does not match its seal; discarded", arch, class)
 		os.Remove(path)
 		os.Remove(path + ".meta")

@@ -29,10 +29,10 @@ func TestWarmBatchStoresAllReasons(t *testing.T) {
 			t.Errorf("%s not cached", class)
 		}
 	}
-	if got := p.cWarmed.Load(); got != 3 {
+	if got := p.m.Warmed.Load(); got != 3 {
 		t.Errorf("warm_entries_total = %d, want 3", got)
 	}
-	if got := p.cWarmedBytes.Load(); got != 300 {
+	if got := p.m.WarmedBytes.Load(); got != 300 {
 		t.Errorf("warm_bytes_total = %d, want 300", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestPrefetchInsertsColdAndNeverEvicts(t *testing.T) {
 			t.Errorf("%s missing after over-budget prefetch", class)
 		}
 	}
-	if got := p.store.cSkipped.Load(); got != 1 {
+	if got := p.store.m.Skipped.Load(); got != 1 {
 		t.Errorf("prefetch_skipped_total = %d, want 1", got)
 	}
 	// A real store under pressure evicts the unused prefetched entry
@@ -71,10 +71,10 @@ func TestPrefetchInsertsColdAndNeverEvicts(t *testing.T) {
 	if p.Peek("x86", "app/P1") != nil {
 		t.Error("unused prefetched entry survived a real store under pressure")
 	}
-	if got := p.store.cWasteBytes.Load(); got != 100 {
+	if got := p.store.m.WasteBytes.Load(); got != 100 {
 		t.Errorf("prefetch_waste_bytes_total = %d, want 100", got)
 	}
-	if got := p.store.cEvicted.Load(); got != 1 {
+	if got := p.store.m.Evicted.Load(); got != 1 {
 		t.Errorf("prefetch_evicted_unused_total = %d, want 1", got)
 	}
 	if p.store.unused != 0 {
@@ -92,7 +92,7 @@ func TestPrefetchHitClearsLedgerAndPromotes(t *testing.T) {
 	if art == nil || !fresh || !prefetched || len(art.Data) != 100 {
 		t.Fatalf("memGet = %+v fresh=%v prefetched=%v", art, fresh, prefetched)
 	}
-	if got := p.store.cHits.Load(); got != 1 {
+	if got := p.store.m.Hits.Load(); got != 1 {
 		t.Errorf("prefetch_hits_total = %d, want 1", got)
 	}
 	if p.store.unused != 0 {
@@ -104,7 +104,7 @@ func TestPrefetchHitClearsLedgerAndPromotes(t *testing.T) {
 	}
 	p.storeMem("app/A", bytes.Repeat([]byte{'a'}, 150))
 	p.storeMem("app/B", bytes.Repeat([]byte{'b'}, 150)) // evicts app/P
-	if got := p.store.cWasteBytes.Load(); got != 0 {
+	if got := p.store.m.WasteBytes.Load(); got != 0 {
 		t.Errorf("used prefetch counted as waste: %d bytes", got)
 	}
 }

@@ -46,23 +46,21 @@ type VersionedServer struct {
 	version int64
 	waiters map[chan struct{}]struct{}
 
-	reg      *telemetry.Registry
-	cDomains *telemetry.Counter
-	cDecides *telemetry.Counter
-	cPolls   *telemetry.Counter
-	hDecide  *telemetry.Histogram
-	hDomain  *telemetry.Histogram
+	reg *telemetry.Registry
+	m   struct {
+		Domains *telemetry.Counter   `metric:"domain_fetches_total"`
+		Decides *telemetry.Counter   `metric:"decides_total"`
+		Polls   *telemetry.Counter   `metric:"polls_total"`
+		Decide  *telemetry.Histogram `metric:"decide_seconds"`
+		Domain  *telemetry.Histogram `metric:"domain_seconds"`
+	}
 }
 
 // NewVersionedServer wraps a security server for network use.
 func NewVersionedServer(s *Server) *VersionedServer {
 	v := &VersionedServer{Server: s, version: 1, waiters: make(map[chan struct{}]struct{})}
 	v.reg = telemetry.NewRegistry("secd")
-	v.cDomains = v.reg.Counter("domain_fetches_total")
-	v.cDecides = v.reg.Counter("decides_total")
-	v.cPolls = v.reg.Counter("polls_total")
-	v.hDecide = v.reg.Histogram("decide_seconds", nil)
-	v.hDomain = v.reg.Histogram("domain_seconds", nil)
+	v.reg.Declare(&v.m)
 	v.reg.Gauge("policy_version", func() float64 { return float64(v.Version()) })
 	v.reg.Gauge("poll_waiters", func() float64 { return float64(v.Waiters()) })
 	return v
@@ -146,9 +144,9 @@ func (v *VersionedServer) Handler() http.Handler {
 		// untraced one gets no span header. The histogram sees every call.
 		tr := telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader))
 		span := tr.StartSpan("secd", "secd.domain")
-		v.cDomains.Inc()
+		v.m.Domains.Inc()
 		grants := v.FetchDomain(sid)
-		v.hDomain.Observe(span.End())
+		v.m.Domain.Observe(span.End())
 		tr.WriteSpans(w.Header())
 		writeJSONSec(w, wireDomain{Version: v.Version(), Grants: grants})
 	})
@@ -156,15 +154,15 @@ func (v *VersionedServer) Handler() http.Handler {
 		q := r.URL.Query()
 		tr := telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader))
 		span := tr.StartSpan("secd", "secd.decide")
-		v.cDecides.Inc()
+		v.m.Decides.Inc()
 		allowed := v.Decide(q.Get("sid"), q.Get("perm"), q.Get("target"))
-		v.hDecide.Observe(span.End())
+		v.m.Decide.Observe(span.End())
 		tr.WriteSpans(w.Header())
 		writeJSONSec(w, map[string]bool{"allowed": allowed})
 	})
 	mux.HandleFunc("/poll", func(w http.ResponseWriter, r *http.Request) {
 		since, _ := strconv.ParseInt(r.URL.Query().Get("since"), 10, 64)
-		v.cPolls.Inc()
+		v.m.Polls.Inc()
 		ver := v.waitBeyond(r.Context(), since, 25*time.Second)
 		writeJSONSec(w, map[string]int64{"version": ver})
 	})
@@ -320,12 +318,17 @@ func (rm *RemoteManager) pollLoop() {
 		if err != nil {
 			continue
 		}
-		if out.Version > since && since != 0 {
-			rm.Manager.invalidate()
-		}
+		// Compare with the version the cached rules came from now, not
+		// with since: a first poll sent before the first domain fetch
+		// carries since 0, and a policy update that lands between that
+		// fetch and this answer must still invalidate what it cached.
 		rm.mu.Lock()
+		stale := rm.version != 0 && out.Version > rm.version
 		rm.version = out.Version
 		rm.mu.Unlock()
+		if stale {
+			rm.Manager.invalidate()
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -337,6 +339,139 @@ func bad(ed *rewrite.MethodEditor, sn *rewrite.Snippet, m map[string][]bytecode.
 			if !found {
 				t.Errorf("%s: no violation mentions %q in %v", tc.name, want, got)
 			}
+		}
+	}
+}
+
+// TestMetricDeclarationLint is the one-declaration-per-metric check: a
+// metric is registered by the `metric` tag of its field in a
+// declaration struct (Registry.Declare), so no non-test file under
+// internal/ or cmd/ registers one by calling Counter("…") or
+// Histogram("…", …) with a literal name, and no tag names a metric
+// twice. internal/eval is exempt from the first rule: its experiments
+// read a running node's metrics by name, as tests and bench/ do.
+func TestMetricDeclarationLint(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var violations []string
+	tags := make(map[string]string)
+	for _, dir := range []string{"internal", "cmd"} {
+		err = filepath.Walk(filepath.Join(root, dir), func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			violations = append(violations, lintMetrics(t, path, tags)...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tags) == 0 {
+		t.Fatal("metric-lint: found no `metric` tag at all; the walk is broken")
+	}
+	if len(violations) > 0 {
+		t.Fatalf("metric-lint: declare each metric once, as a tagged field of its subsystem's declaration struct\n  %s",
+			strings.Join(violations, "\n  "))
+	}
+}
+
+// lintMetrics flags literal-name registrations in path and records its
+// `metric` tags in tags (name → first position), flagging repeats.
+func lintMetrics(t *testing.T, path string, tags map[string]string) []string {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, nil, 0)
+	if err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	byName := filepath.Base(filepath.Dir(path)) == "eval"
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch node := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := node.Fun.(*ast.SelectorExpr)
+			if !ok || byName || len(node.Args) == 0 || sel.Sel.Name != "Counter" && sel.Sel.Name != "Histogram" {
+				return true
+			}
+			if lit, ok := node.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				out = append(out, fmt.Sprintf("%s: %s(%s) registers a metric outside its declaration", fset.Position(node.Pos()), sel.Sel.Name, lit.Value))
+			}
+		case *ast.Field:
+			if node.Tag == nil {
+				return true
+			}
+			raw, err := strconv.Unquote(node.Tag.Value)
+			if err != nil {
+				return true
+			}
+			name, _, _ := strings.Cut(reflect.StructTag(raw).Get("metric"), ",")
+			if name == "" {
+				return true
+			}
+			pos := fset.Position(node.Pos()).String()
+			if first, ok := tags[name]; ok {
+				out = append(out, fmt.Sprintf("%s: metric %q declared again (first at %s)", pos, name, first))
+			} else {
+				tags[name] = pos
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestMetricDeclarationLintDetects proves the rule has teeth: literal
+// registrations and a repeated tag are flagged, registration through a
+// variable and a tag seen once are not, and internal/eval may read a
+// metric by name.
+func TestMetricDeclarationLintDetects(t *testing.T) {
+	src := `package scratch
+
+import "dvm/internal/telemetry"
+
+type metrics struct {
+	Hits   *telemetry.Counter   ` + "`metric:\"hits_total\"`" + `
+	Misses *telemetry.Counter   ` + "`metric:\"hits_total\"`" + ` // violation: declared twice
+	Batch  *telemetry.Histogram ` + "`metric:\"batch_bytes,bytes\"`" + `
+	Plain  int                  ` + "`json:\"plain\"`" + `
+}
+
+func wire(reg *telemetry.Registry, name string) {
+	reg.Counter("requests_total")         // violation: literal counter
+	reg.Histogram("request_seconds", nil) // violation: literal histogram
+	reg.Counter(name)                     // ok: not a literal
+	reg.Gauge("queue_depth", nil)         // ok: gauges are not declared
+}
+`
+	for _, tc := range []struct {
+		dir  string
+		want []string
+	}{
+		{"scratch", []string{`metric "hits_total" declared again`, `Counter("requests_total")`, `Histogram("request_seconds")`}},
+		{"eval", []string{`metric "hits_total" declared again`}},
+	} {
+		dir := filepath.Join(t.TempDir(), tc.dir)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "metrics.go")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tags := make(map[string]string)
+		got := lintMetrics(t, path, tags)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: lintMetrics flagged %d sites, want %d:\n  %s", tc.dir, len(got), len(tc.want), strings.Join(got, "\n  "))
+		}
+		for i, want := range tc.want {
+			if !strings.Contains(got[i], want) {
+				t.Errorf("%s: violation %d = %q, want it to mention %q", tc.dir, i, got[i], want)
+			}
+		}
+		if _, ok := tags["batch_bytes"]; !ok || len(tags) != 2 {
+			t.Errorf("%s: recorded tags %v, want hits_total and batch_bytes", tc.dir, tags)
 		}
 	}
 }
