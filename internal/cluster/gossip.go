@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -86,7 +85,7 @@ func (n *Node) exchange(ctx context.Context, peer string) bool {
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
+	resp, err := n.peerRT.RoundTrip(req)
 	if err != nil {
 		return false
 	}
@@ -222,4 +221,4 @@ func (n *Node) Drain(ctx context.Context) error {
 // Draining reports whether this node has begun a graceful departure.
 func (n *Node) Draining() bool { return n.mship.Draining() }
 
-func fmtEpoch(e uint64) string { return fmt.Sprint(e) }
+func fmtEpoch(e uint64) string { return strconv.FormatUint(e, 10) }

@@ -100,9 +100,12 @@ const defaultHotThreshold = 8
 // server halves, and the live-membership machinery (gossip.go,
 // membership.go, handoff.go).
 type Node struct {
-	cfg    Config
-	local  *proxy.Proxy
-	client *http.Client
+	cfg   Config
+	local *proxy.Proxy
+	// peerRT carries every peer-protocol request (doBatch, gossip): called
+	// directly, so each exchange's one deadline is its request context and
+	// no redirect is ever followed.
+	peerRT http.RoundTripper
 	// transport is the peer transport the node built for itself (nil when
 	// Config.Transport was supplied): Close drops its idle connections.
 	transport *http.Transport
@@ -198,7 +201,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	}
 	n := &Node{
 		cfg:       cfg,
-		client:    &http.Client{Transport: cfg.Transport},
+		peerRT:    cfg.Transport,
 		mship:     newMembership(cfg.Self, peers, nil),
 		breakers:  make(map[string]*resilience.Breaker),
 		hot:       make(map[string]int),
@@ -209,7 +212,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	n.life, n.stop = context.WithCancel(context.Background())
 	if cfg.Transport == nil {
 		n.transport = newPeerTransport()
-		n.client.Transport = n.transport
+		n.peerRT = n.transport
 	}
 	n.gossip.fails = make(map[string]int)
 	ring, err := NewRing(n.mship.RingMembers(), DefaultVirtualNodes, 0)

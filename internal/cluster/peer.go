@@ -61,6 +61,15 @@ const (
 	gossipV1Path = "/peer/v1/gossip"
 )
 
+// doBatch's request header, built as a map literal: the keys in canonical
+// form, and a value shared read-only by every request (a RoundTripper
+// only reads a request's header).
+var (
+	epochKey         = http.CanonicalHeaderKey(epochHeader)
+	traceKey         = http.CanonicalHeaderKey(telemetry.TraceHeader)
+	frameContentType = []string{batchContentType}
+)
+
 // maxBatchBytes bounds one batch frame, either direction: a full-size
 // class plus a prefetch piggyback, or a handoff transfer.
 const maxBatchBytes = 48 << 20
@@ -398,8 +407,10 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 // directions piggyback the membership epoch. On a traced request the
 // trace rides the request header and the peer's spans come back shifted
 // into the local timeline; an untraced one sends and reads neither trace
-// header. A 429 is returned as ErrOverloaded (with the draining note
-// recorded) so callers treat it as a healthy shed.
+// header. The request goes straight to the node's transport, so timeout
+// is the exchange's one deadline, and a transport error names the peer. A
+// 429 is returned as ErrOverloaded (with the draining note recorded) so
+// callers treat it as a healthy shed.
 func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
@@ -430,14 +441,13 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	req.Header.Set("Content-Type", batchContentType)
-	req.Header.Set(epochHeader, fmtEpoch(n.mship.Epoch()))
+	req.Header = http.Header{"Content-Type": frameContentType, epochKey: {fmtEpoch(n.mship.Epoch())}}
 	if tr != nil {
-		req.Header.Set(telemetry.TraceHeader, tr.ID())
+		req.Header[traceKey] = []string{tr.ID()}
 	}
-	resp, err := n.client.Do(req)
+	resp, err := n.peerRT.RoundTrip(req)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
 	defer resp.Body.Close()
 	n.noteEpoch(resp.Header.Get(epochHeader))

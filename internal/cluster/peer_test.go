@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -544,6 +545,79 @@ func TestOldVersionOwnerIsRefusedPerHop(t *testing.T) {
 	}
 	if st := n.breaker(old.URL).State(); st != resilience.Open {
 		t.Errorf("link to the old-version peer is %v, want open (threshold 1)", st)
+	}
+}
+
+// fillRequest is a one-class fill as fetchPeer sends it.
+func fillRequest(n *Node) BatchRequest {
+	return BatchRequest{Reason: proxy.ReasonFill, Member: n.Self(), Arch: "dvm", Classes: []string{"app/A"}, NoPrefetch: true}
+}
+
+// TestRefusedPeerDialNamesPeerAndTripsBreaker: the peer hop calls its
+// transport directly, so no *url.Error names the URL; doBatch names the
+// peer itself. A refused dial is still a link failure: each one
+// counts against the peer's breaker, which opens at its threshold.
+func TestRefusedPeerDialNamesPeerAndTripsBreaker(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + l.Addr().String()
+	l.Close() // nothing listens there now: every dial is refused
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	for i := 0; i < 2; i++ {
+		_, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n))
+		if err == nil || !strings.Contains(err.Error(), dead) {
+			t.Fatalf("refused dial %d: err = %v, want an error naming %s", i+1, err, dead)
+		}
+		if resilience.IsPermanent(err) || errors.Is(err, proxy.ErrOverloaded) {
+			t.Fatalf("refused dial %d: err = %v, want a plain link failure", i+1, err)
+		}
+	}
+	if st := n.breaker(dead).State(); st != resilience.Open {
+		t.Fatalf("link after two refused dials is %v, want open (threshold 2)", st)
+	}
+	if _, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n)); !errors.Is(err, resilience.ErrOpen) {
+		t.Fatalf("hop over an open link: err = %v, want ErrOpen", err)
+	}
+}
+
+// TestSlowPeerHopDeadlineAndCallerCancel: the exchange's one deadline is
+// PeerTimeout. A peer that never answers ends the hop with an error that
+// is context.DeadlineExceeded, names the peer and counts against the
+// link; a caller that gives up first proves nothing about the link and
+// counts nothing.
+func TestSlowPeerHopDeadlineAndCallerCancel(t *testing.T) {
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer slow.Close()
+	defer close(release)
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{PeerTimeout: 150 * time.Millisecond, BreakerThreshold: 5})
+
+	start := time.Now()
+	_, err := n.hop(context.Background(), slow.URL, BatchPath, fillRequest(n))
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), slow.URL) {
+		t.Fatalf("silent peer: err = %v, want context.DeadlineExceeded naming %s", err, slow.URL)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("silent peer held the hop %v, want about PeerTimeout (150ms)", took)
+	}
+	if got := n.breaker(slow.URL).Counts().Failures; got != 1 {
+		t.Fatalf("breaker failures after a timed-out hop = %d, want 1", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := n.hop(ctx, slow.URL, BatchPath, fillRequest(n)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("caller gave up: err = %v, want its context's error", err)
+	}
+	if got := n.breaker(slow.URL).Counts().Failures; got != 1 {
+		t.Errorf("breaker failures after the caller gave up = %d, want still 1", got)
 	}
 }
 

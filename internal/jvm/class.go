@@ -58,11 +58,6 @@ type Method struct {
 	fieldSites  map[uint16]*fieldSite
 
 	Native NativeFunc // non-nil for runtime-provided methods
-
-	// CompiledHint marks methods the AOT compilation service translated;
-	// the interpreter charges a reduced per-instruction cost model for
-	// them (see internal/compiler).
-	CompiledHint bool
 }
 
 type rtHandler struct {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,17 @@ import (
 // class unknown -> 404, other upstream failures -> 502.
 
 const classPathPrefix = "/classes/"
+
+// The DVM request headers in canonical form, the form a header map must
+// hold them in for Header.Get to find them.
+const (
+	clientHeaderKey = "X-Dvm-Client"
+	archHeaderKey   = "X-Dvm-Arch"
+)
+
+// classContentType is every class response's Content-Type value, shared
+// read-only by the responses (the server copies a header when it writes it).
+var classContentType = []string{"application/java-vm"}
 
 // retryAfterSeconds is the hint sent with a 503 while the origin
 // breaker is open: roughly the breaker cooldown.
@@ -75,8 +87,8 @@ func (p *Proxy) Handler() http.Handler {
 			http.Error(w, "bad class name", http.StatusBadRequest)
 			return
 		}
-		client := r.Header.Get("X-DVM-Client")
-		arch := r.Header.Get("X-DVM-Arch")
+		client := r.Header.Get(clientHeaderKey)
+		arch := r.Header.Get(archHeaderKey)
 		// Continue the caller's trace, if it sent one, so the response can
 		// carry this hop's per-stage spans back to the requester. An
 		// untraced request gets neither trace header.
@@ -97,8 +109,9 @@ func (p *Proxy) Handler() http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		w.Header().Set("Content-Type", "application/java-vm")
-		w.Header().Set("Content-Length", fmt.Sprint(len(res.Data)))
+		h := w.Header()
+		h["Content-Type"] = classContentType
+		h["Content-Length"] = []string{strconv.Itoa(len(res.Data))}
 		_, _ = w.Write(res.Data)
 	})
 	mux.Handle("/healthz", telemetry.HealthHandler(p.Health))
@@ -238,6 +251,12 @@ func HTTPLoader(baseURL, client, arch string) jvm.ClassLoader {
 // and breaker settings. The class-load hop is availability-critical for
 // the client (no class, no execution), so failures surface as load
 // errors — the JVM turns them into NoClassDefFoundError.
+//
+// Each attempt goes straight to the transport: its one deadline is the
+// hop's per-attempt context, which bounds the dial, the response headers
+// and the body read alike. No redirect is followed (the class protocol
+// has none, so a 3xx is an answer like any other non-200), and every
+// request shares one read-only header map built here.
 func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassLoader {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
@@ -254,7 +273,13 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 			Cooldown:  opts.BreakerCooldown,
 		}),
 	}
-	httpClient := &http.Client{Timeout: opts.Timeout, Transport: opts.Transport}
+	transport := opts.Transport
+	if transport == nil {
+		transport = http.DefaultTransport
+	}
+	// A RoundTripper only reads a request's header, so one map serves
+	// every request, concurrent ones included.
+	header := http.Header{clientHeaderKey: {client}, archHeaderKey: {arch}}
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
 		var data []byte
 		err := hop.Do(base, func(ctx context.Context) error {
@@ -262,11 +287,10 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 			if err != nil {
 				return resilience.Permanent(err)
 			}
-			req.Header.Set("X-DVM-Client", client)
-			req.Header.Set("X-DVM-Arch", arch)
-			resp, err := httpClient.Do(req)
+			req.Header = header
+			resp, err := transport.RoundTrip(req)
 			if err != nil {
-				return err
+				return fmt.Errorf("proxy: %s: %w", name, err)
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {

@@ -8,14 +8,20 @@ package proxy
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dvm/internal/resilience"
 )
@@ -109,10 +115,103 @@ func TestLoaderChunkedResponseStillLoads(t *testing.T) {
 	}
 }
 
+// The loader calls its transport directly, with no http.Client between:
+// the next three tests pin what that wrapper used to decide.
+
+// TestLoaderFollowsNoRedirect: the class protocol has no redirects, so a
+// 302 is an answer like any other non-200 — the load fails naming the
+// status, and the server the Location points at is never contacted.
+func TestLoaderFollowsNoRedirect(t *testing.T) {
+	var elsewhere atomic.Int64
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		elsewhere.Add(1)
+		_, _ = w.Write([]byte("not the proxy's class"))
+	}))
+	defer target.Close()
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, target.URL+r.URL.Path, http.StatusFound)
+	}))
+	defer front.Close()
+	data, err := HTTPLoader(front.URL, "c", "dvm").Load("app/Moved")
+	if err == nil || !strings.Contains(err.Error(), "302") {
+		t.Fatalf("redirected load: %d bytes, err %v; want an error naming the 302", len(data), err)
+	}
+	if got := elsewhere.Load(); got != 0 {
+		t.Errorf("the redirect target was contacted %d times, want 0", got)
+	}
+}
+
+// TestLoaderDeadlineBoundsBodyRead: a proxy that sends its headers and
+// half the class, then stalls, is cut off by the hop's per-attempt
+// deadline alone, and the failure is retryable.
+func TestLoaderDeadlineBoundsBodyRead(t *testing.T) {
+	class := bytes.Repeat([]byte("classbytes"), 300)
+	stall := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(class)))
+		_, _ = w.Write(class[:len(class)/2])
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-stall:
+		}
+	}))
+	defer srv.Close()
+	defer close(stall)
+	start := time.Now()
+	data, err := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Timeout: 200 * time.Millisecond}).Load("app/Stalled")
+	took := time.Since(start)
+	if err == nil {
+		t.Fatalf("stalled body loaded as a %d-byte class", len(data))
+	}
+	if resilience.IsPermanent(err) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled body: err = %v, want a retryable context.DeadlineExceeded", err)
+	}
+	if took > time.Second {
+		t.Errorf("stalled body held the load %v, want about the 200ms deadline", took)
+	}
+}
+
+// TestLoaderConcurrentLoadsShareHeader: one loader's requests share one
+// header map, so concurrent loads must only ever read it (the race
+// detector checks that), and every request still carries the client's
+// handshake headers.
+func TestLoaderConcurrentLoadsShareHeader(t *testing.T) {
+	class := bytes.Repeat([]byte{0xCA, 0xFE}, 100)
+	var bad atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-DVM-Client") != "c7" || r.Header.Get("X-DVM-Arch") != "dvm" {
+			bad.Add(1)
+		}
+		_, _ = w.Write(class)
+	}))
+	defer srv.Close()
+	loader := HTTPLoader(srv.URL, "c7", "dvm")
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if data, err := loader.Load(fmt.Sprintf("app/G%dC%d", g, i)); err != nil || !bytes.Equal(data, class) {
+					t.Errorf("concurrent load: %d bytes, err %v", len(data), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Errorf("%d requests arrived without the handshake headers", n)
+	}
+}
+
 // TestLoaderAllocatesOneClassPerLoad pins the exact-size read through
 // the real front end: a warm load of an N-byte class costs the process
-// less than N + 10 KB (client and loopback server together), where
-// regrowing the read buffer cost about 3.5 N + 10 KB.
+// less than N + 7 KB (client and loopback server together; about
+// N + 6.4 KB measured, N + 7.7 KB while an http.Client wrapped the
+// transport), where regrowing the read buffer cost about 3.5 N + 10 KB.
+// Under -race it only logs (poolsAreLossy).
 func TestLoaderAllocatesOneClassPerLoad(t *testing.T) {
 	const size = 48 << 10
 	class := bytes.Repeat([]byte{0xCA}, size)
@@ -141,10 +240,26 @@ func TestLoaderAllocatesOneClassPerLoad(t *testing.T) {
 			least = cost
 		}
 	}
-	if limit := uint64(size + 10<<10); least >= limit {
+	if limit := uint64(size + 7<<10); least >= limit && !poolsAreLossy() {
 		t.Errorf("one %d-byte load allocates %d bytes, want < %d (one class-sized buffer plus the hop)", size, least, limit)
 	}
 	t.Logf("%d-byte class: %d bytes allocated per load (%d beyond the class)", size, least, int64(least)-size)
+}
+
+// poolsAreLossy reports whether the test binary was built with -race.
+// Under the race detector sync.Pool drops a quarter of what it is given on
+// purpose, so net/http's pooled readers and writers do not reach a steady
+// state and an allocation budget measures the detector, not the code; the
+// test that holds one still runs there, for the detector's sake, and only
+// logs.
+func poolsAreLossy() bool {
+	info, _ := debug.ReadBuildInfo()
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
 }
 
 func TestReadSized(t *testing.T) {

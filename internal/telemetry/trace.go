@@ -233,32 +233,76 @@ func EncodeSpans(spans []Span) string {
 	return b.String()
 }
 
-// DecodeSpans parses an EncodeSpans header value.
+// DecodeSpans parses an EncodeSpans header value. The value arrives from
+// a peer, so every record is validated before anything is allocated for
+// it: a first pass checks and counts the records, and only a value that
+// passes whole gets its one exactly sized slice, whose stages and nodes
+// are substrings of s. A 48-byte Span needs at least six input bytes
+// ("~~0~0;"), so the result is at most eight bytes per input byte.
 func DecodeSpans(s string) ([]Span, error) {
 	if s == "" {
 		return nil, nil
 	}
-	recs := strings.Split(s, ";")
-	out := make([]Span, 0, len(recs))
-	for _, rec := range recs {
-		f := strings.Split(rec, "~")
-		if len(f) != 4 {
-			return nil, fmt.Errorf("telemetry: bad span record %q", rec)
+	n := 0
+	for rest, more := s, true; more; n++ {
+		var rec string
+		rec, rest, more = strings.Cut(rest, ";")
+		if _, err := decodeSpan(rec); err != nil {
+			return nil, err
 		}
-		start, err := strconv.ParseInt(f[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: bad span start %q: %v", f[2], err)
-		}
-		dur, err := strconv.ParseInt(f[3], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: bad span duration %q: %v", f[3], err)
-		}
-		out = append(out, Span{
-			Stage: f[0], Node: f[1],
-			Start: time.Duration(start), Dur: time.Duration(dur),
-		})
+	}
+	out := make([]Span, 0, n)
+	for rest, more := s, true; more; {
+		var rec string
+		rec, rest, more = strings.Cut(rest, ";")
+		sp, _ := decodeSpan(rec)
+		out = append(out, sp)
 	}
 	return out, nil
+}
+
+// decodeSpan parses one stage~node~startNanos~durNanos record without
+// allocating; only an error allocates, and its quote of the input is
+// clipped, so a bad header of any size costs the same to refuse.
+func decodeSpan(rec string) (Span, error) {
+	stage, rest, ok1 := strings.Cut(rec, "~")
+	node, rest, ok2 := strings.Cut(rest, "~")
+	startF, durF, ok3 := strings.Cut(rest, "~")
+	if !ok1 || !ok2 || !ok3 || strings.Contains(durF, "~") {
+		return Span{}, fmt.Errorf("telemetry: bad span record %q", clip(rec))
+	}
+	start, err := parseNanos(startF)
+	if err != nil {
+		return Span{}, fmt.Errorf("telemetry: bad span start %q", clip(startF))
+	}
+	dur, err := parseNanos(durF)
+	if err != nil {
+		return Span{}, fmt.Errorf("telemetry: bad span duration %q", clip(durF))
+	}
+	return Span{Stage: stage, Node: node, Start: start, Dur: dur}, nil
+}
+
+// maxNanosDigits is the longest decimal int64 with its sign.
+const maxNanosDigits = 20
+
+// parseNanos parses a decimal nanosecond count. A field longer than any
+// int64 is refused before strconv sees it, because strconv's error keeps a
+// copy of its input.
+func parseNanos(f string) (time.Duration, error) {
+	if len(f) > maxNanosDigits {
+		return 0, strconv.ErrRange
+	}
+	v, err := strconv.ParseInt(f, 10, 64)
+	return time.Duration(v), err
+}
+
+// clip bounds the part of a bad header value an error message quotes.
+func clip(s string) string {
+	const max = 32
+	if len(s) > max {
+		return s[:max] + "..."
+	}
+	return s
 }
 
 // headerToken strips the encoding's separators and header-hostile bytes
