@@ -164,7 +164,7 @@ func (cf *ClassFile) SetCodeInfo(m *Member, payload []byte) {
 			return
 		}
 	}
-	m.Attributes = append(m.Attributes, &Attribute{NameIndex: nameIdx, Info: payload})
+	m.Attributes = cf.Pool.store.appendAttr(m.Attributes, nameIdx, payload)
 }
 
 // LineNumberEntry maps a bytecode offset to a source line.
@@ -217,10 +217,23 @@ func DecodeExceptions(a *Attribute) ([]uint16, error) {
 // class-level attribute list and marks the list dirty.
 func (cf *ClassFile) AddAttribute(name string, payload []byte) {
 	cf.MarkAttrsDirty()
-	cf.Attributes = append(cf.Attributes, &Attribute{
-		NameIndex: cf.Pool.AddUtf8(name),
-		Info:      payload,
-	})
+	cf.Attributes = cf.Pool.store.appendAttr(cf.Attributes, cf.Pool.AddUtf8(name), payload)
+}
+
+// AddField appends a field without attributes to the class, its name and
+// descriptor interned in that order, and returns it. Like a parsed field
+// it is the class's storage, recycled by Release.
+func (cf *ClassFile) AddField(access uint16, name, desc string) *Member {
+	m := cf.Pool.store.newMember(access, cf.Pool.AddUtf8(name), cf.Pool.AddUtf8(desc))
+	cf.Fields = append(cf.Pool.store.memberPtrs.Grow(cf.Fields, 1), m)
+	return m
+}
+
+// AddMethod is AddField for a method; SetCode gives it a body.
+func (cf *ClassFile) AddMethod(access uint16, name, desc string) *Member {
+	m := cf.Pool.store.newMember(access, cf.Pool.AddUtf8(name), cf.Pool.AddUtf8(desc))
+	cf.Methods = append(cf.Pool.store.memberPtrs.Grow(cf.Methods, 1), m)
+	return m
 }
 
 // RemoveAttribute deletes all class-level attributes with the given name

@@ -160,6 +160,7 @@ type ConstPool struct {
 
 	err error // sticky: an Add* found the pool full (see Err)
 
+	store   store   // the class's member and attribute tables (see store)
 	scratch Scratch // see ConstPool.Scratch
 }
 

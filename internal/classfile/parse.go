@@ -12,21 +12,10 @@ const MaxClassFileSize = 16 << 20
 
 // reader is a bounds-checked big-endian cursor over the raw classfile.
 type reader struct {
-	data  []byte
-	off   int
-	err   error
-	arena *attrArena // shared attribute storage for one Parse, nil elsewhere
-}
-
-// attrArena amortizes attribute allocation across one Parse call: every
-// member's attribute list is carved out of two shared growing arrays
-// instead of paying two allocations per member, which dominated the
-// remaining parse cost once strings went lazy. Sub-slices are handed out
-// with capped capacity so a later append (SetCode installing a new
-// attribute) copies out instead of overwriting a neighbor's entries.
-type attrArena struct {
-	backing []Attribute
-	ptrs    []*Attribute
+	data []byte
+	off  int
+	err  error
+	st   *store // the class's table storage during Parse, nil elsewhere
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -94,12 +83,12 @@ func Parse(data []byte) (*ClassFile, error) {
 	if len(data) > MaxClassFileSize {
 		return nil, formatErrf(0, "classfile exceeds maximum size (%d > %d)", len(data), MaxClassFileSize)
 	}
-	r := &reader{data: data, arena: &attrArena{}}
+	r := reader{data: data}
 	if magic := r.u4(); r.err == nil && magic != Magic {
 		return nil, formatErrf(0, "bad magic 0x%08X", magic)
 	}
 	cf := &ClassFile{raw: data}
-	if err := cf.parse(r); err != nil {
+	if err := cf.parse(&r); err != nil {
 		// A rejected class returns its recycled pool like an accepted one:
 		// malformed input is what a hostile origin sends most of.
 		cf.Release()
@@ -131,9 +120,9 @@ func (cf *ClassFile) parse(r *reader) (err error) {
 	if r.err == nil && ifaceCount*2 > len(data)-r.off {
 		return formatErrf(r.off, "interface count %d exceeds remaining data", ifaceCount)
 	}
-	cf.Interfaces = make([]uint16, 0, ifaceCount)
-	for i := 0; i < ifaceCount && r.err == nil; i++ {
-		cf.Interfaces = append(cf.Interfaces, r.u2())
+	cf.Interfaces = r.st.ifaces.Take(ifaceCount)
+	for i := range cf.Interfaces {
+		cf.Interfaces[i] = r.u2()
 	}
 
 	if cf.Fields, err = parseMembers(r, cf); err != nil {
@@ -173,6 +162,7 @@ func parsePool(r *reader, cf *ClassFile) error {
 	}
 	pool := newParsePool(hint)
 	cf.Pool = pool
+	r.st = &pool.store
 	for len(pool.entries) < count {
 		e := entry{tag: ConstTag(r.u1())}
 		if r.err != nil {
@@ -228,14 +218,12 @@ func parseMembers(r *reader, cf *ClassFile) ([]*Member, error) {
 	if count*8 > len(r.data)-r.off {
 		return nil, formatErrf(r.off, "member count %d exceeds remaining data", count)
 	}
-	// One backing array for all members instead of one allocation each;
-	// the pointers stay valid for the life of the ClassFile.
-	backing := make([]Member, count)
-	members := make([]*Member, count)
+	// The members and the list of them are the class's storage.
+	backing := r.st.members.Take(count)
+	members := r.st.memberPtrs.Take(count)
 	for i := 0; i < count; i++ {
 		m := &backing[i]
-		m.owner = cf
-		m.spanStart = r.off
+		*m = Member{owner: cf, spanStart: r.off}
 		m.AccessFlags = r.u2()
 		m.NameIndex = r.u2()
 		m.DescriptorIndex = r.u2()
@@ -258,25 +246,15 @@ func parseAttributes(r *reader) ([]*Attribute, error) {
 	if count*6 > len(r.data)-r.off {
 		return nil, formatErrf(r.off, "attribute count %d exceeds remaining data", count)
 	}
-	if ar := r.arena; ar != nil {
-		start := len(ar.ptrs)
-		for i := 0; i < count; i++ {
-			nameIdx := r.u2()
-			length := int(r.u4())
-			info := r.bytes(length)
-			if r.err != nil {
-				return nil, r.err
-			}
-			ar.backing = append(ar.backing, Attribute{NameIndex: nameIdx, Info: info})
-			ar.ptrs = append(ar.ptrs, &ar.backing[len(ar.backing)-1])
-		}
-		statAttrsSeen.Add(uint64(count))
-		// Capped capacity: appending to a member's attribute list must
-		// copy out of the arena, never overwrite the next member's slots.
-		return ar.ptrs[start:len(ar.ptrs):len(ar.ptrs)], nil
+	// A class's attribute lists are carved from its store; the ones inside
+	// a Code attribute (decoded outside Parse) are the heap's.
+	var backing []Attribute
+	var attrs []*Attribute
+	if r.st != nil {
+		backing, attrs = r.st.attrs.Take(count), r.st.attrPtrs.Take(count)
+	} else {
+		backing, attrs = make([]Attribute, count), make([]*Attribute, count)
 	}
-	backing := make([]Attribute, count)
-	attrs := make([]*Attribute, count)
 	for i := 0; i < count; i++ {
 		nameIdx := r.u2()
 		length := int(r.u4())

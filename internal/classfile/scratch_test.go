@@ -3,8 +3,12 @@ package classfile
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"dvm/internal/slab"
 )
 
 func TestPoolKeyDistinguishesFloatBitPatterns(t *testing.T) {
@@ -221,5 +225,126 @@ func TestPoolOverflowIsSticky(t *testing.T) {
 	}
 	if _, err := cf.Encode(); err == nil || err.Error() != "classfile: constant pool overflow" {
 		t.Errorf("Encode of an overflowed pool: %v", err)
+	}
+}
+
+// storeClass is buildScratchClass with an interface, a field and a
+// class-level attribute, so that every table of the store is in use.
+func storeClass(t *testing.T) []byte {
+	t.Helper()
+	cf := buildScratchClass(t)
+	cf.Interfaces = append(cf.Interfaces, cf.Pool.AddClass("scratch/Iface"))
+	cf.AddField(AccPrivate, "count", "I")
+	cf.AddAttribute("SourceFile", []byte{0, byte(cf.Pool.AddUtf8("Demo.java"))})
+	data, err := cf.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestReleaseEndsTheStore: a class's members, attribute lists and
+// interface list are its store's, and so are the ones a filter adds;
+// Release recycles them with the pool. With the poison hook on, a *Member
+// or *Attribute held past Release reads as values no parser produces —
+// an index no pool can hold, a payload no class carried — and the lists
+// that held them are gone from the ClassFile.
+func TestReleaseEndsTheStore(t *testing.T) {
+	defer slab.PoisonOnReset(slab.PoisonOnReset(true))
+	cf, err := Parse(storeClass(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cf.Interfaces) != 1 || len(cf.Fields) != 1 || len(cf.Methods) != 1 || len(cf.Attributes) != 1 {
+		t.Fatalf("fixture: %d interfaces, %d fields, %d methods, %d attributes", len(cf.Interfaces), len(cf.Fields), len(cf.Methods), len(cf.Attributes))
+	}
+	added := cf.AddField(AccStatic, "added", "Z")
+	cf.AddAttribute("Extra", []byte{1, 2, 3})
+	members := []*Member{cf.Fields[0], cf.Methods[0], added}
+	attrs := []*Attribute{cf.Methods[0].Attributes[0], cf.Attributes[0], cf.Attributes[1]}
+	ifaces := cf.Interfaces
+	cf.Release()
+
+	for i, m := range members {
+		if m.AccessFlags != poisonIndex || m.NameIndex != poisonIndex || m.DescriptorIndex != poisonIndex ||
+			m.Attributes != nil || m.owner != nil || m.spanStart != -1 || m.decoded != nil {
+			t.Errorf("member %d held past Release reads %+v", i, *m)
+		}
+	}
+	for i, a := range attrs {
+		if a.NameIndex != poisonIndex || string(a.Info) != poisonInfo {
+			t.Errorf("attribute %d held past Release reads index %d, payload %q", i, a.NameIndex, a.Info)
+		}
+	}
+	if ifaces[0] != poisonIndex {
+		t.Errorf("interface list held past Release reads %v", ifaces)
+	}
+	if cf.Fields != nil || cf.Methods != nil || cf.Attributes != nil || cf.Interfaces != nil {
+		t.Error("Release left the class's tables on the ClassFile")
+	}
+}
+
+// TestStoreRetentionIsBounded: a class with more members and attributes
+// than a recycled pool keeps does not stay pinned in poolScratch, and an
+// ordinary class's storage is kept warm.
+func TestStoreRetentionIsBounded(t *testing.T) {
+	cf := buildScratchClass(t)
+	for i := 0; i < 3*retainMembers; i++ {
+		cf.AddField(AccStatic, "f"+strconv.Itoa(i), "I")
+		cf.AddAttribute("Extra", nil)
+	}
+	big, err := cf.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		warm bool
+	}{{"outsized class", big, false}, {"ordinary class", storeClass(t), true}} {
+		cf, err := Parse(tc.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := cf.Pool
+		during, _ := pool.Retained()
+		cf.Release()
+		held, bound := pool.Retained()
+		t.Logf("%s: %d bytes in use, %d kept after Release (bound %d)", tc.name, during, held, bound)
+		if held > bound {
+			t.Errorf("%s: the pool keeps %d bytes after Release, bound %d", tc.name, held, bound)
+		}
+		if tc.warm && pool.store.members.Cap() == 0 {
+			t.Errorf("%s: its members' storage was dropped at Release", tc.name)
+		}
+		if !tc.warm && pool.store.members.Cap() != 0 {
+			t.Errorf("%s: a chunk of %d members survived Release", tc.name, pool.store.members.Cap())
+		}
+	}
+}
+
+// TestUnreleasedParseStaysSmall: a class that is parsed and never
+// released (a client's) keeps the chunks its store took, so a cold parse
+// must not take much more than the class's tables need: a 338-byte
+// one-method class takes under 6 KB from a cold pool (4.7 KB; with a first
+// chunk of 64 elements it took 11.1 KB).
+func TestUnreleasedParseStaysSmall(t *testing.T) {
+	data := storeClass(t)
+	var least uint64
+	for try := 0; try < 4; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(data) // never released: every parse takes a cold pool
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost := after.TotalAlloc - before.TotalAlloc; try == 0 || cost < least {
+			least = cost
+		}
+	}
+	t.Logf("%d-byte class: a cold parse allocates %d bytes", len(data), least)
+	if least > 6<<10 {
+		t.Errorf("a cold parse of a %d-byte class allocates %d bytes, want <= 6 KB", len(data), least)
 	}
 }

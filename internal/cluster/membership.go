@@ -30,6 +30,7 @@ package cluster
 // unrefuted for SuspectTimeout is declared dead and leaves the ring.
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -249,7 +250,10 @@ func (m *membership) Merge(v View) {
 	before := m.ringMembersLocked()
 	apply := func(in MemberInfo) {
 		st, ok := stateFromString(in.State)
-		if !ok || in.Addr == "" {
+		// Honest counters grow by one per assertion; one in the top half
+		// of its range is a forgery the subject could not outbid without
+		// wrapping its own incarnation (or its version) to 0.
+		if !ok || in.Addr == "" || in.Incarnation > math.MaxInt64 || in.Version > math.MaxInt64 {
 			return
 		}
 		remote := &entry{addr: in.Addr, inc: in.Incarnation, state: st, ver: in.Version}

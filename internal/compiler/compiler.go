@@ -81,7 +81,7 @@ func CompileClass(cf *classfile.ClassFile) (Stats, error) {
 		st.BytesAfter += len(ed.Code().Bytecode)
 	}
 	cf.RemoveAttribute(AttrCompiled)
-	cf.AddAttribute(AttrCompiled, []byte(ArchDVM))
+	cf.AddAttribute(AttrCompiled, append(rewrite.ArenaOf(cf).Bytes(len(ArchDVM)), ArchDVM...))
 	return st, nil
 }
 

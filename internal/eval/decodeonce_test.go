@@ -88,13 +88,15 @@ func poolsAreLossy() bool {
 	return false
 }
 
-// TestPipelineAllocationBudget holds the static service to 126
-// allocations and three times its output in bytes on a 15 KB workload
-// class: 1.15 × the 110 allocations it makes now that a class's decoded
-// bodies live in its arena (270 before that, 2927 when every stage decoded
-// for itself), and 24.6 KB allocated for 16.0 KB of output where it used to
-// be 94.2 KB. A run is measured alone and the least of ten taken, because
-// a collection between runs can hand the next one a cold arena.
+// TestPipelineAllocationBudget holds the static service to 45
+// allocations and 1.25 times its output in bytes on a 15 KB workload
+// class: about 1.15 × the 39 allocations and 17.6 KB it makes for 16.0 KB
+// of output now that a class's members, attributes, verifier findings and
+// filter plans are recycled with it. Before that it made 110 allocations
+// and 24.6 KB (270 before a class's decoded bodies lived in its arena,
+// 2927 and 94.2 KB when every stage decoded for itself). A run is measured
+// alone and the least of ten taken, because a collection between runs can
+// hand the next one a cold arena.
 func TestPipelineAllocationBudget(t *testing.T) {
 	spec := workload.Benchmarks()[0]
 	spec.Classes = 3
@@ -126,11 +128,11 @@ func TestPipelineAllocationBudget(t *testing.T) {
 	if poolsAreLossy() {
 		return
 	}
-	if allocs > 126 {
-		t.Errorf("Pipeline.Process allocates %.0f times for the %d-byte bench class, want <= 126", allocs, len(data))
+	if allocs > 45 {
+		t.Errorf("Pipeline.Process allocates %.0f times for the %d-byte bench class, want <= 45", allocs, len(data))
 	}
-	if least > uint64(3*len(out)) {
-		t.Errorf("Pipeline.Process allocates %d bytes for %d bytes of output, want <= 3x", least, len(out))
+	if least > uint64(len(out)+len(out)/4) {
+		t.Errorf("Pipeline.Process allocates %d bytes for %d bytes of output, want <= 1.25x", least, len(out))
 	}
 }
 

@@ -3,7 +3,7 @@ package eval
 import (
 	"testing"
 
-	"dvm/internal/bytecode"
+	"dvm/internal/slab"
 )
 
 // TestPoisonedArena reruns the tests that pin the pipeline's bytes — the
@@ -14,7 +14,7 @@ import (
 // then reads as garbage and shows up as a wrong digest here, instead of as
 // a rare wrong artifact in a fleet.
 func TestPoisonedArena(t *testing.T) {
-	defer bytecode.PoisonOnReset(bytecode.PoisonOnReset(true))
+	defer slab.PoisonOnReset(slab.PoisonOnReset(true))
 	t.Run("PipelineGoldenArtifacts", TestPipelineGoldenArtifacts)
 	t.Run("ServicePipelineDigestInvariant", TestServicePipelineDigestInvariant)
 	t.Run("SharedPipelineTwoGoroutines", TestSharedPipelineTwoGoroutines)

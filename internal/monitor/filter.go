@@ -1,13 +1,16 @@
 package monitor
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 	"dvm/internal/jvm"
 	"dvm/internal/rewrite"
+	"dvm/internal/slab"
 )
 
 // Config selects what the audit filter instruments.
@@ -53,17 +56,44 @@ type auditPlan struct {
 	sites int
 }
 
+// auditPlans is the filter's scratch for one class, a plan per method,
+// taken from planPool by Transform and given back once the snippets are
+// spliced in.
+type auditPlans []auditPlan
+
+var planPool = sync.Pool{New: func() any { return new(auditPlans) }}
+
+// keepPlans bounds, in plans, what a pooled auditPlans retains.
+const keepPlans = 1 << 10
+
+// poisonPlan is what release writes over the plans it recycles with
+// slab.PoisonOnReset on: a snippet no filter plans.
+var poisonPlan = auditPlan{enter: []bytecode.Inst{{Op: bytecode.PoisonOp, Target: bytecode.PoisonTarget}}, sites: -1}
+
+func (ps *auditPlans) release() {
+	if slab.Poisoning() {
+		slab.Fill(*ps, poisonPlan)
+	} else {
+		clear(*ps)
+	}
+	if cap(*ps) > keepPlans {
+		*ps = nil
+	}
+	planPool.Put(ps)
+}
+
 func (f *auditFilter) Name() string { return "monitor" }
 
 // Transform implements rewrite.Filter.
 func (f *auditFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-	plans, err := f.plan(cf)
-	if err != nil {
+	plans := planPool.Get().(*auditPlans)
+	defer plans.release()
+	if err := f.plan(cf, plans); err != nil {
 		return err
 	}
 	ctx.AddIntNote(NoteAuditSites, 0)
 	for i, m := range cf.Methods {
-		plan := plans[i]
+		plan := (*plans)[i]
 		if plan.sites == 0 {
 			continue
 		}
@@ -92,10 +122,13 @@ func (f *auditFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context) e
 	return nil
 }
 
-// plan returns the snippets for each method of cf, by method index.
-func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
+// plan fills plans with the snippets for each method of cf, by method
+// index.
+func (f *auditFilter) plan(cf *classfile.ClassFile, ps *auditPlans) error {
 	cfg := f.cfg
-	plans := make([]auditPlan, len(cf.Methods))
+	plans := slices.Grow((*ps)[:0], len(cf.Methods))[:len(cf.Methods)]
+	clear(plans)
+	*ps = plans
 	profIdx := 0
 	for mi, m := range cf.Methods {
 		name := cf.MemberName(m)
@@ -104,7 +137,7 @@ func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
 		}
 		ed, err := rewrite.EditMethod(cf, m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ed == nil {
 			continue
@@ -113,11 +146,7 @@ func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
 		if cfg.FirstUse {
 			guard := "dvm$fu$" + strconv.Itoa(profIdx)
 			profIdx++
-			cf.Fields = append(cf.Fields, &classfile.Member{
-				AccessFlags:     classfile.AccPrivate | classfile.AccStatic,
-				NameIndex:       cf.Pool.AddUtf8(guard),
-				DescriptorIndex: cf.Pool.AddUtf8("Z"),
-			})
+			cf.AddField(classfile.AccPrivate|classfile.AccStatic, guard, "Z")
 			sn := rewrite.NewSnippet(cf.Pool)
 			sn.GetStatic(cf.Name(), guard, "Z")
 			sn.Branch(bytecode.Ifne, rewrite.RelEnd)
@@ -141,7 +170,7 @@ func (f *auditFilter) plan(cf *classfile.ClassFile) ([]auditPlan, error) {
 			plan.sites += 2
 		}
 	}
-	return plans, nil
+	return nil
 }
 
 // Attach wires a client VM to the collector: performs the handshake and

@@ -199,11 +199,11 @@ func TestFromFirstUsePreservesOrderAndDedups(t *testing.T) {
 	p := optimize.FromFirstUse([]string{
 		"app/A.init ()V",
 		"app/B.run",
-		"app/A.init ()V",   // duplicate: keeps first position
-		" app/C.go ()V",    // leading space: trimmed, not Hot[""]
-		"   ",              // malformed: skipped
-		"",                 // malformed: skipped
-		"app/B.run (JJ)V",  // duplicate with different descriptor
+		"app/A.init ()V",  // duplicate: keeps first position
+		" app/C.go ()V",   // leading space: trimmed, not Hot[""]
+		"   ",             // malformed: skipped
+		"",                // malformed: skipped
+		"app/B.run (JJ)V", // duplicate with different descriptor
 		"app/D.x",
 	})
 	want := []string{"app/A.init", "app/B.run", "app/C.go", "app/D.x"}

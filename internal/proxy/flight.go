@@ -265,7 +265,8 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 // deterministic rejection, so replacements attest like any other
 // artifact. The output is appended to dst.
 func (p *Proxy) transform(dst []byte, tr *telemetry.Trace, l Lookup, raw []byte) (out []byte, rejected bool, err error) {
-	rctx := rewrite.NewContext()
+	rctx := rewrite.TakeContext()
+	defer rctx.Recycle()
 	rctx.ClientID = l.Client
 	rctx.ClientArch = l.Arch
 	rctx.Trace = tr

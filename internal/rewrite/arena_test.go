@@ -13,6 +13,7 @@ import (
 	"dvm/internal/compiler"
 	"dvm/internal/eval"
 	"dvm/internal/rewrite"
+	"dvm/internal/slab"
 	"dvm/internal/workload"
 )
 
@@ -72,9 +73,9 @@ func dvmContext() *rewrite.Context {
 
 // TestProcessReleasesOnEveryExit: the recycled pool and arena go back
 // whichever way Process leaves — a filter's refusal, a filter's panic, a
-// class that does not parse — so a stream of classes the proxy turns away,
-// which is what a hostile origin sends, costs no more per class than one
-// it accepts. (Process used to release on success only: every rejected
+// verifier rejection, a class that does not parse — so a stream of
+// classes the proxy turns away, which is what a hostile origin sends,
+// costs no more per class than one it accepts. (Process used to release on success only: every rejected
 // class dropped a constant pool's worth of scratch on the floor.)
 func TestProcessReleasesOnEveryExit(t *testing.T) {
 	const runs = 1000
@@ -120,19 +121,43 @@ func TestProcessReleasesOnEveryExit(t *testing.T) {
 			t.Errorf("unparsable, %s: %.0f bytes per class in steady state, %.0f for the class passed through", name, got, passThrough)
 		}
 	}
+
+	// A class the verifier turns away at its last method, after collecting
+	// findings for every other one, gives back its members, attributes and
+	// findings as an accepted class does: it costs no more than the same
+	// class passed through.
+	cf, err := classfile.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cf.AddMethod(classfile.AccStatic, "bad", "()V")
+	if err := cf.SetCode(bad, &classfile.Code{MaxStack: 1, Bytecode: []byte{0x2a, 0xb1}}); err != nil { // aload_0 with no locals; return
+		t.Fatal(err)
+	}
+	rejected, err := cf.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	through := run(rewrite.NewPipeline(), rejected, false)
+	if got := run(with(nod), rejected, true); got > 1.10*through && !poolsAreLossy() {
+		t.Errorf("rejected by the verifier: %.0f bytes per class in steady state, %.0f for the class passed through", got, through)
+	}
 	t.Logf("%d-byte class: accepted %.0f bytes per run, passed through %.0f", len(data), accepted, passThrough)
 }
 
 // TestProcessReusesInstructionStorage: after one warm-up run, processing
 // a class again allocates no instruction list, PC index or MaxStack
-// table — they are the arena's, recycled with the constant pool. The class
-// is nearly all instructions (16000 of them: 640 KB as []bytecode.Inst
-// before a single splice), so one list on the heap would show; what a run
-// may allocate is its output plus 32 KB for everything that is not
-// per-instruction storage (40 parsed members and their attributes, the
-// verifier's findings, the filters' plans, the context's notes). A run is
-// measured alone and the least of twenty taken, because a collection
-// between runs can hand the next one a pool whose arena is still cold.
+// table — they are the arena's, recycled with the constant pool — and none
+// of the class's members and attribute lists, the verifier's findings or
+// the filters' plans either. The class is nearly all instructions (16000
+// of them: 640 KB as []bytecode.Inst before a single splice), so one list
+// on the heap would show; what a run may allocate is its output plus
+// 1.6 KB: the ClassFile, the strings the services read from the pool and
+// the two maps of the fresh context this test hands each run. (A warm run
+// measures output + 1360 bytes; with the class's tables, findings and
+// plans on the heap it was output + 21000.) A run is measured alone and
+// the least of twenty taken, because a collection between runs can hand
+// the next one a pool whose arena is still cold.
 func TestProcessReusesInstructionStorage(t *testing.T) {
 	data := instructionHeavyClass(t, 40, 400)
 	pipe := eval.ServicePipeline(eval.StandardPolicy(), true)
@@ -149,7 +174,7 @@ func TestProcessReusesInstructionStorage(t *testing.T) {
 			least = got
 		}
 	}
-	const slack = 32 << 10
+	const slack = 1600
 	t.Logf("%d-byte class in, %d bytes out: %.0f bytes allocated by a warm run", len(data), len(out), least)
 	if poolsAreLossy() {
 		return
@@ -160,10 +185,11 @@ func TestProcessReusesInstructionStorage(t *testing.T) {
 }
 
 // TestScratchRetentionIsBounded: a class with a constant pool filled to the
-// format's limit, then one with a method at the format's limit, go through
-// the service pipeline; what their arenas keep for the next class is under
-// the fixed bound, and an ordinary class afterwards still finds its
-// storage warm.
+// format's limit, one with a method at the format's limit, one with
+// thousands of members and one a filter panics on go through the service
+// pipeline; what their arenas and pools keep for the next class — decoded
+// bodies, members, attributes, constants — is under the fixed bounds, and
+// an ordinary class afterwards still finds its storage warm.
 func TestScratchRetentionIsBounded(t *testing.T) {
 	nearFull, err := workload.PadPool(servicePlainClasses(t)["jlex/C001"], classfile.MaxPoolSize-5)
 	if err != nil {
@@ -179,9 +205,16 @@ func TestScratchRetentionIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ordinary := servicePlainClasses(t)["jlex/C001"]
 
-	pipe := eval.ServicePipeline(eval.StandardPolicy(), true)
-	process := func(name string, data []byte) (held, bound int) {
+	service := eval.ServicePipeline(eval.StandardPolicy(), true)
+	trip := rewrite.FilterFunc{FilterName: "trip", Fn: func(cf *classfile.ClassFile, _ *rewrite.Context) error {
+		var none []int
+		_ = none[len(cf.Methods)]
+		return nil
+	}}
+	panicking := rewrite.NewPipeline(append(append([]rewrite.Filter(nil), service.Filters()...), trip)...)
+	process := func(name string, pipe *rewrite.Pipeline, data []byte) (arena, store int) {
 		cf, err := classfile.Parse(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -189,21 +222,34 @@ func TestScratchRetentionIsBounded(t *testing.T) {
 		pool := cf.Pool
 		err = pipe.ProcessClass(cf, dvmContext())
 		during, _ := rewrite.ScratchRetained(pool)
+		storeDuring, _ := pool.Retained()
 		cf.Release()
-		held, bound = rewrite.ScratchRetained(pool)
-		t.Logf("%s (%d bytes): pipeline says %v; arena held %d bytes in use, %d after Release (bound %d)", name, len(data), err, during, held, bound)
-		return held, bound
+		arena, arenaBound := rewrite.ScratchRetained(pool)
+		store, storeBound := pool.Retained()
+		t.Logf("%s (%d bytes): pipeline says %v; arena held %d bytes in use, %d after Release (bound %d); pool and store %d, then %d (bound %d)",
+			name, len(data), err, during, arena, arenaBound, storeDuring, store, storeBound)
+		if arena > arenaBound {
+			t.Errorf("%s: the arena keeps %d bytes after Release, bound %d", name, arena, arenaBound)
+		}
+		if store > storeBound {
+			t.Errorf("%s: the pool and its store keep %d bytes after Release, bound %d", name, store, storeBound)
+		}
+		return arena, store
 	}
 	for _, tc := range []struct {
 		name string
+		pipe *rewrite.Pipeline
 		data []byte
-	}{{"near-full pool", nearFull}, {"maximal method", maximal}} {
-		if held, bound := process(tc.name, tc.data); held > bound {
-			t.Errorf("%s: the arena keeps %d bytes after Release, bound %d", tc.name, held, bound)
-		}
+	}{
+		{"near-full pool", service, nearFull},
+		{"maximal method", service, maximal},
+		{"4096 methods", service, manyMethodClass(t, 4096)},
+		{"a filter panicked", panicking, ordinary},
+	} {
+		process(tc.name, tc.pipe, tc.data)
 	}
-	if held, _ := process("ordinary class", servicePlainClasses(t)["jlex/C001"]); held == 0 {
-		t.Error("an ordinary class's arena was dropped at Release")
+	if arena, store := process("ordinary class", service, ordinary); arena == 0 || store == 0 {
+		t.Errorf("an ordinary class's storage was dropped at Release: arena %d bytes, pool and store %d", arena, store)
 	}
 }
 
@@ -212,7 +258,7 @@ func TestScratchRetentionIsBounded(t *testing.T) {
 // or PC index held past Release reads as values no decoder produces, and
 // the editor itself has no class left to edit.
 func TestReleaseEndsTheArena(t *testing.T) {
-	defer bytecode.PoisonOnReset(bytecode.PoisonOnReset(true))
+	defer slab.PoisonOnReset(slab.PoisonOnReset(true))
 	cf, err := classfile.Parse(manyMethodClass(t, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +291,6 @@ func TestReleaseEndsTheArena(t *testing.T) {
 // the arena: a stage that kept anything of a released class — in a note,
 // in a pipeline, in the output — would now produce different bytes.
 func TestPoisonedArena(t *testing.T) {
-	defer bytecode.PoisonOnReset(bytecode.PoisonOnReset(true))
+	defer slab.PoisonOnReset(slab.PoisonOnReset(true))
 	t.Run("PipelineRunsByteIdentical", TestPipelineRunsByteIdentical)
 }

@@ -46,6 +46,25 @@ func NewContext() *Context {
 	}
 }
 
+// contexts recycles the contexts of callers that read nothing of a run
+// once it has returned.
+var contexts = sync.Pool{New: func() any { return NewContext() }}
+
+// TakeContext returns an empty context for one class, from a pool: a
+// caller that processes class after class and reads no notes afterwards
+// (the proxy) reuses two maps instead of making them per class. Recycle
+// gives it back.
+func TakeContext() *Context { return contexts.Get().(*Context) }
+
+// Recycle empties c, keeping its maps' storage, and returns it to the pool
+// TakeContext draws from. Neither c nor its maps may be used afterwards.
+func (c *Context) Recycle() {
+	c.ClientID, c.ClientArch, c.Trace, c.Node = "", "", nil, ""
+	clear(c.Notes)
+	clear(c.FilterTimings)
+	contexts.Put(c)
+}
+
 // SetNote publishes a note under the context lock.
 func (c *Context) SetNote(key string, v any) {
 	c.mu.Lock()
@@ -112,15 +131,23 @@ func (f FilterFunc) Transform(cf *classfile.ClassFile, ctx *Context) error {
 // one. A Pipeline itself is immutable once built and may be shared.
 type Pipeline struct {
 	filters []Filter
+	spans   []string // "filter.<name>" of each filter, for its trace span
 }
 
 // NewPipeline builds a pipeline from filters in application order.
 func NewPipeline(filters ...Filter) *Pipeline {
-	return &Pipeline{filters: filters}
+	p := &Pipeline{}
+	for _, f := range filters {
+		p.Append(f)
+	}
+	return p
 }
 
 // Append adds a filter at the end of the pipeline.
-func (p *Pipeline) Append(f Filter) { p.filters = append(p.filters, f) }
+func (p *Pipeline) Append(f Filter) {
+	p.filters = append(p.filters, f)
+	p.spans = append(p.spans, "filter."+f.Name())
+}
 
 // Filters returns the filter list in application order.
 func (p *Pipeline) Filters() []Filter { return p.filters }
@@ -170,9 +197,9 @@ func (p *Pipeline) ProcessClass(cf *classfile.ClassFile, ctx *Context) (err erro
 			err = fmt.Errorf("rewrite: filter %s on %s: panic: %v", running.Name(), cf.Name(), r)
 		}
 	}()
-	for _, f := range p.filters {
+	for i, f := range p.filters {
 		running = f
-		span := ctx.Trace.StartSpan(ctx.Node, "filter."+f.Name())
+		span := ctx.Trace.StartSpan(ctx.Node, p.spans[i])
 		start := telemetry.StartTimer()
 		err := f.Transform(cf, ctx)
 		ctx.addTiming(f.Name(), start.Elapsed())

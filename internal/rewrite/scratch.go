@@ -3,6 +3,7 @@ package rewrite
 import (
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
+	"dvm/internal/slab"
 )
 
 // scratch is the one arena of a class: everything this package makes
@@ -14,11 +15,11 @@ import (
 // memory.
 type scratch struct {
 	bytecode.Arena
-	editors  bytecode.Slab[MethodEditor]
-	snippets bytecode.Slab[Snippet]
-	codes    bytecode.Slab[classfile.Code]
-	handlers bytecode.Slab[Handler]
-	table    bytecode.Slab[classfile.ExceptionHandler]
+	editors  slab.Slab[MethodEditor]
+	snippets slab.Slab[Snippet]
+	codes    slab.Slab[classfile.Code]
+	handlers slab.Slab[Handler]
+	table    slab.Slab[classfile.ExceptionHandler]
 }
 
 // retainStructs bounds, in elements, what each of the struct slabs keeps
@@ -37,6 +38,11 @@ func scratchOf(pool *classfile.ConstPool) *scratch {
 	pool.SetScratch(sc)
 	return sc
 }
+
+// ArenaOf returns the arena of cf: storage for what a filter writes into
+// the class that dies with it, such as an attribute payload, which Release
+// recycles like the method bodies.
+func ArenaOf(cf *classfile.ClassFile) *bytecode.Arena { return &scratchOf(cf.Pool).Arena }
 
 // Reset implements classfile.Scratch. The structs are zeroed so that the
 // recycled slabs keep nothing of the dead class alive, and so that an

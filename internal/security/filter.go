@@ -1,9 +1,12 @@
 package security
 
 import (
+	"sync"
+
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 	"dvm/internal/rewrite"
+	"dvm/internal/slab"
 )
 
 // Pipeline note keys published by Filter.
@@ -35,11 +38,51 @@ func Filter(policy *Policy) rewrite.Filter {
 // splice error — both are part of the artifact the fleet attests.
 type enforceFilter struct{ policy *Policy }
 
-// checkSite is one planned insertion: the snippet goes before the
-// instruction at pos (pos == -1 means method entry).
+// checkSite is one planned insertion into the method at index method:
+// the snippet goes before the instruction at pos (pos == -1 means method
+// entry).
 type checkSite struct {
-	pos   int
-	insts []bytecode.Inst
+	method int
+	pos    int
+	insts  []bytecode.Inst
+}
+
+// callSite is a call that matched an operation of the policy.
+type callSite struct {
+	pos int
+	op  *Operation
+}
+
+// enforcePlan is the filter's scratch for one class, taken from planPool
+// by Transform and given back once the snippets are spliced in: the
+// insertions of every method, method by method in table order, and the
+// call sites matched in the method being planned.
+type enforcePlan struct {
+	checks []checkSite
+	calls  []callSite
+}
+
+var planPool = sync.Pool{New: func() any { return new(enforcePlan) }}
+
+// keepChecks bounds, in elements, what a pooled enforcePlan retains.
+const keepChecks = 1 << 10
+
+// poisonCheck is what release writes over the insertions it recycles with
+// slab.PoisonOnReset on: a snippet no filter plans, in no method.
+var poisonCheck = checkSite{method: -1, pos: -2, insts: []bytecode.Inst{{Op: bytecode.PoisonOp, Target: bytecode.PoisonTarget}}}
+
+func (p *enforcePlan) release() {
+	if slab.Poisoning() {
+		slab.Fill(p.checks, poisonCheck)
+	} else {
+		clear(p.checks)
+	}
+	clear(p.calls)
+	p.checks, p.calls = p.checks[:0], p.calls[:0]
+	if cap(p.checks) > keepChecks || cap(p.calls) > keepChecks {
+		p.checks, p.calls = nil, nil
+	}
+	planPool.Put(p)
 }
 
 func (f *enforceFilter) Name() string { return "security" }
@@ -50,21 +93,21 @@ func (f *enforceFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context)
 	if f.policy == nil {
 		return nil // no policy: nothing to enforce
 	}
-	plans, err := f.plan(cf)
-	if err != nil {
+	plan := planPool.Get().(*enforcePlan)
+	defer plan.release()
+	if err := f.plan(cf, plan); err != nil {
 		return err
 	}
 	ctx.AddIntNote(NoteChecksInserted, 0)
-	for i, m := range cf.Methods {
-		plan := plans[i]
-		if len(plan) == 0 {
-			continue
+	for checks, n := plan.checks, 0; len(checks) > 0; checks = checks[n:] {
+		method := checks[0].method
+		for n = 1; n < len(checks) && checks[n].method == method; n++ {
 		}
-		ed, err := rewrite.EditMethod(cf, m)
+		ed, err := rewrite.EditMethod(cf, cf.Methods[method])
 		if err != nil {
 			return err
 		}
-		for _, cs := range plan {
+		for _, cs := range checks[:n] {
 			if cs.pos < 0 {
 				if err := ed.InsertEntry(cs.insts); err != nil {
 					return err
@@ -76,32 +119,27 @@ func (f *enforceFilter) Transform(cf *classfile.ClassFile, ctx *rewrite.Context)
 		if err := ed.Commit(); err != nil {
 			return err
 		}
-		ctx.AddIntNote(NoteChecksInserted, len(plan))
+		ctx.AddIntNote(NoteChecksInserted, n)
 	}
 	return nil
 }
 
-// plan returns the insertions for each method of cf, by method index.
-// Constants are interned only for sites that actually match, so a class
-// with nothing to enforce round-trips byte-identically.
-func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
+// plan appends the insertions for each method of cf to p.checks, in
+// method order. Constants are interned only for sites that actually match,
+// so a class with nothing to enforce round-trips byte-identically.
+func (f *enforceFilter) plan(cf *classfile.ClassFile, p *enforcePlan) error {
 	policy := f.policy
-	plans := make([][]checkSite, len(cf.Methods))
 	for mi, m := range cf.Methods {
 		ed, err := rewrite.EditMethod(cf, m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ed == nil {
 			continue
 		}
 
 		// Call-site instrumentation: find invocations matching an operation.
-		type site struct {
-			pos int
-			op  Operation
-		}
-		var sites []site
+		p.calls = p.calls[:0]
 		for i, in := range ed.Insts {
 			if !in.Op.IsInvoke() {
 				continue
@@ -110,22 +148,22 @@ func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
 			if err != nil {
 				continue
 			}
-			for _, op := range policy.Operations {
+			for k := range policy.Operations {
+				op := &policy.Operations[k]
 				if !matchPattern(op.Class, ref.Class) || op.Method != ref.Name {
 					continue
 				}
 				if op.Desc != "" && op.Desc != ref.Desc {
 					continue
 				}
-				sites = append(sites, site{pos: i, op: op})
+				p.calls = append(p.calls, callSite{pos: i, op: op})
 				break
 			}
 		}
-		var plan []checkSite
 		// Snippets are planned back-to-front so that replaying them in
 		// order keeps earlier instruction positions valid.
-		for n := len(sites) - 1; n >= 0; n-- {
-			st := sites[n]
+		for n := len(p.calls) - 1; n >= 0; n-- {
+			st := p.calls[n]
 			sn := rewrite.NewSnippet(cf.Pool)
 			if st.op.TargetArg == "arg" {
 				// Stack: [..., target]; keep it and pass a copy to the check.
@@ -138,7 +176,7 @@ func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
 				sn.LdcString("")
 				sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
 			}
-			plan = append(plan, checkSite{pos: st.pos, insts: sn.Insts()}) // classfile:allow-alias — spliced in and dropped within Transform
+			p.checks = append(p.checks, checkSite{method: mi, pos: st.pos, insts: sn.Insts()}) // classfile:allow-alias — spliced in and dropped within Transform
 		}
 
 		// Method-boundary instrumentation: the class itself declares an
@@ -155,11 +193,9 @@ func (f *enforceFilter) plan(cf *classfile.ClassFile) ([][]checkSite, error) {
 			sn.LdcString(op.Permission)
 			sn.LdcString("")
 			sn.InvokeStatic("dvm/Enforce", "check", "(Ljava/lang/String;Ljava/lang/String;)V")
-			plan = append(plan, checkSite{pos: -1, insts: sn.Insts()}) // classfile:allow-alias — as above
+			p.checks = append(p.checks, checkSite{method: mi, pos: -1, insts: sn.Insts()}) // classfile:allow-alias — as above
 			break
 		}
-
-		plans[mi] = plan
 	}
-	return plans, nil
+	return nil
 }

@@ -12,8 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
+	"dvm/internal/slab"
 	"dvm/internal/workload"
 )
 
@@ -105,7 +105,7 @@ func verdictLine(data []byte) string {
 // arena it recycles: a verdict, error text or census that drew on a
 // released mutant's decoded bodies would come out different.
 func TestPoisonedArena(t *testing.T) {
-	defer bytecode.PoisonOnReset(bytecode.PoisonOnReset(true))
+	defer slab.PoisonOnReset(slab.PoisonOnReset(true))
 	t.Run("VerdictGolden", TestVerdictGolden)
 }
 

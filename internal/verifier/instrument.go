@@ -2,7 +2,8 @@ package verifier
 
 import (
 	"encoding/binary"
-	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -30,41 +31,45 @@ const guardFieldPrefix = "dvm$chk$"
 // class-wide assumptions are checked from <clinit>. Returns the number of
 // dynamic checks injected and updates res.Census.
 func Instrument(cf *classfile.ClassFile, res *Result) error {
-	scoped := byScope(res.Assumptions)
+	f := getFindings()
+	defer f.release()
+	f.scope(cf, res.Assumptions)
+	return instrument(cf, f.list, &res.Census)
+}
 
-	classScope := scoped[""]
-	delete(scoped, "")
-	if len(classScope) > 0 {
-		if err := instrumentClinit(cf, classScope, res); err != nil {
+// instrument is Instrument over findings, which it sorts by scope and
+// then deterministically within one; the Filter calls it directly.
+func instrument(cf *classfile.ClassFile, list []finding, census *Census) error {
+	slices.SortFunc(list, compareFindings)
+	n := 0
+	for n < len(list) && list[n].method == 0 {
+		n++
+	}
+	if n > 0 {
+		if err := instrumentClinit(cf, list[:n], census); err != nil {
 			return err
 		}
 	}
 
 	guardIdx := 0
-	for _, m := range cf.Methods {
-		scope := cf.MemberName(m) + " " + cf.MemberDescriptor(m)
-		as := scoped[scope]
-		if len(as) == 0 {
-			continue
+	for list = list[n:]; len(list) > 0; list = list[n:] {
+		method := list[0].method
+		for n = 1; n < len(list) && list[n].method == method; n++ {
 		}
-		ed, err := rewrite.EditMethod(cf, m)
+		ed, err := rewrite.EditMethod(cf, cf.Methods[method-1])
 		if err != nil {
 			return err
 		}
 		if ed == nil {
 			continue
 		}
-		guard := fmt.Sprintf("%s%d", guardFieldPrefix, guardIdx)
+		guard := guardFieldPrefix + strconv.Itoa(guardIdx)
 		guardIdx++
-		cf.Fields = append(cf.Fields, &classfile.Member{
-			AccessFlags:     classfile.AccPrivate | classfile.AccStatic,
-			NameIndex:       cf.Pool.AddUtf8(guard),
-			DescriptorIndex: cf.Pool.AddUtf8("Z"),
-		})
+		cf.AddField(classfile.AccPrivate|classfile.AccStatic, guard, "Z")
 		sn := rewrite.NewSnippet(cf.Pool)
 		sn.GetStatic(cf.Name(), guard, "Z")
 		sn.Branch(bytecode.Ifne, rewrite.RelEnd)
-		emitChecks(sn, as, res)
+		emitChecks(sn, list[:n], census)
 		sn.IConst(1)
 		sn.PutStatic(cf.Name(), guard, "Z")
 		if err := ed.InsertEntry(sn.Insts()); err != nil {
@@ -76,17 +81,17 @@ func Instrument(cf *classfile.ClassFile, res *Result) error {
 	}
 
 	// Attach the census attribute.
-	payload := make([]byte, 16)
-	binary.BigEndian.PutUint32(payload[0:], uint32(res.Census.Phase1))
-	binary.BigEndian.PutUint32(payload[4:], uint32(res.Census.Phase2))
-	binary.BigEndian.PutUint32(payload[8:], uint32(res.Census.Phase3))
-	binary.BigEndian.PutUint32(payload[12:], uint32(res.Census.DynamicInjected))
+	payload := rewrite.ArenaOf(cf).Bytes(16)[:16]
+	binary.BigEndian.PutUint32(payload[0:], uint32(census.Phase1))
+	binary.BigEndian.PutUint32(payload[4:], uint32(census.Phase2))
+	binary.BigEndian.PutUint32(payload[8:], uint32(census.Phase3))
+	binary.BigEndian.PutUint32(payload[12:], uint32(census.DynamicInjected))
 	cf.RemoveAttribute(AttrVerified)
 	cf.AddAttribute(AttrVerified, payload)
 	return nil
 }
 
-func emitChecks(sn *rewrite.Snippet, as []Assumption, res *Result) {
+func emitChecks(sn *rewrite.Snippet, as []finding, census *Census) {
 	for _, a := range as {
 		switch a.Kind {
 		case AssumeField:
@@ -106,33 +111,28 @@ func emitChecks(sn *rewrite.Snippet, as []Assumption, res *Result) {
 			sn.InvokeStatic("dvm/RTVerifier", "checkClass",
 				"(Ljava/lang/String;Ljava/lang/String;)V")
 		}
-		res.Census.DynamicInjected++
+		census.DynamicInjected++
 	}
 }
 
 // instrumentClinit injects class-scope checks at the head of <clinit>,
 // creating the initializer if the class lacks one. <clinit> runs exactly
 // once, so no guard flag is needed.
-func instrumentClinit(cf *classfile.ClassFile, as []Assumption, res *Result) error {
+func instrumentClinit(cf *classfile.ClassFile, as []finding, census *Census) error {
 	m := cf.FindMethod("<clinit>", "()V")
 	if m == nil {
+		m = cf.AddMethod(classfile.AccStatic, "<clinit>", "()V")
 		code := &classfile.Code{MaxStack: 0, MaxLocals: 0, Bytecode: []byte{0xb1}} // return
-		m = &classfile.Member{
-			AccessFlags:     classfile.AccStatic,
-			NameIndex:       cf.Pool.AddUtf8("<clinit>"),
-			DescriptorIndex: cf.Pool.AddUtf8("()V"),
-		}
 		if err := cf.SetCode(m, code); err != nil {
 			return err
 		}
-		cf.Methods = append(cf.Methods, m)
 	}
 	ed, err := rewrite.EditMethod(cf, m)
 	if err != nil {
 		return err
 	}
 	sn := rewrite.NewSnippet(cf.Pool)
-	emitChecks(sn, as, res)
+	emitChecks(sn, as, census)
 	if err := ed.InsertEntry(sn.Insts()); err != nil {
 		return err
 	}
@@ -145,17 +145,17 @@ func instrumentClinit(cf *classfile.ClassFile, as []Assumption, res *Result) err
 // demanded as soon as the class initializes, whether or not the
 // dependent methods ever run — the behavior §3.1's lazy design avoids.
 func InstrumentEager(cf *classfile.ClassFile, res *Result) error {
-	eager := &Result{ClassName: res.ClassName, Census: res.Census}
-	set := newAssumptionSet()
+	f := getFindings()
+	defer f.release()
 	for _, a := range res.Assumptions {
 		a.Scope = ""
-		set.add(a)
+		f.add(finding{Assumption: a})
 	}
-	eager.Assumptions = set.list
-	if err := Instrument(cf, eager); err != nil {
+	census := res.Census
+	if err := instrument(cf, f.list, &census); err != nil {
 		return err
 	}
-	res.Census = eager.Census
+	res.Census = census
 	return nil
 }
 
@@ -192,35 +192,32 @@ func MakeErrorClass(name, message string) ([]byte, error) {
 
 // Filter returns the verification service as a proxy pipeline filter:
 // verify statically, then rewrite into self-verifying form. The census is
-// accumulated in ctx.Notes[NoteCensus] (*Census) and the per-class result
-// stored under NoteResultPrefix+className.
+// accumulated in ctx.Notes[NoteCensus] (*Census). The findings never leave
+// the filter: they are scratch, recycled when it returns.
 func Filter() rewrite.Filter {
 	return rewrite.FilterFunc{FilterName: "verifier", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
-		res, err := VerifyWith(cf, Options{Trace: ctx.Trace, Node: ctx.Node})
-		if err != nil {
+		f := getFindings()
+		defer f.release()
+		if err := verify(cf, Options{Trace: ctx.Trace, Node: ctx.Node}, f); err != nil {
 			return err
 		}
-		if err := Instrument(cf, res); err != nil {
+		if err := instrument(cf, f.list, &f.census); err != nil {
 			return err
 		}
 		// Self-describing export table for the dynamic components (§4.3).
 		AddReflectAttr(cf)
 		if v, ok := ctx.Note(NoteCensus); ok {
-			v.(*Census).Add(res.Census)
+			v.(*Census).Add(f.census)
 		} else {
-			total := res.Census
+			total := f.census
 			ctx.SetNote(NoteCensus, &total)
 		}
-		ctx.SetNote(NoteResultPrefix+res.ClassName, res)
 		return nil
 	}}
 }
 
-// Pipeline note keys published by Filter.
-const (
-	NoteCensus       = "verifier.census"
-	NoteResultPrefix = "verifier.result."
-)
+// NoteCensus is the pipeline note key Filter publishes.
+const NoteCensus = "verifier.census"
 
 // LocalHook returns a jvm.LoadHook that performs full (phases 1–3)
 // verification on the client at class load time — the monolithic

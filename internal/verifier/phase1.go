@@ -12,7 +12,7 @@ import (
 // constant pool cross-reference resolves to an entry of the right tag,
 // names and descriptors are syntactically valid, access flag
 // combinations are legal, and members are well-formed.
-func phase1(cf *classfile.ClassFile, census *Census) error {
+func phase1(cf *classfile.ClassFile, census *Census, found *findings) error {
 	name := cf.Name()
 	fail := func(format string, args ...any) error {
 		return &Error{Phase: 1, Class: name, Msg: fmt.Sprintf(format, args...)}
@@ -124,7 +124,6 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 	}
 
 	// Members.
-	seenField := map[string]bool{}
 	for _, f := range cf.Fields {
 		census.Phase1++
 		fn := cf.MemberName(f)
@@ -135,11 +134,9 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 		if _, err := bytecode.TypeAt(pool, f.DescriptorIndex); err != nil {
 			return fail("field %s: bad descriptor %q", fn, fd)
 		}
-		key := fn + " " + fd
-		if seenField[key] {
-			return fail("duplicate field %s", key)
+		if !found.firstMember(fn, fd) {
+			return fail("duplicate field %s %s", fn, fd)
 		}
-		seenField[key] = true
 		if f.AccessFlags&classfile.AccFinal != 0 && f.AccessFlags&classfile.AccVolatile != 0 {
 			return fail("field %s both final and volatile", fn)
 		}
@@ -154,7 +151,7 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 			}
 		}
 	}
-	seenMethod := map[string]bool{}
+	clear(found.members) // methods are checked for duplicates among themselves
 	for _, m := range cf.Methods {
 		census.Phase1++
 		mn := cf.MemberName(m)
@@ -169,11 +166,9 @@ func phase1(cf *classfile.ClassFile, census *Census) error {
 		if mn == "<init>" && mt.Ret.Kind != bytecode.KVoid {
 			return fail("constructor %s must return void", md)
 		}
-		key := mn + " " + md
-		if seenMethod[key] {
-			return fail("duplicate method %s", key)
+		if !found.firstMember(mn, md) {
+			return fail("duplicate method %s %s", mn, md)
 		}
-		seenMethod[key] = true
 		abstract := m.AccessFlags&(classfile.AccAbstract|classfile.AccNative) != 0
 		code := cf.FindAttr(m.Attributes, classfile.AttrCode)
 		census.Phase1++
@@ -199,12 +194,16 @@ func validClassName(n string) bool {
 		_, err := bytecode.ParseType(n)
 		return err == nil
 	}
-	for _, seg := range strings.Split(n, "/") {
+	for {
+		seg, rest, more := strings.Cut(n, "/")
 		if seg == "" || strings.ContainsAny(seg, ".;[") {
 			return false
 		}
+		if !more {
+			return true
+		}
+		n = rest
 	}
-	return true
 }
 
 func validMemberName(n string) bool {

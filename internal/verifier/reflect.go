@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"dvm/internal/classfile"
+	"dvm/internal/rewrite"
 )
 
 // The reflection service of §4.3: "we subsequently developed a
@@ -21,9 +22,16 @@ type MemberSig struct {
 }
 
 // AddReflectAttr attaches (or replaces) the class's self-describing
-// export table.
+// export table. The payload is the class's arena storage, like a
+// rewritten method body: it lives until the class is released.
 func AddReflectAttr(cf *classfile.ClassFile) {
-	var buf []byte
+	size := 4
+	for _, ms := range [2][]*classfile.Member{cf.Fields, cf.Methods} {
+		for _, m := range ms {
+			size += 4 + len(cf.MemberName(m)) + len(cf.MemberDescriptor(m))
+		}
+	}
+	buf := rewrite.ArenaOf(cf).Bytes(size)
 	u2 := func(v int) { buf = binary.BigEndian.AppendUint16(buf, uint16(v)) }
 	str := func(s string) {
 		u2(len(s))

@@ -26,8 +26,13 @@
 package verifier
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"strings"
+	"sync"
+
+	"dvm/internal/classfile"
+	"dvm/internal/slab"
 )
 
 // Census counts the safety checks performed or deferred for one class —
@@ -120,45 +125,144 @@ type Result struct {
 	Assumptions []Assumption
 }
 
-// assumptionSet dedups assumptions while preserving deterministic order.
-// An assumption is its own dedup identity: every field takes part.
-type assumptionSet struct {
-	seen map[Assumption]struct{}
-	list []Assumption
+// finding is an assumption as verification collects it. Its scope is not
+// spelled out: method is the dependent method's index in cf.Methods plus
+// one, 0 for the whole class, so neither collecting nor grouping builds a
+// "name desc" string. Phase 1 rejects two methods with one name and
+// descriptor, so the index stands for the scope exactly.
+type finding struct {
+	Assumption // Scope is empty
+	method     int32
 }
 
-func newAssumptionSet() *assumptionSet {
-	return &assumptionSet{seen: make(map[Assumption]struct{})}
+// findings is the working memory of one class's verification and
+// instrumentation, taken from findingsPool the way phase 3 takes its
+// frames: the census, the assumptions in the order they were first met,
+// the set that deduplicates them (an assumption is its own identity: every
+// field takes part), and phase 1's table of the member names and
+// descriptors seen.
+type findings struct {
+	census  Census
+	list    []finding
+	seen    map[finding]struct{}
+	members map[memberKey]struct{}
 }
 
-func (s *assumptionSet) add(a Assumption) {
-	if _, dup := s.seen[a]; dup {
+type memberKey struct{ name, desc string }
+
+var findingsPool = sync.Pool{New: func() any {
+	return &findings{seen: make(map[finding]struct{}), members: make(map[memberKey]struct{})}
+}}
+
+// findingsKeep bounds, in entries, what pooled findings retain; a class
+// that needed more gives its tables back to the collector.
+const findingsKeep = 1 << 12
+
+// poisonFinding is what release writes over the findings it recycles with
+// slab.PoisonOnReset on: a kind no verifier collects, about no class.
+var poisonFinding = finding{Assumption: Assumption{Kind: 0xFF, Class: "dvm: finding of a released class"}, method: -1}
+
+func getFindings() *findings { return findingsPool.Get().(*findings) }
+
+func (f *findings) release() {
+	f.census = Census{}
+	if slab.Poisoning() {
+		slab.Fill(f.list, poisonFinding)
+	} else {
+		clear(f.list)
+	}
+	f.list = f.list[:0]
+	if cap(f.list) > findingsKeep {
+		f.list = nil
+	}
+	if len(f.seen) > findingsKeep {
+		f.seen = make(map[finding]struct{})
+	}
+	clear(f.seen)
+	if len(f.members) > findingsKeep {
+		f.members = make(map[memberKey]struct{})
+	}
+	clear(f.members)
+	findingsPool.Put(f)
+}
+
+func (f *findings) add(fd finding) {
+	if _, dup := f.seen[fd]; dup {
 		return
 	}
-	s.seen[a] = struct{}{}
-	s.list = append(s.list, a)
+	f.seen[fd] = struct{}{}
+	f.list = append(f.list, fd)
 }
 
-// byScope partitions assumptions per method scope, sorted for
-// deterministic rewriting.
-func byScope(as []Assumption) map[string][]Assumption {
-	m := make(map[string][]Assumption)
+// firstMember reports whether name and desc were not yet noted since the
+// table was last cleared, and notes them.
+func (f *findings) firstMember(name, desc string) bool {
+	k := memberKey{name, desc}
+	if _, dup := f.members[k]; dup {
+		return false
+	}
+	f.members[k] = struct{}{}
+	return true
+}
+
+// assumptions copies the findings out for a caller to own, each scope
+// spelled "name desc" again.
+func (f *findings) assumptions(cf *classfile.ClassFile) []Assumption {
+	if len(f.list) == 0 {
+		return nil
+	}
+	out := make([]Assumption, len(f.list))
+	scope, at := "", int32(0)
+	for i, fd := range f.list {
+		if fd.method != at {
+			scope, at = "", fd.method
+			if at > 0 {
+				m := cf.Methods[at-1]
+				scope = cf.MemberName(m) + " " + cf.MemberDescriptor(m)
+			}
+		}
+		out[i] = fd.Assumption
+		out[i].Scope = scope
+	}
+	return out
+}
+
+// scope loads as into f, each assumption under the methods of cf its Scope
+// names ("" is the class); an assumption that names no method is not
+// checked.
+func (f *findings) scope(cf *classfile.ClassFile, as []Assumption) {
 	for _, a := range as {
-		m[a.Scope] = append(m[a.Scope], a)
+		if a.Scope == "" {
+			f.list = append(f.list, finding{Assumption: a})
+		}
 	}
-	for _, v := range m {
-		sort.Slice(v, func(i, j int) bool {
-			if v[i].Kind != v[j].Kind {
-				return v[i].Kind < v[j].Kind
+	for i, m := range cf.Methods {
+		name, desc := cf.MemberName(m), cf.MemberDescriptor(m)
+		for _, a := range as {
+			// s == name+" "+desc, without building the right-hand side.
+			s := a.Scope
+			if len(s) == len(name)+1+len(desc) && s[:len(name)] == name && s[len(name)] == ' ' && s[len(name)+1:] == desc {
+				a.Scope = ""
+				f.list = append(f.list, finding{Assumption: a, method: int32(i + 1)})
 			}
-			if v[i].Class != v[j].Class {
-				return v[i].Class < v[j].Class
-			}
-			if v[i].Name != v[j].Name {
-				return v[i].Name < v[j].Name
-			}
-			return v[i].Desc < v[j].Desc
-		})
+		}
 	}
-	return m
+}
+
+// compareFindings orders findings by scope, then deterministically within
+// one, for rewriting.
+func compareFindings(a, b finding) int {
+	if c := cmp.Compare(a.method, b.method); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Desc, b.Desc)
 }

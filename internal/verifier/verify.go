@@ -29,35 +29,43 @@ func Verify(cf *classfile.ClassFile) (*Result, error) {
 // VerifyWith is Verify with telemetry options. Methods are verified one
 // after another in method-table order on the calling goroutine, so the
 // reported error is the one from the lowest-indexed failing method and
-// assumptions are collected in instruction order.
+// assumptions are collected in instruction order. The Result is the
+// caller's: nothing in it is recycled with the class.
 func VerifyWith(cf *classfile.ClassFile, opts Options) (*Result, error) {
-	res := &Result{ClassName: cf.Name()}
-	sp := opts.Trace.StartSpan(opts.Node, "verify.phase1")
-	err := phase1(cf, &res.Census)
-	sp.End()
-	if err != nil {
+	f := getFindings()
+	defer f.release()
+	if err := verify(cf, opts, f); err != nil {
 		return nil, err
 	}
-	set := newAssumptionSet()
-	collectClassAssumptions(cf, set)
-
-	sp = opts.Trace.StartSpan(opts.Node, "verify.phase3")
-	for _, m := range cf.Methods {
-		if err = verifyMethod(cf, m, &res.Census, set); err != nil {
-			break
-		}
-	}
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Assumptions = set.list
-	return res, nil
+	return &Result{ClassName: cf.Name(), Census: f.census, Assumptions: f.assumptions(cf)}, nil
 }
 
-// verifyMethod runs phases 2 and 3 plus assumption collection for a
-// single method, adding to census and set.
-func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, census *Census, set *assumptionSet) error {
+// verify runs phases 1 to 3 over cf, counting into f.census and
+// collecting the assumptions into f. VerifyWith and the Filter share it.
+func verify(cf *classfile.ClassFile, opts Options, f *findings) error {
+	census := &f.census
+	sp := opts.Trace.StartSpan(opts.Node, "verify.phase1")
+	err := phase1(cf, census, f)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	collectClassAssumptions(cf, f)
+
+	sp = opts.Trace.StartSpan(opts.Node, "verify.phase3")
+	defer sp.End()
+	for i := range cf.Methods {
+		if err := verifyMethod(cf, i, census, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verifyMethod runs phases 2 and 3 plus assumption collection for the
+// method at index i, adding to census and f.
+func verifyMethod(cf *classfile.ClassFile, i int, census *Census, f *findings) error {
+	m := cf.Methods[i]
 	ed, err := rewrite.DecodeMethod(cf, m)
 	if err != nil {
 		// A body that does not decode is a phase-2 rejection in the
@@ -79,21 +87,21 @@ func verifyMethod(cf *classfile.ClassFile, m *classfile.Member, census *Census, 
 	if err := phase3(cf, m, ed, census); err != nil {
 		return err
 	}
-	collectMethodAssumptions(cf, m, ed.Insts, set)
+	collectMethodAssumptions(cf, int32(i+1), ed.Insts, f)
 	return nil
 }
 
 // collectClassAssumptions records the class-scoped environmental facts:
 // the inheritance relationships. "Fundamental assumptions, such as
 // inheritance relationships, affect the validity of the entire class."
-func collectClassAssumptions(cf *classfile.ClassFile, set *assumptionSet) {
+func collectClassAssumptions(cf *classfile.ClassFile, f *findings) {
 	name := cf.Name()
 	if super := cf.SuperName(); super != "" && !isBootstrapClass(super) {
-		set.add(Assumption{Kind: AssumeAssignable, Class: name, Name: super})
+		f.add(finding{Assumption: Assumption{Kind: AssumeAssignable, Class: name, Name: super}})
 	}
-	for _, i := range cf.InterfaceNames() {
-		if !isBootstrapClass(i) {
-			set.add(Assumption{Kind: AssumeAssignable, Class: name, Name: i})
+	for _, idx := range cf.Interfaces {
+		if i, err := cf.Pool.ClassName(idx); err == nil && !isBootstrapClass(i) {
+			f.add(finding{Assumption: Assumption{Kind: AssumeAssignable, Class: name, Name: i}})
 		}
 	}
 }
@@ -104,9 +112,8 @@ func collectClassAssumptions(cf *classfile.ClassFile, set *assumptionSet) {
 // injected checks run lazily, on the method's first invocation — "the
 // classes that make up an application are not fetched from a remote,
 // potentially slow, server unless they are required for execution."
-func collectMethodAssumptions(cf *classfile.ClassFile, m *classfile.Member, insts []bytecode.Inst, set *assumptionSet) {
+func collectMethodAssumptions(cf *classfile.ClassFile, method int32, insts []bytecode.Inst, f *findings) {
 	self := cf.Name()
-	scope := cf.MemberName(m) + " " + cf.MemberDescriptor(m)
 	for _, in := range insts {
 		switch {
 		case in.Op.IsFieldAccess():
@@ -114,20 +121,20 @@ func collectMethodAssumptions(cf *classfile.ClassFile, m *classfile.Member, inst
 			if err != nil || ref.Class == self || isBootstrapClass(ref.Class) {
 				continue
 			}
-			set.add(Assumption{Kind: AssumeField, Class: ref.Class, Name: ref.Name, Desc: ref.Desc, Scope: scope})
+			f.add(finding{Assumption{Kind: AssumeField, Class: ref.Class, Name: ref.Name, Desc: ref.Desc}, method})
 		case in.Op.IsInvoke():
 			ref, err := cf.Pool.Ref(in.Index)
 			if err != nil || ref.Class == self || isBootstrapClass(ref.Class) {
 				continue
 			}
-			set.add(Assumption{Kind: AssumeMethod, Class: ref.Class, Name: ref.Name, Desc: ref.Desc, Scope: scope})
+			f.add(finding{Assumption{Kind: AssumeMethod, Class: ref.Class, Name: ref.Name, Desc: ref.Desc}, method})
 		case in.Op == bytecode.New || in.Op == bytecode.Checkcast ||
 			in.Op == bytecode.Instanceof || in.Op == bytecode.Anewarray:
 			cn, err := cf.Pool.ClassName(in.Index)
 			if err != nil || cn == self || isBootstrapClass(cn) || strings.HasPrefix(cn, "[") {
 				continue
 			}
-			set.add(Assumption{Kind: AssumeExists, Class: cn, Scope: scope})
+			f.add(finding{Assumption{Kind: AssumeExists, Class: cn}, method})
 		}
 	}
 }
