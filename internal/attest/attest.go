@@ -26,11 +26,6 @@ import (
 	"dvm/internal/signing"
 )
 
-// Header carries an encoded Attestation on hops that move bytes
-// outside the batch envelope (client-facing class responses, disk-cache
-// sidecars); batch entries carry it in their Att field.
-const Header = "X-DVM-Attest"
-
 // ErrUnattested marks a payload that arrived without an attestation on
 // a hop where the receiver requires one.
 var ErrUnattested = errors.New("attest: payload carries no attestation")
@@ -82,7 +77,9 @@ func (a *Attestation) record() []byte {
 		a.Arch, a.Class, a.Digest, a.Quorum, strings.Join(a.Voters, ",")))
 }
 
-// Encode packs the attestation for an HTTP header (base64url of JSON).
+// Encode packs the attestation as an HTTP header value (base64url of
+// JSON). Disk and peer hops carry the record in the artifact codec
+// (proxy) instead; no hop sends this header today.
 func (a *Attestation) Encode() string {
 	b, _ := json.Marshal(a)
 	return base64.RawURLEncoding.EncodeToString(b)

@@ -5,10 +5,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 
 	"dvm/internal/attest"
+	"dvm/internal/classfile"
+	"dvm/internal/classgen"
 	"dvm/internal/proxy"
 	"dvm/internal/rewrite"
 	"dvm/internal/verifier"
@@ -112,6 +115,10 @@ func TestDiskProbeRunsOncePerFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := diskEntry(t, dir)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +147,7 @@ func TestDiskProbeRunsOncePerFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write(first.Data); err != nil {
+	if _, err := w.Write(saved); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -205,5 +212,78 @@ func TestDiskCacheDiscardsTamperedEntry(t *testing.T) {
 	again, err := proxy.New(proxy.MapOrigin{}, cfg).Request(context.Background(), lookup)
 	if err != nil || !bytes.Equal(again.Data, first.Data) || again.Info.Attestation == nil {
 		t.Errorf("after repair: %d bytes, att=%v, err=%v; want the sealed artifact from disk", len(again.Data), again.Info.Attestation, err)
+	}
+}
+
+// TestTornSaveNeverChangesWhatLoads: a save cut short by a crash — any
+// file it writes truncated at any byte, or never written at all — must
+// reload as a miss or as exactly what was saved. Bytes that come back
+// without their seal, or a verification-failure replacement that comes
+// back as a plain class, would be served (and fed to the AOT compiler)
+// as something they are not.
+func TestTornSaveNeverChangesWhatLoads(t *testing.T) {
+	bad := classgen.NewClass("bad/A", "java/lang/Object")
+	bad.Method(classfile.AccPublic|classfile.AccStatic, "run", "()I").Return() // declares ()I, returns void
+	badBytes, err := bad.BuildBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	org := origin(t)
+	org["bad/A"] = badBytes
+	auth := attest.New(attest.Config{Key: []byte("torn-save-key")})
+	sealed := sealFleet{proxy.SealTransform: func(a *proxy.Artifact) (*attest.Attestation, error) {
+		return auth.Attest(a.Arch, a.Class, a.Data, 1, nil), nil
+	}}
+	for _, tc := range []struct {
+		name, class string
+		fleet       proxy.Fleet
+	}{
+		{"sealed", "app/Dep", sealed},
+		{"rejected", "bad/A", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true, DiskCacheDir: dir, Fleet: tc.fleet}
+			lookup := proxy.Lookup{Client: "c", Arch: "dvm", Class: tc.class}
+			saved, err := proxy.New(org, cfg).Request(context.Background(), lookup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (tc.fleet != nil) != (saved.Info.Attestation != nil) || (tc.fleet == nil) != saved.Info.Rejected {
+				t.Fatalf("saved Rejected=%v Att=%v; want the %s artifact", saved.Info.Rejected, saved.Info.Attestation, tc.name)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("the save wrote %v (%v)", files, err)
+			}
+			wrote := make(map[string][]byte)
+			for _, path := range files {
+				if wrote[path], err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, path := range files {
+				for cut := -1; cut <= len(wrote[path]); cut++ { // -1: the file was never written
+					for p, b := range wrote { // a discarded entry may have taken other files with it
+						if err := os.WriteFile(p, b, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					os.Remove(path)
+					if cut >= 0 {
+						if err := os.WriteFile(path, wrote[path][:cut], 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					res, err := proxy.New(proxy.MapOrigin{}, cfg).Request(context.Background(), lookup)
+					if err == nil && (!bytes.Equal(res.Data, saved.Data) || res.Info.Rejected != saved.Info.Rejected ||
+						!reflect.DeepEqual(res.Info.Attestation, saved.Info.Attestation)) {
+						t.Errorf("%s cut at %d of %d bytes reloads %d bytes, Rejected=%v, Att=%v; want a miss or what was saved",
+							filepath.Base(path), cut, len(wrote[path]), len(res.Data), res.Info.Rejected, res.Info.Attestation)
+						break
+					}
+				}
+			}
+		})
 	}
 }

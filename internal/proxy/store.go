@@ -3,7 +3,7 @@ package proxy
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"log"
 	"os"
 	"path/filepath"
@@ -20,7 +20,7 @@ import (
 // cache on the proxy", §4.1.2, and a restarted proxy resumes serving
 // without re-fetching or re-rewriting, §2). It owns recency, byte
 // accounting, the prefetch placement rule and its waste ledger, and the
-// disk sidecar; the proxy only ever sees *Artifact.
+// disk files; the proxy only ever sees *Artifact.
 //
 // Memory: hits refresh recency, replacing a key fixes the accounting,
 // and an artifact larger than the whole budget is skipped rather than
@@ -49,8 +49,8 @@ type storeMetrics struct {
 	Skipped    *telemetry.Counter `metric:"prefetch_skipped_total"`
 	WasteBytes *telemetry.Counter `metric:"prefetch_waste_bytes_total"`
 	Evicted    *telemetry.Counter `metric:"prefetch_evicted_unused_total"`
-	// DiskCorrupt counts disk entries discarded because their bytes no
-	// longer match their seal.
+	// DiskCorrupt counts disk files discarded because they do not decode
+	// to their key's entry or their bytes no longer match their seal.
 	DiskCorrupt *telemetry.Counter `metric:"disk_corrupt_total"`
 }
 
@@ -250,15 +250,11 @@ func (s *store) snapshot(maxBytes int, keep func(arch, class string) bool) []*Ar
 }
 
 // The disk tier. One file per key, named by a digest of the key so
-// arbitrary class names map to safe paths; a ".meta" sidecar carries
-// what the bytes alone cannot say.
-
-// diskMeta is the sidecar: the seal and the rejection flag survive a
-// restart with the bytes they describe.
-type diskMeta struct {
-	Att      *attest.Attestation `json:"att,omitempty"`
-	Rejected bool                `json:"rejected,omitempty"`
-}
+// arbitrary class names map to safe paths. The file is the artifact
+// codec's frame with one entry (artifact.go): bytes, seal and rejection
+// flag in one piece, put in place by one rename, so a crash leaves the
+// old file or the new one and never bytes apart from what describes
+// them.
 
 func (s *store) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -267,92 +263,72 @@ func (s *store) path(key string) string {
 
 // load reads the key from the disk tier. A fresh artifact is promoted
 // to memory; a stale one (file older than the TTL) is returned only as
-// the stale-if-error fallback, so it is still revalidated. The seal is
-// re-checked against the bytes without the service key — the key names
-// and the digest must match — and a mismatch is discarded and counted
-// instead of serving bit-rotted bytes under a seal every peer would
-// then reject and ledger as divergence.
+// the stale-if-error fallback, so it is still revalidated. A file that
+// does not decode to this key's entry — torn, rotted, or from an older
+// format — or whose bytes no longer match their seal (checked without
+// the service key: the digest must match) is discarded and counted
+// instead of serving bit-rotted bytes under a seal every peer would then
+// reject and ledger as divergence.
 func (s *store) load(key string) (art *Artifact, fresh bool) {
 	if s.dir == "" {
 		return nil, false
 	}
 	path := s.path(key)
-	data, err := os.ReadFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
 	}
-	arch, class := splitKey(key)
-	art = &Artifact{Arch: arch, Class: class, Data: data, Source: SourceDisk}
-	if b, err := os.ReadFile(path + ".meta"); err == nil {
-		var m diskMeta
-		if json.Unmarshal(b, &m) == nil { // undecodable = unattested; peers re-verify
-			art.Att, art.Rejected = m.Att, m.Rejected
-		}
+	d := OpenFrame(b)
+	a, reason, stale := d.Entry(false)
+	if err = d.Finish(); err == nil && (reason != "" || stale || a.key() != key ||
+		a.Att != nil && a.Att.Digest != attest.Digest(a.Data)) {
+		err = errors.New("not this key's entry, or bytes that do not match their seal")
 	}
-	if a := art.Att; a != nil && (a.Arch != arch || a.Class != class || a.Digest != attest.Digest(data)) {
+	if err != nil {
 		s.m.DiskCorrupt.Inc()
-		log.Printf("proxy: disk cache: %s/%s does not match its seal; discarded", arch, class)
+		log.Printf("proxy: disk cache: %s: %v; discarded", filepath.Base(path), err)
 		os.Remove(path)
-		os.Remove(path + ".meta")
 		return nil, false
 	}
+	a.Source = SourceDisk
 	if fi, err := os.Stat(path); err == nil && !s.fresh(fi.ModTime()) {
-		return art, false
+		return &a, false
 	}
-	s.remember(art)
-	return art, true
+	s.remember(&a)
+	return &a, true
 }
 
 // save writes art through to the disk tier (best effort: a full or
 // read-only disk degrades to memory-only caching rather than failing
-// the request). The sidecar is written after the data file: a crash
-// between the two loses the sidecar, never pairs one with bytes it does
-// not cover.
+// the request).
 func (s *store) save(art *Artifact) {
 	if s.dir == "" || os.MkdirAll(s.dir, 0o755) != nil {
 		return
 	}
-	path := s.path(art.key())
-	if !writeAtomic(s.dir, path, art.Data) {
-		return
-	}
-	if art.Att == nil && !art.Rejected {
-		os.Remove(path + ".meta")
-	} else if b, err := json.Marshal(diskMeta{art.Att, art.Rejected}); err == nil {
-		writeAtomic(s.dir, path+".meta", b)
-	}
+	head := art.AppendEntry(AppendFrameHeader(make([]byte, 0, 128)), "", false)
+	writeAtomic(s.dir, s.path(art.key()), head, art.Data)
 }
 
-// writeAtomic stages data in a unique temp file and renames it into
+// writeAtomic stages runs in a unique temp file and renames it into
 // place, so concurrent writers of the same key cannot interleave
-// partial writes; readers always see a complete file. Reports success.
-func writeAtomic(dir, path string, data []byte) bool {
+// partial writes; readers always see a complete file.
+func writeAtomic(dir, path string, runs ...[]byte) {
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return false
+		return
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return false
-	}
-	return true
-}
-
-// splitKey splits an arch\x00class cache key into its parts.
-func splitKey(key string) (arch, class string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[:i], key[i+1:]
+	for _, r := range runs {
+		if _, err = tmp.Write(r); err != nil {
+			break
 		}
 	}
-	return "", key
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
 }
