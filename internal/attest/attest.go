@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -101,68 +100,27 @@ func Decode(s string) (*Attestation, error) {
 	return &a, nil
 }
 
-// Mode selects which keys get quorum attestation.
+// Mode selects which keys get quorum attestation. It has one value:
+// every key runs at the configured quorum. A selector that seals some
+// keys at quorum 1 comes back only with the measurement that justifies it.
 type Mode string
 
-const (
-	// ModeAlways attests every transform at the configured quorum.
-	ModeAlways Mode = "always"
-	// ModeSampled attests 1 key in SampleRate (deterministic by key
-	// hash, so the same key is always either sampled or not).
-	ModeSampled Mode = "sampled"
-	// ModeHot attests only keys the caller's hot-set reports hot;
-	// everything else runs at quorum 1.
-	ModeHot Mode = "hot"
-)
+// ModeAlways attests every transform at the configured quorum.
+const ModeAlways Mode = "always"
 
 // Policy picks the quorum for each key.
 type Policy struct {
 	// Quorum is the total variant count, owner included. 1 disables
 	// cross-checking and reproduces the pre-attestation trust model.
 	Quorum int
-	// Mode is the key selector; unselected keys run at quorum 1.
+	// Mode is ModeAlways or empty; both mean the same.
 	Mode Mode
-	// Hot reports whether a key is hot, for ModeHot. Nil means nothing
-	// is hot.
-	Hot func(arch, class string) bool
 }
 
 // QuorumFor returns the quorum this policy wants for one key.
 func (p Policy) QuorumFor(arch, class string) int {
-	if p.Quorum <= 1 {
-		return 1
-	}
-	switch p.Mode {
-	case ModeSampled:
-		h := fnv.New32a()
-		h.Write([]byte(arch))
-		h.Write([]byte{0})
-		h.Write([]byte(class))
-		if h.Sum32()%SampleRate != 0 {
-			return 1
-		}
-	case ModeHot:
-		if p.Hot == nil || !p.Hot(arch, class) {
-			return 1
-		}
-	}
-	return p.Quorum
+	return max(p.Quorum, 1)
 }
-
-// ParseMode validates a -attest-policy flag value.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case ModeAlways, ModeSampled, ModeHot:
-		return Mode(s), nil
-	case "":
-		return ModeAlways, nil
-	}
-	return "", fmt.Errorf("attest: unknown policy mode %q (want always|sampled|hot)", s)
-}
-
-// SampleRate is ModeSampled's rate: one key in 16 runs at the full
-// quorum.
-const SampleRate = 16
 
 // QuarantineAfter is the divergence count that quarantines a peer.
 // Three: one divergence is already damning given a deterministic

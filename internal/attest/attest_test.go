@@ -3,7 +3,6 @@ package attest
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -120,41 +119,8 @@ func TestPolicyQuorumFor(t *testing.T) {
 	if q := (Policy{Quorum: 1, Mode: ModeAlways}).QuorumFor("x86", "C"); q != 1 {
 		t.Errorf("quorum 1: q = %d, want 1", q)
 	}
-
-	// Sampled: deterministic per key, roughly 1-in-rate overall.
-	sampled := Policy{Quorum: 2, Mode: ModeSampled}
-	hits := 0
-	for i := 0; i < 400; i++ {
-		class := "net/Applet" + strings.Repeat("x", i%7) + string(rune('a'+i%26))
-		q := sampled.QuorumFor("x86", class)
-		if q != sampled.QuorumFor("x86", class) {
-			t.Fatal("sampling is not deterministic per key")
-		}
-		if q == 2 {
-			hits++
-		}
-	}
-	if hits == 0 || hits == 400 {
-		t.Errorf("sampled selected %d/400 keys, want a real subset", hits)
-	}
-
-	hot := Policy{Quorum: 2, Mode: ModeHot, Hot: func(arch, class string) bool { return class == "H" }}
-	if q := hot.QuorumFor("x86", "H"); q != 2 {
-		t.Errorf("hot key: q = %d, want 2", q)
-	}
-	if q := hot.QuorumFor("x86", "C"); q != 1 {
-		t.Errorf("cold key: q = %d, want 1", q)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, s := range []string{"always", "sampled", "hot", ""} {
-		if _, err := ParseMode(s); err != nil {
-			t.Errorf("ParseMode(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseMode("paranoid"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
+	if q := (Policy{Quorum: 2}).QuorumFor("x86", "C"); q != 2 {
+		t.Errorf("empty mode: q = %d, want 2 (every key at the quorum)", q)
 	}
 }
 

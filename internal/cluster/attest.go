@@ -332,13 +332,6 @@ func (n *Node) noteDivergence(peer string) {
 	}
 }
 
-// attestRejection classifies a peer-fill error as an attestation
-// rejection (unattested or failed verification) — the link is healthy,
-// the payload is not.
-func attestRejection(err error) bool {
-	return errors.Is(err, attest.ErrVerify) || errors.Is(err, attest.ErrUnattested)
-}
-
 // Suspicions exposes the authority's ledger (nil authority = none).
 func (n *Node) Suspicions() []attest.Suspicion {
 	if n.authority == nil {

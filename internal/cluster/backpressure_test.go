@@ -178,3 +178,140 @@ func TestClusterOwnerShedsPeerFill(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonedFillIsNoLinkFailure: a fill whose flight was abandoned —
+// every waiter left, so the flight's context was canceled — proves
+// nothing about the owner. Well past the breaker threshold of abandoned
+// fills to a slow but healthy owner, its link stays closed, the owner
+// stays alive in the membership view, and no peer error is counted.
+func TestAbandonedFillIsNoLinkFailure(t *testing.T) {
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer slow.Close()
+	defer close(release)
+
+	n, err := cluster.NewNode(anyApplet{}, proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}, cluster.Config{
+		Self:             "http://127.0.0.1:1",
+		Peers:            []string{slow.URL},
+		GossipInterval:   -1,
+		BreakerThreshold: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	const fills = 6
+	var answered int64 // by the local origin, once an open link skips the owner
+	for i, class := range classesOwnedBy(t, n.Ring(), slow.URL, fills) {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		if _, err := n.Request(ctx, proxy.Lookup{Client: "c", Arch: "dvm", Class: class}); err == nil {
+			answered++
+		}
+		cancel()
+		pollUntil(t, "the flight to end", func() bool { return n.Proxy().Stats().FlightsAbandoned+answered == int64(i+1) })
+	}
+
+	if got := n.PeerErrors(); got != 0 {
+		t.Errorf("peer_errors_total = %d, want 0 (an abandoned fill is no peer failure)", got)
+	}
+	if got := n.Metrics().Suspects.Load(); got != 0 {
+		t.Errorf("member_suspects_total = %d, want 0", got)
+	}
+	for _, v := range n.PeerViews() {
+		if v.Member == slow.URL && (v.Link != "closed" || v.State != "alive") {
+			t.Errorf("owner after %d abandoned fills: link %s, state %s; want closed, alive", fills, v.Link, v.State)
+		}
+	}
+}
+
+// switchLink is a peer transport a test flips between a dead link, a
+// link that answers nothing until the caller gives up, and the real one.
+type switchLink struct {
+	mode    atomic.Int32 // linkDown, linkSlow or linkUp
+	reached atomic.Int64 // round trips passed to the real link
+}
+
+const (
+	linkDown int32 = iota
+	linkSlow
+	linkUp
+)
+
+func (s *switchLink) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch s.mode.Load() {
+	case linkDown:
+		return nil, fmt.Errorf("switchLink: connection refused")
+	case linkSlow:
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	}
+	s.reached.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestAbandonedProbeKeepsTheLinkProbing: a fill abandoned while it was
+// the half-open probe hands the probe back. The link opened by a dead
+// owner must not stay refusing once the owner is back: the next fill
+// after the abandoned probe reaches the owner and closes the link.
+func TestAbandonedProbeKeepsTheLinkProbing(t *testing.T) {
+	link := &switchLink{}
+	c, err := cluster.StartLocal(anyApplet{}, 2, func(int) proxy.Config {
+		return proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}
+	}, func(i int) cluster.Config {
+		cfg := cluster.Config{GossipInterval: -1, BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond}
+		if i == 0 {
+			cfg.Transport = link
+		}
+		return cfg
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n, owner := c.Nodes[0], c.Nodes[1].Self()
+	linkState := func() string {
+		for _, v := range n.PeerViews() {
+			if v.Member == owner {
+				return v.Link
+			}
+		}
+		return ""
+	}
+	classes := classesOwnedBy(t, n.Ring(), owner, 3)
+	ctx := context.Background()
+
+	// The owner is down: one failed fill opens its link.
+	if _, err := n.Request(ctx, proxy.Lookup{Client: "c", Arch: "dvm", Class: classes[0]}); err != nil {
+		t.Fatalf("fill with the owner down did not fall back locally: %v", err)
+	}
+	if got := linkState(); got != "open" {
+		t.Fatalf("link after a failed fill = %q, want open", got)
+	}
+	pollUntil(t, "the cooldown to pass", func() bool { return linkState() == "half-open" })
+
+	// The half-open probe goes to a silent owner and its caller gives up.
+	link.mode.Store(linkSlow)
+	abandoned := n.Proxy().Stats().FlightsAbandoned
+	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	_, _ = n.Request(short, proxy.Lookup{Client: "c", Arch: "dvm", Class: classes[1]})
+	cancel()
+	pollUntil(t, "the probe's flight to end", func() bool { return n.Proxy().Stats().FlightsAbandoned > abandoned })
+
+	// The owner is back: the next fill probes it and closes the link.
+	link.mode.Store(linkUp)
+	if _, err := n.Request(ctx, proxy.Lookup{Client: "c", Arch: "dvm", Class: classes[2]}); err != nil {
+		t.Fatal(err)
+	}
+	if link.reached.Load() == 0 {
+		t.Error("the fill after an abandoned probe never reached the owner")
+	}
+	if got := linkState(); got != "closed" {
+		t.Errorf("link after the owner came back = %q, want closed", got)
+	}
+}

@@ -82,13 +82,9 @@ type Config struct {
 	AttestKey []byte
 	// AttestQuorum is the variant count per attested key, owner included
 	// (0 or 1 = local-only sealing: today's single-rewrite trust model,
-	// no variant traffic).
-	AttestQuorum int
-	// AttestPolicy selects which keys run at AttestQuorum: "always"
-	// (default), "sampled" (1 key in attest.SampleRate by key hash), or
-	// "hot" (keys past HotThreshold; others seal at quorum 1). A peer is
+	// no variant traffic). Every key runs at this quorum. A peer is
 	// quarantined after attest.QuarantineAfter divergences.
-	AttestPolicy string
+	AttestQuorum int
 }
 
 // defaultHotThreshold is the peer-fill count after which a key is
@@ -235,17 +231,9 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		n.predictor = prefetch.New(prefetch.Config{TopK: cfg.PrefetchK})
 	}
 	if len(cfg.AttestKey) > 0 {
-		mode, err := attest.ParseMode(cfg.AttestPolicy)
-		if err != nil {
-			return nil, err
-		}
 		n.authority = attest.New(attest.Config{
-			Key: cfg.AttestKey,
-			Policy: attest.Policy{
-				Quorum: cfg.AttestQuorum,
-				Mode:   mode,
-				Hot:    n.isHotKey,
-			},
+			Key:    cfg.AttestKey,
+			Policy: attest.Policy{Quorum: cfg.AttestQuorum},
 		})
 	}
 	if pcfg.Node == "" {
@@ -439,18 +427,6 @@ func (n *Node) noteFill(key string) bool {
 	return n.hot[key] >= n.cfg.HotThreshold
 }
 
-// isHotKey reports whether this node's fill counter has seen the key
-// cross the hot threshold — the "hot" attestation policy's selector, so
-// the quorum tax lands only on the keys whose artifacts fan out.
-func (n *Node) isHotKey(arch, class string) bool {
-	if n.cfg.HotThreshold < 0 {
-		return false
-	}
-	n.hotMu.Lock()
-	defer n.hotMu.Unlock()
-	return n.hot[KeyFor(arch, class)] >= n.cfg.HotThreshold
-}
-
 // Fill implements proxy.Fleet: route the miss through the key's owner
 // chain. The primary is tried first; if it is down, draining, or
 // shedding, the warm replicas are tried in ring order — a replica holds
@@ -490,45 +466,32 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 			last = proxy.PeerResult{Peer: owner, Err: fmt.Errorf("cluster: peer %s quarantined: %w", owner, attest.ErrVerify)}
 			continue
 		}
-		b := n.breaker(owner)
-		if err := b.Allow(); err != nil {
-			// The link is presumed down: skip the network hop.
-			n.m.PeerErrors.Inc()
-			last = proxy.PeerResult{Peer: owner, Err: err}
-			continue
-		}
 		res := n.fetchPeer(ctx, owner, l)
 		res.Peer = owner
 		switch {
 		case res.Err == nil:
-			b.Success()
-			n.mship.Refute(owner) // direct evidence of life
 			if hot {
 				res.CacheLocal = true
 				n.m.HotReplicas.Inc()
 			}
 			return res
+		case ctx.Err() != nil:
+			// Every waiter left and the flight was canceled: that proves
+			// nothing about the owner, and no other owner is wanted.
+			return res
 		case errors.Is(res.Err, proxy.ErrOverloaded):
 			// Deliberate backpressure (overload shed or draining): the
-			// peer is healthy — no breaker penalty, counted apart from
-			// real failures — but it will not serve us.
-			b.Success()
+			// peer is healthy but will not serve us.
 			n.m.PeerBackpressure.Inc()
-		case attestRejection(res.Err):
-			// The payload failed re-verification: the link is healthy (no
-			// breaker penalty) but the bytes cannot be used. fromWire
-			// already fed the ledger for corrupt payloads.
-			b.Success()
-			n.m.PeerErrors.Inc()
 		case resilience.IsPermanent(res.Err):
 			// A definitive answer (e.g. the owner's origin says not
-			// found): the peer is healthy, only this key is unservable.
-			// No other owner will do better.
-			b.Success()
+			// found): only this key is unservable, and no other owner
+			// will do better.
 			n.m.PeerErrors.Inc()
 			return res
 		default:
-			b.Failure()
+			// A failed link, or bytes that failed re-verification
+			// (fromWire already fed the ledger for corrupt payloads).
 			n.m.PeerErrors.Inc()
 		}
 		last = res // try the next owner in the chain

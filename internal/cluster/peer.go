@@ -497,6 +497,8 @@ func (n *Node) hop(ctx context.Context, peer, path string, breq BatchRequest) (*
 		b.Success()
 	case ctx.Err() == nil:
 		b.Failure()
+	default:
+		b.Cancel()
 	}
 	return br, err
 }
@@ -514,11 +516,10 @@ func entryError(peer string, be BatchError) error {
 	return err
 }
 
-// fetchPeer performs one fill against an owner over the batch protocol
-// and ingests whatever prefetch entries the owner piggybacked.
+// fetchPeer performs one fill against an owner over the batch protocol,
+// under the owner's breaker (hop), and ingests whatever prefetch entries
+// the owner piggybacked.
 func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) proxy.PeerResult {
-	hopTimer := telemetry.StartTimer()
-	defer func() { n.m.PeerFetch.Observe(hopTimer.Elapsed()) }()
 	breq := BatchRequest{
 		Reason:  proxy.ReasonFill,
 		Member:  n.cfg.Self,
@@ -530,7 +531,12 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 		NoPrefetch: n.predictor == nil || n.local.UnderPressure(),
 		MaxBytes:   prefetchBudget,
 	}
-	br, err := n.doBatch(ctx, owner, BatchPath, breq, n.cfg.PeerTimeout)
+	hopTimer := telemetry.StartTimer()
+	br, err := n.hop(ctx, owner, BatchPath, breq)
+	if errors.Is(err, resilience.ErrOpen) {
+		return proxy.PeerResult{Err: err} // the link is presumed down: no hop was made
+	}
+	n.m.PeerFetch.Observe(hopTimer.Elapsed())
 	if err != nil {
 		return proxy.PeerResult{Err: err}
 	}

@@ -33,6 +33,9 @@ import (
 // to the quickened native format.
 const ArchDVM = "dvm"
 
+// FilterName is the compilation filter's name in a pipeline.
+const FilterName = "compiler"
+
 // AttrCompiled marks a class translated by the compilation service; the
 // payload is the target architecture string.
 const AttrCompiled = "dvm.Compiled"
@@ -228,7 +231,7 @@ func fuse(ed *rewrite.MethodEditor) int {
 // format; for every other client it is a no-op, preserving strict JVM
 // compatibility.
 func Filter() rewrite.Filter {
-	return rewrite.FilterFunc{FilterName: "compiler", Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
+	return rewrite.FilterFunc{FilterName: FilterName, Fn: func(cf *classfile.ClassFile, ctx *rewrite.Context) error {
 		if ctx.ClientArch != ArchDVM {
 			return nil
 		}

@@ -52,19 +52,10 @@ func StandardPolicy() *security.Policy {
 	return p
 }
 
-// ServicePipeline builds the proxy's static service pipeline in the
-// paper's Figure 2 order: verify → security → audit (→ compile for DVM
-// clients).
+// ServicePipeline is the pipeline dvmproxy serves (proxy.ServicePipeline),
+// the one every experiment and the benchmark measure.
 func ServicePipeline(policy *security.Policy, compile bool) *rewrite.Pipeline {
-	p := rewrite.NewPipeline(
-		verifier.Filter(),
-		security.Filter(policy),
-		monitor.Filter(monitor.Config{Methods: true, Skip: monitor.SkipInitializers}),
-	)
-	if compile {
-		p.Append(compiler.Filter())
-	}
-	return p
+	return proxy.ServicePipeline(policy, compile)
 }
 
 // MonoClient is the monolithic baseline: all services embedded in the

@@ -199,3 +199,40 @@ func TestCompileDigestVotesMatchDerivation(t *testing.T) {
 		t.Error("Derive compiled for an architecture it does not compile")
 	}
 }
+
+// TestAOTKeyHasOneByteForm: over a pipeline with no compile step there is
+// nothing to derive, so AOTBaseArch is ignored. A (dvm, class) key then
+// has the same bytes whether or not its base artifact was resident, and
+// no compilation is counted.
+func TestAOTKeyHasOneByteForm(t *testing.T) {
+	newProxy := func() *proxy.Proxy {
+		return proxy.New(origin(t), proxy.Config{
+			Pipeline:     proxy.ServicePipeline(nil, false),
+			CacheEnabled: true,
+			AOTBaseArch:  "jvm",
+		})
+	}
+	dvm := proxy.Lookup{Client: "c", Arch: compiler.ArchDVM, Class: "app/Main"}
+
+	warm := newProxy()
+	if _, err := warm.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "jvm", Class: "app/Main"}); err != nil {
+		t.Fatal(err)
+	}
+	afterBase, err := warm.Request(context.Background(), dvm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := newProxy()
+	withoutBase, err := cold.Request(context.Background(), dvm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(afterBase.Data, withoutBase.Data) {
+		t.Errorf("(dvm, app/Main) has two byte forms: %d bytes with its base resident, %d without", len(afterBase.Data), len(withoutBase.Data))
+	}
+	for _, p := range []*proxy.Proxy{warm, cold} {
+		if st := p.Stats(); st.CompileMisses != 0 || st.CompileHits != 0 {
+			t.Errorf("compile misses/hits = %d/%d over a pipeline that never compiles, want 0/0", st.CompileMisses, st.CompileHits)
+		}
+	}
+}

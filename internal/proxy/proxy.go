@@ -56,9 +56,12 @@ import (
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
 	"dvm/internal/compiler"
+	"dvm/internal/monitor"
 	"dvm/internal/resilience"
 	"dvm/internal/rewrite"
+	"dvm/internal/security"
 	"dvm/internal/telemetry"
+	"dvm/internal/verifier"
 )
 
 // ErrNotFound marks an origin's definitive "no such class" answer.
@@ -180,7 +183,9 @@ type Config struct {
 	// those bytes — no origin fetch, no pipeline run. Every filter ahead
 	// of the compiler is architecture-independent, so the result is
 	// byte-identical to the full pipeline's, and it caches, replicates
-	// and seals (SealCompile) like any other artifact.
+	// and seals (SealCompile) like any other artifact. Ignored unless the
+	// pipeline's last filter is the compiler: a derived key would
+	// otherwise have two byte forms.
 	AOTBaseArch string
 
 	// OnAudit receives the audit trail (central administration console).
@@ -339,6 +344,21 @@ type metrics struct {
 	BreakerOpen *telemetry.Histogram `metric:"breaker_open_seconds"`
 }
 
+// ServicePipeline composes the static service pipeline in the paper's
+// Figure 2 order: verify → security → audit (→ compile for DVM clients).
+// A nil policy leaves the security filter out.
+func ServicePipeline(policy *security.Policy, compile bool) *rewrite.Pipeline {
+	p := rewrite.NewPipeline(verifier.Filter())
+	if policy != nil {
+		p.Append(security.Filter(policy))
+	}
+	p.Append(monitor.Filter(monitor.Config{Methods: true, Skip: monitor.SkipInitializers}))
+	if compile {
+		p.Append(compiler.Filter())
+	}
+	return p
+}
+
 // DefaultMaxConcurrent is the concurrency Config.MaxConcurrent defaults
 // to: 8 flights per processor, enough to keep the processors busy across
 // origin waits. A cluster node sizes its per-peer connection pool from it.
@@ -351,6 +371,9 @@ func New(origin Origin, cfg Config) *Proxy {
 	}
 	if cfg.Pipeline == nil {
 		cfg.Pipeline = rewrite.NewPipeline()
+	}
+	if fs := cfg.Pipeline.Filters(); len(fs) == 0 || fs[len(fs)-1].Name() != compiler.FilterName {
+		cfg.AOTBaseArch = "" // nothing to derive: the pipeline never compiles
 	}
 	if cfg.MaxQueue > 0 {
 		if cfg.MaxConcurrent <= 0 {

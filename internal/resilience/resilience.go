@@ -207,7 +207,7 @@ func (b *Breaker) disabled() bool { return b != nil && b.cfg.Threshold < 0 }
 
 // Allow reports whether a call may proceed now; ErrOpen means the
 // upstream is presumed down. An allowed call MUST be followed by exactly
-// one Success or Failure.
+// one Success, Failure or Cancel.
 func (b *Breaker) Allow() error {
 	if b == nil || b.disabled() {
 		return nil
@@ -294,6 +294,22 @@ func (b *Breaker) Failure() {
 	if tripped {
 		b.notify(from, Open)
 	}
+}
+
+// Cancel settles an allowed call whose caller gave up before the
+// upstream answered: it is no evidence either way, so the counts stay as
+// they are, and a half-open probe hands its slot back for the next call
+// to probe with. Without it an abandoned probe would hold the only slot
+// and keep the breaker refusing forever.
+func (b *Breaker) Cancel() {
+	if b == nil || b.disabled() {
+		return
+	}
+	b.mu.Lock()
+	if b.state == HalfOpen && b.probes > 0 {
+		b.probes--
+	}
+	b.mu.Unlock()
 }
 
 // trip moves to Open (caller holds b.mu).
@@ -407,6 +423,7 @@ func (h Hop) attempt(ctx context.Context, op func(context.Context) error) error 
 	// origin, turning overload into an outage. Attempt-deadline expiry
 	// (upstream too slow) still counts.
 	if errors.Is(ctx.Err(), context.Canceled) {
+		h.Breaker.Cancel()
 		return err
 	}
 	h.Breaker.Failure()

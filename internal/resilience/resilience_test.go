@@ -317,3 +317,34 @@ func TestBreakerOnStateChange(t *testing.T) {
 		}
 	}
 }
+
+// TestBreakerCancelReturnsTheProbe: a half-open probe whose caller gave
+// up settles with Cancel, which counts nothing and hands the probe slot
+// back, so the next call probes instead of being refused for good.
+func TestBreakerCancelReturnsTheProbe(t *testing.T) {
+	clk := newFakeClock()
+	b := testBreaker(1, time.Minute, clk)
+	b.Failure()
+	clk.advance(time.Minute)
+	if err := b.Allow(); err != nil {
+		t.Fatalf("probe after cooldown refused: %v", err)
+	}
+	if err := b.Allow(); !errors.Is(err, ErrOpen) {
+		t.Fatalf("second concurrent probe = %v, want ErrOpen", err)
+	}
+	b.Cancel()
+	if c := b.Counts(); c.Failures != 1 || c.Successes != 0 || c.State != "half-open" {
+		t.Fatalf("after Cancel: %+v, want 1 failure, 0 successes, half-open", c)
+	}
+	if err := b.Allow(); err != nil {
+		t.Fatalf("probe after an abandoned probe refused: %v", err)
+	}
+	b.Success()
+	if got := b.State(); got != Closed {
+		t.Fatalf("state after the new probe succeeded = %v, want closed", got)
+	}
+	b.Cancel() // closed: nothing to give back
+	if got := b.State(); got != Closed {
+		t.Fatalf("Cancel on a closed breaker changed it to %v", got)
+	}
+}
