@@ -218,7 +218,7 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, prop Propos
 					prop.Seal = n.authority.SealProposal(arch, class, string(prop.Mode), prop.Commit, prop.Voters)
 				}
 				span := telemetry.FromContext(ctx).StartSpan(n.cfg.Self, "attest.variant")
-				br, err := n.hop(ctx, peer, VotePath, BatchRequest{Reason: reasonVote, Member: n.cfg.Self, Arch: arch, Classes: []string{class}, Vote: prop})
+				br, err := n.hop(ctx, peer, VotePath, BatchRequest{Reason: reasonVote, Member: n.cfg.Self, Arch: arch, Classes: []string{class}, Vote: prop}, nil)
 				span.End()
 				if errors.Is(err, proxy.ErrOverloaded) {
 					// Deliberate shed: the variant is healthy but loaded or leaving.

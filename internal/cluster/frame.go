@@ -16,6 +16,9 @@ package cluster
 
 import (
 	"io"
+	"net/http/httptrace"
+	"sync"
+	"sync/atomic"
 
 	"dvm/internal/proxy"
 )
@@ -25,14 +28,52 @@ const leastError = 4 // bytes of the least BatchError: two strings, status, mess
 // frameEnc builds a frame as runs — metadata, payload, metadata, … — so a
 // payload (an Artifact's Data) is never copied on its way to the wire. A
 // closed run stays valid as meta grows: appends never rewrite its bytes.
+// Encoders are recycled (free) once their frame is on the wire.
 type frameEnc struct {
 	meta []byte
 	runs [][]byte // closed runs; the open one is meta[from:]
 	from int
+
+	// wrote records that the transport finished writing a request body
+	// read from this frame (doBatch), through trace's WroteRequest hook,
+	// which is built once per encoder.
+	wrote atomic.Bool
+	trace httptrace.ClientTrace
 }
 
+// The largest encoder free keeps: room for any fill, vote or push; a
+// handoff's long entry list is not pinned in the pool.
+const (
+	maxPooledMeta = 4 << 10
+	maxPooledRuns = 64
+)
+
+var framePool = sync.Pool{New: func() any {
+	f := &frameEnc{meta: make([]byte, 0, 256)}
+	f.trace.WroteRequest = func(i httptrace.WroteRequestInfo) {
+		if i.Err == nil {
+			f.wrote.Store(true)
+		}
+	}
+	return f
+}}
+
 func newFrameEnc() *frameEnc {
-	return &frameEnc{meta: proxy.AppendFrameHeader(make([]byte, 0, 256))}
+	f := framePool.Get().(*frameEnc)
+	f.meta = proxy.AppendFrameHeader(f.meta[:0])
+	f.wrote.Store(false)
+	return f
+}
+
+// free recycles f. Nothing may still read its frame: the runs are
+// dropped, so a recycled encoder pins no payload.
+func (f *frameEnc) free() {
+	if cap(f.meta) > maxPooledMeta || cap(f.runs) > maxPooledRuns {
+		return
+	}
+	clear(f.runs)
+	f.runs, f.from = f.runs[:0], 0
+	framePool.Put(f)
 }
 
 func (f *frameEnc) uvarint(v int)     { f.meta = proxy.AppendUvarint(f.meta, v) }
@@ -133,10 +174,14 @@ func (r *BatchResponse) encode() *frameEnc {
 }
 
 // MarshalBinary encodes the request as one frame.
-func (r *BatchRequest) MarshalBinary() ([]byte, error) { return r.encode().appendTo(nil), nil }
+func (r *BatchRequest) MarshalBinary() ([]byte, error) {
+	f := r.encode()
+	defer f.free()
+	return f.appendTo(nil), nil
+}
 
-// decodeEntries decodes the entry list. A lone entry's Data and Seal
-// alias the frame: the frame is barely larger than the class, and the
+// decodeEntries decodes the entry list. A lone entry's Data aliases the
+// frame: the frame is barely larger than the class, and the
 // read buffer becomes the artifact. Several entries are copied out one
 // by one, so an artifact that outlives the batch never pins a frame
 // larger than itself.

@@ -28,6 +28,7 @@ package cluster
 // server goes away (gossip.go Drain).
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"sort"
@@ -71,7 +72,7 @@ func (n *Node) replicate(art *proxy.Artifact, att *attest.Attestation, kept []st
 		return
 	}
 	e := toWire(art, proxy.ReasonReplica)
-	e.Att = att
+	e.Data, e.Att = bytes.Clone(art.Data), att // the flight may recycle art.Data
 	select {
 	case n.replCh <- replication{e, to}:
 	default:
@@ -159,7 +160,7 @@ func (n *Node) PullHandoff(ctx context.Context) int {
 func (n *Node) pullFrom(ctx context.Context, peer string) int {
 	br, err := n.doBatch(ctx, peer, BatchPath, BatchRequest{
 		Reason: proxy.ReasonHandoff, Member: n.cfg.Self, MaxBytes: handoffMaxBytes,
-	}, handoffTimeout)
+	}, handoffTimeout, nil)
 	if err != nil {
 		return 0
 	}

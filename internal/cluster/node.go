@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
@@ -106,6 +107,9 @@ type Node struct {
 	// Config.Transport was supplied): Close drops its idle connections.
 	transport *http.Transport
 	mship     *membership
+	// epochHdr caches the epoch header's value for the current epoch
+	// (epochHeaderValue).
+	epochHdr atomic.Pointer[epochValue]
 
 	ringMu sync.RWMutex
 	ring   *Ring // rebuilt on every membership change; read via currentRing
@@ -333,7 +337,9 @@ const peerWriteBuffer = 16 << 10
 // the node's own concurrency — one connection per flight that may be
 // talking to that peer at once — so steady peer traffic reuses its
 // connections instead of dialing (http.DefaultTransport keeps two per
-// host, shared by every node in the process).
+// host, shared by every node in the process). Compression is off: frames
+// are binary and no peer gzips them, so asking for gzip (the transport's
+// own Accept-Encoding header) is a header per exchange that buys nothing.
 func newPeerTransport() *http.Transport {
 	return &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -346,6 +352,7 @@ func newPeerTransport() *http.Transport {
 		TLSHandshakeTimeout:   10 * time.Second,
 		ExpectContinueTimeout: time.Second,
 		WriteBufferSize:       peerWriteBuffer,
+		DisableCompression:    true,
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"net/http/httptrace"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
@@ -61,14 +60,34 @@ const (
 	gossipV1Path = "/peer/v1/gossip"
 )
 
-// doBatch's request header, built as a map literal: the keys in canonical
-// form, and a value shared read-only by every request (a RoundTripper
-// only reads a request's header).
+// The peer protocol's header keys in canonical form, and the one
+// Content-Type value: request and response headers are built by direct
+// assignment, and the value is shared read-only by every request (a
+// RoundTripper only reads a request's header) and every response (the
+// server copies a header when it writes it).
 var (
 	epochKey         = http.CanonicalHeaderKey(epochHeader)
 	traceKey         = http.CanonicalHeaderKey(telemetry.TraceHeader)
 	frameContentType = []string{batchContentType}
 )
+
+// epochValue is the epoch header's value for one membership epoch.
+type epochValue struct {
+	epoch uint64
+	value []string
+}
+
+// epochHeaderValue returns the current epoch's header value, built once
+// per epoch and shared read-only, like frameContentType.
+func (n *Node) epochHeaderValue() []string {
+	e := n.mship.Epoch()
+	if v := n.epochHdr.Load(); v != nil && v.epoch == e {
+		return v.value
+	}
+	v := &epochValue{epoch: e, value: []string{fmtEpoch(e)}}
+	n.epochHdr.Store(v)
+	return v.value
+}
 
 // maxBatchBytes bounds one batch frame, either direction: a full-size
 // class plus a prefetch piggyback, or a handoff transfer.
@@ -152,7 +171,7 @@ func (n *Node) peerEnter(w http.ResponseWriter, r *http.Request, method string, 
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return nil, false
 	}
-	w.Header().Set(epochHeader, fmtEpoch(n.mship.Epoch()))
+	w.Header()[epochKey] = n.epochHeaderValue()
 	if n.mship.Draining() {
 		w.Header().Set(drainingHeader, "1")
 		w.Header().Set("Retry-After", "1")
@@ -183,12 +202,14 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp BatchResponse
+	var answers [1]proxy.Result // a fill's answers, released once written
+	filled := answers[:0]
 	switch {
 	case len(req.Entries) > 0:
 		resp = n.ingestBatch(req)
 	case req.Reason == proxy.ReasonFill && len(req.Classes) > 0:
 		ctx := telemetry.WithTrace(r.Context(), tr)
-		resp = n.serveBatchFill(ctx, tr, req)
+		resp, filled = n.serveBatchFill(ctx, tr, req, filled)
 	case req.Reason == proxy.ReasonHandoff && req.Member != "":
 		if n.local.UnderPressure() {
 			w.Header().Set("Retry-After", "1")
@@ -207,6 +228,9 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeFrame(w, tr, resp.encode())
+	for i := range filled {
+		filled[i].Release()
+	}
 }
 
 // readFrame reads a peer request's frame, at most max bytes, into dst's
@@ -233,17 +257,21 @@ func readFrame(w http.ResponseWriter, r *http.Request, dst []byte, max int, req 
 	return body, true
 }
 
-// writeFrame answers a peer request with one frame.
+// writeFrame answers a peer request with one frame, and recycles the
+// encoder once it is written.
 func writeFrame(w http.ResponseWriter, tr *telemetry.Trace, frame *frameEnc) {
-	tr.WriteSpans(w.Header())
-	w.Header().Set("Content-Type", batchContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(frame.size()))
+	h := w.Header()
+	tr.WriteSpans(h)
+	h["Content-Type"] = frameContentType
+	h["Content-Length"] = []string{strconv.Itoa(frame.size())}
 	_ = frame.writeTo(w) // a requester that went away mid-write just retries
+	frame.free()
 }
 
 // serveBatchFill answers the fill direction: the requested classes plus
-// the prefetch piggyback.
-func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req BatchRequest) BatchResponse {
+// the prefetch piggyback. Each class's Result is appended to held, for
+// the caller to release once the answer is written.
+func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req BatchRequest, held []proxy.Result) (BatchResponse, []proxy.Result) {
 	var resp BatchResponse
 	client := req.Client
 	if client == "" {
@@ -270,11 +298,12 @@ func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req Batc
 		e.Stale = res.Info.Stale
 		resp.Entries = append(resp.Entries, e)
 		served = append(served, class)
+		held = append(held, res)
 	}
 	if n.predictor != nil && !req.NoPrefetch && len(served) > 0 && !n.local.UnderPressure() {
 		n.piggybackPrefetch(&resp, req, served)
 	}
-	return resp
+	return resp, held
 }
 
 // serveFill answers one owner-side fill from this node's cache/origin,
@@ -403,45 +432,50 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 
 // doBatch is the one client hop of the peer protocol: POST breq as one
 // frame to peer+path and decode the answer, read into a buffer sized from
-// its Content-Length, in place (its entries may alias that buffer). Both
-// directions piggyback the membership epoch. On a traced request the
-// trace rides the request header and the peer's spans come back shifted
-// into the local timeline; an untraced one sends and reads neither trace
-// header. The request goes straight to the node's transport, so timeout
-// is the exchange's one deadline, and a transport error names the peer. A
-// 429 is returned as ErrOverloaded (with the draining note recorded) so
-// callers treat it as a healthy shed.
-func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest, timeout time.Duration) (*BatchResponse, error) {
+// its Content-Length, in place (its entries may alias that buffer). With
+// frame set, the answer is read into that recycled buffer's storage and
+// the buffer is stored back through it; nil reads into a buffer of its
+// own. Both directions piggyback the membership epoch. On a traced
+// request the trace rides the request header and the peer's spans come
+// back shifted into the local timeline; an untraced one sends and reads
+// neither trace header. The request goes straight to the node's
+// transport, so timeout is the exchange's one deadline, and a transport
+// error names the peer. A 429 is returned as ErrOverloaded (with the
+// draining note recorded) so callers treat it as a healthy shed.
+func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest, timeout time.Duration, frame *[]byte) (*BatchResponse, error) {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	frame := breq.encode()
-	body := frame.meta
-	if len(frame.runs) > 0 {
+	enc := breq.encode()
+	// The encoder, and the buffer its runs are joined in, are recycled only
+	// after a write that succeeded: after a failed one the transport may
+	// replay the body from the same bytes. (No caller puts a client trace
+	// of its own on ctx, which would be composed into the recycled one.)
+	ctx = httptrace.WithClientTrace(ctx, &enc.trace)
+	body := enc.meta
+	var joined *[]byte
+	if len(enc.runs) > 0 {
 		// The transport sends a *bytes.Reader body with its headers in one
 		// write, any other reader through a header flush and a copy buffer of
-		// its own: join the runs in a recycled buffer, freed once written.
-		buf, wrote := proxy.GetBuffer(), new(atomic.Bool)
-		body = frame.appendTo((*buf)[:0])
-		// Only a write that succeeded frees it: after a failed one the
-		// transport may replay the body from the same bytes.
-		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{WroteRequest: func(i httptrace.WroteRequestInfo) {
-			if i.Err == nil {
-				wrote.Store(true)
-			}
-		}})
-		defer func() {
-			if *buf = body; wrote.Load() {
-				proxy.PutBuffer(buf)
-			}
-		}()
+		// its own: join the runs in a recycled buffer.
+		joined = proxy.GetBuffer()
+		body = enc.appendTo((*joined)[:0])
+		*joined = body
 	}
+	defer func() {
+		if enc.wrote.Load() {
+			if joined != nil {
+				proxy.PutBuffer(joined)
+			}
+			enc.free()
+		}
+	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	req.Header = http.Header{"Content-Type": frameContentType, epochKey: {fmtEpoch(n.mship.Epoch())}}
+	req.Header = http.Header{"Content-Type": frameContentType, epochKey: n.epochHeaderValue()}
 	if tr != nil {
 		req.Header[traceKey] = []string{tr.ID()}
 	}
@@ -462,9 +496,16 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 		}
 		return nil, err
 	}
-	answer, err := proxy.ReadSized(resp.Body, resp.ContentLength, maxBatchBytes)
+	var dst []byte
+	if frame != nil {
+		dst = *frame
+	}
+	answer, err := proxy.ReadSizedInto(dst, resp.Body, resp.ContentLength, maxBatchBytes)
 	var br BatchResponse
 	if err == nil {
+		if frame != nil {
+			*frame = answer
+		}
 		err = br.UnmarshalBinary(answer)
 	}
 	if err != nil {
@@ -482,13 +523,14 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 // drain) is a healthy shed, a caller that gave up (its context ended)
 // proves nothing about the link, and anything else feeds the breaker like
 // any other peer-protocol failure. A per-item error inside a good answer
-// — a variant that cannot derive — is a success for the link.
-func (n *Node) hop(ctx context.Context, peer, path string, breq BatchRequest) (*BatchResponse, error) {
+// — a variant that cannot derive — is a success for the link. frame is
+// doBatch's.
+func (n *Node) hop(ctx context.Context, peer, path string, breq BatchRequest, frame *[]byte) (*BatchResponse, error) {
 	b := n.breaker(peer)
 	if err := b.Allow(); err != nil {
 		return nil, err
 	}
-	br, err := n.doBatch(ctx, peer, path, breq, n.cfg.PeerTimeout)
+	br, err := n.doBatch(ctx, peer, path, breq, n.cfg.PeerTimeout, frame)
 	switch {
 	case err == nil:
 		b.Success()
@@ -518,7 +560,11 @@ func entryError(peer string, be BatchError) error {
 
 // fetchPeer performs one fill against an owner over the batch protocol,
 // under the owner's breaker (hop), and ingests whatever prefetch entries
-// the owner piggybacked.
+// the owner piggybacked. The answer is read into a recycled buffer. When
+// its lone entry is the fill, the artifact aliases it and the buffer goes
+// with the result (PeerResult.Frame); when it is a lone prefetch entry,
+// ingested in place, the store keeps the frame; otherwise nothing aliases
+// it and it goes back to the pool at once.
 func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) proxy.PeerResult {
 	breq := BatchRequest{
 		Reason:  proxy.ReasonFill,
@@ -532,7 +578,11 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 		MaxBytes:   prefetchBudget,
 	}
 	hopTimer := telemetry.StartTimer()
-	br, err := n.hop(ctx, owner, BatchPath, breq)
+	frame := proxy.GetBuffer()
+	br, err := n.hop(ctx, owner, BatchPath, breq, frame)
+	if err != nil {
+		proxy.PutBuffer(frame)
+	}
 	if errors.Is(err, resilience.ErrOpen) {
 		return proxy.PeerResult{Err: err} // the link is presumed down: no hop was made
 	}
@@ -558,6 +608,14 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 			_ = n.ingest(e, owner) // a bad guess costs nothing but the guess
 		}
 	}
+	switch {
+	case len(br.Entries) != 1:
+		proxy.PutBuffer(frame) // no entry, or several, each copied out
+	case res.Art != nil:
+		res.Frame = frame
+	case br.Entries[0].Reason != proxy.ReasonPrefetch:
+		proxy.PutBuffer(frame) // a lone entry that answered nothing
+	}
 	return res
 }
 
@@ -568,7 +626,7 @@ func (n *Node) pushEntries(ctx context.Context, peer string, entries []BatchEntr
 	if len(entries) == 0 {
 		return 0
 	}
-	br, err := n.hop(ctx, peer, BatchPath, BatchRequest{Reason: entries[0].Reason, Member: n.cfg.Self, Entries: entries})
+	br, err := n.hop(ctx, peer, BatchPath, BatchRequest{Reason: entries[0].Reason, Member: n.cfg.Self, Entries: entries}, nil)
 	if err != nil {
 		return 0
 	}

@@ -566,7 +566,7 @@ func TestRefusedPeerDialNamesPeerAndTripsBreaker(t *testing.T) {
 	l.Close() // nothing listens there now: every dial is refused
 	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
 	for i := 0; i < 2; i++ {
-		_, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n))
+		_, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n), nil)
 		if err == nil || !strings.Contains(err.Error(), dead) {
 			t.Fatalf("refused dial %d: err = %v, want an error naming %s", i+1, err, dead)
 		}
@@ -577,7 +577,7 @@ func TestRefusedPeerDialNamesPeerAndTripsBreaker(t *testing.T) {
 	if st := n.breaker(dead).State(); st != resilience.Open {
 		t.Fatalf("link after two refused dials is %v, want open (threshold 2)", st)
 	}
-	if _, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n)); !errors.Is(err, resilience.ErrOpen) {
+	if _, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n), nil); !errors.Is(err, resilience.ErrOpen) {
 		t.Fatalf("hop over an open link: err = %v, want ErrOpen", err)
 	}
 }
@@ -600,7 +600,7 @@ func TestSlowPeerHopDeadlineAndCallerCancel(t *testing.T) {
 	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{PeerTimeout: 150 * time.Millisecond, BreakerThreshold: 5})
 
 	start := time.Now()
-	_, err := n.hop(context.Background(), slow.URL, BatchPath, fillRequest(n))
+	_, err := n.hop(context.Background(), slow.URL, BatchPath, fillRequest(n), nil)
 	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), slow.URL) {
 		t.Fatalf("silent peer: err = %v, want context.DeadlineExceeded naming %s", err, slow.URL)
 	}
@@ -613,7 +613,7 @@ func TestSlowPeerHopDeadlineAndCallerCancel(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := n.hop(ctx, slow.URL, BatchPath, fillRequest(n)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := n.hop(ctx, slow.URL, BatchPath, fillRequest(n), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("caller gave up: err = %v, want its context's error", err)
 	}
 	if got := n.breaker(slow.URL).Counts().Failures; got != 1 {

@@ -233,16 +233,12 @@ func (d *Cursor) Strs(what string) []string {
 }
 
 // Entry reads one entry: the artifact (Source unset) and the hop's
-// reason and stale bit. Its Data and seal alias the frame unless own is
-// set, which copies them out: an artifact that outlives its frame must
-// not pin one much larger than itself.
+// reason and stale bit. Its Data aliases the frame unless own is set,
+// which copies it out: an artifact that outlives its frame must not pin
+// one much larger than itself. The seal is always a copy, so an
+// attestation — which audit records and responses pass on — never points
+// into a frame that may go back to the pool.
 func (d *Cursor) Entry(own bool) (a Artifact, reason string, stale bool) {
-	keep := func(b []byte) []byte {
-		if own {
-			return bytes.Clone(b)
-		}
-		return b
-	}
 	flags := d.byte1("entry flags")
 	if flags&^flagsKnown != 0 {
 		d.fail("unknown entry flags")
@@ -251,9 +247,11 @@ func (d *Cursor) Entry(own bool) (a Artifact, reason string, stale bool) {
 	reason, a.Arch, a.Class = d.Str("entry reason"), d.Str("entry arch"), d.Str("entry class")
 	if flags&FlagAttested != 0 {
 		a.Att = &attest.Attestation{Arch: a.Arch, Class: a.Class, Digest: d.Digest("digest"),
-			Quorum: d.Uvarint("quorum"), Voters: d.Strs("voters"), Seal: keep(d.Bytes("seal"))}
+			Quorum: d.Uvarint("quorum"), Voters: d.Strs("voters"), Seal: bytes.Clone(d.Bytes("seal"))}
 	}
-	a.Data = keep(d.Bytes("entry data"))
+	if a.Data = d.Bytes("entry data"); own {
+		a.Data = bytes.Clone(a.Data)
+	}
 	return a, reason, stale
 }
 
@@ -295,7 +293,8 @@ type Fleet interface {
 	// Runs under the admission slot, so the quorum round trip is part
 	// of the key's one-time service cost. Seal also places copies on the
 	// key's other owners that lack one, asynchronously; that work must not
-	// read art.Att, which the proxy sets after Seal returns.
+	// read art.Att, which the proxy sets after Seal returns, nor art.Data,
+	// which may live in a recycled buffer: it copies what it sends.
 	Seal(ctx context.Context, art *Artifact, payload []byte, mode SealMode) (*attest.Attestation, error)
 }
 
@@ -316,4 +315,8 @@ type PeerResult struct {
 	Stale bool
 	// Peer identifies the node that served (or failed to serve) the key.
 	Peer string
+	// Frame, when set, is the recycled buffer (GetBuffer) the answer was
+	// read into and Art.Data aliases; the proxy owns it from here. Nil
+	// when Art's bytes are a buffer of their own.
+	Frame *[]byte
 }

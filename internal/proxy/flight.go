@@ -1,10 +1,12 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log"
+	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
@@ -26,8 +28,18 @@ type flight struct {
 
 	// waiters counts the requests awaiting this flight (guarded by
 	// Proxy.flightMu). When it reaches zero before done, nobody wants
-	// the result anymore and the worker is canceled.
-	waiters int
+	// the result anymore and the worker is canceled. Those still waiting
+	// when the flight finishes (finished, also guarded by flightMu) are
+	// the holders of its result.
+	waiters  int
+	finished bool
+
+	// buf, when set, is the recycled buffer art.Data lives in: the store
+	// does not keep art. holds counts the holders that have not yet given
+	// their hold back (Result.Release, or leaveFlight after finishing);
+	// the last one returns buf to the pool.
+	buf   *[]byte
+	holds atomic.Int32
 
 	// Results, published before done is closed.
 	art       *Artifact
@@ -43,6 +55,9 @@ type flight struct {
 // resolved is one source's answer to a miss.
 type resolved struct {
 	art *Artifact
+	// buf, when set, is the recycled buffer art.Data lives in (a peer
+	// fill's answer frame, or output transformed while caching is off).
+	buf *[]byte
 	// payload is what a fleet variant needs to re-derive art under mode:
 	// the origin bytes, or the base artifact. Unused for a peer fill,
 	// which arrives sealed.
@@ -69,12 +84,17 @@ func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, k
 	defer func() {
 		// Unpublish before waking the waiters so a new request finds
 		// either the cached entry or no flight at all; leaveFlight may
-		// already have removed an abandoned flight.
+		// already have removed an abandoned flight. Every waiter still
+		// here holds the result from now on, and so does the worker until
+		// it lets go below: with no waiter left, that recycles the bytes.
 		p.flightMu.Lock()
 		if p.flights[key] == f {
 			delete(p.flights, key)
 		}
+		f.finished = true
+		f.holds.Store(int32(f.waiters) + 1)
 		p.flightMu.Unlock()
+		f.drop()
 		close(f.done)
 		f.cancel()
 	}()
@@ -105,14 +125,32 @@ func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, k
 	local := r.art.Source != ReasonFill // produced on this node
 	if local {
 		if err := p.seal(ctx, tr, r); err != nil {
+			if r.buf != nil {
+				PutBuffer(r.buf)
+			}
 			p.flightError(f, err)
 			return
 		}
 	}
 	if r.retain && p.cfg.CacheEnabled {
+		if r.buf != nil {
+			// A hot key's fill is kept: an exact-size copy, so the store
+			// never pins a recycled frame.
+			r.art.Data = bytes.Clone(r.art.Data)
+			PutBuffer(r.buf)
+			r.buf = nil
+		}
 		p.store.put(r.art)
 	}
-	f.art = r.art
+	f.art, f.buf = r.art, r.buf
+}
+
+// drop gives back one hold on a finished flight's result; the last one
+// returns the buffer its bytes live in to the pool.
+func (f *flight) drop() {
+	if f.buf != nil && f.holds.Add(-1) == 0 {
+		PutBuffer(f.buf)
+	}
 }
 
 // admit takes the flight through admission control: a flight is one
@@ -188,7 +226,7 @@ func (p *Proxy) fromPeer(ctx context.Context, tr *telemetry.Trace, f *flight, l 
 	default:
 		p.m.OwnerFetches.Inc()
 	}
-	return resolved{art: res.Art, retain: res.CacheLocal}, nil
+	return resolved{art: res.Art, buf: res.Frame, retain: res.CacheLocal}, nil
 }
 
 // fromBase is the shared AOT code cache: a miss for the compiled
@@ -241,10 +279,26 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 	}
 	p.m.BytesIn.Add(int64(len(raw)))
 
+	// Output the store will not keep is transformed into a recycled
+	// buffer: it dies with the responses that carry it.
+	var buf *[]byte
+	var dst []byte
+	if !p.cfg.CacheEnabled {
+		buf = GetBuffer()
+		dst = (*buf)[:0]
+	}
 	pipe := tr.StartSpan(p.cfg.Node, "pipeline")
-	out, rejected, err := p.transform(nil, tr, l, raw)
+	out, rejected, err := p.transform(dst, tr, l, raw)
 	f.proxyTime = pipe.End()
 	p.m.Pipeline.Observe(f.proxyTime)
+	if buf != nil {
+		if err != nil || rejected {
+			PutBuffer(buf) // a replacement class is built elsewhere
+			buf = nil
+		} else {
+			*buf = out
+		}
+	}
 	switch {
 	case err != nil:
 		return resolved{}, err
@@ -256,7 +310,7 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 		p.m.CompileMisses.Inc()
 	}
 	art := &Artifact{Arch: l.Arch, Class: l.Class, Data: out, Rejected: rejected, Source: SourceOrigin}
-	return resolved{art: art, payload: raw, retain: true}, nil
+	return resolved{art: art, buf: buf, payload: raw, retain: true}, nil
 }
 
 // transform runs the pipeline over raw origin bytes. A verification (or

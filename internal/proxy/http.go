@@ -15,6 +15,7 @@ import (
 
 	"dvm/internal/jvm"
 	"dvm/internal/resilience"
+	"dvm/internal/slab"
 	"dvm/internal/telemetry"
 )
 
@@ -113,6 +114,7 @@ func (p *Proxy) Handler() http.Handler {
 		h["Content-Type"] = classContentType
 		h["Content-Length"] = []string{strconv.Itoa(len(res.Data))}
 		_, _ = w.Write(res.Data)
+		res.Release() // written: the bytes may go back to the pool
 	})
 	mux.Handle("/healthz", telemetry.HealthHandler(p.Health))
 	mux.Handle("/metrics", p.reg.Handler())
@@ -121,7 +123,8 @@ func (p *Proxy) Handler() http.Handler {
 
 // Loader returns an in-process jvm.ClassLoader that resolves classes
 // through the proxy directly (no HTTP hop) — the configuration used by
-// most experiments, where client and proxy share a benchmark process.
+// most experiments, where client and proxy share a benchmark process. It
+// never releases a result: the bytes it returns are the caller's for good.
 func (p *Proxy) Loader(client, arch string) jvm.ClassLoader {
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
 		res, err := p.Request(context.Background(), Lookup{Client: client, Arch: arch, Class: name})
@@ -151,18 +154,19 @@ const sizedReadChunk = 1 << 20
 // length over max is refused before anything is allocated; otherwise the
 // result is one buffer of exactly n bytes, and a body that ends early is
 // io.ErrUnexpectedEOF, never a truncated result. Only with no declared
-// length does it fall back to a bounded io.ReadAll. Every hop of the
-// serve path that keeps the bytes it reads — the client loader, peer
-// frames — reads through here.
+// length does it fall back to a bounded io.ReadAll. A hop that keeps the
+// bytes it reads for good — the client loader — reads through here; one
+// whose bytes die with a response reads through ReadSizedInto.
 func ReadSized(body io.Reader, n int64, max int) ([]byte, error) {
 	return ReadSizedInto(nil, body, n, max)
 }
 
 // ReadSizedInto is ReadSized reading into buf's storage as far as it
 // reaches (memory already committed: a sender that then stalls costs
-// nothing more). It is for a reader that drops the bytes before it returns
-// and recycles the buffer, such as an attestation variant, which parses
-// its payload, hashes the result and answers with the digest.
+// nothing more). It is for a reader whose buffer is recycled (GetBuffer):
+// an attestation variant, which parses its payload, hashes the result and
+// answers with the digest, and a peer fill, whose answer frame is written
+// to the client that asked and then goes back to the pool.
 func ReadSizedInto(buf []byte, body io.Reader, n int64, max int) ([]byte, error) {
 	if n < 0 {
 		b, err := io.ReadAll(io.LimitReader(body, int64(max)+1))
@@ -205,16 +209,26 @@ const maxPooledBuffer = 1 << 20
 var bufferPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // GetBuffer returns a recycled buffer, possibly of zero capacity, for bytes
-// that are dead before the caller returns: a variant's payload and its
-// encoded output are parsed or hashed and never stored. Store a grown
-// buffer back through the pointer before PutBuffer.
+// nothing keeps: a variant's payload and its encoded output, which are
+// parsed or hashed and dropped, and the artifact of a flight the store does
+// not keep (a peer fill's answer frame, an uncached miss's output), which
+// lives until the last waiter that received it has written its response
+// (Result.Release). Store a grown buffer back through the pointer before
+// PutBuffer.
 func GetBuffer() *[]byte { return bufferPool.Get().(*[]byte) }
 
+// bufferPoison is what PutBuffer writes over a buffer it takes back while
+// slab.PoisonOnReset is on.
+const bufferPoison = 0xDB
+
 // PutBuffer recycles a buffer from GetBuffer. Nothing may still refer to
-// its bytes.
+// its bytes: with slab.PoisonOnReset on, they are overwritten here, so a
+// use after release reads poison instead of the next owner's bytes.
 func PutBuffer(b *[]byte) {
 	if cap(*b) > maxPooledBuffer {
 		*b = nil
+	} else if slab.Poisoning() {
+		slab.Fill((*b)[:cap(*b)], bufferPoison)
 	}
 	bufferPool.Put(b)
 }

@@ -221,6 +221,23 @@ type Result struct {
 	// none — a request never mints a trace of its own. Present on errors
 	// too, so a caller can see where a failed request spent its time.
 	Trace *telemetry.Trace
+
+	// held is the flight whose recycled buffer Data lives in (nil when
+	// the store keeps the artifact, or no flight produced it).
+	held *flight
+}
+
+// Release gives the result's bytes back: once every waiter that received
+// an artifact the store does not keep has released it, the buffer it lives
+// in returns to the pool. Only a caller that is done with Art and Data —
+// a front end that has written them to the wire — calls it, at most once;
+// both are nil afterwards. A caller that never releases keeps the bytes for
+// good, and the collector takes them. A no-op on a kept artifact.
+func (r *Result) Release() {
+	if f := r.held; f != nil {
+		r.held, r.Art, r.Data = nil, nil, nil
+		f.drop()
+	}
 }
 
 // RequestInfo describes how a request was served; the peer protocol
@@ -555,8 +572,8 @@ func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 	tr := telemetry.FromContext(ctx)
 	span := tr.StartSpan(p.cfg.Node, "proxy.request")
 	p.m.Requests.Inc()
-	art, rec, err := p.serve(ctx, tr, l)
-	res := Result{Info: rec.RequestInfo, Trace: tr}
+	art, held, rec, err := p.serve(ctx, tr, l)
+	res := Result{Info: rec.RequestInfo, Trace: tr, held: held}
 	if art != nil {
 		res.Art, res.Data = art, art.Data
 		p.m.BytesOut.Add(int64(len(art.Data)))
@@ -574,8 +591,9 @@ func (p *Proxy) Request(ctx context.Context, l Lookup) (Result, error) {
 
 // serve is the request body under the root span: memory probe, miss
 // coalescing, and the wait for the flight. The record it returns lacks
-// only what Request knows (who, how long).
-func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Artifact, RequestRecord, error) {
+// only what Request knows (who, how long); the flight it returns, if any,
+// is the one whose recycled buffer the artifact lives in.
+func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Artifact, *flight, RequestRecord, error) {
 	key := l.Arch + "\x00" + l.Class
 
 	var stale *Artifact // expired entry kept for stale-if-error
@@ -584,7 +602,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 		if fresh {
 			p.m.CacheHits.Inc()
 			p.countCompileHit(l.Arch) // a resident compiled artifact: nobody compiles anything
-			return art, RequestRecord{RequestInfo: RequestInfo{
+			return art, nil, RequestRecord{RequestInfo: RequestInfo{
 				CacheHit: true, Prefetched: prefetched, Rejected: art.Rejected, Attestation: art.Att}}, nil
 		}
 		stale = art
@@ -630,16 +648,20 @@ func (p *Proxy) countCompileHit(arch string) {
 // leaveFlight drops one waiter from a flight. The last waiter to leave
 // cancels the detached work — nobody wants the result anymore — and
 // unpublishes the flight so the next request for the key starts fresh
-// instead of joining a canceled fetch.
+// instead of joining a canceled fetch. A waiter that leaves after the
+// flight finished was counted as a holder of its result, and gives that
+// hold back here.
 func (p *Proxy) leaveFlight(key string, f *flight) {
 	p.flightMu.Lock()
 	f.waiters--
-	last := f.waiters == 0
+	last, finished := f.waiters == 0, f.finished
 	if last && p.flights[key] == f {
 		delete(p.flights, key)
 	}
 	p.flightMu.Unlock()
-	if last {
+	if finished {
+		f.drop()
+	} else if last {
 		f.cancel()
 	}
 }
@@ -651,7 +673,7 @@ func (p *Proxy) leaveFlight(key string, f *flight) {
 // trace; a follower's wait is a "queue.wait" span, because coalescing
 // trades duplicated work for queueing delay and the trace shows exactly
 // how much.
-func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string, f *flight, arch string, leader bool) (*Artifact, RequestRecord, error) {
+func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string, f *flight, arch string, leader bool) (*Artifact, *flight, RequestRecord, error) {
 	var wait telemetry.SpanTimer
 	if !leader {
 		wait = tr.StartSpan(p.cfg.Node, "queue.wait")
@@ -670,7 +692,7 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string
 		// continues for the others — unless this was the last waiter,
 		// in which case leaveFlight cancels the work.
 		p.leaveFlight(key, f)
-		return nil, rec, ctx.Err()
+		return nil, nil, rec, ctx.Err()
 	}
 	rec.Shed = f.shed
 	if leader {
@@ -684,7 +706,7 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string
 			// waiters does not inflate fetch_errors_total by N+1.
 			p.m.CoalescedFailures.Inc()
 		}
-		return nil, rec, f.err
+		return nil, nil, rec, f.err
 	}
 	art := f.art
 	rec.Rejected, rec.Stale, rec.Peer, rec.Attestation = art.Rejected, f.stale, f.peer, art.Att
@@ -706,5 +728,9 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string
 	if f.stale {
 		p.m.StaleServed.Inc()
 	}
-	return art, rec, nil
+	var held *flight
+	if f.buf != nil {
+		held = f
+	}
+	return art, held, rec, nil
 }

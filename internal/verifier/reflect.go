@@ -15,15 +15,11 @@ import (
 // so dynamic components answer checks with a lookup instead of a
 // reflective scan.
 
-// MemberSig is one exported member in a reflection attribute.
-type MemberSig struct {
-	Name string
-	Desc string
-}
-
 // AddReflectAttr attaches (or replaces) the class's self-describing
-// export table. The payload is the class's arena storage, like a
-// rewritten method body: it lives until the class is released.
+// export table: the fields, then the methods, each list a u2 count and
+// that many names and descriptors, each a u2 length and its bytes. The
+// payload is the class's arena storage, like a rewritten method body: it
+// lives until the class is released.
 func AddReflectAttr(cf *classfile.ClassFile) {
 	size := 4
 	for _, ms := range [2][]*classfile.Member{cf.Fields, cf.Methods} {
@@ -49,51 +45,4 @@ func AddReflectAttr(cf *classfile.ClassFile) {
 	}
 	cf.RemoveAttribute(classfile.AttrDVMReflect)
 	cf.AddAttribute(classfile.AttrDVMReflect, buf)
-}
-
-// DecodeReflectAttr parses a dvm.Reflect payload back into the export
-// lists.
-func DecodeReflectAttr(a *classfile.Attribute) (fields, methods []MemberSig, ok bool) {
-	buf := a.Info
-	off := 0
-	u2 := func() (int, bool) {
-		if off+2 > len(buf) {
-			return 0, false
-		}
-		v := int(binary.BigEndian.Uint16(buf[off:]))
-		off += 2
-		return v, true
-	}
-	str := func() (string, bool) {
-		n, k := u2()
-		if !k || off+n > len(buf) {
-			return "", false
-		}
-		s := string(buf[off : off+n])
-		off += n
-		return s, true
-	}
-	list := func() ([]MemberSig, bool) {
-		n, k := u2()
-		if !k {
-			return nil, false
-		}
-		out := make([]MemberSig, 0, n)
-		for i := 0; i < n; i++ {
-			name, k1 := str()
-			desc, k2 := str()
-			if !k1 || !k2 {
-				return nil, false
-			}
-			out = append(out, MemberSig{Name: name, Desc: desc})
-		}
-		return out, true
-	}
-	if fields, ok = list(); !ok {
-		return nil, nil, false
-	}
-	if methods, ok = list(); !ok {
-		return nil, nil, false
-	}
-	return fields, methods, off == len(buf)
 }
