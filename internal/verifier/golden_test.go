@@ -17,7 +17,7 @@ import (
 	"dvm/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/verdict_golden.txt from this tree's verifier")
+var updateGolden = flag.Bool("update", false, "regenerate the golden files in testdata from this tree's verifier")
 
 // TestVerdictGolden pins the verifier's verdicts across versions. A
 // rejection's message is embedded in the replacement class every node of
