@@ -502,23 +502,19 @@ func (f *frames) popWide(idx int, k, k2 vkind) error {
 	return nil
 }
 
-func (f *frames) popLong(idx int) error   { return f.popWide(idx, vtLong, vtLong2) }
-func (f *frames) popDouble(idx int) error { return f.popWide(idx, vtDouble, vtDouble2) }
-
 func (f *frames) popType(idx int, t bytecode.Type) error {
+	k := vtInt
 	switch t.Kind {
 	case bytecode.KLong:
-		return f.popLong(idx)
+		k = vtLong
 	case bytecode.KDouble:
-		return f.popDouble(idx)
+		k = vtDouble
 	case bytecode.KFloat:
-		return f.popKind(idx, vtFloat)
+		k = vtFloat
 	case bytecode.KObject, bytecode.KArray:
-		_, err := f.popRef(idx)
-		return err
-	default:
-		return f.popKind(idx, vtInt)
+		k = vtRef
 	}
+	return f.popKinds(idx, k)
 }
 
 // popKinds pops one value per kind, top first: vtRef any reference,
@@ -530,9 +526,9 @@ func (f *frames) popKinds(idx int, kinds ...vkind) error {
 		case vtRef:
 			_, err = f.popRef(idx)
 		case vtLong:
-			err = f.popLong(idx)
+			err = f.popWide(idx, vtLong, vtLong2)
 		case vtDouble:
-			err = f.popDouble(idx)
+			err = f.popWide(idx, vtDouble, vtDouble2)
 		default:
 			err = f.popKind(idx, k)
 		}
@@ -543,24 +539,18 @@ func (f *frames) popKinds(idx int, kinds ...vkind) error {
 	return nil
 }
 
-// setLocal writes v (and, for a two-slot value, v2) at local i.
-func (f *frames) setLocal(idx, i int, v, v2 vt) error {
+// setLocal writes a one-slot value, or both slots of a two-slot one, at
+// local i.
+func (f *frames) setLocal(idx, i int, vs ...vt) error {
 	f.census.Phase3++
-	n := 1
-	if v2 != 0 {
-		n = 2
-	}
-	if i+n > f.nlocals {
+	if i+len(vs) > f.nlocals {
 		return f.fail(idx, "local %d out of range", i)
 	}
 	// Invalidate a wide value whose first half is being overwritten.
 	if i > 0 && (f.cur[i-1].kind() == vtLong || f.cur[i-1].kind() == vtDouble) {
 		f.cur[i-1] = tTop
 	}
-	f.cur[i] = v
-	if n == 2 {
-		f.cur[i+1] = v2
-	}
+	copy(f.cur[i:], vs)
 	return nil
 }
 
@@ -591,15 +581,140 @@ func (f *frames) getLocal(idx, i int, k vkind) (vt, error) {
 	return v, nil
 }
 
-// load is xload: check local i holds kind k, push it.
-func (f *frames) load(idx int, base bytecode.Opcode, k vkind, v, v2 vt) error {
-	if _, err := f.getLocal(idx, localIndex(&f.insts[idx], base), k); err != nil {
-		return err
+// rule is the transfer function of an opcode whose effect on the frame
+// is fixed by the opcode alone. apply runs it in this order: pop the
+// kinds (as popKinds reads them, top first); for a load, check the local
+// holds the kind of the first value pushed; for a store, write the
+// popped kind to the local; push the values; send the frame to the
+// branch target.
+type rule struct {
+	pop    []vkind
+	push   []vt
+	local  bytecode.Opcode // a load or store: the first of its short forms
+	branch bool            // the frame also goes to the instruction's target
+	ends   bool            // control never falls through
+}
+
+var (
+	pushI, pushF = []vt{tInt}, []vt{tFloat}
+	pushJ, pushD = []vt{tLong, tLong2}, []vt{tDouble, tDbl2}
+	// kindSlots holds the slots a value of each kind occupies: what a
+	// load of it pushes and a store of it writes.
+	kindSlots = [...][]vt{vtInt: pushI, vtFloat: pushF, vtLong: pushJ, vtDouble: pushD}
+)
+
+// rules is indexed by opcode; step handles an opcode without a rule
+// itself, because its effect depends on the constant pool, the popped
+// values or the method.
+var rules = func() (t [256]*rule) {
+	const I, J, F, D, A = vtInt, vtLong, vtFloat, vtDouble, vtRef
+	set := func(r rule, ops ...bytecode.Opcode) {
+		for _, op := range ops {
+			t[op] = &r
+		}
 	}
-	if v2 != 0 {
-		return f.push(idx, v, v2)
+	pop := func(ks ...vkind) []vkind { return ks }
+	set(rule{push: []vt{tNull}}, bytecode.AconstNull)
+	set(rule{push: pushI}, bytecode.IconstM1, bytecode.Iconst0, bytecode.Iconst1, bytecode.Iconst2,
+		bytecode.Iconst3, bytecode.Iconst4, bytecode.Iconst5, bytecode.Bipush, bytecode.Sipush)
+	set(rule{push: pushJ}, bytecode.Lconst0, bytecode.Lconst1)
+	set(rule{push: pushF}, bytecode.Fconst0, bytecode.Fconst1, bytecode.Fconst2)
+	set(rule{push: pushD}, bytecode.Dconst0, bytecode.Dconst1)
+
+	for _, ls := range []struct {
+		load, load0, store, store0 bytecode.Opcode
+		k                          vkind
+	}{
+		{bytecode.Iload, bytecode.Iload0, bytecode.Istore, bytecode.Istore0, I},
+		{bytecode.Lload, bytecode.Lload0, bytecode.Lstore, bytecode.Lstore0, J},
+		{bytecode.Fload, bytecode.Fload0, bytecode.Fstore, bytecode.Fstore0, F},
+		{bytecode.Dload, bytecode.Dload0, bytecode.Dstore, bytecode.Dstore0, D},
+	} {
+		set(rule{local: ls.load0, push: kindSlots[ls.k]}, ls.load, ls.load0, ls.load0+1, ls.load0+2, ls.load0+3)
+		set(rule{local: ls.store0, pop: pop(ls.k)}, ls.store, ls.store0, ls.store0+1, ls.store0+2, ls.store0+3)
 	}
-	return f.push(idx, v)
+
+	set(rule{pop: pop(I, A), push: pushI}, bytecode.Iaload, bytecode.Baload, bytecode.Caload, bytecode.Saload)
+	set(rule{pop: pop(I, A), push: pushF}, bytecode.Faload)
+	set(rule{pop: pop(I, A), push: pushJ}, bytecode.Laload)
+	set(rule{pop: pop(I, A), push: pushD}, bytecode.Daload)
+	set(rule{pop: pop(I, I, A)}, bytecode.Iastore, bytecode.Bastore, bytecode.Castore, bytecode.Sastore)
+	set(rule{pop: pop(F, I, A)}, bytecode.Fastore)
+	set(rule{pop: pop(J, I, A)}, bytecode.Lastore)
+	set(rule{pop: pop(D, I, A)}, bytecode.Dastore)
+	set(rule{pop: pop(A, I, A)}, bytecode.Aastore)
+
+	set(rule{pop: pop(I, I), push: pushI}, bytecode.Iadd, bytecode.Isub, bytecode.Imul, bytecode.Idiv, bytecode.Irem,
+		bytecode.Ishl, bytecode.Ishr, bytecode.Iushr, bytecode.Iand, bytecode.Ior, bytecode.Ixor)
+	set(rule{pop: pop(I), push: pushI}, bytecode.Ineg, bytecode.I2b, bytecode.I2c, bytecode.I2s)
+	set(rule{pop: pop(J, J), push: pushJ}, bytecode.Ladd, bytecode.Lsub, bytecode.Lmul, bytecode.Ldiv, bytecode.Lrem,
+		bytecode.Land, bytecode.Lor, bytecode.Lxor)
+	set(rule{pop: pop(J), push: pushJ}, bytecode.Lneg)
+	set(rule{pop: pop(I, J), push: pushJ}, bytecode.Lshl, bytecode.Lshr, bytecode.Lushr)
+	set(rule{pop: pop(F, F), push: pushF}, bytecode.Fadd, bytecode.Fsub, bytecode.Fmul, bytecode.Fdiv, bytecode.Frem)
+	set(rule{pop: pop(F), push: pushF}, bytecode.Fneg)
+	set(rule{pop: pop(D, D), push: pushD}, bytecode.Dadd, bytecode.Dsub, bytecode.Dmul, bytecode.Ddiv, bytecode.Drem)
+	set(rule{pop: pop(D), push: pushD}, bytecode.Dneg)
+
+	set(rule{pop: pop(I), push: pushJ}, bytecode.I2l)
+	set(rule{pop: pop(I), push: pushF}, bytecode.I2f)
+	set(rule{pop: pop(I), push: pushD}, bytecode.I2d)
+	set(rule{pop: pop(J), push: pushI}, bytecode.L2i)
+	set(rule{pop: pop(J), push: pushF}, bytecode.L2f)
+	set(rule{pop: pop(J), push: pushD}, bytecode.L2d)
+	set(rule{pop: pop(F), push: pushI}, bytecode.F2i)
+	set(rule{pop: pop(F), push: pushJ}, bytecode.F2l)
+	set(rule{pop: pop(F), push: pushD}, bytecode.F2d)
+	set(rule{pop: pop(D), push: pushI}, bytecode.D2i)
+	set(rule{pop: pop(D), push: pushJ}, bytecode.D2l)
+	set(rule{pop: pop(D), push: pushF}, bytecode.D2f)
+	set(rule{pop: pop(J, J), push: pushI}, bytecode.Lcmp)
+	set(rule{pop: pop(F, F), push: pushI}, bytecode.Fcmpl, bytecode.Fcmpg)
+	set(rule{pop: pop(D, D), push: pushI}, bytecode.Dcmpl, bytecode.Dcmpg)
+
+	set(rule{pop: pop(I), branch: true}, bytecode.Ifeq, bytecode.Ifne, bytecode.Iflt, bytecode.Ifge, bytecode.Ifgt, bytecode.Ifle)
+	set(rule{pop: pop(I, I), branch: true}, bytecode.IfIcmpeq, bytecode.IfIcmpne, bytecode.IfIcmplt, bytecode.IfIcmpge,
+		bytecode.IfIcmpgt, bytecode.IfIcmple)
+	set(rule{pop: pop(A, A), branch: true}, bytecode.IfAcmpeq, bytecode.IfAcmpne)
+	set(rule{pop: pop(A), branch: true}, bytecode.Ifnull, bytecode.Ifnonnull)
+	set(rule{branch: true, ends: true}, bytecode.Goto, bytecode.GotoW)
+
+	set(rule{pop: pop(A), push: pushI}, bytecode.Arraylength, bytecode.Instanceof)
+	set(rule{pop: pop(A)}, bytecode.Monitorenter, bytecode.Monitorexit)
+	set(rule{pop: pop(A), ends: true}, bytecode.Athrow)
+	return t
+}()
+
+// apply runs rule r for instruction idx; it reports whether control
+// cannot fall through to idx+1.
+func (f *frames) apply(idx int, r *rule) (flowEnds bool, err error) {
+	if err := f.popKinds(idx, r.pop...); err != nil {
+		return false, err
+	}
+	if r.local != 0 {
+		i := localIndex(&f.insts[idx], r.local)
+		if len(r.pop) > 0 {
+			err = f.setLocal(idx, i, kindSlots[r.pop[0]]...)
+		} else {
+			_, err = f.getLocal(idx, i, r.push[0].kind())
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+	// A handler's entry can sit above max_stack 0, so a rule that pushes
+	// nothing must not check the height.
+	if len(r.push) > 0 {
+		if err := f.push(idx, r.push...); err != nil {
+			return false, err
+		}
+	}
+	if r.branch {
+		if err := f.mergeInto(f.insts[idx].Target, f.stack()); err != nil {
+			return false, err
+		}
+	}
+	return r.ends, nil
 }
 
 // step applies instruction idx's transfer function to the working frame,
@@ -608,22 +723,14 @@ func (f *frames) load(idx int, base bytecode.Opcode, k vkind, v, v2 vt) error {
 func (f *frames) step(idx int) (flowEnds bool, err error) {
 	inst := &f.insts[idx]
 	op := inst.Op
+	if r := rules[op]; r != nil {
+		return f.apply(idx, r)
+	}
 	pool := f.cf.Pool
 	switch op {
 	// nop has no case: this verifier has always answered it with the "no
 	// rule" rejection below, and a verdict is wire format (ROADMAP item 4
 	// owns changing one).
-	case bytecode.AconstNull:
-		return false, f.push(idx, tNull)
-	case bytecode.IconstM1, bytecode.Iconst0, bytecode.Iconst1, bytecode.Iconst2,
-		bytecode.Iconst3, bytecode.Iconst4, bytecode.Iconst5, bytecode.Bipush, bytecode.Sipush:
-		return false, f.push(idx, tInt)
-	case bytecode.Lconst0, bytecode.Lconst1:
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.Fconst0, bytecode.Fconst1, bytecode.Fconst2:
-		return false, f.push(idx, tFloat)
-	case bytecode.Dconst0, bytecode.Dconst1:
-		return false, f.push(idx, tDouble, tDbl2)
 	case bytecode.Ldc, bytecode.LdcW:
 		switch pool.Tag(inst.Index) {
 		case classfile.TagInteger:
@@ -640,14 +747,6 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 		}
 		return false, f.push(idx, tDouble, tDbl2)
 
-	case bytecode.Iload, bytecode.Iload0, bytecode.Iload1, bytecode.Iload2, bytecode.Iload3:
-		return false, f.load(idx, bytecode.Iload0, vtInt, tInt, 0)
-	case bytecode.Fload, bytecode.Fload0, bytecode.Fload1, bytecode.Fload2, bytecode.Fload3:
-		return false, f.load(idx, bytecode.Fload0, vtFloat, tFloat, 0)
-	case bytecode.Lload, bytecode.Lload0, bytecode.Lload1, bytecode.Lload2, bytecode.Lload3:
-		return false, f.load(idx, bytecode.Lload0, vtLong, tLong, tLong2)
-	case bytecode.Dload, bytecode.Dload0, bytecode.Dload1, bytecode.Dload2, bytecode.Dload3:
-		return false, f.load(idx, bytecode.Dload0, vtDouble, tDouble, tDbl2)
 	case bytecode.Aload, bytecode.Aload0, bytecode.Aload1, bytecode.Aload2, bytecode.Aload3:
 		v, err := f.getLocal(idx, localIndex(inst, bytecode.Aload0), vtRef)
 		if err != nil {
@@ -657,27 +756,6 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 			return false, f.fail(idx, "aload of returnAddress")
 		}
 		return false, f.push(idx, v)
-
-	case bytecode.Istore, bytecode.Istore0, bytecode.Istore1, bytecode.Istore2, bytecode.Istore3:
-		if err := f.popKind(idx, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.setLocal(idx, localIndex(inst, bytecode.Istore0), tInt, 0)
-	case bytecode.Fstore, bytecode.Fstore0, bytecode.Fstore1, bytecode.Fstore2, bytecode.Fstore3:
-		if err := f.popKind(idx, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.setLocal(idx, localIndex(inst, bytecode.Fstore0), tFloat, 0)
-	case bytecode.Lstore, bytecode.Lstore0, bytecode.Lstore1, bytecode.Lstore2, bytecode.Lstore3:
-		if err := f.popLong(idx); err != nil {
-			return false, err
-		}
-		return false, f.setLocal(idx, localIndex(inst, bytecode.Lstore0), tLong, tLong2)
-	case bytecode.Dstore, bytecode.Dstore0, bytecode.Dstore1, bytecode.Dstore2, bytecode.Dstore3:
-		if err := f.popDouble(idx); err != nil {
-			return false, err
-		}
-		return false, f.setLocal(idx, localIndex(inst, bytecode.Dstore0), tDouble, tDbl2)
 	case bytecode.Astore, bytecode.Astore0, bytecode.Astore1, bytecode.Astore2, bytecode.Astore3:
 		v, err := f.pop(idx)
 		if err != nil {
@@ -687,28 +765,8 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 		if !v.isOneSlotRefLike() && v.kind() != vtRet {
 			return false, f.fail(idx, "astore of %v", f.str(v))
 		}
-		return false, f.setLocal(idx, localIndex(inst, bytecode.Astore0), v, 0)
+		return false, f.setLocal(idx, localIndex(inst, bytecode.Astore0), v)
 
-	case bytecode.Iaload, bytecode.Baload, bytecode.Caload, bytecode.Saload:
-		if err := f.popKinds(idx, vtInt, vtRef); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.Faload:
-		if err := f.popKinds(idx, vtInt, vtRef); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tFloat)
-	case bytecode.Laload:
-		if err := f.popKinds(idx, vtInt, vtRef); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.Daload:
-		if err := f.popKinds(idx, vtInt, vtRef); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tDouble, tDbl2)
 	case bytecode.Aaload:
 		if err := f.popKind(idx, vtInt); err != nil {
 			return false, err
@@ -726,17 +784,6 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 			}
 		}
 		return false, f.push(idx, mkvt(vtRef, elem, 0))
-
-	case bytecode.Iastore, bytecode.Bastore, bytecode.Castore, bytecode.Sastore:
-		return false, f.popKinds(idx, vtInt, vtInt, vtRef)
-	case bytecode.Fastore:
-		return false, f.popKinds(idx, vtFloat, vtInt, vtRef)
-	case bytecode.Lastore:
-		return false, f.popKinds(idx, vtLong, vtInt, vtRef)
-	case bytecode.Dastore:
-		return false, f.popKinds(idx, vtDouble, vtInt, vtRef)
-	case bytecode.Aastore:
-		return false, f.popKinds(idx, vtRef, vtInt, vtRef)
 
 	case bytecode.Pop:
 		v, err := f.pop(idx)
@@ -832,165 +879,10 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 		}
 		return false, f.push(idx, v1, v2)
 
-	// Arithmetic: int family.
-	case bytecode.Iadd, bytecode.Isub, bytecode.Imul, bytecode.Idiv, bytecode.Irem,
-		bytecode.Ishl, bytecode.Ishr, bytecode.Iushr, bytecode.Iand, bytecode.Ior, bytecode.Ixor:
-		if err := f.popKinds(idx, vtInt, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.Ineg, bytecode.I2b, bytecode.I2c, bytecode.I2s:
-		if err := f.popKind(idx, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
 	case bytecode.Iinc:
 		_, err := f.getLocal(idx, int(inst.Index), vtInt)
 		return false, err
 
-	// long family.
-	case bytecode.Ladd, bytecode.Lsub, bytecode.Lmul, bytecode.Ldiv, bytecode.Lrem,
-		bytecode.Land, bytecode.Lor, bytecode.Lxor:
-		if err := f.popKinds(idx, vtLong, vtLong); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.Lneg:
-		if err := f.popLong(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.Lshl, bytecode.Lshr, bytecode.Lushr:
-		if err := f.popKinds(idx, vtInt, vtLong); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-
-	// float/double families.
-	case bytecode.Fadd, bytecode.Fsub, bytecode.Fmul, bytecode.Fdiv, bytecode.Frem:
-		if err := f.popKinds(idx, vtFloat, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tFloat)
-	case bytecode.Fneg:
-		if err := f.popKind(idx, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tFloat)
-	case bytecode.Dadd, bytecode.Dsub, bytecode.Dmul, bytecode.Ddiv, bytecode.Drem:
-		if err := f.popKinds(idx, vtDouble, vtDouble); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tDouble, tDbl2)
-	case bytecode.Dneg:
-		if err := f.popDouble(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tDouble, tDbl2)
-
-	// Conversions.
-	case bytecode.I2l:
-		if err := f.popKind(idx, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.I2f:
-		if err := f.popKind(idx, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tFloat)
-	case bytecode.I2d:
-		if err := f.popKind(idx, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tDouble, tDbl2)
-	case bytecode.L2i:
-		if err := f.popLong(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.L2f:
-		if err := f.popLong(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tFloat)
-	case bytecode.L2d:
-		if err := f.popLong(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tDouble, tDbl2)
-	case bytecode.F2i:
-		if err := f.popKind(idx, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.F2l:
-		if err := f.popKind(idx, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.F2d:
-		if err := f.popKind(idx, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tDouble, tDbl2)
-	case bytecode.D2i:
-		if err := f.popDouble(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.D2l:
-		if err := f.popDouble(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tLong, tLong2)
-	case bytecode.D2f:
-		if err := f.popDouble(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tFloat)
-
-	// Comparisons.
-	case bytecode.Lcmp:
-		if err := f.popKinds(idx, vtLong, vtLong); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.Fcmpl, bytecode.Fcmpg:
-		if err := f.popKinds(idx, vtFloat, vtFloat); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.Dcmpl, bytecode.Dcmpg:
-		if err := f.popKinds(idx, vtDouble, vtDouble); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-
-	// Branches.
-	case bytecode.Ifeq, bytecode.Ifne, bytecode.Iflt, bytecode.Ifge, bytecode.Ifgt, bytecode.Ifle:
-		if err := f.popKind(idx, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.mergeInto(inst.Target, f.stack())
-	case bytecode.IfIcmpeq, bytecode.IfIcmpne, bytecode.IfIcmplt, bytecode.IfIcmpge,
-		bytecode.IfIcmpgt, bytecode.IfIcmple:
-		if err := f.popKinds(idx, vtInt, vtInt); err != nil {
-			return false, err
-		}
-		return false, f.mergeInto(inst.Target, f.stack())
-	case bytecode.IfAcmpeq, bytecode.IfAcmpne:
-		if err := f.popKinds(idx, vtRef, vtRef); err != nil {
-			return false, err
-		}
-		return false, f.mergeInto(inst.Target, f.stack())
-	case bytecode.Ifnull, bytecode.Ifnonnull:
-		if _, err := f.popRef(idx); err != nil {
-			return false, err
-		}
-		return false, f.mergeInto(inst.Target, f.stack())
-	case bytecode.Goto, bytecode.GotoW:
-		return true, f.mergeInto(inst.Target, f.stack())
 	case bytecode.Jsr, bytecode.JsrW:
 		// Simplified subroutine treatment (documented in DESIGN.md):
 		// the subroutine is assumed to return with the caller's
@@ -1039,12 +931,12 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 		if f.ret.Kind != bytecode.KLong {
 			return true, f.fail(idx, "lreturn from method returning %s", f.ret.String())
 		}
-		return true, f.popLong(idx)
+		return true, f.popKinds(idx, vtLong)
 	case bytecode.Dreturn:
 		if f.ret.Kind != bytecode.KDouble {
 			return true, f.fail(idx, "dreturn from method returning %s", f.ret.String())
 		}
-		return true, f.popDouble(idx)
+		return true, f.popKinds(idx, vtDouble)
 	case bytecode.Areturn:
 		if f.ret.Kind != bytecode.KObject && f.ret.Kind != bytecode.KArray {
 			return true, f.fail(idx, "areturn from method returning %s", f.ret.String())
@@ -1123,14 +1015,6 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 		}
 		cn, _ := pool.ClassName(inst.Index)
 		return false, f.push(idx, f.ref(cn))
-	case bytecode.Arraylength:
-		if _, err := f.popRef(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.Athrow:
-		_, err := f.popRef(idx)
-		return true, err
 	case bytecode.Checkcast:
 		if _, err := f.popRef(idx); err != nil {
 			return false, err
@@ -1140,14 +1024,6 @@ func (f *frames) step(idx int) (flowEnds bool, err error) {
 			return false, f.fail(idx, "%v", err)
 		}
 		return false, f.push(idx, f.ref(cn))
-	case bytecode.Instanceof:
-		if _, err := f.popRef(idx); err != nil {
-			return false, err
-		}
-		return false, f.push(idx, tInt)
-	case bytecode.Monitorenter, bytecode.Monitorexit:
-		_, err := f.popRef(idx)
-		return false, err
 	}
 	return false, f.fail(idx, "phase 3 has no rule for %s", op.Name())
 }
