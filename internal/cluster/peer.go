@@ -559,12 +559,15 @@ func entryError(peer string, be BatchError) error {
 }
 
 // fetchPeer performs one fill against an owner over the batch protocol,
-// under the owner's breaker (hop), and ingests whatever prefetch entries
-// the owner piggybacked. The answer is read into a recycled buffer. When
-// its lone entry is the fill, the artifact aliases it and the buffer goes
-// with the result (PeerResult.Frame); when it is a lone prefetch entry,
-// ingested in place, the store keeps the frame; otherwise nothing aliases
-// it and it goes back to the pool at once.
+// under the owner's breaker (hop), and ingests the prefetch entries the
+// owner piggybacked beside the fill. The answer is read into a recycled
+// buffer. When its lone entry is the fill, the artifact aliases it and
+// the buffer goes with the result (PeerResult.Frame); otherwise nothing
+// aliases it and it goes back to the pool at once. A lone prefetch entry
+// is not ingested: it would alias the buffer, and the store would pin
+// the buffer's capacity while its budget counts only the class. No
+// honest owner sends one, since serveBatchFill piggybacks only after the
+// fill.
 func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) proxy.PeerResult {
 	breq := BatchRequest{
 		Reason:  proxy.ReasonFill,
@@ -604,17 +607,14 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 			} else {
 				res = proxy.PeerResult{Art: art, Stale: e.Stale}
 			}
-		case e.Reason == proxy.ReasonPrefetch:
+		case e.Reason == proxy.ReasonPrefetch && len(br.Entries) > 1: // copied out of the frame
 			_ = n.ingest(e, owner) // a bad guess costs nothing but the guess
 		}
 	}
-	switch {
-	case len(br.Entries) != 1:
-		proxy.PutBuffer(frame) // no entry, or several, each copied out
-	case res.Art != nil:
+	if len(br.Entries) == 1 && res.Art != nil {
 		res.Frame = frame
-	case br.Entries[0].Reason != proxy.ReasonPrefetch:
-		proxy.PutBuffer(frame) // a lone entry that answered nothing
+	} else {
+		proxy.PutBuffer(frame) // no entry, several (each copied out), or a lone one that is not the fill
 	}
 	return res
 }

@@ -666,6 +666,29 @@ func TestIngestedArtifactsDoNotPinTheirFrame(t *testing.T) {
 	}
 }
 
+// TestLonePrefetchAnswerIsNotCached: an owner that answers a fill with
+// nothing but a piggybacked entry has sent a shape no honest owner sends
+// (serveBatchFill piggybacks only after serving the fill). That lone
+// entry would alias the recycled read buffer, so the store would pin the
+// buffer's whole capacity while the cache budget counts only the class:
+// it is not cached, and the fill fails.
+func TestLonePrefetchAnswerIsNotCached(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serveFrame(w, BatchResponse{Entries: []BatchEntry{{
+			Arch: "dvm", Class: "app/B", Reason: proxy.ReasonPrefetch, Data: []byte("prefetched-bytes"),
+		}}})
+	}))
+	defer owner.Close()
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{})
+	res := n.fetchPeer(context.Background(), owner.URL, proxy.Lookup{Client: "c1", Arch: "dvm", Class: "app/A"})
+	if res.Err == nil || res.Art != nil || res.Frame != nil {
+		t.Errorf("fill answered by a lone prefetch entry = %+v, want an error and no frame", res)
+	}
+	if n.Proxy().Peek("dvm", "app/B") != nil {
+		t.Error("the lone prefetch entry was cached: it aliases the recycled read buffer")
+	}
+}
+
 // TestBatchFillDrainingShed pins the middleware behavior every v1
 // request shares: a draining node answers 429 + X-DVM-Draining.
 func TestBatchFillDrainingShed(t *testing.T) {
