@@ -327,9 +327,6 @@ func TestOpcodePredicates(t *testing.T) {
 	if Ifeq.EndsFlow() {
 		t.Error("ifeq must fall through")
 	}
-	if !Ifnull.IsConditional() || !IfAcmpne.IsConditional() || Goto.IsConditional() {
-		t.Error("IsConditional wrong")
-	}
 	if !Invokestatic.IsInvoke() || Getfield.IsInvoke() {
 		t.Error("IsInvoke wrong")
 	}

@@ -97,15 +97,6 @@ func DescriptorCacheStats() (hits, misses int64) {
 	return descHits.Load(), descMisses.Load()
 }
 
-// ResetDescriptorCache empties the cache and zeroes its counters
-// (tests and benchmarks).
-func ResetDescriptorCache() {
-	typeCache.reset()
-	methodCache.reset()
-	descHits.Store(0)
-	descMisses.Store(0)
-}
-
 // TypeAt parses the Utf8 constant at idx of pool as a field descriptor,
 // reporting what Utf8 or ParseType would. A failure is not remembered.
 func TypeAt(pool *classfile.ConstPool, idx uint16) (Type, error) {

@@ -8,6 +8,15 @@ import (
 	"dvm/internal/classfile"
 )
 
+// ResetDescriptorCache empties the cache and zeroes its counters
+// (tests).
+func ResetDescriptorCache() {
+	typeCache.reset()
+	methodCache.reset()
+	descHits.Store(0)
+	descMisses.Store(0)
+}
+
 func TestDescriptorCacheHitsAndMisses(t *testing.T) {
 	ResetDescriptorCache()
 	defer ResetDescriptorCache()

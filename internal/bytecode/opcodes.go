@@ -486,12 +486,6 @@ func (op Opcode) IsBranch() bool {
 	return k == KindBranch2 || k == KindBranch4 || k == KindExtCmpBr
 }
 
-// IsConditional reports whether op is a conditional two-way branch.
-func (op Opcode) IsConditional() bool {
-	return (op >= Ifeq && op <= IfAcmpne) || op == Ifnull || op == Ifnonnull ||
-		op == ExtCmpBranch
-}
-
 // IsSwitch reports whether op is tableswitch or lookupswitch.
 func (op Opcode) IsSwitch() bool { return op == Tableswitch || op == Lookupswitch }
 

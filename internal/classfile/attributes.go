@@ -167,27 +167,6 @@ func (cf *ClassFile) SetCodeInfo(m *Member, payload []byte) {
 	m.Attributes = cf.Pool.store.appendAttr(m.Attributes, nameIdx, payload)
 }
 
-// LineNumberEntry maps a bytecode offset to a source line.
-type LineNumberEntry struct {
-	StartPC uint16
-	Line    uint16
-}
-
-// DecodeLineNumberTable decodes a LineNumberTable attribute payload.
-func DecodeLineNumberTable(a *Attribute) ([]LineNumberEntry, error) {
-	statAttrsDecoded.Add(1)
-	r := &reader{data: a.Info}
-	n := int(r.u2())
-	if r.err == nil && n*4 != len(a.Info)-r.off {
-		return nil, formatErrf(r.off, "LineNumberTable length mismatch")
-	}
-	out := make([]LineNumberEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, LineNumberEntry{StartPC: r.u2(), Line: r.u2()})
-	}
-	return out, r.err
-}
-
 // ConstantValueIndex decodes a ConstantValue attribute payload, returning
 // the constant pool index of the initial value.
 func ConstantValueIndex(a *Attribute) (uint16, error) {
@@ -195,22 +174,6 @@ func ConstantValueIndex(a *Attribute) (uint16, error) {
 		return 0, formatErrf(-1, "ConstantValue attribute must be 2 bytes, got %d", len(a.Info))
 	}
 	return binary.BigEndian.Uint16(a.Info), nil
-}
-
-// DecodeExceptions decodes an Exceptions attribute payload into the list
-// of Class constant indices the method declares it may throw.
-func DecodeExceptions(a *Attribute) ([]uint16, error) {
-	statAttrsDecoded.Add(1)
-	r := &reader{data: a.Info}
-	n := int(r.u2())
-	if r.err == nil && n*2 != len(a.Info)-r.off {
-		return nil, formatErrf(r.off, "Exceptions attribute length mismatch")
-	}
-	out := make([]uint16, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.u2())
-	}
-	return out, r.err
 }
 
 // AddAttribute appends a named attribute with the given payload to the

@@ -98,9 +98,6 @@ func (m *Member) SetDecoded(v any) { m.decoded = v }
 // fields or attribute payloads directly must call it themselves.
 func (m *Member) MarkDirty() { m.dirty = true }
 
-// Dirty reports whether the member was marked modified since parsing.
-func (m *Member) Dirty() bool { return m.dirty }
-
 // MarkAttrsDirty records that the class-level attribute list was
 // modified. AddAttribute and RemoveAttribute call this automatically.
 func (cf *ClassFile) MarkAttrsDirty() { cf.attrsDirty = true }

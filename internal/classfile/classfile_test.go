@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// Dirty reports whether the member was marked modified since parsing.
+func (m *Member) Dirty() bool { return m.dirty }
+
 // buildMinimal constructs a small classfile by hand (no classgen, to keep
 // the dependency direction test-clean) with one field, one method, and a
 // few constants of every tag.
@@ -333,7 +336,7 @@ func TestAttributeAddRemove(t *testing.T) {
 	}
 }
 
-func TestConstantValueAndExceptionsDecode(t *testing.T) {
+func TestConstantValueDecode(t *testing.T) {
 	cf := buildMinimal(t)
 	idx := cf.Pool.AddInteger(7)
 	a := &Attribute{NameIndex: cf.Pool.AddUtf8(AttrConstantValue), Info: []byte{byte(idx >> 8), byte(idx)}}
@@ -343,29 +346,6 @@ func TestConstantValueAndExceptionsDecode(t *testing.T) {
 	}
 	if _, err := ConstantValueIndex(&Attribute{Info: []byte{1}}); err == nil {
 		t.Error("short ConstantValue accepted")
-	}
-	ex := cf.Pool.AddClass("java/io/IOException")
-	ea := &Attribute{NameIndex: cf.Pool.AddUtf8(AttrExceptions), Info: []byte{0, 1, byte(ex >> 8), byte(ex)}}
-	lst, err := DecodeExceptions(ea)
-	if err != nil || len(lst) != 1 || lst[0] != ex {
-		t.Errorf("DecodeExceptions = %v, %v", lst, err)
-	}
-	if _, err := DecodeExceptions(&Attribute{Info: []byte{0, 2, 0, 1}}); err == nil {
-		t.Error("length-mismatched Exceptions accepted")
-	}
-}
-
-func TestLineNumberTableDecode(t *testing.T) {
-	a := &Attribute{Info: []byte{0, 2, 0, 0, 0, 10, 0, 5, 0, 11}}
-	entries, err := DecodeLineNumberTable(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[1].StartPC != 5 || entries[1].Line != 11 {
-		t.Errorf("entries = %+v", entries)
-	}
-	if _, err := DecodeLineNumberTable(&Attribute{Info: []byte{0, 3, 0, 0}}); err == nil {
-		t.Error("length-mismatched LineNumberTable accepted")
 	}
 }
 

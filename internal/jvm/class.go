@@ -92,9 +92,6 @@ type fieldSite struct {
 // internal VM error.
 type NativeFunc func(t *Thread, args []Value) (Value, *Object, error)
 
-// IsStatic reports whether the method is static.
-func (m *Method) IsStatic() bool { return m.Flags&classfile.AccStatic != 0 }
-
 // Key returns the lookup key "name desc".
 func (m *Method) Key() string { return m.Name + " " + m.Desc }
 
@@ -258,17 +255,6 @@ func (c *Class) implementsIface(t *Class) bool {
 			if i == t || i.implementsIface(t) {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// IsSubclassOf reports whether c is t or a subclass of t (class chain
-// only, no interfaces).
-func (c *Class) IsSubclassOf(t *Class) bool {
-	for k := c; k != nil; k = k.Super {
-		if k == t {
-			return true
 		}
 	}
 	return false

@@ -29,20 +29,6 @@ func (vm *VM) Pin(o *Object) {
 	}
 }
 
-// Unpin removes a permanent root.
-func (vm *VM) Unpin(o *Object) { delete(vm.pinned, o) }
-
-// HeapCount returns the number of objects currently on the managed heap.
-func (vm *VM) HeapCount() int { return vm.heapCount }
-
-// SetGCThreshold overrides the live-object count that triggers automatic
-// collection.
-func (vm *VM) SetGCThreshold(n int) {
-	if n > 0 {
-		vm.gcThreshold = n
-	}
-}
-
 // GC runs a full mark-sweep collection and returns the number of objects
 // reclaimed.
 func (vm *VM) GC() int {

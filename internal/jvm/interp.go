@@ -25,9 +25,6 @@ type Thread struct {
 // VM returns the owning virtual machine.
 func (t *Thread) VM() *VM { return t.vm }
 
-// Depth returns the current call depth.
-func (t *Thread) Depth() int { return len(t.frames) }
-
 // FrameClasses returns, innermost first, the class of every frame on the
 // stack. The JDK1.2-style stack-introspection security manager (the
 // monolithic baseline in Figure 9) walks this.

@@ -10,6 +10,20 @@ import (
 	"dvm/internal/classgen"
 )
 
+// HeapCount returns the number of objects currently on the managed heap.
+func (vm *VM) HeapCount() int { return vm.heapCount }
+
+// SetGCThreshold overrides the live-object count that triggers automatic
+// collection.
+func (vm *VM) SetGCThreshold(n int) {
+	if n > 0 {
+		vm.gcThreshold = n
+	}
+}
+
+// Depth returns the current call depth.
+func (t *Thread) Depth() int { return len(t.frames) }
+
 // newTestVM builds a VM over the given generated classes.
 func newTestVM(t *testing.T, out *bytes.Buffer, builders ...*classgen.ClassBuilder) *VM {
 	t.Helper()

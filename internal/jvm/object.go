@@ -58,14 +58,3 @@ func (o *Object) GetField(slot int) Value { return o.Fields[slot] }
 
 // SetField writes an instance field by slot.
 func (o *Object) SetField(slot int, v Value) { o.Fields[slot] = v }
-
-// IsInstanceOf reports whether the object can be assigned to class t,
-// following the JVM's instanceof rules for classes, interfaces, and
-// arrays (covariant element types, Object/Cloneable/Serializable array
-// supertypes collapsed to Object here).
-func (o *Object) IsInstanceOf(t *Class) bool {
-	if o == nil {
-		return false
-	}
-	return o.Class.AssignableTo(t)
-}

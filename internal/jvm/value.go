@@ -88,9 +88,6 @@ func (v Value) Double() float64 { return v.F }
 // Ref returns the reference view (nil for Java null).
 func (v Value) Ref() *Object { return v.R }
 
-// IsNull reports whether the value is a null reference.
-func (v Value) IsNull() bool { return v.Kind == KindRef && v.R == nil }
-
 // Wide reports whether the value occupies two slots.
 func (v Value) Wide() bool { return v.Kind == KindLong || v.Kind == KindDouble }
 

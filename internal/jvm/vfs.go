@@ -2,7 +2,6 @@ package jvm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"dvm/internal/bytecode"
@@ -77,18 +76,6 @@ func (fs *VirtualFS) Remove(path string) bool {
 	_, ok := fs.files[path]
 	delete(fs.files, path)
 	return ok
-}
-
-// List returns the sorted file paths.
-func (fs *VirtualFS) List() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // fileHandle is the Native payload of FileInputStream/FileOutputStream

@@ -151,7 +151,6 @@ type RemoteSession struct {
 	Session string
 
 	dropped atomic.Int64
-	hFlush  *telemetry.Histogram
 
 	mu        sync.Mutex
 	buf       []wireEvent
@@ -201,7 +200,6 @@ func AttachHTTPWith(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int, 
 			Cooldown:  opts.BreakerCooldown,
 		}),
 		batchSize: batchSize,
-		hFlush:    telemetry.NewHistogram(nil),
 	}
 	body, _ := json.Marshal(wireHandshake{
 		User: info.User, Hardware: info.Hardware, Arch: info.Arch,
@@ -230,12 +228,6 @@ func AttachHTTPWith(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int, 
 		rs.add(wireEvent{Class: class, Method: method + " " + desc, Kind: "note"})
 	}
 	return rs, nil
-}
-
-// FlushLatency returns the delivery-latency histogram snapshot (one
-// observation per network flush attempt), mergeable with other nodes'.
-func (rs *RemoteSession) FlushLatency() telemetry.HistSnapshot {
-	return rs.hFlush.Snapshot()
 }
 
 func (rs *RemoteSession) add(e wireEvent) {
@@ -277,9 +269,7 @@ func (rs *RemoteSession) FlushContext(ctx context.Context) {
 	err := rs.breaker.Allow()
 	if err == nil {
 		span := telemetry.FromContext(ctx).StartSpan("monitor", "monitor.flush")
-		t0 := telemetry.StartTimer()
 		err = rs.post(ctx, batch)
-		rs.hFlush.Observe(t0.Elapsed())
 		span.End()
 		if err == nil {
 			rs.breaker.Success()

@@ -41,29 +41,6 @@ func OpcodeProfile(vm *jvm.VM) []OpcodeSample {
 	return out
 }
 
-// SyncTrace summarizes the synchronization behavior of a traced run:
-// the data the paper fed into its synchronization-elimination work.
-type SyncTrace struct {
-	MonitorEnters int64
-	MonitorExits  int64
-	Invocations   int64
-	// SyncRatio is monitor operations per 1000 instructions.
-	SyncRatio float64
-}
-
-// Synchronization computes the synchronization trace from a traced VM.
-func Synchronization(vm *jvm.VM) SyncTrace {
-	st := SyncTrace{
-		MonitorEnters: vm.OpcodeCounts[bytecode.Monitorenter],
-		MonitorExits:  vm.OpcodeCounts[bytecode.Monitorexit],
-		Invocations:   vm.Stats.MethodInvocations,
-	}
-	if total := vm.Stats.InstructionsExecuted; total > 0 {
-		st.SyncRatio = float64(st.MonitorEnters+st.MonitorExits) / float64(total) * 1000
-	}
-	return st
-}
-
 // FormatProfile renders the top-n rows of an instruction profile.
 func FormatProfile(samples []OpcodeSample, n int) string {
 	if n > len(samples) {

@@ -248,17 +248,6 @@ func (p *Policy) GrantsFor(sid string) []Grant {
 	return out
 }
 
-// ResourceSID resolves a target name to its resource security identifier,
-// or "" if unmapped.
-func (p *Policy) ResourceSID(name string) string {
-	for _, r := range p.Resources {
-		if matchPattern(r.Name, name) {
-			return r.SID
-		}
-	}
-	return ""
-}
-
 // matchPattern implements the policy language's glob: a literal match, or
 // a prefix match when the pattern ends in '*'.
 func matchPattern(pattern, s string) bool {

@@ -31,6 +31,17 @@ const testPolicyXML = `
   <operation permission="thread.setPriority" class="java/lang/Thread" method="setPriority"/>
 </policy>`
 
+// ResourceSID resolves a target name to its resource security identifier,
+// or "" if unmapped.
+func (p *Policy) ResourceSID(name string) string {
+	for _, r := range p.Resources {
+		if matchPattern(r.Name, name) {
+			return r.SID
+		}
+	}
+	return ""
+}
+
 func testPolicy(t *testing.T) *Policy {
 	t.Helper()
 	p, err := ParsePolicy([]byte(testPolicyXML))

@@ -23,7 +23,7 @@ import (
 
 // bucketSets names the histogram bounds a `metric` tag may select after
 // a comma, e.g. `metric:"batch_bytes,bytes"`; no name selects
-// DefaultLatencyBounds.
+// defaultLatencyBounds.
 var bucketSets = map[string][]time.Duration{
 	"": nil,
 	// Byte-valued buckets: the histogram type counts time.Durations, so

@@ -32,12 +32,6 @@ var defaultLatencyBounds = []time.Duration{
 	30 * time.Second,
 }
 
-// DefaultLatencyBounds returns a copy of the shared latency bucket
-// bounds.
-func DefaultLatencyBounds() []time.Duration {
-	return append([]time.Duration(nil), defaultLatencyBounds...)
-}
-
 // Histogram is a fixed-bucket latency histogram built for hot request
 // paths: Observe is lock-free (a binary search plus two atomic adds),
 // Snapshot is consistent enough for monitoring (each bucket read
@@ -51,7 +45,7 @@ type Histogram struct {
 }
 
 // NewHistogram builds a histogram over the given sorted upper bounds
-// (nil = DefaultLatencyBounds).
+// (nil = defaultLatencyBounds).
 func NewHistogram(bounds []time.Duration) *Histogram {
 	if bounds == nil {
 		bounds = defaultLatencyBounds

@@ -28,7 +28,7 @@ func bucketOf(bounds []time.Duration, d time.Duration) int {
 // the combined samples — the error is bounded by one bucket width.
 func TestHistogramMergeQuantileBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	bounds := DefaultLatencyBounds()
+	bounds := defaultLatencyBounds
 	for trial := 0; trial < 50; trial++ {
 		a, b := NewHistogram(nil), NewHistogram(nil)
 		var all []time.Duration

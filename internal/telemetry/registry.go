@@ -84,7 +84,7 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Histogram returns (creating if needed) the named histogram; bounds
-// apply only on creation (nil = DefaultLatencyBounds). Histograms use
+// apply only on creation (nil = defaultLatencyBounds). Histograms use
 // the suffix _seconds.
 func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	name = metricToken(name)

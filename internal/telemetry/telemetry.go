@@ -18,7 +18,7 @@
 //   - All request timing goes through Timer / Trace spans / Histogram —
 //     never raw time.Since. A lint test (lint_test.go) fails the build
 //     when a package under internal/ times requests by hand.
-//   - All latency histograms share DefaultLatencyBounds so any two
+//   - All latency histograms share defaultLatencyBounds so any two
 //     snapshots — from different services or different cluster nodes —
 //     merge by bucket-wise addition.
 //   - Metric names are Prometheus-style: dvm_<service>_<name>, counters

@@ -159,20 +159,6 @@ func InstrumentEager(cf *classfile.ClassFile, res *Result) error {
 	return nil
 }
 
-// DecodeVerifiedAttr extracts the census from a dvm.Verified attribute
-// payload.
-func DecodeVerifiedAttr(a *classfile.Attribute) (Census, bool) {
-	if len(a.Info) != 16 {
-		return Census{}, false
-	}
-	return Census{
-		Phase1:          int(binary.BigEndian.Uint32(a.Info[0:])),
-		Phase2:          int(binary.BigEndian.Uint32(a.Info[4:])),
-		Phase3:          int(binary.BigEndian.Uint32(a.Info[8:])),
-		DynamicInjected: int(binary.BigEndian.Uint32(a.Info[12:])),
-	}, true
-}
-
 // MakeErrorClass builds the replacement class the distributed service
 // forwards when verification fails: a class of the same name whose
 // initialization raises VerifyError, so "verification errors are

@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -12,6 +13,20 @@ import (
 	"dvm/internal/rewrite"
 	"dvm/internal/workload"
 )
+
+// DecodeVerifiedAttr extracts the census from a dvm.Verified attribute
+// payload.
+func DecodeVerifiedAttr(a *classfile.Attribute) (Census, bool) {
+	if len(a.Info) != 16 {
+		return Census{}, false
+	}
+	return Census{
+		Phase1:          int(binary.BigEndian.Uint32(a.Info[0:])),
+		Phase2:          int(binary.BigEndian.Uint32(a.Info[4:])),
+		Phase3:          int(binary.BigEndian.Uint32(a.Info[8:])),
+		DynamicInjected: int(binary.BigEndian.Uint32(a.Info[12:])),
+	}, true
+}
 
 func goodClass() *classgen.ClassBuilder {
 	b := classgen.NewClass("app/Good", "java/lang/Object")
