@@ -486,22 +486,6 @@ func (f *frames) popRef(idx int) (vt, error) {
 	return v, nil
 }
 
-func (f *frames) popWide(idx int, k, k2 vkind) error {
-	hi, err := f.pop(idx)
-	if err != nil {
-		return err
-	}
-	lo, err := f.pop(idx)
-	if err != nil {
-		return err
-	}
-	f.census.Phase3++
-	if hi.kind() != k2 || lo.kind() != k {
-		return f.fail(idx, "%s: expected %v pair, found %v/%v", f.opName(idx), f.str(vt(k)), f.str(lo), f.str(hi))
-	}
-	return nil
-}
-
 func (f *frames) popType(idx int, t bytecode.Type) error {
 	k := vtInt
 	switch t.Kind {
@@ -521,19 +505,29 @@ func (f *frames) popType(idx int, t bytecode.Type) error {
 // vtLong and vtDouble a two-slot pair, anything else exactly that kind.
 func (f *frames) popKinds(idx int, kinds ...vkind) error {
 	for _, k := range kinds {
-		var err error
 		switch k {
 		case vtRef:
-			_, err = f.popRef(idx)
-		case vtLong:
-			err = f.popWide(idx, vtLong, vtLong2)
-		case vtDouble:
-			err = f.popWide(idx, vtDouble, vtDouble2)
+			if _, err := f.popRef(idx); err != nil {
+				return err
+			}
+		case vtLong, vtDouble:
+			// The second half, whose kind follows the first's, is on top.
+			hi, err := f.pop(idx)
+			if err != nil {
+				return err
+			}
+			lo, err := f.pop(idx)
+			if err != nil {
+				return err
+			}
+			f.census.Phase3++
+			if hi.kind() != k+1 || lo.kind() != k {
+				return f.fail(idx, "%s: expected %v pair, found %v/%v", f.opName(idx), f.str(vt(k)), f.str(lo), f.str(hi))
+			}
 		default:
-			err = f.popKind(idx, k)
-		}
-		if err != nil {
-			return err
+			if err := f.popKind(idx, k); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"dvm/internal/bytecode"
+	"dvm/internal/classfile"
+	"dvm/internal/classgen"
 )
 
 // TestRuleTableMatchesStackEffect checks phase 3's rule table against
@@ -44,5 +46,36 @@ func TestRuleTableMatchesStackEffect(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("the rule table is empty")
+	}
+}
+
+// TestHandlerEntryAboveMaxStackZero pins the one case where a rule that
+// pushes nothing must not check the stack height: a handler's entry
+// holds the exception even when max_stack is 0, and phase 3 has always
+// let a goto there pass.
+func TestHandlerEntryAboveMaxStackZero(t *testing.T) {
+	cf := classgen.NewClass("app/H", "java/lang/Object").MustBuild()
+	// 0: return, covered by a handler at 1: goto 2; 2: athrow.
+	code, pcs, err := bytecode.Encode([]bytecode.Inst{
+		{Op: bytecode.Return, Target: -1},
+		{Op: bytecode.Goto, Target: 2},
+		{Op: bytecode.Athrow, Target: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &classfile.Member{
+		AccessFlags:     classfile.AccPublic | classfile.AccStatic,
+		NameIndex:       cf.Pool.AddUtf8("m"),
+		DescriptorIndex: cf.Pool.AddUtf8("()V"),
+	}
+	if err := cf.SetCode(m, &classfile.Code{Bytecode: code, Handlers: []classfile.ExceptionHandler{
+		{StartPC: 0, EndPC: uint16(pcs[1]), HandlerPC: uint16(pcs[1])},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	cf.Methods = append(cf.Methods, m)
+	if _, err := Verify(cf); err != nil {
+		t.Fatalf("handler entry above max_stack 0: %v", err)
 	}
 }
