@@ -42,9 +42,6 @@ func (t Type) Slots() int {
 	return 1
 }
 
-// IsRef reports whether the type is a reference type (object or array).
-func (t Type) IsRef() bool { return t.Kind == KObject || t.Kind == KArray }
-
 // String renders the type back into descriptor syntax.
 func (t Type) String() string {
 	switch t.Kind {
