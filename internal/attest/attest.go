@@ -19,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"dvm/internal/signing"
@@ -42,11 +42,30 @@ var ErrNoQuorum = errors.New("attest: no digest reached a majority")
 // never serve or cache bytes its own fleet outvoted.
 var ErrLocalDivergence = errors.New("attest: local output lost the quorum vote")
 
-// Digest is the canonical artifact digest: hex SHA-256 of the
-// transformed class bytes.
-func Digest(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+// Sum is an artifact digest: the SHA-256 of the transformed class bytes.
+// It stays 32 bytes in memory and on the wire; hex appears only in the
+// sealed record text, the proposal commitment, the header codec and logs.
+type Sum [sha256.Size]byte
+
+// Digest is the canonical artifact digest.
+func Digest(data []byte) Sum { return sha256.Sum256(data) }
+
+// AppendHex appends s as 64 lowercase hex digits.
+func (s Sum) AppendHex(dst []byte) []byte { return hex.AppendEncode(dst, s[:]) }
+
+// String is s in lowercase hex.
+func (s Sum) String() string { return string(s.AppendHex(nil)) }
+
+// MarshalText and UnmarshalText give the header codec the digest's hex
+// form; a value that is not exactly 64 hex digits does not decode.
+func (s Sum) MarshalText() ([]byte, error) { return s.AppendHex(nil), nil }
+
+func (s *Sum) UnmarshalText(b []byte) error {
+	if len(b) != hex.EncodedLen(len(s)) {
+		return fmt.Errorf("attest: digest is %d hex digits, want %d", len(b), hex.EncodedLen(len(s)))
+	}
+	_, err := hex.Decode(s[:], b)
+	return err
 }
 
 // Attestation is the trust metadata stored alongside a cached artifact
@@ -56,8 +75,8 @@ func Digest(data []byte) string {
 type Attestation struct {
 	Arch  string `json:"arch"`
 	Class string `json:"class"`
-	// Digest is the hex SHA-256 of the transformed bytes.
-	Digest string `json:"digest"`
+	// Digest is the SHA-256 of the transformed bytes.
+	Digest Sum `json:"digest"`
 	// Quorum is how many identical variant digests backed this artifact
 	// (1 = local-only, today's trust model).
 	Quorum int `json:"quorum"`
@@ -69,11 +88,44 @@ type Attestation struct {
 	Seal []byte `json:"seal"`
 }
 
-// record is the canonical byte form the seal covers. Voters are part of
-// it: an attacker must not be able to rewrite the provenance.
-func (a *Attestation) record() []byte {
-	return []byte(fmt.Sprintf("dvm-attest\x00%s\x00%s\x00%s\x00%d\x00%s",
-		a.Arch, a.Class, a.Digest, a.Quorum, strings.Join(a.Voters, ",")))
+// appendRecord appends the canonical byte form the seal covers,
+//
+//	"dvm-attest" 0 arch 0 class 0 hex(digest) 0 decimal(quorum) 0 voters joined by ","
+//
+// Voters are part of it: an attacker must not be able to rewrite the
+// provenance.
+func (a *Attestation) appendRecord(dst []byte) []byte {
+	dst = append(dst, "dvm-attest\x00"...)
+	dst = append(append(dst, a.Arch...), 0)
+	dst = append(append(dst, a.Class...), 0)
+	dst = append(a.Digest.AppendHex(dst), 0)
+	dst = append(strconv.AppendInt(dst, int64(a.Quorum), 10), 0)
+	return appendJoined(dst, a.Voters)
+}
+
+// appendJoined appends ss separated by commas.
+func appendJoined(dst []byte, ss []string) []byte {
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, s...)
+	}
+	return dst
+}
+
+// records holds the buffers seal records are appended into: sealing or
+// checking one allocates no text.
+var records = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+
+// maxPooledRecord bounds a record buffer kept for reuse: a record with a
+// huge voter list is sealed once, not kept.
+const maxPooledRecord = 4 << 10
+
+func putRecord(b *[]byte) {
+	if cap(*b) <= maxPooledRecord {
+		records.Put(b)
+	}
 }
 
 // Encode packs the attestation as an HTTP header value (base64url of
@@ -180,7 +232,7 @@ func (a *Authority) Attest(arch, class string, data []byte, quorum int, voters [
 // AttestDigest is Attest for a caller that already holds the artifact's
 // Digest — the owner of a quorum round hashed its bytes to tally the
 // votes — so each artifact is hashed once.
-func (a *Authority) AttestDigest(arch, class, digest string, quorum int, voters []string) *Attestation {
+func (a *Authority) AttestDigest(arch, class string, digest Sum, quorum int, voters []string) *Attestation {
 	att := &Attestation{
 		Arch:   arch,
 		Class:  class,
@@ -188,15 +240,27 @@ func (a *Authority) AttestDigest(arch, class, digest string, quorum int, voters 
 		Quorum: quorum,
 		Voters: append([]string(nil), voters...),
 	}
-	att.Seal = a.signer.SealBytes(att.record())
+	rec := records.Get().(*[]byte)
+	*rec = att.appendRecord((*rec)[:0])
+	att.Seal = a.signer.SealBytes(*rec)
+	putRecord(rec)
 	return att
 }
 
-// proposalRecord is the canonical byte form a proposal's MAC covers. Its
-// prefix differs from record's, so neither MAC can stand in for the other.
-func proposalRecord(arch, class, mode string, commit []byte, voters []string) []byte {
-	return []byte(fmt.Sprintf("dvm-propose\x00%s\x00%s\x00%s\x00%x\x00%s",
-		arch, class, mode, commit, strings.Join(voters, ",")))
+// appendProposalRecord appends the canonical byte form a proposal's MAC
+// covers,
+//
+//	"dvm-propose" 0 arch 0 class 0 mode 0 hex(commit) 0 voters joined by ","
+//
+// Its prefix differs from the attestation record's, so neither MAC can
+// stand in for the other.
+func appendProposalRecord(dst []byte, arch, class, mode string, commit []byte, voters []string) []byte {
+	dst = append(dst, "dvm-propose\x00"...)
+	dst = append(append(dst, arch...), 0)
+	dst = append(append(dst, class...), 0)
+	dst = append(append(dst, mode...), 0)
+	dst = append(hex.AppendEncode(dst, commit), 0)
+	return appendJoined(dst, voters)
 }
 
 // SealProposal is the service MAC over a quorum owner's offer to let a
@@ -205,12 +269,20 @@ func proposalRecord(arch, class, mode string, commit []byte, voters []string) []
 // seals a copy of its own only on an offer that verifies, so only a key
 // holder can place sealed bytes in a voter's cache.
 func (a *Authority) SealProposal(arch, class, mode string, commit []byte, voters []string) []byte {
-	return a.signer.SealBytes(proposalRecord(arch, class, mode, commit, voters))
+	rec := records.Get().(*[]byte)
+	*rec = appendProposalRecord((*rec)[:0], arch, class, mode, commit, voters)
+	mac := a.signer.SealBytes(*rec)
+	putRecord(rec)
+	return mac
 }
 
 // VerifyProposal reports whether mac is SealProposal's MAC over the offer.
 func (a *Authority) VerifyProposal(arch, class, mode string, commit []byte, voters []string, mac []byte) bool {
-	return a.signer.VerifySeal(proposalRecord(arch, class, mode, commit, voters), mac)
+	rec := records.Get().(*[]byte)
+	*rec = appendProposalRecord((*rec)[:0], arch, class, mode, commit, voters)
+	ok := a.signer.VerifySeal(*rec, mac)
+	putRecord(rec)
+	return ok
 }
 
 // Verify checks an attestation against the payload it claims to cover:
@@ -227,7 +299,11 @@ func (a *Authority) Verify(att *Attestation, arch, class string, data []byte) er
 	if att.Digest != Digest(data) {
 		return fmt.Errorf("%w: payload digest mismatch", ErrVerify)
 	}
-	if !a.signer.VerifySeal(att.record(), att.Seal) {
+	rec := records.Get().(*[]byte)
+	*rec = att.appendRecord((*rec)[:0])
+	ok := a.signer.VerifySeal(*rec, att.Seal)
+	putRecord(rec)
+	if !ok {
 		return fmt.Errorf("%w: bad seal", ErrVerify)
 	}
 	return nil
@@ -280,27 +356,22 @@ func (a *Authority) Suspicions() []Suspicion {
 // Vote is one variant's answer in a quorum round.
 type Vote struct {
 	Voter  string
-	Digest string
+	Digest Sum
 }
 
 // Tally decides a quorum round: given the local digest and the variant
 // votes, it returns the majority digest and the minority voters. The
 // local node counts as one vote. A strict majority is required; with
-// none, Majority is "" (caller re-runs at a higher quorum or fails).
-func Tally(self, localDigest string, votes []Vote) (majority string, minority []string) {
-	counts := map[string]int{localDigest: 1}
-	for _, v := range votes {
-		counts[v.Digest]++
-	}
+// none, ok is false (caller re-runs at a higher quorum or fails). A round
+// has a handful of votes, so each candidate is counted by a scan.
+func Tally(self string, localDigest Sum, votes []Vote) (majority Sum, ok bool, minority []string) {
 	total := 1 + len(votes)
-	for d, n := range counts {
-		if 2*n > total {
-			majority = d
-			break
-		}
+	majority, ok = localDigest, 2*votesFor(localDigest, localDigest, votes) > total
+	for i := 0; !ok && i < len(votes); i++ {
+		majority, ok = votes[i].Digest, 2*votesFor(votes[i].Digest, localDigest, votes) > total
 	}
-	if majority == "" {
-		return "", nil
+	if !ok {
+		return Sum{}, false, nil
 	}
 	if localDigest != majority {
 		minority = append(minority, self)
@@ -311,5 +382,19 @@ func Tally(self, localDigest string, votes []Vote) (majority string, minority []
 		}
 	}
 	sort.Strings(minority)
-	return majority, minority
+	return majority, true, minority
+}
+
+// votesFor counts the round's votes for d, the local one included.
+func votesFor(d, localDigest Sum, votes []Vote) int {
+	n := 0
+	if d == localDigest {
+		n++
+	}
+	for _, v := range votes {
+		if v.Digest == d {
+			n++
+		}
+	}
+	return n
 }

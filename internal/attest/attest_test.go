@@ -87,7 +87,7 @@ func TestProposalSealBindsEveryField(t *testing.T) {
 			t.Errorf("a proposal with another %s verifies", name)
 		}
 	}
-	att := a.AttestDigest("dvm", "app/C", string(commit), 2, voters)
+	att := a.AttestDigest("dvm", "app/C", Sum(commit), 2, voters)
 	if bytes.Equal(att.Seal, mac) || a.VerifyProposal("dvm", "app/C", "", commit, voters, att.Seal) {
 		t.Error("an attestation seal stands in for a proposal MAC")
 	}
@@ -148,34 +148,35 @@ func TestLedgerQuarantine(t *testing.T) {
 
 func TestTally(t *testing.T) {
 	self := "http://self"
+	d1, d2, d3, dX := Sum{1}, Sum{2}, Sum{3}, Sum{0xff}
 	// Unanimous agreement.
-	maj, min := Tally(self, "d1", []Vote{{"http://b", "d1"}, {"http://c", "d1"}})
-	if maj != "d1" || len(min) != 0 {
-		t.Fatalf("unanimous: maj=%q min=%v", maj, min)
+	maj, ok, min := Tally(self, d1, []Vote{{"http://b", d1}, {"http://c", d1}})
+	if !ok || maj != d1 || len(min) != 0 {
+		t.Fatalf("unanimous: maj=%v min=%v", maj, min)
 	}
 	// Variant is the minority.
-	maj, min = Tally(self, "d1", []Vote{{"http://b", "d2"}, {"http://c", "d1"}})
-	if maj != "d1" || len(min) != 1 || min[0] != "http://b" {
-		t.Fatalf("variant minority: maj=%q min=%v", maj, min)
+	maj, ok, min = Tally(self, d1, []Vote{{"http://b", d2}, {"http://c", d1}})
+	if !ok || maj != d1 || len(min) != 1 || min[0] != "http://b" {
+		t.Fatalf("variant minority: maj=%v min=%v", maj, min)
 	}
 	// Local node is the minority.
-	maj, min = Tally(self, "dX", []Vote{{"http://b", "d1"}, {"http://c", "d1"}})
-	if maj != "d1" || len(min) != 1 || min[0] != self {
-		t.Fatalf("local minority: maj=%q min=%v", maj, min)
+	maj, ok, min = Tally(self, dX, []Vote{{"http://b", d1}, {"http://c", d1}})
+	if !ok || maj != d1 || len(min) != 1 || min[0] != self {
+		t.Fatalf("local minority: maj=%v min=%v", maj, min)
 	}
 	// 1-vs-1 split: no strict majority.
-	maj, _ = Tally(self, "d1", []Vote{{"http://b", "d2"}})
-	if maj != "" {
-		t.Fatalf("split: maj=%q, want none", maj)
+	maj, ok, _ = Tally(self, d1, []Vote{{"http://b", d2}})
+	if ok {
+		t.Fatalf("split: maj=%v, want none", maj)
 	}
 	// Three-way disagreement: no majority either.
-	maj, _ = Tally(self, "d1", []Vote{{"http://b", "d2"}, {"http://c", "d3"}})
-	if maj != "" {
-		t.Fatalf("three-way: maj=%q, want none", maj)
+	maj, ok, _ = Tally(self, d1, []Vote{{"http://b", d2}, {"http://c", d3}})
+	if ok {
+		t.Fatalf("three-way: maj=%v, want none", maj)
 	}
 	// Quorum 1: no votes, local wins trivially.
-	maj, min = Tally(self, "d1", nil)
-	if maj != "d1" || len(min) != 0 {
-		t.Fatalf("quorum 1: maj=%q min=%v", maj, min)
+	maj, ok, min = Tally(self, d1, nil)
+	if !ok || maj != d1 || len(min) != 0 {
+		t.Fatalf("quorum 1: maj=%v min=%v", maj, min)
 	}
 }

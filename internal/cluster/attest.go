@@ -73,9 +73,9 @@ type Proposal struct {
 	Seal    []byte
 }
 
-// Ballot is a voter's answer: its output's hex digest, and whether it kept it.
+// Ballot is a voter's answer: its output's digest, and whether it kept it.
 type Ballot struct {
-	Digest string
+	Digest attest.Sum
 	Kept   bool
 }
 
@@ -118,7 +118,7 @@ func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, 
 		// the vote: offer the voter to keep its output under it. The
 		// commitment is a hash, not the digest, so the voter still has to
 		// derive the artifact to agree.
-		commit := sha256.Sum256([]byte(local))
+		commit := commitment(local)
 		offer.Commit = commit[:]
 	}
 	votes, kept, rest := n.collectVotes(ctx, arch, class, offer, n.variantCandidates(arch, class), want-1)
@@ -129,20 +129,20 @@ func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, 
 		n.m.AttestDegraded.Inc()
 		return n.authority.AttestDigest(arch, class, local, 1, []string{n.cfg.Self}), nil, nil
 	}
-	majority, minority := attest.Tally(n.cfg.Self, local, votes)
+	majority, agreed, minority := attest.Tally(n.cfg.Self, local, votes)
 	// Tie-break: a split vote re-runs at a higher quorum, one extra
 	// variant per round (and no offer), until a strict majority emerges or
 	// the candidate pool (or the round budget) is exhausted.
-	for extra := 0; majority == "" && extra < maxAttestExtraRounds && len(rest) > 0; extra++ {
+	for extra := 0; !agreed && extra < maxAttestExtraRounds && len(rest) > 0; extra++ {
 		var more []attest.Vote
 		more, _, rest = n.collectVotes(ctx, arch, class, Proposal{Mode: mode, Payload: payload}, rest, 1)
 		if len(more) == 0 {
 			break
 		}
 		votes = append(votes, more...)
-		majority, minority = attest.Tally(n.cfg.Self, local, votes)
+		majority, agreed, minority = attest.Tally(n.cfg.Self, local, votes)
 	}
-	if majority == "" {
+	if !agreed {
 		for _, v := range votes {
 			if v.Digest != local {
 				n.noteDivergence(v.Voter)
@@ -308,16 +308,23 @@ func (n *Node) handleVote(w http.ResponseWriter, r *http.Request) {
 // without the service key cannot seal a proposal. The MAC need not cover
 // the payload: the commitment already fixes the bytes kept, whatever
 // payload they were derived from.
-func (n *Node) keeps(req *BatchRequest, digest string, size int) bool {
+func (n *Node) keeps(req *BatchRequest, digest attest.Sum, size int) bool {
 	prop := &req.Vote
 	if n.authority == nil || prop.Commit == nil || size > maxPeerClassBytes ||
 		!slices.Equal(prop.Voters, []string{req.Member, n.cfg.Self}) {
 		return false
 	}
-	commit := sha256.Sum256([]byte(digest))
+	commit := commitment(digest)
 	return bytes.Equal(prop.Commit, commit[:]) &&
 		slices.Contains(n.currentRing().Owners(KeyFor(req.Arch, req.Classes[0]), n.cfg.Replication), n.cfg.Self) &&
 		n.authority.VerifyProposal(req.Arch, req.Classes[0], string(prop.Mode), prop.Commit, prop.Voters, prop.Seal)
+}
+
+// commitment is a proposal's commitment to digest: SHA-256 of its 64-digit
+// hex text, the form nodes of every version agree on.
+func commitment(digest attest.Sum) [sha256.Size]byte {
+	var text [2 * sha256.Size]byte
+	return sha256.Sum256(digest.AppendHex(text[:0]))
 }
 
 // noteDivergence records one minority vote (or one corrupt payload

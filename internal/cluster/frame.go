@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dvm/internal/attest"
 	"dvm/internal/proxy"
 )
 
@@ -76,11 +77,11 @@ func (f *frameEnc) free() {
 	framePool.Put(f)
 }
 
-func (f *frameEnc) uvarint(v int)     { f.meta = proxy.AppendUvarint(f.meta, v) }
-func (f *frameEnc) str(s string)      { f.meta = proxy.AppendStr(f.meta, s) }
-func (f *frameEnc) strs(ss []string)  { f.meta = proxy.AppendStrs(f.meta, ss) }
-func (f *frameEnc) blob(b []byte)     { f.meta = proxy.AppendBytes(f.meta, b) }
-func (f *frameEnc) digest(hex string) { f.meta = proxy.AppendDigest(f.meta, hex) }
+func (f *frameEnc) uvarint(v int)       { f.meta = proxy.AppendUvarint(f.meta, v) }
+func (f *frameEnc) str(s string)        { f.meta = proxy.AppendStr(f.meta, s) }
+func (f *frameEnc) strs(ss []string)    { f.meta = proxy.AppendStrs(f.meta, ss) }
+func (f *frameEnc) blob(b []byte)       { f.meta = proxy.AppendBytes(f.meta, b) }
+func (f *frameEnc) digest(d attest.Sum) { f.meta = proxy.AppendDigest(f.meta, d) }
 
 func (f *frameEnc) flag(b bool) {
 	if b {

@@ -66,7 +66,7 @@ func seedFrames(tb testing.TB) (requests, responses []*frameEnc) {
 	}
 	lone := BatchResponse{Entries: []BatchEntry{entry(0, proxy.ReasonFill)}}
 	refused := BatchResponse{Errors: []BatchError{{Arch: "dvm", Class: names[0], Status: 400, Error: "failed attestation"}}}
-	commit := sha256.Sum256([]byte(attest.Digest(classes[names[0]])))
+	commit := sha256.Sum256([]byte(attest.Digest(classes[names[0]]).String()))
 	vote := BatchRequest{Reason: reasonVote, Member: "http://a:1", Arch: "dvm", Classes: names[:1],
 		Vote: Proposal{Mode: proxy.SealCompile, Payload: classes[names[0]], Commit: commit[:], Voters: []string{"http://a:1", "http://b:1"},
 			Seal: attest.New(attest.Config{Key: []byte("frame-seed-key")}).SealProposal("dvm", names[0], string(proxy.SealCompile), commit[:], []string{"http://a:1", "http://b:1"})}}

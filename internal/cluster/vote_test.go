@@ -345,7 +345,7 @@ func TestForgedProposalKeepsNothing(t *testing.T) {
 		return br.Vote
 	}
 	digest := vote(cluster.Proposal{Payload: payload}).Digest
-	commit := sha256.Sum256([]byte(digest))
+	commit := sha256.Sum256([]byte(digest.String()))
 	voters := []string{member, voter.Self()}
 	offer := cluster.Proposal{Payload: payload, Commit: commit[:], Voters: voters}
 	for name, mac := range map[string][]byte{

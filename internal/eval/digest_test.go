@@ -24,7 +24,7 @@ func TestServicePipelineDigestInvariant(t *testing.T) {
 	// Reference digests: "node A". Fresh policy parse per pipeline, so
 	// nothing is shared between the instances under test.
 	refPipe := ServicePipeline(StandardPolicy(), true)
-	ref := make(map[string]string, classes)
+	ref := make(map[string]attest.Sum, classes)
 	for name, raw := range origin {
 		out, err := refPipe.Process(raw, rewrite.NewContext())
 		if err != nil {

@@ -70,7 +70,7 @@ func TestSharedPipelineTwoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	halves := [2]map[string][]byte{origin, app.Classes}
-	want := map[string]string{}
+	want := map[string]attest.Sum{}
 	for _, classes := range halves {
 		ref := ServicePipeline(StandardPolicy(), true)
 		for name, raw := range classes {

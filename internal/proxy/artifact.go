@@ -3,9 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -92,9 +90,7 @@ var ErrFrame = errors.New("proxy: bad frame")
 
 // The field encoders append to dst and return it: the frame header, a
 // uvarint (negative as 0), a string or byte slice (length first), a
-// count and that many strings, and a hex digest as 32 raw bytes (one
-// that is not 64 hex digits travels as its decodable prefix plus zeros,
-// and fails at the reader).
+// count and that many strings, and a digest as its 32 raw bytes.
 func AppendFrameHeader(dst []byte) []byte    { return append(append(dst, FrameMagic...), FrameVersion) }
 func AppendUvarint(dst []byte, v int) []byte { return binary.AppendUvarint(dst, uint64(max(v, 0))) }
 func AppendStr(dst []byte, s string) []byte  { return append(AppendUvarint(dst, len(s)), s...) }
@@ -108,11 +104,7 @@ func AppendStrs(dst []byte, ss []string) []byte {
 	return dst
 }
 
-func AppendDigest(dst []byte, s string) []byte {
-	var dg [sha256.Size]byte
-	_, _ = hex.Decode(dg[:], []byte(s[:min(len(s), 2*len(dg))]))
-	return append(dst, dg[:]...)
-}
+func AppendDigest(dst []byte, s attest.Sum) []byte { return append(dst, s[:]...) }
 
 // AppendEntry appends a's entry up to and including the length of its
 // data. a.Data follows it — the peer frame splices it in as a run of its
@@ -185,13 +177,17 @@ func (d *Cursor) byte1(what string) byte {
 }
 
 // The field readers: bytes remaining, a byte slice or string (aliasing
-// the frame), 32 raw bytes as a hex digest, a 0-or-1 byte, a uvarint of
+// the frame), 32 raw bytes as a digest (copied), a 0-or-1 byte, a uvarint of
 // at most 2^31-1, a count of elements of at least least bytes each, and
 // a count and that many strings (none: nil).
-func (d *Cursor) Len() int                  { return len(d.b) }
-func (d *Cursor) Bytes(what string) []byte  { return d.take(d.Uvarint(what), what) }
-func (d *Cursor) Str(what string) string    { return string(d.Bytes(what)) }
-func (d *Cursor) Digest(what string) string { return hex.EncodeToString(d.take(sha256.Size, what)) }
+func (d *Cursor) Len() int                 { return len(d.b) }
+func (d *Cursor) Bytes(what string) []byte { return d.take(d.Uvarint(what), what) }
+func (d *Cursor) Str(what string) string   { return string(d.Bytes(what)) }
+
+func (d *Cursor) Digest(what string) (s attest.Sum) {
+	copy(s[:], d.take(len(s), what))
+	return s
+}
 
 func (d *Cursor) Flag(what string) bool {
 	b := d.byte1(what)

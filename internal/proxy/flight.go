@@ -399,12 +399,12 @@ func (p *Proxy) Derive(ctx context.Context, dst []byte, arch, class string, payl
 
 // TransformDigest is the digest of a transform-mode Derive, encoded into
 // a recycled buffer and dropped once hashed.
-func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []byte) (string, error) {
+func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []byte) (attest.Sum, error) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
 	out, _, err := p.Derive(ctx, (*buf)[:0], arch, class, raw, SealTransform)
 	if err != nil {
-		return "", err
+		return attest.Sum{}, err
 	}
 	*buf = out
 	return attest.Digest(out), nil

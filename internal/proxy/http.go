@@ -292,8 +292,11 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 		transport = http.DefaultTransport
 	}
 	// A RoundTripper only reads a request's header, so one map serves
-	// every request, concurrent ones included.
-	header := http.Header{clientHeaderKey: {client}, archHeaderKey: {arch}}
+	// every request, concurrent ones included. The proxy never compresses
+	// a class, so the loader asks for the identity encoding: left to
+	// itself the transport would ask for gzip and set up a transparent
+	// decompressor on every request for a body that is never gzipped.
+	header := http.Header{clientHeaderKey: {client}, archHeaderKey: {arch}, "Accept-Encoding": {"identity"}}
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
 		var data []byte
 		err := hop.Do(base, func(ctx context.Context) error {

@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"dvm/internal/jvm"
 	"dvm/internal/resilience"
 )
 
@@ -209,8 +210,9 @@ func TestLoaderConcurrentLoadsShareHeader(t *testing.T) {
 // TestLoaderAllocatesOneClassPerLoad pins the exact-size read through
 // the real front end: a warm load of an N-byte class costs the process
 // less than N + 7 KB (client and loopback server together; about
-// N + 6.4 KB measured, N + 7.7 KB while an http.Client wrapped the
-// transport), where regrowing the read buffer cost about 3.5 N + 10 KB.
+// N + 6.0 KB measured, N + 6.4 KB while the transport asked for gzip and
+// N + 7.7 KB while an http.Client wrapped it), where regrowing the read
+// buffer cost about 3.5 N + 10 KB.
 // Under -race it only logs (poolsAreLossy).
 func TestLoaderAllocatesOneClassPerLoad(t *testing.T) {
 	const size = 48 << 10
@@ -244,6 +246,43 @@ func TestLoaderAllocatesOneClassPerLoad(t *testing.T) {
 		t.Errorf("one %d-byte load allocates %d bytes, want < %d (one class-sized buffer plus the hop)", size, least, limit)
 	}
 	t.Logf("%d-byte class: %d bytes allocated per load (%d beyond the class)", size, least, int64(least)-size)
+}
+
+// TestLoaderAsksForNoGzip: the proxy never compresses a class, so the
+// loader's request reaches the proxy's handler asking for the identity
+// encoding, not gzip, and the class still arrives byte for byte.
+func TestLoaderAsksForNoGzip(t *testing.T) {
+	class := bytes.Repeat([]byte("compressible "), 1<<10)
+	p := New(MapOrigin{}, Config{CacheEnabled: true})
+	if p.Warm([]*Artifact{{Arch: "dvm", Class: "app/Text", Data: class, Source: ReasonReplica}}) != 1 {
+		t.Fatal("could not make the class resident")
+	}
+	var mu sync.Mutex
+	var asked [][]string
+	h := p.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		asked = append(asked, r.Header.Values("Accept-Encoding"))
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	for _, loader := range []jvm.ClassLoader{HTTPLoader(srv.URL, "c", "dvm"), HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Retries: 1})} {
+		data, err := loader.Load("app/Text")
+		if err != nil || !bytes.Equal(data, class) {
+			t.Fatalf("load: %d bytes (want %d), err %v", len(data), len(class), err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(asked) != 2 {
+		t.Fatalf("the handler saw %d requests, want 2", len(asked))
+	}
+	for _, v := range asked {
+		if len(v) != 1 || v[0] != "identity" {
+			t.Errorf("the loader asked for Accept-Encoding %q, want only identity", v)
+		}
+	}
 }
 
 // poolsAreLossy reports whether the test binary was built with -race.

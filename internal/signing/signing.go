@@ -15,6 +15,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
+	"hash"
+	"sync"
 
 	"dvm/internal/classfile"
 	"dvm/internal/rewrite"
@@ -30,14 +32,48 @@ var ErrUnsigned = errors.New("signing: class carries no service signature")
 // ErrBadSignature marks tampered or foreign-key signatures.
 var ErrBadSignature = errors.New("signing: signature verification failed")
 
-// Signer holds the static services' signing key.
+// Signer holds the static services' signing key, as a pool of keyed MAC
+// states: hmac.New hashes the key into its inner and outer pads, and a
+// pooled state's Reset restores them from the copy it saved, so a MAC
+// costs the message, not the key schedule and its allocations.
 type Signer struct {
-	key []byte
+	macs sync.Pool // of *keyedMAC
+}
+
+// keyedMAC is one pooled MAC state and the buffer its sum lands in.
+type keyedMAC struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
 }
 
 // NewSigner creates a signer over a shared service key.
 func NewSigner(key []byte) *Signer {
-	return &Signer{key: append([]byte(nil), key...)}
+	key = append([]byte(nil), key...)
+	s := &Signer{}
+	s.macs.New = func() any { return &keyedMAC{h: hmac.New(sha256.New, key)} }
+	return s
+}
+
+// mac computes the service MAC over prefix‖msg into a pooled state's
+// sum, which is the caller's until it hands the state back with
+// s.macs.Put. Reset comes first, so no state carries one message into
+// the next.
+func (s *Signer) mac(prefix, msg []byte) *keyedMAC {
+	m := s.macs.Get().(*keyedMAC)
+	m.h.Reset()
+	m.h.Write(prefix)
+	m.h.Write(msg)
+	m.h.Sum(m.sum[:0])
+	return m
+}
+
+// sum returns the MAC over prefix‖msg as a fresh 32-byte slice, for a
+// caller that keeps it.
+func (s *Signer) sum(prefix, msg []byte) []byte {
+	m := s.mac(prefix, msg)
+	out := append([]byte(nil), m.sum[:]...)
+	s.macs.Put(m)
+	return out
 }
 
 // digest computes the MAC over the class serialized WITHOUT its
@@ -60,9 +96,7 @@ func (s *Signer) digest(cf *classfile.ClassFile) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write(data)
-	return mac.Sum(nil), nil
+	return s.sum(nil, data), nil
 }
 
 // Sign attaches (or replaces) the signature attribute on the class.
@@ -99,21 +133,21 @@ func (s *Signer) Verify(cf *classfile.ClassFile) error {
 
 // sealDomain separates detached seals from class-attribute signatures
 // computed under the same service key.
-const sealDomain = "dvm-seal-v1\x00"
+var sealDomain = []byte("dvm-seal-v1\x00")
 
 // SealBytes returns the service MAC over an arbitrary message — the
 // detached form used for attestation records, where the sealed object
-// is metadata about class bytes rather than the class itself.
-func (s *Signer) SealBytes(msg []byte) []byte {
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write([]byte(sealDomain))
-	mac.Write(msg)
-	return mac.Sum(nil)
-}
+// is metadata about class bytes rather than the class itself. The seal is
+// a fresh 32-byte slice: its caller keeps it.
+func (s *Signer) SealBytes(msg []byte) []byte { return s.sum(sealDomain, msg) }
 
-// VerifySeal reports whether mac is this service's seal over msg.
+// VerifySeal reports whether mac is this service's seal over msg. It
+// compares in constant time and allocates nothing.
 func (s *Signer) VerifySeal(msg, mac []byte) bool {
-	return hmac.Equal(s.SealBytes(msg), mac)
+	m := s.mac(sealDomain, msg)
+	ok := hmac.Equal(m.sum[:], mac)
+	s.macs.Put(m)
+	return ok
 }
 
 // VerifyBytes parses and verifies serialized class bytes.
