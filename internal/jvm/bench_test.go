@@ -2,6 +2,7 @@ package jvm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"dvm/internal/bytecode"
@@ -114,4 +115,26 @@ func BenchmarkGCChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(vm.Stats.ObjectsCollected)/float64(b.N), "collected/op")
+}
+
+// BenchmarkLaunch runs the benchmark's launch app (Cassowary, seed 1)
+// from jvm.New to the end of main, the unit of the bench's set-up and of
+// its jvm.* ledger rows.
+func BenchmarkLaunch(b *testing.B) {
+	launchClasses(b)
+	var instr int64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vm, _, thrown, err := launch(b, nil)
+		if err != nil || thrown != nil {
+			b.Fatalf("launch: err=%v thrown=%s", err, DescribeThrowable(thrown))
+		}
+		instr += vm.Stats.InstructionsExecuted
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/launch")
 }
