@@ -51,11 +51,13 @@ type Method struct {
 	handlers []rtHandler
 	prepared bool
 
-	// Resolution caches, built lazily per call site (the VM is
-	// single-threaded). invokeSites carries an inline cache for virtual
-	// dispatch.
-	invokeSites map[uint16]*invokeSite
-	fieldSites  map[uint16]*fieldSite
+	// links is the method's side table: one slot per instruction whose
+	// operand names the constant pool (ldc*, field access, invocation,
+	// new, anewarray, multianewarray, checkcast, instanceof). prepare
+	// rewrites such an instruction's Index to its slot, and the slot keeps
+	// the constant-pool index. The VM is single-threaded, so a slot is
+	// filled in place.
+	links []link
 
 	Native NativeFunc // non-nil for runtime-provided methods
 }
@@ -63,6 +65,21 @@ type Method struct {
 type rtHandler struct {
 	startIdx, endIdx, handlerIdx int // instruction index range [start, end)
 	catchType                    string
+	catch                        *Class // catchType, once it has resolved
+}
+
+// link is what one instruction's constant-pool operand resolved to. The
+// instruction's first successful execution fills it; a resolution that
+// fails leaves it as it was, so every later execution fails the same
+// way. Class initialization is not part of a link: it is checked on
+// every execution.
+type link struct {
+	cp     uint16 // the constant-pool index the instruction named
+	linked bool   // val holds the constant (ldc, ldc_w, ldc2_w)
+	val    Value
+	class  *Class // new, multianewarray, checkcast, instanceof; anewarray's array class
+	field  *fieldSite
+	call   *invokeSite
 }
 
 // invokeSite caches the resolution of one invocation instruction.
@@ -89,7 +106,9 @@ type fieldSite struct {
 
 // NativeFunc implements a method in Go. It returns the method result (for
 // non-void methods), a thrown Java exception object (nil if none), or an
-// internal VM error.
+// internal VM error. args lives on the thread stack and is valid only
+// until the function returns: a native copies out the Values it keeps,
+// never the slice.
 type NativeFunc func(t *Thread, args []Value) (Value, *Object, error)
 
 // Key returns the lookup key "name desc".
@@ -97,8 +116,11 @@ func (m *Method) Key() string { return m.Name + " " + m.Desc }
 
 func (m *Method) String() string { return m.Class.Name + "." + m.Name + m.Desc }
 
-// prepare decodes bytecode and converts the exception table to
-// instruction-index form; done lazily on first invocation.
+// prepare decodes bytecode, converts the exception table to
+// instruction-index form and gives every instruction that names the
+// constant pool its slot in links; done lazily on first invocation. A
+// method that fails to prepare keeps none of it and fails again on the
+// next invocation.
 func (m *Method) prepare() error {
 	if m.prepared || m.Code == nil {
 		m.prepared = true
@@ -111,13 +133,13 @@ func (m *Method) prepare() error {
 	if err != nil {
 		return fmt.Errorf("jvm: %s: %w", m, err)
 	}
-	m.insts = insts
 	endIdx := func(pc uint16) (int, bool) {
 		if int(pc) == len(m.Code.Bytecode) {
 			return len(insts), true
 		}
 		return pcIdx.At(int(pc))
 	}
+	var handlers []rtHandler
 	for _, h := range m.Code.Handlers {
 		si, ok1 := pcIdx.At(int(h.StartPC))
 		ei, ok2 := endIdx(h.EndPC)
@@ -133,10 +155,40 @@ func (m *Method) prepare() error {
 			}
 			ct = name
 		}
-		m.handlers = append(m.handlers, rtHandler{startIdx: si, endIdx: ei, handlerIdx: hi, catchType: ct})
+		handlers = append(handlers, rtHandler{startIdx: si, endIdx: ei, handlerIdx: hi, catchType: ct})
 	}
+	n := 0
+	for i := range insts {
+		if linksOperand(insts[i].Op) {
+			n++
+		}
+	}
+	var links []link
+	if n > 0 {
+		links = make([]link, 0, n)
+		for i := range insts {
+			if linksOperand(insts[i].Op) {
+				links = append(links, link{cp: insts[i].Index})
+				insts[i].Index = uint16(len(links) - 1)
+			}
+		}
+	}
+	m.insts, m.handlers, m.links = insts, handlers, links
 	m.prepared = true
 	return nil
+}
+
+// linksOperand reports whether op's Index names the constant pool and
+// the instruction gets a slot in Method.links.
+func linksOperand(op bytecode.Opcode) bool {
+	switch op {
+	case bytecode.Ldc, bytecode.LdcW, bytecode.Ldc2W,
+		bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield,
+		bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic, bytecode.Invokeinterface,
+		bytecode.New, bytecode.Anewarray, bytecode.Multianewarray, bytecode.Checkcast, bytecode.Instanceof:
+		return true
+	}
+	return false
 }
 
 // DeclaredMethod returns the method declared directly on c, or nil.

@@ -3,9 +3,11 @@ package jvm
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"dvm/internal/bytecode"
 	"dvm/internal/classfile"
+	"dvm/internal/slab"
 )
 
 // Thread is one Java execution thread. The DVM client runtime is
@@ -20,6 +22,14 @@ type Thread struct {
 
 	frames       []*frame
 	pendingThrow *Object
+
+	// The thread stack. Every activation takes its frame from frameSlab
+	// and its locals, its operand stack and the argument vector of each
+	// call it makes from valueSlab, and hands them back when it returns.
+	// slots counts the Values the live activations hold.
+	frameSlab slab.Slab[frame]
+	valueSlab slab.Slab[Value]
+	slots     int
 }
 
 // VM returns the owning virtual machine.
@@ -36,15 +46,49 @@ func (t *Thread) FrameClasses() []*Class {
 	return out
 }
 
-// frame is one interpreter activation record.
+// frame is one interpreter activation record. locals and stack are
+// capacity-capped views of the thread stack, so an index past either
+// panics instead of reaching a neighbouring frame.
 type frame struct {
 	method *Method
 	locals []Value
 	stack  []Value
 	sp     int
+	pc     int // the instruction being executed
 }
 
-const maxCallDepth = 2048
+func (f *frame) push(v Value) {
+	f.stack[f.sp] = v
+	f.sp++
+}
+
+// push2 pushes a wide value and its pad slot.
+func (f *frame) push2(v Value) {
+	f.stack[f.sp+1] = padV()
+	f.stack[f.sp] = v
+	f.sp += 2
+}
+
+func (f *frame) pop() Value {
+	f.sp--
+	return f.stack[f.sp]
+}
+
+// pop2 pops a wide value and its pad slot.
+func (f *frame) pop2() Value {
+	f.sp -= 2
+	return f.stack[f.sp]
+}
+
+func (f *frame) top() Value { return f.stack[f.sp-1] }
+
+const (
+	maxCallDepth = 2048
+	// maxStackSlots bounds the Values one thread's live activations may
+	// hold (32 MiB). An activation that would pass it throws
+	// StackOverflowError, as one past maxCallDepth does.
+	maxStackSlots = 1 << 20
+)
 
 // vmError is an internal (non-Java) execution error.
 func vmErrorf(m *Method, idx int, format string, args ...any) error {
@@ -64,14 +108,18 @@ func (t *Thread) Invoke(m *Method, args []Value) (Value, *Object, error) {
 	if len(t.frames) >= maxCallDepth {
 		return Value{}, vm.Throw("java/lang/StackOverflowError", m.String()), nil
 	}
+	depth, frameMark := len(t.frames), t.frameSlab.Mark()
+	defer func() {
+		t.frames = t.frames[:depth]
+		t.frameSlab.Release(frameMark)
+	}()
 	if m.Native != nil {
 		// Native frames still appear on the stack so introspection and GC
 		// see them; locals hold the arguments.
-		f := &frame{method: m, locals: args}
+		f := &t.frameSlab.Take(1)[0]
+		*f = frame{method: m, locals: args}
 		t.frames = append(t.frames, f)
-		v, thrown, err := m.Native(t, args)
-		t.frames = t.frames[:len(t.frames)-1]
-		return v, thrown, err
+		return m.Native(t, args)
 	}
 	if m.Code == nil {
 		return Value{}, nil, vmErrorf(m, 0, "invoking abstract or code-less method")
@@ -81,14 +129,22 @@ func (t *Thread) Invoke(m *Method, args []Value) (Value, *Object, error) {
 			return Value{}, nil, err
 		}
 	}
+	nlocals, nslots := int(m.Code.MaxLocals)+1, int(m.Code.MaxLocals)+1+int(m.Code.MaxStack)+2
+	if t.slots+nslots > maxStackSlots {
+		return Value{}, vm.Throw("java/lang/StackOverflowError", m.String()), nil
+	}
 	if vm.OnMethodEnter != nil {
 		vm.OnMethodEnter(m.Class.Name, m.Name)
 	}
-	f := &frame{
-		method: m,
-		locals: make([]Value, int(m.Code.MaxLocals)+1),
-		stack:  make([]Value, int(m.Code.MaxStack)+2),
-	}
+	valueMark, slots := t.valueSlab.Mark(), t.slots
+	defer func() {
+		t.valueSlab.Release(valueMark)
+		t.slots = slots
+	}()
+	mem := t.valueSlab.Take(nslots)
+	f := &t.frameSlab.Take(1)[0]
+	*f = frame{method: m, locals: mem[:nlocals:nlocals], stack: mem[nlocals:nslots:nslots]}
+	clear(f.locals)
 	// Spread arguments into local slots (wide values take two).
 	slot := 0
 	for _, a := range args {
@@ -105,8 +161,8 @@ func (t *Thread) Invoke(m *Method, args []Value) (Value, *Object, error) {
 		}
 	}
 	t.frames = append(t.frames, f)
+	t.slots += nslots
 	v, thrown, err := t.run(f)
-	t.frames = t.frames[:len(t.frames)-1]
 	if vm.OnMethodExit != nil {
 		vm.OnMethodExit(m.Class.Name, m.Name)
 	}
@@ -130,48 +186,74 @@ func (t *Thread) InvokeByName(className, method, desc string, args []Value) (Val
 	return t.Invoke(m, args)
 }
 
+// countLimit is the value of Stats.InstructionsExecuted past which the
+// loop must look at the budget and the opcode trace: never with neither
+// on, at once with the trace on.
+func (vm *VM) countLimit() int64 {
+	switch {
+	case vm.TraceOpcodes:
+		return 0
+	case vm.MaxInstructions > 0:
+		return vm.MaxInstructions
+	}
+	return math.MaxInt64
+}
+
 // run is the interpreter loop for one frame.
-func (t *Thread) run(f *frame) (Value, *Object, error) {
+//
+// Its books are kept exact without a test per instruction of the budget
+// and the trace switch: the counter is compared with one limit, which is
+// recomputed after each instruction that may have run other code. A Go
+// runtime panic in the loop — an operand stack over- or underflow or a
+// local out of range, which only unverified code can cause — ends the
+// run with a VM error naming the method and the instruction; the check
+// is the slice's own bounds check.
+func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			re, ok := r.(runtime.Error)
+			if !ok {
+				panic(r)
+			}
+			v, thrown, err = Value{}, nil, vmErrorf(f.method, f.pc, "%v", re)
+		}
+	}()
 	vm := t.vm
 	m := f.method
 	insts := m.insts
 	idx := 0
+	limit := vm.countLimit()
 
-	push := func(v Value) bool {
-		if f.sp >= len(f.stack) {
-			return false
-		}
-		f.stack[f.sp] = v
-		f.sp++
-		return true
-	}
-	pop := func() Value {
-		f.sp--
-		return f.stack[f.sp]
-	}
-	// push2/pop2 handle wide values with their pad slot.
-	push2 := func(v Value) bool { return push(v) && push(padV()) }
-	pop2 := func() Value {
-		f.sp -= 2
-		return f.stack[f.sp]
-	}
-
-	var thrown *Object
+	// The loop works on register copies of the frame's slices and stack
+	// pointer; push and pop are inlined and never escape. f.sp is written
+	// back (sync) before anything that may allocate a Java object, and so
+	// collect, or run other code, so the collector and every callee see
+	// the frame as an instruction-at-a-time interpreter would leave it.
+	locals, stack, sp := f.locals, f.stack, 0
+	push := func(v Value) { stack[sp] = v; sp++ }
+	push2 := func(v Value) { stack[sp+1] = padV(); stack[sp] = v; sp += 2 }
+	pop := func() Value { sp--; return stack[sp] }
+	pop2 := func() Value { sp -= 2; return stack[sp] }
+	top := func() Value { return stack[sp-1] }
+	sync := func() { f.sp = sp }
+	throw := func(class, msg string) *Object { sync(); return vm.Throw(class, msg) }
 
 	for {
-		if idx < 0 || idx >= len(insts) {
+		if uint(idx) >= uint(len(insts)) {
 			return Value{}, nil, vmErrorf(m, idx, "control fell off the end of the method")
 		}
-		vm.Stats.InstructionsExecuted++
-		if vm.MaxInstructions > 0 && vm.Stats.InstructionsExecuted > vm.MaxInstructions {
-			return Value{}, nil, vmErrorf(m, idx, "instruction budget %d exhausted", vm.MaxInstructions)
-		}
+		f.pc = idx
 		in := &insts[idx]
-		if vm.TraceOpcodes {
-			vm.OpcodeCounts[in.Op]++
+		if vm.Stats.InstructionsExecuted++; vm.Stats.InstructionsExecuted > limit {
+			if vm.MaxInstructions > 0 && vm.Stats.InstructionsExecuted > vm.MaxInstructions {
+				return Value{}, nil, vmErrorf(m, idx, "instruction budget %d exhausted", vm.MaxInstructions)
+			}
+			if vm.TraceOpcodes {
+				vm.OpcodeCounts[in.Op]++
+			}
+			limit = vm.countLimit()
 		}
 		next := idx + 1
-		thrown = nil
 
 		switch in.Op {
 		case bytecode.Nop:
@@ -197,60 +279,60 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		case bytecode.Bipush, bytecode.Sipush:
 			push(IntV(in.Const))
 		case bytecode.Ldc, bytecode.LdcW:
-			v, err := vm.constantValue(m.Class.File.Pool, in.Index)
-			if err != nil {
-				return Value{}, nil, vmErrorf(m, idx, "ldc: %v", err)
+			l := &m.links[in.Index]
+			if !l.linked {
+				sync()
+				if err := t.linkConstant(m, l, false); err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "%v", err)
+				}
 			}
-			if v.Wide() {
-				return Value{}, nil, vmErrorf(m, idx, "ldc of two-slot constant")
-			}
-			push(v)
+			push(l.val)
 		case bytecode.Ldc2W:
-			v, err := vm.constantValue(m.Class.File.Pool, in.Index)
-			if err != nil {
-				return Value{}, nil, vmErrorf(m, idx, "ldc2_w: %v", err)
+			l := &m.links[in.Index]
+			if !l.linked {
+				sync()
+				if err := t.linkConstant(m, l, true); err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "%v", err)
+				}
 			}
-			if !v.Wide() {
-				return Value{}, nil, vmErrorf(m, idx, "ldc2_w of one-slot constant")
-			}
-			push2(v)
+			push2(l.val)
 
 		// Loads.
 		case bytecode.Iload, bytecode.Fload, bytecode.Aload:
-			push(f.locals[in.Index])
+			push(locals[in.Index])
 		case bytecode.Lload, bytecode.Dload:
-			push2(f.locals[in.Index])
+			push2(locals[in.Index])
 		case bytecode.Iload0, bytecode.Iload1, bytecode.Iload2, bytecode.Iload3:
-			push(f.locals[in.Op-bytecode.Iload0])
+			push(locals[in.Op-bytecode.Iload0])
 		case bytecode.Lload0, bytecode.Lload1, bytecode.Lload2, bytecode.Lload3:
-			push2(f.locals[in.Op-bytecode.Lload0])
+			push2(locals[in.Op-bytecode.Lload0])
 		case bytecode.Fload0, bytecode.Fload1, bytecode.Fload2, bytecode.Fload3:
-			push(f.locals[in.Op-bytecode.Fload0])
+			push(locals[in.Op-bytecode.Fload0])
 		case bytecode.Dload0, bytecode.Dload1, bytecode.Dload2, bytecode.Dload3:
-			push2(f.locals[in.Op-bytecode.Dload0])
+			push2(locals[in.Op-bytecode.Dload0])
 		case bytecode.Aload0, bytecode.Aload1, bytecode.Aload2, bytecode.Aload3:
-			push(f.locals[in.Op-bytecode.Aload0])
+			push(locals[in.Op-bytecode.Aload0])
 
 		// Stores.
 		case bytecode.Istore, bytecode.Fstore, bytecode.Astore:
-			f.locals[in.Index] = pop()
+			locals[in.Index] = pop()
 		case bytecode.Lstore, bytecode.Dstore:
-			f.locals[in.Index] = pop2()
-			f.locals[in.Index+1] = padV()
+			locals[in.Index] = pop2()
+			locals[in.Index+1] = padV()
 		case bytecode.Istore0, bytecode.Istore1, bytecode.Istore2, bytecode.Istore3:
-			f.locals[in.Op-bytecode.Istore0] = pop()
+			locals[in.Op-bytecode.Istore0] = pop()
 		case bytecode.Lstore0, bytecode.Lstore1, bytecode.Lstore2, bytecode.Lstore3:
 			i := int(in.Op - bytecode.Lstore0)
-			f.locals[i] = pop2()
-			f.locals[i+1] = padV()
+			locals[i] = pop2()
+			locals[i+1] = padV()
 		case bytecode.Fstore0, bytecode.Fstore1, bytecode.Fstore2, bytecode.Fstore3:
-			f.locals[in.Op-bytecode.Fstore0] = pop()
+			locals[in.Op-bytecode.Fstore0] = pop()
 		case bytecode.Dstore0, bytecode.Dstore1, bytecode.Dstore2, bytecode.Dstore3:
 			i := int(in.Op - bytecode.Dstore0)
-			f.locals[i] = pop2()
-			f.locals[i+1] = padV()
+			locals[i] = pop2()
+			locals[i+1] = padV()
 		case bytecode.Astore0, bytecode.Astore1, bytecode.Astore2, bytecode.Astore3:
-			f.locals[in.Op-bytecode.Astore0] = pop()
+			locals[in.Op-bytecode.Astore0] = pop()
 
 		// Array loads.
 		case bytecode.Iaload, bytecode.Faload, bytecode.Aaload, bytecode.Baload,
@@ -258,24 +340,24 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			i := pop().Int()
 			a := pop().Ref()
 			if a == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "array load")
-				break
+				thrown = throw("java/lang/NullPointerException", "array load")
+				goto throw
 			}
 			if int(i) < 0 || int(i) >= a.Len() {
-				thrown = vm.Throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
-				break
+				thrown = throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
+				goto throw
 			}
 			push(a.Elems[i])
 		case bytecode.Laload, bytecode.Daload:
 			i := pop().Int()
 			a := pop().Ref()
 			if a == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "array load")
-				break
+				thrown = throw("java/lang/NullPointerException", "array load")
+				goto throw
 			}
 			if int(i) < 0 || int(i) >= a.Len() {
-				thrown = vm.Throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
-				break
+				thrown = throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
+				goto throw
 			}
 			push2(a.Elems[i])
 
@@ -286,12 +368,12 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			i := pop().Int()
 			a := pop().Ref()
 			if a == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "array store")
-				break
+				thrown = throw("java/lang/NullPointerException", "array store")
+				goto throw
 			}
 			if int(i) < 0 || int(i) >= a.Len() {
-				thrown = vm.Throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
-				break
+				thrown = throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
+				goto throw
 			}
 			if in.Op == bytecode.Bastore {
 				v = IntV(int32(int8(v.Int())))
@@ -306,12 +388,12 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			i := pop().Int()
 			a := pop().Ref()
 			if a == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "array store")
-				break
+				thrown = throw("java/lang/NullPointerException", "array store")
+				goto throw
 			}
 			if int(i) < 0 || int(i) >= a.Len() {
-				thrown = vm.Throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
-				break
+				thrown = throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
+				goto throw
 			}
 			a.Elems[i] = v
 		case bytecode.Aastore:
@@ -319,16 +401,16 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			i := pop().Int()
 			a := pop().Ref()
 			if a == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "array store")
-				break
+				thrown = throw("java/lang/NullPointerException", "array store")
+				goto throw
 			}
 			if int(i) < 0 || int(i) >= a.Len() {
-				thrown = vm.Throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
-				break
+				thrown = throw("java/lang/ArrayIndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", i, a.Len()))
+				goto throw
 			}
 			if v.R != nil && a.Class.Elem != nil && !v.R.Class.AssignableTo(a.Class.Elem) {
-				thrown = vm.Throw("java/lang/ArrayStoreException", v.R.Class.Name)
-				break
+				thrown = throw("java/lang/ArrayStoreException", v.R.Class.Name)
+				goto throw
 			}
 			a.Elems[i] = v
 
@@ -339,8 +421,7 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			pop()
 			pop()
 		case bytecode.Dup:
-			v := f.stack[f.sp-1]
-			push(v)
+			push(top())
 		case bytecode.DupX1:
 			v1 := pop()
 			v2 := pop()
@@ -356,8 +437,7 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			push(v2)
 			push(v1)
 		case bytecode.Dup2:
-			v1 := f.stack[f.sp-1]
-			v2 := f.stack[f.sp-2]
+			v1, v2 := top(), stack[sp-2]
 			push(v2)
 			push(v1)
 		case bytecode.Dup2X1:
@@ -399,8 +479,8 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		case bytecode.Idiv:
 			b, a := pop().Int(), pop().Int()
 			if b == 0 {
-				thrown = vm.Throw("java/lang/ArithmeticException", "/ by zero")
-				break
+				thrown = throw("java/lang/ArithmeticException", "/ by zero")
+				goto throw
 			}
 			if a == math.MinInt32 && b == -1 {
 				push(IntV(math.MinInt32))
@@ -410,8 +490,8 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		case bytecode.Irem:
 			b, a := pop().Int(), pop().Int()
 			if b == 0 {
-				thrown = vm.Throw("java/lang/ArithmeticException", "% by zero")
-				break
+				thrown = throw("java/lang/ArithmeticException", "% by zero")
+				goto throw
 			}
 			if a == math.MinInt32 && b == -1 {
 				push(IntV(0))
@@ -439,7 +519,7 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			b, a := pop().Int(), pop().Int()
 			push(IntV(a ^ b))
 		case bytecode.Iinc:
-			f.locals[in.Index] = IntV(f.locals[in.Index].Int() + in.Const)
+			locals[in.Index] = IntV(locals[in.Index].Int() + in.Const)
 
 		// Long arithmetic.
 		case bytecode.Ladd:
@@ -454,8 +534,8 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		case bytecode.Ldiv:
 			b, a := pop2().Long(), pop2().Long()
 			if b == 0 {
-				thrown = vm.Throw("java/lang/ArithmeticException", "/ by zero")
-				break
+				thrown = throw("java/lang/ArithmeticException", "/ by zero")
+				goto throw
 			}
 			if a == math.MinInt64 && b == -1 {
 				push2(LongV(math.MinInt64))
@@ -465,8 +545,8 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		case bytecode.Lrem:
 			b, a := pop2().Long(), pop2().Long()
 			if b == 0 {
-				thrown = vm.Throw("java/lang/ArithmeticException", "% by zero")
-				break
+				thrown = throw("java/lang/ArithmeticException", "% by zero")
+				goto throw
 			}
 			if a == math.MinInt64 && b == -1 {
 				push2(LongV(0))
@@ -613,7 +693,7 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			push(retAddrV(next))
 			next = in.Target
 		case bytecode.Ret:
-			ra := f.locals[in.Index]
+			ra := locals[in.Index]
 			if ra.Kind != KindRetAddr {
 				return Value{}, nil, vmErrorf(m, idx, "ret on non-returnAddress local %d", in.Index)
 			}
@@ -655,44 +735,64 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		// Field access.
 		case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
 			var err error
-			thrown, err = t.execField(f, in, push, pop, push2, pop2)
+			sync()
+			thrown, err = t.execField(f, in.Op, &m.links[in.Index])
 			if err != nil {
 				return Value{}, nil, vmErrorf(m, idx, "%v", err)
+			}
+			sp = f.sp
+			limit = vm.countLimit()
+			if thrown != nil {
+				goto throw
 			}
 
 		// Invocations.
 		case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic,
 			bytecode.Invokeinterface:
 			var err error
-			thrown, err = t.execInvoke(f, in, push, push2)
+			sync()
+			thrown, err = t.execInvoke(f, in.Op, &m.links[in.Index])
 			if err != nil {
 				return Value{}, nil, vmErrorf(m, idx, "%v", err)
+			}
+			sp = f.sp
+			limit = vm.countLimit()
+			if thrown != nil {
+				goto throw
 			}
 
 		// Allocation.
 		case bytecode.New:
-			cn, err := m.Class.File.Pool.ClassName(in.Index)
-			if err != nil {
-				return Value{}, nil, vmErrorf(m, idx, "new: %v", err)
+			sync()
+			l := &m.links[in.Index]
+			if l.class == nil {
+				cn, err := m.Class.File.Pool.ClassName(l.cp)
+				if err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "new: %v", err)
+				}
+				if l.class, err = vm.Class(cn); err != nil {
+					thrown = throw("java/lang/NoClassDefFoundError", cn)
+					goto throw
+				}
 			}
-			c, err := vm.Class(cn)
-			if err != nil {
-				thrown = vm.Throw("java/lang/NoClassDefFoundError", cn)
-				break
-			}
-			if th, err := vm.EnsureInitialized(t, c); th != nil || err != nil {
+			if l.class.initState == 0 {
+				th, err := vm.EnsureInitialized(t, l.class)
 				if err != nil {
 					return Value{}, nil, err
 				}
-				thrown = th
-				break
+				limit = vm.countLimit()
+				if th != nil {
+					thrown = th
+					goto throw
+				}
 			}
-			push(RefV(vm.NewInstance(c)))
+			push(RefV(vm.NewInstance(l.class)))
 		case bytecode.Newarray:
 			n := pop().Int()
+			sync()
 			if n < 0 {
-				thrown = vm.Throw("java/lang/NegativeArraySizeException", fmt.Sprint(n))
-				break
+				thrown = throw("java/lang/NegativeArraySizeException", fmt.Sprint(n))
+				goto throw
 			}
 			desc := primDescForAType(in.ArrayType)
 			ac, err := vm.arrayClass(desc)
@@ -702,46 +802,55 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			push(RefV(vm.NewArray(ac, int(n))))
 		case bytecode.Anewarray:
 			n := pop().Int()
+			sync()
 			if n < 0 {
-				thrown = vm.Throw("java/lang/NegativeArraySizeException", fmt.Sprint(n))
-				break
+				thrown = throw("java/lang/NegativeArraySizeException", fmt.Sprint(n))
+				goto throw
 			}
-			cn, err := m.Class.File.Pool.ClassName(in.Index)
-			if err != nil {
-				return Value{}, nil, vmErrorf(m, idx, "anewarray: %v", err)
+			l := &m.links[in.Index]
+			if l.class == nil {
+				cn, err := m.Class.File.Pool.ClassName(l.cp)
+				if err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "anewarray: %v", err)
+				}
+				elemDesc := cn
+				if cn[0] != '[' {
+					elemDesc = "L" + cn + ";"
+				}
+				if l.class, err = vm.arrayClass(elemDesc); err != nil {
+					thrown = throw("java/lang/NoClassDefFoundError", cn)
+					goto throw
+				}
 			}
-			var elemDesc string
-			if cn[0] == '[' {
-				elemDesc = cn
-			} else {
-				elemDesc = "L" + cn + ";"
-			}
-			ac, err := vm.arrayClass(elemDesc)
-			if err != nil {
-				thrown = vm.Throw("java/lang/NoClassDefFoundError", cn)
-				break
-			}
-			push(RefV(vm.NewArray(ac, int(n))))
+			push(RefV(vm.NewArray(l.class, int(n))))
 		case bytecode.Multianewarray:
-			cn, err := m.Class.File.Pool.ClassName(in.Index)
-			if err != nil {
-				return Value{}, nil, vmErrorf(m, idx, "multianewarray: %v", err)
+			l := &m.links[in.Index]
+			var cn string
+			if l.class == nil {
+				var err error
+				if cn, err = m.Class.File.Pool.ClassName(l.cp); err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "multianewarray: %v", err)
+				}
 			}
 			dims := make([]int32, in.Dims)
 			for i := int(in.Dims) - 1; i >= 0; i-- {
 				dims[i] = pop().Int()
 			}
-			neg := false
+			sync()
 			for _, d := range dims {
 				if d < 0 {
-					neg = true
+					thrown = throw("java/lang/NegativeArraySizeException", "")
+					goto throw
 				}
 			}
-			if neg {
-				thrown = vm.Throw("java/lang/NegativeArraySizeException", "")
-				break
+			if l.class == nil {
+				c, err := vm.Class(cn)
+				if err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "multianewarray: %v", err)
+				}
+				l.class = c
 			}
-			arr, err := vm.newMultiArray(cn, dims)
+			arr, err := vm.newMultiArray(l.class, dims)
 			if err != nil {
 				return Value{}, nil, vmErrorf(m, idx, "multianewarray: %v", err)
 			}
@@ -749,42 +858,46 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		case bytecode.Arraylength:
 			a := pop().Ref()
 			if a == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "arraylength")
-				break
+				thrown = throw("java/lang/NullPointerException", "arraylength")
+				goto throw
 			}
 			push(IntV(int32(a.Len())))
 
 		case bytecode.Athrow:
-			ex := pop().Ref()
-			if ex == nil {
-				ex = vm.Throw("java/lang/NullPointerException", "athrow of null")
+			thrown = pop().Ref()
+			if thrown == nil {
+				thrown = throw("java/lang/NullPointerException", "athrow of null")
 			}
-			thrown = ex
+			goto throw
 
 		case bytecode.Checkcast:
-			v := f.stack[f.sp-1]
-			if v.Ref() != nil {
-				target, err := t.resolveClassOperand(in.Index)
-				if err != nil {
-					return Value{}, nil, vmErrorf(m, idx, "checkcast: %v", err)
-				}
-				if !v.Ref().Class.AssignableTo(target) {
-					pop()
-					thrown = vm.Throw("java/lang/ClassCastException",
-						v.Ref().Class.Name+" cannot be cast to "+target.Name)
-				}
+			o := top().Ref()
+			if o == nil {
+				break
+			}
+			sync()
+			target, err := t.classOperand(m, &m.links[in.Index])
+			if err != nil {
+				return Value{}, nil, vmErrorf(m, idx, "checkcast: %v", err)
+			}
+			if !o.Class.AssignableTo(target) {
+				pop()
+				thrown = throw("java/lang/ClassCastException",
+					o.Class.Name+" cannot be cast to "+target.Name)
+				goto throw
 			}
 		case bytecode.Instanceof:
-			v := pop()
-			if v.Ref() == nil {
+			o := pop().Ref()
+			if o == nil {
 				push(IntV(0))
 				break
 			}
-			target, err := t.resolveClassOperand(in.Index)
+			sync()
+			target, err := t.classOperand(m, &m.links[in.Index])
 			if err != nil {
 				return Value{}, nil, vmErrorf(m, idx, "instanceof: %v", err)
 			}
-			if v.Ref().Class.AssignableTo(target) {
+			if o.Class.AssignableTo(target) {
 				push(IntV(1))
 			} else {
 				push(IntV(0))
@@ -793,25 +906,25 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 		// DVM native-format extension opcodes (centralized compilation
 		// service output, §3.4).
 		case bytecode.ExtLoadAdd:
-			push(IntV(f.locals[in.Index].Int() + f.locals[in.ArrayType].Int()))
+			push(IntV(locals[in.Index].Int() + locals[in.ArrayType].Int()))
 		case bytecode.ExtLoadMul:
-			push(IntV(f.locals[in.Index].Int() * f.locals[in.ArrayType].Int()))
+			push(IntV(locals[in.Index].Int() * locals[in.ArrayType].Int()))
 		case bytecode.ExtCmpBranch:
-			a := f.locals[in.Index].Int()
-			b := f.locals[in.ArrayType].Int()
+			a := locals[in.Index].Int()
+			b := locals[in.ArrayType].Int()
 			if intCond(bytecode.Ifeq+bytecode.Opcode(in.Count), a, b) {
 				next = in.Target
 			}
 		case bytecode.ExtIincLoad:
-			v := f.locals[in.Index].Int() + in.Const
-			f.locals[in.Index] = IntV(v)
+			v := locals[in.Index].Int() + in.Const
+			locals[in.Index] = IntV(v)
 			push(IntV(v))
 
 		case bytecode.Monitorenter, bytecode.Monitorexit:
 			o := pop().Ref()
 			if o == nil {
-				thrown = vm.Throw("java/lang/NullPointerException", "monitor on null")
-				break
+				thrown = throw("java/lang/NullPointerException", "monitor on null")
+				goto throw
 			}
 			vm.Stats.MonitorOps++
 
@@ -819,57 +932,93 @@ func (t *Thread) run(f *frame) (Value, *Object, error) {
 			return Value{}, nil, vmErrorf(m, idx, "unimplemented opcode %s", in.Op.Name())
 		}
 
-		if thrown != nil {
-			handlerIdx, ok := t.findHandler(m, idx, thrown)
-			if !ok {
-				return Value{}, thrown, nil
-			}
-			f.sp = 0
-			push(RefV(thrown))
-			next = handlerIdx
-		}
 		idx = next
+		continue
+
+	throw:
+		sync()
+		handlerIdx, ok := t.findHandler(m, idx, thrown)
+		if !ok {
+			return Value{}, thrown, nil
+		}
+		limit = vm.countLimit()
+		sp = 0
+		push(RefV(thrown))
+		idx = handlerIdx
 	}
 }
 
 // findHandler locates the innermost matching exception handler for the
 // instruction index.
 func (t *Thread) findHandler(m *Method, idx int, ex *Object) (int, bool) {
-	for _, h := range m.handlers {
+	for i := range m.handlers {
+		h := &m.handlers[i]
 		if idx < h.startIdx || idx >= h.endIdx {
 			continue
 		}
 		if h.catchType == "" {
 			return h.handlerIdx, true
 		}
-		cc, err := t.vm.Class(h.catchType)
-		if err != nil {
-			continue
+		if h.catch == nil {
+			cc, err := t.vm.Class(h.catchType)
+			if err != nil {
+				continue
+			}
+			h.catch = cc
 		}
-		if ex.Class.AssignableTo(cc) {
+		if ex.Class.AssignableTo(h.catch) {
 			return h.handlerIdx, true
 		}
 	}
 	return 0, false
 }
 
-func (t *Thread) resolveClassOperand(cpIdx uint16) (*Class, error) {
-	m := t.frames[len(t.frames)-1].method
-	cn, err := m.Class.File.Pool.ClassName(cpIdx)
+// classOperand resolves the class a checkcast or instanceof names.
+func (t *Thread) classOperand(m *Method, l *link) (*Class, error) {
+	if l.class != nil {
+		return l.class, nil
+	}
+	cn, err := m.Class.File.Pool.ClassName(l.cp)
 	if err != nil {
 		return nil, err
 	}
-	return t.vm.Class(cn)
+	c, err := t.vm.Class(cn)
+	if err != nil {
+		return nil, err
+	}
+	l.class = c
+	return c, nil
 }
 
-// resolveFieldSite builds (or returns) the cached resolution for a field
-// access instruction.
-func (t *Thread) resolveFieldSite(m *Method, in *bytecode.Inst) (*fieldSite, *Object, error) {
-	if s, ok := m.fieldSites[in.Index]; ok {
-		return s, nil, nil
+// linkConstant resolves the constant an ldc, ldc_w (wide false) or
+// ldc2_w (wide true) loads. A string constant is the object
+// VM.InternString returns, so every execution pushes the same reference.
+func (t *Thread) linkConstant(m *Method, l *link, wide bool) error {
+	op := "ldc"
+	if wide {
+		op = "ldc2_w"
+	}
+	v, err := t.vm.constantValue(m.Class.File.Pool, l.cp)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%s: %v", op, err)
+	case v.Wide() && !wide:
+		return fmt.Errorf("ldc of two-slot constant")
+	case !v.Wide() && wide:
+		return fmt.Errorf("ldc2_w of one-slot constant")
+	}
+	l.val, l.linked = v, true
+	return nil
+}
+
+// resolveFieldSite builds (or returns) the resolution of a field access
+// instruction.
+func (t *Thread) resolveFieldSite(m *Method, op bytecode.Opcode, l *link) (*fieldSite, *Object, error) {
+	if l.field != nil {
+		return l.field, nil, nil
 	}
 	vm := t.vm
-	ref, err := m.Class.File.Pool.Ref(in.Index)
+	ref, err := m.Class.File.Pool.Ref(l.cp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -878,7 +1027,7 @@ func (t *Thread) resolveFieldSite(m *Method, in *bytecode.Inst) (*fieldSite, *Ob
 		return nil, vm.Throw("java/lang/NoClassDefFoundError", ref.Class), nil
 	}
 	s := &fieldSite{ref: ref, wide: ref.Desc == "J" || ref.Desc == "D"}
-	if in.Op == bytecode.Getstatic || in.Op == bytecode.Putstatic {
+	if op == bytecode.Getstatic || op == bytecode.Putstatic {
 		s.static = true
 		holder, slot, ok := owner.StaticSlot(ref.Name, ref.Desc)
 		if !ok {
@@ -893,62 +1042,57 @@ func (t *Thread) resolveFieldSite(m *Method, in *bytecode.Inst) (*fieldSite, *Ob
 		}
 		s.slot = slot
 	}
-	if m.fieldSites == nil {
-		m.fieldSites = make(map[uint16]*fieldSite)
-	}
-	m.fieldSites[in.Index] = s
+	l.field = s
 	return s, nil, nil
 }
 
 // execField implements getstatic/putstatic/getfield/putfield.
-func (t *Thread) execField(f *frame, in *bytecode.Inst,
-	push func(Value) bool, pop func() Value,
-	push2 func(Value) bool, pop2 func() Value) (*Object, error) {
+func (t *Thread) execField(f *frame, op bytecode.Opcode, l *link) (*Object, error) {
 	vm := t.vm
-	s, thrown, err := t.resolveFieldSite(f.method, in)
+	s, thrown, err := t.resolveFieldSite(f.method, op, l)
 	if thrown != nil || err != nil {
 		return thrown, err
 	}
-	switch in.Op {
+	switch op {
 	case bytecode.Getstatic, bytecode.Putstatic:
 		if s.holder.initState == 0 {
 			if th, err := vm.EnsureInitialized(t, s.holder); th != nil || err != nil {
 				return th, err
 			}
 		}
-		if in.Op == bytecode.Getstatic {
+		if op == bytecode.Getstatic {
 			if s.wide {
-				push2(s.holder.GetStatic(s.slot))
+				f.push2(s.holder.GetStatic(s.slot))
 			} else {
-				push(s.holder.GetStatic(s.slot))
+				f.push(s.holder.GetStatic(s.slot))
 			}
 		} else {
 			var v Value
 			if s.wide {
-				v = pop2()
+				v = f.pop2()
 			} else {
-				v = pop()
+				v = f.pop()
 			}
 			s.holder.SetStatic(s.slot, v)
 		}
 	case bytecode.Getfield:
-		o := pop().Ref()
+		o := f.pop().Ref()
 		if o == nil {
 			return vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
 		}
 		if s.wide {
-			push2(o.GetField(s.slot))
+			f.push2(o.GetField(s.slot))
 		} else {
-			push(o.GetField(s.slot))
+			f.push(o.GetField(s.slot))
 		}
 	case bytecode.Putfield:
 		var v Value
 		if s.wide {
-			v = pop2()
+			v = f.pop2()
 		} else {
-			v = pop()
+			v = f.pop()
 		}
-		o := pop().Ref()
+		o := f.pop().Ref()
 		if o == nil {
 			return vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
 		}
@@ -957,14 +1101,14 @@ func (t *Thread) execField(f *frame, in *bytecode.Inst,
 	return nil, nil
 }
 
-// resolveInvokeSite builds (or returns) the cached resolution for one
+// resolveInvokeSite builds (or returns) the resolution of one
 // invocation instruction.
-func (t *Thread) resolveInvokeSite(m *Method, in *bytecode.Inst) (*invokeSite, *Object, error) {
-	if s, ok := m.invokeSites[in.Index]; ok {
-		return s, nil, nil
+func (t *Thread) resolveInvokeSite(m *Method, op bytecode.Opcode, l *link) (*invokeSite, *Object, error) {
+	if l.call != nil {
+		return l.call, nil, nil
 	}
 	vm := t.vm
-	ref, err := m.Class.File.Pool.Ref(in.Index)
+	ref, err := m.Class.File.Pool.Ref(l.cp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -979,42 +1123,47 @@ func (t *Thread) resolveInvokeSite(m *Method, in *bytecode.Inst) (*invokeSite, *
 	s := &invokeSite{
 		ref:      ref,
 		retSlots: mt.Ret.Slots(),
-		hasRecv:  in.Op != bytecode.Invokestatic,
+		hasRecv:  op != bytecode.Invokestatic,
 		total:    mt.ParamSlots(),
 		owner:    owner,
 	}
 	if s.hasRecv {
 		s.total++
 	}
-	if in.Op == bytecode.Invokestatic || in.Op == bytecode.Invokespecial {
+	if op == bytecode.Invokestatic || op == bytecode.Invokespecial {
 		s.resolved = owner.LookupMethod(ref.Name, ref.Desc)
 		if s.resolved == nil {
 			return nil, vm.Throw("java/lang/NoSuchMethodError", ref.String()), nil
 		}
 	}
-	if m.invokeSites == nil {
-		m.invokeSites = make(map[uint16]*invokeSite)
-	}
-	m.invokeSites[in.Index] = s
+	l.call = s
 	return s, nil, nil
 }
 
-// execInvoke implements the four invocation instructions.
-func (t *Thread) execInvoke(f *frame, in *bytecode.Inst,
-	push func(Value) bool, push2 func(Value) bool) (*Object, error) {
+// execInvoke implements the four invocation instructions. The argument
+// vector is taken from the thread stack and handed back when the call
+// returns.
+func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (*Object, error) {
 	vm := t.vm
-	s, thrown, err := t.resolveInvokeSite(f.method, in)
+	s, thrown, err := t.resolveInvokeSite(f.method, op, l)
 	if thrown != nil || err != nil {
 		return thrown, err
 	}
 	if f.sp < s.total {
 		return nil, fmt.Errorf("operand stack underflow invoking %s", s.ref)
 	}
+	if op == bytecode.Invokestatic && s.owner.initState == 0 {
+		if th, err := vm.EnsureInitialized(t, s.owner); th != nil || err != nil {
+			return th, err
+		}
+	}
 	slots := f.stack[f.sp-s.total : f.sp]
 	f.sp -= s.total
 
 	// Collapse slot sequence into argument values (drop pads).
-	args := make([]Value, 0, s.total)
+	mark := t.valueSlab.Mark()
+	defer t.valueSlab.Release(mark)
+	args := t.valueSlab.Take(s.total)[:0]
 	for i := 0; i < len(slots); i++ {
 		args = append(args, slots[i])
 		if slots[i].Wide() {
@@ -1023,15 +1172,8 @@ func (t *Thread) execInvoke(f *frame, in *bytecode.Inst,
 	}
 
 	var callee *Method
-	switch in.Op {
-	case bytecode.Invokestatic:
-		if s.owner.initState == 0 {
-			if th, err := vm.EnsureInitialized(t, s.owner); th != nil || err != nil {
-				return th, err
-			}
-		}
-		callee = s.resolved
-	case bytecode.Invokespecial:
+	switch op {
+	case bytecode.Invokestatic, bytecode.Invokespecial:
 		callee = s.resolved
 	case bytecode.Invokevirtual, bytecode.Invokeinterface:
 		recv := args[0].Ref()
@@ -1056,7 +1198,7 @@ func (t *Thread) execInvoke(f *frame, in *bytecode.Inst,
 	if callee == nil {
 		return vm.Throw("java/lang/NoSuchMethodError", s.ref.String()), nil
 	}
-	if s.hasRecv && args[0].Ref() == nil && in.Op != bytecode.Invokespecial {
+	if s.hasRecv && args[0].Ref() == nil && op != bytecode.Invokespecial {
 		return vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
 	}
 	if callee.Flags&classfile.AccAbstract != 0 {
@@ -1064,6 +1206,9 @@ func (t *Thread) execInvoke(f *frame, in *bytecode.Inst,
 	}
 
 	ret, thrown, err := t.Invoke(callee, args)
+	if slab.Poisoning() {
+		slab.Fill(args, poisonV)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1071,29 +1216,33 @@ func (t *Thread) execInvoke(f *frame, in *bytecode.Inst,
 		return thrown, nil
 	}
 	if s.retSlots == 2 {
-		push2(ret)
+		f.push2(ret)
 	} else if s.retSlots == 1 {
-		push(ret)
+		f.push(ret)
 	}
 	return nil, nil
 }
 
-// newMultiArray recursively allocates a multi-dimensional array.
-// className is the array class internal name (e.g. "[[I").
-func (vm *VM) newMultiArray(className string, dims []int32) (*Object, error) {
-	ac, err := vm.Class(className)
-	if err != nil {
-		return nil, err
-	}
+// poisonV is what an argument vector holds once its call has returned,
+// under slab.PoisonOnReset: a reference with no class, which fails on
+// first use, so a native that kept the vector is caught.
+var poisonV = Value{Kind: KindRef, R: &Object{}}
+
+// newMultiArray recursively allocates a multi-dimensional array of class
+// ac (e.g. "[[I").
+func (vm *VM) newMultiArray(ac *Class, dims []int32) (*Object, error) {
 	arr := vm.NewArray(ac, int(dims[0]))
-	if len(dims) > 1 {
-		elemName := ac.ElemDesc
+	if len(dims) > 1 && len(arr.Elems) > 0 {
+		sub, err := vm.Class(ac.ElemDesc)
+		if err != nil {
+			return nil, err
+		}
 		for i := range arr.Elems {
-			sub, err := vm.newMultiArray(elemName, dims[1:])
+			o, err := vm.newMultiArray(sub, dims[1:])
 			if err != nil {
 				return nil, err
 			}
-			arr.Elems[i] = RefV(sub)
+			arr.Elems[i] = RefV(o)
 		}
 	}
 	return arr, nil
