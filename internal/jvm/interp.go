@@ -88,6 +88,9 @@ const (
 	// hold (32 MiB). An activation that would pass it throws
 	// StackOverflowError, as one past maxCallDepth does.
 	maxStackSlots = 1 << 20
+	// keepSlots is the largest value chunk (2 MiB) a thread keeps once
+	// its outermost activation has returned.
+	keepSlots = 1 << 16
 )
 
 // vmError is an internal (non-Java) execution error.
@@ -108,10 +111,21 @@ func (t *Thread) Invoke(m *Method, args []Value) (Value, *Object, error) {
 	if len(t.frames) >= maxCallDepth {
 		return Value{}, vm.Throw("java/lang/StackOverflowError", m.String()), nil
 	}
-	depth, frameMark := len(t.frames), t.frameSlab.Mark()
+	// Whatever the activation took from the thread stack goes back when
+	// it returns, however it returns.
+	depth, slots := len(t.frames), t.slots
+	frameMark, valueMark := t.frameSlab.Mark(), t.valueSlab.Mark()
 	defer func() {
 		t.frames = t.frames[:depth]
+		t.slots = slots
 		t.frameSlab.Release(frameMark)
+		t.valueSlab.Release(valueMark)
+		if depth == 0 {
+			// Nothing lives below the outermost activation: a chunk that a
+			// deep or wide descent grew is dropped rather than kept for the
+			// life of the VM.
+			t.valueSlab.Reset(keepSlots)
+		}
 	}()
 	if m.Native != nil {
 		// Native frames still appear on the stack so introspection and GC
@@ -136,11 +150,6 @@ func (t *Thread) Invoke(m *Method, args []Value) (Value, *Object, error) {
 	if vm.OnMethodEnter != nil {
 		vm.OnMethodEnter(m.Class.Name, m.Name)
 	}
-	valueMark, slots := t.valueSlab.Mark(), t.slots
-	defer func() {
-		t.valueSlab.Release(valueMark)
-		t.slots = slots
-	}()
 	mem := t.valueSlab.Take(nslots)
 	f := &t.frameSlab.Take(1)[0]
 	*f = frame{method: m, locals: mem[:nlocals:nlocals], stack: mem[nlocals:nslots:nslots]}
