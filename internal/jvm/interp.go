@@ -54,7 +54,6 @@ type frame struct {
 	locals []Value
 	stack  []Value
 	sp     int
-	pc     int // the instruction being executed
 }
 
 func (f *frame) push(v Value) {
@@ -210,34 +209,35 @@ func (vm *VM) countLimit() int64 {
 
 // run is the interpreter loop for one frame.
 //
-// Its books are kept exact without a test per instruction of the budget
-// and the trace switch: the counter is compared with one limit, which is
-// recomputed after each instruction that may have run other code. A Go
-// runtime panic in the loop — an operand stack over- or underflow or a
-// local out of range, which only unverified code can cause — ends the
-// run with a VM error naming the method and the instruction; the check
-// is the slice's own bounds check.
+// The loop does each instruction's own work and one bookkeeping branch:
+// the instruction counter, exact at every point, is compared with a
+// limit (countLimit) that stands in for the budget and the opcode trace
+// and is re-read after every instruction that can run other code.
+//
+// Bad operand-stack or local use, which only unverified code makes,
+// panics on the slice's own bounds check; the deferred recover turns the
+// runtime error into a VM error naming the method and the instruction.
 func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
+	idx := 0
 	defer func() {
 		if r := recover(); r != nil {
 			re, ok := r.(runtime.Error)
 			if !ok {
 				panic(r)
 			}
-			v, thrown, err = Value{}, nil, vmErrorf(f.method, f.pc, "%v", re)
+			v, thrown, err = Value{}, nil, vmErrorf(f.method, idx, "%v", re)
 		}
 	}()
 	vm := t.vm
 	m := f.method
 	insts := m.insts
-	idx := 0
 	limit := vm.countLimit()
 
-	// The loop works on register copies of the frame's slices and stack
-	// pointer; push and pop are inlined and never escape. f.sp is written
-	// back (sync) before anything that may allocate a Java object, and so
-	// collect, or run other code, so the collector and every callee see
-	// the frame as an instruction-at-a-time interpreter would leave it.
+	// The loop works on copies of the frame's slices and stack pointer;
+	// push and pop are inlined and never escape. sync writes sp back to
+	// the frame before anything that may allocate a Java object (and so
+	// collect), load a class or run other code, so the collector and
+	// every callee see the frame as if the loop worked on it directly.
 	locals, stack, sp := f.locals, f.stack, 0
 	push := func(v Value) { stack[sp] = v; sp++ }
 	push2 := func(v Value) { stack[sp+1] = padV(); stack[sp] = v; sp += 2 }
@@ -251,7 +251,6 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 		if uint(idx) >= uint(len(insts)) {
 			return Value{}, nil, vmErrorf(m, idx, "control fell off the end of the method")
 		}
-		f.pc = idx
 		in := &insts[idx]
 		if vm.Stats.InstructionsExecuted++; vm.Stats.InstructionsExecuted > limit {
 			if vm.MaxInstructions > 0 && vm.Stats.InstructionsExecuted > vm.MaxInstructions {
@@ -262,7 +261,6 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 			}
 			limit = vm.countLimit()
 		}
-		next := idx + 1
 
 		switch in.Op {
 		case bytecode.Nop:
@@ -670,61 +668,71 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 			bytecode.Ifgt, bytecode.Ifle:
 			v := pop().Int()
 			if intCond(in.Op, v, 0) {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.IfIcmpeq, bytecode.IfIcmpne, bytecode.IfIcmplt,
 			bytecode.IfIcmpge, bytecode.IfIcmpgt, bytecode.IfIcmple:
 			b, a := pop().Int(), pop().Int()
 			if intCond(in.Op-(bytecode.IfIcmpeq-bytecode.Ifeq), a, b) {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.IfAcmpeq:
 			b, a := pop().Ref(), pop().Ref()
 			if a == b {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.IfAcmpne:
 			b, a := pop().Ref(), pop().Ref()
 			if a != b {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.Ifnull:
 			if pop().Ref() == nil {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.Ifnonnull:
 			if pop().Ref() != nil {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.Goto, bytecode.GotoW:
-			next = in.Target
+			idx = in.Target
+			continue
 		case bytecode.Jsr, bytecode.JsrW:
-			push(retAddrV(next))
-			next = in.Target
+			push(retAddrV(idx + 1))
+			idx = in.Target
+			continue
 		case bytecode.Ret:
 			ra := locals[in.Index]
 			if ra.Kind != KindRetAddr {
 				return Value{}, nil, vmErrorf(m, idx, "ret on non-returnAddress local %d", in.Index)
 			}
-			next = int(ra.I)
+			idx = int(ra.I)
+			continue
 		case bytecode.Tableswitch:
 			v := pop().Int()
 			sw := in.Switch
 			if v >= sw.Low && int64(v) < int64(sw.Low)+int64(len(sw.Targets)) {
-				next = sw.Targets[v-sw.Low]
+				idx = sw.Targets[v-sw.Low]
 			} else {
-				next = sw.Default
+				idx = sw.Default
 			}
+			continue
 		case bytecode.Lookupswitch:
 			v := pop().Int()
 			sw := in.Switch
-			next = sw.Default
+			target := sw.Default
 			lo, hi := 0, len(sw.Keys)-1
 			for lo <= hi {
 				mid := (lo + hi) / 2
 				switch {
 				case sw.Keys[mid] == v:
-					next = sw.Targets[mid]
+					target = sw.Targets[mid]
 					lo = hi + 1
 				case sw.Keys[mid] < v:
 					lo = mid + 1
@@ -732,6 +740,8 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 					hi = mid - 1
 				}
 			}
+			idx = target
+			continue
 
 		// Returns.
 		case bytecode.Ireturn, bytecode.Freturn, bytecode.Areturn:
@@ -922,7 +932,8 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 			a := locals[in.Index].Int()
 			b := locals[in.ArrayType].Int()
 			if intCond(bytecode.Ifeq+bytecode.Opcode(in.Count), a, b) {
-				next = in.Target
+				idx = in.Target
+				continue
 			}
 		case bytecode.ExtIincLoad:
 			v := locals[in.Index].Int() + in.Const
@@ -941,7 +952,7 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 			return Value{}, nil, vmErrorf(m, idx, "unimplemented opcode %s", in.Op.Name())
 		}
 
-		idx = next
+		idx++
 		continue
 
 	throw:
