@@ -56,31 +56,6 @@ type frame struct {
 	sp     int
 }
 
-func (f *frame) push(v Value) {
-	f.stack[f.sp] = v
-	f.sp++
-}
-
-// push2 pushes a wide value and its pad slot.
-func (f *frame) push2(v Value) {
-	f.stack[f.sp+1] = padV()
-	f.stack[f.sp] = v
-	f.sp += 2
-}
-
-func (f *frame) pop() Value {
-	f.sp--
-	return f.stack[f.sp]
-}
-
-// pop2 pops a wide value and its pad slot.
-func (f *frame) pop2() Value {
-	f.sp -= 2
-	return f.stack[f.sp]
-}
-
-func (f *frame) top() Value { return f.stack[f.sp-1] }
-
 const (
 	maxCallDepth = 2048
 	// maxStackSlots bounds the Values one thread's live activations may
@@ -753,31 +728,88 @@ func (t *Thread) run(f *frame) (v Value, thrown *Object, err error) {
 
 		// Field access.
 		case bytecode.Getstatic, bytecode.Putstatic, bytecode.Getfield, bytecode.Putfield:
-			var err error
-			sync()
-			thrown, err = t.execField(f, in.Op, &m.links[in.Index])
-			if err != nil {
-				return Value{}, nil, vmErrorf(m, idx, "%v", err)
+			l := &m.links[in.Index]
+			s := l.field
+			if s == nil {
+				sync()
+				var err error
+				if s, thrown, err = t.resolveFieldSite(m, in.Op, l); err != nil {
+					return Value{}, nil, vmErrorf(m, idx, "%v", err)
+				}
+				limit = vm.countLimit()
+				if thrown != nil {
+					goto throw
+				}
 			}
-			sp = f.sp
-			limit = vm.countLimit()
-			if thrown != nil {
-				goto throw
+			switch in.Op {
+			case bytecode.Getstatic, bytecode.Putstatic:
+				if s.holder.initState == 0 {
+					sync()
+					th, err := vm.EnsureInitialized(t, s.holder)
+					if err != nil {
+						return Value{}, nil, vmErrorf(m, idx, "%v", err)
+					}
+					limit = vm.countLimit()
+					if th != nil {
+						thrown = th
+						goto throw
+					}
+				}
+				switch {
+				case in.Op == bytecode.Putstatic && s.wide:
+					s.holder.SetStatic(s.slot, pop2())
+				case in.Op == bytecode.Putstatic:
+					s.holder.SetStatic(s.slot, pop())
+				case s.wide:
+					push2(s.holder.GetStatic(s.slot))
+				default:
+					push(s.holder.GetStatic(s.slot))
+				}
+			case bytecode.Getfield:
+				o := pop().Ref()
+				if o == nil {
+					thrown = throw("java/lang/NullPointerException", s.ref.String())
+					goto throw
+				}
+				if s.wide {
+					push2(o.GetField(s.slot))
+				} else {
+					push(o.GetField(s.slot))
+				}
+			case bytecode.Putfield:
+				var v Value
+				if s.wide {
+					v = pop2()
+				} else {
+					v = pop()
+				}
+				o := pop().Ref()
+				if o == nil {
+					thrown = throw("java/lang/NullPointerException", s.ref.String())
+					goto throw
+				}
+				o.SetField(s.slot, v)
 			}
 
 		// Invocations.
 		case bytecode.Invokevirtual, bytecode.Invokespecial, bytecode.Invokestatic,
 			bytecode.Invokeinterface:
-			var err error
 			sync()
-			thrown, err = t.execInvoke(f, in.Op, &m.links[in.Index])
+			ret, retSlots, th, err := t.execInvoke(f, in.Op, &m.links[in.Index])
 			if err != nil {
 				return Value{}, nil, vmErrorf(m, idx, "%v", err)
 			}
 			sp = f.sp
 			limit = vm.countLimit()
-			if thrown != nil {
+			if th != nil {
+				thrown = th
 				goto throw
+			}
+			switch retSlots {
+			case 1:
+				push(ret)
+			case 2:
+				push2(ret)
 			}
 
 		// Allocation.
@@ -1066,61 +1098,6 @@ func (t *Thread) resolveFieldSite(m *Method, op bytecode.Opcode, l *link) (*fiel
 	return s, nil, nil
 }
 
-// execField implements getstatic/putstatic/getfield/putfield.
-func (t *Thread) execField(f *frame, op bytecode.Opcode, l *link) (*Object, error) {
-	vm := t.vm
-	s, thrown, err := t.resolveFieldSite(f.method, op, l)
-	if thrown != nil || err != nil {
-		return thrown, err
-	}
-	switch op {
-	case bytecode.Getstatic, bytecode.Putstatic:
-		if s.holder.initState == 0 {
-			if th, err := vm.EnsureInitialized(t, s.holder); th != nil || err != nil {
-				return th, err
-			}
-		}
-		if op == bytecode.Getstatic {
-			if s.wide {
-				f.push2(s.holder.GetStatic(s.slot))
-			} else {
-				f.push(s.holder.GetStatic(s.slot))
-			}
-		} else {
-			var v Value
-			if s.wide {
-				v = f.pop2()
-			} else {
-				v = f.pop()
-			}
-			s.holder.SetStatic(s.slot, v)
-		}
-	case bytecode.Getfield:
-		o := f.pop().Ref()
-		if o == nil {
-			return vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
-		}
-		if s.wide {
-			f.push2(o.GetField(s.slot))
-		} else {
-			f.push(o.GetField(s.slot))
-		}
-	case bytecode.Putfield:
-		var v Value
-		if s.wide {
-			v = f.pop2()
-		} else {
-			v = f.pop()
-		}
-		o := f.pop().Ref()
-		if o == nil {
-			return vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
-		}
-		o.SetField(s.slot, v)
-	}
-	return nil, nil
-}
-
 // resolveInvokeSite builds (or returns) the resolution of one
 // invocation instruction.
 func (t *Thread) resolveInvokeSite(m *Method, op bytecode.Opcode, l *link) (*invokeSite, *Object, error) {
@@ -1160,21 +1137,22 @@ func (t *Thread) resolveInvokeSite(m *Method, op bytecode.Opcode, l *link) (*inv
 	return s, nil, nil
 }
 
-// execInvoke implements the four invocation instructions. The argument
-// vector is taken from the thread stack and handed back when the call
-// returns.
-func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (*Object, error) {
+// execInvoke implements the four invocation instructions: it pops the
+// arguments off f's operand stack and returns the result and how many
+// slots it takes. The argument vector is taken from the thread stack and
+// handed back when the call returns.
+func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (ret Value, retSlots int, thrown *Object, err error) {
 	vm := t.vm
 	s, thrown, err := t.resolveInvokeSite(f.method, op, l)
 	if thrown != nil || err != nil {
-		return thrown, err
+		return Value{}, 0, thrown, err
 	}
 	if f.sp < s.total {
-		return nil, fmt.Errorf("operand stack underflow invoking %s", s.ref)
+		return Value{}, 0, nil, fmt.Errorf("operand stack underflow invoking %s", s.ref)
 	}
 	if op == bytecode.Invokestatic && s.owner.initState == 0 {
 		if th, err := vm.EnsureInitialized(t, s.owner); th != nil || err != nil {
-			return th, err
+			return Value{}, 0, th, err
 		}
 	}
 	slots := f.stack[f.sp-s.total : f.sp]
@@ -1198,7 +1176,7 @@ func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (*Object, err
 	case bytecode.Invokevirtual, bytecode.Invokeinterface:
 		recv := args[0].Ref()
 		if recv == nil {
-			return vm.Throw("java/lang/NullPointerException", "invoke on null receiver: "+s.ref.String()), nil
+			return Value{}, 0, vm.Throw("java/lang/NullPointerException", "invoke on null receiver: "+s.ref.String()), nil
 		}
 		// Monomorphic inline cache: most call sites see one receiver
 		// class.
@@ -1216,31 +1194,23 @@ func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (*Object, err
 		}
 	}
 	if callee == nil {
-		return vm.Throw("java/lang/NoSuchMethodError", s.ref.String()), nil
+		return Value{}, 0, vm.Throw("java/lang/NoSuchMethodError", s.ref.String()), nil
 	}
 	if s.hasRecv && args[0].Ref() == nil && op != bytecode.Invokespecial {
-		return vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
+		return Value{}, 0, vm.Throw("java/lang/NullPointerException", s.ref.String()), nil
 	}
 	if callee.Flags&classfile.AccAbstract != 0 {
-		return vm.Throw("java/lang/AbstractMethodError", callee.String()), nil
+		return Value{}, 0, vm.Throw("java/lang/AbstractMethodError", callee.String()), nil
 	}
 
-	ret, thrown, err := t.Invoke(callee, args)
+	ret, thrown, err = t.Invoke(callee, args)
 	if slab.Poisoning() {
 		slab.Fill(args, poisonV)
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || thrown != nil {
+		return Value{}, 0, thrown, err
 	}
-	if thrown != nil {
-		return thrown, nil
-	}
-	if s.retSlots == 2 {
-		f.push2(ret)
-	} else if s.retSlots == 1 {
-		f.push(ret)
-	}
-	return nil, nil
+	return ret, s.retSlots, nil, nil
 }
 
 // poisonV is what an argument vector holds once its call has returned,
