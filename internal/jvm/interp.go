@@ -24,9 +24,10 @@ type Thread struct {
 	pendingThrow *Object
 
 	// The thread stack. Every activation takes its frame from frameSlab
-	// and its locals, its operand stack and the argument vector of each
-	// call it makes from valueSlab, and hands them back when it returns.
-	// slots counts the Values the live activations hold.
+	// and its locals and operand stack from valueSlab, and hands them
+	// back when it returns; a call's argument vector is the caller's
+	// popped operand slots. slots counts the Values the live activations
+	// hold.
 	frameSlab slab.Slab[frame]
 	valueSlab slab.Slab[Value]
 	slots     int
@@ -1139,8 +1140,7 @@ func (t *Thread) resolveInvokeSite(m *Method, op bytecode.Opcode, l *link) (*inv
 
 // execInvoke implements the four invocation instructions: it pops the
 // arguments off f's operand stack and returns the result and how many
-// slots it takes. The argument vector is taken from the thread stack and
-// handed back when the call returns.
+// slots it takes.
 func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (ret Value, retSlots int, thrown *Object, err error) {
 	vm := t.vm
 	s, thrown, err := t.resolveInvokeSite(f.method, op, l)
@@ -1155,13 +1155,13 @@ func (t *Thread) execInvoke(f *frame, op bytecode.Opcode, l *link) (ret Value, r
 			return Value{}, 0, th, err
 		}
 	}
-	slots := f.stack[f.sp-s.total : f.sp]
+	slots := f.stack[f.sp-s.total : f.sp : f.sp]
 	f.sp -= s.total
 
-	// Collapse slot sequence into argument values (drop pads).
-	mark := t.valueSlab.Mark()
-	defer t.valueSlab.Release(mark)
-	args := t.valueSlab.Take(s.total)[:0]
+	// Collapse the slots into argument values (drop pads) in place: the
+	// vector is the caller's popped operands, dead until the result is
+	// pushed over them.
+	args := slots[:0]
 	for i := 0; i < len(slots); i++ {
 		args = append(args, slots[i])
 		if slots[i].Wide() {
