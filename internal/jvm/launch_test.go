@@ -136,6 +136,19 @@ func TestLaunchCountsUnchanged(t *testing.T) {
 			}
 		})
 	}
+	// The collector sees the frames as before: with collections forced
+	// often, as many run and reclaim as many objects.
+	t.Run("GC", func(t *testing.T) {
+		vm, _, thrown, err := launch(t, func(vm *VM) { vm.SetGCThreshold(64) })
+		if err != nil || thrown != nil {
+			t.Fatalf("launch: err=%v thrown=%s", err, DescribeThrowable(thrown))
+		}
+		if s := vm.Stats; s.GCRuns != 8 || s.ObjectsAllocated != 1900 || s.ObjectsCollected != 1357 {
+			t.Errorf("GCRuns %d, ObjectsAllocated %d, ObjectsCollected %d; want 8, 1900, 1357",
+				s.GCRuns, s.ObjectsAllocated, s.ObjectsCollected)
+		}
+	})
+
 	// A budget of exactly the launch's count is enough.
 	vm, _, thrown, err = launch(t, func(vm *VM) { vm.MaxInstructions = launchInstructions })
 	if err != nil || thrown != nil {

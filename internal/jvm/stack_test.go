@@ -252,3 +252,63 @@ func TestNativeArgsAreNotKept(t *testing.T) {
 		t.Errorf("printed %q, want %q", out.String(), "firstsecond\n")
 	}
 }
+
+// TestCollectorSeesTheOperandStack leaves an object whose only reference
+// is on the operand stack, above the last call, and then runs each
+// allocating instruction with a collection armed: the collector must see
+// the loop's stack pointer as it is, not as the last call left it.
+func TestCollectorSeesTheOperandStack(t *testing.T) {
+	h := classgen.NewClass("demo/Holder", "java/lang/Object")
+	h.Field(classfile.AccPublic, "obj", "Ljava/lang/Object;")
+	h.Method(classfile.AccPublic, "<init>", "()V").
+		ALoad(0).InvokeSpecial("java/lang/Object", "<init>", "()V").
+		ALoad(0).NewDup("java/lang/Object").InvokeSpecial("java/lang/Object", "<init>", "()V").
+		PutField("demo/Holder", "obj", "Ljava/lang/Object;").Return()
+	b := classgen.NewClass("demo/Roots", "java/lang/Object")
+	b.Method(classfile.AccPublic|classfile.AccStatic, "arm", "()V").Return()
+	sites := []struct {
+		name string
+		emit func(m *classgen.MethodBuilder)
+	}{
+		{"new", func(m *classgen.MethodBuilder) { m.New("java/lang/Object") }},
+		{"newarray", func(m *classgen.MethodBuilder) { m.IConst(1).NewArray(bytecode.TInt) }},
+		{"anewarray", func(m *classgen.MethodBuilder) { m.IConst(1).ANewArray("java/lang/Object") }},
+		{"multianewarray", func(m *classgen.MethodBuilder) {
+			m.IConst(1).IConst(1).Raw(bytecode.Inst{Op: bytecode.Multianewarray, Index: b.Pool().AddClass("[[I"), Dims: 2})
+		}},
+		{"ldc", func(m *classgen.MethodBuilder) { m.LdcString("a string no one interned yet") }},
+	}
+	for _, s := range sites {
+		m := b.Method(classfile.AccPublic|classfile.AccStatic, s.name, "()Ljava/lang/Object;")
+		m.NewDup("demo/Holder").InvokeSpecial("demo/Holder", "<init>", "()V")
+		m.InvokeStatic("demo/Roots", "arm", "()V")
+		// The holder goes; its object is reachable only from the stack,
+		// one slot above where the call left the stack pointer.
+		m.GetField("demo/Holder", "obj", "Ljava/lang/Object;").AConstNull().Swap()
+		s.emit(m)
+		m.Pop().Swap().Pop().AReturn()
+	}
+	for _, s := range sites {
+		t.Run(s.name, func(t *testing.T) {
+			vm := newTestVM(t, nil, h, b)
+			vm.RegisterNative("demo/Roots", "arm", "()V", func(t *Thread, args []Value) (Value, *Object, error) {
+				t.vm.SetGCThreshold(1)
+				return Value{}, nil, nil
+			})
+			runs := vm.Stats.GCRuns
+			v, thrown := callStatic(t, vm, "demo/Roots", s.name, "()Ljava/lang/Object;")
+			if thrown != nil || v.Ref() == nil {
+				t.Fatalf("returned %v, thrown %s", v, DescribeThrowable(thrown))
+			}
+			if vm.Stats.GCRuns == runs {
+				t.Fatalf("no collection ran during %s", s.name)
+			}
+			for o := vm.heapHead; o != nil; o = o.next {
+				if o == v.Ref() {
+					return
+				}
+			}
+			t.Errorf("the object on the operand stack was collected during %s", s.name)
+		})
+	}
+}
