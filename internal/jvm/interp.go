@@ -1,6 +1,7 @@
 package jvm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -1056,9 +1057,9 @@ func (t *Thread) linkConstant(m *Method, l *link, wide bool) error {
 	case err != nil:
 		return fmt.Errorf("%s: %v", op, err)
 	case v.Wide() && !wide:
-		return fmt.Errorf("ldc of two-slot constant")
+		return errors.New("ldc of two-slot constant")
 	case !v.Wide() && wide:
-		return fmt.Errorf("ldc2_w of one-slot constant")
+		return errors.New("ldc2_w of one-slot constant")
 	}
 	l.val, l.linked = v, true
 	return nil
