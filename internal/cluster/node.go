@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -103,12 +102,9 @@ type Node struct {
 	// directly, so each exchange's one deadline is its request context and
 	// no redirect is ever followed.
 	peerRT http.RoundTripper
-	// transport is the peer transport the node built for itself (nil when
-	// Config.Transport was supplied): Close drops its idle connections.
-	transport *http.Transport
-	mship     *membership
+	mship  *membership
 	// epochHdr caches the epoch header's value for the current epoch
-	// (epochHeaderValue).
+	// (currentEpoch).
 	epochHdr atomic.Pointer[epochValue]
 
 	ringMu sync.RWMutex
@@ -211,8 +207,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	}
 	n.life, n.stop = context.WithCancel(context.Background())
 	if cfg.Transport == nil {
-		n.transport = newPeerTransport()
-		n.peerRT = n.transport
+		n.peerRT = newPeerTransport()
 	}
 	n.gossip.fails = make(map[string]int)
 	ring, err := NewRing(n.mship.RingMembers(), DefaultVirtualNodes, 0)
@@ -322,38 +317,17 @@ func (n *Node) currentRing() *Ring {
 func (n *Node) Close() {
 	n.stop()
 	n.wg.Wait()
-	if n.transport != nil {
-		n.transport.CloseIdleConnections()
+	if n.cfg.Transport == nil {
+		n.peerRT.(*proxy.HopTransport).CloseIdleConnections()
 	}
 }
 
-// peerWriteBuffer is the peer transport's write buffer: a whole class
-// frame goes out in one write instead of spilling into a per-request
-// copy buffer and a second write.
-const peerWriteBuffer = 16 << 10
-
-// newPeerTransport builds a node's own peer transport: the default
-// transport's dialer and timeouts, with an idle pool per peer that covers
-// the node's own concurrency — one connection per flight that may be
-// talking to that peer at once — so steady peer traffic reuses its
-// connections instead of dialing (http.DefaultTransport keeps two per
-// host, shared by every node in the process). Compression is off: frames
-// are binary and no peer gzips them, so asking for gzip (the transport's
-// own Accept-Encoding header) is a header per exchange that buys nothing.
-func newPeerTransport() *http.Transport {
-	return &http.Transport{
-		Proxy: http.ProxyFromEnvironment,
-		DialContext: (&net.Dialer{
-			Timeout:   30 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
-		MaxIdleConnsPerHost:   proxy.DefaultMaxConcurrent(),
-		IdleConnTimeout:       90 * time.Second,
-		TLSHandshakeTimeout:   10 * time.Second,
-		ExpectContinueTimeout: time.Second,
-		WriteBufferSize:       peerWriteBuffer,
-		DisableCompression:    true,
-	}
+// newPeerTransport builds a node's own peer transport, whose idle pool
+// per peer covers the node's own concurrency — one connection per flight
+// that may be talking to that peer at once — so steady peer traffic
+// reuses its connections instead of dialing.
+func newPeerTransport() *proxy.HopTransport {
+	return &proxy.HopTransport{MaxIdlePerHost: proxy.DefaultMaxConcurrent()}
 }
 
 // Proxy returns the node's local proxy (stats, diagnostics).

@@ -71,22 +71,25 @@ var (
 	frameContentType = []string{batchContentType}
 )
 
-// epochValue is the epoch header's value for one membership epoch.
+// epochValue is the epoch header's value for one membership epoch, and
+// the whole header of an untraced peer request in that epoch.
 type epochValue struct {
-	epoch uint64
-	value []string
+	epoch   uint64
+	value   []string
+	request http.Header
 }
 
-// epochHeaderValue returns the current epoch's header value, built once
-// per epoch and shared read-only, like frameContentType.
-func (n *Node) epochHeaderValue() []string {
+// currentEpoch returns the current epoch's header values, built once per
+// epoch and shared read-only, like frameContentType.
+func (n *Node) currentEpoch() *epochValue {
 	e := n.mship.Epoch()
 	if v := n.epochHdr.Load(); v != nil && v.epoch == e {
-		return v.value
+		return v
 	}
-	v := &epochValue{epoch: e, value: []string{fmtEpoch(e)}}
+	value := []string{fmtEpoch(e)}
+	v := &epochValue{epoch: e, value: value, request: http.Header{"Content-Type": frameContentType, epochKey: value}}
 	n.epochHdr.Store(v)
-	return v.value
+	return v
 }
 
 // maxBatchBytes bounds one batch frame, either direction: a full-size
@@ -171,7 +174,7 @@ func (n *Node) peerEnter(w http.ResponseWriter, r *http.Request, method string, 
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return nil, false
 	}
-	w.Header()[epochKey] = n.epochHeaderValue()
+	w.Header()[epochKey] = n.currentEpoch().value
 	if n.mship.Draining() {
 		w.Header().Set(drainingHeader, "1")
 		w.Header().Set("Retry-After", "1")
@@ -475,9 +478,10 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 	if err != nil {
 		return nil, resilience.Permanent(err)
 	}
-	req.Header = http.Header{"Content-Type": frameContentType, epochKey: n.epochHeaderValue()}
+	ev := n.currentEpoch()
+	req.Header = ev.request
 	if tr != nil {
-		req.Header[traceKey] = []string{tr.ID()}
+		req.Header = http.Header{"Content-Type": frameContentType, epochKey: ev.value, traceKey: {tr.ID()}}
 	}
 	resp, err := n.peerRT.RoundTrip(req)
 	if err != nil {

@@ -247,7 +247,8 @@ type LoaderOptions struct {
 	// Context, when non-nil, is the base context for all fetches.
 	Context context.Context
 	// Transport overrides the HTTP transport (fault injection via
-	// netsim in tests; custom dialers in deployments).
+	// netsim in tests; custom dialers in deployments). Nil = one shared
+	// HopTransport.
 	Transport http.RoundTripper
 	// ProbeInterval is how long HTTPLoaderMulti leaves a failed endpoint
 	// ejected before re-probing it with live traffic (default 2s).
@@ -289,13 +290,13 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 	}
 	transport := opts.Transport
 	if transport == nil {
-		transport = http.DefaultTransport
+		transport = defaultHop
 	}
 	// A RoundTripper only reads a request's header, so one map serves
 	// every request, concurrent ones included. The proxy never compresses
 	// a class, so the loader asks for the identity encoding: left to
-	// itself the transport would ask for gzip and set up a transparent
-	// decompressor on every request for a body that is never gzipped.
+	// itself net/http's transport would ask for gzip and set up a
+	// transparent decompressor for a body that is never gzipped.
 	header := http.Header{clientHeaderKey: {client}, archHeaderKey: {arch}, "Accept-Encoding": {"identity"}}
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
 		var data []byte
