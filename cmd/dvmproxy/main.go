@@ -40,8 +40,8 @@
 // fleet, detects failures (suspect, then dead after 3s), and rebalances
 // the ring on joins and leaves. Each key is replicated to -replication
 // owners, so a node death degrades to a warm replica hit. A peer that
-// stops answering trips a per-link breaker (feeding failure suspicion)
-// and this node degrades to local fetches. /healthz shows the live
+// stops answering opens its link after five failures (feeding failure
+// suspicion) and this node degrades to local fetches. /healthz shows the live
 // membership with per-member state and the view epoch.
 //
 // With -attest-key the fleet cross-checks its rewrites: an owner-side
@@ -141,7 +141,7 @@ func compose(args []string, stderr io.Writer) (*service, error) {
 
 	fl.DurationVar(&pc.FetchTimeout, "fetch-timeout", 10*time.Second, "per-attempt origin fetch deadline (0 = none)")
 	fl.IntVar(&pc.FetchRetries, "retries", 2, "origin fetch retries after the first failed attempt")
-	fl.IntVar(&pc.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that trip the origin breaker and each peer link's breaker (-1 disables)")
+	fl.IntVar(&pc.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that trip the origin breaker (-1 disables)")
 
 	fl.IntVar(&cc.Replication, "replication", 0, "ring owners per key: primary plus warm replicas (0 = default 2, 1 = no replication)")
 	fl.IntVar(&cc.HotThreshold, "hot-threshold", 0, "peer fills of one key before it is replicated into the local cache (0 = default 8, -1 = never)")
@@ -186,7 +186,6 @@ func compose(args []string, stderr io.Writer) (*service, error) {
 	}
 	pc.Pipeline = proxy.ServicePipeline(pol, !noCompile)
 	pc.CacheEnabled = !noCache
-	cc.BreakerThreshold = pc.BreakerThreshold
 	cc.Peers = splitList(peers)
 	cc.AttestKey = []byte(attestKey)
 	return s, nil

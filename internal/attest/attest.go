@@ -5,9 +5,9 @@
 // miscompiling, or bit-flipped node (multi-variant execution, dMVX).
 //
 // The package is deliberately a leaf: it defines the attestation
-// record, the selection policy, the signing authority, and the per-peer
-// suspicion ledger. The quorum *protocol* — dispatching origin bytes to
-// ring successors, comparing votes, breaking ties — lives in
+// record, the selection policy and the signing authority. The quorum
+// *protocol* — dispatching origin bytes to ring successors, comparing
+// votes, breaking ties — and each peer's divergence strikes live in
 // internal/cluster, which owns membership and transport.
 package attest
 
@@ -174,29 +174,11 @@ func (p Policy) QuorumFor(arch, class string) int {
 	return max(p.Quorum, 1)
 }
 
-// QuarantineAfter is the divergence count that quarantines a peer.
-// Three: one divergence is already damning given a deterministic
-// pipeline, but transient memory corruption exists; three independent
-// minority votes do not happen by accident.
-const QuarantineAfter = 3
-
-// Suspicion is one peer's standing in the ledger, as surfaced in
-// /healthz.
-type Suspicion struct {
-	Peer        string `json:"peer"`
-	Divergences int    `json:"divergences"`
-	Quarantined bool   `json:"quarantined"`
-}
-
 // Authority is one node's attestation engine: it signs artifacts that
-// won their vote, verifies artifacts arriving on any hop, and keeps the
-// per-peer suspicion ledger.
+// won their vote and verifies artifacts arriving on any hop.
 type Authority struct {
 	signer *signing.Signer
 	policy Policy
-
-	mu     sync.Mutex
-	ledger map[string]int // peer → divergence count
 }
 
 // Config assembles an Authority.
@@ -212,13 +194,12 @@ func New(cfg Config) *Authority {
 	return &Authority{
 		signer: signing.NewSigner(cfg.Key),
 		policy: cfg.Policy,
-		ledger: make(map[string]int),
 	}
 }
 
-// QuorumFor returns the quorum the policy wants for one key, never
-// consulting the ledger — quarantined peers shrink the candidate pool,
-// not the goal.
+// QuorumFor returns the quorum the policy wants for one key, whatever
+// the peers' standing — quarantined peers shrink the candidate pool, not
+// the goal.
 func (a *Authority) QuorumFor(arch, class string) int {
 	return a.policy.QuorumFor(arch, class)
 }
@@ -307,50 +288,6 @@ func (a *Authority) Verify(att *Attestation, arch, class string, data []byte) er
 		return fmt.Errorf("%w: bad seal", ErrVerify)
 	}
 	return nil
-}
-
-// Divergence records one minority vote by peer and reports whether the
-// peer is now quarantined. The count is sticky: quarantine is an
-// operator-visible state, not something refuted by later agreement —
-// a node that lies once about artifact bytes cannot be trusted by
-// counting the times it told the truth.
-func (a *Authority) Divergence(peer string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.ledger[peer]++
-	return a.ledger[peer] >= QuarantineAfter
-}
-
-// Quarantined reports whether peer has crossed the divergence
-// threshold. Quarantined peers are skipped by peer fill and excluded
-// from variant selection.
-func (a *Authority) Quarantined(peer string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ledger[peer] >= QuarantineAfter
-}
-
-// Divergences returns peer's current ledger count.
-func (a *Authority) Divergences(peer string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ledger[peer]
-}
-
-// Suspicions snapshots the ledger, sorted by peer, for /healthz.
-func (a *Authority) Suspicions() []Suspicion {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Suspicion, 0, len(a.ledger))
-	for p, n := range a.ledger {
-		out = append(out, Suspicion{
-			Peer:        p,
-			Divergences: n,
-			Quarantined: n >= QuarantineAfter,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
 }
 
 // Vote is one variant's answer in a quorum round.

@@ -124,28 +124,6 @@ func TestPolicyQuorumFor(t *testing.T) {
 	}
 }
 
-func TestLedgerQuarantine(t *testing.T) {
-	a := New(Config{Key: []byte("k")})
-	p := "http://evil:1"
-	if a.Quarantined(p) {
-		t.Fatal("fresh peer already quarantined")
-	}
-	if a.Divergence(p) {
-		t.Fatal("quarantined after 1 divergence, want threshold 3")
-	}
-	a.Divergence(p)
-	if !a.Divergence(p) {
-		t.Fatal("not quarantined after 3 divergences")
-	}
-	if !a.Quarantined(p) {
-		t.Fatal("Quarantined disagrees with Divergence return")
-	}
-	sus := a.Suspicions()
-	if len(sus) != 1 || sus[0].Peer != p || sus[0].Divergences != 3 || !sus[0].Quarantined {
-		t.Fatalf("Suspicions = %+v", sus)
-	}
-}
-
 func TestTally(t *testing.T) {
 	self := "http://self"
 	d1, d2, d3, dX := Sum{1}, Sum{2}, Sum{3}, Sum{0xff}

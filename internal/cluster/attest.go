@@ -24,17 +24,18 @@ package cluster
 // never place bytes in a cache.
 //
 // Divergence is corruption evidence, not a transport failure. The
-// minority voter is flagged in the authority's suspicion ledger; after
-// K divergences the peer is quarantined — excluded from variant
-// selection and skipped by the fill chain — and surfaced in /healthz.
+// minority voter takes a strike in its membership entry; after
+// QuarantineAfter strikes the member is quarantined — excluded from
+// variant selection and skipped by the fill chain — and surfaced in
+// /healthz.
 // A divergent first round is re-run at a higher quorum (one extra
 // variant at a time, with no offer) until a strict majority emerges. If
 // the majority contradicts the *local* output, the flight fails: a node
 // never serves bytes its own fleet outvoted. If no majority exists,
 // nothing can be trusted and the flight fails too.
 //
-// Variant dispatch reuses the peer machinery end to end (hop): per-peer
-// circuit breakers, admission backpressure (a pressured or draining
+// Variant dispatch reuses the peer machinery end to end (hop): the
+// peer's link, admission backpressure (a pressured or draining
 // variant sheds with 429 and the owner moves to the next candidate),
 // epoch piggybacking, and trace spans across the hop. A variant that
 // cannot derive answers with a per-item error, which costs the link
@@ -156,8 +157,8 @@ func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, 
 	if majority != local {
 		// This node is the minority: its own pipeline (or memory, or
 		// compiler) produced bytes the fleet outvoted. The flight fails —
-		// corrupt output must never be cached or served — and the local
-		// divergence is in the ledger for the operator to see.
+		// corrupt output must never be cached or served — and the node
+		// strikes itself for the operator to see.
 		return nil, nil, fmt.Errorf("%w: local %.12s, fleet agreed on %.12s", attest.ErrLocalDivergence, local, majority)
 	}
 	voters := []string{n.cfg.Self}
@@ -180,10 +181,7 @@ func (n *Node) variantCandidates(arch, class string) []string {
 	owners := ring.Owners(KeyFor(arch, class), ring.Size())
 	out := make([]string, 0, len(owners))
 	for _, o := range owners {
-		if o == n.cfg.Self || n.authority.Quarantined(o) {
-			continue
-		}
-		if n.mship.State(o) != stateAlive {
+		if o == n.cfg.Self || n.mship.State(o) != stateAlive || n.mship.quarantined(o) {
 			continue
 		}
 		out = append(out, o)
@@ -328,27 +326,17 @@ func commitment(digest attest.Sum) [sha256.Size]byte {
 }
 
 // noteDivergence records one minority vote (or one corrupt payload
-// served) by peer: the divergence counter, the suspicion ledger, and —
-// on crossing the threshold — the quarantine log line. Self-divergence
-// lands in the ledger too; the operator sees a sick node flag itself.
+// served) by peer: the divergence counter, a strike in the peer's entry,
+// and — on crossing the threshold — the quarantine counter.
+// Self-divergence strikes the node itself; the operator sees a sick node
+// flag itself.
 func (n *Node) noteDivergence(peer string) {
 	n.m.AttestDivergence.Inc()
-	already := n.authority.Quarantined(peer)
-	if n.authority.Divergence(peer) && !already {
+	if n.mship.strike(peer) {
 		n.m.AttestQuarantines.Inc()
 	}
 }
 
-// Suspicions exposes the authority's ledger (nil authority = none).
-func (n *Node) Suspicions() []attest.Suspicion {
-	if n.authority == nil {
-		return nil
-	}
-	return n.authority.Suspicions()
-}
-
-// Quarantined reports whether peer has crossed the divergence
-// threshold on this node's ledger.
-func (n *Node) Quarantined(peer string) bool {
-	return n.authority != nil && n.authority.Quarantined(peer)
-}
+// Quarantined reports whether peer has crossed QuarantineAfter strikes
+// on this node.
+func (n *Node) Quarantined(peer string) bool { return n.mship.quarantined(peer) }

@@ -102,9 +102,48 @@ func TestAttestQuorumSealsArtifacts(t *testing.T) {
 		}
 	}
 	for i, n := range c.Nodes {
-		if s := n.Suspicions(); len(s) != 0 {
+		if s := struck(n); len(s) != 0 {
 			t.Errorf("node %d suspicion ledger = %+v, want empty", i, s)
 		}
+	}
+}
+
+// TestClusterSelfDivergenceStrikesItself: a node whose own pipeline is
+// outvoted by its fleet strikes itself, and its PeerViews shows that
+// strike on its own entry and on no other.
+func TestClusterSelfDivergenceStrikesItself(t *testing.T) {
+	const nodes, classes, byz = 3, 12, 2
+	var adversary netsim.Byzantine
+	c, err := cluster.StartLocal(corpus(t, classes), nodes, func(i int) proxy.Config {
+		cfg := verifyingProxyCfg(i)
+		if i == byz {
+			cfg.Pipeline = rewrite.NewPipeline(verifier.Filter(), adversary.Filter())
+		}
+		return cfg
+	}, func(int) cluster.Config {
+		return cluster.Config{Replication: 1, GossipInterval: -1, AttestKey: attestTestKey(), AttestQuorum: 3}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	liar := c.Nodes[byz]
+	var class string
+	for _, name := range classNames(classes) {
+		if liar.Ring().Owner(cluster.KeyFor("dvm", name)) == liar.Self() {
+			class = name
+			break
+		}
+	}
+	if class == "" {
+		t.Fatal("the ring gave the diverging node no key")
+	}
+	if _, err := liar.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: class}); err == nil {
+		t.Fatal("a node served bytes its fleet outvoted")
+	}
+	s := struck(liar)
+	if len(s) != 1 || s[0].Member != liar.Self() || !s[0].Self || s[0].Divergences != 1 {
+		t.Errorf("struck members on the diverging node = %+v, want its own entry with 1 divergence", s)
 	}
 }
 
@@ -117,7 +156,7 @@ func TestAttestQuorumSealsArtifacts(t *testing.T) {
 // is always a 1-1 tie), and (d) refuse to let the Byzantine node serve
 // its own corrupt output (its flight loses the vote and fails).
 func TestAttestByzantineChaos(t *testing.T) {
-	const nodes, classes, quarantineAfter = 4, 90, attest.QuarantineAfter
+	const nodes, classes, quarantineAfter = 4, 90, cluster.QuarantineAfter
 	const byz = 3
 	raw := corpus(t, classes)
 	var adversary netsim.Byzantine
@@ -129,16 +168,15 @@ func TestAttestByzantineChaos(t *testing.T) {
 		return cfg
 	}
 	c, err := cluster.StartLocal(raw, nodes, mkProxy, func(int) cluster.Config {
-		return cluster.Config{
+		// The Byzantine node answers fills for its own keys with 500s (its
+		// flights lose the vote); keep the links closed so the test proves
+		// attestation, not failure detection, contains it.
+		return cluster.WithLink(cluster.Config{
 			Replication:    2,
 			GossipInterval: -1,
 			AttestKey:      attestTestKey(),
 			AttestQuorum:   2,
-			// The Byzantine node answers fills for its own keys with 500s
-			// (its flights lose the vote); keep the breakers closed so the
-			// test proves attestation, not failure detection, contains it.
-			BreakerThreshold: 1000,
-		}
+		}, 1000, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,9 +241,9 @@ func TestAttestByzantineChaos(t *testing.T) {
 		}
 	}
 	byzDivergences := func() int {
-		for _, s := range accuser.Suspicions() {
-			if s.Peer == byzURL {
-				return s.Divergences
+		for _, v := range accuser.PeerViews() {
+			if v.Member == byzURL {
+				return v.Divergences
 			}
 		}
 		return 0
@@ -467,8 +505,19 @@ func TestRejectionAttestsIdentically(t *testing.T) {
 		}
 	}
 	for i, n := range c.Nodes {
-		if s := n.Suspicions(); len(s) != 0 {
+		if s := struck(n); len(s) != 0 {
 			t.Errorf("node %d suspicion ledger = %+v, want empty", i, s)
 		}
 	}
+}
+
+// struck lists the members n holds a divergence strike against.
+func struck(n *cluster.Node) []cluster.PeerView {
+	var out []cluster.PeerView
+	for _, v := range n.PeerViews() {
+		if v.Divergences > 0 {
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -4,7 +4,7 @@ package cluster
 // peer-fill client (fetchPeer) and the handoff pull (pullFrom) must
 // each discard payloads whose attestation is missing or fails
 // re-verification, and only corruption evidence — a digest/seal
-// mismatch, not a mere missing header — may feed the suspicion ledger.
+// mismatch, not a mere missing header — may strike the sender.
 
 import (
 	"bytes"
@@ -19,12 +19,14 @@ import (
 	"dvm/internal/proxy"
 )
 
-// newAttestedTestNode builds a manual-mode node with attestation on.
-// Self is a placeholder URL; the tests talk to stub peers directly.
-func newAttestedTestNode(t *testing.T, key []byte) *Node {
+// newAttestedTestNode builds a manual-mode node with attestation on and
+// peer as a member. Self is a placeholder URL; the tests talk to the stub
+// peer directly.
+func newAttestedTestNode(t *testing.T, key []byte, peer string) *Node {
 	t.Helper()
 	n, err := NewNode(proxy.MapOrigin{}, proxy.Config{CacheEnabled: true}, Config{
 		Self:           "http://127.0.0.1:1",
+		Peers:          []string{peer},
 		GossipInterval: -1,
 		AttestKey:      key,
 	})
@@ -49,17 +51,17 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	}))
 	defer owner.Close()
 
-	n := newAttestedTestNode(t, key)
+	n := newAttestedTestNode(t, key, owner.URL)
 	ctx := context.Background()
 	lookup := proxy.Lookup{Client: "c1", Arch: "dvm", Class: "app/Hop"}
 
-	// Missing attestation: rejected, but not ledgered — it proves a
-	// config mismatch, not corruption.
+	// Missing attestation: rejected, but no strike — it proves a config
+	// mismatch, not corruption.
 	res := n.fetchPeer(ctx, owner.URL, lookup)
 	if res.Art != nil || !errors.Is(res.Err, attest.ErrUnattested) {
 		t.Fatalf("unattested fill = %+v, want failed/ErrUnattested", res)
 	}
-	if got := n.authority.Divergences(owner.URL); got != 0 {
+	if got := n.standing(owner.URL).strikes; got != 0 {
 		t.Errorf("missing attestation ledgered: %d divergences", got)
 	}
 
@@ -70,7 +72,7 @@ func TestFetchPeerRejectsBadAttestation(t *testing.T) {
 	if res.Art != nil || !errors.Is(res.Err, attest.ErrVerify) {
 		t.Fatalf("tampered fill = %+v, want failed/ErrVerify", res)
 	}
-	if got := n.authority.Divergences(owner.URL); got != 1 {
+	if got := n.standing(owner.URL).strikes; got != 1 {
 		t.Errorf("corrupt payload not ledgered: %d divergences, want 1", got)
 	}
 
@@ -111,7 +113,7 @@ func TestPullHandoffRejectsTamperedEntries(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	n := newAttestedTestNode(t, key)
+	n := newAttestedTestNode(t, key, peer.URL)
 	// Only the verifiable entry is accepted.
 	if got := n.pullFrom(context.Background(), peer.URL); got != 1 {
 		t.Fatalf("pullFrom accepted %d entries, want 1", got)
@@ -130,12 +132,18 @@ func TestPullHandoffRejectsTamperedEntries(t *testing.T) {
 		t.Errorf("attest_rejects_total = %d, want 2 (tampered + unattested)", got)
 	}
 	// The sender is accountable for what it hands off: exactly the one
-	// tampered entry is on its ledger. The unattested one proves only a
+	// tampered entry is on its standing. The unattested one proves only a
 	// config mismatch and accuses nobody.
-	if got := n.authority.Divergences(peer.URL); got != 1 {
+	if got := n.standing(peer.URL).strikes; got != 1 {
 		t.Errorf("sender has %d divergences, want 1 (the tampered entry only)", got)
 	}
-	if sus := n.Suspicions(); len(sus) != 1 || sus[0].Peer != peer.URL {
+	var sus []PeerView
+	for _, v := range n.PeerViews() {
+		if v.Divergences > 0 {
+			sus = append(sus, v)
+		}
+	}
+	if len(sus) != 1 || sus[0].Member != peer.URL {
 		t.Errorf("ledger = %+v, want only the sender", sus)
 	}
 }

@@ -66,11 +66,10 @@ func TestClusterPeerBackpressureFallsBackLocally(t *testing.T) {
 	n, err := cluster.NewNode(anyApplet{}, proxy.Config{
 		Pipeline: rewrite.NewPipeline(verifier.Filter()),
 		// Cache off so repeat requests exercise the peer path again.
-	}, cluster.Config{
-		Self:             "http://127.0.0.1:1",
-		Peers:            []string{overloaded.URL},
-		BreakerThreshold: 2, // trips fast if 429s were (wrongly) counted as failures
-	})
+	}, cluster.WithLink(cluster.Config{
+		Self:  "http://127.0.0.1:1",
+		Peers: []string{overloaded.URL},
+	}, 2, 0)) // trips fast if 429s were (wrongly) counted as failures
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +194,11 @@ func TestAbandonedFillIsNoLinkFailure(t *testing.T) {
 	defer slow.Close()
 	defer close(release)
 
-	n, err := cluster.NewNode(anyApplet{}, proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}, cluster.Config{
-		Self:             "http://127.0.0.1:1",
-		Peers:            []string{slow.URL},
-		GossipInterval:   -1,
-		BreakerThreshold: 2,
-	})
+	n, err := cluster.NewNode(anyApplet{}, proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}, cluster.WithLink(cluster.Config{
+		Self:           "http://127.0.0.1:1",
+		Peers:          []string{slow.URL},
+		GossipInterval: -1,
+	}, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +262,7 @@ func TestAbandonedProbeKeepsTheLinkProbing(t *testing.T) {
 	c, err := cluster.StartLocal(anyApplet{}, 2, func(int) proxy.Config {
 		return proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}
 	}, func(i int) cluster.Config {
-		cfg := cluster.Config{GossipInterval: -1, BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond}
+		cfg := cluster.WithLink(cluster.Config{GossipInterval: -1}, 1, 20*time.Millisecond)
 		if i == 0 {
 			cfg.Transport = link
 		}

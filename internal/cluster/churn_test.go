@@ -21,6 +21,7 @@ import (
 	"dvm/internal/cluster"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
+	"dvm/internal/telemetry"
 )
 
 // manualCfg is the deterministic membership config shared by these
@@ -51,8 +52,8 @@ func gossipAll(t *testing.T, nodes []*cluster.Node, skip map[int]bool) {
 
 func memberState(t *testing.T, n *cluster.Node, addr string) string {
 	t.Helper()
-	for _, m := range n.Members() {
-		if m.Addr == addr {
+	for _, m := range n.PeerViews() {
+		if m.Member == addr {
 			return m.State
 		}
 	}
@@ -113,8 +114,7 @@ func TestClusterBreakerTripSuspicion(t *testing.T) {
 	const classes = 12
 	c, err := cluster.StartLocal(corpus(t, classes), 2, verifyingProxyCfg, manualCfg(func(cfg *cluster.Config) {
 		cfg.Replication = 1
-		cfg.BreakerThreshold = 2
-		cfg.BreakerCooldown = time.Minute
+		*cfg = cluster.WithLink(*cfg, 2, time.Minute)
 		cfg.PeerTimeout = 300 * time.Millisecond
 	}))
 	if err != nil {
@@ -134,6 +134,42 @@ func TestClusterBreakerTripSuspicion(t *testing.T) {
 	}
 	if got := memberState(t, c.Nodes[0], dead); got != "suspect" {
 		t.Errorf("breaker trip did not raise suspicion: peer state = %q, want suspect", got)
+	}
+}
+
+// TestClusterTrippedLinkHealth: the link's state and the membership
+// state are one record, so one Health() call shows a tripped link as
+// "open" together with the suspicion its opening raised.
+func TestClusterTrippedLinkHealth(t *testing.T) {
+	const classes = 12
+	c, err := cluster.StartLocal(corpus(t, classes), 2, verifyingProxyCfg, manualCfg(func(cfg *cluster.Config) {
+		cfg.Replication = 1
+		*cfg = cluster.WithLink(*cfg, 1, time.Minute)
+		cfg.SuspectTimeout = time.Hour
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dead := c.Nodes[1].Self()
+	c.Stop(1)
+	for _, class := range classNames(classes) {
+		if _, err := c.Nodes[0].Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: class}); err != nil {
+			t.Fatalf("request during peer outage failed: %s: %v", class, err)
+		}
+	}
+	h := c.Nodes[0].Health()
+	var seen bool
+	for _, m := range h.Ring {
+		if m.Member == dead {
+			seen = true
+			if m.Link != "open" || m.State != telemetry.MemberSuspect {
+				t.Errorf("dead peer in /healthz: link %q, state %q; want open, suspect", m.Link, m.State)
+			}
+		}
+	}
+	if !seen || h.Status != telemetry.StatusDegraded {
+		t.Errorf("/healthz status %q, dead peer listed %v; want degraded, listed", h.Status, seen)
 	}
 }
 
@@ -266,8 +302,7 @@ func TestClusterDrainingRejectsPeerFills(t *testing.T) {
 	const classes = 8
 	c, err := cluster.StartLocal(corpus(t, classes), 2, verifyingProxyCfg, manualCfg(func(cfg *cluster.Config) {
 		cfg.Replication = 1
-		cfg.BreakerThreshold = 1 // a single counted failure would trip it
-		cfg.BreakerCooldown = time.Minute
+		*cfg = cluster.WithLink(*cfg, 1, time.Minute) // a single counted failure would trip it
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +361,7 @@ func TestClusterLiveChurnProperty(t *testing.T) {
 	org := &perKeyOrigin{inner: corpus(t, classes), fetches: make(map[string]int)}
 	c, err := cluster.StartLocal(org, 4, verifyingProxyCfg, manualCfg(func(cfg *cluster.Config) {
 		cfg.Replication = 2
-		cfg.BreakerThreshold = 3
-		cfg.BreakerCooldown = time.Minute
+		*cfg = cluster.WithLink(*cfg, 3, time.Minute)
 	}))
 	if err != nil {
 		t.Fatal(err)

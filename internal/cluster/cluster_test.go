@@ -199,7 +199,7 @@ func TestClusterPeerDownDegradesToLocal(t *testing.T) {
 	const nodes, classes = 4, 24
 	org := &countingOrigin{inner: corpus(t, classes)}
 	c, err := cluster.StartLocal(org, nodes, verifyingProxyCfg, func(int) cluster.Config {
-		return cluster.Config{PeerTimeout: 2 * time.Second, BreakerThreshold: 2, BreakerCooldown: time.Minute}
+		return cluster.WithLink(cluster.Config{PeerTimeout: 2 * time.Second}, 2, time.Minute)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,12 +383,10 @@ func TestClusterChaosPeerFaults(t *testing.T) {
 		lf := netsim.NewLinkFaults(nil)
 		links[next] = lf
 		next++
-		return cluster.Config{
-			Transport:        lf,
-			PeerTimeout:      300 * time.Millisecond,
-			BreakerThreshold: 3,
-			BreakerCooldown:  100 * time.Millisecond,
-		}
+		return cluster.WithLink(cluster.Config{
+			Transport:   lf,
+			PeerTimeout: 300 * time.Millisecond,
+		}, 3, 100*time.Millisecond)
 	})
 	if err != nil {
 		t.Fatal(err)

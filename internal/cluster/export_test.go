@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // ConnCounter counts, for every listener a LocalCluster binds while it is
@@ -83,3 +84,22 @@ func (f *frameEnc) bytes() []byte { return f.appendTo(nil) }
 
 // Metrics exposes a node's metric declaration to the external tests.
 func (n *Node) Metrics() *nodeMetrics { return &n.m }
+
+// WithLink returns cfg with its peer links opening after threshold
+// consecutive counted failures and probing after cooldown (0 keeps the
+// constant).
+func WithLink(cfg Config, threshold int, cooldown time.Duration) Config {
+	cfg.link = linkTimings{threshold, cooldown}
+	return cfg
+}
+
+// standing is a copy of n's entry for addr (the zero entry if addr is no
+// member).
+func (n *Node) standing(addr string) entry {
+	n.mship.mu.Lock()
+	defer n.mship.mu.Unlock()
+	if e := n.mship.entries[addr]; e != nil {
+		return *e
+	}
+	return entry{}
+}

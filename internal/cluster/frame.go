@@ -16,7 +16,6 @@ package cluster
 
 import (
 	"io"
-	"net/http/httptrace"
 	"sync"
 	"sync/atomic"
 
@@ -34,12 +33,6 @@ type frameEnc struct {
 	meta []byte
 	runs [][]byte // closed runs; the open one is meta[from:]
 	from int
-
-	// wrote records that the transport finished writing a request body
-	// read from this frame (doBatch), through trace's WroteRequest hook,
-	// which is built once per encoder.
-	wrote atomic.Bool
-	trace httptrace.ClientTrace
 }
 
 // The largest encoder free keeps: room for any fill, vote or push; a
@@ -49,20 +42,11 @@ const (
 	maxPooledRuns = 64
 )
 
-var framePool = sync.Pool{New: func() any {
-	f := &frameEnc{meta: make([]byte, 0, 256)}
-	f.trace.WroteRequest = func(i httptrace.WroteRequestInfo) {
-		if i.Err == nil {
-			f.wrote.Store(true)
-		}
-	}
-	return f
-}}
+var framePool = sync.Pool{New: func() any { return &frameEnc{meta: make([]byte, 0, 256)} }}
 
 func newFrameEnc() *frameEnc {
 	f := framePool.Get().(*frameEnc)
 	f.meta = proxy.AppendFrameHeader(f.meta[:0])
-	f.wrote.Store(false)
 	return f
 }
 
@@ -126,6 +110,46 @@ func (f *frameEnc) writeTo(w io.Writer) error {
 	}
 	_, err := w.Write(f.meta[f.from:])
 	return err
+}
+
+// frameBody is a request body that reads a frame run by run. Its Close
+// recycles the encoder: an http.RoundTripper closes a request's body once
+// it is done with it, whether or not the exchange succeeded, and perhaps
+// after RoundTrip has returned; a second Close does nothing.
+type frameBody struct {
+	enc    *frameEnc
+	run    int // the run being read; len(runs) is the open metadata run
+	read   int // bytes of it already read
+	closed atomic.Bool
+}
+
+func (b *frameBody) Read(p []byte) (int, error) {
+	if b.closed.Load() {
+		return 0, io.ErrClosedPipe
+	}
+	f, n := b.enc, 0
+	for n < len(p) && b.run <= len(f.runs) {
+		r := f.meta[f.from:]
+		if b.run < len(f.runs) {
+			r = f.runs[b.run]
+		}
+		c := copy(p[n:], r[b.read:])
+		n += c
+		if b.read += c; b.read == len(r) {
+			b.run, b.read = b.run+1, 0
+		}
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+func (b *frameBody) Close() error {
+	if !b.closed.Swap(true) {
+		b.enc.free()
+	}
+	return nil
 }
 
 // appendTo appends the frame, runs joined, to dst.

@@ -4,12 +4,13 @@ package cluster
 // (membership.go) converging. Each round a node POSTs its full view to
 // every known non-dead peer and merges the view that comes back — a
 // bidirectional anti-entropy exchange, so one round between two nodes
-// leaves them identical. Failure evidence flows in from three places:
+// leaves them identical. Failure evidence flows in from three places,
+// the first two counted in the member's entry (membership.go):
 //
-//   - the data path: a peer-fill circuit breaker tripping open marks
-//     the peer suspect (wired in Node.breaker via OnStateChange);
+//   - the data path: the link to a peer opening marks the peer suspect
+//     (Node.hop, membership.settle);
 //   - the control path: two consecutive failed gossip exchanges with a
-//     peer mark it suspect;
+//     peer mark it suspect (membership.settle);
 //   - peers: suspicions and deaths asserted elsewhere arrive by merge.
 //
 // A suspect that stays unrefuted for SuspectTimeout is promoted to dead
@@ -28,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -46,12 +46,6 @@ const maxGossipBytes = 1 << 20
 // gossipFailThreshold is how many consecutive failed exchanges with a
 // peer raise a suspicion (2: one failure is routinely a blip).
 const gossipFailThreshold = 2
-
-// gossipState is the Node's control-path bookkeeping.
-type gossipState struct {
-	mu    sync.Mutex
-	fails map[string]int // consecutive gossip failures per peer
-}
 
 // handleGossip answers POST /peer/v1/gossip: merge the sender's view,
 // answer with ours. After the exchange both sides hold the union.
@@ -101,49 +95,30 @@ func (n *Node) exchange(ctx context.Context, peer string) bool {
 	return true
 }
 
-// gossipRound exchanges views with every known non-dead peer, updates
-// the consecutive-failure counters, and sweeps expired suspects.
+// gossipRound exchanges views with every known non-dead peer, counts
+// each exchange into the peer's entry, and sweeps expired suspects. A
+// successful exchange is direct evidence of life: it clears a local
+// suspicion without waiting for the subject's own refutation to gossip
+// back.
 func (n *Node) gossipRound(ctx context.Context) {
 	peers := n.mship.Peers(func(s memberState) bool { return s != stateDead })
 	for _, p := range peers {
 		if ctx.Err() != nil {
 			return
 		}
-		if n.exchange(ctx, p) {
-			n.gossip.mu.Lock()
-			n.gossip.fails[p] = 0
-			n.gossip.mu.Unlock()
-			// Direct evidence of life clears a local suspicion without
-			// waiting for the subject's own refutation to gossip back.
-			n.mship.Refute(p)
-			continue
+		o := gossipOK
+		if !n.exchange(ctx, p) {
+			n.m.GossipFails.Inc()
+			o = gossipFailed
 		}
-		n.m.GossipFails.Inc()
-		n.gossip.mu.Lock()
-		n.gossip.fails[p]++
-		f := n.gossip.fails[p]
-		n.gossip.mu.Unlock()
-		if f >= gossipFailThreshold {
-			n.suspect(p)
-		}
+		n.mship.settle(p, o)
 	}
 	n.sweep()
 }
 
-// suspect raises a failure suspicion about peer and counts it.
-func (n *Node) suspect(peer string) {
-	if n.mship.State(peer) < stateSuspect {
-		n.m.Suspects.Inc()
-	}
-	n.mship.Suspect(peer)
-}
-
 // sweep promotes expired suspects to dead.
 func (n *Node) sweep() {
-	died := n.mship.SweepSuspects(n.cfg.SuspectTimeout)
-	for range died {
-		n.m.Deaths.Inc()
-	}
+	n.m.Deaths.Add(int64(len(n.mship.SweepSuspects(n.cfg.SuspectTimeout))))
 }
 
 // GossipNow runs one synchronous gossip round (exchange with every
@@ -153,8 +128,8 @@ func (n *Node) sweep() {
 func (n *Node) GossipNow(ctx context.Context) { n.gossipRound(ctx) }
 
 // pokeGossip requests an immediate gossip round (non-blocking; rounds
-// already pending coalesce). Called on epoch mismatches and breaker
-// trips so failure news travels at data-path speed.
+// already pending coalesce). Called on epoch mismatches and links
+// opening so failure news travels at data-path speed.
 func (n *Node) pokeGossip() {
 	select {
 	case n.pokeCh <- struct{}{}:
@@ -181,9 +156,6 @@ func (n *Node) gossipLoop() {
 
 // Epoch returns the node's current membership epoch.
 func (n *Node) Epoch() uint64 { return n.mship.Epoch() }
-
-// Members returns the node's live view of the fleet, sorted by address.
-func (n *Node) Members() []MemberInfo { return n.mship.Snapshot() }
 
 // noteEpoch compares a peer's piggybacked epoch header against ours and
 // pokes a gossip round on mismatch.

@@ -11,7 +11,7 @@ package cluster
 // pipeline run. A quorum-2 voter that agreed already holds them: it kept
 // its own output (attest.go). Seal pushes to the owners that did not. The
 // push queue is a small bounded channel drained by one worker, each push
-// under the peer's breaker and on the node's lifetime: the transform path
+// over the peer's link and on the node's lifetime: the transform path
 // never blocks on replication, under a flood pushes are dropped (counted)
 // rather than queued without bound, and neither a dead owner nor Close
 // waits out a peer timeout per queued push.

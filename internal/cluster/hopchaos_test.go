@@ -31,8 +31,7 @@ func TestClusterChaosOverHopTransport(t *testing.T) {
 		cfg.Transport = meshes[next]
 		cfg.SuspectTimeout = time.Hour // nobody dies in this test
 		cfg.PeerTimeout = 300 * time.Millisecond
-		cfg.BreakerThreshold = 3
-		cfg.BreakerCooldown = 50 * time.Millisecond
+		*cfg = cluster.WithLink(*cfg, 3, 50*time.Millisecond)
 		cfg.AttestKey = []byte("hop-chaos-key")
 		cfg.AttestQuorum = 2
 		next++

@@ -24,18 +24,60 @@ package cluster
 //     equal on two nodes exactly when their views agree, cheap to
 //     piggyback on peer-fill responses as a one-number view digest.
 //
-// Suspicion comes from two sources: the per-peer circuit breaker
-// tripping open (the data path noticed the peer failing) and repeated
-// gossip failures (the control path noticed). A suspect that stays
-// unrefuted for SuspectTimeout is declared dead and leaves the ring.
+// Suspicion comes from two sources: the link to a peer opening (the data
+// path noticed the peer failing) and repeated gossip failures (the
+// control path noticed). A suspect that stays unrefuted for
+// SuspectTimeout is declared dead and leaves the ring.
+//
+// Each entry also carries this node's own standing of the member, never
+// gossiped: the link's state, gossip's failure count and the divergence
+// strikes. Every judgement of a peer is made under the one mutex that
+// guards its membership state, and a report reads them all in one
+// snapshot.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"dvm/internal/resilience"
 	"dvm/internal/telemetry"
+)
+
+// The peer link: linkThreshold consecutive counted failures open it; an
+// open link refuses every hop for linkCooldown, then lets one probe
+// through, whose success closes it and whose failure opens it again.
+const (
+	linkThreshold = 5
+	linkCooldown  = 5 * time.Second
+)
+
+// QuarantineAfter is the divergence count that quarantines a member for
+// the life of the process. Three: one divergence is already damning
+// given a deterministic pipeline, but transient memory corruption
+// exists; three independent minority votes do not happen by accident.
+const QuarantineAfter = 3
+
+// linkTimings overrides the link constants; a zero field keeps its
+// constant.
+type linkTimings struct {
+	threshold int
+	cooldown  time.Duration
+}
+
+// outcome is how an exchange with a peer ended.
+type outcome int
+
+const (
+	linkAlive     outcome = iota // a full answer: direct evidence of life
+	linkShed                     // a 429: an answer, but no refutation
+	linkAbandoned                // the caller gave up: no evidence either way
+	linkFailed                   // a counted failure
+	gossipOK                     // a gossip exchange succeeded
+	gossipFailed
 )
 
 // Member states, ordered by badness: at equal incarnations a merge
@@ -77,8 +119,7 @@ func stateFromString(s string) (memberState, bool) {
 	}
 }
 
-// MemberInfo is one member entry, in both the wire form (gossip JSON)
-// and the diagnostic snapshot.
+// MemberInfo is one member entry in the wire form (gossip JSON).
 type MemberInfo struct {
 	// Addr is the member's peer URL.
 	Addr string `json:"addr"`
@@ -111,9 +152,20 @@ type entry struct {
 	inc   uint64
 	state memberState
 	ver   uint64
-	// suspectedAt is when *this node* learned of the suspicion (local
-	// clock; never gossiped). Drives the suspect -> dead promotion.
+	// The rest is this node's standing of the member, never gossiped:
+	// when it learned of the suspicion (drives the suspect -> dead
+	// promotion); the link's state, consecutive counted failures, when it
+	// last opened and whether its probe is out; consecutive failed gossip
+	// exchanges; and divergence strikes, never reset — a member that lies
+	// once about artifact bytes cannot be trusted by counting the times it
+	// told the truth.
 	suspectedAt time.Time
+	link        resilience.BreakerState
+	linkFails   int
+	openedAt    time.Time
+	probing     bool
+	gossipFails int
+	strikes     int
 }
 
 // rank orders (incarnation, state) pairs for merging.
@@ -126,8 +178,10 @@ func better(a, b *entry) bool {
 
 // membership is one node's convergent view of the fleet.
 type membership struct {
-	self string
-	now  func() time.Time
+	self     string
+	now      func() time.Time
+	link     linkTimings
+	suspects *telemetry.Counter // suspicions this node raised (nil = none counted)
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -221,12 +275,6 @@ func (m *membership) View() View {
 	return v
 }
 
-// Snapshot returns the per-member view for diagnostics and /healthz,
-// sorted by address.
-func (m *membership) Snapshot() []MemberInfo {
-	return m.View().Members
-}
-
 // State returns a member's current state (dead if unknown).
 func (m *membership) State(addr string) memberState {
 	m.mu.Lock()
@@ -276,19 +324,17 @@ func (m *membership) Merge(v View) {
 			// someone observes us fail again.
 			if better(remote, local) {
 				local.inc = remote.inc + 1
-				local.ver = maxU64(local.ver, remote.ver) + 1
+				local.ver = max(local.ver, remote.ver) + 1
 				changed = true
 			}
 			return
 		}
 		if better(remote, local) {
-			if remote.state == stateSuspect && local.state != stateSuspect {
-				remote.suspectedAt = m.now()
-			} else if remote.state == stateSuspect {
-				remote.suspectedAt = local.suspectedAt
+			// The gossiped fields change in place; the standing stays.
+			if st == stateSuspect && local.state != stateSuspect {
+				local.suspectedAt = m.now()
 			}
-			remote.ver = maxU64(local.ver, remote.ver)
-			m.entries[in.Addr] = remote
+			local.inc, local.state, local.ver = remote.inc, st, max(local.ver, remote.ver)
 			changed = true
 		} else if remote.ver > local.ver {
 			local.ver = remote.ver
@@ -306,7 +352,7 @@ func (m *membership) Merge(v View) {
 		}
 	}
 	after := m.ringMembersLocked()
-	ringChanged = !equalStrings(before, after)
+	ringChanged = !slices.Equal(before, after)
 	m.mu.Unlock()
 	m.fire(changed, ringChanged)
 }
@@ -326,14 +372,10 @@ func (m *membership) assert(addr string, st memberState) {
 	if st == stateSuspect {
 		ent.suspectedAt = m.now()
 	}
-	ringChanged := !equalStrings(before, m.ringMembersLocked())
+	ringChanged := !slices.Equal(before, m.ringMembersLocked())
 	m.mu.Unlock()
 	m.fire(true, ringChanged)
 }
-
-// Suspect marks a peer suspected of failure (breaker trip, gossip
-// failures). A no-op if the peer is already suspect or worse.
-func (m *membership) Suspect(addr string) { m.assert(addr, stateSuspect) }
 
 // NoteDraining records a peer's own draining announcement (seen as the
 // X-DVM-Draining response flag before gossip catches up).
@@ -353,27 +395,137 @@ func (m *membership) SweepSuspects(timeout time.Duration) []string {
 			died = append(died, ent.addr)
 		}
 	}
-	ringChanged := len(died) > 0 && !equalStrings(before, m.ringMembersLocked())
+	ringChanged := len(died) > 0 && !slices.Equal(before, m.ringMembersLocked())
 	m.mu.Unlock()
 	m.fire(len(died) > 0, ringChanged)
 	return died
 }
 
-// Refute clears a local suspicion after direct evidence of life (a
-// successful exchange with the peer) when no higher-incarnation claim
-// has arrived yet. The subject's own gossip refutation is the durable
-// fix; this just stops the suspect timer between gossip rounds.
-func (m *membership) Refute(addr string) {
+// linkState is ent's link as the next hop finds it: open turns half-open
+// once the cooldown is over (caller holds mu).
+func (m *membership) linkState(ent *entry) resilience.BreakerState {
+	if ent.link == resilience.Open && m.now().Sub(ent.openedAt) >= cmp.Or(m.link.cooldown, linkCooldown) {
+		return resilience.HalfOpen
+	}
+	return ent.link
+}
+
+// admit asks the link to addr for one exchange: nil lets it through, and
+// the caller settles it; resilience.ErrOpen refuses it. A half-open link
+// admits one probe at a time. Only a member has a link: every peer a hop
+// reaches is an owner or a voter.
+func (m *membership) admit(addr string) error {
 	m.mu.Lock()
-	ent, ok := m.entries[addr]
-	if !ok || ent.state != stateSuspect {
-		m.mu.Unlock()
-		return
+	defer m.mu.Unlock()
+	ent := m.entries[addr]
+	if ent == nil || ent.link == resilience.Closed {
+		return nil
+	}
+	if ent.link = m.linkState(ent); ent.link == resilience.Open || ent.probing {
+		return resilience.ErrOpen
+	}
+	ent.probing = true
+	return nil
+}
+
+// settle records how an exchange with addr ended. A data-path answer
+// resets the link's failure count and closes a probing link, and a full
+// one refutes a suspicion; a caller that gave up hands back the probe; a
+// counted failure at the threshold, or a failed probe, opens the link
+// and raises a suspicion. A gossip exchange refutes, or after
+// gossipFailThreshold consecutive failures suspects, but never moves the
+// link. It reports whether the link opened.
+func (m *membership) settle(addr string, o outcome) (opened bool) {
+	m.mu.Lock()
+	ent, changed := m.entries[addr], false
+	switch {
+	case ent == nil:
+	case o == gossipOK:
+		ent.gossipFails = 0
+		changed = m.refuteLocked(ent)
+	case o == gossipFailed:
+		ent.gossipFails++
+		changed = ent.gossipFails >= gossipFailThreshold && m.suspectLocked(ent)
+	case o == linkAbandoned:
+		ent.probing = false
+	case o == linkFailed:
+		ent.linkFails++
+		opened = ent.link == resilience.HalfOpen || ent.link == resilience.Closed && ent.linkFails >= cmp.Or(m.link.threshold, linkThreshold)
+		if opened {
+			ent.link, ent.openedAt, ent.probing = resilience.Open, m.now(), false
+			changed = m.suspectLocked(ent)
+		}
+	default:
+		ent.linkFails = 0
+		if ent.link == resilience.HalfOpen {
+			ent.link, ent.probing = resilience.Closed, false
+		}
+		changed = o == linkAlive && m.refuteLocked(ent)
+	}
+	m.mu.Unlock()
+	m.fire(changed, false)
+	return opened
+}
+
+// suspectLocked raises a suspicion about ent and counts it; refuteLocked
+// clears one. Each reports whether ent changed (caller holds mu). A
+// suspect keeps its place in the ring, so neither changes the ring.
+func (m *membership) suspectLocked(ent *entry) bool {
+	if ent.addr == m.self || ent.state != stateAlive {
+		return false
+	}
+	ent.state, ent.suspectedAt = stateSuspect, m.now()
+	ent.ver++
+	m.suspects.Inc()
+	return true
+}
+
+func (m *membership) refuteLocked(ent *entry) bool {
+	if ent.state != stateSuspect {
+		return false
 	}
 	ent.state = stateAlive
 	ent.ver++
-	m.mu.Unlock()
-	m.fire(true, false)
+	return true
+}
+
+// strike records one divergence by addr, self included, and reports
+// whether it quarantined the member just now.
+func (m *membership) strike(addr string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ent := m.entries[addr]
+	if ent == nil {
+		return false
+	}
+	ent.strikes++
+	return ent.strikes == QuarantineAfter
+}
+
+// quarantined reports whether addr has crossed QuarantineAfter strikes.
+func (m *membership) quarantined(addr string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ent := m.entries[addr]
+	return ent != nil && ent.strikes >= QuarantineAfter
+}
+
+// views snapshots every member with this node's standing of it, sorted
+// by address.
+func (m *membership) views() []PeerView {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]PeerView, 0, len(m.entries))
+	for _, ent := range m.entries {
+		v := PeerView{Member: ent.addr, Self: ent.addr == m.self, State: ent.state.String(), Link: "-",
+			Divergences: ent.strikes, Quarantined: ent.strikes >= QuarantineAfter}
+		if !v.Self {
+			v.Link = m.linkState(ent).String()
+		}
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Member < out[j].Member })
+	return out
 }
 
 // DrainSelf announces this node's graceful departure: draining at a
@@ -391,7 +543,7 @@ func (m *membership) DrainSelf() {
 	ent.state = stateDraining
 	ent.inc++
 	ent.ver++
-	ringChanged := !equalStrings(before, m.ringMembersLocked())
+	ringChanged := !slices.Equal(before, m.ringMembersLocked())
 	m.mu.Unlock()
 	m.fire(true, ringChanged)
 }
@@ -417,34 +569,4 @@ func (m *membership) Peers(filter func(memberState) bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// counts returns the per-state member counts (telemetry gauges).
-func (m *membership) counts() map[memberState]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[memberState]int, 4)
-	for _, ent := range m.entries {
-		out[ent.state]++
-	}
-	return out
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,10 +7,16 @@ package cluster
 // churn_test.go.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
+
+	"dvm/internal/resilience"
 )
+
+// suspect asserts, as an observer, that addr is failing.
+func suspect(m *membership, addr string) { m.assert(addr, stateSuspect) }
 
 // fakeClock is a manually-advanced time source.
 type fakeClock struct{ t time.Time }
@@ -31,8 +37,8 @@ func TestMembershipMergeCommutative(t *testing.T) {
 	a, _ := mkMembership("a", []string{"b", "c"})
 	b, _ := mkMembership("b", []string{"a", "c"})
 	c, _ := mkMembership("c", []string{"a", "b"})
-	a.Suspect("c")     // a thinks c is failing
-	b.Suspect("c")     // so does b...
+	suspect(a, "c")    // a thinks c is failing
+	suspect(b, "c")    // so does b...
 	b.SweepSuspects(0) // ...and already declared it dead
 	c.DrainSelf()      // c meanwhile announced a graceful drain (higher incarnation)
 	views := []View{a.View(), b.View(), c.View()}
@@ -101,7 +107,7 @@ func TestMembershipSelfRefutation(t *testing.T) {
 		t.Fatalf("after refutation state(self) = %v, want alive", got)
 	}
 	var selfInc uint64
-	for _, mi := range m.Snapshot() {
+	for _, mi := range m.View().Members {
 		if mi.Addr == "a" {
 			selfInc = mi.Incarnation
 		}
@@ -138,7 +144,7 @@ func TestMembershipEpochMonotoneAndAgreement(t *testing.T) {
 			last = e
 		}
 	}
-	a.Suspect("c")
+	suspect(a, "c")
 	check("suspect")
 	a.SweepSuspects(0)
 	check("sweep")
@@ -160,7 +166,7 @@ func TestMembershipEpochMonotoneAndAgreement(t *testing.T) {
 // declared dead and leaves the ring; a refuted suspect is not.
 func TestMembershipSuspectSweep(t *testing.T) {
 	m, clk := mkMembership("a", []string{"b", "c"})
-	m.Suspect("b")
+	suspect(m, "b")
 	if got := m.RingMembers(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Errorf("suspect left the ring early: %v", got)
 	}
@@ -175,8 +181,8 @@ func TestMembershipSuspectSweep(t *testing.T) {
 		t.Errorf("dead member still in ring: %v", got)
 	}
 	// Refutation path: direct evidence of life cancels the timer.
-	m.Suspect("c")
-	m.Refute("c")
+	suspect(m, "c")
+	m.settle("c", gossipOK)
 	clk.advance(2 * time.Second)
 	if died := m.SweepSuspects(time.Second); len(died) != 0 {
 		t.Errorf("refuted suspect still died: %v", died)
@@ -250,5 +256,104 @@ func TestRingOwners(t *testing.T) {
 		if got := r.Owners(key, 0); len(got) != 1 || got[0] != r.Owner(key) {
 			t.Errorf("Owners(%q, 0) = %v, want just the primary", key, got)
 		}
+	}
+}
+
+// TestLedgerQuarantine: QuarantineAfter strikes quarantine a member, and
+// its view reports the strikes.
+func TestLedgerQuarantine(t *testing.T) {
+	p := "http://evil:1"
+	m := newMembership("http://self:1", []string{p}, nil)
+	if m.quarantined(p) {
+		t.Fatal("fresh peer already quarantined")
+	}
+	if m.strike(p) {
+		t.Fatal("quarantined after 1 divergence, want threshold 3")
+	}
+	m.strike(p)
+	if !m.strike(p) {
+		t.Fatal("not quarantined after 3 divergences")
+	}
+	if !m.quarantined(p) {
+		t.Fatal("quarantined disagrees with strike's return")
+	}
+	var struck []PeerView
+	for _, v := range m.views() {
+		if v.Divergences > 0 {
+			struck = append(struck, v)
+		}
+	}
+	if len(struck) != 1 || struck[0].Member != p || struck[0].Divergences != 3 || !struck[0].Quarantined {
+		t.Fatalf("struck members = %+v", struck)
+	}
+}
+
+// TestLinkOpensProbesAndCloses walks one peer's link through its states
+// on a fake clock: linkThreshold counted failures open it and raise a
+// suspicion; after linkCooldown exactly one probe goes out; an abandoned
+// probe hands the slot back, a failed one reopens the link, and a
+// successful one closes it and refutes the suspicion.
+func TestLinkOpensProbesAndCloses(t *testing.T) {
+	clk := newFakeClock()
+	p := "b"
+	m := newMembership("a", []string{p}, clk.now)
+	link := func() string { return m.views()[1].Link }
+	for i := 1; i <= linkThreshold; i++ {
+		if err := m.admit(p); err != nil {
+			t.Fatalf("closed link refused hop %d: %v", i, err)
+		}
+		if opened, last := m.settle(p, linkFailed), i == linkThreshold; opened != last {
+			t.Fatalf("failure %d: opened=%v, want %v", i, opened, last)
+		}
+	}
+	if link() != "open" || m.State(p) != stateSuspect {
+		t.Fatalf("after %d failures: link %s, state %v; want open, suspect", linkThreshold, link(), m.State(p))
+	}
+	if err := m.admit(p); !errors.Is(err, resilience.ErrOpen) {
+		t.Fatalf("open link admitted a hop: %v", err)
+	}
+	clk.advance(linkCooldown)
+	if link() != "half-open" {
+		t.Fatalf("after the cooldown the link reads %s, want half-open", link())
+	}
+	if err := m.admit(p); err != nil {
+		t.Fatalf("the probe was refused: %v", err)
+	}
+	if err := m.admit(p); !errors.Is(err, resilience.ErrOpen) {
+		t.Fatalf("a second probe went out: %v", err)
+	}
+	m.settle(p, linkAbandoned)
+	if err := m.admit(p); err != nil {
+		t.Fatalf("an abandoned probe kept the slot: %v", err)
+	}
+	if !m.settle(p, linkFailed) {
+		t.Fatal("a failed probe did not reopen the link")
+	}
+	if err := m.admit(p); !errors.Is(err, resilience.ErrOpen) {
+		t.Fatalf("reopened link admitted a hop: %v", err)
+	}
+	clk.advance(linkCooldown)
+	if err := m.admit(p); err != nil {
+		t.Fatalf("the second probe was refused: %v", err)
+	}
+	m.settle(p, linkAlive)
+	if link() != "closed" || m.State(p) != stateAlive {
+		t.Fatalf("after a good probe: link %s, state %v; want closed, alive", link(), m.State(p))
+	}
+}
+
+// TestMergeKeepsTheStanding: a merge that replaces a member's gossiped
+// state leaves this node's standing of it — link, strikes — as it was.
+func TestMergeKeepsTheStanding(t *testing.T) {
+	m := newMembership("a", []string{"b"}, newFakeClock().now)
+	for i := 0; i < linkThreshold; i++ {
+		m.admit("b")
+		m.settle("b", linkFailed)
+	}
+	m.strike("b")
+	m.Merge(View{From: "b", Members: []MemberInfo{{Addr: "b", Incarnation: 2, State: "alive", Version: 5}}})
+	v := m.views()[1]
+	if v.State != "alive" || v.Link != "open" || v.Divergences != 1 {
+		t.Fatalf("after a refuting merge: %+v, want alive, link open, 1 divergence", v)
 	}
 }

@@ -60,10 +60,6 @@ type Config struct {
 	HotThreshold int
 	// PeerTimeout bounds one peer class fetch (default 3s).
 	PeerTimeout time.Duration
-	// BreakerThreshold/BreakerCooldown parameterize the per-peer circuit
-	// breakers (defaults as in internal/resilience).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Transport overrides the peer HTTP transport (fault injection via
 	// netsim.LinkFaults / netsim.FaultyTransport). Nil = the node's own
 	// (newPeerTransport), whose idle connections Close releases.
@@ -83,8 +79,12 @@ type Config struct {
 	// AttestQuorum is the variant count per attested key, owner included
 	// (0 or 1 = local-only sealing: today's single-rewrite trust model,
 	// no variant traffic). Every key runs at this quorum. A peer is
-	// quarantined after attest.QuarantineAfter divergences.
+	// quarantined after QuarantineAfter divergences.
 	AttestQuorum int
+
+	// link overrides the peer-link constants (linkThreshold,
+	// linkCooldown) for tests that need other timings.
+	link linkTimings
 }
 
 // defaultHotThreshold is the peer-fill count after which a key is
@@ -110,9 +110,6 @@ type Node struct {
 	ringMu sync.RWMutex
 	ring   *Ring // rebuilt on every membership change; read via currentRing
 
-	breakerMu sync.Mutex
-	breakers  map[string]*resilience.Breaker
-
 	hotMu sync.Mutex
 	hot   map[string]int
 
@@ -123,7 +120,6 @@ type Node struct {
 	// prefetch piggyback and the handoff heat ordering (nil = disabled).
 	predictor *prefetch.Predictor
 
-	gossip    gossipState
 	life      context.Context // ends at Close, with the hops it bounds
 	stop      context.CancelFunc
 	wg        sync.WaitGroup
@@ -142,7 +138,7 @@ type nodeMetrics struct {
 	PeerServed  *telemetry.Counter `metric:"peer_served_total"`  // peer-protocol requests this node answered as owner
 	HotReplicas *telemetry.Counter `metric:"hot_replicas_total"` // keys promoted into the local cache as hot
 	// PeerBackpressure counts fills the owner shed with 429: deliberate
-	// overload backpressure, not peer failures (no breaker penalty).
+	// overload backpressure, not peer failures (no link penalty).
 	PeerBackpressure *telemetry.Counter `metric:"peer_backpressure_total"`
 	GossipRounds     *telemetry.Counter `metric:"gossip_rounds_total"`   // gossip exchanges handled or initiated
 	GossipFails      *telemetry.Counter `metric:"gossip_failures_total"` // failed gossip exchanges
@@ -158,7 +154,7 @@ type nodeMetrics struct {
 	AttestVariants    *telemetry.Counter `metric:"attest_variants_total"`    // variant votes this node served
 	AttestRejects     *telemetry.Counter `metric:"attest_rejects_total"`     // inbound payloads rejected for missing/failed attestation
 	AttestDegraded    *telemetry.Counter `metric:"attest_degraded_total"`    // quorum rounds sealed at 1 because no variant was reachable
-	AttestQuarantines *telemetry.Counter `metric:"attest_quarantines_total"` // peers newly quarantined by this node's ledger
+	AttestQuarantines *telemetry.Counter `metric:"attest_quarantines_total"` // peers newly quarantined by this node's strikes
 	// Prefetch counters (zero when prediction is off).
 	PrefetchPushed   *telemetry.Counter   `metric:"prefetch_pushed_total"`      // successor entries piggybacked onto served fills
 	PrefetchReceived *telemetry.Counter   `metric:"prefetch_received_total"`    // piggybacked entries accepted into the local cache
@@ -199,7 +195,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		cfg:       cfg,
 		peerRT:    cfg.Transport,
 		mship:     newMembership(cfg.Self, peers, nil),
-		breakers:  make(map[string]*resilience.Breaker),
 		hot:       make(map[string]int),
 		pokeCh:    make(chan struct{}, 1),
 		handoffCh: make(chan struct{}, 1),
@@ -209,12 +204,8 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	if cfg.Transport == nil {
 		n.peerRT = newPeerTransport()
 	}
-	n.gossip.fails = make(map[string]int)
-	ring, err := NewRing(n.mship.RingMembers(), DefaultVirtualNodes, 0)
-	if err != nil {
-		return nil, err
-	}
-	n.ring = ring
+	n.mship.link = cfg.link
+	n.rebuildRing()
 	n.mship.onChange = func(ringChanged bool) {
 		if !ringChanged {
 			return
@@ -241,25 +232,14 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	n.local = proxy.New(origin, pcfg)
 	reg := n.local.Telemetry()
 	reg.Declare(&n.m)
+	n.mship.suspects = n.m.Suspects
 	if n.authority != nil {
-		reg.Gauge("attest_quarantined_peers", func() float64 {
-			q := 0
-			for _, s := range n.authority.Suspicions() {
-				if s.Quarantined {
-					q++
-				}
-			}
-			return float64(q)
-		})
+		reg.Gauge("attest_quarantined_peers", func() float64 { return n.countViews(func(v PeerView) bool { return v.Quarantined }) })
 	}
 	reg.Gauge("ring_members", func() float64 { return float64(n.currentRing().Size()) })
 	reg.Gauge("membership_epoch", func() float64 { return float64(n.mship.Epoch()) })
-	for st, name := range map[memberState]string{
-		stateAlive: "membership_alive", stateSuspect: "membership_suspect",
-		stateDead: "membership_dead", stateDraining: "membership_draining",
-	} {
-		st := st
-		reg.Gauge(name, func() float64 { return float64(n.mship.counts()[st]) })
+	for _, st := range []string{telemetry.MemberAlive, telemetry.MemberSuspect, telemetry.MemberDead, telemetry.MemberDraining} {
+		reg.Gauge("membership_"+st, func() float64 { return n.countViews(func(v PeerView) bool { return v.State == st }) })
 	}
 	// Background machinery. Replication pushes always need their worker;
 	// the gossip ticker and the automatic handoff trigger stay off in
@@ -359,34 +339,6 @@ func isLocalOnly(ctx context.Context) bool {
 	return v
 }
 
-// breaker returns (creating on demand) the circuit breaker guarding the
-// link to peer. A breaker tripping open is the data path's failure
-// evidence: it feeds the membership layer's suspicion directly, so a
-// dead peer starts its suspect clock on the first tripped fill rather
-// than waiting for gossip to notice.
-func (n *Node) breaker(peer string) *resilience.Breaker {
-	n.breakerMu.Lock()
-	defer n.breakerMu.Unlock()
-	b, ok := n.breakers[peer]
-	if !ok {
-		peer := peer
-		b = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: n.cfg.BreakerThreshold,
-			Cooldown:  n.cfg.BreakerCooldown,
-			OnStateChange: func(_, to resilience.BreakerState) {
-				if to == resilience.Open {
-					n.suspect(peer)
-					if n.cfg.GossipInterval > 0 {
-						n.pokeGossip()
-					}
-				}
-			},
-		})
-		n.breakers[peer] = b
-	}
-	return b
-}
-
 // noteFill counts a peer fill for key and reports whether the key has
 // crossed the hot threshold and should be replicated locally.
 func (n *Node) noteFill(key string) bool {
@@ -440,8 +392,8 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 			// locally (we were due a copy of this key anyway).
 			return proxy.PeerResult{}
 		}
-		if n.authority != nil && n.authority.Quarantined(owner) {
-			// The ledger says this peer has served divergent bytes: never
+		if n.mship.quarantined(owner) {
+			// Its standing says this peer has served divergent bytes: never
 			// fill from it, even if its link is healthy.
 			n.m.AttestRejects.Inc()
 			last = proxy.PeerResult{Peer: owner, Err: fmt.Errorf("cluster: peer %s quarantined: %w", owner, attest.ErrVerify)}
@@ -472,7 +424,7 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 			return res
 		default:
 			// A failed link, or bytes that failed re-verification
-			// (fromWire already fed the ledger for corrupt payloads).
+			// (fromWire already struck the owner for corrupt payloads).
 			n.m.PeerErrors.Inc()
 		}
 		last = res // try the next owner in the chain
@@ -499,18 +451,15 @@ func (n *Node) Handler() http.Handler {
 }
 
 // Health extends the local proxy's report with the cluster view: the
-// live membership (with per-member state and the epoch) and per-link
-// breaker states. Any open link or non-alive member marks the node
+// live membership (with per-member state and the epoch) and each peer's
+// standing. Any open link or non-alive member marks the node
 // degraded (sharing is impaired even though requests succeed via
 // replicas or the local origin fallback).
 func (n *Node) Health() telemetry.Health {
 	h := n.local.Health()
 	h.Epoch = n.mship.Epoch()
-	for _, v := range n.PeerViews() {
-		h.Ring = append(h.Ring, telemetry.RingMemberHealth{
-			Member: v.Member, State: v.State, Link: v.Link, Self: v.Self,
-			Quarantined: v.Quarantined, Divergences: v.Divergences,
-		})
+	h.Ring = n.PeerViews()
+	for _, v := range h.Ring {
 		if v.Link == resilience.Open.String() || v.State != telemetry.MemberAlive || v.Quarantined {
 			h.Status = telemetry.StatusDegraded
 		}
@@ -518,49 +467,25 @@ func (n *Node) Health() telemetry.Health {
 	return h
 }
 
-// PeerView is one member of the node's live membership view
-// (diagnostics).
-type PeerView struct {
-	Member string
-	Self   bool
-	// State is the member's membership state ("alive", "suspect",
-	// "dead", "draining").
-	State string
-	// Link is the local breaker state for the path to this member
-	// ("closed" = healthy, "open" = presumed down, "-" for self).
-	Link string
-	// Divergences is the member's attestation suspicion count on this
-	// node's ledger; Quarantined marks it past the threshold (excluded
-	// from peer fill and variant selection). Always zero/false when
-	// attestation is off.
-	Divergences int
-	Quarantined bool
-}
+// PeerView is one member of the node's live membership view with this
+// node's standing of it, as /healthz reports it.
+type PeerView = telemetry.RingMemberHealth
 
-// PeerViews snapshots the live membership with per-link health, sorted
-// by member. Unlike the ring (alive + suspect only) this includes dead
-// and draining members — the fleet's obituaries are diagnostic signal.
-func (n *Node) PeerViews() []PeerView {
-	out := make([]PeerView, 0, 4)
-	for _, m := range n.mship.Snapshot() {
-		v := PeerView{Member: m.Addr, Self: m.Addr == n.cfg.Self, State: m.State, Link: "-"}
-		if !v.Self {
-			n.breakerMu.Lock()
-			b := n.breakers[m.Addr]
-			n.breakerMu.Unlock()
-			if b == nil {
-				v.Link = "closed"
-			} else {
-				v.Link = b.State().String()
-			}
+// PeerViews snapshots the live membership with this node's standing of
+// each member, in one read, sorted by member. Unlike the ring (alive +
+// suspect only) this includes dead and draining members — the fleet's
+// obituaries are diagnostic signal.
+func (n *Node) PeerViews() []PeerView { return n.mship.views() }
+
+// countViews counts the members whose view matches (telemetry gauges).
+func (n *Node) countViews(match func(PeerView) bool) float64 {
+	c := 0
+	for _, v := range n.PeerViews() {
+		if match(v) {
+			c++
 		}
-		if n.authority != nil {
-			v.Divergences = n.authority.Divergences(m.Addr)
-			v.Quarantined = n.authority.Quarantined(m.Addr)
-		}
-		out = append(out, v)
 	}
-	return out
+	return float64(c)
 }
 
 // PeerErrors returns the count of failed peer fills (diagnostics).

@@ -78,7 +78,7 @@ func TestNearFullPoolRejectedFleetWide(t *testing.T) {
 		}
 	}
 	for i, n := range c.Nodes {
-		if s := n.Suspicions(); len(s) != 0 {
+		if s := struck(n); len(s) != 0 {
 			t.Errorf("node %d suspicion ledger = %+v, want empty", i, s)
 		}
 	}

@@ -28,13 +28,11 @@ package cluster
 // under pressure itself: speculation must never compete with real load.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptrace"
 	"strconv"
 	"strings"
 	"time"
@@ -443,41 +441,23 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 // back shifted into the local timeline; an untraced one sends and reads
 // neither trace header. The request goes straight to the node's
 // transport, so timeout is the exchange's one deadline, and a transport
-// error names the peer. A 429 is returned as ErrOverloaded (with the
-// draining note recorded) so callers treat it as a healthy shed.
+// error names the peer. The body reads the frame's runs in place, and the
+// transport's Close of it recycles the encoder. A 429 is returned as
+// ErrOverloaded (with the draining note recorded) so callers treat it as
+// a healthy shed.
 func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest, timeout time.Duration, frame *[]byte) (*BatchResponse, error) {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	enc := breq.encode()
-	// The encoder, and the buffer its runs are joined in, are recycled only
-	// after a write that succeeded: after a failed one the transport may
-	// replay the body from the same bytes. (No caller puts a client trace
-	// of its own on ctx, which would be composed into the recycled one.)
-	ctx = httptrace.WithClientTrace(ctx, &enc.trace)
-	body := enc.meta
-	var joined *[]byte
-	if len(enc.runs) > 0 {
-		// The transport sends a *bytes.Reader body with its headers in one
-		// write, any other reader through a header flush and a copy buffer of
-		// its own: join the runs in a recycled buffer.
-		joined = proxy.GetBuffer()
-		body = enc.appendTo((*joined)[:0])
-		*joined = body
-	}
-	defer func() {
-		if enc.wrote.Load() {
-			if joined != nil {
-				proxy.PutBuffer(joined)
-			}
-			enc.free()
-		}
-	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
+	body := &frameBody{enc: enc}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, body)
 	if err != nil {
+		body.Close()
 		return nil, resilience.Permanent(err)
 	}
+	req.ContentLength = int64(enc.size())
 	ev := n.currentEpoch()
 	req.Header = ev.request
 	if tr != nil {
@@ -523,28 +503,29 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 	return &br, nil
 }
 
-// hop is doBatch under peer's circuit breaker: a 429 (backpressure or
-// drain) is a healthy shed, a caller that gave up (its context ended)
-// proves nothing about the link, and anything else feeds the breaker like
-// any other peer-protocol failure. A per-item error inside a good answer
-// — a variant that cannot derive — is a success for the link. frame is
-// doBatch's.
+// hop is doBatch over the link the peer's entry keeps: an open link
+// refuses at once (resilience.ErrOpen), a 429 (backpressure or drain) is
+// a healthy shed, a caller that gave up proves nothing about the link,
+// and anything else is a counted failure. A per-item error inside a good
+// answer — a variant that cannot derive — is a success for the link. A
+// link that opens pokes gossip. frame is doBatch's.
 func (n *Node) hop(ctx context.Context, peer, path string, breq BatchRequest, frame *[]byte) (*BatchResponse, error) {
-	b := n.breaker(peer)
-	if err := b.Allow(); err != nil {
+	if err := n.mship.admit(peer); err != nil {
 		return nil, err
 	}
 	br, err := n.doBatch(ctx, peer, path, breq, n.cfg.PeerTimeout, frame)
+	o := linkAlive
 	switch {
 	case err == nil:
-		b.Success()
-		n.mship.Refute(peer) // direct evidence of life
 	case errors.Is(err, proxy.ErrOverloaded):
-		b.Success()
+		o = linkShed
 	case ctx.Err() == nil:
-		b.Failure()
+		o = linkFailed
 	default:
-		b.Cancel()
+		o = linkAbandoned
+	}
+	if n.mship.settle(peer, o) && n.cfg.GossipInterval > 0 {
+		n.pokeGossip()
 	}
 	return br, err
 }
@@ -563,7 +544,7 @@ func entryError(peer string, be BatchError) error {
 }
 
 // fetchPeer performs one fill against an owner over the batch protocol,
-// under the owner's breaker (hop), and ingests the prefetch entries the
+// over the owner's link (hop), and ingests the prefetch entries the
 // owner piggybacked beside the fill. The answer is read into a recycled
 // buffer. When its lone entry is the fill, the artifact aliases it and
 // the buffer goes with the result (PeerResult.Frame); otherwise nothing
@@ -623,7 +604,7 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 	return res
 }
 
-// pushEntries posts ingest entries to one peer under its breaker.
+// pushEntries posts ingest entries to one peer over its link (hop).
 // Reports how many the peer accepted (best-effort; a shed or dead peer
 // just means colder caches).
 func (n *Node) pushEntries(ctx context.Context, peer string, entries []BatchEntry) int {

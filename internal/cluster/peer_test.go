@@ -513,9 +513,7 @@ func TestOldVersionOwnerIsRefusedPerHop(t *testing.T) {
 	old := httptest.NewServer(oldMux)
 	defer old.Close()
 
-	n := newBatchTestNode(t, anyClassOrigin{}, Config{
-		Peers: []string{old.URL}, Replication: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute,
-	})
+	n := newBatchTestNode(t, anyClassOrigin{}, WithLink(Config{Peers: []string{old.URL}, Replication: 1}, 1, time.Minute))
 	var class string
 	for i := 0; class == ""; i++ {
 		if c := fmt.Sprintf("app/Mixed%03d", i); n.currentRing().Owner(KeyFor("dvm", c)) == old.URL {
@@ -543,7 +541,7 @@ func TestOldVersionOwnerIsRefusedPerHop(t *testing.T) {
 	if got := n.PeerErrors(); got != 1 {
 		t.Errorf("peer_errors_total = %d, want 1", got)
 	}
-	if st := n.breaker(old.URL).State(); st != resilience.Open {
+	if st := n.standing(old.URL).link; st != resilience.Open {
 		t.Errorf("link to the old-version peer is %v, want open (threshold 1)", st)
 	}
 }
@@ -556,7 +554,7 @@ func fillRequest(n *Node) BatchRequest {
 // TestRefusedPeerDialNamesPeerAndTripsBreaker: the peer hop calls its
 // transport directly, so no *url.Error names the URL; doBatch names the
 // peer itself. A refused dial is still a link failure: each one
-// counts against the peer's breaker, which opens at its threshold.
+// counts against the peer's link, which opens at its threshold.
 func TestRefusedPeerDialNamesPeerAndTripsBreaker(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -564,7 +562,7 @@ func TestRefusedPeerDialNamesPeerAndTripsBreaker(t *testing.T) {
 	}
 	dead := "http://" + l.Addr().String()
 	l.Close() // nothing listens there now: every dial is refused
-	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	n := newBatchTestNode(t, proxy.MapOrigin{}, WithLink(Config{Peers: []string{dead}}, 2, time.Minute))
 	for i := 0; i < 2; i++ {
 		_, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n), nil)
 		if err == nil || !strings.Contains(err.Error(), dead) {
@@ -574,7 +572,7 @@ func TestRefusedPeerDialNamesPeerAndTripsBreaker(t *testing.T) {
 			t.Fatalf("refused dial %d: err = %v, want a plain link failure", i+1, err)
 		}
 	}
-	if st := n.breaker(dead).State(); st != resilience.Open {
+	if st := n.standing(dead).link; st != resilience.Open {
 		t.Fatalf("link after two refused dials is %v, want open (threshold 2)", st)
 	}
 	if _, err := n.hop(context.Background(), dead, BatchPath, fillRequest(n), nil); !errors.Is(err, resilience.ErrOpen) {
@@ -597,7 +595,7 @@ func TestSlowPeerHopDeadlineAndCallerCancel(t *testing.T) {
 	}))
 	defer slow.Close()
 	defer close(release)
-	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{PeerTimeout: 150 * time.Millisecond, BreakerThreshold: 5})
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{Peers: []string{slow.URL}, PeerTimeout: 150 * time.Millisecond})
 
 	start := time.Now()
 	_, err := n.hop(context.Background(), slow.URL, BatchPath, fillRequest(n), nil)
@@ -607,8 +605,8 @@ func TestSlowPeerHopDeadlineAndCallerCancel(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Errorf("silent peer held the hop %v, want about PeerTimeout (150ms)", took)
 	}
-	if got := n.breaker(slow.URL).Counts().Failures; got != 1 {
-		t.Fatalf("breaker failures after a timed-out hop = %d, want 1", got)
+	if got := n.standing(slow.URL).linkFails; got != 1 {
+		t.Fatalf("link failures after a timed-out hop = %d, want 1", got)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -616,8 +614,8 @@ func TestSlowPeerHopDeadlineAndCallerCancel(t *testing.T) {
 	if _, err := n.hop(ctx, slow.URL, BatchPath, fillRequest(n), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("caller gave up: err = %v, want its context's error", err)
 	}
-	if got := n.breaker(slow.URL).Counts().Failures; got != 1 {
-		t.Errorf("breaker failures after the caller gave up = %d, want still 1", got)
+	if got := n.standing(slow.URL).linkFails; got != 1 {
+		t.Errorf("link failures after the caller gave up = %d, want still 1", got)
 	}
 }
 

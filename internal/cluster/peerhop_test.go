@@ -29,7 +29,7 @@ func TestPeerHopStaleConnectionIsRetried(t *testing.T) {
 	}
 	srv.Start()
 	defer srv.Close()
-	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{})
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{Peers: []string{srv.URL}})
 	for i := 0; i < 3; i++ {
 		if _, err := n.hop(context.Background(), srv.URL, BatchPath, fillRequest(n), nil); err != nil {
 			t.Fatalf("hop %d: %v", i, err)
@@ -41,8 +41,8 @@ func TestPeerHopStaleConnectionIsRetried(t *testing.T) {
 	if got := conns.Load(); got < 2 {
 		t.Errorf("the peer accepted %d connections, want 3: no hop met a closed connection", got)
 	}
-	if got := n.breaker(srv.URL).Counts().Failures; got != 0 {
-		t.Errorf("breaker failures = %d, want 0", got)
+	if got := n.standing(srv.URL).linkFails; got != 0 {
+		t.Errorf("link failures = %d, want 0", got)
 	}
 }
 

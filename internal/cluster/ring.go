@@ -13,7 +13,7 @@
 // static seed list, then gossip versioned views to track joins,
 // failures (SWIM-style suspect -> dead), and graceful drains, each node
 // rebuilding its ring locally as the agreed member set changes. A peer
-// that stops answering trips a per-peer circuit breaker — which both
+// that stops answering opens the node's link to it — which both
 // degrades that node to fetching from the origin itself AND feeds the
 // suspicion machinery — so a peer outage costs sharing, never
 // availability, and is eventually excised from every ring. Keys are

@@ -194,11 +194,10 @@ func TestReplicaPushUnderBreakerAndClose(t *testing.T) {
 	start := func(t *testing.T, peerTimeout time.Duration) (*cluster.LocalCluster, []*netsim.LinkFaults) {
 		meshes := []*netsim.LinkFaults{netsim.NewLinkFaults(nil), netsim.NewLinkFaults(nil)}
 		lc, err := cluster.StartLocal(anyApplet{}, 2, verifyingProxyCfg, func(i int) cluster.Config {
-			return cluster.Config{
+			return cluster.WithLink(cluster.Config{
 				Replication: 2, GossipInterval: -1, HotThreshold: -1, PrefetchK: -1,
-				PeerTimeout: peerTimeout, BreakerThreshold: 2, BreakerCooldown: time.Minute,
-				Transport: meshes[i],
-			}
+				PeerTimeout: peerTimeout, Transport: meshes[i],
+			}, 2, time.Minute)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -263,11 +262,10 @@ func TestUnderivableVoteIsNoLinkFailure(t *testing.T) {
 		}
 		return cfg
 	}, func(int) cluster.Config {
-		return cluster.Config{
+		return cluster.WithLink(cluster.Config{
 			AttestKey: []byte("underivable-key"), AttestQuorum: 2, Replication: 1,
 			GossipInterval: -1, HotThreshold: -1, PrefetchK: -1,
-			BreakerThreshold: threshold, BreakerCooldown: time.Minute,
-		}
+		}, threshold, time.Minute)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -168,11 +168,9 @@ func churnRun(cfg ChurnConfig, r int) (ChurnRow, error) {
 			Replication: r,
 			// Fast-reacting failure detection so the kill phase shows the
 			// post-remap regime, not just the detection window.
-			GossipInterval:   100 * time.Millisecond,
-			SuspectTimeout:   400 * time.Millisecond,
-			PeerTimeout:      1 * time.Second,
-			BreakerThreshold: 2,
-			BreakerCooldown:  2 * time.Second,
+			GossipInterval: 100 * time.Millisecond,
+			SuspectTimeout: 400 * time.Millisecond,
+			PeerTimeout:    1 * time.Second,
 			// Peer hops only, never local hot copies: steady state must
 			// measure the sharing path so the kill phase is an apples
 			// comparison against it.

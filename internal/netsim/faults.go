@@ -169,12 +169,16 @@ func NewFaultyTransport(base http.RoundTripper, spec FaultSpec) *FaultyTransport
 	return &FaultyTransport{faultCore: newFaultCore(spec), inner: base}
 }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. A request it fails itself has
+// its body closed, as the contract asks: a caller may reuse a body only
+// after its Close.
 func (t *FaultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	switch t.draw() {
 	case "error":
+		closeBody(req)
 		return nil, fmt.Errorf("%w: %s %s refused", ErrInjected, req.Method, req.URL)
 	case "hang":
+		closeBody(req)
 		t.hang(req.Context())
 		if err := req.Context().Err(); err != nil {
 			return nil, err
@@ -189,6 +193,12 @@ func (t *FaultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, nil
 	default:
 		return t.inner.RoundTrip(req)
+	}
+}
+
+func closeBody(req *http.Request) {
+	if req.Body != nil {
+		req.Body.Close()
 	}
 }
 

@@ -146,3 +146,39 @@ func TestFaultyTransportPartialBody(t *testing.T) {
 		t.Fatalf("read %d bytes, want truncation below %d", len(body), len(payload))
 	}
 }
+
+// closeCount is a request body that counts its Close calls.
+type closeCount struct {
+	io.Reader
+	closed int
+}
+
+func (c *closeCount) Close() error { c.closed++; return nil }
+
+// TestFaultyTransportClosesTheBody: a request the transport fails itself
+// — an injected error, a hang, a cut link — still has its body closed
+// exactly once, as http.RoundTripper requires.
+func TestFaultyTransportClosesTheBody(t *testing.T) {
+	lf := NewLinkFaults(nil)
+	lf.Cut("peer:1")
+	for _, tc := range []struct {
+		name string
+		rt   http.RoundTripper
+	}{
+		{"error", NewFaultyTransport(nil, FaultSpec{ErrorRate: 1})},
+		{"hang", NewFaultyTransport(nil, FaultSpec{HangRate: 1, HangFor: time.Millisecond})},
+		{"cut link", lf},
+	} {
+		body := &closeCount{Reader: strings.NewReader("frame")}
+		req, err := http.NewRequest(http.MethodPost, "http://peer:1/peer/v2/batch", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.rt.RoundTrip(req); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: err = %v, want an injected fault", tc.name, err)
+		}
+		if body.closed != 1 {
+			t.Errorf("%s: body closed %d times, want 1", tc.name, body.closed)
+		}
+	}
+}

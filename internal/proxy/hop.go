@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptrace"
 	"net/http/httputil"
 	"net/textproto"
 	"slices"
@@ -249,9 +248,6 @@ func (c *hopConn) exchange(ctx context.Context, req *http.Request, staged []byte
 		}
 	}()
 	_, err = c.conn.Write(staged)
-	if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.WroteRequest != nil {
-		trace.WroteRequest(httptrace.WroteRequestInfo{Err: err}) // doBatch recycles its frame on it
-	}
 	c.lr.N = maxHopHeaderBytes
 	if err == nil {
 		_, err = c.br.Peek(1)

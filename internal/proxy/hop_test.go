@@ -15,7 +15,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"runtime"
 	"strconv"
 	"strings"
@@ -216,31 +215,6 @@ func TestHopAnswerFraming(t *testing.T) {
 		if pooled := rt.pooledOnce; pooled != tc.pooled {
 			t.Errorf("%s: connection pooled %t, want %t", tc.name, pooled, tc.pooled)
 		}
-	}
-}
-
-// TestHopReportsTheWrite: the request's httptrace WroteRequest hook runs
-// once the request is written, without error. A peer hop recycles its
-// request frame on that signal (cluster's doBatch); without it every
-// frame would be left to the collector.
-func TestHopReportsTheWrite(t *testing.T) {
-	rt, wait := pipeTransport([]byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"))
-	defer wait()
-	defer rt.CloseIdleConnections()
-	var wrote []error
-	trace := &httptrace.ClientTrace{WroteRequest: func(i httptrace.WroteRequestInfo) { wrote = append(wrote, i.Err) }}
-	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
-		http.MethodPost, "http://pipe:1/peer/v2/batch", strings.NewReader("frame"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(wrote) != 1 || wrote[0] != nil {
-		t.Errorf("WroteRequest reported %v, want one call without error", wrote)
 	}
 }
 

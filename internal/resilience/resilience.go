@@ -154,8 +154,7 @@ type BreakerConfig struct {
 	OpenDurations *telemetry.Histogram
 	// OnStateChange, when set, observes every state transition after it
 	// happens (called outside the breaker lock, on the goroutine whose
-	// call caused the transition). The cluster membership layer bridges
-	// peer-breaker trips into failure suspicion through this hook.
+	// call caused the transition).
 	OnStateChange func(from, to BreakerState)
 }
 

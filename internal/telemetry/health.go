@@ -69,15 +69,16 @@ type RingMemberHealth struct {
 	// State is the member's live membership state: MemberAlive,
 	// MemberSuspect, MemberDead, or MemberDraining.
 	State string `json:"state"`
-	// Link is the local breaker state for the path to this member
-	// ("closed" = healthy, "open" = presumed down, "-" for self).
+	// Link is the state of the reporting node's link to this member
+	// ("closed" = healthy, "open" = presumed down, "half-open" =
+	// probing, "-" for self).
 	Link string `json:"link"`
 	Self bool   `json:"self,omitempty"`
-	// Divergences is the member's attestation suspicion count on the
-	// reporting node's ledger; Quarantined marks it past the quarantine
-	// threshold (excluded from peer fill and variant selection). Both
-	// are additive fields within schema v1 — absent when attestation is
-	// off.
+	// Divergences is the member's divergence strikes on the reporting
+	// node, the reporter's own included; Quarantined marks it past the
+	// quarantine threshold (excluded from peer fill and variant
+	// selection). Both are additive fields within schema v1 — absent
+	// when attestation is off.
 	Divergences int  `json:"divergences,omitempty"`
 	Quarantined bool `json:"quarantined,omitempty"`
 }
