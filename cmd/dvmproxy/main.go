@@ -67,6 +67,7 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -82,7 +83,7 @@ import (
 	"dvm/internal/telemetry"
 )
 
-// The HTTP server's fixed timings.
+// The server's fixed timings.
 const (
 	readHeaderTimeout = 5 * time.Second  // bound on reading a request's headers (slowloris guard)
 	idleTimeout       = 2 * time.Minute  // keep-alive idle connection timeout
@@ -276,11 +277,10 @@ func main() {
 		close(tickerStopped)
 	}
 
-	srv := &http.Server{
-		Addr:              s.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
+	srv := &proxy.HopServer{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	l, err := net.Listen("tcp", s.addr)
+	if err != nil {
+		log.Fatalf("dvmproxy: %v", err)
 	}
 	log.Printf("dvmproxy: serving %s on %s (cache=%v, filters=%d, fetch-timeout=%s, retries=%d, breaker-threshold=%d)",
 		s.originDir, s.addr, s.proxy.CacheEnabled, len(s.proxy.Pipeline.Filters()), s.proxy.FetchTimeout, s.proxy.FetchRetries, s.proxy.BreakerThreshold)
@@ -288,7 +288,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(l) }()
 	select {
 	case err := <-errCh:
 		log.Fatalf("dvmproxy: %v", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 
 	"dvm/internal/proxy"
@@ -24,7 +23,7 @@ type LocalCluster struct {
 	mkProxy func(i int) proxy.Config
 	mkClust func(i int) Config
 
-	servers   []*http.Server
+	servers   []*proxy.HopServer
 	listeners []net.Listener
 	wg        sync.WaitGroup
 
@@ -83,7 +82,7 @@ func (c *LocalCluster) startNode(i int, self string, peers []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: node.Handler()}
+	srv := &proxy.HopServer{Handler: node.Handler()}
 	if i < len(c.Nodes) {
 		c.Nodes[i], c.servers[i] = node, srv
 	} else {
@@ -91,7 +90,7 @@ func (c *LocalCluster) startNode(i int, self string, peers []string) error {
 		c.servers = append(c.servers, srv)
 	}
 	c.wg.Add(1)
-	go func(srv *http.Server, l net.Listener) {
+	go func(srv *proxy.HopServer, l net.Listener) {
 		defer c.wg.Done()
 		_ = srv.Serve(l)
 	}(srv, c.listeners[i])

@@ -440,7 +440,7 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 // vote that moves between nodes rides the v2 frame.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/classes/", n.local.Handler())
+	mux.Handle("/classes/", n.local.ClassHandler())
 	// Versioned peer protocol: all cluster-internal traffic.
 	mux.HandleFunc(BatchPath, n.handleBatch)
 	mux.HandleFunc(VotePath, n.handleVote)

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -43,7 +44,8 @@ type HopTransport struct {
 var defaultHop = &HopTransport{}
 
 const (
-	// maxHopHeaderBytes bounds an answer's head and a chunked body's trailer.
+	// maxHopHeaderBytes bounds a request's or an answer's head, and a
+	// chunked body's trailer.
 	maxHopHeaderBytes = 64 << 10
 	// hopIdleTimeout is how long a host's connections may stay unused.
 	// They are reaped as the pool is used, by no goroutine.
@@ -178,6 +180,36 @@ func validIn(s, punct string) bool {
 	return s != ""
 }
 
+// chunkedReader reads a chunked body from br and, at its end, the
+// trailer up to its blank line, at most maxHopHeaderBytes of it. Both
+// ends of the hop read chunked bodies with it.
+type chunkedReader struct {
+	br *bufio.Reader
+	cr io.Reader
+}
+
+func newChunkedReader(br *bufio.Reader) *chunkedReader {
+	return &chunkedReader{br, httputil.NewChunkedReader(br)}
+}
+
+func (r *chunkedReader) Read(p []byte) (int, error) {
+	n, err := r.cr.Read(p)
+	for left := maxHopHeaderBytes; err == io.EOF; {
+		line, lerr := r.br.ReadSlice('\n')
+		switch left -= len(line); {
+		case lerr == io.EOF:
+			err = io.ErrUnexpectedEOF
+		case lerr != nil:
+			err = lerr
+		case left < 0:
+			err = errors.New("proxy: hop: chunked trailer too long")
+		case len(bytes.TrimRight(line, "\r\n")) == 0:
+			return n, io.EOF
+		}
+	}
+	return n, err
+}
+
 // hopErr is err as the caller should see it: once the context has ended,
 // its error; and a socket timeout at or after the context's deadline (the
 // dialer's, say) is that deadline, even before the context's timer fired.
@@ -277,15 +309,14 @@ func (c *hopConn) exchange(ctx context.Context, req *http.Request, staged []byte
 	c.lr.N = 1<<63 - 1
 	resp := &a.resp
 	*resp = http.Response{Status: status, StatusCode: int(sc), Proto: proto, ProtoMajor: major, ProtoMinor: minor,
-		Header: http.Header(hdr), Body: b, Request: req, Close: minor == 0 || slices.ContainsFunc(hdr["Connection"],
-			func(v string) bool { return strings.EqualFold(textproto.TrimString(v), "close") })}
+		Header: http.Header(hdr), Body: b, Request: req, Close: minor == 0 || hasToken(hdr["Connection"], "close")}
 	switch te, cl := hdr["Transfer-Encoding"], hdr["Content-Length"]; {
 	case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusNotModified || req.Method == http.MethodHead:
 	case te != nil:
 		if len(te) != 1 || !strings.EqualFold(textproto.TrimString(te[0]), "chunked") || minor == 0 {
 			return nil, false, fmt.Errorf("proxy: hop: unsupported transfer encoding %q", te)
 		}
-		resp.TransferEncoding, b.n, b.chunked = []string{"chunked"}, -1, httputil.NewChunkedReader(c.br)
+		resp.TransferEncoding, b.n, b.chunked = []string{"chunked"}, -1, newChunkedReader(c.br)
 	case cl == nil:
 		b.n, resp.Close = -1, true // the body ends with the connection
 	default: // repeats must agree, and the value is plain decimal
@@ -310,7 +341,7 @@ type hopBody struct {
 	ctx     context.Context
 	stop    func() bool // the exchange's context.AfterFunc
 	n       int64       // Content-Length bytes left; -1 = chunked or to the close
-	chunked io.Reader   // the chunked decoder, when chunked
+	chunked io.Reader   // a chunkedReader, when chunked
 	keep    bool        // the answer lets the connection be reused
 	err     error       // what Read returns once finished
 }
@@ -324,12 +355,8 @@ func (b *hopBody) Read(p []byte) (n int, err error) {
 	}
 	if b.chunked == nil {
 		n, err = b.c.br.Read(p)
-	} else if n, err = b.chunked.Read(p); err == io.EOF {
-		b.c.lr.N = maxHopHeaderBytes // the trailer, up to the answer's blank line
-		if _, terr := b.c.tp.ReadMIMEHeader(); terr != nil {
-			err = terr
-		}
-		b.c.lr.N = 1<<63 - 1
+	} else {
+		n, err = b.chunked.Read(p)
 	}
 	if b.n > 0 {
 		if b.n -= int64(n); b.n == 0 {

@@ -483,79 +483,107 @@ func referenceAnswer(answer []byte) (want []byte, ok, truncated bool) {
 	return body, ok, false
 }
 
+// serveWarm serves h with net/http's server or, if hop, with HopServer,
+// until the test ends. conns counts the connections it has accepted.
+func serveWarm(t *testing.T, h http.Handler, hop bool) (url string, conns func() int64) {
+	if hop {
+		s := &HopServer{Handler: h}
+		return serveHop(t, s), func() int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(len(s.open) - 1) // the listener is the one more
+		}
+	}
+	srv := httptest.NewUnstartedServer(h)
+	n := connCounter(srv)
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv.URL, n.Load
+}
+
 // TestWarmLoadAllocations pins what a warm load of a resident class
-// costs the process, client and loopback server together: the class
-// plus about 4.5 KB in 51 allocations over HopTransport, where net/http's
-// transport took about 6.0 KB in 79. Under -race it only logs
-// (poolsAreLossy).
+// costs the process, client and loopback server together, over each
+// server: the class plus about 4.5 KB in 51 allocations over net/http's
+// server (HopTransport's client end; net/http's transport took about 6.0
+// KB in 79), and the class plus about 3.0 KB in 31 over HopServer, each
+// bound at that + 10 %. Under -race it only logs (poolsAreLossy).
 func TestWarmLoadAllocations(t *testing.T) {
 	const size = 4 << 10
 	p := New(MapOrigin{}, Config{CacheEnabled: true})
 	if p.Warm([]*Artifact{{Arch: "dvm", Class: "app/Warm", Data: bytes.Repeat([]byte{0xCA}, size), Source: ReasonReplica}}) != 1 {
 		t.Fatal("could not make the class resident")
 	}
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
-	loader := HTTPLoader(srv.URL, "c", "dvm")
-	load := func() {
-		if data, err := loader.Load("app/Warm"); err != nil || len(data) != size {
-			t.Fatalf("load: %d bytes, err %v", len(data), err)
-		}
-	}
-	load()
-	load()
-	const loads = 100
-	var least runtime.MemStats
-	for round := 0; round < 5; round++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < loads; i++ {
+	for _, tc := range []struct {
+		name      string
+		hop       bool
+		maxAllocs uint64
+		maxExtra  uint64 // bytes beyond the class
+	}{{"net/http", false, 60, 5632}, {"HopServer", true, 34, 3313}} {
+		t.Run(tc.name, func(t *testing.T) {
+			url, _ := serveWarm(t, p.Handler(), tc.hop)
+			loader := HTTPLoader(url, "c", "dvm")
+			load := func() {
+				if data, err := loader.Load("app/Warm"); err != nil || len(data) != size {
+					t.Fatalf("load: %d bytes, err %v", len(data), err)
+				}
+			}
 			load()
-		}
-		runtime.ReadMemStats(&after)
-		if round == 0 || after.Mallocs-before.Mallocs < least.Mallocs {
-			least.Mallocs, least.TotalAlloc = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-		}
-	}
-	allocs, bytesPer := least.Mallocs/loads, least.TotalAlloc/loads
-	t.Logf("warm %d-byte load: %d allocations, %d bytes (%d beyond the class)", size, allocs, bytesPer, int64(bytesPer)-size)
-	if poolsAreLossy() {
-		return
-	}
-	const maxAllocs = 60
-	if allocs > maxAllocs {
-		t.Errorf("a warm load makes %d allocations, want <= %d", allocs, maxAllocs)
-	}
-	if limit := uint64(size + 5632); bytesPer > limit {
-		t.Errorf("a warm %d-byte load allocates %d bytes, want <= %d", size, bytesPer, limit)
+			load()
+			const loads = 100
+			var least runtime.MemStats
+			for round := 0; round < 5; round++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for i := 0; i < loads; i++ {
+					load()
+				}
+				runtime.ReadMemStats(&after)
+				if round == 0 || after.Mallocs-before.Mallocs < least.Mallocs {
+					least.Mallocs, least.TotalAlloc = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+				}
+			}
+			allocs, bytesPer := least.Mallocs/loads, least.TotalAlloc/loads
+			t.Logf("warm %d-byte load: %d allocations, %d bytes (%d beyond the class)", size, allocs, bytesPer, int64(bytesPer)-size)
+			if poolsAreLossy() {
+				return
+			}
+			if allocs > tc.maxAllocs {
+				t.Errorf("a warm load makes %d allocations, want <= %d", allocs, tc.maxAllocs)
+			}
+			if limit := size + tc.maxExtra; bytesPer > limit {
+				t.Errorf("a warm %d-byte load allocates %d bytes, want <= %d", size, bytesPer, limit)
+			}
+		})
 	}
 }
 
 // TestWarmLoadsStartNoGoroutines: 100 loads, the first of them dialing,
 // leave the process with no more goroutines than the server's one per
-// connection. net/http's transport kept two of its own on every
-// connection it pooled. Under -race it only logs.
+// connection, over either server. net/http's transport kept two of its
+// own on every connection it pooled. Under -race it only logs.
 func TestWarmLoadsStartNoGoroutines(t *testing.T) {
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("class bytes"))
-	}))
-	conns := connCounter(srv)
-	srv.Start()
-	defer srv.Close()
-	loader := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Transport: &HopTransport{}})
-	before := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		if _, err := loader.Load("app/A"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	extra := runtime.NumGoroutine() - before - int(conns.Load())
-	for deadline := time.Now().Add(time.Second); extra > 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		extra = runtime.NumGoroutine() - before - int(conns.Load())
-	}
-	t.Logf("100 loads over %d connections: %d goroutines beyond the server's", conns.Load(), extra)
-	if extra > 0 && !poolsAreLossy() {
-		t.Errorf("100 loads left %d goroutines beyond the server's one per connection", extra)
+	})
+	for _, hop := range []bool{false, true} {
+		t.Run(map[bool]string{false: "net/http", true: "HopServer"}[hop], func(t *testing.T) {
+			url, conns := serveWarm(t, h, hop)
+			loader := HTTPLoaderWith(url, "c", "dvm", LoaderOptions{Transport: &HopTransport{}})
+			before := runtime.NumGoroutine()
+			for i := 0; i < 100; i++ {
+				if _, err := loader.Load("app/A"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			extra := runtime.NumGoroutine() - before - int(conns())
+			for deadline := time.Now().Add(time.Second); extra > 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+				extra = runtime.NumGoroutine() - before - int(conns())
+			}
+			t.Logf("100 loads over %d connections: %d goroutines beyond the server's", conns(), extra)
+			if extra > 0 && !poolsAreLossy() {
+				t.Errorf("100 loads left %d goroutines beyond the server's one per connection", extra)
+			}
+		})
 	}
 }

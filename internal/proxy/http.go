@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,10 +75,20 @@ func StatusFor(err error) int {
 	}
 }
 
-// Handler returns the proxy's HTTP interface.
+// Handler returns the proxy's HTTP interface: the class route,
+// /healthz and /metrics.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(classPathPrefix, func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle(classPathPrefix, p.ClassHandler())
+	mux.Handle("/healthz", telemetry.HealthHandler(p.Health))
+	mux.Handle("/metrics", p.reg.Handler())
+	return mux
+}
+
+// ClassHandler serves the class route, GET /classes/<name>.class, for a
+// mux that holds the other routes itself (a cluster node's).
+func (p *Proxy) ClassHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
@@ -116,9 +127,6 @@ func (p *Proxy) Handler() http.Handler {
 		_, _ = w.Write(res.Data)
 		res.Release() // written: the bytes may go back to the pool
 	})
-	mux.Handle("/healthz", telemetry.HealthHandler(p.Health))
-	mux.Handle("/metrics", p.reg.Handler())
-	return mux
 }
 
 // Loader returns an in-process jvm.ClassLoader that resolves classes
@@ -301,7 +309,7 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
 		var data []byte
 		err := hop.Do(base, func(ctx context.Context) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+classPathPrefix+name+".class", nil)
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+classPathPrefix+classPath(name)+".class", nil)
 			if err != nil {
 				return resilience.Permanent(err)
 			}
@@ -340,6 +348,14 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 		}
 		return data, nil
 	})
+}
+
+// classPath is a class name as a URL path: JVMS §4.2.1 lets a name hold
+// ?, # and %, which must reach the front end escaped. A name with nothing
+// to escape is returned as it is.
+func classPath(name string) string {
+	u := url.URL{Path: name}
+	return u.EscapedPath()
 }
 
 // MultiLoader spreads class fetches round-robin across several proxy

@@ -152,10 +152,6 @@ type BreakerConfig struct {
 	// lasted, recorded when the breaker closes again. Outage-length
 	// histograms merge across nodes like any other telemetry histogram.
 	OpenDurations *telemetry.Histogram
-	// OnStateChange, when set, observes every state transition after it
-	// happens (called outside the breaker lock, on the goroutine whose
-	// call caused the transition).
-	OnStateChange func(from, to BreakerState)
 }
 
 // BreakerCounts is a snapshot of breaker statistics for /healthz and
@@ -224,7 +220,6 @@ func (b *Breaker) Allow() error {
 		b.state = HalfOpen
 		b.probes = 1
 		b.mu.Unlock()
-		b.notify(Open, HalfOpen)
 		return nil
 	default: // HalfOpen
 		if b.probes >= b.cfg.HalfOpenProbes {
@@ -237,13 +232,6 @@ func (b *Breaker) Allow() error {
 	}
 }
 
-// notify fires the OnStateChange hook (outside the lock).
-func (b *Breaker) notify(from, to BreakerState) {
-	if b.cfg.OnStateChange != nil && from != to {
-		b.cfg.OnStateChange(from, to)
-	}
-}
-
 // Success records a successful call: half-open closes, consecutive
 // failures reset.
 func (b *Breaker) Success() {
@@ -253,19 +241,14 @@ func (b *Breaker) Success() {
 	b.mu.Lock()
 	b.successes++
 	b.consecFails = 0
-	closed := false
 	if b.state == HalfOpen {
 		b.state = Closed
 		b.probes = 0
-		closed = true
 		if !b.openedAt.IsZero() {
 			b.cfg.OpenDurations.Observe(b.cfg.Now().Sub(b.openedAt))
 		}
 	}
 	b.mu.Unlock()
-	if closed {
-		b.notify(HalfOpen, Closed)
-	}
 }
 
 // Failure records a failed call: a half-open probe failure re-opens
@@ -277,22 +260,15 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	b.failures++
 	b.consecFails++
-	from := b.state
-	tripped := false
 	switch b.state {
 	case HalfOpen:
 		b.trip()
-		tripped = true
 	case Closed:
 		if b.consecFails >= b.cfg.Threshold {
 			b.trip()
-			tripped = true
 		}
 	}
 	b.mu.Unlock()
-	if tripped {
-		b.notify(from, Open)
-	}
 }
 
 // Cancel settles an allowed call whose caller gave up before the

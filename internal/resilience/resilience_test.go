@@ -284,40 +284,6 @@ func TestHopParentCancellation(t *testing.T) {
 	}
 }
 
-// TestBreakerOnStateChange: the observer hook fires once per actual
-// transition — not on repeated failures inside a state — and sees the
-// full closed -> open -> half-open -> closed cycle in order. The
-// cluster's failure detector hangs off this hook (a trip raises a
-// membership suspicion), so spurious or missing notifications would
-// surface as membership flapping.
-func TestBreakerOnStateChange(t *testing.T) {
-	clk := newFakeClock()
-	type hop struct{ from, to BreakerState }
-	var got []hop
-	b := NewBreaker(BreakerConfig{
-		Threshold: 2, Cooldown: time.Minute, Now: clk.now,
-		OnStateChange: func(from, to BreakerState) { got = append(got, hop{from, to}) },
-	})
-	b.Failure()
-	b.Failure() // trips
-	b.Failure() // already open: no notification
-	clk.advance(time.Minute)
-	if err := b.Allow(); err != nil { // probe admission: open -> half-open
-		t.Fatalf("Allow() after cooldown = %v", err)
-	}
-	b.Success() // half-open -> closed
-	b.Success() // already closed: no notification
-	want := []hop{{Closed, Open}, {Open, HalfOpen}, {HalfOpen, Closed}}
-	if len(got) != len(want) {
-		t.Fatalf("observed %d transitions %v, want %v", len(got), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("transition %d = %v -> %v, want %v -> %v", i, got[i].from, got[i].to, want[i].from, want[i].to)
-		}
-	}
-}
-
 // TestBreakerCancelReturnsTheProbe: a half-open probe whose caller gave
 // up settles with Cancel, which counts nothing and hands the probe slot
 // back, so the next call probes instead of being refused for good.
