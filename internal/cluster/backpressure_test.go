@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -228,11 +229,11 @@ func TestAbandonedFillIsNoLinkFailure(t *testing.T) {
 	}
 }
 
-// switchLink is a peer transport a test flips between a dead link, a
-// link that answers nothing until the caller gives up, and the real one.
+// switchLink is a peer dialer a test flips between a dead link, a link
+// that answers nothing until the caller gives up, and the real one.
 type switchLink struct {
 	mode    atomic.Int32 // linkDown, linkSlow or linkUp
-	reached atomic.Int64 // round trips passed to the real link
+	reached atomic.Int64 // requests passed to the real link
 }
 
 const (
@@ -241,16 +242,26 @@ const (
 	linkUp
 )
 
-func (s *switchLink) RoundTrip(req *http.Request) (*http.Response, error) {
-	switch s.mode.Load() {
-	case linkDown:
-		return nil, fmt.Errorf("switchLink: connection refused")
-	case linkSlow:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
+func (s *switchLink) dialer() *hookDial {
+	return &hookDial{
+		refuse: func() error {
+			if s.mode.Load() == linkDown {
+				return errors.New("switchLink: connection refused")
+			}
+			return nil
+		},
+		write: func(c *hookConn, p []byte) (int, error) {
+			switch s.mode.Load() {
+			case linkDown:
+				c.Close()
+				return 0, errors.New("switchLink: connection reset")
+			case linkSlow:
+				return 0, c.wait(nil)
+			}
+			s.reached.Add(1)
+			return c.Conn.Write(p)
+		},
 	}
-	s.reached.Add(1)
-	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestAbandonedProbeKeepsTheLinkProbing: a fill abandoned while it was
@@ -264,7 +275,7 @@ func TestAbandonedProbeKeepsTheLinkProbing(t *testing.T) {
 	}, func(i int) cluster.Config {
 		cfg := cluster.WithLink(cluster.Config{GossipInterval: -1}, 1, 20*time.Millisecond)
 		if i == 0 {
-			cfg.Transport = link
+			cfg.Dial = link.dialer().Dial
 		}
 		return cfg
 	})

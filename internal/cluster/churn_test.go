@@ -185,7 +185,7 @@ func TestClusterPartitionSuspicionAndRefutation(t *testing.T) {
 	next := 0
 	c, err := cluster.StartLocal(corpus(t, 4), nodes, verifyingProxyCfg, manualCfg(func(cfg *cluster.Config) {
 		meshes[next] = netsim.NewLinkFaults(nil)
-		cfg.Transport = meshes[next]
+		cfg.Dial = meshes[next].Dial
 		cfg.SuspectTimeout = time.Hour // nobody dies in this test
 		cfg.PeerTimeout = 300 * time.Millisecond
 		next++
@@ -550,7 +550,7 @@ func TestClusterLoaderEndpointRecovery(t *testing.T) {
 	loader, err := proxy.HTTPLoaderMulti(c.URLs(), "client", "dvm", proxy.LoaderOptions{
 		Timeout:          2 * time.Second,
 		BreakerThreshold: -1,
-		Transport:        lf,
+		Dial:             lf.Dial,
 		ProbeInterval:    50 * time.Millisecond,
 	})
 	if err != nil {

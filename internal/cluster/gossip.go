@@ -23,13 +23,13 @@ package cluster
 // explicitly with GossipNow (which also sweeps) for determinism.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"dvm/internal/proxy"
 )
 
 // epochHeader piggybacks the sender's membership epoch on peer-protocol
@@ -72,23 +72,14 @@ func (n *Node) exchange(ctx context.Context, peer string) bool {
 	if err != nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.PeerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+gossipV1Path, bytes.NewReader(body))
+	to, err := n.currentEpoch().target(peer)
 	if err != nil {
 		return false
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.peerRT.RoundTrip(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
+	a, err := n.peerHop.Exchange(ctx, to, &proxy.HopRequest{Method: http.MethodPost, Path: gossipV1Path,
+		Header: []string{"Content-Type", "application/json"}, Body: [][]byte{body}, Timeout: n.cfg.PeerTimeout, Max: maxGossipBytes})
 	var v View
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxGossipBytes)).Decode(&v); err != nil {
+	if err != nil || a.Status != http.StatusOK || json.Unmarshal(a.Body, &v) != nil {
 		return false
 	}
 	n.mship.Merge(v)

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -26,8 +27,8 @@ import (
 
 // attestedFleet is the cold_attest_3n fleet shape: 3 nodes, quorum-2
 // attestation, replication 2, manual membership, no prefetch or hot-key
-// copies. transport, when set, is every node's peer transport.
-func attestedFleet(t *testing.T, transport http.RoundTripper) *cluster.LocalCluster {
+// copies. dial, when set, is every node's peer dialer.
+func attestedFleet(t *testing.T, dial func(ctx context.Context, network, addr string) (net.Conn, error)) *cluster.LocalCluster {
 	t.Helper()
 	lc, err := cluster.StartLocal(anyApplet{}, 3, verifyingProxyCfg, func(int) cluster.Config {
 		return cluster.Config{
@@ -37,7 +38,7 @@ func attestedFleet(t *testing.T, transport http.RoundTripper) *cluster.LocalClus
 			HotThreshold:   -1,
 			PrefetchK:      -1,
 			GossipInterval: -1,
-			Transport:      transport,
+			Dial:           dial,
 		}
 	})
 	if err != nil {
@@ -78,59 +79,40 @@ func waitStored(t *testing.T, lc *cluster.LocalCluster, want int64) {
 	}
 }
 
-// headerRecorder is a transport that counts the requests it carries, by
-// route, and every trace header sent or received on any of them.
-type headerRecorder struct {
-	inner http.RoundTripper
-
-	mu     sync.Mutex
-	routes map[string]int
-	traced []string
-}
-
-func newHeaderRecorder() *headerRecorder {
-	return &headerRecorder{inner: http.DefaultTransport, routes: map[string]int{}}
-}
-
-func (h *headerRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
-	route := req.URL.Path
-	for _, p := range []string{"/classes/", cluster.BatchPath, cluster.VotePath} {
-		if strings.HasPrefix(route, p) {
-			route = p
+// recordedRoutes counts the requests rec's connections carried, by
+// route, and lists every trace header sent or received on any of them.
+func recordedRoutes(t *testing.T, rec *wireRecorder) (routes map[string]int, traced []string) {
+	routes = map[string]int{}
+	for _, e := range rec.exchanges(t) {
+		route := e.path
+		for _, p := range []string{"/classes/", cluster.BatchPath, cluster.VotePath} {
+			if strings.HasPrefix(route, p) {
+				route = p
+			}
+		}
+		routes[route]++
+		for dir, hdr := range map[string]http.Header{"request": e.header, "response": e.answer} {
+			for _, name := range []string{telemetry.TraceHeader, telemetry.TraceSpansHeader} {
+				if v := hdr.Values(name); v != nil {
+					traced = append(traced, fmt.Sprintf("%s %s %s: %q", route, dir, name, v))
+				}
+			}
 		}
 	}
-	h.note(route, "request", req.Header)
-	resp, err := h.inner.RoundTrip(req)
-	if err == nil {
-		h.note(route, "response", resp.Header)
-	}
-	return resp, err
-}
-
-func (h *headerRecorder) note(route, dir string, hdr http.Header) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if dir == "request" {
-		h.routes[route]++
-	}
-	for _, name := range []string{telemetry.TraceHeader, telemetry.TraceSpansHeader} {
-		if v := hdr.Values(name); v != nil {
-			h.traced = append(h.traced, fmt.Sprintf("%s %s %s: %q", route, dir, name, v))
-		}
-	}
+	return routes, traced
 }
 
 // TestUntracedHopsCarryNoTrace: a cold attested load through HTTPLoader,
 // with nobody asking for a trace, crosses three HTTP exchanges — client →
 // entry, entry → owner fill, owner → variant vote — and not one of them
 // sends or receives X-DVM-Trace or X-DVM-Trace-Spans. It also proves
-// cluster.Config.Transport is honoured: the recorder sees every peer hop.
+// cluster.Config.Dial is honoured: the recorder sees every peer hop.
 func TestUntracedHopsCarryNoTrace(t *testing.T) {
-	rec := newHeaderRecorder()
-	lc := attestedFleet(t, rec)
+	rec := &wireRecorder{}
+	lc := attestedFleet(t, rec.Dial)
 	defer lc.Close()
 	const loads = 3
-	loader := proxy.HTTPLoaderWith(lc.URLs()[0], "client", "dvm", proxy.LoaderOptions{Transport: rec})
+	loader := proxy.HTTPLoaderWith(lc.URLs()[0], "client", "dvm", proxy.LoaderOptions{Dial: rec.Dial})
 	for _, class := range coldClasses(lc, 0, "Untraced", loads) {
 		if _, err := loader.Load(class); err != nil {
 			t.Fatal(err)
@@ -138,14 +120,13 @@ func TestUntracedHopsCarryNoTrace(t *testing.T) {
 	}
 	waitStored(t, lc, loads)
 
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
+	routes, traced := recordedRoutes(t, rec)
 	for _, route := range []string{"/classes/", cluster.BatchPath, cluster.VotePath} {
-		if rec.routes[route] < loads {
-			t.Errorf("%s carried %d requests, want >= %d (routes: %v)", route, rec.routes[route], loads, rec.routes)
+		if routes[route] < loads {
+			t.Errorf("%s carried %d requests, want >= %d (routes: %v)", route, routes[route], loads, routes)
 		}
 	}
-	for _, s := range rec.traced {
+	for _, s := range traced {
 		t.Errorf("untraced load carried a trace header: %s", s)
 	}
 }
@@ -157,11 +138,11 @@ func TestUntracedHopsCarryNoTrace(t *testing.T) {
 // included, and nothing was pushed: a load is exactly one client
 // exchange, one fill and one vote.
 func TestVoterKeepsItsOwnOutput(t *testing.T) {
-	rec := newHeaderRecorder()
-	lc := attestedFleet(t, rec)
+	rec := &wireRecorder{}
+	lc := attestedFleet(t, rec.Dial)
 	defer lc.Close()
 	const loads = 6
-	loader := proxy.HTTPLoaderWith(lc.URLs()[0], "client", "dvm", proxy.LoaderOptions{Transport: rec})
+	loader := proxy.HTTPLoaderWith(lc.URLs()[0], "client", "dvm", proxy.LoaderOptions{Dial: rec.Dial})
 	classes := coldClasses(lc, 0, "Kept", loads)
 	for _, class := range classes {
 		if _, err := loader.Load(class); err != nil {
@@ -197,10 +178,9 @@ func TestVoterKeepsItsOwnOutput(t *testing.T) {
 	if pushed != 0 || stored != loads {
 		t.Errorf("replicas pushed = %d, stored = %d; want 0 and %d (every copy kept by its voter)", pushed, stored, loads)
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if want := map[string]int{"/classes/": loads, cluster.BatchPath: loads, cluster.VotePath: loads}; !reflect.DeepEqual(rec.routes, want) {
-		t.Errorf("exchanges by route = %v, want %v", rec.routes, want)
+	routes, _ := recordedRoutes(t, rec)
+	if want := map[string]int{"/classes/": loads, cluster.BatchPath: loads, cluster.VotePath: loads}; !reflect.DeepEqual(routes, want) {
+		t.Errorf("exchanges by route = %v, want %v", routes, want)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // TestClusterChaosOverHopTransport runs the fault meshes over the
-// transport a node builds for itself, proxy.HopTransport, instead of
-// net/http's: every node's peer transport and the client's loader are
-// netsim.LinkFaults around one. One peer link is cut and another
+// transport a node builds for itself, proxy.HopTransport: every node's
+// peer dialer and the client loader's are a netsim.LinkFaults. One peer
+// link is cut and another
 // degraded (answers cut short, requests stalled), then node 2 is
 // partitioned from its peers while the client loses its own link to it,
 // and everything heals. Loads may degrade while the faults last; after
@@ -23,12 +23,10 @@ import (
 func TestClusterChaosOverHopTransport(t *testing.T) {
 	const nodes, classes = 3, 12
 	meshes := make([]*netsim.LinkFaults, nodes)
-	hops := make([]*proxy.HopTransport, nodes)
 	next := 0
 	c, err := cluster.StartLocal(corpus(t, classes), nodes, verifyingProxyCfg, manualCfg(func(cfg *cluster.Config) {
-		hops[next] = &proxy.HopTransport{MaxIdlePerHost: proxy.DefaultMaxConcurrent()}
-		meshes[next] = netsim.NewLinkFaults(hops[next])
-		cfg.Transport = meshes[next]
+		meshes[next] = netsim.NewLinkFaults(nil)
+		cfg.Dial = meshes[next].Dial
 		cfg.SuspectTimeout = time.Hour // nobody dies in this test
 		cfg.PeerTimeout = 300 * time.Millisecond
 		*cfg = cluster.WithLink(*cfg, 3, 50*time.Millisecond)
@@ -39,18 +37,12 @@ func TestClusterChaosOverHopTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientHop := &proxy.HopTransport{}
-	defer func() {
-		c.Close()
-		for _, h := range append(hops, clientHop) {
-			h.CloseIdleConnections() // a node closes only a transport it built
-		}
-	}()
+	defer c.Close()
 	hosts := make([]string, nodes)
 	for i, u := range c.URLs() {
 		hosts[i] = strings.TrimPrefix(u, "http://")
 	}
-	client := netsim.NewLinkFaults(clientHop)
+	client := netsim.NewLinkFaults(nil)
 	part := netsim.NewPartition(meshes, hosts)
 
 	// Each phase loads every class in an arch of its own, so every phase
@@ -59,7 +51,7 @@ func TestClusterChaosOverHopTransport(t *testing.T) {
 	loadAll := func() (failed int) {
 		phase++
 		loader, err := proxy.HTTPLoaderMulti(c.URLs(), "client", fmt.Sprintf("arch-%d", phase), proxy.LoaderOptions{
-			Timeout: 2 * time.Second, BreakerThreshold: -1, Transport: client, ProbeInterval: 50 * time.Millisecond,
+			Timeout: 2 * time.Second, BreakerThreshold: -1, Dial: client.Dial, ProbeInterval: 50 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

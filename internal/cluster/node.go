@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -60,10 +61,9 @@ type Config struct {
 	HotThreshold int
 	// PeerTimeout bounds one peer class fetch (default 3s).
 	PeerTimeout time.Duration
-	// Transport overrides the peer HTTP transport (fault injection via
-	// netsim.LinkFaults / netsim.FaultyTransport). Nil = the node's own
-	// (newPeerTransport), whose idle connections Close releases.
-	Transport http.RoundTripper
+	// Dial opens the node's peer connections (fault injection via
+	// netsim.LinkFaults in tests). Nil = a net.Dialer.
+	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	// PrefetchK is how many predicted successors an owner piggybacks
 	// onto each fill it serves over the batch protocol (0 = default 3,
@@ -98,11 +98,12 @@ const defaultHotThreshold = 8
 type Node struct {
 	cfg   Config
 	local *proxy.Proxy
-	// peerRT carries every peer-protocol request (doBatch, gossip): called
-	// directly, so each exchange's one deadline is its request context and
-	// no redirect is ever followed.
-	peerRT http.RoundTripper
-	mship  *membership
+	// peerHop carries every peer-protocol exchange (doBatch, gossip). Its
+	// idle pool per peer covers the node's own concurrency — one
+	// connection per flight that may be talking to that peer at once — so
+	// steady peer traffic reuses its connections instead of dialing.
+	peerHop *proxy.HopTransport
+	mship   *membership
 	// epochHdr caches the epoch header's value for the current epoch
 	// (currentEpoch).
 	epochHdr atomic.Pointer[epochValue]
@@ -193,7 +194,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 	}
 	n := &Node{
 		cfg:       cfg,
-		peerRT:    cfg.Transport,
+		peerHop:   &proxy.HopTransport{MaxIdlePerHost: proxy.DefaultMaxConcurrent(), Dial: cfg.Dial},
 		mship:     newMembership(cfg.Self, peers, nil),
 		hot:       make(map[string]int),
 		pokeCh:    make(chan struct{}, 1),
@@ -201,9 +202,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		replCh:    make(chan replication, replQueueLen),
 	}
 	n.life, n.stop = context.WithCancel(context.Background())
-	if cfg.Transport == nil {
-		n.peerRT = newPeerTransport()
-	}
 	n.mship.link = cfg.link
 	n.rebuildRing()
 	n.mship.onChange = func(ringChanged bool) {
@@ -290,24 +288,13 @@ func (n *Node) currentRing() *Ring {
 }
 
 // Close stops the node's background goroutines (gossip, handoff,
-// replication) mid-hop and drops the idle peer connections of the
-// transport the node built for itself. It does not announce a departure
-// — that is Drain; a bare Close looks to the fleet like a crash, which is
-// exactly what the failure-detection tests want.
+// replication) mid-hop and drops its idle peer connections. It does not
+// announce a departure — that is Drain; a bare Close looks to the fleet
+// like a crash, which is exactly what the failure-detection tests want.
 func (n *Node) Close() {
 	n.stop()
 	n.wg.Wait()
-	if n.cfg.Transport == nil {
-		n.peerRT.(*proxy.HopTransport).CloseIdleConnections()
-	}
-}
-
-// newPeerTransport builds a node's own peer transport, whose idle pool
-// per peer covers the node's own concurrency — one connection per flight
-// that may be talking to that peer at once — so steady peer traffic
-// reuses its connections instead of dialing.
-func newPeerTransport() *proxy.HopTransport {
-	return &proxy.HopTransport{MaxIdlePerHost: proxy.DefaultMaxConcurrent()}
+	n.peerHop.CloseIdleConnections()
 }
 
 // Proxy returns the node's local proxy (stats, diagnostics).
@@ -440,14 +427,13 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 // vote that moves between nodes rides the v2 frame.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/classes/", n.local.ClassHandler())
 	// Versioned peer protocol: all cluster-internal traffic.
 	mux.HandleFunc(BatchPath, n.handleBatch)
 	mux.HandleFunc(VotePath, n.handleVote)
 	mux.HandleFunc(gossipV1Path, n.handleGossip)
 	mux.Handle("/healthz", telemetry.HealthHandler(n.Health))
 	mux.Handle("/metrics", n.local.Telemetry().Handler())
-	return mux
+	return proxy.WithClassRoute(n.local.ClassHandler(), mux)
 }
 
 // Health extends the local proxy's report with the cluster view: the

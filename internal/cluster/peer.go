@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -59,35 +58,50 @@ const (
 )
 
 // The peer protocol's header keys in canonical form, and the one
-// Content-Type value: request and response headers are built by direct
-// assignment, and the value is shared read-only by every request (a
-// RoundTripper only reads a request's header) and every response (the
-// server copies a header when it writes it).
+// Content-Type value: response headers are built by direct assignment,
+// and the value is shared read-only by every response (the server copies
+// a header when it writes it).
 var (
 	epochKey         = http.CanonicalHeaderKey(epochHeader)
-	traceKey         = http.CanonicalHeaderKey(telemetry.TraceHeader)
 	frameContentType = []string{batchContentType}
 )
 
-// epochValue is the epoch header's value for one membership epoch, and
-// the whole header of an untraced peer request in that epoch.
+// epochValue is what the peer hop keeps per membership epoch: the epoch
+// header's value, the header of an untraced peer request, and every
+// member's parsed target.
 type epochValue struct {
 	epoch   uint64
 	value   []string
-	request http.Header
+	request []string // name, value pairs
+	targets map[string]*proxy.HopTarget
 }
 
-// currentEpoch returns the current epoch's header values, built once per
-// epoch and shared read-only, like frameContentType.
+// currentEpoch returns the current epoch's values, built once per epoch
+// and shared read-only, like frameContentType.
 func (n *Node) currentEpoch() *epochValue {
 	e := n.mship.Epoch()
 	if v := n.epochHdr.Load(); v != nil && v.epoch == e {
 		return v
 	}
 	value := []string{fmtEpoch(e)}
-	v := &epochValue{epoch: e, value: value, request: http.Header{"Content-Type": frameContentType, epochKey: value}}
+	v := &epochValue{epoch: e, value: value, request: []string{"Content-Type", batchContentType, epochKey, value[0]},
+		targets: make(map[string]*proxy.HopTarget)}
+	for _, peer := range n.mship.Peers(nil) {
+		if to, err := proxy.ParseHopTarget(peer); err == nil {
+			v.targets[peer] = to
+		}
+	}
 	n.epochHdr.Store(v)
 	return v
+}
+
+// target is peer's parsed target: the epoch's, or parsed now for a peer
+// that is no member.
+func (ev *epochValue) target(peer string) (*proxy.HopTarget, error) {
+	if to := ev.targets[peer]; to != nil {
+		return to, nil
+	}
+	return proxy.ParseHopTarget(peer)
 }
 
 // maxBatchBytes bounds one batch frame, either direction: a full-size
@@ -439,64 +453,52 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 // own. Both directions piggyback the membership epoch. On a traced
 // request the trace rides the request header and the peer's spans come
 // back shifted into the local timeline; an untraced one sends and reads
-// neither trace header. The request goes straight to the node's
-// transport, so timeout is the exchange's one deadline, and a transport
-// error names the peer. The body reads the frame's runs in place, and the
-// transport's Close of it recycles the encoder. A 429 is returned as
-// ErrOverloaded (with the draining note recorded) so callers treat it as
-// a healthy shed.
+// neither trace header. The request is one exchange of the node's hop,
+// whose deadline is the earlier of ctx's and timeout from now, and a
+// transport error names the peer. A 429 is returned as ErrOverloaded
+// (with the draining note recorded) so callers treat it as a healthy shed.
 func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest, timeout time.Duration, frame *[]byte) (*BatchResponse, error) {
 	tr := telemetry.FromContext(ctx)
 	hopStart := tr.Elapsed()
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	enc := breq.encode()
-	body := &frameBody{enc: enc}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, body)
-	if err != nil {
-		body.Close()
-		return nil, resilience.Permanent(err)
-	}
-	req.ContentLength = int64(enc.size())
 	ev := n.currentEpoch()
-	req.Header = ev.request
-	if tr != nil {
-		req.Header = http.Header{"Content-Type": frameContentType, epochKey: ev.value, traceKey: {tr.ID()}}
+	to, err := ev.target(peer)
+	if err != nil {
+		return nil, resilience.Permanent(fmt.Errorf("cluster: peer %s: %w", peer, err))
 	}
-	resp, err := n.peerRT.RoundTrip(req)
+	req := proxy.HopRequest{Method: http.MethodPost, Path: path, Header: ev.request, Timeout: timeout, Max: maxBatchBytes}
+	if tr != nil {
+		req.Header = append(ev.request[:len(ev.request):len(ev.request)], telemetry.TraceHeader, tr.ID())
+	}
+	if frame != nil {
+		req.Into = *frame
+	}
+	enc := breq.encode()
+	req.Body = enc.wire()
+	a, err := n.peerHop.Exchange(ctx, to, &req)
+	enc.free()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
-	defer resp.Body.Close()
-	n.noteEpoch(resp.Header.Get(epochHeader))
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		err := fmt.Errorf("cluster: peer %s: %s: %s", peer, resp.Status, strings.TrimSpace(string(b)))
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if resp.Header.Get(drainingHeader) == "1" {
+	n.noteEpoch(a.Header(epochHeader))
+	if a.Status != http.StatusOK {
+		err := fmt.Errorf("cluster: peer %s: %d %s: %s", peer, a.Status, http.StatusText(a.Status), proxy.ErrorText(a.Body))
+		if a.Status == http.StatusTooManyRequests {
+			if a.Header(drainingHeader) == "1" {
 				n.mship.NoteDraining(peer)
 			}
 			return nil, fmt.Errorf("%v: %w", err, proxy.ErrOverloaded)
 		}
 		return nil, err
 	}
-	var dst []byte
 	if frame != nil {
-		dst = *frame
+		*frame = a.Body
 	}
-	answer, err := proxy.ReadSizedInto(dst, resp.Body, resp.ContentLength, maxBatchBytes)
 	var br BatchResponse
-	if err == nil {
-		if frame != nil {
-			*frame = answer
-		}
-		err = br.UnmarshalBinary(answer)
-	}
-	if err != nil {
+	if err := br.UnmarshalBinary(a.Body); err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
 	}
 	if tr != nil {
-		if spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.TraceSpansHeader)); err == nil {
+		if spans, err := telemetry.DecodeSpans(a.Header(telemetry.TraceSpansHeader)); err == nil {
 			tr.AppendShifted(spans, hopStart)
 		}
 	}

@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,5 +67,47 @@ func TestPeerHopFreshConnectionTriedOnce(t *testing.T) {
 	}
 	if got := requests.Load(); got != 1 {
 		t.Errorf("the peer saw %d requests for one hop, want 1", got)
+	}
+}
+
+// TestUntracedBatchAllocations pins what one untraced doBatch over a
+// pooled connection allocates, the node's client end and a HopServer peer
+// that answers a fixed empty frame together: the request's encoder and
+// staging buffer are pooled, the answer is read into the caller's
+// recycled frame, and no context is derived for the exchange. Under -race
+// it only logs, since sync.Pool then drops entries on purpose.
+func TestUntracedBatchAllocations(t *testing.T) {
+	answer := (&BatchResponse{}).encode()
+	body := answer.bytes()
+	answer.free()
+	size := []string{strconv.Itoa(len(body))}
+	srv := &proxy.HopServer{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header()["Content-Length"] = size
+		_, _ = w.Write(body)
+	})}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	peer := "http://" + l.Addr().String()
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{Peers: []string{peer}})
+	req, frame := fillRequest(n), proxy.GetBuffer()
+	defer proxy.PutBuffer(frame)
+	exchange := func() {
+		if _, err := n.doBatch(context.Background(), peer, BatchPath, req, time.Second, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange() // dials
+	allocs := testing.AllocsPerRun(200, exchange)
+	t.Logf("an untraced doBatch over a pooled connection: %.1f allocations, peer included", allocs)
+	if info, _ := debug.ReadBuildInfo(); slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" }) {
+		return
+	}
+	if allocs > 7 {
+		t.Errorf("an untraced doBatch makes %.1f allocations, want <= %d", allocs, 7)
 	}
 }

@@ -28,21 +28,21 @@ import (
 )
 
 // gatedTransport holds every batch request, while a gate is set, until
-// that gate is closed: a slow owner, as the non-owner sees it.
+// that gate is closed or the exchange is cut off: a slow owner, as the
+// non-owner sees it.
 type gatedTransport struct {
-	inner http.RoundTripper
-	gate  atomic.Pointer[chan struct{}]
+	gate atomic.Pointer[chan struct{}]
 }
 
-func (g *gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if gate := g.gate.Load(); gate != nil && req.URL.Path == cluster.BatchPath {
-		select {
-		case <-*gate:
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
+func (g *gatedTransport) dialer() *hookDial {
+	return &hookDial{write: func(c *hookConn, p []byte) (int, error) {
+		if gate := g.gate.Load(); gate != nil && isRequest(p, http.MethodPost, cluster.BatchPath) {
+			if err := c.wait(*gate); err != nil {
+				return 0, err
+			}
 		}
-	}
-	return g.inner.RoundTrip(req)
+		return c.Conn.Write(p)
+	}}
 }
 
 // waitFlightWaiters waits until want requests wait on n's flights.
@@ -69,7 +69,7 @@ func TestPoisonedCoalescedPeerFill(t *testing.T) {
 	was := slab.PoisonOnReset(true)
 	defer slab.PoisonOnReset(was)
 	key := []byte("release-test-key")
-	gate := &gatedTransport{inner: http.DefaultTransport}
+	gate := &gatedTransport{}
 	type record struct {
 		node int
 		rec  proxy.RequestRecord
@@ -86,7 +86,7 @@ func TestPoisonedCoalescedPeerFill(t *testing.T) {
 		return cfg
 	}, func(int) cluster.Config {
 		return cluster.Config{AttestKey: key, AttestQuorum: 2, Replication: 2,
-			HotThreshold: -1, PrefetchK: -1, GossipInterval: -1, Transport: gate}
+			HotThreshold: -1, PrefetchK: -1, GossipInterval: -1, Dial: gate.dialer().Dial}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,19 +28,26 @@ import (
 	"dvm/internal/verifier"
 )
 
-// voteHook is a peer transport that runs after, once, when the first
-// vote answer comes back: the moment between the vote and the seal.
+// voteHook is a peer dialer that runs after, once, when the first vote
+// answer comes back: the moment between the vote and the seal.
 type voteHook struct {
 	once  sync.Once
 	after func()
 }
 
-func (h *voteHook) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && req.URL.Path == cluster.VotePath {
-		h.once.Do(h.after)
+func (h *voteHook) dialer() *hookDial {
+	return &hookDial{
+		write: func(c *hookConn, p []byte) (int, error) {
+			c.flag = isRequest(p, http.MethodPost, cluster.VotePath)
+			return c.Conn.Write(p)
+		},
+		read: func(c *hookConn, n int) {
+			if c.flag && n > 0 {
+				c.flag = false
+				h.once.Do(h.after)
+			}
+		},
 	}
-	return resp, err
 }
 
 // drawClass draws a class name until ok accepts it.
@@ -126,7 +133,7 @@ func TestVoteFallbacksPlaceEveryReplica(t *testing.T) {
 				cfg := row.cfg
 				cfg.GossipInterval, cfg.HotThreshold, cfg.PrefetchK = -1, -1, -1
 				if row.hook && i == 0 {
-					cfg.Transport = hook
+					cfg.Dial = hook.dialer().Dial
 				}
 				return cfg
 			})
@@ -196,7 +203,7 @@ func TestReplicaPushUnderBreakerAndClose(t *testing.T) {
 		lc, err := cluster.StartLocal(anyApplet{}, 2, verifyingProxyCfg, func(i int) cluster.Config {
 			return cluster.WithLink(cluster.Config{
 				Replication: 2, GossipInterval: -1, HotThreshold: -1, PrefetchK: -1,
-				PeerTimeout: peerTimeout, Transport: meshes[i],
+				PeerTimeout: peerTimeout, Dial: meshes[i].Dial,
 			}, 2, time.Minute)
 		})
 		if err != nil {

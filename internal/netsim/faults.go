@@ -1,19 +1,21 @@
 package netsim
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Fault injection: deterministic wrappers that make an origin or an
-// HTTP transport misbehave in the ways real networks do — errors,
+// Fault injection: deterministic wrappers that make an origin or the
+// hop's connections misbehave in the ways real networks do — errors,
 // hangs, partial reads — so the chaos tests can prove each service's
 // degradation semantics (proxy: stale-if-error; security: fail closed;
 // monitoring: fail open) under -race with reproducible seeds.
@@ -37,7 +39,7 @@ type FaultSpec struct {
 	// HangFor bounds an injected hang (0 = hang until ctx done).
 	HangFor time.Duration
 	// PartialRate is the probability a call returns truncated data with
-	// an io.ErrUnexpectedEOF (origin) or a mid-body read error
+	// an io.ErrUnexpectedEOF (origin) or an answer that ends mid-body
 	// (transport).
 	PartialRate float64
 }
@@ -153,81 +155,133 @@ func (f *FaultyOrigin) Fetch(ctx context.Context, name string) ([]byte, error) {
 	}
 }
 
-// FaultyTransport wraps an http.RoundTripper with injected faults. Use
-// it as the Transport of a client's http.Client to make any HTTP hop
-// (proxy, security server, monitoring console) misbehave.
+// FaultyTransport is a faulting dialer: the connections it dials play
+// injected faults on the hop's exchanges. The hop writes each request in
+// one Write, so a connection draws one fault per exchange, at that Write,
+// and plays it as a network would:
+//
+//   - error: the connection is reset before any answer byte (a link cut
+//     outright, ErrorRate 1, refuses the dial itself);
+//   - hang: the request is lost, and reads block until the socket's
+//     deadline — or, with HangFor set, fail once it has passed;
+//   - partial: the answer ends (EOF) after its head and half its body.
 type FaultyTransport struct {
 	*faultCore
-	inner http.RoundTripper
+	dial Dialer
 }
 
-// NewFaultyTransport wraps base (nil = http.DefaultTransport).
-func NewFaultyTransport(base http.RoundTripper, spec FaultSpec) *FaultyTransport {
-	if base == nil {
-		base = http.DefaultTransport
+// Dialer is the hop's dial function (proxy.HopTransport.Dial).
+type Dialer = func(ctx context.Context, network, addr string) (net.Conn, error)
+
+// NewFaultyTransport builds a faulting dialer over dial (nil = a
+// net.Dialer).
+func NewFaultyTransport(dial Dialer, spec FaultSpec) *FaultyTransport {
+	if dial == nil {
+		dial = (&net.Dialer{}).DialContext
 	}
-	return &FaultyTransport{faultCore: newFaultCore(spec), inner: base}
+	return &FaultyTransport{faultCore: newFaultCore(spec), dial: dial}
 }
 
-// RoundTrip implements http.RoundTripper. A request it fails itself has
-// its body closed, as the contract asks: a caller may reuse a body only
-// after its Close.
-func (t *FaultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	switch t.draw() {
+// Dial dials addr, unless the link is cut.
+func (t *FaultyTransport) Dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	return faultyDial(ctx, t.dial, network, addr, func() *faultCore { return t.faultCore })
+}
+
+// faultyDial dials through dial a connection whose faults link draws: the
+// link's profile when the connection writes (nil = a clean link).
+func faultyDial(ctx context.Context, dial Dialer, network, addr string, link func() *faultCore) (net.Conn, error) {
+	if c := link(); c != nil && c.spec.ErrorRate >= 1 {
+		c.draw()
+		return nil, fmt.Errorf("%w: dial %s refused", ErrInjected, addr)
+	}
+	conn, err := dial(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &faultyConn{Conn: conn, link: link}, nil
+}
+
+// faultyConn plays, on each exchange, the fault its link draws when the
+// request is written.
+type faultyConn struct {
+	net.Conn
+	link    func() *faultCore
+	stalled atomic.Bool
+
+	mu    sync.Mutex  // guards the rest: a client may read on one goroutine and write on another
+	fault string      // the exchange's, drawn at its Write
+	stall *time.Timer // ends a hang after HangFor
+	head  []byte      // partial: the answer so far, until its head is whole
+	seen  int         // partial: answer bytes passed on
+	limit int         // partial: where the answer ends; -1 = not known yet
+}
+
+func (c *faultyConn) Write(p []byte) (int, error) {
+	fault, core := "", c.link()
+	if core != nil {
+		fault = core.draw()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch c.fault = fault; fault {
 	case "error":
-		closeBody(req)
-		return nil, fmt.Errorf("%w: %s %s refused", ErrInjected, req.Method, req.URL)
+		c.Conn.Close()
+		return 0, fmt.Errorf("%w: connection reset", ErrInjected)
 	case "hang":
-		closeBody(req)
-		t.hang(req.Context())
-		if err := req.Context().Err(); err != nil {
-			return nil, err
+		if d := core.spec.HangFor; d > 0 {
+			c.stall = time.AfterFunc(d, func() {
+				c.stalled.Store(true)
+				_ = c.Conn.SetReadDeadline(time.Unix(1, 0))
+			})
 		}
-		return nil, fmt.Errorf("%w: %s %s stalled", ErrInjected, req.Method, req.URL)
+		return len(p), nil // lost on the way
 	case "partial":
-		resp, err := t.inner.RoundTrip(req)
-		if err != nil {
-			return nil, err
+		c.head, c.seen, c.limit = c.head[:0], 0, -1
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *faultyConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	ended := c.fault == "partial" && c.limit >= 0 && c.seen >= c.limit
+	c.mu.Unlock()
+	if ended {
+		return 0, io.EOF
+	}
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch c.fault {
+	case "hang":
+		if err != nil && c.stalled.Load() {
+			return n, fmt.Errorf("%w: exchange stalled", ErrInjected)
 		}
-		resp.Body = &truncatedBody{inner: resp.Body, remaining: resp.ContentLength / 2}
-		return resp, nil
-	default:
-		return t.inner.RoundTrip(req)
-	}
-}
-
-func closeBody(req *http.Request) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
-}
-
-// truncatedBody yields roughly half the response and then fails the
-// read, simulating a connection torn mid-transfer.
-type truncatedBody struct {
-	inner     io.ReadCloser
-	remaining int64
-}
-
-func (b *truncatedBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, fmt.Errorf("%w: %v", ErrInjected, io.ErrUnexpectedEOF)
-	}
-	if int64(len(p)) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.inner.Read(p)
-	b.remaining -= int64(n)
-	if err == io.EOF {
-		return n, err
-	}
-	if b.remaining <= 0 && err == nil {
-		err = fmt.Errorf("%w: %v", ErrInjected, io.ErrUnexpectedEOF)
+	case "partial":
+		if c.limit < 0 {
+			c.head = append(c.head, p[:n]...)
+			if i := bytes.Index(c.head, []byte("\r\n\r\n")); i >= 0 {
+				c.limit = i + 4
+				if resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(c.head[:i+4])), nil); err == nil && resp.ContentLength > 0 {
+					c.limit += int(resp.ContentLength / 2)
+				}
+			}
+		}
+		if c.limit >= 0 && c.seen+n >= c.limit {
+			n, err = c.limit-c.seen, io.EOF
+		}
+		c.seen += n
 	}
 	return n, err
 }
 
-func (b *truncatedBody) Close() error { return b.inner.Close() }
+func (c *faultyConn) Close() error {
+	c.mu.Lock()
+	if c.stall != nil {
+		c.stall.Stop()
+	}
+	c.mu.Unlock()
+	return c.Conn.Close()
+}
 
 // MapFetcher adapts an in-memory map to the origin interface without
 // importing the proxy package (test helper for chaos suites that need a

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -94,6 +95,12 @@ func TestFaultyOriginPartialRead(t *testing.T) {
 	}
 }
 
+// client is a net/http client over dial that opens a connection per
+// request, so each request draws its link's fault exactly once.
+func client(dial Dialer) *http.Client {
+	return &http.Client{Transport: &http.Transport{DialContext: dial, DisableKeepAlives: true}, Timeout: 5 * time.Second}
+}
+
 func TestFaultyTransportErrorAndRecovery(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, strings.Repeat("z", 1024))
@@ -101,7 +108,7 @@ func TestFaultyTransportErrorAndRecovery(t *testing.T) {
 	defer ts.Close()
 
 	ft := NewFaultyTransport(nil, FaultSpec{Seed: 3, ErrorRate: 0.5})
-	client := &http.Client{Transport: ft}
+	client := client(ft.Dial)
 	var ok, failed int
 	for i := 0; i < 100; i++ {
 		resp, err := client.Get(ts.URL)
@@ -124,16 +131,18 @@ func TestFaultyTransportErrorAndRecovery(t *testing.T) {
 	}
 }
 
+// TestFaultyTransportPartialBody: a truncated answer ends (EOF) after its
+// head and half its body.
 func TestFaultyTransportPartialBody(t *testing.T) {
 	payload := strings.Repeat("z", 4096)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "4096")
 		io.WriteString(w, payload)
 	}))
 	defer ts.Close()
 
 	ft := NewFaultyTransport(nil, FaultSpec{Seed: 3, PartialRate: 1})
-	client := &http.Client{Transport: ft}
-	resp, err := client.Get(ts.URL)
+	resp, err := client(ft.Dial).Get(ts.URL)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -142,43 +151,42 @@ func TestFaultyTransportPartialBody(t *testing.T) {
 	if rerr == nil {
 		t.Fatal("partial body read succeeded, want mid-body error")
 	}
-	if len(body) >= len(payload) {
-		t.Fatalf("read %d bytes, want truncation below %d", len(body), len(payload))
+	if len(body) != len(payload)/2 {
+		t.Fatalf("read %d bytes, want the first half, %d", len(body), len(payload)/2)
 	}
 }
 
-// closeCount is a request body that counts its Close calls.
-type closeCount struct {
-	io.Reader
-	closed int
-}
-
-func (c *closeCount) Close() error { c.closed++; return nil }
-
-// TestFaultyTransportClosesTheBody: a request the transport fails itself
-// — an injected error, a hang, a cut link — still has its body closed
-// exactly once, as http.RoundTripper requires.
-func TestFaultyTransportClosesTheBody(t *testing.T) {
+// TestFaultyTransportDropsTheRequest: a request the transport fails
+// itself — an injected error, a hang, a cut link — fails with an injected
+// fault or at its deadline, and never reaches the server.
+func TestFaultyTransportDropsTheRequest(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+	}))
+	defer ts.Close()
 	lf := NewLinkFaults(nil)
-	lf.Cut("peer:1")
+	lf.Cut(ts.Listener.Addr().String())
 	for _, tc := range []struct {
 		name string
-		rt   http.RoundTripper
+		dial Dialer
 	}{
-		{"error", NewFaultyTransport(nil, FaultSpec{ErrorRate: 1})},
-		{"hang", NewFaultyTransport(nil, FaultSpec{HangRate: 1, HangFor: time.Millisecond})},
-		{"cut link", lf},
+		{"error", NewFaultyTransport(nil, FaultSpec{ErrorRate: 0.99}).Dial},
+		{"hang", NewFaultyTransport(nil, FaultSpec{HangRate: 1, HangFor: time.Millisecond}).Dial},
+		{"hang to the deadline", NewFaultyTransport(nil, FaultSpec{HangRate: 1}).Dial},
+		{"cut link", lf.Dial},
 	} {
-		body := &closeCount{Reader: strings.NewReader("frame")}
-		req, err := http.NewRequest(http.MethodPost, "http://peer:1/peer/v2/batch", body)
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/peer/v2/batch", strings.NewReader("frame"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tc.rt.RoundTrip(req); !errors.Is(err, ErrInjected) {
-			t.Fatalf("%s: err = %v, want an injected fault", tc.name, err)
+		if _, err := client(tc.dial).Do(req); !errors.Is(err, ErrInjected) && !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want an injected fault or the deadline", tc.name, err)
 		}
-		if body.closed != 1 {
-			t.Errorf("%s: body closed %d times, want 1", tc.name, body.closed)
-		}
+		cancel()
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the server saw %d requests, want none", n)
 	}
 }

@@ -1,40 +1,42 @@
 package netsim
 
 import (
-	"net/http"
+	"context"
+	"net"
 	"sync"
 )
 
-// LinkFaults is a per-destination fault mesh for HTTP hops: each
-// destination host can carry its own FaultSpec while traffic to every
-// other host passes through clean. A cluster chaos test uses one
-// LinkFaults per node as its peer transport, so the link from node A to
-// peer B can be cut or degraded (asymmetrically — B can still reach A)
-// without touching the rest of the mesh.
+// LinkFaults is a per-destination fault mesh for the hop: a dialer whose
+// connections to each destination host can carry its own FaultSpec while
+// traffic to every other host passes through clean. A cluster chaos test
+// uses one LinkFaults per node as its peer dialer, so the link from node
+// A to peer B can be cut or degraded (asymmetrically — B can still reach
+// A) without touching the rest of the mesh. A connection plays its link's
+// profile as it is when each request is written, so a cut or a fault set
+// later reaches the connections already pooled too.
 type LinkFaults struct {
-	base http.RoundTripper
+	dial Dialer
 
 	mu    sync.RWMutex
-	links map[string]*FaultyTransport
+	links map[string]*faultCore
 }
 
-// NewLinkFaults builds a mesh view over base (nil =
-// http.DefaultTransport). With no links configured it is a transparent
-// pass-through.
-func NewLinkFaults(base http.RoundTripper) *LinkFaults {
-	if base == nil {
-		base = http.DefaultTransport
+// NewLinkFaults builds a mesh view over dial (nil = a net.Dialer). With no
+// links configured it is a transparent pass-through.
+func NewLinkFaults(dial Dialer) *LinkFaults {
+	if dial == nil {
+		dial = (&net.Dialer{}).DialContext
 	}
-	return &LinkFaults{base: base, links: make(map[string]*FaultyTransport)}
+	return &LinkFaults{dial: dial, links: make(map[string]*faultCore)}
 }
 
-// SetLink installs (or replaces) the fault profile for requests whose
-// URL host is host (e.g. "127.0.0.1:8642"). Replacing a link resets its
-// deterministic fault sequence and stats.
+// SetLink installs (or replaces) the fault profile for connections to
+// host (e.g. "127.0.0.1:8642"). Replacing a link resets its deterministic
+// fault sequence and stats.
 func (l *LinkFaults) SetLink(host string, spec FaultSpec) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.links[host] = NewFaultyTransport(l.base, spec)
+	l.links[host] = newFaultCore(spec)
 }
 
 // ClearLink restores a clean link to host.
@@ -48,15 +50,15 @@ func (l *LinkFaults) ClearLink(host string) {
 func (l *LinkFaults) LinkStats(host string) (FaultStats, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	ft, ok := l.links[host]
+	c, ok := l.links[host]
 	if !ok {
 		return FaultStats{}, false
 	}
-	return ft.Stats(), true
+	return c.Stats(), true
 }
 
-// CutSpec is the fault profile of a fully severed link: every request
-// fails immediately. Seed keeps the (deterministic) fault sequence API
+// CutSpec is the fault profile of a fully severed link: every dial is
+// refused, and every request on a connection already open is reset. Seed keeps the (deterministic) fault sequence API
 // happy; it has no effect at rate 1.
 func CutSpec(seed uint64) FaultSpec {
 	return FaultSpec{Seed: seed, ErrorRate: 1}
@@ -67,7 +69,7 @@ func CutSpec(seed uint64) FaultSpec {
 func (l *LinkFaults) Cut(host string) { l.SetLink(host, CutSpec(0)) }
 
 // Partition drives network splits across a cluster's fault meshes: one
-// LinkFaults per node (the node's peer transport), one host per node.
+// LinkFaults per node (the node's peer dialer), one host per node.
 // Because each direction is a separate mesh entry, splits can be
 // asymmetric — A unable to reach B while B still reaches A — which is
 // exactly the case a naive ping-based failure detector gets wrong.
@@ -77,7 +79,7 @@ type Partition struct {
 }
 
 // NewPartition pairs each node's LinkFaults mesh with its host
-// ("127.0.0.1:port"). meshes[i] must be node i's peer transport.
+// ("127.0.0.1:port"). meshes[i] must be node i's peer dialer.
 func NewPartition(meshes []*LinkFaults, hosts []string) *Partition {
 	return &Partition{meshes: meshes, hosts: hosts}
 }
@@ -130,14 +132,12 @@ func (p *Partition) Heal() {
 	}
 }
 
-// RoundTrip implements http.RoundTripper: requests to a host with a
-// configured link go through its fault profile, the rest through base.
-func (l *LinkFaults) RoundTrip(req *http.Request) (*http.Response, error) {
-	l.mu.RLock()
-	ft := l.links[req.URL.Host]
-	l.mu.RUnlock()
-	if ft != nil {
-		return ft.RoundTrip(req)
-	}
-	return l.base.RoundTrip(req)
+// Dial implements the hop's dial function: connections to a host with a
+// configured link play its fault profile, the rest pass clean.
+func (l *LinkFaults) Dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	return faultyDial(ctx, l.dial, network, addr, func() *faultCore {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		return l.links[addr]
+	})
 }

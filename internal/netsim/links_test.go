@@ -20,7 +20,7 @@ func TestLinkFaultsIsolatePerDestination(t *testing.T) {
 
 	lf := NewLinkFaults(nil)
 	lf.SetLink(bad.Listener.Addr().String(), FaultSpec{Seed: 1, ErrorRate: 1})
-	client := &http.Client{Transport: lf}
+	client := client(lf.Dial)
 
 	// The faulted link always fails.
 	if _, err := client.Get(bad.URL); err == nil {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net"
 	"net/http"
 	"net/url"
+	"path"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,10 +81,25 @@ func StatusFor(err error) int {
 // /healthz and /metrics.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle(classPathPrefix, p.ClassHandler())
 	mux.Handle("/healthz", telemetry.HealthHandler(p.Health))
 	mux.Handle("/metrics", p.reg.Handler())
-	return mux
+	return WithClassRoute(p.ClassHandler(), mux)
+}
+
+// WithClassRoute serves the class route with classes and every other
+// path with mux. A clean path under /classes/ is matched by its prefix,
+// which spares the mux's pattern walk and its allocations; any other
+// goes to mux, which serves /classes/ with classes too, after its own
+// cleaning and redirects.
+func WithClassRoute(classes http.Handler, mux *http.ServeMux) http.Handler {
+	mux.Handle(classPathPrefix, classes)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.Path; strings.HasPrefix(p, classPathPrefix) && path.Clean(p) == p {
+			classes.ServeHTTP(w, r)
+		} else {
+			mux.ServeHTTP(w, r)
+		}
+	})
 }
 
 // ClassHandler serves the class route, GET /classes/<name>.class, for a
@@ -150,31 +167,26 @@ const maxClassBytes = 16 << 20
 // the bound ReadSized was given.
 var ErrBodyTooLarge = errors.New("body exceeds size limit")
 
-// sizedReadChunk is the most ReadSized commits beyond the bytes it has
+// sizedReadChunk is the most ReadSizedInto commits beyond the bytes it has
 // actually received: a sender that declares a huge length and then
 // stalls costs one chunk, not the declared size. Classes and single-class
 // peer frames are far below it, so the common case is one exact
 // allocation.
 const sizedReadChunk = 1 << 20
 
-// ReadSized reads a body of declared length n (an HTTP Content-Length;
-// negative = none declared) that may not exceed max bytes. A declared
-// length over max is refused before anything is allocated; otherwise the
-// result is one buffer of exactly n bytes, and a body that ends early is
+// ReadSizedInto reads a body of declared length n (an HTTP
+// Content-Length; negative = none declared) that may not exceed max
+// bytes, into buf's storage as far as it reaches. A declared length over
+// max is refused before anything is allocated; otherwise the result is
+// one buffer of exactly n bytes, and a body that ends early is
 // io.ErrUnexpectedEOF, never a truncated result. Only with no declared
-// length does it fall back to a bounded io.ReadAll. A hop that keeps the
-// bytes it reads for good — the client loader — reads through here; one
-// whose bytes die with a response reads through ReadSizedInto.
-func ReadSized(body io.Reader, n int64, max int) ([]byte, error) {
-	return ReadSizedInto(nil, body, n, max)
-}
-
-// ReadSizedInto is ReadSized reading into buf's storage as far as it
-// reaches (memory already committed: a sender that then stalls costs
-// nothing more). It is for a reader whose buffer is recycled (GetBuffer):
-// an attestation variant, which parses its payload, hashes the result and
-// answers with the digest, and a peer fill, whose answer frame is written
-// to the client that asked and then goes back to the pool.
+// length does it fall back to a bounded io.ReadAll. With buf nil the
+// result is a buffer of its own, for a reader that keeps the bytes for
+// good (the class loader); a recycled buf (GetBuffer) suits one whose
+// bytes die with a response: an attestation variant, which parses its
+// payload, hashes the result and answers with the digest, and a peer
+// fill, whose answer frame is written to the client that asked and then
+// goes back to the pool.
 func ReadSizedInto(buf []byte, body io.Reader, n int64, max int) ([]byte, error) {
 	if n < 0 {
 		b, err := io.ReadAll(io.LimitReader(body, int64(max)+1))
@@ -254,10 +266,10 @@ type LoaderOptions struct {
 	BreakerCooldown time.Duration
 	// Context, when non-nil, is the base context for all fetches.
 	Context context.Context
-	// Transport overrides the HTTP transport (fault injection via
-	// netsim in tests; custom dialers in deployments). Nil = one shared
-	// HopTransport.
-	Transport http.RoundTripper
+	// Dial opens the loader's connections (fault injection via
+	// netsim.LinkFaults in tests). Nil = one HopTransport shared by every
+	// loader, over a net.Dialer.
+	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// ProbeInterval is how long HTTPLoaderMulti leaves a failed endpoint
 	// ejected before re-probing it with live traffic (default 2s).
 	ProbeInterval time.Duration
@@ -275,12 +287,21 @@ func HTTPLoader(baseURL, client, arch string) jvm.ClassLoader {
 // the client (no class, no execution), so failures surface as load
 // errors — the JVM turns them into NoClassDefFoundError.
 //
-// Each attempt goes straight to the transport: its one deadline is the
-// hop's per-attempt context, which bounds the dial, the response headers
-// and the body read alike. No redirect is followed (the class protocol
-// has none, so a 3xx is an answer like any other non-200), and every
-// request shares one read-only header map built here.
+// Each attempt is one exchange of the hop, which owns the attempt's
+// deadline: it bounds the dial, the answer's head and its body alike, and
+// no context is derived for it. No redirect is followed (the class
+// protocol has none, so a 3xx is an answer like any other non-200), and
+// every exchange sends the header pairs built here.
 func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassLoader {
+	transport := defaultHop
+	if opts.Dial != nil {
+		transport = &HopTransport{Dial: opts.Dial}
+	}
+	return httpLoader(baseURL, client, arch, opts, transport)
+}
+
+// httpLoader is HTTPLoaderWith over transport.
+func httpLoader(baseURL, client, arch string, opts LoaderOptions, transport *HopTransport) jvm.ClassLoader {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
@@ -288,59 +309,45 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 	if base == nil {
 		base = context.Background()
 	}
+	target, terr := ParseHopTarget(baseURL)
 	hop := resilience.Hop{
-		Timeout: opts.Timeout,
-		Retry:   resilience.RetryPolicy{Attempts: 1 + opts.Retries},
+		Retry: resilience.RetryPolicy{Attempts: 1 + opts.Retries},
 		Breaker: resilience.NewBreaker(resilience.BreakerConfig{
 			Threshold: opts.BreakerThreshold,
 			Cooldown:  opts.BreakerCooldown,
 		}),
 	}
-	transport := opts.Transport
-	if transport == nil {
-		transport = defaultHop
-	}
-	// A RoundTripper only reads a request's header, so one map serves
-	// every request, concurrent ones included. The proxy never compresses
-	// a class, so the loader asks for the identity encoding: left to
-	// itself net/http's transport would ask for gzip and set up a
-	// transparent decompressor for a body that is never gzipped.
-	header := http.Header{clientHeaderKey: {client}, archHeaderKey: {arch}, "Accept-Encoding": {"identity"}}
+	// The proxy never compresses a class and the hop decodes no content
+	// coding, so the loader asks for the identity encoding.
+	header := []string{clientHeaderKey, client, archHeaderKey, arch, "Accept-Encoding", "identity"}
 	return jvm.FuncLoader(func(name string) ([]byte, error) {
+		if terr != nil {
+			return nil, resilience.Permanent(terr)
+		}
 		var data []byte
 		err := hop.Do(base, func(ctx context.Context) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+classPathPrefix+classPath(name)+".class", nil)
-			if err != nil {
-				return resilience.Permanent(err)
-			}
-			req.Header = header
-			resp, err := transport.RoundTrip(req)
-			if err != nil {
-				return fmt.Errorf("proxy: %s: %w", name, err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-				err := fmt.Errorf("proxy: %s: %s: %s", name, resp.Status, strings.TrimSpace(string(body)))
-				if resp.StatusCode == http.StatusNotFound {
-					return resilience.Permanent(fmt.Errorf("%v: %w", err, ErrNotFound))
-				}
-				if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-					return resilience.Permanent(err) // our request is wrong; retrying won't fix it
-				}
-				return err
-			}
-			// The caller keeps the bytes (DefineClass), so the buffer is
-			// exactly the class: sized from the declared length, not
+			// The caller keeps the bytes (DefineClass), so the answer's body
+			// is exactly the class: sized from its declared length, not
 			// regrown and not pooled.
-			b, err := ReadSized(resp.Body, resp.ContentLength, maxClassBytes)
+			a, err := transport.Exchange(ctx, target, &HopRequest{Method: http.MethodGet,
+				Path: classPathPrefix + classPath(name) + ".class", Header: header, Timeout: opts.Timeout, Max: maxClassBytes})
 			if errors.Is(err, ErrBodyTooLarge) {
 				return resilience.Permanent(fmt.Errorf("proxy: %s: %w", name, err))
 			}
 			if err != nil {
-				return fmt.Errorf("proxy: %s: reading class: %w", name, err) // a short body is worth a retry
+				return fmt.Errorf("proxy: %s: %w", name, err) // a short body is worth a retry
 			}
-			data = b
+			if a.Status != http.StatusOK {
+				err := fmt.Errorf("proxy: %s: %d %s: %s", name, a.Status, http.StatusText(a.Status), ErrorText(a.Body))
+				if a.Status == http.StatusNotFound {
+					return resilience.Permanent(fmt.Errorf("%v: %w", err, ErrNotFound))
+				}
+				if a.Status >= 400 && a.Status < 500 {
+					return resilience.Permanent(err) // our request is wrong; retrying won't fix it
+				}
+				return err
+			}
+			data = a.Body
 			return nil
 		})
 		if err != nil {
@@ -348,6 +355,12 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 		}
 		return data, nil
 	})
+}
+
+// ErrorText is an error answer's body as an error message quotes it: at
+// most 256 bytes, trimmed.
+func ErrorText(body []byte) string {
+	return strings.TrimSpace(string(body[:min(len(body), 256)]))
 }
 
 // classPath is a class name as a URL path: JVMS §4.2.1 lets a name hold

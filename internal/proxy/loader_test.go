@@ -319,7 +319,7 @@ func TestReadSized(t *testing.T) {
 		{"undeclared", data[:5000], -1, 1 << 20, nil},
 		{"undeclared over max", data[:5000], -1, 4999, ErrBodyTooLarge},
 	} {
-		got, err := ReadSized(bytes.NewReader(tc.body), tc.declared, tc.max)
+		got, err := ReadSizedInto(nil, bytes.NewReader(tc.body), tc.declared, tc.max)
 		if !errors.Is(err, tc.wantErr) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
 			continue
@@ -338,7 +338,7 @@ func TestReadSized(t *testing.T) {
 		}
 	}
 	// A sender that declares the maximum and stalls costs one chunk.
-	cost := allocatedBy(func() { _, _ = ReadSized(bytes.NewReader(data[:10]), 48<<20, 48<<20) })
+	cost := allocatedBy(func() { _, _ = ReadSizedInto(nil, bytes.NewReader(data[:10]), 48<<20, 48<<20) })
 	if cost > 2*sizedReadChunk {
 		t.Errorf("a 48 MiB declaration backed by 10 bytes allocated %d bytes", cost)
 	}

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -10,7 +9,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/textproto"
 	"net/url"
 	"runtime"
 	"strconv"
@@ -287,23 +285,16 @@ func (c *serverConn) stopWatch() {
 // readRequest reads a request's head and parses it into e. A failed read
 // is err; a refused head, the status to answer it with.
 func (c *serverConn) readRequest(e *exchange) (status int, err error) {
-	head := c.head[:0]
-	defer func() { c.head = head }()
-	for {
-		line, err := c.br.ReadSlice('\n')
-		head = append(head, line...)
-		switch {
-		case len(head) > maxHopHeaderBytes:
-			return http.StatusRequestHeaderFieldsTooLarge, nil
-		case err == bufio.ErrBufferFull:
-		case err != nil:
-			return 0, err
-		case len(head) < 2 || head[len(head)-2] != '\r':
-			return http.StatusBadRequest, nil
-		case len(head) == 2 || bytes.HasSuffix(head, []byte("\n\r\n")):
-			return c.parse(e, string(head[:len(head)-2])), nil
-		}
+	c.head, err = readHead(c.br, c.head, true)
+	switch err {
+	case nil:
+		return c.parse(e, string(c.head[:len(c.head)-2])), nil
+	case errHeadTooLong:
+		return http.StatusRequestHeaderFieldsTooLarge, nil
+	case errBareLF:
+		return http.StatusBadRequest, nil
 	}
+	return 0, err
 }
 
 // parse fills e's request from head, its lines but the blank one; one
@@ -334,13 +325,11 @@ func (c *serverConn) parse(e *exchange, head string) int {
 	var host, cl, te, expect string // net/http keeps Host and Transfer-Encoding out of Header
 	var hosts, cls, tes int
 	for head != "" {
-		line, head, _ = strings.Cut(head, "\r\n")
-		k, v, ok := strings.Cut(line, ":")
-		v = strings.Trim(v, " \t")
-		if !ok || !validIn(k, tokenPunct) || strings.ContainsFunc(v, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }) {
+		k, v, rest, ok := nextField(head)
+		if !ok {
 			return http.StatusBadRequest
 		}
-		k = textproto.CanonicalMIMEHeaderKey(k) // no allocation if it is
+		head, k = rest, http.CanonicalHeaderKey(k) // no allocation if it is
 		switch k {
 		case "Host":
 			host, hosts = v, hosts+1
@@ -372,7 +361,7 @@ func (c *serverConn) parse(e *exchange, head string) int {
 	}
 	*r = http.Request{Method: method, URL: &e.url, Proto: proto, ProtoMajor: 1, ProtoMinor: minor, Header: hdr,
 		ContentLength: int64(n), Host: host, RemoteAddr: c.remote, RequestURI: target, Body: http.NoBody,
-		Close: hasToken(hdr["Connection"], "close") || minor == 0 && !hasToken(hdr["Connection"], "keep-alive")}
+		Close: hasToken("close", hdr["Connection"]...) || minor == 0 && !hasToken("keep-alive", hdr["Connection"]...)}
 	e.body = reqBody{c: c, n: r.ContentLength}
 	if tes > 0 {
 		r.ContentLength, r.TransferEncoding, e.body.n, e.body.chunked = -1, []string{"chunked"}, -1, newChunkedReader(c.br)
@@ -392,20 +381,6 @@ func (c *serverConn) parse(e *exchange, head string) int {
 // pathPunct is the punctuation url.ParseRequestURI leaves as it is in a
 // path, setting no RawPath.
 const pathPunct = "-._~$&+,/:;=@"
-
-// hasToken reports whether the comma-separated values vs hold tok, in
-// any case.
-func hasToken(vs []string, tok string) bool {
-	for _, v := range vs {
-		for v != "" {
-			var t string
-			if t, v, _ = strings.Cut(v, ","); strings.EqualFold(textproto.TrimString(t), tok) {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // exchange is one request and its answer, in one allocation; it is the
 // handler's http.ResponseWriter.
@@ -486,7 +461,7 @@ func (e *exchange) finish() bool {
 			for _, v := range vs {
 				b = append(append(b, k...), ": "...)
 				start := len(b)
-				for b = append(b, textproto.TrimString(v)...); start < len(b); start++ {
+				for b = append(b, strings.Trim(v, " \t\r\n")...); start < len(b); start++ {
 					if b[start] == '\r' || b[start] == '\n' {
 						b[start] = ' ' // as net/http writes a value
 					}
@@ -596,7 +571,6 @@ type reqCtx struct {
 	c    *serverConn
 	done chan struct{} // made by the first Done
 	err  error
-	fns  map[*func()]struct{} // by AfterFunc
 }
 
 func (x *reqCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
@@ -608,8 +582,9 @@ func (x *reqCtx) Err() error {
 	return x.err
 }
 
-// Done arms the watch: whoever waits on the context would know of a
-// hang-up. A cache hit never asks.
+// Done arms the watch, if x is the context of the request being handled:
+// whoever waits on the context would know of a hang-up. A cache hit never
+// asks.
 func (x *reqCtx) Done() <-chan struct{} {
 	x.c.mu.Lock()
 	defer x.c.mu.Unlock()
@@ -619,55 +594,21 @@ func (x *reqCtx) Done() <-chan struct{} {
 			close(x.done)
 		}
 	}
-	x.want()
-	return x.done
-}
-
-// AfterFunc lets a context derived from this one (context.WithCancel,
-// WithTimeout, AfterFunc) follow it with no goroutine of its own: f runs
-// on the goroutine that ends this context, unless stop runs first.
-func (x *reqCtx) AfterFunc(f func()) (stop func() bool) {
-	x.c.mu.Lock()
-	defer x.c.mu.Unlock()
-	if x.err != nil {
-		go f()
-		return func() bool { return false }
-	}
-	if x.fns == nil {
-		x.fns = make(map[*func()]struct{})
-	}
-	x.fns[&f] = struct{}{}
-	x.want()
-	return func() bool {
-		x.c.mu.Lock()
-		defer x.c.mu.Unlock()
-		_, ok := x.fns[&f]
-		delete(x.fns, &f)
-		return ok
-	}
-}
-
-// want arms the watch if x is the context of the request being handled.
-// c.mu is held.
-func (x *reqCtx) want() {
 	if c := x.c; c.ex != nil && &c.ex.ctx == x && !c.watched {
 		c.watched = true
 		c.startWatch()
 	}
+	return x.done
 }
 
 // cancel ends the context, once.
 func (x *reqCtx) cancel() {
 	x.c.mu.Lock()
-	fns := x.fns
+	defer x.c.mu.Unlock()
 	if x.err == nil {
-		x.err, x.fns = context.Canceled, nil
+		x.err = context.Canceled
 		if x.done != nil {
 			close(x.done)
 		}
-	}
-	x.c.mu.Unlock()
-	for f := range fns {
-		(*f)()
 	}
 }

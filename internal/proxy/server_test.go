@@ -248,8 +248,8 @@ var hopRefusals = []struct {
 	{"head over the bound", "GET /x HTTP/1.1\r\nHost: h\r\nX-Long: " + strings.Repeat("a", maxHopHeaderBytes) + "\r\n\r\n", 431},
 }
 
-// readHead runs the head reader over in.
-func readHead(in []byte) (*exchange, int, error) {
+// parseHead runs the head reader over in.
+func parseHead(in []byte) (*exchange, int, error) {
 	c := &serverConn{br: bufio.NewReader(bytes.NewReader(in))}
 	e := &exchange{c: c, declared: -1}
 	status, err := c.readRequest(e)
@@ -260,7 +260,7 @@ func readHead(in []byte) (*exchange, int, error) {
 // connection the answer ends it.
 func TestHopServerRefusals(t *testing.T) {
 	for _, tc := range hopRefusals {
-		if _, status, err := readHead([]byte(tc.head)); status != tc.status || err != nil {
+		if _, status, err := parseHead([]byte(tc.head)); status != tc.status || err != nil {
 			t.Errorf("%s: status %d, err %v; want %d", tc.name, status, err, tc.status)
 		}
 	}
@@ -296,7 +296,7 @@ func FuzzHopRequest(f *testing.F) {
 		var status int
 		var err error
 		limit := uint64(64*len(in)) + 64<<10
-		if cost := loadCost(limit, func() {}, func() { e, status, err = readHead(in) }); cost > limit {
+		if cost := loadCost(limit, func() {}, func() { e, status, err = parseHead(in) }); cost > limit {
 			t.Errorf("a %d-byte head cost %d bytes, limit %d", len(in), cost, limit)
 		}
 		if err != nil || status != 0 {

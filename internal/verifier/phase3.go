@@ -88,21 +88,29 @@ var presetClasses = [clsPreset]string{"", "java/lang/Object", "java/lang/Throwab
 
 // frames is the working memory of one phase-3 run, taken from framePool
 // so that in steady state verifying a method allocates nothing that grows
-// with its length. In-frames — the abstract state at entry to each
-// instruction reached so far — live back to back in slab, locals first
-// and then the operand stack; the frame being interpreted is copied out
-// into cur, which every transfer function updates in place.
+// with its length. In-frames — the abstract state at entry to each join
+// point reached so far — live back to back in slab, locals first and then
+// the operand stack; the frame being interpreted is copied out into cur,
+// which every transfer function updates in place and which carries the
+// state through the straight-line code between join points.
 type frames struct {
 	ids   map[string]uint32 // class name or array descriptor -> id
 	names []string          // id -> name
 	key   []byte            // scratch for descriptors built to be looked up
 
-	slab []vt
-	in   []frameRef // per instruction: where its in-frame is
-	work []int32    // instructions whose in-frame changed, last in first out
-	exc  []vt       // per exception handler: the value its entry sees on the stack
-	cur  []vt       // locals, then the operand stack
-	sp   int        // operand stack height in cur
+	slab   []vt
+	in     []frameRef // per instruction: where its in-frame is (join points only)
+	join   []bool     // per instruction: a join point
+	passed []uint8    // per join point: notPassed, passed, or changed since its last pass
+	starts []vt       // per join point changed since a pass: the frame that pass started from
+	start  []int32    // per join point: 1 + its start frame's offset in starts (0 = none yet)
+	work   []int32    // join points whose in-frame changed, last in first out
+	exc    []vt       // per exception handler: the value its entry sees on the stack
+	cur    []vt       // locals, then the operand stack
+	sp     int        // operand stack height in cur
+	shadow []vt       // a re-pass's earlier frame, stepped beside cur (pass)
+	ssp    int        // operand stack height in shadow
+	quiet  Census     // counts a shadow step's checks, which the census does not
 
 	// The method under verification.
 	cf        *classfile.ClassFile
@@ -132,9 +140,15 @@ var framePool = sync.Pool{New: func() any {
 const slabKeep = 1 << 16
 
 func (f *frames) release() {
+	if observeFrames != nil {
+		observeFrames(f)
+	}
 	f.cf, f.insts, f.census, f.ret = nil, nil, nil, bytecode.Type{}
 	if cap(f.slab) > slabKeep {
 		f.slab = nil
+	}
+	if cap(f.starts) > slabKeep {
+		f.starts = nil
 	}
 	if cap(f.work) > slabKeep {
 		f.work = nil
@@ -150,12 +164,15 @@ func (f *frames) reset(n, nlocals, maxStack, handlers int) {
 	for id, name := range presetClasses[1:] {
 		f.ids[name] = uint32(id + 1)
 	}
-	f.slab, f.work = f.slab[:0], f.work[:0]
+	f.slab, f.starts, f.work = f.slab[:0], f.starts[:0], f.work[:0]
 	if cap(f.in) < n {
-		f.in = make([]frameRef, n)
+		f.in, f.join, f.passed, f.start = make([]frameRef, n), make([]bool, n), make([]uint8, n), make([]int32, n)
 	}
-	f.in = f.in[:n]
+	f.in, f.join, f.passed, f.start = f.in[:n], f.join[:n], f.passed[:n], f.start[:n]
 	clear(f.in)
+	clear(f.join)
+	clear(f.passed)
+	clear(f.start)
 	if cap(f.exc) < handlers {
 		f.exc = make([]vt, handlers)
 	}
@@ -272,9 +289,21 @@ func (f *frames) fail(idx int, format string, args ...any) error {
 		Msg: fmt.Sprintf("pc %d: ", pc) + fmt.Sprintf(format, args...)}
 }
 
+// Test hooks. storeEveryFrame makes every instruction a join point: the
+// walk that stores an in-frame per instruction, which the join-point walk
+// must match check for check. observeFrames, when set, sees each method's
+// frames before they go back to the pool.
+var (
+	storeEveryFrame bool
+	observeFrames   func(*frames)
+)
+
 // phase3 runs the abstract interpreter over one method body: a worklist
-// of instructions, one in-frame per instruction, merged at every edge
-// into it and re-queued when the merge changed it.
+// of join points — the method's entry, every branch, switch and jsr
+// target and every handler entry — one in-frame per join point, merged at
+// every edge into it and re-queued when the merge changed it. A join
+// point popped starts a pass, which carries the frame through the
+// straight-line code after it (pass).
 func phase3(cf *classfile.ClassFile, m *classfile.Member, ed *rewrite.MethodEditor, census *Census) error {
 	code, insts := ed.Code(), ed.Insts
 	f := framePool.Get().(*frames)
@@ -332,21 +361,94 @@ func phase3(cf *classfile.ClassFile, m *classfile.Member, ed *rewrite.MethodEdit
 		}
 	}
 
+	f.markJoins(ed.Handlers)
 	if err := f.mergeInto(0, nil); err != nil {
 		return err
 	}
 	for len(f.work) > 0 {
 		idx := int(f.work[len(f.work)-1])
 		f.work = f.work[:len(f.work)-1]
-		off, depth := int(f.in[idx].at-1), int(f.in[idx].depth)
-		copy(f.cur, f.slab[off:off+f.nlocals+depth])
-		f.sp = depth
-		census.Phase3++
+		if err := f.pass(idx, ed.Handlers); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// markJoins marks the join points: instruction 0, every branch, switch
+// and jsr target, and every handler entry. Any other instruction is
+// reached only by falling through from the one before it.
+func (f *frames) markJoins(handlers []rewrite.Handler) {
+	n := len(f.insts)
+	mark := func(i int) {
+		if i >= 0 && i < n {
+			f.join[i] = true
+		}
+	}
+	mark(0)
+	for i := range f.insts {
+		in := &f.insts[i]
+		mark(in.Target)
+		if in.Switch != nil {
+			mark(in.Switch.Default)
+			for _, t := range in.Switch.Targets {
+				mark(t)
+			}
+		}
+		f.join[i] = f.join[i] || storeEveryFrame
+	}
+	for _, h := range handlers {
+		mark(h.Target)
+	}
+}
+
+// A join point's standing in passed.
+const (
+	notPassed uint8 = iota
+	passedAsIs
+	changedSincePass // its start frame is in starts
+)
+
+// pass interprets from join point idx, whose in-frame changed, through the
+// straight-line code after it, up to an instruction control cannot fall
+// through, the next join point (merged into and queued as any edge's
+// target), or an instruction whose in-frame this pass leaves as it was.
+//
+// Only join points store their in-frame, so the in-frame of an
+// instruction between them is the frame the pass carries, and a re-pass
+// must merge into, and stop at, exactly what a stored in-frame there
+// would have held: the census counts those merges and visits, and it is
+// wire format (AttrVerified). That frame is the one the last pass from
+// idx carried there, so a re-pass steps the frame the last pass started
+// from — which mergeInto keeps in starts when it first changes the
+// in-frame after a pass — beside its own (the shadow), with its census
+// and its edges off, and merges it into its own at each instruction, as
+// mergeInto would. A first pass pays nothing extra.
+func (f *frames) pass(idx int, handlers []rewrite.Handler) error {
+	off, depth := int(f.in[idx].at-1), int(f.in[idx].depth)
+	in := f.slab[off : off+f.nlocals+depth]
+	copy(f.cur, in)
+	f.sp, f.ssp = depth, depth
+	// A join point queued twice is passed twice; the second time its
+	// in-frame may be the one the first pass started from.
+	repass := f.passed[idx] != notPassed
+	if repass {
+		if len(f.shadow) < len(f.cur) {
+			f.shadow = make([]vt, len(f.cur))
+		}
+		if f.passed[idx] == changedSincePass {
+			in = f.starts[f.start[idx]-1:][:len(in)]
+		}
+		copy(f.shadow, in)
+	}
+	f.passed[idx] = passedAsIs
+	for {
+		f.census.Phase3++
 
 		// Exception edges: the handler sees this instruction's *entry*
 		// locals — still what cur holds — with a one-element stack.
-		for i := range ed.Handlers {
-			if h := &ed.Handlers[i]; h.Start <= idx && idx < h.End {
+		for i := range handlers {
+			if h := &handlers[i]; h.Start <= idx && idx < h.End {
 				caught := [1]vt{f.exc[i]}
 				if err := f.mergeInto(h.Target, caught[:]); err != nil {
 					return err
@@ -358,25 +460,66 @@ func phase3(cf *classfile.ClassFile, m *classfile.Member, ed *rewrite.MethodEdit
 		if err != nil {
 			return err
 		}
-		if !flowEnds {
-			if idx+1 >= len(insts) {
-				return f.fail(idx, "control falls off the end of the method")
-			}
-			if err := f.mergeInto(idx+1, f.stack()); err != nil {
-				return err
+		if flowEnds {
+			return nil
+		}
+		if repass {
+			f.stepShadow(idx)
+		}
+		next := idx + 1
+		if next >= len(f.insts) {
+			return f.fail(idx, "control falls off the end of the method")
+		}
+		if f.join[next] {
+			return f.mergeInto(next, f.stack())
+		}
+		idx = next
+		if !repass {
+			continue // first visit: the carried frame is the in-frame
+		}
+		f.census.Phase3++
+		if f.ssp != f.sp {
+			return f.fail(idx, "inconsistent stack height at join: %d vs %d", f.ssp, f.sp)
+		}
+		changed := false
+		n := f.nlocals + f.sp
+		for i, old := range f.shadow[:n] {
+			if nv := merge(old, f.cur[i]); nv != old {
+				changed = true
+				f.cur[i] = nv
+			} else {
+				f.cur[i] = old
 			}
 		}
+		if !changed {
+			return nil
+		}
 	}
-	return nil
+}
+
+// stepShadow applies instruction idx to the shadow frame as the last pass
+// applied it, checks and edges left out. It failed on none of them then,
+// and the shadow is the frame it stepped, so it fails on none now.
+func (f *frames) stepShadow(idx int) {
+	f.cur, f.shadow, f.sp, f.ssp = f.shadow, f.cur, f.ssp, f.sp
+	census := f.census
+	f.census = &f.quiet
+	_, _ = f.step(idx)
+	f.census = census
+	f.cur, f.shadow, f.sp, f.ssp = f.shadow, f.cur, f.ssp, f.sp
 }
 
 func (f *frames) stack() []vt { return f.cur[f.nlocals : f.nlocals+f.sp] }
 
 // mergeInto sends the working frame's locals, with the given operand
-// stack, along an edge to instruction idx: copied into the slab on the
+// stack, along an edge to join point idx: copied into the slab on the
 // first visit, merged in place into the in-frame afterwards. Either way
-// the instruction is queued if its in-frame is new or changed.
+// the join point is queued if its in-frame is new or changed. While the
+// shadow steps (census is quiet) edges are not taken.
 func (f *frames) mergeInto(idx int, stack []vt) error {
+	if f.census == &f.quiet {
+		return nil
+	}
 	if idx < 0 || idx >= len(f.insts) {
 		return f.fail(idx, "control transfer out of method")
 	}
@@ -391,25 +534,41 @@ func (f *frames) mergeInto(idx int, stack []vt) error {
 	if int(f.in[idx].depth) != len(stack) {
 		return f.fail(idx, "inconsistent stack height at join: %d vs %d", f.in[idx].depth, len(stack))
 	}
-	in := f.slab[f.in[idx].at-1:]
+	in := f.slab[f.in[idx].at-1:][:f.nlocals+len(stack)]
 	changed := false
-	for i, v := range locals {
-		if nv := merge(in[i], v); nv != in[i] {
-			in[i] = nv
-			changed = true
+	for i, old := range in {
+		v := f.cur[i]
+		if i >= f.nlocals {
+			v = stack[i-f.nlocals]
 		}
-	}
-	in = in[len(locals):]
-	for i, v := range stack {
-		if nv := merge(in[i], v); nv != in[i] {
+		if nv := merge(old, v); nv != old {
+			if !changed {
+				changed = true
+				f.keepStart(idx, in)
+			}
 			in[i] = nv
-			changed = true
 		}
 	}
 	if changed {
 		f.work = append(f.work, int32(idx))
 	}
 	return nil
+}
+
+// keepStart keeps in, join point idx's in-frame before a merge changes it,
+// as the frame its last pass started from, if it has been passed since it
+// last changed: a re-pass steps it as the shadow.
+func (f *frames) keepStart(idx int, in []vt) {
+	if f.passed[idx] != passedAsIs {
+		return
+	}
+	f.passed[idx] = changedSincePass
+	if f.start[idx] == 0 {
+		f.start[idx] = int32(len(f.starts)) + 1
+		f.starts = append(f.starts, in...)
+	} else {
+		copy(f.starts[f.start[idx]-1:], in)
+	}
 }
 
 // typeValue converts a descriptor type into abstract slot values; the
