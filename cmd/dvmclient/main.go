@@ -28,6 +28,7 @@ import (
 	"dvm/internal/jvm"
 	"dvm/internal/monitor"
 	"dvm/internal/proxy"
+	"dvm/internal/resilience"
 	"dvm/internal/security"
 	"dvm/internal/verifier"
 )
@@ -43,9 +44,12 @@ func main() {
 	secServer := flag.String("secserver", "", "security server URL for a remote enforcement manager (e.g. http://host:8644)")
 	console := flag.String("console", "", "administration console URL for remote auditing (e.g. http://host:8643)")
 	stats := flag.Bool("stats", false, "print runtime statistics on exit")
-	fetchTimeout := flag.Duration("fetch-timeout", 30*time.Second, "per-attempt deadline for remote service calls")
-	retries := flag.Int("retries", 2, "retries after a failed remote call attempt")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures before a per-service circuit breaker opens (-1 disables)")
+	// One policy for the client's three hops: the proxy, the security
+	// server and the console.
+	var hop resilience.Policy
+	flag.DurationVar(&hop.Timeout, "fetch-timeout", 30*time.Second, "per-attempt deadline for remote service calls")
+	flag.IntVar(&hop.Retries, "retries", 2, "retries after a failed remote call attempt")
+	flag.IntVar(&hop.BreakerThreshold, "breaker-threshold", 5, "consecutive failures before a per-service circuit breaker opens (-1 disables)")
 	flag.Parse()
 	if *mainClass == "" || (*proxyURL == "" && *dir == "") {
 		fmt.Fprintln(os.Stderr, "usage: dvmclient (-proxy URL | -dir DIR) -main pkg/Class [args...]")
@@ -60,11 +64,7 @@ func main() {
 				endpoints = append(endpoints, u)
 			}
 		}
-		opts := proxy.LoaderOptions{
-			Timeout:          *fetchTimeout,
-			Retries:          *retries,
-			BreakerThreshold: *breakerThreshold,
-		}
+		opts := proxy.LoaderOptions{Policy: hop}
 		if len(endpoints) == 1 {
 			loader = proxy.HTTPLoaderWith(endpoints[0], *clientID, *arch, opts)
 		} else {
@@ -118,9 +118,7 @@ func main() {
 		// the central security server. Unreachable server = fail closed.
 		sid := "apps"
 		rm := security.NewRemoteManagerWith(*secServer, sid, security.RemoteOptions{
-			Timeout:          *fetchTimeout,
-			Retries:          *retries,
-			BreakerThreshold: *breakerThreshold,
+			Policy: hop,
 			OnDegraded: func(sid, perm, target string, err error) {
 				fmt.Fprintf(os.Stderr, "dvmclient: security degraded, denied %s %s (domain %s): %v\n",
 					perm, target, sid, err)
@@ -132,10 +130,7 @@ func main() {
 	if *console != "" {
 		rs, err := monitor.AttachHTTPWith(vm, *console, monitor.ClientInfo{
 			User: *clientID, Arch: *arch, JVMVersion: "1.2-dvm",
-		}, 64, monitor.SessionOptions{
-			Timeout:          *fetchTimeout,
-			BreakerThreshold: *breakerThreshold,
-		})
+		}, 64, hop)
 		if err != nil {
 			fatal(err)
 		}

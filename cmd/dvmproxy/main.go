@@ -140,9 +140,9 @@ func compose(args []string, stderr io.Writer) (*service, error) {
 	fl.BoolVar(&noCompile, "no-compile", false, "disable the AOT compilation filter")
 	fl.StringVar(&pc.AOTBaseArch, "aot-base-arch", "", "enable the shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off); standalone or cluster")
 
-	fl.DurationVar(&pc.FetchTimeout, "fetch-timeout", 10*time.Second, "per-attempt origin fetch deadline (0 = none)")
-	fl.IntVar(&pc.FetchRetries, "retries", 2, "origin fetch retries after the first failed attempt")
-	fl.IntVar(&pc.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that trip the origin breaker (-1 disables)")
+	fl.DurationVar(&pc.Origin.Timeout, "fetch-timeout", 10*time.Second, "per-attempt origin fetch deadline (0 = none)")
+	fl.IntVar(&pc.Origin.Retries, "retries", 2, "origin fetch retries after the first failed attempt")
+	fl.IntVar(&pc.Origin.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that trip the origin breaker (-1 disables)")
 
 	fl.IntVar(&cc.Replication, "replication", 0, "ring owners per key: primary plus warm replicas (0 = default 2, 1 = no replication)")
 	fl.IntVar(&cc.HotThreshold, "hot-threshold", 0, "peer fills of one key before it is replicated into the local cache (0 = default 8, -1 = never)")
@@ -283,7 +283,7 @@ func main() {
 		log.Fatalf("dvmproxy: %v", err)
 	}
 	log.Printf("dvmproxy: serving %s on %s (cache=%v, filters=%d, fetch-timeout=%s, retries=%d, breaker-threshold=%d)",
-		s.originDir, s.addr, s.proxy.CacheEnabled, len(s.proxy.Pipeline.Filters()), s.proxy.FetchTimeout, s.proxy.FetchRetries, s.proxy.BreakerThreshold)
+		s.originDir, s.addr, s.proxy.CacheEnabled, len(s.proxy.Pipeline.Filters()), s.proxy.Origin.Timeout, s.proxy.Origin.Retries, s.proxy.Origin.BreakerThreshold)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

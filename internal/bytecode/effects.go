@@ -59,70 +59,221 @@ func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) 
 	return 0, 0, fmt.Errorf("bytecode: no stack effect metadata for %s", in.Op.Name())
 }
 
-// MaxStack computes a conservative max_stack value for an instruction
-// list by propagating stack heights along control flow. handlersAt maps
-// instruction indices that begin exception handlers; handler entry starts
-// with a stack height of one (the thrown exception).
+// MaxStack computes max_stack for an instruction list: the greatest
+// operand-stack height on any path from the entry, or from an instruction
+// in handlersAt, where an exception handler starts at height one (the
+// thrown exception).
 //
-// The computation is a fixed-point over the control-flow graph and
-// assumes the code is well-formed enough that stack heights are
-// consistent at join points (which phase-3 verification guarantees); on
-// inconsistency it returns the larger height, staying conservative. Its
-// tables are a's storage for the length of the call.
+// Heights follow phase 3's rules, with one exception kept so that no
+// class's max_stack changes: a jsr's fall-through continues one above its
+// caller's height, as if the return address were never popped. So the
+// height at an instruction is its phase-3 height plus the most jsr
+// fall-throughs on any path to it, which is finite unless a strongly
+// connected component of the control-flow graph contains a fall-through;
+// then every path's height under phase 3's rules is what counts. Code
+// whose phase-3 heights disagree where paths join, or fall below zero, is
+// an error: phase 3 rejects it, and a loop that gains height has no
+// max_stack at all. One depth-first walk finds the heights and the
+// components (Tarjan's algorithm), so every instruction is visited once
+// and every edge twice. Its tables are a's storage for the length of the
+// call.
 func MaxStack(a *Arena, insts []Inst, pool *classfile.ConstPool, handlersAt []int) (int, error) {
 	n := len(insts)
 	if a != nil {
 		defer a.i32.Release(a.i32.Mark())
 	}
-	reached := a.Int32s(n) // 1 + the greatest entry height seen, 0 before the first visit
-	work := a.Int32s(n + len(handlersAt))[:0]
-
-	push := func(idx, h int) {
-		if idx < 0 || idx >= n {
-			return
-		}
-		if int(reached[idx]) <= h {
-			reached[idx] = int32(h) + 1
-			work = append(work, int32(idx))
-		}
-	}
-	push(0, 0)
+	w := heightWalk{insts: insts, pool: pool,
+		height: a.Int32s(n), delta: a.Int32s(n), index: a.Int32s(n), low: a.Int32s(n),
+		comp: a.Int32s(n), most: a.Int32s(n), stack: a.Int32s(n)[:0], dfs: a.Int32s(2 * n)[:0]}
+	err := w.walk(0, 0)
 	for _, h := range handlersAt {
-		push(h, 1)
+		if err == nil {
+			err = w.walk(h, 1)
+		}
 	}
+	if onMaxStack != nil {
+		onMaxStack(insts, w.steps)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if w.diverges {
+		return w.phase3, nil
+	}
+	most := w.mostFrom(0)
+	for _, h := range handlersAt {
+		most = max(most, w.mostFrom(h))
+	}
+	return most, nil
+}
 
-	maxH := 0
-	for len(work) > 0 {
-		idx := int(work[len(work)-1])
-		work = work[:len(work)-1]
-		h := int(reached[idx]) - 1
-		in := &insts[idx]
-		pop, pushN, err := StackEffect(*in, pool)
-		if err != nil {
-			return 0, err
+// onMaxStack, when set, receives each MaxStack call's instructions and
+// the steps it took: one per instruction reached and two per edge out of
+// one (tests).
+var onMaxStack func(insts []Inst, steps int)
+
+// heightWalk is MaxStack's depth-first walk. Per instruction: 1 + its
+// phase-3 entry height (0 before it is reached), its stack effect, 1 + its
+// discovery order (0 before), the least discovery order it reaches back
+// to, and 1 + its component (0 while on the component stack); per
+// component: the greatest height on a path from it, jsr fall-throughs
+// counted one higher.
+type heightWalk struct {
+	insts []Inst
+	pool  *classfile.ConstPool
+
+	height, delta, index, low, comp []int32
+	most                            []int32
+	stack                           []int32 // instructions whose component is open
+	dfs                             []int32 // (instruction, next edge) pairs
+
+	visits, comps int32
+	steps         int
+	phase3        int  // the greatest height under phase 3's rules
+	diverges      bool // a component contains a jsr fall-through
+}
+
+// mostFrom is the greatest height on a path from instruction r (0 if r
+// is no instruction).
+func (w *heightWalk) mostFrom(r int) int {
+	if r < 0 || r >= len(w.insts) {
+		return 0
+	}
+	return int(w.most[w.comp[r]-1])
+}
+
+// edge is the k-th control-flow successor of insts[i] (the branch target,
+// a switch's default and targets, then the next instruction); ft marks a
+// jsr's fall-through, and ok is false past the last.
+func edge(insts []Inst, i, k int) (to int, ft, ok bool) {
+	in := &insts[i]
+	if in.Op.IsBranch() {
+		if k == 0 {
+			return in.Target, false, true
 		}
-		after := h - pop + pushN
-		if h > maxH {
-			maxH = h
+		k--
+	}
+	if in.Op.IsSwitch() {
+		if k == 0 {
+			return in.Switch.Default, false, true
 		}
-		if after > maxH {
-			maxH = after
+		if k <= len(in.Switch.Targets) {
+			return in.Switch.Targets[k-1], false, true
 		}
-		if after < 0 {
-			return 0, decodeErrf(in.PC, "stack underflow computing max_stack (height %d, pops %d)", h, pop)
+		k -= 1 + len(in.Switch.Targets)
+	}
+	if k == 0 && !in.Op.EndsFlow() {
+		return i + 1, in.Op == Jsr || in.Op == JsrW, true
+	}
+	return 0, false, false
+}
+
+// walk enters the graph at instruction r with height h and closes every
+// component reached from it.
+func (w *heightWalk) walk(r int, h int32) error {
+	if r < 0 || r >= len(w.insts) {
+		return nil
+	}
+	if err := w.reach(r, h); err != nil || len(w.dfs) == 0 {
+		return err
+	}
+	for len(w.dfs) > 0 {
+		top := len(w.dfs) - 2
+		u, k := w.dfs[top], w.dfs[top+1]
+		v, ft, ok := edge(w.insts, int(u), int(k))
+		if !ok {
+			w.dfs = w.dfs[:top]
+			if w.low[u] == w.index[u] {
+				w.close(u)
+			}
+			if top > 0 {
+				p := w.dfs[top-2]
+				w.low[p] = min(w.low[p], w.low[u])
+			}
+			continue
 		}
-		if in.Op.IsBranch() {
-			push(in.Target, after)
+		w.dfs[top+1]++
+		w.steps++
+		if v < 0 || v >= len(w.insts) {
+			continue
 		}
-		if in.Op.IsSwitch() {
-			push(in.Switch.Default, after)
-			for _, t := range in.Switch.Targets {
-				push(t, after)
+		h := w.height[u] - 1 + w.delta[u]
+		if ft {
+			h-- // phase 3 continues after a jsr at the caller's height
+		}
+		seen := w.index[v] != 0
+		if err := w.reach(v, h); err != nil {
+			return err
+		}
+		if seen && w.comp[v] == 0 {
+			w.low[u] = min(w.low[u], w.index[v])
+		}
+	}
+	return nil
+}
+
+// reach arrives at instruction v with height h: the first arrival opens
+// it, and a later one must agree with the first.
+func (w *heightWalk) reach(v int, h int32) error {
+	in := &w.insts[v]
+	if w.index[v] != 0 {
+		if got := w.height[v] - 1; got != h {
+			return decodeErrf(in.PC, "stack heights %d and %d join computing max_stack", got, h)
+		}
+		return nil
+	}
+	pop, push, err := StackEffect(*in, w.pool)
+	if err != nil {
+		return err
+	}
+	if h-int32(pop)+int32(push) < 0 {
+		return decodeErrf(in.PC, "stack underflow computing max_stack (height %d, pops %d)", h, pop)
+	}
+	w.steps++
+	w.visits++
+	w.height[v], w.delta[v] = h+1, int32(push-pop)
+	w.index[v], w.low[v] = w.visits, w.visits
+	w.phase3 = max(w.phase3, int(h), int(h)+push-pop)
+	w.stack = append(w.stack, int32(v))
+	w.dfs = append(w.dfs, int32(v), 0)
+	return nil
+}
+
+// close pops the component rooted at r and records the greatest height on
+// a path from it: its own instructions' and, one higher for a jsr
+// fall-through, its successor components'.
+func (w *heightWalk) close(r int32) {
+	base := len(w.stack) - 1
+	for w.stack[base] != r {
+		base--
+	}
+	members := w.stack[base:]
+	w.comps++
+	for _, u := range members {
+		w.comp[u] = w.comps
+	}
+	most := int32(0)
+	for _, u := range members {
+		most = max(most, w.height[u]-1, w.height[u]-1+w.delta[u])
+		for k := 0; ; k++ {
+			v, ft, ok := edge(w.insts, int(u), k)
+			if !ok {
+				break
+			}
+			w.steps++
+			if v < 0 || v >= len(w.insts) {
+				continue
+			}
+			switch c := w.comp[v]; {
+			case c != w.comps && ft:
+				most = max(most, w.most[c-1]+1)
+			case c != w.comps:
+				most = max(most, w.most[c-1])
+			case ft:
+				w.diverges = true
 			}
 		}
-		if !in.Op.EndsFlow() {
-			push(idx+1, after)
-		}
 	}
-	return maxH, nil
+	w.most[w.comps-1] = most
+	w.stack = w.stack[:base]
 }

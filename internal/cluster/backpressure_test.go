@@ -179,6 +179,72 @@ func TestClusterOwnerShedsPeerFill(t *testing.T) {
 	}
 }
 
+// TestClusterOwnerShedsPeerFillBeforeLocalMisses is DESIGN.md §9's shed
+// order on the wire: an owner with one service slot and room for four
+// waiters, three of them its own clients' misses, sheds a fill from the
+// other node at once with 429, and a further local miss still queues.
+func TestClusterOwnerShedsPeerFillBeforeLocalMisses(t *testing.T) {
+	org := newGatedOrigin(anyApplet{})
+	c, err := cluster.StartLocal(org, 2, func(i int) proxy.Config {
+		cfg := proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter())}
+		if i == 1 {
+			cfg.MaxQueue, cfg.MaxConcurrent, cfg.QueueDeadline = 4, 1, 5*time.Second
+		}
+		return cfg
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Six classes owned by node 1: one holds its slot, three wait, one
+	// is node 0's fill and one is the last local miss.
+	owned := classesOwnedBy(t, c.Nodes[0].Ring(), c.Nodes[1].Self(), 6)
+	ctx := context.Background()
+	results := make(chan error, 5)
+	local := func(class string) {
+		go func() {
+			_, err := c.Nodes[1].Request(ctx, proxy.Lookup{Client: "local", Arch: "dvm", Class: class})
+			results <- err
+		}()
+	}
+	queued := func(n float64) func() bool {
+		return func() bool { return c.Nodes[1].Proxy().Health().Gauges["queue_depth"] >= n }
+	}
+	org.gated.Store(true)
+	local(owned[0])
+	pollUntil(t, "owner's slot to be held", func() bool { return org.entered.Load() >= 1 })
+	for _, class := range owned[1:4] {
+		local(class)
+	}
+	pollUntil(t, "three local misses to wait", queued(3))
+	// The requester's fallback fetch must not hang at the gate.
+	org.gated.Store(false)
+
+	start := time.Now()
+	if _, err := c.Nodes[0].Request(ctx, proxy.Lookup{Client: "client", Arch: "dvm", Class: owned[4]}); err != nil {
+		t.Fatalf("request to the saturated owner's key failed instead of falling back: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("the fill waited %v at the owner; want it shed at once", took)
+	}
+	if got := c.Nodes[1].Proxy().Health().Counters["shed_backpressure_total"]; got != 1 {
+		t.Errorf("owner shed_backpressure_total = %d, want 1", got)
+	}
+	if got := c.Nodes[0].Metrics().PeerBackpressure.Load(); got != 1 {
+		t.Errorf("requester peer_backpressure_total = %d, want 1", got)
+	}
+	local(owned[5])
+	pollUntil(t, "a fourth local miss to wait", queued(4))
+
+	close(org.release)
+	for i := 0; i < 5; i++ {
+		if err := <-results; err != nil {
+			t.Errorf("local miss failed: %v", err)
+		}
+	}
+}
+
 // TestAbandonedFillIsNoLinkFailure: a fill whose flight was abandoned —
 // every waiter left, so the flight's context was canceled — proves
 // nothing about the owner. Well past the breaker threshold of abandoned

@@ -21,6 +21,7 @@ import (
 	"dvm/internal/cluster"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
+	"dvm/internal/resilience"
 	"dvm/internal/telemetry"
 )
 
@@ -548,10 +549,9 @@ func TestClusterLoaderEndpointRecovery(t *testing.T) {
 	defer c.Close()
 	lf := netsim.NewLinkFaults(nil)
 	loader, err := proxy.HTTPLoaderMulti(c.URLs(), "client", "dvm", proxy.LoaderOptions{
-		Timeout:          2 * time.Second,
-		BreakerThreshold: -1,
-		Dial:             lf.Dial,
-		ProbeInterval:    50 * time.Millisecond,
+		Policy:        resilience.Policy{Timeout: 2 * time.Second, BreakerThreshold: -1},
+		Dial:          lf.Dial,
+		ProbeInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"dvm/internal/cluster"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
+	"dvm/internal/resilience"
 	"dvm/internal/rewrite"
 	"dvm/internal/telemetry"
 	"dvm/internal/verifier"
@@ -522,7 +523,7 @@ func TestClusterClientLoaderFailover(t *testing.T) {
 	}
 	defer c.Close()
 	loader, err := proxy.HTTPLoaderMulti(c.URLs(), "client", "dvm", proxy.LoaderOptions{
-		Timeout: 2 * time.Second, BreakerThreshold: -1,
+		Policy: resilience.Policy{Timeout: 2 * time.Second, BreakerThreshold: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dvm/internal/resilience"
 )
 
 // ConnCounter counts, for every listener a LocalCluster binds while it is
@@ -93,13 +95,17 @@ func WithLink(cfg Config, threshold int, cooldown time.Duration) Config {
 	return cfg
 }
 
-// standing is a copy of n's entry for addr (the zero entry if addr is no
-// member).
-func (n *Node) standing(addr string) entry {
+// standing is n's standing of addr (the zero standing if addr is no
+// member): its link's state and consecutive counted failures, and its
+// divergence strikes.
+func (n *Node) standing(addr string) (s struct {
+	link               resilience.BreakerState
+	linkFails, strikes int
+}) {
 	n.mship.mu.Lock()
 	defer n.mship.mu.Unlock()
 	if e := n.mship.entries[addr]; e != nil {
-		return *e
+		s.link, s.linkFails, s.strikes = e.link.State(n.mship.now, n.mship.link.cooldown), e.link.Fails(), e.strikes
 	}
-	return entry{}
+	return s
 }

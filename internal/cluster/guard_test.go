@@ -21,7 +21,7 @@ type guardUnderTest struct {
 // opening after threshold consecutive counted failures and probing after
 // cooldown, on clk.
 func guardsUnderTest(clk *fakeClock, threshold int, cooldown time.Duration) map[string]guardUnderTest {
-	b := resilience.NewBreaker(resilience.BreakerConfig{Threshold: threshold, Cooldown: cooldown, Now: clk.now})
+	b := resilience.NewBreaker(threshold, cooldown, clk.now)
 	m := newMembership("a", []string{"b"}, clk.now)
 	m.link = linkTimings{threshold, cooldown}
 	return map[string]guardUnderTest{

@@ -9,6 +9,7 @@ import (
 	"dvm/internal/cluster"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
+	"dvm/internal/resilience"
 )
 
 // TestClusterChaosOverHopTransport runs the fault meshes over the
@@ -51,7 +52,7 @@ func TestClusterChaosOverHopTransport(t *testing.T) {
 	loadAll := func() (failed int) {
 		phase++
 		loader, err := proxy.HTTPLoaderMulti(c.URLs(), "client", fmt.Sprintf("arch-%d", phase), proxy.LoaderOptions{
-			Timeout: 2 * time.Second, BreakerThreshold: -1, Dial: client.Dial, ProbeInterval: 50 * time.Millisecond,
+			Policy: resilience.Policy{Timeout: 2 * time.Second, BreakerThreshold: -1}, Dial: client.Dial, ProbeInterval: 50 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,6 @@ package cluster
 // snapshot.
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -47,12 +46,13 @@ import (
 	"dvm/internal/telemetry"
 )
 
-// The peer link: linkThreshold consecutive counted failures open it; an
-// open link refuses every hop for linkCooldown, then lets one probe
-// through, whose success closes it and whose failure opens it again.
+// The peer link is a resilience.Guard at the hops' own timings:
+// linkThreshold consecutive counted failures open it; an open link
+// refuses every hop for linkCooldown, then lets one probe through, whose
+// success closes it and whose failure opens it again.
 const (
-	linkThreshold = 5
-	linkCooldown  = 5 * time.Second
+	linkThreshold = resilience.DefaultThreshold
+	linkCooldown  = resilience.Cooldown
 )
 
 // QuarantineAfter is the divergence count that quarantines a member for
@@ -61,8 +61,8 @@ const (
 // exists; three independent minority votes do not happen by accident.
 const QuarantineAfter = 3
 
-// linkTimings overrides the link constants; a zero field keeps its
-// constant.
+// linkTimings are the link's threshold and cooldown: the constants,
+// unless a test overrides them.
 type linkTimings struct {
 	threshold int
 	cooldown  time.Duration
@@ -154,16 +154,12 @@ type entry struct {
 	ver   uint64
 	// The rest is this node's standing of the member, never gossiped:
 	// when it learned of the suspicion (drives the suspect -> dead
-	// promotion); the link's state, consecutive counted failures, when it
-	// last opened and whether its probe is out; consecutive failed gossip
-	// exchanges; and divergence strikes, never reset — a member that lies
+	// promotion); the link's guard; consecutive failed gossip exchanges;
+	// and divergence strikes, never reset — a member that lies
 	// once about artifact bytes cannot be trusted by counting the times it
 	// told the truth.
 	suspectedAt time.Time
-	link        resilience.BreakerState
-	linkFails   int
-	openedAt    time.Time
-	probing     bool
+	link        resilience.Guard
 	gossipFails int
 	strikes     int
 }
@@ -200,7 +196,7 @@ func newMembership(self string, peers []string, now func() time.Time) *membershi
 	if now == nil {
 		now = time.Now
 	}
-	m := &membership{self: self, now: now, entries: make(map[string]*entry)}
+	m := &membership{self: self, now: now, link: linkTimings{linkThreshold, linkCooldown}, entries: make(map[string]*entry)}
 	m.entries[self] = &entry{addr: self, inc: 1, state: stateAlive, ver: 1}
 	for _, p := range peers {
 		if p == self {
@@ -401,30 +397,15 @@ func (m *membership) SweepSuspects(timeout time.Duration) []string {
 	return died
 }
 
-// linkState is ent's link as the next hop finds it: open turns half-open
-// once the cooldown is over (caller holds mu).
-func (m *membership) linkState(ent *entry) resilience.BreakerState {
-	if ent.link == resilience.Open && m.now().Sub(ent.openedAt) >= cmp.Or(m.link.cooldown, linkCooldown) {
-		return resilience.HalfOpen
-	}
-	return ent.link
-}
-
 // admit asks the link to addr for one exchange: nil lets it through, and
-// the caller settles it; resilience.ErrOpen refuses it. A half-open link
-// admits one probe at a time. Only a member has a link: every peer a hop
-// reaches is an owner or a voter.
+// the caller settles it; resilience.ErrOpen refuses it. Only a member has
+// a link: every peer a hop reaches is an owner or a voter.
 func (m *membership) admit(addr string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent := m.entries[addr]
-	if ent == nil || ent.link == resilience.Closed {
-		return nil
+	if ent := m.entries[addr]; ent != nil {
+		return ent.link.Allow(m.now, m.link.cooldown)
 	}
-	if ent.link = m.linkState(ent); ent.link == resilience.Open || ent.probing {
-		return resilience.ErrOpen
-	}
-	ent.probing = true
 	return nil
 }
 
@@ -447,19 +428,13 @@ func (m *membership) settle(addr string, o outcome) (opened bool) {
 		ent.gossipFails++
 		changed = ent.gossipFails >= gossipFailThreshold && m.suspectLocked(ent)
 	case o == linkAbandoned:
-		ent.probing = false
+		ent.link.Cancel()
 	case o == linkFailed:
-		ent.linkFails++
-		opened = ent.link == resilience.HalfOpen || ent.link == resilience.Closed && ent.linkFails >= cmp.Or(m.link.threshold, linkThreshold)
-		if opened {
-			ent.link, ent.openedAt, ent.probing = resilience.Open, m.now(), false
+		if opened = ent.link.Failure(m.now, m.link.threshold); opened {
 			changed = m.suspectLocked(ent)
 		}
 	default:
-		ent.linkFails = 0
-		if ent.link == resilience.HalfOpen {
-			ent.link, ent.probing = resilience.Closed, false
-		}
+		ent.link.Success()
 		changed = o == linkAlive && m.refuteLocked(ent)
 	}
 	m.mu.Unlock()
@@ -520,7 +495,7 @@ func (m *membership) views() []PeerView {
 		v := PeerView{Member: ent.addr, Self: ent.addr == m.self, State: ent.state.String(), Link: "-",
 			Divergences: ent.strikes, Quarantined: ent.strikes >= QuarantineAfter}
 		if !v.Self {
-			v.Link = m.linkState(ent).String()
+			v.Link = ent.link.State(m.now, m.link.cooldown).String()
 		}
 		out = append(out, v)
 	}

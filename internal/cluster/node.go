@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -202,7 +203,7 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		replCh:    make(chan replication, replQueueLen),
 	}
 	n.life, n.stop = context.WithCancel(context.Background())
-	n.mship.link = cfg.link
+	n.mship.link = linkTimings{cmp.Or(cfg.link.threshold, linkThreshold), cmp.Or(cfg.link.cooldown, linkCooldown)}
 	n.rebuildRing()
 	n.mship.onChange = func(ringChanged bool) {
 		if !ringChanged {

@@ -294,8 +294,8 @@ func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req Batc
 	}
 	// Namespace the client id by the requesting member so identical ids
 	// on different requester nodes do not interleave into one false
-	// sequence in the predictor.
-	seq := req.Member + "|" + client
+	// sequence in the predictor, and mark it a peer's, for admission.
+	seq := proxy.PeerClient(req.Member, client)
 	served := make([]string, 0, len(req.Classes))
 	for _, class := range req.Classes {
 		if class == "" || strings.Contains(class, "..") {

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,22 +17,11 @@ import (
 // hung console costs bounded memory and bounded time, never blocks
 // execution, and drops (counted) rather than stalls. Safe under -race.
 
-func chaosSession(t *testing.T, url string, batch int, opts SessionOptions) *RemoteSession {
+func chaosSession(t *testing.T, url string, batch int, p resilience.Policy, cooldown time.Duration) *RemoteSession {
 	t.Helper()
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	return &RemoteSession{
-		base:    url,
-		client:  &http.Client{Timeout: opts.Timeout},
-		timeout: opts.Timeout,
-		breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
-		}),
-		batchSize: batch,
-		Session:   "sess-chaos",
-	}
+	rs := newRemoteSession(url, batch, p, cooldown)
+	rs.Session = "sess-chaos"
+	return rs
 }
 
 func TestMonitorBreakerStopsHittingDeadConsole(t *testing.T) {
@@ -42,7 +32,7 @@ func TestMonitorBreakerStopsHittingDeadConsole(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rs := chaosSession(t, ts.URL, 1, SessionOptions{BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	rs := chaosSession(t, ts.URL, 1, resilience.Policy{BreakerThreshold: 2}, time.Minute)
 	for i := 0; i < 50; i++ {
 		rs.add(wireEvent{Class: "a", Method: fmt.Sprintf("m%d", i), Kind: "note"}) // batch=1: every add flushes
 	}
@@ -70,7 +60,7 @@ func TestMonitorDropsOldestPastCapAndCounts(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rs := chaosSession(t, ts.URL, 64, SessionOptions{BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	rs := chaosSession(t, ts.URL, 64, resilience.Policy{BreakerThreshold: 1}, time.Minute)
 	total := maxRetainedEvents + 500
 	for i := 0; i < total; i++ {
 		rs.add(wireEvent{Class: "a", Method: fmt.Sprintf("m%d", i), Kind: "note"})
@@ -106,11 +96,7 @@ func TestMonitorHungConsoleDoesNotBlockExecution(t *testing.T) {
 	defer ts.Close()
 	defer close(release) // unblock any handler still waiting, then let Close reap it
 
-	rs := chaosSession(t, ts.URL, 1, SessionOptions{
-		Timeout:          50 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute,
-	})
+	rs := chaosSession(t, ts.URL, 1, resilience.Policy{Timeout: 50 * time.Millisecond, BreakerThreshold: 1}, time.Minute)
 	start := time.Now()
 	for i := 0; i < 20; i++ {
 		rs.add(wireEvent{Class: "a", Method: "m", Kind: "note"})
@@ -139,7 +125,7 @@ func TestMonitorRecoversAfterConsoleReturns(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	rs := chaosSession(t, ts.URL, 100, SessionOptions{BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond})
+	rs := chaosSession(t, ts.URL, 100, resilience.Policy{BreakerThreshold: 1}, 20*time.Millisecond)
 	rs.Session = coll.Handshake(ClientInfo{User: "chaos"})
 
 	dead.Store(true)
@@ -159,5 +145,37 @@ func TestMonitorRecoversAfterConsoleReturns(t *testing.T) {
 	}
 	if got := rs.Breaker().Counts().State; got != "closed" {
 		t.Fatalf("breaker = %s after successful delivery, want closed", got)
+	}
+}
+
+// TestMonitorAbandonedFlushIsNoFailure: a flush whose caller gave up
+// while the console was still answering settles with Cancel — the
+// breaker counts no failure, even at a threshold of one — and its batch
+// waits for the next flush.
+func TestMonitorAbandonedFlushIsNoFailure(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	rs := chaosSession(t, ts.URL, 100, resilience.Policy{BreakerThreshold: 1}, time.Minute)
+	rs.add(wireEvent{Class: "a", Method: "m", Kind: "note"})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	rs.FlushContext(ctx)
+	if c := rs.Breaker().Counts(); c.Failures != 0 || c.State != "closed" {
+		t.Fatalf("breaker after an abandoned flush = %+v, want closed with no failure", c)
+	}
+	rs.mu.Lock()
+	retained := len(rs.buf)
+	rs.mu.Unlock()
+	if retained != 1 {
+		t.Fatalf("retained = %d, want the abandoned batch's 1 event", retained)
 	}
 }

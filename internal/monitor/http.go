@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -122,32 +123,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 // dropped past this cap.
 const maxRetainedEvents = 4096
 
-// SessionOptions parameterizes a RemoteSession's hop to the console.
-// Monitoring is an auxiliary service and fails OPEN: when the console
-// is unreachable, events are retained up to a cap, the oldest are
-// dropped (counted in Dropped), and execution continues — a dead
-// console must never stall or stop the application.
-type SessionOptions struct {
-	// Timeout bounds each event POST (default 5s).
-	Timeout time.Duration
-	// BreakerThreshold trips the console breaker after that many
-	// consecutive delivery failures, after which flushes skip the
-	// network entirely until the cooldown passes (0 = default 5,
-	// <0 = disabled).
-	BreakerThreshold int
-	// BreakerCooldown is the open-state cooldown (default 5s).
-	BreakerCooldown time.Duration
-}
-
 // RemoteSession is the client side of the HTTP monitoring protocol. It
 // batches events to amortize round trips (Flush sends; Close flushes).
 // The VM invokes the audit hooks from whatever thread executes the
 // instrumented code, so the buffer and error latch are mutex-guarded.
+//
+// Monitoring is an auxiliary service and fails OPEN: when the console
+// is unreachable, events are retained up to a cap, the oldest are
+// dropped (counted in Dropped), and execution continues — a dead
+// console must never stall or stop the application. While the console
+// breaker is open, flushes skip the network entirely.
 type RemoteSession struct {
 	base    string
-	client  *http.Client
-	breaker *resilience.Breaker
-	timeout time.Duration
+	hop     resilience.Hop
 	Session string
 
 	dropped atomic.Int64
@@ -173,50 +161,40 @@ func (rs *RemoteSession) Err() error {
 func (rs *RemoteSession) Dropped() int64 { return rs.dropped.Load() }
 
 // Breaker exposes the console-hop circuit breaker (diagnostics).
-func (rs *RemoteSession) Breaker() *resilience.Breaker { return rs.breaker }
+func (rs *RemoteSession) Breaker() *resilience.Breaker { return rs.hop.Breaker() }
 
 // AttachHTTP handshakes with a console at baseURL and wires the VM's
 // audit and first-use hooks to it. Events are batched (batchSize ≤ 0
 // means 64). Default resilience settings; see AttachHTTPWith.
 func AttachHTTP(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int) (*RemoteSession, error) {
-	return AttachHTTPWith(vm, baseURL, info, batchSize, SessionOptions{})
+	return AttachHTTPWith(vm, baseURL, info, batchSize, resilience.Policy{})
 }
 
-// AttachHTTPWith is AttachHTTP with explicit per-hop deadline and
-// breaker settings.
-func AttachHTTPWith(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int, opts SessionOptions) (*RemoteSession, error) {
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	rs := &RemoteSession{
-		base:    strings.TrimRight(baseURL, "/"),
-		client:  &http.Client{Timeout: opts.Timeout},
-		timeout: opts.Timeout,
-		breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
-		}),
-		batchSize: batchSize,
-	}
+// AttachHTTPWith is AttachHTTP with the console hop's policy: a zero
+// Timeout bounds each handshake and flush at 5 s. A flush makes one
+// attempt whatever p.Retries says: a batch that fails waits in the
+// buffer for the next flush.
+func AttachHTTPWith(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int, p resilience.Policy) (*RemoteSession, error) {
+	rs := newRemoteSession(baseURL, batchSize, p, 0)
 	body, _ := json.Marshal(wireHandshake{
 		User: info.User, Hardware: info.Hardware, Arch: info.Arch,
 		JVMVersion: info.JVMVersion, CodeVersion: info.CodeVersion,
 	})
-	resp, err := rs.client.Post(rs.base+"/handshake", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("monitor: handshake: %s", resp.Status)
-	}
 	var out struct {
 		Session string `json:"session"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	err := rs.hop.Do(context.Background(), func(ctx context.Context) error {
+		resp, err := rs.send(ctx, "/handshake", body)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("monitor: handshake: %s", resp.Status)
+		}
+		return json.NewDecoder(resp.Body).Decode(&out)
+	})
+	if err != nil {
 		return nil, err
 	}
 	rs.Session = out.Session
@@ -243,6 +221,17 @@ func (rs *RemoteSession) add(e wireEvent) {
 	}
 }
 
+// newRemoteSession is a session with no console handshake yet: one
+// attempt per flush, and a breaker that probes after cooldown (0 =
+// resilience.Cooldown; only tests pass another).
+func newRemoteSession(baseURL string, batchSize int, p resilience.Policy, cooldown time.Duration) *RemoteSession {
+	if batchSize <= 0 {
+		batchSize = 64
+	}
+	p.Retries = 0
+	return &RemoteSession{base: strings.TrimRight(baseURL, "/"), hop: resilience.NewHop(p, 5*time.Second, cooldown), batchSize: batchSize}
+}
+
 // Flush delivers buffered events to the console under the session's
 // default per-hop deadline.
 func (rs *RemoteSession) Flush() {
@@ -255,7 +244,8 @@ func (rs *RemoteSession) Flush() {
 // next flush instead of being silently dropped. Monitoring fails open:
 // while the console breaker is open no network attempt is made at all,
 // so a dead console costs the application nothing but the (bounded)
-// buffer — events past the cap are dropped oldest-first and counted.
+// buffer — events past the cap are dropped oldest-first and counted. A
+// flush whose caller gave up is no evidence against the console.
 func (rs *RemoteSession) FlushContext(ctx context.Context) {
 	rs.mu.Lock()
 	if len(rs.buf) == 0 {
@@ -266,16 +256,13 @@ func (rs *RemoteSession) FlushContext(ctx context.Context) {
 	rs.buf = nil
 	rs.mu.Unlock()
 
-	err := rs.breaker.Allow()
-	if err == nil {
+	err := rs.hop.Do(ctx, func(ctx context.Context) error {
 		span := telemetry.FromContext(ctx).StartSpan("monitor", "monitor.flush")
-		err = rs.post(ctx, batch)
-		span.End()
-		if err == nil {
-			rs.breaker.Success()
-			return
-		}
-		rs.breaker.Failure()
+		defer span.End()
+		return rs.post(ctx, batch)
+	})
+	if err == nil {
+		return
 	}
 
 	rs.mu.Lock()
@@ -292,24 +279,10 @@ func (rs *RemoteSession) FlushContext(ctx context.Context) {
 	rs.mu.Unlock()
 }
 
-// post is one delivery attempt, bounded by the session timeout and the
-// caller's ctx.
+// post is one delivery attempt.
 func (rs *RemoteSession) post(ctx context.Context, batch wireBatch) error {
-	if rs.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rs.timeout)
-		defer cancel()
-	}
 	body, _ := json.Marshal(batch)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rs.base+"/events", strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tr := telemetry.FromContext(ctx); tr != nil {
-		req.Header.Set(telemetry.TraceHeader, tr.ID())
-	}
-	resp, err := rs.client.Do(req)
+	resp, err := rs.send(ctx, "/events", body)
 	if err != nil {
 		return err
 	}
@@ -319,6 +292,19 @@ func (rs *RemoteSession) post(ctx context.Context, batch wireBatch) error {
 		return fmt.Errorf("monitor: events: %s", resp.Status)
 	}
 	return nil
+}
+
+// send POSTs a JSON body to the console's path, bounded by ctx alone.
+func (rs *RemoteSession) send(ctx context.Context, path string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rs.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, resilience.Permanent(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if tr := telemetry.FromContext(ctx); tr != nil {
+		req.Header.Set(telemetry.TraceHeader, tr.ID())
+	}
+	return http.DefaultClient.Do(req)
 }
 
 // Close flushes any buffered events.

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dvm/internal/resilience"
 )
 
 // flakyConsole fronts a collector but fails the first n event POSTs.
@@ -27,12 +29,9 @@ func flakyConsole(coll *Collector, failFirst int64) http.Handler {
 
 func newSession(t *testing.T, coll *Collector, url string, batchSize int) *RemoteSession {
 	t.Helper()
-	return &RemoteSession{
-		base:      url,
-		client:    &http.Client{},
-		batchSize: batchSize,
-		Session:   coll.Handshake(ClientInfo{User: "retry"}),
-	}
+	rs := newRemoteSession(url, batchSize, resilience.Policy{BreakerThreshold: -1}, 0)
+	rs.Session = coll.Handshake(ClientInfo{User: "retry"})
+	return rs
 }
 
 func TestFlushRetriesFailedBatch(t *testing.T) {

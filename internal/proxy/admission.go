@@ -50,8 +50,15 @@ import (
 var ErrOverloaded = errors.New("proxy overloaded")
 
 // peerClientPrefix marks requests arriving over the cluster peer
-// protocol; internal/cluster sets X-DVM-Client to "peer:<self>".
+// protocol: PeerClient names them.
 const peerClientPrefix = "peer:"
+
+// PeerClient is the client name under which an owner serves a fill that
+// member asks for on behalf of its client: admission sheds such a fill
+// before any local client's miss.
+func PeerClient(member, client string) string {
+	return peerClientPrefix + member + "|" + client
+}
 
 // admitOutcome is what acquire decided for one flight.
 type admitOutcome int

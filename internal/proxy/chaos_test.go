@@ -98,11 +98,10 @@ func TestChaosThirtyPercentErrorOrigin(t *testing.T) {
 	org := origin(t)
 	sw := newSwitchOrigin(org)
 	p := proxy.New(sw, proxy.Config{
-		Pipeline:         rewrite.NewPipeline(),
-		CacheEnabled:     true,
-		CacheTTL:         time.Millisecond,
-		FetchRetries:     1,
-		BreakerThreshold: -1, // isolate stale-if-error from breaker fail-fast
+		Pipeline:     rewrite.NewPipeline(),
+		CacheEnabled: true,
+		CacheTTL:     time.Millisecond,
+		Origin:       resilience.Policy{Retries: 1, BreakerThreshold: -1}, // isolate stale-if-error from breaker fail-fast
 	})
 	for _, class := range []string{"app/Main", "app/Dep"} {
 		if _, err := p.Request(context.Background(), proxy.Lookup{Client: "warm", Arch: "dvm", Class: class}); err != nil {
@@ -143,11 +142,10 @@ func TestProxyBreakerTripsAndRecovers(t *testing.T) {
 	org := origin(t)
 	failing := &failingOrigin{}
 	sw := newSwitchOrigin(failing)
-	p := proxy.New(sw, proxy.Config{
-		Pipeline:         rewrite.NewPipeline(),
-		BreakerThreshold: 2,
-		BreakerCooldown:  30 * time.Millisecond,
-	})
+	p := proxy.New(sw, proxy.WithBreakerCooldown(proxy.Config{
+		Pipeline: rewrite.NewPipeline(),
+		Origin:   resilience.Policy{BreakerThreshold: 2},
+	}, 30*time.Millisecond))
 
 	for i := 0; i < 2; i++ {
 		if _, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/Dep"}); err == nil {
@@ -194,13 +192,13 @@ func TestHandlerErrorMapping(t *testing.T) {
 		{
 			name:       "origin deadline -> 504",
 			origin:     hangingOrigin{},
-			cfg:        proxy.Config{FetchTimeout: 10 * time.Millisecond},
+			cfg:        proxy.Config{Origin: resilience.Policy{Timeout: 10 * time.Millisecond}},
 			wantStatus: http.StatusGatewayTimeout,
 		},
 		{
 			name:   "breaker open -> 503 with Retry-After",
 			origin: &failingOrigin{},
-			cfg:    proxy.Config{BreakerThreshold: 1, BreakerCooldown: time.Minute},
+			cfg:    proxy.WithBreakerCooldown(proxy.Config{Origin: resilience.Policy{BreakerThreshold: 1}}, time.Minute),
 			prep: func(p *proxy.Proxy) {
 				_, _ = p.Request(context.Background(), proxy.Lookup{Client: "prep", Arch: "dvm", Class: "app/Trip"})
 			},
@@ -241,11 +239,10 @@ func TestHandlerErrorMapping(t *testing.T) {
 }
 
 func TestHealthzExposesBreakerAndStale(t *testing.T) {
-	p := proxy.New(&failingOrigin{}, proxy.Config{
-		Pipeline:         rewrite.NewPipeline(),
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Minute,
-	})
+	p := proxy.New(&failingOrigin{}, proxy.WithBreakerCooldown(proxy.Config{
+		Pipeline: rewrite.NewPipeline(),
+		Origin:   resilience.Policy{BreakerThreshold: 1},
+	}, time.Minute))
 	_, _ = p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/X"})
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dvm/internal/netsim"
+	"dvm/internal/resilience"
 )
 
 // idleConns is the number of connections t holds in its pool.
@@ -224,7 +225,7 @@ func TestLoaderStaleConnectionIsRetried(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 	rt := &HopTransport{}
-	loader := httpLoader(srv.URL, "c", "dvm", LoaderOptions{Retries: 0}, rt)
+	loader := httpLoader(srv.URL, "c", "dvm", LoaderOptions{}, rt)
 	for i := 0; i < 3; i++ {
 		if _, err := loader.Load("app/A"); err != nil {
 			t.Fatalf("load %d after a %v pause: %v", i, 100*time.Millisecond, err)
@@ -255,7 +256,7 @@ func TestFreshConnectionFailureIsNotRetried(t *testing.T) {
 	}))
 	defer srv.Close()
 	const retries = 2
-	loader := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Retries: retries, BreakerThreshold: -1})
+	loader := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Policy: resilience.Policy{Retries: retries, BreakerThreshold: -1}})
 	if data, err := loader.Load("app/A"); err == nil {
 		t.Fatalf("loaded %d bytes from a server that answers nothing", len(data))
 	}

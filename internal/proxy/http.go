@@ -255,17 +255,9 @@ func PutBuffer(b *[]byte) {
 
 // LoaderOptions parameterizes HTTPLoaderWith.
 type LoaderOptions struct {
-	// Timeout bounds each class fetch attempt (default 30s).
-	Timeout time.Duration
-	// Retries is the number of retries after a failed attempt.
-	Retries int
-	// BreakerThreshold trips the proxy-hop breaker after that many
-	// consecutive failures (0 = default 5, <0 = disabled).
-	BreakerThreshold int
-	// BreakerCooldown is the open-state cooldown (default 5s).
-	BreakerCooldown time.Duration
-	// Context, when non-nil, is the base context for all fetches.
-	Context context.Context
+	// Policy is the hop's to the proxy: a zero Timeout bounds each class
+	// fetch attempt at 30 s.
+	Policy resilience.Policy
 	// Dial opens the loader's connections (fault injection via
 	// netsim.LinkFaults in tests). Nil = one HopTransport shared by every
 	// loader, over a net.Dialer.
@@ -302,21 +294,12 @@ func HTTPLoaderWith(baseURL, client, arch string, opts LoaderOptions) jvm.ClassL
 
 // httpLoader is HTTPLoaderWith over transport.
 func httpLoader(baseURL, client, arch string, opts LoaderOptions, transport *HopTransport) jvm.ClassLoader {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	base := opts.Context
-	if base == nil {
-		base = context.Background()
-	}
 	target, terr := ParseHopTarget(baseURL)
-	hop := resilience.Hop{
-		Retry: resilience.RetryPolicy{Attempts: 1 + opts.Retries},
-		Breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
-		}),
-	}
+	// The exchange owns each attempt's deadline, so the hop derives no
+	// context for it.
+	hop := resilience.NewHop(opts.Policy, 30*time.Second, 0)
+	timeout := hop.Timeout
+	hop.Timeout = 0
 	// The proxy never compresses a class and the hop decodes no content
 	// coding, so the loader asks for the identity encoding.
 	header := []string{clientHeaderKey, client, archHeaderKey, arch, "Accept-Encoding", "identity"}
@@ -325,12 +308,12 @@ func httpLoader(baseURL, client, arch string, opts LoaderOptions, transport *Hop
 			return nil, resilience.Permanent(terr)
 		}
 		var data []byte
-		err := hop.Do(base, func(ctx context.Context) error {
+		err := hop.Do(context.Background(), func(ctx context.Context) error {
 			// The caller keeps the bytes (DefineClass), so the answer's body
 			// is exactly the class: sized from its declared length, not
 			// regrown and not pooled.
 			a, err := transport.Exchange(ctx, target, &HopRequest{Method: http.MethodGet,
-				Path: classPathPrefix + classPath(name) + ".class", Header: header, Timeout: opts.Timeout, Max: maxClassBytes})
+				Path: classPathPrefix + classPath(name) + ".class", Header: header, Timeout: timeout, Max: maxClassBytes})
 			if errors.Is(err, ErrBodyTooLarge) {
 				return resilience.Permanent(fmt.Errorf("proxy: %s: %w", name, err))
 			}

@@ -62,7 +62,7 @@ func allocatedBy(f func()) uint64 {
 
 func TestLoaderRefusesOversizeLengthBeforeAllocating(t *testing.T) {
 	srv := rawResponder(t, func(int64) (int, []byte) { return maxClassBytes + 1, []byte("only a few bytes follow") })
-	loader := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Retries: 3})
+	loader := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Policy: resilience.Policy{Retries: 3}})
 	var err error
 	cost := allocatedBy(func() { _, err = loader.Load("app/Huge") })
 	if !errors.Is(err, ErrBodyTooLarge) || !resilience.IsPermanent(err) {
@@ -94,7 +94,7 @@ func TestLoaderShortBodyIsRetriedNeverTruncated(t *testing.T) {
 		}
 		return len(class), class
 	})
-	data, err := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Retries: 1}).Load("app/Cut")
+	data, err := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Policy: resilience.Policy{Retries: 1}}).Load("app/Cut")
 	if err != nil || !bytes.Equal(data, class) {
 		t.Fatalf("retry after a short body: %d bytes, err %v; want the whole class", len(data), err)
 	}
@@ -160,7 +160,7 @@ func TestLoaderDeadlineBoundsBodyRead(t *testing.T) {
 	defer srv.Close()
 	defer close(stall)
 	start := time.Now()
-	data, err := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Timeout: 200 * time.Millisecond}).Load("app/Stalled")
+	data, err := HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Policy: resilience.Policy{Timeout: 200 * time.Millisecond}}).Load("app/Stalled")
 	took := time.Since(start)
 	if err == nil {
 		t.Fatalf("stalled body loaded as a %d-byte class", len(data))
@@ -267,7 +267,7 @@ func TestLoaderAsksForNoGzip(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	for _, loader := range []jvm.ClassLoader{HTTPLoader(srv.URL, "c", "dvm"), HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Retries: 1})} {
+	for _, loader := range []jvm.ClassLoader{HTTPLoader(srv.URL, "c", "dvm"), HTTPLoaderWith(srv.URL, "c", "dvm", LoaderOptions{Policy: resilience.Policy{Retries: 1}})} {
 		data, err := loader.Load("app/Text")
 		if err != nil || !bytes.Equal(data, class) {
 			t.Fatalf("load: %d bytes (want %d), err %v", len(data), len(class), err)

@@ -24,9 +24,9 @@
 // What a source produced on this node is sealed by the fleet and
 // published to the store and the key's replicas exactly once.
 //
-// Failure semantics: the origin hop carries a per-attempt deadline, a
-// retry policy with backoff+jitter, and a circuit breaker
-// (internal/resilience). When the origin is down the proxy *fails
+// Failure semantics: the origin hop runs under Config.Origin, a
+// resilience.Policy: a per-attempt deadline, retries with backoff, and a
+// circuit breaker. When the origin is down the proxy *fails
 // open with stale data*: a cached entry past its TTL is normally
 // revalidated, but if the revalidating fetch fails the stale bytes are
 // served (stale-if-error, counted in Stats.StaleServed) — an
@@ -144,18 +144,13 @@ type Config struct {
 	// on-disk cache on the proxy", §4.1.2). Requires CacheEnabled.
 	DiskCacheDir string
 
-	// FetchTimeout bounds each origin fetch attempt (0 = no per-attempt
-	// deadline; the caller's ctx still applies).
-	FetchTimeout time.Duration
-	// FetchRetries is the number of retries after the first failed fetch
-	// attempt (0 = no retries). Not-found answers are never retried.
-	FetchRetries int
-	// BreakerThreshold is the number of consecutive origin failures that
-	// trips the origin circuit breaker (0 = default 5, <0 = disabled).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// half-open probe (default 5s).
-	BreakerCooldown time.Duration
+	// Origin is the policy of the hop to the origin. A zero Timeout
+	// leaves each fetch attempt only the caller's deadline. Not-found
+	// answers are never retried.
+	Origin resilience.Policy
+	// breakerCooldown overrides resilience.Cooldown for the origin
+	// breaker (tests only).
+	breakerCooldown time.Duration
 
 	// Fleet is the cluster this proxy is a member of (nil = standalone).
 	// See the Fleet interface.
@@ -311,11 +306,10 @@ type Stats struct {
 
 // Proxy is the static-service host.
 type Proxy struct {
-	origin  Origin
-	cfg     Config
-	breaker *resilience.Breaker
-	hop     resilience.Hop
-	store   *store
+	origin Origin
+	cfg    Config
+	hop    resilience.Hop
+	store  *store
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
@@ -416,17 +410,9 @@ func New(origin Origin, cfg Config) *Proxy {
 		}
 		p.adm = newAdmission(cfg, p.reg, svc, p.m.Requests)
 	}
-	p.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-		Threshold:     cfg.BreakerThreshold,
-		Cooldown:      cfg.BreakerCooldown,
-		OpenDurations: p.m.BreakerOpen,
-	})
-	p.hop = resilience.Hop{
-		Timeout: cfg.FetchTimeout,
-		Retry:   resilience.RetryPolicy{Attempts: 1 + cfg.FetchRetries},
-		Breaker: p.breaker,
-		Retries: p.m.FetchRetries,
-	}
+	p.hop = resilience.NewHop(cfg.Origin, 0, cfg.breakerCooldown)
+	p.hop.Retries = p.m.FetchRetries
+	p.hop.Breaker().OpenDurations = p.m.BreakerOpen
 	// Requests currently waiting on a flight, leaders included.
 	p.reg.Gauge("flight_waiters", func() float64 {
 		p.flightMu.Lock()
@@ -466,7 +452,7 @@ func (p *Proxy) Telemetry() *telemetry.Registry { return p.reg }
 // origin breaker is open (requests are being answered from stale cache
 // or failing), ok otherwise.
 func (p *Proxy) Health() telemetry.Health {
-	bc := p.breaker.Counts()
+	bc := p.hop.Breaker().Counts()
 	status := telemetry.StatusOK
 	if bc.State == resilience.Open.String() {
 		status = telemetry.StatusDegraded
@@ -483,7 +469,7 @@ func (p *Proxy) Stats() Stats {
 	s := Stats{
 		Shed:      p.adm.shedTotal(),
 		ProxyTime: p.m.Pipeline.Snapshot().Sum,
-		Breaker:   p.breaker.Counts(),
+		Breaker:   p.hop.Breaker().Counts(),
 	}
 	telemetry.Add(&s, &p.m)
 	if p.adm != nil {
@@ -563,7 +549,7 @@ func (p *Proxy) UnderPressure() bool { return p.adm.pressured() }
 
 // Request serves one class to one client: the full intercept path. The
 // ctx bounds the whole request (client disconnect, caller deadline);
-// per-attempt origin deadlines come from Config.FetchTimeout. If the
+// per-attempt origin deadlines come from Config.Origin. If the
 // ctx carries a telemetry trace the request records a span per stage on
 // it, and Result.Trace returns it; an untraced request records nothing
 // and no trace is minted for it. The histograms are fed either way.

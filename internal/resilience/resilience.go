@@ -1,13 +1,15 @@
 // Package resilience is the fault-tolerance layer threaded through every
 // cross-service hop of the DVM: deadlines, retries with exponential
-// backoff and deterministic jitter, and per-upstream circuit breakers.
+// backoff, and per-upstream circuit breakers.
 //
 // The paper moves VM services onto the network (§3), which makes a
 // client's correctness and availability depend on remote verification,
 // security, monitoring, and proxy servers that can stall, flap, or die.
-// Every network hop in this repo therefore goes through a Hop: a
-// per-attempt deadline, a bounded retry policy, and a circuit breaker
+// Every network hop in this repo therefore runs under one Policy and one
+// Guard: a per-attempt deadline, bounded retries, and a circuit breaker
 // that stops hammering (and stops waiting on) an upstream that is down.
+// A service's hop to its upstream is a Hop; a cluster node's link to a
+// peer is a Guard in the peer's membership entry.
 //
 // What happens *after* the hop fails is service-specific and lives with
 // each service: verification and security fail closed (deny), monitoring
@@ -16,6 +18,7 @@
 package resilience
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -52,65 +55,40 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &p)
 }
 
-// RetryPolicy is exponential backoff with deterministic jitter:
-// attempt n (1-based) sleeps Base*2^(n-1), capped at Max, with up to
-// Jitter fraction added. Jitter is derived from (Seed, attempt) by a
-// splitmix hash, so a given policy replays identically — chaos tests
-// must be reproducible run-to-run.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (1 = no retry; 0 means 1).
-	Attempts int
-	// Base is the first backoff delay (default 50ms when retrying).
-	Base time.Duration
-	// Max caps a single backoff delay (default 2s).
-	Max time.Duration
-	// Jitter in [0,1] is the fraction of the delay randomized (default 0.2).
-	Jitter float64
-	// Seed makes the jitter sequence deterministic.
-	Seed uint64
+// The settings no deployment sets. A policy's zero BreakerThreshold is
+// DefaultThreshold; an open guard refuses calls for Cooldown, then lets
+// one probe through. Retry n (1-based) waits backoffBase·2^(n-1), capped
+// at backoffMax.
+const (
+	DefaultThreshold = 5
+	Cooldown         = 5 * time.Second
+	backoffBase      = 50 * time.Millisecond
+	backoffMax       = 2 * time.Second
+)
+
+// Policy is what a deployment sets for the hops to one upstream: the
+// class loader's to its proxy, the proxy's to its origin, the security
+// manager's to its server and the console session's. NewHop fills its
+// defaults.
+type Policy struct {
+	// Timeout bounds each attempt (0 = the service's default).
+	Timeout time.Duration
+	// Retries is the number of retries after a failed attempt (0 = one
+	// attempt). A permanent error or an open breaker is never retried.
+	Retries int
+	// BreakerThreshold is the consecutive counted failures that open the
+	// upstream's breaker (0 = DefaultThreshold, <0 = no breaker).
+	BreakerThreshold int
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 1
-	}
-	if p.Base <= 0 {
-		p.Base = 50 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 2 * time.Second
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
-	}
-	return p
-}
-
-// Backoff returns the delay before retry attempt+1, attempt being the
-// 1-based attempt that just failed. Pure: same inputs, same delay.
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	p = p.withDefaults()
-	d := p.Base
-	for i := 1; i < attempt; i++ {
+// backoff returns the delay before retry attempt+1, attempt being the
+// 1-based attempt that just failed.
+func backoff(attempt int) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
-		if d >= p.Max {
-			d = p.Max
-			break
-		}
 	}
-	if d > p.Max {
-		d = p.Max
-	}
-	if p.Jitter > 0 {
-		// splitmix64 over (seed, attempt): deterministic, allocation-free.
-		z := p.Seed + uint64(attempt)*0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		frac := float64(z>>11) / float64(1<<53) // uniform [0,1)
-		d += time.Duration(frac * p.Jitter * float64(d))
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 // BreakerState is the classic three-state circuit breaker state.
@@ -135,24 +113,75 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterizes a Breaker.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive failures that trips the
-	// breaker open (default 5; <0 disables the breaker entirely).
-	Threshold int
-	// Cooldown is how long the breaker stays open before letting a
-	// half-open probe through (default 5s).
-	Cooldown time.Duration
-	// HalfOpenProbes is how many concurrent probes half-open admits
-	// (default 1).
-	HalfOpenProbes int
-	// Now is a clock hook for deterministic tests (default time.Now).
-	Now func() time.Time
-	// OpenDurations, when non-nil, observes how long each open episode
-	// lasted, recorded when the breaker closes again. Outage-length
-	// histograms merge across nodes like any other telemetry histogram.
-	OpenDurations *telemetry.Histogram
+// Guard is the closed → open → half-open rule, written once: a Breaker
+// runs it under its own mutex, and a cluster member's entry runs it under
+// the membership's. threshold consecutive counted failures open a closed
+// guard; an open one refuses every call for cooldown, then admits one
+// probe, whose success closes it and whose failure opens it again. The
+// zero value is closed. A Guard holds no lock and reads no clock of its
+// own: the owner serializes every call and passes its clock, which a
+// closed guard never reads.
+type Guard struct {
+	state    BreakerState
+	fails    int       // consecutive counted failures
+	openedAt time.Time // when it last opened
+	probing  bool      // the half-open probe is out
 }
+
+// State is the guard as the next call finds it: open turns half-open
+// once cooldown has passed since it opened.
+func (g *Guard) State(now func() time.Time, cooldown time.Duration) BreakerState {
+	if g.state == Open && now().Sub(g.openedAt) >= cooldown {
+		return HalfOpen
+	}
+	return g.state
+}
+
+// Allow asks for one call: nil admits it, and the caller settles it with
+// exactly one Success, Failure or Cancel; ErrOpen refuses it.
+func (g *Guard) Allow(now func() time.Time, cooldown time.Duration) error {
+	if g.state == Closed {
+		return nil
+	}
+	if g.state = g.State(now, cooldown); g.state == Open || g.probing {
+		return ErrOpen
+	}
+	g.probing = true
+	return nil
+}
+
+// Success settles a call the upstream answered: the failure count
+// resets, and a probe closes the guard. It reports whether it closed.
+func (g *Guard) Success() (closed bool) {
+	g.fails = 0
+	if g.state != HalfOpen {
+		return false
+	}
+	g.state, g.probing = Closed, false
+	return true
+}
+
+// Failure settles a counted failure: the threshold-th in a row opens a
+// closed guard, and a failed probe opens it again at once. It reports
+// whether the guard opened.
+func (g *Guard) Failure(now func() time.Time, threshold int) (opened bool) {
+	g.fails++
+	if g.state != HalfOpen && (g.state != Closed || g.fails < threshold) {
+		return false
+	}
+	g.state, g.openedAt, g.probing = Open, now(), false
+	return true
+}
+
+// Cancel settles a call whose caller gave up before the upstream
+// answered: it is no evidence either way, so the count stays as it is,
+// and a probe hands its slot back for the next call to probe with.
+// Without it an abandoned probe would hold the only slot and keep the
+// guard refusing forever.
+func (g *Guard) Cancel() { g.probing = false }
+
+// Fails is the consecutive counted failures.
+func (g *Guard) Fails() int { return g.fails }
 
 // BreakerCounts is a snapshot of breaker statistics for /healthz and
 // Stats surfaces.
@@ -163,90 +192,58 @@ type BreakerCounts struct {
 	Failures  int64
 }
 
-// Breaker is a per-upstream circuit breaker: Threshold consecutive
-// failures open it; after Cooldown it admits HalfOpenProbes trial calls;
-// a probe success closes it, a probe failure re-opens it.
+// Breaker is a per-upstream circuit breaker: a Guard under a mutex, on
+// the wall clock, with counts. A nil *Breaker admits every call.
 type Breaker struct {
-	cfg BreakerConfig
+	// OpenDurations, when non-nil, observes how long each open episode
+	// lasted, recorded when the breaker closes again. Outage-length
+	// histograms merge across nodes like any other telemetry histogram.
+	OpenDurations *telemetry.Histogram
 
-	mu          sync.Mutex
-	state       BreakerState
-	consecFails int
-	openedAt    time.Time
-	probes      int // in-flight half-open probes
+	threshold int // <0: the breaker is off
+	cooldown  time.Duration
+	now       func() time.Time
 
+	mu        sync.Mutex
+	g         Guard
 	trips     int64
 	successes int64
 	failures  int64
 }
 
-// NewBreaker builds a breaker; zero-value config gets defaults.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = 5
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 1
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Breaker{cfg: cfg}
+// NewBreaker returns a breaker on the clock now that opens after
+// threshold consecutive counted failures (never, if threshold < 0) and
+// probes after cooldown. NewHop builds every service's; tests build
+// their own on a fake clock.
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
+	return &Breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
-// disabled reports whether the breaker is configured off (Threshold<0).
-func (b *Breaker) disabled() bool { return b != nil && b.cfg.Threshold < 0 }
+// off reports whether the breaker admits every call and counts nothing.
+func (b *Breaker) off() bool { return b == nil || b.threshold < 0 }
 
 // Allow reports whether a call may proceed now; ErrOpen means the
 // upstream is presumed down. An allowed call MUST be followed by exactly
 // one Success, Failure or Cancel.
 func (b *Breaker) Allow() error {
-	if b == nil || b.disabled() {
+	if b.off() {
 		return nil
 	}
 	b.mu.Lock()
-	switch b.state {
-	case Closed:
-		b.mu.Unlock()
-		return nil
-	case Open:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
-			b.mu.Unlock()
-			return ErrOpen
-		}
-		b.state = HalfOpen
-		b.probes = 1
-		b.mu.Unlock()
-		return nil
-	default: // HalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
-			b.mu.Unlock()
-			return ErrOpen
-		}
-		b.probes++
-		b.mu.Unlock()
-		return nil
-	}
+	defer b.mu.Unlock()
+	return b.g.Allow(b.now, b.cooldown)
 }
 
 // Success records a successful call: half-open closes, consecutive
 // failures reset.
 func (b *Breaker) Success() {
-	if b == nil || b.disabled() {
+	if b.off() {
 		return
 	}
 	b.mu.Lock()
 	b.successes++
-	b.consecFails = 0
-	if b.state == HalfOpen {
-		b.state = Closed
-		b.probes = 0
-		if !b.openedAt.IsZero() {
-			b.cfg.OpenDurations.Observe(b.cfg.Now().Sub(b.openedAt))
-		}
+	if b.g.Success() {
+		b.OpenDurations.Observe(b.now().Sub(b.g.openedAt))
 	}
 	b.mu.Unlock()
 }
@@ -254,95 +251,81 @@ func (b *Breaker) Success() {
 // Failure records a failed call: a half-open probe failure re-opens
 // immediately; Threshold consecutive closed-state failures trip open.
 func (b *Breaker) Failure() {
-	if b == nil || b.disabled() {
+	if b.off() {
 		return
 	}
 	b.mu.Lock()
 	b.failures++
-	b.consecFails++
-	switch b.state {
-	case HalfOpen:
-		b.trip()
-	case Closed:
-		if b.consecFails >= b.cfg.Threshold {
-			b.trip()
-		}
+	if b.g.Failure(b.now, b.threshold) {
+		b.trips++
 	}
 	b.mu.Unlock()
 }
 
-// Cancel settles an allowed call whose caller gave up before the
-// upstream answered: it is no evidence either way, so the counts stay as
-// they are, and a half-open probe hands its slot back for the next call
-// to probe with. Without it an abandoned probe would hold the only slot
-// and keep the breaker refusing forever.
+// Cancel settles an allowed call whose caller gave up (Guard.Cancel).
 func (b *Breaker) Cancel() {
-	if b == nil || b.disabled() {
+	if b.off() {
 		return
 	}
 	b.mu.Lock()
-	if b.state == HalfOpen && b.probes > 0 {
-		b.probes--
-	}
+	b.g.Cancel()
 	b.mu.Unlock()
-}
-
-// trip moves to Open (caller holds b.mu).
-func (b *Breaker) trip() {
-	b.state = Open
-	b.openedAt = b.cfg.Now()
-	b.probes = 0
-	b.trips++
 }
 
 // State returns the current state, applying the open->half-open
 // transition lazily so observers see the same state a caller would.
 func (b *Breaker) State() BreakerState {
-	if b == nil || b.disabled() {
+	if b.off() {
 		return Closed
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
-		return HalfOpen
-	}
-	return b.state
+	return b.g.State(b.now, b.cooldown)
 }
 
 // Counts snapshots the breaker statistics.
 func (b *Breaker) Counts() BreakerCounts {
-	if b == nil || b.disabled() {
+	if b.off() {
 		return BreakerCounts{State: Closed.String()}
 	}
-	state := b.State().String()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BreakerCounts{State: state, Trips: b.trips, Successes: b.successes, Failures: b.failures}
+	return BreakerCounts{State: b.g.State(b.now, b.cooldown).String(), Trips: b.trips, Successes: b.successes, Failures: b.failures}
 }
 
-// Hop bundles the per-hop policy every cross-service call uses: a
-// per-attempt deadline, a retry policy, and a shared per-upstream
-// breaker. The zero value (no timeout, one attempt, nil breaker) is a
-// plain call.
+// Hop is the policy every cross-service call runs under: a per-attempt
+// deadline, bounded retries with backoff, and the upstream's breaker.
+// The zero value (no timeout, one attempt, no breaker) is a plain call.
 type Hop struct {
-	// Timeout bounds each individual attempt (0 = caller's deadline only).
+	// Timeout bounds each attempt (0 = the caller's deadline only).
 	Timeout time.Duration
-	// Retry is the backoff policy across attempts.
-	Retry RetryPolicy
-	// Breaker, when non-nil, gates every attempt. It is shared by all
-	// hops to the same upstream.
-	Breaker *Breaker
-	// OnRetry, when set, observes each scheduled retry (metrics).
-	OnRetry func(attempt int, err error)
 	// Retries, when non-nil, counts every scheduled retry.
 	Retries *telemetry.Counter
+
+	attempts int
+	breaker  *Breaker
 }
+
+// NewHop is the hop to one upstream under p, with a breaker of its own
+// on the wall clock; it is the one place a policy's defaults are filled.
+// A zero p.Timeout takes timeout, the service's default (0 = the
+// caller's deadline only). The breaker probes after cooldown (0 =
+// Cooldown; only tests pass another).
+func NewHop(p Policy, timeout, cooldown time.Duration) Hop {
+	return Hop{
+		Timeout:  cmp.Or(p.Timeout, timeout),
+		attempts: 1 + max(p.Retries, 0),
+		breaker:  NewBreaker(cmp.Or(p.BreakerThreshold, DefaultThreshold), cmp.Or(cooldown, Cooldown), time.Now),
+	}
+}
+
+// Breaker is the hop's breaker, shared by every copy of the hop.
+func (h Hop) Breaker() *Breaker { return h.breaker }
 
 // Do runs op under the hop policy. Each attempt gets its own deadline
 // and its own breaker admission; ErrOpen and permanent errors stop the
 // retry loop immediately. The parent ctx cancels everything.
 func (h Hop) Do(ctx context.Context, op func(context.Context) error) error {
-	retry := h.Retry.withDefaults()
 	var err error
 	for attempt := 1; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -352,14 +335,11 @@ func (h Hop) Do(ctx context.Context, op func(context.Context) error) error {
 		if err == nil {
 			return nil
 		}
-		if errors.Is(err, ErrOpen) || IsPermanent(err) || attempt >= retry.Attempts {
+		if errors.Is(err, ErrOpen) || IsPermanent(err) || attempt >= h.attempts {
 			return err
 		}
 		h.Retries.Inc()
-		if h.OnRetry != nil {
-			h.OnRetry(attempt, err)
-		}
-		t := time.NewTimer(retry.Backoff(attempt))
+		t := time.NewTimer(backoff(attempt))
 		select {
 		case <-t.C:
 		case <-ctx.Done():
@@ -371,7 +351,7 @@ func (h Hop) Do(ctx context.Context, op func(context.Context) error) error {
 
 // attempt is one breaker-gated, deadline-bounded try.
 func (h Hop) attempt(ctx context.Context, op func(context.Context) error) error {
-	if err := h.Breaker.Allow(); err != nil {
+	if err := h.breaker.Allow(); err != nil {
 		return err
 	}
 	actx := ctx
@@ -382,13 +362,13 @@ func (h Hop) attempt(ctx context.Context, op func(context.Context) error) error 
 	}
 	err := op(actx)
 	if err == nil {
-		h.Breaker.Success()
+		h.breaker.Success()
 		return nil
 	}
 	// A permanent error (e.g. not-found) is an answer from the upstream,
 	// not evidence it is down; don't count it against the breaker.
 	if IsPermanent(err) {
-		h.Breaker.Success()
+		h.breaker.Success()
 		return err
 	}
 	// A canceled parent context means the caller gave up (client
@@ -398,10 +378,10 @@ func (h Hop) attempt(ctx context.Context, op func(context.Context) error) error 
 	// origin, turning overload into an outage. Attempt-deadline expiry
 	// (upstream too slow) still counts.
 	if errors.Is(ctx.Err(), context.Canceled) {
-		h.Breaker.Cancel()
+		h.breaker.Cancel()
 		return err
 	}
-	h.Breaker.Failure()
+	h.breaker.Failure()
 	// Surface the attempt deadline as the canonical context error so
 	// callers can map it (proxy: 504).
 	if actx.Err() != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {

@@ -15,7 +15,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 func testBreaker(th int, cd time.Duration, c *fakeClock) *Breaker {
-	return NewBreaker(BreakerConfig{Threshold: th, Cooldown: cd, Now: c.now})
+	return NewBreaker(th, cd, c.now)
 }
 
 // TestBreakerTransitions drives the full closed -> open -> half-open ->
@@ -102,7 +102,7 @@ func TestBreakerCounts(t *testing.T) {
 
 func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 	clk := newFakeClock()
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, HalfOpenProbes: 1, Now: clk.now})
+	b := testBreaker(1, time.Second, clk)
 	b.Failure()
 	clk.advance(time.Second)
 	if err := b.Allow(); err != nil {
@@ -120,7 +120,7 @@ func TestBreakerDisabledAndNil(t *testing.T) {
 	}
 	nilB.Success()
 	nilB.Failure()
-	off := NewBreaker(BreakerConfig{Threshold: -1})
+	off := NewBreaker(-1, 0, time.Now)
 	for i := 0; i < 100; i++ {
 		off.Failure()
 	}
@@ -129,43 +129,20 @@ func TestBreakerDisabledAndNil(t *testing.T) {
 	}
 }
 
+// TestBackoffDeterministicAndBounded: retry n waits 50 ms · 2^(n-1),
+// never more than 2 s.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{Attempts: 6, Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.5, Seed: 42}
-	var prevNoJitter time.Duration
-	for attempt := 1; attempt <= 6; attempt++ {
-		d1 := p.Backoff(attempt)
-		d2 := p.Backoff(attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
+	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
+	for i, w := range want {
+		if got := backoff(i + 1); got != w*time.Millisecond {
+			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
-		base := 10 * time.Millisecond << (attempt - 1)
-		if base > 80*time.Millisecond {
-			base = 80 * time.Millisecond
-		}
-		if d1 < base || d1 > base+base/2 {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d1, base, base+base/2)
-		}
-		if base > prevNoJitter {
-			prevNoJitter = base
-		}
-	}
-	// Different seeds give a different jitter sequence.
-	q := p
-	q.Seed = 43
-	same := true
-	for attempt := 1; attempt <= 6; attempt++ {
-		if p.Backoff(attempt) != q.Backoff(attempt) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("seeds 42 and 43 produced identical jitter sequences")
 	}
 }
 
 func TestHopRetriesUntilSuccess(t *testing.T) {
 	calls := 0
-	h := Hop{Retry: RetryPolicy{Attempts: 4, Base: time.Microsecond, Jitter: 0}}
+	h := Hop{attempts: 4}
 	err := h.Do(context.Background(), func(context.Context) error {
 		calls++
 		if calls < 3 {
@@ -181,7 +158,7 @@ func TestHopRetriesUntilSuccess(t *testing.T) {
 func TestHopPermanentStopsRetry(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("not found")
-	h := Hop{Retry: RetryPolicy{Attempts: 5, Base: time.Microsecond}}
+	h := Hop{attempts: 5}
 	err := h.Do(context.Background(), func(context.Context) error {
 		calls++
 		return Permanent(sentinel)
@@ -195,7 +172,7 @@ func TestHopPermanentStopsRetry(t *testing.T) {
 }
 
 func TestHopTimeoutSurfacesDeadline(t *testing.T) {
-	h := Hop{Timeout: 5 * time.Millisecond, Retry: RetryPolicy{Attempts: 1}}
+	h := Hop{Timeout: 5 * time.Millisecond}
 	err := h.Do(context.Background(), func(ctx context.Context) error {
 		<-ctx.Done()
 		return fmt.Errorf("upstream hung: %w", ctx.Err())
@@ -210,7 +187,7 @@ func TestHopBreakerOpenFailsFast(t *testing.T) {
 	b := testBreaker(1, time.Minute, clk)
 	b.Failure() // trip
 	calls := 0
-	h := Hop{Breaker: b, Retry: RetryPolicy{Attempts: 5, Base: time.Microsecond}}
+	h := Hop{breaker: b, attempts: 5}
 	err := h.Do(context.Background(), func(context.Context) error { calls++; return nil })
 	if calls != 0 {
 		t.Fatalf("open breaker let %d calls through", calls)
@@ -223,7 +200,7 @@ func TestHopBreakerOpenFailsFast(t *testing.T) {
 func TestHopPermanentDoesNotTripBreaker(t *testing.T) {
 	clk := newFakeClock()
 	b := testBreaker(1, time.Minute, clk)
-	h := Hop{Breaker: b, Retry: RetryPolicy{Attempts: 1}}
+	h := Hop{breaker: b}
 	_ = h.Do(context.Background(), func(context.Context) error {
 		return Permanent(errors.New("404"))
 	})
@@ -239,7 +216,7 @@ func TestHopPermanentDoesNotTripBreaker(t *testing.T) {
 func TestHopCallerCancelDoesNotTripBreaker(t *testing.T) {
 	clk := newFakeClock()
 	b := testBreaker(2, time.Minute, clk)
-	h := Hop{Breaker: b, Retry: RetryPolicy{Attempts: 1}}
+	h := Hop{breaker: b}
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		err := h.Do(ctx, func(actx context.Context) error {
@@ -258,7 +235,7 @@ func TestHopCallerCancelDoesNotTripBreaker(t *testing.T) {
 		t.Fatalf("breaker failures after caller cancels = %d, want 0", c.Failures)
 	}
 	// Attempt-deadline expiry (the upstream being slow) still counts.
-	slow := Hop{Breaker: b, Timeout: time.Millisecond, Retry: RetryPolicy{Attempts: 1}}
+	slow := Hop{breaker: b, Timeout: time.Millisecond}
 	for i := 0; i < 2; i++ {
 		_ = slow.Do(context.Background(), func(actx context.Context) error {
 			<-actx.Done()
@@ -273,7 +250,7 @@ func TestHopCallerCancelDoesNotTripBreaker(t *testing.T) {
 func TestHopParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := Hop{Retry: RetryPolicy{Attempts: 3, Base: time.Hour}}
+	h := Hop{attempts: 3}
 	calls := 0
 	err := h.Do(ctx, func(context.Context) error { calls++; return errors.New("x") })
 	if !errors.Is(err, context.Canceled) {
@@ -312,5 +289,19 @@ func TestBreakerCancelReturnsTheProbe(t *testing.T) {
 	b.Cancel() // closed: nothing to give back
 	if got := b.State(); got != Closed {
 		t.Fatalf("Cancel on a closed breaker changed it to %v", got)
+	}
+}
+
+// TestNewHopFillsTheDefaults: a zero policy takes the service's timeout,
+// one attempt and a breaker at DefaultThreshold and Cooldown; a negative
+// threshold is no breaker.
+func TestNewHopFillsTheDefaults(t *testing.T) {
+	h := NewHop(Policy{}, 5*time.Second, 0)
+	if h.Timeout != 5*time.Second || h.attempts != 1 || h.breaker.threshold != DefaultThreshold || h.breaker.cooldown != Cooldown {
+		t.Fatalf("zero policy: timeout %v, %d attempts, threshold %d, cooldown %v", h.Timeout, h.attempts, h.breaker.threshold, h.breaker.cooldown)
+	}
+	h = NewHop(Policy{Timeout: time.Second, Retries: 2, BreakerThreshold: -1}, 5*time.Second, time.Minute)
+	if h.Timeout != time.Second || h.attempts != 3 || !h.breaker.off() || h.breaker.cooldown != time.Minute {
+		t.Fatalf("set policy: timeout %v, %d attempts, breaker off %v, cooldown %v", h.Timeout, h.attempts, h.breaker.off(), h.breaker.cooldown)
 	}
 }

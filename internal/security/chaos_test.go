@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dvm/internal/resilience"
 )
 
 // Chaos suite: the security service is trust-critical and must fail
@@ -55,10 +57,8 @@ func TestSecurityFailsClosedDuringOutageAndRecovers(t *testing.T) {
 	fh.dead.Store(true) // outage from the very first touch
 
 	rm := NewRemoteManagerWith(ts.URL, "apps", RemoteOptions{
-		Timeout:          500 * time.Millisecond,
-		Retries:          0,
-		BreakerThreshold: 2,
-		BreakerCooldown:  30 * time.Millisecond,
+		Policy:   resilience.Policy{Timeout: 500 * time.Millisecond, BreakerThreshold: 2},
+		cooldown: 30 * time.Millisecond,
 		OnDegraded: func(sid, perm, target string, err error) {
 			degraded.Add(1)
 		},
@@ -106,10 +106,8 @@ func TestSecurityBreakerStopsHammeringDeadServer(t *testing.T) {
 	defer ts.Close()
 
 	rm := NewRemoteManagerWith(ts.URL, "apps", RemoteOptions{
-		Timeout:          200 * time.Millisecond,
-		Retries:          0,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
+		Policy:   resilience.Policy{Timeout: 200 * time.Millisecond, BreakerThreshold: 2},
+		cooldown: time.Minute,
 	})
 	defer rm.Close()
 

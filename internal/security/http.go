@@ -179,17 +179,14 @@ func writeJSONSec(w http.ResponseWriter, val any) {
 // RemoteOptions parameterizes a RemoteManager's hop to the security
 // server.
 type RemoteOptions struct {
-	// Timeout bounds each /domain fetch attempt (default 5s).
-	Timeout time.Duration
-	// Retries after a failed /domain attempt (default 1).
-	Retries int
-	// BreakerThreshold trips the server breaker after that many
-	// consecutive failures (0 = default 5, <0 = disabled).
-	BreakerThreshold int
-	// BreakerCooldown is the open-state cooldown (default 5s).
-	BreakerCooldown time.Duration
+	// Policy is the hop's to the server: a zero Timeout bounds each
+	// /domain fetch attempt at 5 s.
+	Policy resilience.Policy
 	// OnDegraded receives fail-closed denials (audited Degraded record).
 	OnDegraded func(sid, permission, target string, err error)
+	// cooldown overrides resilience.Cooldown for the server breaker
+	// (tests only).
+	cooldown time.Duration
 }
 
 // RemoteManager is an enforcement manager whose server lives across the
@@ -200,7 +197,6 @@ type RemoteOptions struct {
 type RemoteManager struct {
 	*Manager
 	base    string
-	client  *http.Client // domain fetches: bounded by opts.Timeout
 	poller  *http.Client // long polls: must outlive the 25s server hold
 	hop     resilience.Hop
 	sid     string
@@ -222,26 +218,11 @@ func NewRemoteManager(baseURL, sid string) *RemoteManager {
 // NewRemoteManagerWith is NewRemoteManager with explicit per-hop
 // deadline, retry, and breaker settings.
 func NewRemoteManagerWith(baseURL, sid string, opts RemoteOptions) *RemoteManager {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 1
-	}
-	base := strings.TrimRight(baseURL, "/")
 	ctx, cancel := context.WithCancel(context.Background())
 	rm := &RemoteManager{
-		base:   base,
-		client: &http.Client{Timeout: opts.Timeout},
+		base:   strings.TrimRight(baseURL, "/"),
 		poller: &http.Client{Timeout: 40 * time.Second},
-		hop: resilience.Hop{
-			Timeout: opts.Timeout,
-			Retry:   resilience.RetryPolicy{Attempts: 1 + opts.Retries},
-			Breaker: resilience.NewBreaker(resilience.BreakerConfig{
-				Threshold: opts.BreakerThreshold,
-				Cooldown:  opts.BreakerCooldown,
-			}),
-		},
+		hop:    resilience.NewHop(opts.Policy, 5*time.Second, opts.cooldown),
 		sid:    sid,
 		ctx:    ctx,
 		cancel: cancel,
@@ -258,11 +239,12 @@ func NewRemoteManagerWith(baseURL, sid string, opts RemoteOptions) *RemoteManage
 }
 
 // Breaker exposes the server-hop circuit breaker (diagnostics).
-func (rm *RemoteManager) Breaker() *resilience.Breaker { return rm.hop.Breaker }
+func (rm *RemoteManager) Breaker() *resilience.Breaker { return rm.hop.Breaker() }
 
 // fetchDomain downloads the domain rules and records the policy
-// version. An error (timeout, refused, breaker open, bad payload) means
-// the caller's check fails closed.
+// version. Each attempt is bounded by the hop's timeout alone. An error
+// (timeout, refused, breaker open, bad payload) means the caller's check
+// fails closed.
 func (rm *RemoteManager) fetchDomain(sid string) ([]Grant, error) {
 	var wd wireDomain
 	err := rm.hop.Do(rm.ctx, func(ctx context.Context) error {
@@ -270,7 +252,7 @@ func (rm *RemoteManager) fetchDomain(sid string) ([]Grant, error) {
 		if err != nil {
 			return resilience.Permanent(err)
 		}
-		resp, err := rm.client.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return err
 		}

@@ -152,7 +152,8 @@ func FuzzVerify(f *testing.F) {
 
 // TestAdversarialClassesStayBounded: each adversarial class keeps the
 // verdict and the census the walk that stored every in-frame gave it —
-// 406, 10 002 and 32 phase-3 checks — and verifying a bomb allocates
+// 406, 10 002 and 32 phase-3 checks; the subroutine loops, added later,
+// 8 and 20 006 — and verifying a bomb allocates
 // under 2 MiB, where storing an in-frame per instruction allocated 1.10
 // GB for the locals bomb and 1.20 GB for its max_stack twin. Under -race
 // the allocation bound only logs.
@@ -168,6 +169,8 @@ func TestAdversarialClassesStayBounded(t *testing.T) {
 		"dvm/adversary/LocalsBomb":  {"accepted 11 404 406 0", true},
 		"dvm/adversary/StackTwin":   {"accepted 11 10001 10002 0", true},
 		"dvm/adversary/TernaryJoin": {"accepted 19 13 32 0", false},
+		"dvm/adversary/JsrLoop":     {"accepted 11 5 8 0", false},
+		"dvm/adversary/JsrLoopTwin": {"accepted 11 10004 20006 0", false},
 	}
 	for _, a := range adv {
 		w, ok := want[a.Name]

@@ -30,8 +30,40 @@ var updateGolden = flag.Bool("update", false, "regenerate the golden files in te
 // error string, the phase 1–3 census and the assumption count.
 func TestVerdictGolden(t *testing.T) {
 	const path = "testdata/verdict_golden.txt"
-	const mutantsPerClass = 300
 	var got bytes.Buffer
+	goldenMutants(t, func(name string, trial int, data []byte) {
+		fmt.Fprintf(&got, "%s#%d %s\n", name, trial, verdictLine(data))
+	})
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%s has %d lines, this tree produces %d", path, len(wl), len(gl))
+	}
+	for i := range gl {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s line %d differs (later lines may too):\n  got  %s\n  want %s", path, i+1, gl[i], wl[i])
+		}
+	}
+}
+
+// goldenMutants hands each of the verdict golden's mutants to f, in the
+// golden's order: for a fixed sample of corpus classes, 300 seeded 1–3-byte
+// mutations of each, even trials anywhere in the file and odd trials
+// inside one method's bytecode.
+func goldenMutants(t *testing.T, f func(name string, trial int, data []byte)) {
+	const mutantsPerClass = 300
 	for _, spec := range []workload.Spec{workload.Benchmarks()[0], workload.Applets()[5]} {
 		app, err := workload.Generate(spec)
 		if err != nil {
@@ -57,30 +89,8 @@ func TestVerdictGolden(t *testing.T) {
 				for k := 0; k < 1+rng.Intn(3); k++ {
 					data[lo+rng.Intn(n)] = byte(rng.Intn(256))
 				}
-				fmt.Fprintf(&got, "%s#%d %s\n", name, trial, verdictLine(data))
+				f(name, trial, data)
 			}
-		}
-	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	if len(gl) != len(wl) {
-		t.Fatalf("%s has %d lines, this tree produces %d", path, len(wl), len(gl))
-	}
-	for i := range gl {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs (later lines may too):\n  got  %s\n  want %s", path, i+1, gl[i], wl[i])
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"dvm/internal/asm"
 )
 
-// Adversarial is a small class built to cost the verifier's phase 3 far
-// more than its size: the verifier must stay bounded on it, whatever its
-// verdict (ROADMAP item 10c). None is part of Benchmarks or Applets.
+// Adversarial is a small class built to cost the verifier's phase 3, or
+// the max_stack computation after it, far more than its size: both must
+// stay bounded on it, whatever its verdict (ROADMAP item 10c). None is part of Benchmarks or Applets.
 type Adversarial struct {
 	Name string // the class's internal name
 	Data []byte
@@ -24,7 +24,13 @@ type Adversarial struct {
 //   - TernaryJoin: Object o = b ? "s" : i; use(o), whose join merges a
 //     String with an Integer after the straight-line pass from it has run
 //     once, so a re-pass meets instructions that are no join point.
+//   - JsrLoop: 0: jsr 6; 3: goto 0; 6: astore_1; 7: ret 1 — a loop
+//     around a subroutine call, which phase 3 accepts and on which a
+//     max_stack fixpoint that continues a jsr's fall-through one higher
+//     never ends;
+//   - JsrLoopTwin: the same loop around 10 000 calls of the subroutine.
 func AdversarialClasses() ([]Adversarial, error) {
+	const jsrLoop = "L0:\njsr Lsub\ngoto L0\nLsub:\nastore_1\nret 1\n"
 	method := func(class, desc, body string) string {
 		return ".class public dvm/adversary/" + class + "\n.super java/lang/Object\n" +
 			".method public static run " + desc + "\n" + body + ".end method\n"
@@ -46,6 +52,8 @@ aload_2
 invokestatic dvm/adversary/TernaryJoin use (Ljava/lang/Object;)V
 return
 `) + ".method public static use (Ljava/lang/Object;)V\nreturn\n.end method\n"},
+		{"JsrLoop", method("JsrLoop", "()V", jsrLoop)},
+		{"JsrLoopTwin", method("JsrLoopTwin", "()V", "L0:\n"+strings.Repeat("jsr Lsub\n", 10000)+"goto L0\nLsub:\nastore_1\nret 1\n")},
 	}
 	out := make([]Adversarial, len(srcs))
 	for i, s := range srcs {
