@@ -1,6 +1,7 @@
 package bytecode_test
 
 import (
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -76,5 +77,28 @@ func TestMaxStackRejectsAGrowingLoop(t *testing.T) {
 	}
 	if bound := len(insts) + 2*edges(insts); steps > bound {
 		t.Errorf("%d steps, want at most %d", steps, bound)
+	}
+}
+
+// TestMaxStackStepsOnArbitraryCode: on random instruction lists — stack
+// effects that need not balance, branches and subroutine calls to
+// anywhere, handlers anywhere — MaxStack returns after at most one step
+// per instruction and two per edge, whatever it returns.
+func TestMaxStackStepsOnArbitraryCode(t *testing.T) {
+	ops := []bytecode.Opcode{bytecode.Iconst0, bytecode.Pop, bytecode.Dup, bytecode.Iload0, bytecode.Astore1,
+		bytecode.Ifeq, bytecode.Goto, bytecode.Jsr, bytecode.Ret, bytecode.Return}
+	rng := rand.New(rand.NewSource(1))
+	steps := 0
+	bytecode.CountMaxStack(t, func(_ []bytecode.Inst, s int) { steps = s })
+	for trial := 0; trial < 5000; trial++ {
+		insts := make([]bytecode.Inst, 1+rng.Intn(40))
+		for i := range insts {
+			insts[i] = bytecode.Inst{Op: ops[rng.Intn(len(ops))], Index: 1, Target: rng.Intn(len(insts))}
+		}
+		handlers := []int{rng.Intn(len(insts))}
+		bytecode.MaxStack(nil, insts, nil, handlers[:rng.Intn(2)])
+		if bound := len(insts) + 2*edges(insts); steps > bound {
+			t.Fatalf("trial %d: %d steps over %d instructions, want at most %d", trial, steps, len(insts), bound)
+		}
 	}
 }
