@@ -73,73 +73,136 @@ func StackEffect(in Inst, pool *classfile.ConstPool) (pop, push int, err error) 
 // then every path's height under phase 3's rules is what counts. Code
 // whose phase-3 heights disagree where paths join, or fall below zero, is
 // an error: phase 3 rejects it, and a loop that gains height has no
-// max_stack at all. One depth-first walk finds the heights and the
-// components (Tarjan's algorithm), so every instruction is visited once
-// and every edge twice. Its tables are a's storage for the length of the
+// max_stack at all. One walk finds the phase-3 heights, following every
+// edge once; only a method that calls a subroutine takes a second,
+// depth-first walk for the components (Tarjan's algorithm), which follows
+// every edge twice more. Its tables are a's storage for the length of the
 // call.
 func MaxStack(a *Arena, insts []Inst, pool *classfile.ConstPool, handlersAt []int) (int, error) {
 	n := len(insts)
 	if a != nil {
 		defer a.i32.Release(a.i32.Mark())
 	}
-	w := heightWalk{insts: insts, pool: pool,
-		height: a.Int32s(n), delta: a.Int32s(n), index: a.Int32s(n), low: a.Int32s(n),
-		comp: a.Int32s(n), most: a.Int32s(n), stack: a.Int32s(n)[:0], dfs: a.Int32s(2 * n)[:0]}
-	err := w.walk(0, 0)
-	for _, h := range handlersAt {
-		if err == nil {
-			err = w.walk(h, 1)
+	height := a.Int32s(n)
+	most, calls, steps, err := heights(insts, pool, handlersAt, height, a.Int32s(n)[:0])
+	if err == nil && calls {
+		c := components{insts: insts, pool: pool, height: height, steps: steps,
+			index: a.Int32s(n), low: a.Int32s(n), comp: a.Int32s(n), most: a.Int32s(n),
+			stack: a.Int32s(n)[:0], dfs: a.Int32s(2 * n)[:0]}
+		if m := c.mostFrom(handlersAt); !c.diverges {
+			most = m
 		}
+		steps = c.steps
 	}
 	if onMaxStack != nil {
-		onMaxStack(insts, w.steps)
+		onMaxStack(insts, steps)
 	}
+
 	if err != nil {
 		return 0, err
-	}
-	if w.diverges {
-		return w.phase3, nil
-	}
-	most := w.mostFrom(0)
-	for _, h := range handlersAt {
-		most = max(most, w.mostFrom(h))
 	}
 	return most, nil
 }
 
 // onMaxStack, when set, receives each MaxStack call's instructions and
-// the steps it took: one per instruction reached and two per edge out of
-// one (tests).
+// the steps it took: one per instruction reached and one per edge out of
+// one, and two more per edge in a method that calls a subroutine (tests).
 var onMaxStack func(insts []Inst, steps int)
 
-// heightWalk is MaxStack's depth-first walk. Per instruction: 1 + its
-// phase-3 entry height (0 before it is reached), its stack effect, 1 + its
-// discovery order (0 before), the least discovery order it reaches back
-// to, and 1 + its component (0 while on the component stack); per
-// component: the greatest height on a path from it, jsr fall-throughs
-// counted one higher.
-type heightWalk struct {
-	insts []Inst
-	pool  *classfile.ConstPool
+// heights follows every edge from the entry and the handlers once, giving
+// each instruction reached 1 + its phase-3 entry height in height (0 for
+// one no path reaches). It returns the greatest height on the way,
+// whether a jsr was reached, and the steps it took: one per instruction
+// and one per edge.
+func heights(insts []Inst, pool *classfile.ConstPool, handlersAt []int, height, work []int32) (most int, calls bool, steps int, err error) {
+	join, joinH := -1, int32(0) // where two paths first arrived with different heights, if anywhere
+	reach := func(v int, h int32) {
+		if uint(v) >= uint(len(height)) {
+			return // no instruction: no path reaches it
+		}
+		switch height[v] {
+		case 0:
+			height[v] = h + 1
+			work = append(work, int32(v))
+		case h + 1:
+		default:
+			if join < 0 {
+				join, joinH = v, h
+			}
+		}
+	}
+	reach(0, 0)
+	for _, r := range handlersAt {
+		reach(r, 1)
+	}
+	for len(work) > 0 {
+		u := int(work[len(work)-1])
+		work = work[:len(work)-1]
+		steps++
+		in := &insts[u]
+		h := height[u] - 1
+		pop, push, err := StackEffect(*in, pool)
+		if err != nil {
+			return 0, false, steps, err
+		}
+		after := h - int32(pop) + int32(push)
+		if after < 0 {
+			return 0, false, steps, decodeErrf(in.PC, "stack underflow computing max_stack (height %d, pops %d)", h, pop)
+		}
+		most = max(most, int(h), int(after))
+		if in.Op.IsBranch() {
+			reach(in.Target, after)
+			steps++
+			if in.Op == Jsr || in.Op == JsrW {
+				calls = true
+				after-- // phase 3 continues after a jsr at the caller's height
+			}
+		}
+		if in.Op.IsSwitch() {
+			reach(in.Switch.Default, after)
+			for _, t := range in.Switch.Targets {
+				reach(t, after)
+			}
+			steps += 1 + len(in.Switch.Targets)
+		}
+		if !in.Op.EndsFlow() {
+			reach(u+1, after)
+			steps++
+		}
+	}
+	if join >= 0 {
+		err = decodeErrf(insts[join].PC, "stack heights %d and %d join computing max_stack", height[join]-1, joinH)
+	}
+	return most, calls, steps, err
+}
 
-	height, delta, index, low, comp []int32
-	most                            []int32
-	stack                           []int32 // instructions whose component is open
-	dfs                             []int32 // (instruction, next edge) pairs
+// components is the depth-first walk over the instructions heights
+// reached. Per instruction: 1 + its discovery order (0 before), the least
+// discovery order it reaches back to, and 1 + its component (0 while on
+// the component stack); per component, the greatest height on a path
+// from it, jsr fall-throughs counted one higher.
+type components struct {
+	insts  []Inst
+	pool   *classfile.ConstPool
+	height []int32
+
+	index, low, comp, most []int32
+	stack                  []int32 // instructions whose component is open
+	dfs                    []int32 // (instruction, next edge) pairs
 
 	visits, comps int32
 	steps         int
-	phase3        int  // the greatest height under phase 3's rules
 	diverges      bool // a component contains a jsr fall-through
 }
 
-// mostFrom is the greatest height on a path from instruction r (0 if r
-// is no instruction).
-func (w *heightWalk) mostFrom(r int) int {
-	if r < 0 || r >= len(w.insts) {
-		return 0
+// mostFrom closes every component reached from the entry and the
+// handlers, and returns the greatest height on a path from them.
+func (c *components) mostFrom(handlersAt []int) int {
+	most := c.walk(0)
+	for _, h := range handlersAt {
+		most = max(most, c.walk(h))
 	}
-	return int(w.most[w.comp[r]-1])
+	return most
 }
 
 // edge is the k-th control-flow successor of insts[i] (the branch target,
@@ -168,112 +231,88 @@ func edge(insts []Inst, i, k int) (to int, ft, ok bool) {
 	return 0, false, false
 }
 
-// walk enters the graph at instruction r with height h and closes every
-// component reached from it.
-func (w *heightWalk) walk(r int, h int32) error {
-	if r < 0 || r >= len(w.insts) {
-		return nil
+// walk closes every component reached from instruction r and returns the
+// greatest height on a path from r (0 if r is no instruction).
+func (c *components) walk(r int) int {
+	if r < 0 || r >= len(c.insts) {
+		return 0
 	}
-	if err := w.reach(r, h); err != nil || len(w.dfs) == 0 {
-		return err
+	if c.index[r] == 0 {
+		c.push(int32(r))
 	}
-	for len(w.dfs) > 0 {
-		top := len(w.dfs) - 2
-		u, k := w.dfs[top], w.dfs[top+1]
-		v, ft, ok := edge(w.insts, int(u), int(k))
+	for len(c.dfs) > 0 {
+		top := len(c.dfs) - 2
+		u, k := c.dfs[top], c.dfs[top+1]
+		v, _, ok := edge(c.insts, int(u), int(k))
 		if !ok {
-			w.dfs = w.dfs[:top]
-			if w.low[u] == w.index[u] {
-				w.close(u)
+			c.dfs = c.dfs[:top]
+			if c.low[u] == c.index[u] {
+				c.close(u)
 			}
 			if top > 0 {
-				p := w.dfs[top-2]
-				w.low[p] = min(w.low[p], w.low[u])
+				p := c.dfs[top-2]
+				c.low[p] = min(c.low[p], c.low[u])
 			}
 			continue
 		}
-		w.dfs[top+1]++
-		w.steps++
-		if v < 0 || v >= len(w.insts) {
-			continue
-		}
-		h := w.height[u] - 1 + w.delta[u]
-		if ft {
-			h-- // phase 3 continues after a jsr at the caller's height
-		}
-		seen := w.index[v] != 0
-		if err := w.reach(v, h); err != nil {
-			return err
-		}
-		if seen && w.comp[v] == 0 {
-			w.low[u] = min(w.low[u], w.index[v])
+		c.dfs[top+1]++
+		c.steps++
+		switch {
+		case v < 0 || v >= len(c.insts):
+		case c.index[v] == 0:
+			c.push(int32(v))
+		case c.comp[v] == 0: // on the component stack
+			c.low[u] = min(c.low[u], c.index[v])
 		}
 	}
-	return nil
+	return int(c.most[c.comp[r]-1])
 }
 
-// reach arrives at instruction v with height h: the first arrival opens
-// it, and a later one must agree with the first.
-func (w *heightWalk) reach(v int, h int32) error {
-	in := &w.insts[v]
-	if w.index[v] != 0 {
-		if got := w.height[v] - 1; got != h {
-			return decodeErrf(in.PC, "stack heights %d and %d join computing max_stack", got, h)
-		}
-		return nil
-	}
-	pop, push, err := StackEffect(*in, w.pool)
-	if err != nil {
-		return err
-	}
-	if h-int32(pop)+int32(push) < 0 {
-		return decodeErrf(in.PC, "stack underflow computing max_stack (height %d, pops %d)", h, pop)
-	}
-	w.steps++
-	w.visits++
-	w.height[v], w.delta[v] = h+1, int32(push-pop)
-	w.index[v], w.low[v] = w.visits, w.visits
-	w.phase3 = max(w.phase3, int(h), int(h)+push-pop)
-	w.stack = append(w.stack, int32(v))
-	w.dfs = append(w.dfs, int32(v), 0)
-	return nil
+// push discovers instruction v.
+func (c *components) push(v int32) {
+	c.visits++
+	c.index[v], c.low[v] = c.visits, c.visits
+	c.stack = append(c.stack, v)
+	c.dfs = append(c.dfs, v, 0)
 }
 
 // close pops the component rooted at r and records the greatest height on
 // a path from it: its own instructions' and, one higher for a jsr
 // fall-through, its successor components'.
-func (w *heightWalk) close(r int32) {
-	base := len(w.stack) - 1
-	for w.stack[base] != r {
+func (c *components) close(r int32) {
+	base := len(c.stack) - 1
+	for c.stack[base] != r {
 		base--
 	}
-	members := w.stack[base:]
-	w.comps++
+	members := c.stack[base:]
+	c.comps++
 	for _, u := range members {
-		w.comp[u] = w.comps
+		c.comp[u] = c.comps
 	}
 	most := int32(0)
 	for _, u := range members {
-		most = max(most, w.height[u]-1, w.height[u]-1+w.delta[u])
+		pop, push, _ := StackEffect(c.insts[u], c.pool) // it succeeded when heights reached u
+		h := c.height[u] - 1
+		most = max(most, h, h-int32(pop)+int32(push))
 		for k := 0; ; k++ {
-			v, ft, ok := edge(w.insts, int(u), k)
+			v, ft, ok := edge(c.insts, int(u), k)
 			if !ok {
 				break
 			}
-			w.steps++
-			if v < 0 || v >= len(w.insts) {
+			c.steps++
+			if v < 0 || v >= len(c.insts) {
 				continue
 			}
-			switch c := w.comp[v]; {
-			case c != w.comps && ft:
-				most = max(most, w.most[c-1]+1)
-			case c != w.comps:
-				most = max(most, w.most[c-1])
+			switch vc := c.comp[v]; {
+			case vc != c.comps && ft:
+				most = max(most, c.most[vc-1]+1)
+			case vc != c.comps:
+				most = max(most, c.most[vc-1])
 			case ft:
-				w.diverges = true
+				c.diverges = true
 			}
 		}
 	}
-	w.most[w.comps-1] = most
-	w.stack = w.stack[:base]
+	c.most[c.comps-1] = most
+	c.stack = c.stack[:base]
 }

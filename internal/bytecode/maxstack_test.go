@@ -30,12 +30,24 @@ func edges(insts []bytecode.Inst) int {
 	return n
 }
 
+// stepsPerEdge is what MaxStack spends on each edge of insts: one, and
+// two more in a method that calls a subroutine.
+func stepsPerEdge(insts []bytecode.Inst) int {
+	for _, in := range insts {
+		if in.Op == bytecode.Jsr || in.Op == bytecode.JsrW {
+			return 3
+		}
+	}
+	return 1
+}
+
 // TestAdversarialClassesFinishThePipeline: every adversarial class passes
 // through the pipeline the proxy serves, the subroutine loops included —
 // the monitor filter recomputes the max_stack of the method it
 // instruments, where the fixpoint MaxStack used to be grew its heights
 // on every lap and never returned — and each MaxStack call takes exactly
-// one step per instruction and two per edge.
+// one step per instruction and one per edge, three per edge in a method
+// that calls a subroutine.
 func TestAdversarialClassesFinishThePipeline(t *testing.T) {
 	adv, err := workload.AdversarialClasses()
 	if err != nil {
@@ -44,7 +56,7 @@ func TestAdversarialClassesFinishThePipeline(t *testing.T) {
 	var calls atomic.Int64
 	bytecode.CountMaxStack(t, func(insts []bytecode.Inst, steps int) {
 		calls.Add(1)
-		if want := len(insts) + 2*edges(insts); steps != want {
+		if want := len(insts) + stepsPerEdge(insts)*edges(insts); steps != want {
 			t.Errorf("MaxStack took %d steps over %d instructions, want %d", steps, len(insts), want)
 		}
 	})
@@ -75,7 +87,7 @@ func TestMaxStackRejectsAGrowingLoop(t *testing.T) {
 	if _, err := bytecode.MaxStack(nil, insts, nil, nil); err == nil || !strings.Contains(err.Error(), "join") {
 		t.Fatalf("MaxStack = %v, want a join error", err)
 	}
-	if bound := len(insts) + 2*edges(insts); steps > bound {
+	if bound := len(insts) + edges(insts); steps > bound {
 		t.Errorf("%d steps, want at most %d", steps, bound)
 	}
 }
@@ -83,7 +95,7 @@ func TestMaxStackRejectsAGrowingLoop(t *testing.T) {
 // TestMaxStackStepsOnArbitraryCode: on random instruction lists — stack
 // effects that need not balance, branches and subroutine calls to
 // anywhere, handlers anywhere — MaxStack returns after at most one step
-// per instruction and two per edge, whatever it returns.
+// per instruction and three per edge, whatever it returns.
 func TestMaxStackStepsOnArbitraryCode(t *testing.T) {
 	ops := []bytecode.Opcode{bytecode.Iconst0, bytecode.Pop, bytecode.Dup, bytecode.Iload0, bytecode.Astore1,
 		bytecode.Ifeq, bytecode.Goto, bytecode.Jsr, bytecode.Ret, bytecode.Return}
@@ -97,7 +109,7 @@ func TestMaxStackStepsOnArbitraryCode(t *testing.T) {
 		}
 		handlers := []int{rng.Intn(len(insts))}
 		bytecode.MaxStack(nil, insts, nil, handlers[:rng.Intn(2)])
-		if bound := len(insts) + 2*edges(insts); steps > bound {
+		if bound := len(insts) + 3*edges(insts); steps > bound {
 			t.Fatalf("trial %d: %d steps over %d instructions, want at most %d", trial, steps, len(insts), bound)
 		}
 	}
