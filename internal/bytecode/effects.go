@@ -86,18 +86,11 @@ func MaxStack(a *Arena, insts []Inst, pool *classfile.ConstPool, handlersAt []in
 	height := a.Int32s(n)
 	most, calls, steps, err := heights(insts, pool, handlersAt, height, a.Int32s(n)[:0])
 	if err == nil && calls {
-		c := components{insts: insts, pool: pool, height: height, steps: steps,
-			index: a.Int32s(n), low: a.Int32s(n), comp: a.Int32s(n), most: a.Int32s(n),
-			stack: a.Int32s(n)[:0], dfs: a.Int32s(2 * n)[:0]}
-		if m := c.mostFrom(handlersAt); !c.diverges {
-			most = m
-		}
-		steps = c.steps
+		most, steps = withSubroutines(a, insts, pool, handlersAt, height, most, steps)
 	}
 	if onMaxStack != nil {
 		onMaxStack(insts, steps)
 	}
-
 	if err != nil {
 		return 0, err
 	}
@@ -115,20 +108,16 @@ var onMaxStack func(insts []Inst, steps int)
 // whether a jsr was reached, and the steps it took: one per instruction
 // and one per edge.
 func heights(insts []Inst, pool *classfile.ConstPool, handlersAt []int, height, work []int32) (most int, calls bool, steps int, err error) {
-	join, joinH := -1, int32(0) // where two paths first arrived with different heights, if anywhere
-	reach := func(v int, h int32) {
-		if uint(v) >= uint(len(height)) {
+	join, joinH := -1, 0 // where two paths first arrived with different heights, if anywhere
+	reach := func(v, h int) {
+		if v < 0 || v >= len(height) {
 			return // no instruction: no path reaches it
 		}
-		switch height[v] {
-		case 0:
-			height[v] = h + 1
+		if height[v] == 0 {
+			height[v] = int32(h) + 1
 			work = append(work, int32(v))
-		case h + 1:
-		default:
-			if join < 0 {
-				join, joinH = v, h
-			}
+		} else if int(height[v]) != h+1 && join < 0 {
+			join, joinH = v, h
 		}
 	}
 	reach(0, 0)
@@ -140,16 +129,16 @@ func heights(insts []Inst, pool *classfile.ConstPool, handlersAt []int, height, 
 		work = work[:len(work)-1]
 		steps++
 		in := &insts[u]
-		h := height[u] - 1
+		h := int(height[u]) - 1
 		pop, push, err := StackEffect(*in, pool)
 		if err != nil {
 			return 0, false, steps, err
 		}
-		after := h - int32(pop) + int32(push)
+		after := h - pop + push
 		if after < 0 {
 			return 0, false, steps, decodeErrf(in.PC, "stack underflow computing max_stack (height %d, pops %d)", h, pop)
 		}
-		most = max(most, int(h), int(after))
+		most = max(most, h, after)
 		if in.Op.IsBranch() {
 			reach(in.Target, after)
 			steps++
@@ -174,6 +163,21 @@ func heights(insts []Inst, pool *classfile.ConstPool, handlersAt []int, height, 
 		err = decodeErrf(insts[join].PC, "stack heights %d and %d join computing max_stack", height[join]-1, joinH)
 	}
 	return most, calls, steps, err
+}
+
+// withSubroutines returns the greatest height on a path from the entry
+// and the handlers of a method that calls a subroutine, given its phase-3
+// heights — phase3, their greatest, if a component holds a jsr
+// fall-through — and the steps taken, counting on from steps.
+func withSubroutines(a *Arena, insts []Inst, pool *classfile.ConstPool, handlersAt []int, height []int32, phase3, steps int) (int, int) {
+	n := len(insts)
+	c := components{insts: insts, pool: pool, height: height, steps: steps,
+		index: a.Int32s(n), low: a.Int32s(n), comp: a.Int32s(n), most: a.Int32s(n),
+		stack: a.Int32s(n)[:0], dfs: a.Int32s(2 * n)[:0]}
+	if most := c.mostFrom(handlersAt); !c.diverges {
+		return most, c.steps
+	}
+	return phase3, c.steps
 }
 
 // components is the depth-first walk over the instructions heights
