@@ -29,12 +29,11 @@ func main() {
 	overload := flag.Bool("overload", false, "run the open-loop overload sweep (admission control vs saturation multiples)")
 	churn := flag.Bool("churn", false, "run the cluster churn scenario (kill + join under zipf load, R=1 vs R=2)")
 	attestBench := flag.Bool("attest", false, "run the attestation quorum ablation (quorum 1 vs 2 vs 3 tax + Byzantine divergence detection)")
-	prefetchBench := flag.Bool("prefetch", false, "run the predictive-prefetch warm-vs-cold walk (2-node cluster, piggybacked successors, waste ledger)")
 	scale := flag.Int("scale", 1, "workload scale divisor (1 = paper scale)")
 	flag.Parse()
 
-	if !*all && *figs == "" && !*applets && !*ablations && !*overload && !*churn && !*attestBench && !*prefetchBench {
-		fmt.Fprintln(os.Stderr, "usage: dvmbench (-all | -fig N[,N...] | -applets | -ablations | -overload | -churn | -attest | -prefetch) [-scale N]")
+	if !*all && *figs == "" && !*applets && !*ablations && !*overload && !*churn && !*attestBench {
+		fmt.Fprintln(os.Stderr, "usage: dvmbench (-all | -fig N[,N...] | -applets | -ablations | -overload | -churn | -attest) [-scale N]")
 		os.Exit(2)
 	}
 	want := map[string]bool{}
@@ -47,7 +46,6 @@ func main() {
 		*overload = true
 		*churn = true
 		*attestBench = true
-		*prefetchBench = true
 	}
 	for _, f := range strings.Split(*figs, ",") {
 		if f != "" {
@@ -137,19 +135,6 @@ func main() {
 				cfg.Classes = 64 / *scale
 			}
 			_, text, err := eval.AttestBench(cfg)
-			return text, err
-		})
-	}
-	if *prefetchBench {
-		run("Prefetch: predictive piggyback, warm-vs-cold 2-node walk", func() (string, error) {
-			classes, kb := 128, 8
-			if *scale > 1 {
-				classes = 128 / *scale
-				if classes < 8 {
-					classes = 8
-				}
-			}
-			_, text, err := eval.PrefetchBench(classes, kb)
 			return text, err
 		})
 	}

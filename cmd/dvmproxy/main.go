@@ -11,7 +11,7 @@
 //	         [-fetch-timeout 10s] [-retries 2] [-breaker-threshold 5]
 //	         [-max-queue 256 -queue-deadline 100ms]
 //	         [-self http://10.0.0.1:8642 -peers http://10.0.0.1:8642,http://10.0.0.2:8642]
-//	         [-replication 2] [-hot-threshold 8] [-prefetch-k 3]
+//	         [-replication 2] [-hot-threshold 8]
 //	         [-attest-key secret -attest-quorum 2]
 //
 // compose turns the flags into the pipeline (proxy.ServicePipeline, the
@@ -29,13 +29,10 @@
 // and misses for keys owned elsewhere are filled from the owner over
 // the versioned batch peer protocol (POST /peer/v2/batch) instead of
 // refetched from the origin — one origin fetch and one pipeline run per
-// key across the whole fleet. Owners also piggyback each served class's
-// top -prefetch-k predicted first-use successors onto fill responses
-// (256 KiB per response, successors of confidence 0.25 or more),
-// pre-warming the requester's cache before the client asks;
-// -prefetch-k -1 disables the predictor. Every member places keys on
-// the same ring (512 virtual nodes per member, seed 0), so no two
-// members can disagree on who owns a key. Membership is live: -peers is
+// key across the whole fleet. A fill answer carries the requested class
+// and nothing else. Every member places keys on the same ring (512
+// virtual nodes per member, seed 0), so no two members can disagree on
+// who owns a key. Membership is live: -peers is
 // only a seed list, gossip (every 500ms) discovers the rest of the
 // fleet, detects failures (suspect, then dead after 3s), and rebalances
 // the ring on joins and leaves. Each key is replicated to -replication
@@ -147,7 +144,6 @@ func compose(args []string, stderr io.Writer) (*service, error) {
 	fl.IntVar(&cc.Replication, "replication", 0, "ring owners per key: primary plus warm replicas (0 = default 2, 1 = no replication)")
 	fl.IntVar(&cc.HotThreshold, "hot-threshold", 0, "peer fills of one key before it is replicated into the local cache (0 = default 8, -1 = never)")
 	fl.IntVar(&cc.AttestQuorum, "attest-quorum", 2, "variants per attested key, owner included (1 = seal locally without cross-checking)")
-	fl.IntVar(&cc.PrefetchK, "prefetch-k", 0, "predictive prefetch: top-k first-use successors piggybacked onto each peer fill (0 = default 3, -1 disables the predictor)")
 
 	fl.IntVar(&pc.MaxQueue, "max-queue", 0, "admission control: max miss requests queued for a service slot (0 disables admission)")
 	fl.DurationVar(&pc.QueueDeadline, "queue-deadline", 0, "admission control: max wait for a service slot before shedding (0 = 1s)")
@@ -231,9 +227,6 @@ func main() {
 		if len(s.cluster.AttestKey) > 0 {
 			log.Printf("dvmproxy: quorum attestation on (quorum %d): artifacts are sealed and re-verified on every peer hop",
 				s.cluster.AttestQuorum)
-		}
-		if s.cluster.PrefetchK >= 0 {
-			log.Printf("dvmproxy: predictive prefetch on (top-k %d; 0 = package default)", s.cluster.PrefetchK)
 		}
 	} else {
 		p := proxy.New(origin, s.proxy)

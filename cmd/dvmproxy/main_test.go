@@ -76,7 +76,7 @@ func TestRootFlags(t *testing.T) {
 		"addr", "origin", "policy", "disk-cache", "audit-log", "self", "peers", "attest-key",
 		"no-cache", "cache-ttl", "no-compile", "aot-base-arch",
 		"fetch-timeout", "retries", "breaker-threshold",
-		"replication", "hot-threshold", "attest-quorum", "prefetch-k",
+		"replication", "hot-threshold", "attest-quorum",
 		"max-queue", "queue-deadline",
 		"stats-interval",
 	}

@@ -44,7 +44,6 @@ func TestAOTClusterCompileOnce(t *testing.T) {
 	c, err := cluster.StartLocal(org, nodes, aotProxyCfg, func(int) cluster.Config {
 		return cluster.Config{
 			Replication:    1,
-			PrefetchK:      -1,
 			GossipInterval: -1,
 			AttestKey:      attestTestKey(),
 			AttestQuorum:   2,

@@ -112,12 +112,11 @@ func TestClusterSingleOriginFetchPerKey(t *testing.T) {
 	// into per-class replica affinity.
 	const nodes, classes = 4, 17
 	org := &countingOrigin{inner: corpus(t, classes)}
-	// Replication 1 and prefetch off: this test asserts the exact
-	// peer-hop counts of the sharing property; replica pushes (R=2
-	// default) and prefetch piggybacks warm requester caches and would
-	// make the counts timing-dependent.
+	// Replication 1: this test asserts the exact peer-hop counts of the
+	// sharing property; replica pushes (R=2 default) warm requester
+	// caches and would make the counts timing-dependent.
 	c, err := cluster.StartLocal(org, nodes, verifyingProxyCfg, func(int) cluster.Config {
-		return cluster.Config{Replication: 1, PrefetchK: -1}
+		return cluster.Config{Replication: 1}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,13 @@ func (c *countedConn) Close() error {
 }
 
 // bytes flattens a frame for tests that post or compare whole frames.
-func (f *frameEnc) bytes() []byte { return f.appendTo(nil) }
+func (f *frameEnc) bytes() []byte {
+	var b []byte
+	for _, r := range f.runs {
+		b = append(b, r...)
+	}
+	return append(b, f.meta[f.from:]...)
+}
 
 // Metrics exposes a node's metric declaration to the external tests.
 func (n *Node) Metrics() *nodeMetrics { return &n.m }
@@ -108,4 +114,12 @@ func (n *Node) standing(addr string) (s struct {
 		s.link, s.linkFails, s.strikes = e.link.State(n.mship.now, n.mship.link.cooldown), e.link.Fails(), e.strikes
 	}
 	return s
+}
+
+// MarshalBinary encodes the request as one frame, for tests that post a
+// hand-built request.
+func (r *BatchRequest) MarshalBinary() ([]byte, error) {
+	f := r.encode()
+	defer f.free()
+	return f.bytes(), nil
 }

@@ -115,14 +115,6 @@ func (f *frameEnc) writeTo(w io.Writer) error {
 // the place of further encoding: f is only freed after it.
 func (f *frameEnc) wire() [][]byte { return append(f.runs, f.meta[f.from:]) }
 
-// appendTo appends the frame, runs joined, to dst.
-func (f *frameEnc) appendTo(dst []byte) []byte {
-	for _, r := range f.runs {
-		dst = append(dst, r...)
-	}
-	return append(dst, f.meta[f.from:]...)
-}
-
 func (r *BatchRequest) encode() *frameEnc {
 	f := newFrameEnc()
 	f.str(r.Reason)
@@ -159,13 +151,6 @@ func (r *BatchResponse) encode() *frameEnc {
 		f.flag(b.Kept)
 	}
 	return f
-}
-
-// MarshalBinary encodes the request as one frame.
-func (r *BatchRequest) MarshalBinary() ([]byte, error) {
-	f := r.encode()
-	defer f.free()
-	return f.appendTo(nil), nil
 }
 
 // decodeEntries decodes the entry list. A lone entry's Data aliases the

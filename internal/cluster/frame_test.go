@@ -44,10 +44,10 @@ func frameSeedClasses(tb testing.TB, n int) (names []string, classes map[string]
 }
 
 // seedFrames builds one frame per way a class moves: a fill request and
-// its attested response with a prefetch piggyback and a per-item error,
-// a replica push, a handoff pull request, a drain-side handoff push, and
-// the vote — a request with its proposal, one without (a tie-break
-// round), and the ballot that answers it.
+// its attested response with an old owner's piggybacked entry and a
+// per-item error, a replica push, a handoff pull request, a drain-side
+// handoff push, and the vote — a request with its proposal, one without
+// (a tie-break round), and the ballot that answers it.
 func seedFrames(tb testing.TB) (requests, responses []*frameEnc) {
 	tb.Helper()
 	names, classes := frameSeedClasses(tb, 3)
@@ -67,7 +67,7 @@ func seedFrames(tb testing.TB) (requests, responses []*frameEnc) {
 	drain := BatchRequest{Reason: proxy.ReasonHandoff, Member: "http://a:1",
 		Entries: []BatchEntry{entry(1, proxy.ReasonHandoff), naked}}
 	filled := BatchResponse{
-		Entries: []BatchEntry{entry(0, proxy.ReasonFill), entry(1, proxy.ReasonPrefetch)},
+		Entries: []BatchEntry{entry(0, proxy.ReasonFill), entry(1, oldPrefetchReason)},
 		Errors:  []BatchError{{Arch: "dvm", Class: "app/Missing", Status: 404, Error: "proxy: class not found"}},
 	}
 	lone := BatchResponse{Entries: []BatchEntry{entry(0, proxy.ReasonFill)}}

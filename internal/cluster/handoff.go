@@ -31,7 +31,6 @@ import (
 	"bytes"
 	"context"
 	"slices"
-	"sort"
 	"time"
 
 	"dvm/internal/attest"
@@ -97,43 +96,6 @@ func (n *Node) replWorker() {
 	}
 }
 
-// handoffEntries selects the cached entries member now owns,
-// hottest-profile-first: the predictor's decayed heat orders the
-// transfer (stable sort, so entries the predictor has never seen keep
-// their MRU order), then the byte budget cuts the tail. A joining node
-// therefore warms up in the order the workload will actually ask.
-func (n *Node) handoffEntries(member string, maxBytes int) []*proxy.Artifact {
-	ring := n.currentRing()
-	entries := n.heatOrdered(n.local.CacheSnapshot(0, func(arch, class string) bool {
-		return ring.Owners(KeyFor(arch, class), 1)[0] == member
-	}))
-	out := entries[:0]
-	total := 0
-	for _, e := range entries {
-		if maxBytes > 0 && total+len(e.Data) > maxBytes && len(out) > 0 {
-			break
-		}
-		out = append(out, e)
-		total += len(e.Data)
-		if maxBytes > 0 && total >= maxBytes {
-			break
-		}
-	}
-	return out
-}
-
-// heatOrdered stable-sorts cache entries by descending predictor heat;
-// a nil predictor leaves the MRU order untouched.
-func (n *Node) heatOrdered(entries []*proxy.Artifact) []*proxy.Artifact {
-	if n.predictor != nil {
-		sort.SliceStable(entries, func(i, j int) bool {
-			return n.predictor.Heat(entries[i].Arch, entries[i].Class) >
-				n.predictor.Heat(entries[j].Arch, entries[j].Class)
-		})
-	}
-	return entries
-}
-
 // PullHandoff asks every live peer for the cached entries this node now
 // owns and warms the local cache with them. Called automatically after
 // a ring change (handoffWorker); manual-mode tests call it directly.
@@ -175,11 +137,12 @@ func (n *Node) pullFrom(ctx context.Context, peer string) int {
 }
 
 // pushHandoff is the drain-side transfer: hand the local cache,
-// hottest-profile-first, to each key's new primary (the ring no longer
-// includes this node once DrainSelf has run), one batch per receiver.
+// most recently used first, to each key's new primary (the ring no
+// longer includes this node once DrainSelf has run), one batch per
+// receiver.
 func (n *Node) pushHandoff(ctx context.Context) error {
 	ring := n.currentRing()
-	entries := n.heatOrdered(n.local.CacheSnapshot(handoffMaxBytes, nil))
+	entries := n.local.CacheSnapshot(handoffMaxBytes, nil)
 	batches := make(map[string][]BatchEntry)
 	order := make([]string, 0, 4) // deterministic push order (hottest first)
 	for _, e := range entries {

@@ -26,8 +26,7 @@ import (
 )
 
 // attestedFleet is the cold_attest_3n fleet shape: 3 nodes, quorum-2
-// attestation, replication 2, manual membership, no prefetch or hot-key
-// copies. dial, when set, is every node's peer dialer.
+// attestation, replication 2, manual membership, no hot-key copies. dial, when set, is every node's peer dialer.
 func attestedFleet(t *testing.T, dial func(ctx context.Context, network, addr string) (net.Conn, error)) *cluster.LocalCluster {
 	t.Helper()
 	lc, err := cluster.StartLocal(anyApplet{}, 3, verifyingProxyCfg, func(int) cluster.Config {
@@ -36,7 +35,6 @@ func attestedFleet(t *testing.T, dial func(ctx context.Context, network, addr st
 			AttestQuorum:   2,
 			Replication:    2,
 			HotThreshold:   -1,
-			PrefetchK:      -1,
 			GossipInterval: -1,
 			Dial:           dial,
 		}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dvm/internal/attest"
-	"dvm/internal/prefetch"
 	"dvm/internal/proxy"
 	"dvm/internal/resilience"
 	"dvm/internal/telemetry"
@@ -66,9 +65,8 @@ type Config struct {
 	// netsim.LinkFaults in tests). Nil = a net.Dialer.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
-	// PrefetchK is how many predicted successors an owner piggybacks
-	// onto each fill it serves over the batch protocol (0 = default 3,
-	// <0 = prediction and piggybacking disabled).
+	// PrefetchK is ignored: the successor predictor it sized is gone.
+	// The field stays so that configurations which still set it compile.
 	PrefetchK int
 
 	// AttestKey, when set, enables quorum attestation: every locally
@@ -118,10 +116,6 @@ type Node struct {
 	// authority is the attestation engine (nil = attestation off).
 	authority *attest.Authority
 
-	// predictor is the decayed first-use successor graph feeding the
-	// prefetch piggyback and the handoff heat ordering (nil = disabled).
-	predictor *prefetch.Predictor
-
 	life      context.Context // ends at Close, with the hops it bounds
 	stop      context.CancelFunc
 	wg        sync.WaitGroup
@@ -152,17 +146,13 @@ type nodeMetrics struct {
 	ReplicaDrops     *telemetry.Counter `metric:"replica_dropped_total"` // replication pushes dropped (queue full)
 	HandoffKeys      *telemetry.Counter `metric:"handoff_keys_total"`    // keys transferred by handoff (either direction)
 	// Attestation counters (zero when attestation is off).
-	AttestDivergence  *telemetry.Counter `metric:"attest_divergence_total"`  // minority votes + corrupt payloads, per voter per round
-	AttestVariants    *telemetry.Counter `metric:"attest_variants_total"`    // variant votes this node served
-	AttestRejects     *telemetry.Counter `metric:"attest_rejects_total"`     // inbound payloads rejected for missing/failed attestation
-	AttestDegraded    *telemetry.Counter `metric:"attest_degraded_total"`    // quorum rounds sealed at 1 because no variant was reachable
-	AttestQuarantines *telemetry.Counter `metric:"attest_quarantines_total"` // peers newly quarantined by this node's strikes
-	// Prefetch counters (zero when prediction is off).
-	PrefetchPushed   *telemetry.Counter   `metric:"prefetch_pushed_total"`      // successor entries piggybacked onto served fills
-	PrefetchReceived *telemetry.Counter   `metric:"prefetch_received_total"`    // piggybacked entries accepted into the local cache
-	PeerFetch        *telemetry.Histogram `metric:"peer_fetch_seconds"`         // peer-protocol hop latency
-	Handoff          *telemetry.Histogram `metric:"handoff_seconds"`            // handoff pull duration
-	PrefetchBatch    *telemetry.Histogram `metric:"prefetch_batch_bytes,bytes"` // piggybacked bytes per fill
+	AttestDivergence  *telemetry.Counter   `metric:"attest_divergence_total"`  // minority votes + corrupt payloads, per voter per round
+	AttestVariants    *telemetry.Counter   `metric:"attest_variants_total"`    // variant votes this node served
+	AttestRejects     *telemetry.Counter   `metric:"attest_rejects_total"`     // inbound payloads rejected for missing/failed attestation
+	AttestDegraded    *telemetry.Counter   `metric:"attest_degraded_total"`    // quorum rounds sealed at 1 because no variant was reachable
+	AttestQuarantines *telemetry.Counter   `metric:"attest_quarantines_total"` // peers newly quarantined by this node's strikes
+	PeerFetch         *telemetry.Histogram `metric:"peer_fetch_seconds"`       // peer-protocol hop latency
+	Handoff           *telemetry.Histogram `metric:"handoff_seconds"`          // handoff pull duration
 }
 
 // NewNode builds the node's proxy over origin with pcfg and makes the
@@ -216,9 +206,6 @@ func NewNode(origin proxy.Origin, pcfg proxy.Config, cfg Config) (*Node, error) 
 		}
 	}
 	pcfg.Fleet = n
-	if cfg.PrefetchK >= 0 {
-		n.predictor = prefetch.New(prefetch.Config{TopK: cfg.PrefetchK})
-	}
 	if len(cfg.AttestKey) > 0 {
 		n.authority = attest.New(attest.Config{
 			Key:    cfg.AttestKey,
@@ -363,13 +350,7 @@ func (n *Node) Fill(ctx context.Context, l proxy.Lookup) proxy.PeerResult {
 	key := KeyFor(l.Arch, l.Class)
 	owners := n.currentRing().Owners(key, n.cfg.Replication)
 	if owners[0] == n.cfg.Self {
-		// We own this key and a local client missed on it: that miss is
-		// part of a first-use sequence worth learning, exactly like the
-		// fills forwarded to us by peers.
-		if n.predictor != nil {
-			n.predictor.ObserveRequest(l.Client, l.Arch, l.Class)
-		}
-		return proxy.PeerResult{}
+		return proxy.PeerResult{} // we own this key: transform locally
 	}
 	hot := n.noteFill(key)
 	var last proxy.PeerResult

@@ -2,10 +2,9 @@ package cluster
 
 // The versioned peer protocol: one POST /peer/v2/batch exchange moves
 // every kind of class payload between nodes — fill (owner serves a
-// requested class), replica (push to a key's successors), handoff
-// (membership-change cache transfer, both pull and drain-push), and
-// prefetch (predicted successors piggybacked onto a fill) — and the same
-// frame on POST /peer/v2/vote carries a quorum vote (attest.go). Request
+// requested class), replica (push to a key's successors) and handoff
+// (membership-change cache transfer, both pull and drain-push) — and the
+// same frame on POST /peer/v2/vote carries a quorum vote (attest.go). Request
 // and response are one binary frame each (frame.go), sent with its
 // Content-Length and read into a buffer of exactly that size. BatchEntry
 // is the in-memory form of a proxy.Artifact in flight; toWire and
@@ -17,15 +16,11 @@ package cluster
 // (client) carry what every hop needs: method check, epoch piggyback in
 // both directions, draining and overload 429s, and trace spans.
 //
-// Prefetch piggyback: when an owner serves class A over a batch fill,
-// it consults its successor predictor (internal/prefetch, fed by the
-// fill stream itself and by monitor first-use profiles) and appends A's
-// top-k successors — only entries it holds locally, only attested ones
-// when attestation is on, bounded by the requester's byte budget — so
-// the requester's next k misses become local hits: k round trips turned
-// into one. The requester declines the piggyback (NoPrefetch) while its
-// own admission control reports pressure, and the owner skips it while
-// under pressure itself: speculation must never compete with real load.
+// Mixed fleets: an owner once piggybacked predicted successors onto a
+// fill answer unless the request declined them. The frame is unchanged
+// since: every fill still declines (NoPrefetch), owners ignore the byte,
+// and a requester takes only the fill from an answer, so members from
+// either side of that change serve each other during a rolling upgrade.
 
 import (
 	"context"
@@ -105,12 +100,8 @@ func (ev *epochValue) target(peer string) (*proxy.HopTarget, error) {
 }
 
 // maxBatchBytes bounds one batch frame, either direction: a full-size
-// class plus a prefetch piggyback, or a handoff transfer.
+// class, or a handoff transfer.
 const maxBatchBytes = 48 << 20
-
-// prefetchBudget bounds the piggybacked prefetch bytes per fill
-// response, both offered by the requester and clamped by the owner.
-const prefetchBudget = 256 << 10
 
 // BatchRequest is the one request every peer hop posts.
 type BatchRequest struct {
@@ -121,20 +112,20 @@ type BatchRequest struct {
 	// Member is the requesting node's peer URL.
 	Member string
 	// Client is the originating client id on a fill — forwarded so the
-	// owner's predictor learns per-client request sequences.
+	// owner's audit trail names it.
 	Client string
 	// Arch qualifies Classes on a fill.
 	Arch string
 	// Classes are the classes wanted (fill).
 	Classes []string
-	// MaxBytes bounds the response: the handoff transfer, or the
-	// prefetch piggyback on a fill (server clamps to its own limit).
+	// MaxBytes bounds a handoff transfer (server clamps to its own
+	// limit).
 	MaxBytes int
-	// NoPrefetch declines the prefetch piggyback on a fill (requester
-	// under admission pressure, or prediction disabled).
+	// NoPrefetch is set on every fill and read by no owner: an owner from
+	// before the predictor's removal piggybacks successors unless it is set.
 	NoPrefetch bool
-	// Entries is the ingest direction: replica push, drain-side handoff
-	// push, or a standalone prefetch push.
+	// Entries is the ingest direction: replica push or drain-side handoff
+	// push.
 	Entries []BatchEntry
 	// Vote is a vote request's own part (only with Reason reasonVote).
 	Vote Proposal
@@ -235,7 +226,9 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if maxBytes <= 0 || maxBytes > handoffMaxBytes {
 			maxBytes = handoffMaxBytes
 		}
-		for _, art := range n.handoffEntries(req.Member, maxBytes) {
+		ring := n.currentRing()
+		owned := func(arch, class string) bool { return ring.Owners(KeyFor(arch, class), 1)[0] == req.Member }
+		for _, art := range n.local.CacheSnapshot(maxBytes, owned) {
 			resp.Entries = append(resp.Entries, toWire(art, proxy.ReasonHandoff))
 		}
 	default:
@@ -283,9 +276,9 @@ func writeFrame(w http.ResponseWriter, tr *telemetry.Trace, frame *frameEnc) {
 	frame.free()
 }
 
-// serveBatchFill answers the fill direction: the requested classes plus
-// the prefetch piggyback. Each class's Result is appended to held, for
-// the caller to release once the answer is written.
+// serveBatchFill answers the fill direction: the requested classes.
+// Each class's Result is appended to held, for the caller to release
+// once the answer is written.
 func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req BatchRequest, held []proxy.Result) (BatchResponse, []proxy.Result) {
 	var resp BatchResponse
 	client := req.Client
@@ -293,10 +286,9 @@ func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req Batc
 		client = "peer"
 	}
 	// Namespace the client id by the requesting member so identical ids
-	// on different requester nodes do not interleave into one false
-	// sequence in the predictor, and mark it a peer's, for admission.
+	// on different requester nodes stay apart in the audit trail, and
+	// mark it a peer's, for admission.
 	seq := proxy.PeerClient(req.Member, client)
-	served := make([]string, 0, len(req.Classes))
 	for _, class := range req.Classes {
 		if class == "" || strings.Contains(class, "..") {
 			resp.Errors = append(resp.Errors, BatchError{Arch: req.Arch, Class: class,
@@ -312,68 +304,19 @@ func (n *Node) serveBatchFill(ctx context.Context, tr *telemetry.Trace, req Batc
 		e := toWire(res.Art, proxy.ReasonFill)
 		e.Stale = res.Info.Stale
 		resp.Entries = append(resp.Entries, e)
-		served = append(served, class)
 		held = append(held, res)
-	}
-	if n.predictor != nil && !req.NoPrefetch && len(served) > 0 && !n.local.UnderPressure() {
-		n.piggybackPrefetch(&resp, req, served)
 	}
 	return resp, held
 }
 
 // serveFill answers one owner-side fill from this node's cache/origin,
-// never re-forwarding (localOnly). The fill stream doubles as the
-// predictor's live signal: misses routed to this owner are exactly the
-// cold-start sequences worth predicting.
+// never re-forwarding (localOnly).
 func (n *Node) serveFill(ctx context.Context, client, arch, class string) (proxy.Result, error) {
-	if n.predictor != nil {
-		n.predictor.ObserveRequest(client, arch, class)
-	}
 	res, err := n.local.Request(withLocalOnly(ctx), proxy.Lookup{Client: client, Arch: arch, Class: class})
 	if err == nil {
 		n.m.PeerServed.Inc()
 	}
 	return res, err
-}
-
-// piggybackPrefetch appends the served classes' predicted successors to
-// a fill response: local bytes only (Peek — no LRU distortion), attested
-// entries only when attestation is on, bounded by the requester's byte
-// budget, highest-confidence first.
-func (n *Node) piggybackPrefetch(resp *BatchResponse, req BatchRequest, served []string) {
-	budget := req.MaxBytes
-	if budget <= 0 || budget > prefetchBudget {
-		budget = prefetchBudget
-	}
-	have := make(map[string]bool, len(req.Classes))
-	for _, c := range req.Classes {
-		have[c] = true
-	}
-	total := 0
-	pushed := 0
-	for _, class := range served {
-		for _, pred := range n.predictor.Predict(req.Arch, class) {
-			if have[pred.Class] {
-				continue
-			}
-			have[pred.Class] = true // dedup across served classes either way
-			art := n.local.Peek(req.Arch, pred.Class)
-			if art == nil || total+len(art.Data) > budget {
-				continue
-			}
-			if n.authority != nil && art.Att == nil {
-				// Never push unattested bytes into a fleet that verifies.
-				continue
-			}
-			resp.Entries = append(resp.Entries, toWire(art, proxy.ReasonPrefetch))
-			total += len(art.Data)
-			pushed++
-		}
-	}
-	if pushed > 0 {
-		n.m.PrefetchPushed.Add(int64(pushed))
-		n.m.PrefetchBatch.Observe(time.Duration(total))
-	}
 }
 
 // toWire is the one Artifact → BatchEntry conversion.
@@ -409,7 +352,7 @@ func (n *Node) fromWire(e BatchEntry, accuse string) (*proxy.Artifact, error) {
 	return &proxy.Artifact{Arch: e.Arch, Class: e.Class, Data: e.Data, Att: att, Rejected: e.Rejected, Source: reason}, nil
 }
 
-// ingestBatch accepts pushed entries (replica, handoff-push, prefetch).
+// ingestBatch accepts pushed entries (replica, handoff-push).
 // Rejected entries come back as BatchErrors; the push is best-effort,
 // so a partial accept is a success with a shorter ledger.
 func (n *Node) ingestBatch(req BatchRequest) BatchResponse {
@@ -432,14 +375,11 @@ func (n *Node) ingest(e BatchEntry, accuse string) error {
 		return err
 	}
 	if n.local.Warm([]*proxy.Artifact{art}) == 0 {
-		return nil // refused by the store (speculative, or caching off)
+		return nil // refused by the store (too large, or caching off)
 	}
-	switch art.Source {
-	case proxy.ReasonHandoff:
+	if art.Source == proxy.ReasonHandoff {
 		n.m.HandoffKeys.Inc()
-	case proxy.ReasonPrefetch:
-		n.m.PrefetchReceived.Inc()
-	default:
+	} else {
 		n.m.ReplicaStored.Inc()
 	}
 	return nil
@@ -546,26 +486,20 @@ func entryError(peer string, be BatchError) error {
 }
 
 // fetchPeer performs one fill against an owner over the batch protocol,
-// over the owner's link (hop), and ingests the prefetch entries the
-// owner piggybacked beside the fill. The answer is read into a recycled
+// over the owner's link (hop). The answer is read into a recycled
 // buffer. When its lone entry is the fill, the artifact aliases it and
 // the buffer goes with the result (PeerResult.Frame); otherwise nothing
-// aliases it and it goes back to the pool at once. A lone prefetch entry
-// is not ingested: it would alias the buffer, and the store would pin
-// the buffer's capacity while its budget counts only the class. No
-// honest owner sends one, since serveBatchFill piggybacks only after the
-// fill.
+// aliases it and it goes back to the pool at once. Any entry that is not
+// the fill — an old owner's piggybacked successor — is ignored: it warms
+// nothing, and a lone one, which would alias the buffer, fails the fill.
 func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) proxy.PeerResult {
 	breq := BatchRequest{
-		Reason:  proxy.ReasonFill,
-		Member:  n.cfg.Self,
-		Client:  l.Client,
-		Arch:    l.Arch,
-		Classes: []string{l.Class},
-		// Decline the piggyback while under local pressure: speculative
-		// ingestion must not compete with admission-controlled work.
-		NoPrefetch: n.predictor == nil || n.local.UnderPressure(),
-		MaxBytes:   prefetchBudget,
+		Reason:     proxy.ReasonFill,
+		Member:     n.cfg.Self,
+		Client:     l.Client,
+		Arch:       l.Arch,
+		Classes:    []string{l.Class},
+		NoPrefetch: true, // an owner from before the predictor's removal must not piggyback
 	}
 	hopTimer := telemetry.StartTimer()
 	frame := proxy.GetBuffer()
@@ -587,15 +521,13 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 		}
 	}
 	for _, e := range br.Entries {
-		switch {
-		case e.Reason == proxy.ReasonFill && e.Arch == l.Arch && e.Class == l.Class:
-			if art, err := n.fromWire(e, owner); err != nil {
-				res.Err = fmt.Errorf("cluster: peer %s: %w", owner, err)
-			} else {
-				res = proxy.PeerResult{Art: art, Stale: e.Stale}
-			}
-		case e.Reason == proxy.ReasonPrefetch && len(br.Entries) > 1: // copied out of the frame
-			_ = n.ingest(e, owner) // a bad guess costs nothing but the guess
+		if e.Reason != proxy.ReasonFill || e.Arch != l.Arch || e.Class != l.Class {
+			continue
+		}
+		if art, err := n.fromWire(e, owner); err != nil {
+			res.Err = fmt.Errorf("cluster: peer %s: %w", owner, err)
+		} else {
+			res = proxy.PeerResult{Art: art, Stale: e.Stale}
 		}
 	}
 	if len(br.Entries) == 1 && res.Art != nil {
@@ -618,13 +550,4 @@ func (n *Node) pushEntries(ctx context.Context, peer string, entries []BatchEntr
 		return 0
 	}
 	return len(entries) - len(br.Errors)
-}
-
-// FeedProfile replays a class-transition order (optimize.ClassOrder of
-// a monitor first-use profile) into this node's predictor: the offline
-// half of the prediction signal, alongside the live fill stream.
-func (n *Node) FeedProfile(arch string, classes []string) {
-	if n.predictor != nil {
-		n.predictor.ObserveOrder(arch, classes)
-	}
 }

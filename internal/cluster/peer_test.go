@@ -1,9 +1,10 @@
 package cluster
 
 // White-box tests for the versioned peer protocol: the /peer/v2/batch
-// frame exchange (fill + prefetch piggyback, per-entry attested ingest,
-// heat-ordered handoff), what a malformed or old-version frame gets, and
-// the absence of the removed pre-v1 routes and the v1 JSON envelope.
+// frame exchange (fill, per-entry attested ingest, MRU-ordered handoff),
+// what a malformed or old-version frame gets, what a requester takes
+// from an owner that still piggybacks, and the absence of the removed
+// pre-v1 routes and the v1 JSON envelope.
 
 import (
 	"bufio"
@@ -18,6 +19,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,19 +71,6 @@ func resident(t *testing.T, n *Node, class string) []byte {
 	return art.Data
 }
 
-// trainAndWarm teaches the owner the walk A->B->C and makes B and C
-// resident in its cache (Peek-able for the piggyback).
-func trainAndWarm(t *testing.T, owner *Node) {
-	t.Helper()
-	owner.FeedProfile("dvm", []string{"app/A", "app/B", "app/C"})
-	ctx := context.Background()
-	for _, class := range []string{"app/B", "app/C"} {
-		if _, err := owner.Request(ctx, proxy.Lookup{Client: "warmer", Arch: "dvm", Class: class}); err != nil {
-			t.Fatalf("warm %s: %v", class, err)
-		}
-	}
-}
-
 // postBatch posts req as one frame and decodes the answering frame.
 func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, BatchResponse) {
 	t.Helper()
@@ -117,97 +106,59 @@ func serveFrame(w http.ResponseWriter, br BatchResponse) {
 	_ = frame.writeTo(w)
 }
 
-func TestBatchFillPiggybacksPredictedSuccessors(t *testing.T) {
-	owner := newBatchTestNode(t, walkOrigin(t), Config{})
-	trainAndWarm(t, owner)
-	srv := httptest.NewServer(owner.Handler())
-	defer srv.Close()
+// oldPrefetchReason is the entry reason under which an owner from before
+// the successor predictor's removal piggybacked classes onto a fill.
+const oldPrefetchReason = "prefetch"
 
-	resp, br := postBatch(t, srv.URL, BatchRequest{
-		Reason: proxy.ReasonFill, Member: "http://requester:1", Client: "c7",
-		Arch: "dvm", Classes: []string{"app/A"},
-	})
-	if resp.StatusCode != http.StatusOK || len(br.Errors) != 0 {
-		t.Fatalf("batch fill: status=%d errors=%+v", resp.StatusCode, br.Errors)
-	}
-	var fill, pre []BatchEntry
-	for _, e := range br.Entries {
-		switch e.Reason {
-		case proxy.ReasonFill:
-			fill = append(fill, e)
-		case proxy.ReasonPrefetch:
-			pre = append(pre, e)
+// TestFillTakesOnlyTheFillFromAnOldOwner is the rolling-upgrade check.
+// An owner from before the predictor's removal appends predicted
+// successors to a fill answer unless the request declines them. Every
+// fill declines them, and an answer that carries one anyway yields
+// exactly the fill: the extra entry warms nothing and moves no
+// placement counter.
+func TestFillTakesOnlyTheFillFromAnOldOwner(t *testing.T) {
+	var fills, declined atomic.Int32
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var req BatchRequest
+		if err := req.UnmarshalBinary(body); err != nil || req.Reason != proxy.ReasonFill || len(req.Classes) != 1 {
+			http.Error(w, "bad request", http.StatusBadRequest)
+			return
 		}
-	}
-	if len(fill) != 1 || fill[0].Class != "app/A" || fill[0].Rejected ||
-		!bytes.Equal(fill[0].Data, resident(t, owner, "app/A")) {
-		t.Fatalf("fill entries = %+v", fill)
-	}
-	// A's only observed successor is B; C follows B, not A.
-	if len(pre) != 1 || pre[0].Class != "app/B" || !bytes.Equal(pre[0].Data, resident(t, owner, "app/B")) {
-		t.Fatalf("prefetch entries = %+v, want exactly app/B", pre)
-	}
-	if got := owner.m.PrefetchPushed.Load(); got != 1 {
-		t.Errorf("prefetch_pushed_total = %d, want 1", got)
-	}
-
-	// NoPrefetch declines the piggyback.
-	_, br = postBatch(t, srv.URL, BatchRequest{
-		Reason: proxy.ReasonFill, Member: "http://requester:1", Client: "c8",
-		Arch: "dvm", Classes: []string{"app/A"}, NoPrefetch: true,
-	})
-	for _, e := range br.Entries {
-		if e.Reason == proxy.ReasonPrefetch {
-			t.Fatalf("NoPrefetch response still piggybacked %s", e.Class)
+		fills.Add(1)
+		if req.NoPrefetch {
+			declined.Add(1)
 		}
-	}
+		serveFrame(w, BatchResponse{Entries: []BatchEntry{
+			{Arch: req.Arch, Class: req.Classes[0], Reason: proxy.ReasonFill, Data: []byte("fill-bytes")},
+			{Arch: req.Arch, Class: "app/Successor", Reason: oldPrefetchReason, Data: []byte("successor-bytes")},
+		}})
+	}))
+	defer old.Close()
+	n := newBatchTestNode(t, proxy.MapOrigin{}, Config{Peers: []string{old.URL}, Replication: 1, HotThreshold: -1})
+	class := drawClass(t, n, "app/", old.URL)
 
-	// A byte budget below B's size suppresses the push (budget respected,
-	// not overflowed).
-	_, br = postBatch(t, srv.URL, BatchRequest{
-		Reason: proxy.ReasonFill, Member: "http://requester:1", Client: "c9",
-		Arch: "dvm", Classes: []string{"app/A"}, MaxBytes: 3,
-	})
-	for _, e := range br.Entries {
-		if e.Reason == proxy.ReasonPrefetch {
-			t.Fatalf("piggyback exceeded MaxBytes: pushed %d-byte %s", len(e.Data), e.Class)
+	res := n.fetchPeer(context.Background(), old.URL, proxy.Lookup{Client: "c1", Arch: rejBase, Class: class})
+	if res.Err != nil || res.Art == nil || res.Art.Class != class || string(res.Art.Data) != "fill-bytes" || res.Art.Source != proxy.ReasonFill {
+		t.Fatalf("fetchPeer = %+v, want the fill alone", res)
+	}
+	loaded, err := n.Request(context.Background(), proxy.Lookup{Client: "c2", Arch: rejBase, Class: class})
+	if err != nil || loaded.Info.Peer != old.URL || string(loaded.Data) != "fill-bytes" {
+		t.Fatalf("load through the old owner: peer=%q data=%q err=%v", loaded.Info.Peer, loaded.Data, err)
+	}
+	loaded.Release()
+
+	if got, want := declined.Load(), fills.Load(); want != 2 || got != want {
+		t.Errorf("%d of %d fill requests declined the piggyback, want 2 of 2", got, want)
+	}
+	if n.Proxy().Peek(rejBase, "app/Successor") != nil {
+		t.Error("the piggybacked successor was cached")
+	}
+	counters := n.Proxy().Telemetry().CounterValues()
+	for _, name := range []string{"warm_entries_total", "warm_bytes_total", "replica_stored_total", "handoff_keys_total", "hot_replicas_total"} {
+		if counters[name] != 0 {
+			t.Errorf("%s = %d, want 0", name, counters[name])
 		}
-	}
-}
-
-func TestFetchPeerIngestsPiggybackedPrefetch(t *testing.T) {
-	owner := newBatchTestNode(t, walkOrigin(t), Config{})
-	trainAndWarm(t, owner)
-	srv := httptest.NewServer(owner.Handler())
-	defer srv.Close()
-
-	requester := newBatchTestNode(t, proxy.MapOrigin{}, Config{Self: "http://127.0.0.1:2"})
-	res := requester.fetchPeer(context.Background(), srv.URL,
-		proxy.Lookup{Client: "c1", Arch: "dvm", Class: "app/A"})
-	if res.Art == nil || !bytes.Equal(res.Art.Data, resident(t, owner, "app/A")) {
-		t.Fatalf("fetchPeer = %+v", res)
-	}
-	if got := requester.m.PrefetchReceived.Load(); got != 1 {
-		t.Errorf("prefetch_received_total = %d, want 1", got)
-	}
-	// The predicted successor is now resident before anyone asks for it.
-	if art := requester.Proxy().Peek("dvm", "app/B"); art == nil || !bytes.Equal(art.Data, resident(t, owner, "app/B")) {
-		t.Errorf("piggybacked app/B not resident: %+v", art)
-	}
-	// And the requested class is NOT marked speculative.
-	if inserted := requester.Proxy().PrefetchStats().Inserted; inserted != 1 {
-		t.Errorf("prefetch_inserted_total = %d, want 1 (only app/B)", inserted)
-	}
-
-	// A requester with prediction disabled declines the piggyback.
-	noPre := newBatchTestNode(t, proxy.MapOrigin{}, Config{Self: "http://127.0.0.1:3", PrefetchK: -1})
-	res = noPre.fetchPeer(context.Background(), srv.URL,
-		proxy.Lookup{Client: "c2", Arch: "dvm", Class: "app/A"})
-	if res.Art == nil {
-		t.Fatalf("fetchPeer = %+v", res)
-	}
-	if got := noPre.m.PrefetchReceived.Load(); got != 0 {
-		t.Errorf("prefetch-disabled requester accepted %d piggybacked entries", got)
 	}
 }
 
@@ -230,7 +181,7 @@ func TestBatchIngestRejectsUnattestedPerEntry(t *testing.T) {
 				Att: service.Attest("dvm", "app/Good", good, 1, nil)},
 			{Arch: "dvm", Class: "app/Tampered", Reason: proxy.ReasonReplica, Data: []byte("evil"),
 				Att: service.Attest("dvm", "app/Tampered", []byte("original"), 1, nil)},
-			{Arch: "dvm", Class: "app/Naked", Reason: proxy.ReasonPrefetch, Data: []byte("unattested")},
+			{Arch: "dvm", Class: "app/Naked", Reason: proxy.ReasonHandoff, Data: []byte("unattested")},
 		},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -268,10 +219,6 @@ func TestBatchHandoffServesHeatOrderedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Profile heat says A is the workload's hottest key.
-	for i := 0; i < 5; i++ {
-		n.FeedProfile("dvm", []string{"app/A"})
-	}
 	srv := httptest.NewServer(n.Handler())
 	defer srv.Close()
 
@@ -282,8 +229,10 @@ func TestBatchHandoffServesHeatOrderedEntries(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(br.Entries) != 3 {
 		t.Fatalf("handoff: status=%d entries=%d", resp.StatusCode, len(br.Entries))
 	}
-	if br.Entries[0].Class != "app/A" {
-		t.Errorf("hottest-profile key not first: got %s", br.Entries[0].Class)
+	for i, want := range []string{"app/C", "app/B", "app/A"} {
+		if got := br.Entries[i].Class; got != want {
+			t.Errorf("handoff entry %d = %s, want %s (most recently used first)", i, got, want)
+		}
 	}
 	for _, e := range br.Entries {
 		if e.Reason != proxy.ReasonHandoff {
@@ -665,15 +614,15 @@ func TestIngestedArtifactsDoNotPinTheirFrame(t *testing.T) {
 }
 
 // TestLonePrefetchAnswerIsNotCached: an owner that answers a fill with
-// nothing but a piggybacked entry has sent a shape no honest owner sends
-// (serveBatchFill piggybacks only after serving the fill). That lone
+// nothing but a piggybacked entry has sent a shape no owner sends, old
+// or new (an old one piggybacked only after serving the fill). That lone
 // entry would alias the recycled read buffer, so the store would pin the
 // buffer's whole capacity while the cache budget counts only the class:
 // it is not cached, and the fill fails.
 func TestLonePrefetchAnswerIsNotCached(t *testing.T) {
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		serveFrame(w, BatchResponse{Entries: []BatchEntry{{
-			Arch: "dvm", Class: "app/B", Reason: proxy.ReasonPrefetch, Data: []byte("prefetched-bytes"),
+			Arch: "dvm", Class: "app/B", Reason: oldPrefetchReason, Data: []byte("prefetched-bytes"),
 		}}})
 	}))
 	defer owner.Close()
@@ -702,25 +651,38 @@ func TestBatchFillDrainingShed(t *testing.T) {
 	}
 }
 
-// The owner's predictor learns across requester nodes without mixing
-// their client sequences: same client id on two members must not form a
-// false edge.
+// TestServeBatchFillNamespacesClients: the owner names a fill's client
+// by the requesting member too, so the same client id on two members
+// stays two clients in the owner's audit trail (and in its admission
+// control, which sees a peer's client by the prefix).
 func TestServeBatchFillNamespacesClients(t *testing.T) {
-	owner := newBatchTestNode(t, walkOrigin(t), Config{})
+	var mu sync.Mutex
+	var clients []string
+	owner, err := NewNode(walkOrigin(t), proxy.Config{CacheEnabled: true, OnAudit: func(r proxy.RequestRecord) {
+		mu.Lock()
+		clients = append(clients, r.Client)
+		mu.Unlock()
+	}}, Config{Self: "http://127.0.0.1:1", GossipInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
 	srv := httptest.NewServer(owner.Handler())
 	defer srv.Close()
-	// Member 1's "c" requests A; member 2's "c" requests C. Without
-	// namespacing this would look like one client walking A -> C.
-	for member, class := range map[string]string{"http://m1:1": "app/A", "http://m2:1": "app/C"} {
+	members := []string{"http://m1:1", "http://m2:1"}
+	for i, member := range members {
 		if _, br := postBatch(t, srv.URL, BatchRequest{
 			Reason: proxy.ReasonFill, Member: member, Client: "c",
-			Arch: "dvm", Classes: []string{class},
+			Arch: "dvm", Classes: []string{[]string{"app/A", "app/C"}[i]},
 		}); len(br.Errors) != 0 {
 			t.Fatalf("fill errors: %+v", br.Errors)
 		}
 	}
-	if preds := owner.predictor.Predict("dvm", "app/A"); len(preds) != 0 {
-		t.Errorf("cross-member client ids formed a false edge: %+v", preds)
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{proxy.PeerClient(members[0], "c"), proxy.PeerClient(members[1], "c")}
+	if !reflect.DeepEqual(clients, want) || clients[0] == clients[1] {
+		t.Errorf("audited clients = %q, want %q", clients, want)
 	}
 }
 

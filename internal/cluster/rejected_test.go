@@ -162,7 +162,7 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			return p, "bad/A", &res
 		}},
 		{"peer fill", false, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 1, PrefetchK: -1, HotThreshold: -1})
+			nodes := rejFleet(t, Config{Replication: 1, HotThreshold: -1})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			res, err := nodes[0].Request(ctx, proxy.Lookup{Client: "c", Arch: rejBase, Class: class})
 			if err != nil || res.Info.Peer != nodes[1].Self() {
@@ -171,7 +171,7 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			return nodes[0].Proxy(), class, &res
 		}},
 		{"hot CacheLocal copy", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 1, PrefetchK: -1, HotThreshold: 1})
+			nodes := rejFleet(t, Config{Replication: 1, HotThreshold: 1})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			res, err := nodes[0].Request(ctx, proxy.Lookup{Client: "c", Arch: rejBase, Class: class})
 			if err != nil || nodes[0].m.HotReplicas.Load() != 1 {
@@ -180,14 +180,14 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			return nodes[0].Proxy(), class, &res
 		}},
 		{"replica push", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 2, PrefetchK: -1})
+			nodes := rejFleet(t, Config{Replication: 2})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			rejRequest(t, nodes[1].Proxy(), rejBase, class)
 			waitUntil(t, "the replica to land", func() bool { return nodes[0].Proxy().Peek(rejBase, class) != nil })
 			return nodes[0].Proxy(), class, nil
 		}},
 		{"kept by voter", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 2, PrefetchK: -1, AttestKey: []byte("rejected-key"), AttestQuorum: 2})
+			nodes := rejFleet(t, Config{Replication: 2, AttestKey: []byte("rejected-key"), AttestQuorum: 2})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			rejRequest(t, nodes[1].Proxy(), rejBase, class)
 			if nodes[0].m.ReplicaStored.Load() != 1 || nodes[1].ReplicasPushed() != 0 {
@@ -196,7 +196,7 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			return nodes[0].Proxy(), class, nil
 		}},
 		{"handoff pull", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 1, PrefetchK: -1})
+			nodes := rejFleet(t, Config{Replication: 1})
 			// Node 1 holds a key node 0 owns — as after node 0 joins.
 			class := drawClass(t, nodes[0], "bad/", nodes[0].Self())
 			rejRequest(t, nodes[1].Proxy(), rejBase, class)
@@ -206,25 +206,11 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			return nodes[0].Proxy(), class, nil
 		}},
 		{"drain push", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 1, PrefetchK: -1})
+			nodes := rejFleet(t, Config{Replication: 1})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			rejRequest(t, nodes[1].Proxy(), rejBase, class)
 			if err := nodes[1].Drain(ctx); err != nil {
 				t.Fatal(err)
-			}
-			return nodes[0].Proxy(), class, nil
-		}},
-		{"prefetch piggyback", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
-			nodes := rejFleet(t, Config{Replication: 1, HotThreshold: -1})
-			first := drawClass(t, nodes[0], "ok/", nodes[1].Self())
-			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
-			nodes[1].FeedProfile(rejBase, []string{first, class})
-			rejRequest(t, nodes[1].Proxy(), rejBase, class)
-			if _, err := nodes[0].Request(ctx, proxy.Lookup{Client: "c", Arch: rejBase, Class: first}); err != nil {
-				t.Fatal(err)
-			}
-			if nodes[0].m.PrefetchReceived.Load() != 1 {
-				t.Fatalf("prefetch_received_total = %d, want 1", nodes[0].m.PrefetchReceived.Load())
 			}
 			return nodes[0].Proxy(), class, nil
 		}},

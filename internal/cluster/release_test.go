@@ -86,7 +86,7 @@ func TestPoisonedCoalescedPeerFill(t *testing.T) {
 		return cfg
 	}, func(int) cluster.Config {
 		return cluster.Config{AttestKey: key, AttestQuorum: 2, Replication: 2,
-			HotThreshold: -1, PrefetchK: -1, GossipInterval: -1, Dial: gate.dialer().Dial}
+			HotThreshold: -1, GossipInterval: -1, Dial: gate.dialer().Dial}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func allocatedBy(f func()) uint64 {
 func TestPeerFillKeepsNoFrame(t *testing.T) {
 	const size = 48 << 10
 	lc, err := cluster.StartLocal(anyApplet{}, 2, nil, func(int) cluster.Config {
-		return cluster.Config{Replication: 1, HotThreshold: -1, PrefetchK: -1, GossipInterval: -1}
+		return cluster.Config{Replication: 1, HotThreshold: -1, GossipInterval: -1}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestPeerHopsAskForNoGzip(t *testing.T) {
 	for i, srv := range servers {
 		n, err := cluster.NewNode(anyApplet{}, verifyingProxyCfg(i), cluster.Config{
 			Self: urls[i], Peers: urls, AttestKey: []byte("gzip-test-key"), AttestQuorum: 2,
-			Replication: 2, HotThreshold: -1, PrefetchK: -1, GossipInterval: -1,
+			Replication: 2, HotThreshold: -1, GossipInterval: -1,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -131,7 +131,7 @@ func TestVoteFallbacksPlaceEveryReplica(t *testing.T) {
 				return cfg
 			}, func(i int) cluster.Config {
 				cfg := row.cfg
-				cfg.GossipInterval, cfg.HotThreshold, cfg.PrefetchK = -1, -1, -1
+				cfg.GossipInterval, cfg.HotThreshold = -1, -1
 				if row.hook && i == 0 {
 					cfg.Dial = hook.dialer().Dial
 				}
@@ -202,7 +202,7 @@ func TestReplicaPushUnderBreakerAndClose(t *testing.T) {
 		meshes := []*netsim.LinkFaults{netsim.NewLinkFaults(nil), netsim.NewLinkFaults(nil)}
 		lc, err := cluster.StartLocal(anyApplet{}, 2, verifyingProxyCfg, func(i int) cluster.Config {
 			return cluster.WithLink(cluster.Config{
-				Replication: 2, GossipInterval: -1, HotThreshold: -1, PrefetchK: -1,
+				Replication: 2, GossipInterval: -1, HotThreshold: -1,
 				PeerTimeout: peerTimeout, Dial: meshes[i].Dial,
 			}, 2, time.Minute)
 		})
@@ -271,7 +271,7 @@ func TestUnderivableVoteIsNoLinkFailure(t *testing.T) {
 	}, func(int) cluster.Config {
 		return cluster.WithLink(cluster.Config{
 			AttestKey: []byte("underivable-key"), AttestQuorum: 2, Replication: 1,
-			GossipInterval: -1, HotThreshold: -1, PrefetchK: -1,
+			GossipInterval: -1, HotThreshold: -1,
 		}, threshold, time.Minute)
 	})
 	if err != nil {
@@ -322,7 +322,7 @@ func TestUnderivableVoteIsNoLinkFailure(t *testing.T) {
 func TestForgedProposalKeepsNothing(t *testing.T) {
 	key := []byte("forged-proposal-key")
 	lc, err := cluster.StartLocal(anyApplet{}, 2, verifyingProxyCfg, func(int) cluster.Config {
-		return cluster.Config{AttestKey: key, AttestQuorum: 2, Replication: 2, GossipInterval: -1, HotThreshold: -1, PrefetchK: -1}
+		return cluster.Config{AttestKey: key, AttestQuorum: 2, Replication: 2, GossipInterval: -1, HotThreshold: -1}
 	})
 	if err != nil {
 		t.Fatal(err)

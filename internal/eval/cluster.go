@@ -22,7 +22,7 @@ import (
 
 // ClusterScalingRow is one (mode, fleet size) point of the comparison.
 type ClusterScalingRow struct {
-	Mode          string // "round-robin", "cluster", or "cluster+prefetch"
+	Mode          string // "round-robin" or "cluster"
 	Nodes         int
 	Clients       int
 	OriginFetches int64
@@ -38,18 +38,11 @@ type ClusterScalingRow struct {
 	Latency       telemetry.HistSnapshot
 	P50, P95, P99 time.Duration
 	// ColdStart is the latency histogram over each client's FIRST request
-	// for each key — the tail the prefetcher attacks. Later repeats of
-	// the same (client, key) pair are warm and excluded.
-	ColdStart telemetry.HistSnapshot
-	ColdP99   time.Duration
-	// Prefetch ledger, summed over the fleet: entries piggybacked onto
-	// peer-fill responses, hits on prefetched entries, and bytes pushed
-	// but evicted/overwritten before first use (waste — reported, never
-	// hidden; each piggyback batch is bounded by the prefetch budget).
-	PrefetchPushed int64
-	PrefetchHits   int64
-	PrefetchWaste  int64
-	ThroughputBps  float64
+	// for each key — the cold-start tail. Later repeats of the same
+	// (client, key) pair are warm and excluded.
+	ColdStart     telemetry.HistSnapshot
+	ColdP99       time.Duration
+	ThroughputBps float64
 }
 
 // clusterZipfS is the key-popularity skew of the app-walk workload's
@@ -59,17 +52,15 @@ const clusterZipfS = 0.9
 // clusterWalkLen is the length of one sequential class walk: a client
 // picks a zipf-popular window start and then requests ~8 classes in
 // order — the applet-session shape whose first-use order the monitor
-// profiles, and therefore the sequence the prefetcher can predict.
+// profiles.
 const clusterWalkLen = 8
 
-// ClusterScaling runs the same zipf-app-walk workload against three
-// fleets of each size in nodeCounts — N round-robin replicas, an
-// N-node sharded cluster, and the same cluster with predictive
-// prefetch enabled (all with caching on, over the same synthetic-
+// ClusterScaling runs the same zipf-app-walk workload against two
+// fleets of each size in nodeCounts — N round-robin replicas and an
+// N-node sharded cluster (both with caching on, over the same synthetic-
 // Internet origin) — and reports duplicate work, client-observed
-// latency, cold-start latency (first touch per client and key), and
-// the prefetch hit/waste ledger. The cluster's peer hops run over real
-// loopback HTTP.
+// latency and cold-start latency (first touch per client and key). The
+// cluster's peer hops run over real loopback HTTP.
 func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterScalingRow, string, error) {
 	origin, err := Corpus(cfg.Applets, cfg.AppletKB*1024, 42)
 	if err != nil {
@@ -89,30 +80,13 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 	var rows []ClusterScalingRow
 	var breakdown string
 
-	// runCluster drives one sharded fleet, optionally with the prefetch
-	// predictor enabled and pre-trained from the app-walk first-use order
-	// (the monitor profile a previous session would have produced).
-	runCluster := func(n int, mode string, withPrefetch bool) (ClusterScalingRow, error) {
-		mkClust := func(int) cluster.Config {
-			if withPrefetch {
-				return cluster.Config{}
-			}
-			return cluster.Config{PrefetchK: -1}
-		}
-		lc, err := cluster.StartLocal(delayed, n, mkProxy, mkClust)
+	// runCluster drives one sharded fleet.
+	runCluster := func(n int) (ClusterScalingRow, error) {
+		lc, err := cluster.StartLocal(delayed, n, mkProxy, func(int) cluster.Config { return cluster.Config{} })
 		if err != nil {
 			return ClusterScalingRow{}, err
 		}
 		defer lc.Close()
-		if withPrefetch {
-			cycle := make([]string, 0, cfg.Applets+1)
-			for i := 0; i <= cfg.Applets; i++ {
-				cycle = append(cycle, fmt.Sprintf("net/Applet%03d", i%cfg.Applets))
-			}
-			for _, node := range lc.Nodes {
-				node.FeedProfile("dvm", cycle)
-			}
-		}
 		// One traced cold request from a non-owner first: its trace shows
 		// the per-stage breakdown (peer.fill on the non-owner, the owner's
 		// origin.fetch and pipeline) that the aggregate table cannot.
@@ -123,7 +97,7 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		for i, node := range lc.Nodes {
 			entries[i] = (&pagedHost{budget: cfg.MemoryBudget}).wrap(node.Request)
 		}
-		row, err := driveFleet(mode, n, clients, cfg, func(c int) requestFunc {
+		row, err := driveFleet("cluster", n, clients, cfg, func(c int) requestFunc {
 			return entries[c%n]
 		})
 		if err != nil {
@@ -136,14 +110,7 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 			total.CacheHits += s.CacheHits
 			total.OriginFetches += s.OriginFetches
 		}
-		row = finishRow(row, total, cfg.Applets)
-		for _, node := range lc.Nodes {
-			pf := node.Proxy().PrefetchStats()
-			row.PrefetchPushed += nodeCounter(node, "prefetch_pushed_total")
-			row.PrefetchHits += pf.Hits
-			row.PrefetchWaste += pf.WasteBytes
-		}
-		return row, nil
+		return finishRow(row, total, cfg.Applets), nil
 	}
 
 	for _, n := range nodeCounts {
@@ -162,18 +129,8 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 		row = finishRow(row, group.Stats(), cfg.Applets)
 		rows = append(rows, row)
 
-		// Sharded cluster: one logical cache over N nodes, predictor off.
-		row, err = runCluster(n, "cluster", false)
-		if err != nil {
-			return nil, "", err
-		}
-		rows = append(rows, row)
-
-		// Same fleet with the prefetcher on: peer fills piggyback
-		// predicted successors, so a client's first touch of a class is
-		// more often a local hit — the cold-start column is the one to
-		// compare against the plain cluster row.
-		row, err = runCluster(n, "cluster+prefetch", true)
+		// Sharded cluster: one logical cache over N nodes.
+		row, err = runCluster(n)
 		if err != nil {
 			return nil, "", err
 		}
@@ -192,12 +149,10 @@ func ClusterScaling(clients int, nodeCounts []int, cfg Fig10Config) ([]ClusterSc
 			ms(r.P95),
 			ms(r.P99),
 			ms(r.ColdP99),
-			fmt.Sprint(r.PrefetchHits),
-			fmt.Sprint(r.PrefetchWaste),
 		})
 	}
 	text := fmt.Sprintf("sharded cluster vs round-robin replicas at %d clients, %d distinct classes, zipf(s=%.1f) app walks\n", clients, cfg.Applets, clusterZipfS) +
-		table([]string{"Mode", "Nodes", "Origin fetches", "Dup rewrites", "Hit rate", "p50 (ms)", "p95 (ms)", "p99 (ms)", "Cold p99 (ms)", "Pf hits", "Pf waste (B)"}, cells)
+		table([]string{"Mode", "Nodes", "Origin fetches", "Dup rewrites", "Hit rate", "p50 (ms)", "p95 (ms)", "p99 (ms)", "Cold p99 (ms)"}, cells)
 	if breakdown != "" {
 		text += "\n" + breakdown
 	}

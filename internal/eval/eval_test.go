@@ -306,43 +306,24 @@ func TestClusterScalingDeduplicatesOriginWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (one per mode)", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (one per mode)", len(rows))
 	}
-	var rr, cl, pf ClusterScalingRow
+	var rr, cl ClusterScalingRow
 	for _, r := range rows {
 		switch r.Mode {
 		case "round-robin":
 			rr = r
 		case "cluster":
 			cl = r
-		case "cluster+prefetch":
-			pf = r
 		}
 	}
-	// Sharding dedups origin work with or without the prefetcher:
-	// piggybacked entries come out of the owner's cache, never from a
-	// fresh origin fetch.
-	for _, r := range []ClusterScalingRow{cl, pf} {
-		if r.OriginFetches != int64(cfg.Applets) {
-			t.Errorf("%s origin fetches = %d, want exactly %d (one per distinct key)",
-				r.Mode, r.OriginFetches, cfg.Applets)
-		}
-		if r.DupRewrites != 0 {
-			t.Errorf("%s duplicate rewrites = %d, want 0", r.Mode, r.DupRewrites)
-		}
+	if cl.OriginFetches != int64(cfg.Applets) {
+		t.Errorf("cluster origin fetches = %d, want exactly %d (one per distinct key)",
+			cl.OriginFetches, cfg.Applets)
 	}
-	// The prefetch row reports its ledger; waste is bounded by what was
-	// pushed (an entry can only be wasted after being pushed).
-	if pf.PrefetchPushed == 0 {
-		t.Errorf("cluster+prefetch pushed no entries")
-	}
-	if pf.PrefetchWaste > pf.PrefetchPushed*int64(cfg.AppletKB*1024*2) {
-		t.Errorf("prefetch waste %dB exceeds pushed volume", pf.PrefetchWaste)
-	}
-	if cl.PrefetchPushed != 0 || cl.PrefetchHits != 0 {
-		t.Errorf("plain cluster row has prefetch activity: pushed=%d hits=%d",
-			cl.PrefetchPushed, cl.PrefetchHits)
+	if cl.DupRewrites != 0 {
+		t.Errorf("cluster duplicate rewrites = %d, want 0", cl.DupRewrites)
 	}
 	if rr.OriginFetches <= cl.OriginFetches {
 		t.Errorf("round-robin fetched %d times, cluster %d; replication should duplicate cold work",
@@ -370,8 +351,8 @@ func TestClusterScalingDeduplicatesOriginWork(t *testing.T) {
 	if !strings.Contains(text, "p50 (ms)") || !strings.Contains(text, "p99 (ms)") {
 		t.Errorf("table missing quantile columns:\n%s", text)
 	}
-	if !strings.Contains(text, "Cold p99 (ms)") || !strings.Contains(text, "Pf waste (B)") {
-		t.Errorf("table missing cold-start/prefetch columns:\n%s", text)
+	if !strings.Contains(text, "Cold p99 (ms)") {
+		t.Errorf("table missing the cold-start column:\n%s", text)
 	}
 	for _, r := range rows {
 		if r.ColdStart.Count() == 0 {

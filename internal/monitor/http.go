@@ -143,6 +143,10 @@ type RemoteSession struct {
 	mu        sync.Mutex
 	buf       []wireEvent
 	batchSize int
+	// next is the buffer length at which add flushes: one batch past
+	// what the last flush left behind, so a buffer a dead console keeps
+	// full is re-sent once per batch of new events, not on every event.
+	next int
 	// err records the first delivery failure; auditing must never
 	// disturb the application ("a security breach may stop the creation
 	// of new audit events"), so errors are latched, not raised.
@@ -214,7 +218,7 @@ func (rs *RemoteSession) add(e wireEvent) {
 	}
 	rs.mu.Lock()
 	rs.buf = append(rs.buf, e)
-	full := len(rs.buf) >= rs.batchSize
+	full := len(rs.buf) >= rs.next
 	rs.mu.Unlock()
 	if full {
 		rs.Flush()
@@ -229,7 +233,7 @@ func newRemoteSession(baseURL string, batchSize int, p resilience.Policy, cooldo
 		batchSize = 64
 	}
 	p.Retries = 0
-	return &RemoteSession{base: strings.TrimRight(baseURL, "/"), hop: resilience.NewHop(p, 5*time.Second, cooldown), batchSize: batchSize}
+	return &RemoteSession{base: strings.TrimRight(baseURL, "/"), hop: resilience.NewHop(p, 5*time.Second, cooldown), batchSize: batchSize, next: batchSize}
 }
 
 // Flush delivers buffered events to the console under the session's
@@ -261,11 +265,12 @@ func (rs *RemoteSession) FlushContext(ctx context.Context) {
 		defer span.End()
 		return rs.post(ctx, batch)
 	})
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	if err == nil {
+		rs.next = len(rs.buf) + rs.batchSize
 		return
 	}
-
-	rs.mu.Lock()
 	if rs.err == nil {
 		rs.err = err
 	}
@@ -276,7 +281,7 @@ func (rs *RemoteSession) FlushContext(ctx context.Context) {
 		rs.buf = append([]wireEvent(nil), rs.buf[over:]...)
 		rs.dropped.Add(int64(over))
 	}
-	rs.mu.Unlock()
+	rs.next = len(rs.buf) + rs.batchSize
 }
 
 // post is one delivery attempt.

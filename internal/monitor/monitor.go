@@ -188,8 +188,8 @@ func (c *Collector) recordAt(session, class, method, kind string, at time.Time) 
 }
 
 // OnFirstUse registers a hook invoked (outside the collector lock) each
-// time a session observes a method for the first time — the live feed
-// for the prefetch successor graph. Pass nil to clear.
+// time a session observes a method for the first time — the live
+// first-use stream. Pass nil to clear.
 func (c *Collector) OnFirstUse(fn func(session, class, method string)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -130,6 +130,33 @@ func TestFlushRetentionBounded(t *testing.T) {
 	}
 }
 
+// TestDeadConsoleIsPostedOncePerBatch: after a failed flush the buffer
+// stays at least one batch long, and add still flushes only when a batch
+// of new events has arrived since the last attempt — not on every event,
+// which would re-send the whole retained buffer each time.
+func TestDeadConsoleIsPostedOncePerBatch(t *testing.T) {
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		http.Error(w, "console down", http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+
+	rs := newSession(t, NewCollector(), ts.URL, 64)
+	for i := 0; i < 1000; i++ {
+		rs.add(wireEvent{Class: "a", Method: fmt.Sprintf("m%d", i), Kind: "note"})
+	}
+	if got := posts.Load(); got > 1000/64+1 {
+		t.Errorf("1000 events at batch 64 made %d POSTs to a dead console, want at most %d", got, 1000/64+1)
+	}
+	rs.mu.Lock()
+	retained := len(rs.buf)
+	rs.mu.Unlock()
+	if retained != 1000 {
+		t.Errorf("retained = %d events, want all 1000 (under the cap, nothing is dropped)", retained)
+	}
+}
+
 // TestRemoteSessionConcurrentAddFlush exercises the mutex guard: audit
 // hooks append from many goroutines while Flush/Close run concurrently.
 // Run under -race.

@@ -26,8 +26,7 @@ const ColdSuffix = "$cold"
 
 // Profile is the set of methods observed in use (from the monitoring
 // service's first-use instrumentation). Keys are "class.method". Order
-// preserves the first-invocation sequence — the signal the prefetch
-// successor graph consumes.
+// preserves the first-invocation sequence (§5's first-use order).
 type Profile struct {
 	Hot   map[string]bool
 	Order []string // deduplicated "class.method" in arrival order
@@ -58,7 +57,7 @@ func FromFirstUse(order []string) *Profile {
 
 // ClassOrder projects a profile's method-level first-use order onto
 // classes: the sequence of class transitions with consecutive duplicates
-// collapsed. This is the edge stream the prefetch predictor replays.
+// collapsed: the order in which a first-use bundle would ship classes.
 func (p *Profile) ClassOrder() []string {
 	var out []string
 	for _, e := range p.Order {

@@ -15,7 +15,7 @@ import (
 // travel with it: the key it answers, the quorum seal over its bytes,
 // and whether it is a verification-failure replacement. It is the one
 // shape a class takes inside the proxy and the cluster — cache entry,
-// flight result, peer fill, replica push, handoff, prefetch — so no hop
+// flight result, peer fill, replica push, handoff — so no hop
 // can forget a field. An Artifact is never modified once it has been
 // put in the store or handed to another goroutine; share the pointer.
 type Artifact struct {
@@ -35,17 +35,16 @@ type Artifact struct {
 	Source string
 }
 
-// Artifact sources. The four push sources double as the reason field of
-// the peer batch protocol.
+// Artifact sources. The three Reason sources double as the reason field
+// of the peer batch protocol.
 const (
 	SourceOrigin = "origin" // fetched and transformed here
 	SourceDerive = "derive" // compiled here from the cached base artifact
 	SourceDisk   = "disk"   // reloaded from the disk tier
 
-	ReasonFill     = "fill"     // served by the key's owner on a miss
-	ReasonReplica  = "replica"  // a ring owner's copy, pushed or kept as it voted
-	ReasonHandoff  = "handoff"  // moved on a membership change
-	ReasonPrefetch = "prefetch" // pushed speculatively; placed cold, never evicts
+	ReasonFill    = "fill"    // served by the key's owner on a miss
+	ReasonReplica = "replica" // a ring owner's copy, pushed or kept as it voted
+	ReasonHandoff = "handoff" // moved on a membership change
 )
 
 func (a *Artifact) key() string { return a.Arch + "\x00" + a.Class }
@@ -277,9 +276,9 @@ const (
 // which also places its copies on the key's other owners — before anyone
 // sees it.
 type Fleet interface {
-	// Fill routes a miss through the key's ring owners. The full Lookup
-	// is passed so the owner's prefetch predictor learns per-client
-	// request sequences.
+	// Fill routes a miss through the key's ring owners. The Lookup's
+	// client rides along, so the owner's audit trail and admission
+	// control name who asked.
 	Fill(ctx context.Context, l Lookup) PeerResult
 	// Seal cross-checks an artifact this node produced against ring
 	// successors — each re-derives it from payload under mode — and

@@ -21,7 +21,7 @@ func (p *Proxy) storeMem(class string, data []byte) {
 }
 
 // memGet is a memory hit on (x86, class).
-func (p *Proxy) memGet(class string) (art *Artifact, fresh, prefetched bool) {
+func (p *Proxy) memGet(class string) (art *Artifact, fresh bool) {
 	return p.store.get("x86\x00" + class)
 }
 
@@ -158,7 +158,7 @@ func TestLRUReplacementServesFreshBytes(t *testing.T) {
 	p := lruProxy(0)
 	p.storeMem("k", []byte("stale"))
 	p.storeMem("k", []byte("fresh"))
-	got, _, _ := p.memGet("k")
+	got, _ := p.memGet("k")
 	if got == nil || string(got.Data) != "fresh" {
 		t.Fatalf("memGet = %+v; want fresh entry", got)
 	}

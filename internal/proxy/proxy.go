@@ -248,11 +248,7 @@ type RequestInfo struct {
 	// answered from expired cache instead of queueing a refetch;
 	// otherwise it was rejected (ErrOverloaded).
 	Shed bool
-	// Prefetched marks a cache hit whose entry was pushed speculatively
-	// (prefetch piggyback) and used here for the first time — the round
-	// trip this response did NOT pay is the prefetcher's win.
-	Prefetched bool
-	Peer       string // cluster node that supplied the bytes, if any
+	Peer string // cluster node that supplied the bytes, if any
 	// Attestation is the artifact's trust metadata when attestation is
 	// enabled: the sealed digest + quorum record stored with the cache
 	// entry (Result.Art.Att).
@@ -343,8 +339,8 @@ type metrics struct {
 	AttestFailures    *telemetry.Counter `metric:"attest_failures_total"`
 	CompileHits       *telemetry.Counter `metric:"compile_hits_total"`
 	CompileMisses     *telemetry.Counter `metric:"compile_misses_total"`
-	// Batch-warm ingestion (replica push, handoff, prefetch — one path,
-	// one set of counters).
+	// Batch-warm ingestion (replica push, handoff — one path, one set of
+	// counters).
 	Warmed      *telemetry.Counter `metric:"warm_entries_total"`
 	WarmedBytes *telemetry.Counter `metric:"warm_bytes_total"`
 
@@ -494,13 +490,11 @@ func (p *Proxy) CacheSnapshot(maxBytes int, keep func(arch, class string) bool) 
 }
 
 // Warm puts already-transformed classes into the cache without a
-// request: replication pushes, membership handoffs and predictive
-// prefetch all seed a node's cache with results another node paid for,
-// through this one path with one set of counters. The caller (the
-// cluster layer) verifies each artifact's attestation against its bytes
-// first. Source says why each one is here; ReasonPrefetch artifacts are
-// speculative and are skipped, not forced, when they do not fit (see
-// store.put).
+// request: replication pushes and membership handoffs both seed a
+// node's cache with results another node paid for, through this one
+// path with one set of counters. The caller (the cluster layer) verifies
+// each artifact's attestation against its bytes first. Source says why
+// each one is here.
 //
 // Returns the number stored. No-op when caching is disabled.
 func (p *Proxy) Warm(arts []*Artifact) int {
@@ -519,27 +513,14 @@ func (p *Proxy) Warm(arts []*Artifact) int {
 }
 
 // Peek returns the fresh cached artifact for (arch, class) without
-// touching LRU recency, the prefetch ledger, or any counter (nil = not
-// resident or due for revalidation).
+// touching LRU recency or any counter (nil = not resident or due for
+// revalidation).
 func (p *Proxy) Peek(arch, class string) *Artifact {
 	if !p.cfg.CacheEnabled {
 		return nil
 	}
 	return p.store.peek(arch + "\x00" + class)
 }
-
-// PrefetchLedger is the prefetch account: every pushed byte ends as a
-// hit, resident, or reported waste.
-type PrefetchLedger struct {
-	Inserted      int64 // entries stored
-	Hits          int64 // first uses of a prefetched entry
-	Skipped       int64 // pushes refused (already cached or no headroom)
-	WasteBytes    int64 // evicted or overwritten before first use
-	ResidentBytes int64 // resident and not yet used
-}
-
-// PrefetchStats reports the prefetch ledger.
-func (p *Proxy) PrefetchStats() PrefetchLedger { return p.store.ledger() }
 
 // UnderPressure reports whether the admission queue is at least half
 // full — the same threshold at which stale entries are served instead
@@ -584,12 +565,12 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 
 	var stale *Artifact // expired entry kept for stale-if-error
 	if p.cfg.CacheEnabled {
-		art, fresh, prefetched := p.store.get(key)
+		art, fresh := p.store.get(key)
 		if fresh {
 			p.m.CacheHits.Inc()
 			p.countCompileHit(l.Arch) // a resident compiled artifact: nobody compiles anything
 			return art, nil, RequestRecord{RequestInfo: RequestInfo{
-				CacheHit: true, Prefetched: prefetched, Rejected: art.Rejected, Attestation: art.Att}}, nil
+				CacheHit: true, Rejected: art.Rejected, Attestation: art.Att}}, nil
 		}
 		stale = art
 	}

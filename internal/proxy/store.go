@@ -19,8 +19,7 @@ import (
 // have been fetched by another DVM client are served from an on-disk
 // cache on the proxy", §4.1.2, and a restarted proxy resumes serving
 // without re-fetching or re-rewriting, §2). It owns recency, byte
-// accounting, the prefetch placement rule and its waste ledger, and the
-// disk files; the proxy only ever sees *Artifact.
+// accounting and the disk files; the proxy only ever sees *Artifact.
 //
 // Memory: hits refresh recency, replacing a key fixes the accounting,
 // and an artifact larger than the whole budget is skipped rather than
@@ -30,25 +29,16 @@ type store struct {
 	ttl    time.Duration // freshness window (0 = forever)
 	dir    string        // disk tier ("" = none)
 
-	mu     sync.Mutex
-	cache  map[string]*entry // key: arch + "\x00" + class
-	lru    entry             // ring sentinel: lru.next = most recently used
-	bytes  int
-	unused int // bytes of prefetched entries nobody has hit yet
+	mu    sync.Mutex
+	cache map[string]*entry // key: arch + "\x00" + class
+	lru   entry             // ring sentinel: lru.next = most recently used
+	bytes int
 
 	m storeMetrics
 }
 
 // storeMetrics is the store's metric declaration (telemetry.Declare).
-// The prefetch ledger's counters share PrefetchLedger's field names.
 type storeMetrics struct {
-	// The prefetch ledger. Waste is explicit: prefetched bytes evicted
-	// or overwritten before first use are reported, not hidden.
-	Inserted   *telemetry.Counter `metric:"prefetch_inserted_total"`
-	Hits       *telemetry.Counter `metric:"prefetch_hits_total"`
-	Skipped    *telemetry.Counter `metric:"prefetch_skipped_total"`
-	WasteBytes *telemetry.Counter `metric:"prefetch_waste_bytes_total"`
-	Evicted    *telemetry.Counter `metric:"prefetch_evicted_unused_total"`
 	// DiskCorrupt counts disk files discarded because they do not decode
 	// to their key's entry or their bytes no longer match their seal.
 	DiskCorrupt *telemetry.Counter `metric:"disk_corrupt_total"`
@@ -56,15 +46,12 @@ type storeMetrics struct {
 
 // entry is one element of the LRU ring. The links are intrusive — the
 // entry is the list node — so a resident artifact costs the collector
-// one object beyond the Artifact itself. prefetched marks a speculative
-// entry that has not been hit yet: the flag clears on first use, and an
-// entry evicted or overwritten with it still set is prefetch waste.
+// one object beyond the Artifact itself.
 type entry struct {
 	prev, next *entry
 	key        string
 	art        *Artifact
 	storedAt   time.Time
-	prefetched bool
 }
 
 // unlink takes e out of the ring; linkAfter puts it behind at.
@@ -82,15 +69,11 @@ func newStore(cfg Config, reg *telemetry.Registry) *store {
 	}
 	reg.Declare(&s.m)
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
-	gauge := func(name string, v *int) {
-		reg.Gauge(name, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(*v)
-		})
-	}
-	gauge("cache_bytes", &s.bytes)
-	gauge("prefetch_resident_unused_bytes", &s.unused)
+	reg.Gauge("cache_bytes", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.bytes)
+	})
 	return s
 }
 
@@ -100,31 +83,23 @@ func (s *store) fresh(storedAt time.Time) bool {
 
 // get looks the key up in memory; a hit refreshes recency. fresh
 // reports whether the entry is within the TTL — a stale one is still
-// returned, as the stale-if-error fallback. prefetched reports the
-// first use of a speculatively pushed entry: the prefetch paid off, and
-// the flag clears so a later eviction is not miscounted as waste.
-func (s *store) get(key string) (art *Artifact, fresh, prefetched bool) {
+// returned, as the stale-if-error fallback.
+func (s *store) get(key string) (art *Artifact, fresh bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent, ok := s.cache[key]
 	if !ok {
-		return nil, false, false
+		return nil, false
 	}
 	ent.unlink()
 	ent.linkAfter(&s.lru)
-	if ent.prefetched {
-		ent.prefetched, prefetched = false, true
-		s.unused -= len(ent.art.Data)
-		s.m.Hits.Inc()
-	}
-	return ent.art, s.fresh(ent.storedAt), prefetched
+	return ent.art, s.fresh(ent.storedAt)
 }
 
-// peek returns the fresh resident artifact without touching recency,
-// the prefetch ledger or any counter — the read used to assemble a
-// prefetch piggyback or find an AOT base without distorting the hotness
-// signal. Stale entries are not returned: pushing bytes due for
-// revalidation would spread staleness to peers.
+// peek returns the fresh resident artifact without touching recency or
+// any counter — the read used to find an AOT base without distorting
+// the hotness signal. Stale entries are not returned: deriving from
+// bytes due for revalidation would spread the staleness.
 func (s *store) peek(key string) *Artifact {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,45 +122,27 @@ func (s *store) touch(key string) {
 }
 
 // put makes art resident and reports whether it was stored; what is
-// stored hot is also written through to disk.
+// stored is also written through to disk.
 func (s *store) put(art *Artifact) bool {
 	if !s.remember(art) {
 		return false
 	}
-	if art.Source != ReasonPrefetch {
-		s.save(art)
-	}
+	s.save(art)
 	return true
 }
 
-// remember is the memory half of put. A prefetched artifact is a guess:
-// it enters at the cold end, is refused rather than allowed to evict
-// anything (whatever is resident was asked for, so it is hotter by
-// definition) or overwrite a resident key, and does not deserve durable
-// bytes. Everything else enters hot and evicts from the cold end.
+// remember is the memory half of put: the artifact enters hot and
+// evicts from the cold end.
 func (s *store) remember(art *Artifact) bool {
 	key, size := art.key(), len(art.Data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent, resident := s.cache[key]
 	switch {
-	case art.Source == ReasonPrefetch:
-		if resident || (s.budget > 0 && s.bytes+size > s.budget) {
-			s.m.Skipped.Inc()
-			return false
-		}
-		ent = &entry{key: key, art: art, storedAt: time.Now(), prefetched: true}
-		ent.linkAfter(s.lru.prev) // the cold end
-		s.cache[key] = ent
-		s.bytes += size
-		s.unused += size
-		s.m.Inserted.Inc()
-		return true
 	case s.budget > 0 && size > s.budget:
 		log.Printf("proxy: cache: entry %q (%d bytes) exceeds cache budget (%d); not cached", art.Class, size, s.budget)
 		return false
 	case resident:
-		s.wasted(ent) // overwritten before first use, e.g. by a TTL refetch
 		s.bytes += size - len(ent.art.Data)
 		ent.art, ent.storedAt = art, time.Now()
 		ent.unlink()
@@ -197,32 +154,11 @@ func (s *store) remember(art *Artifact) bool {
 		s.bytes += size
 	}
 	for cold := s.lru.prev; s.budget > 0 && s.bytes > s.budget && cold != &s.lru; cold = s.lru.prev {
-		s.wasted(cold)
 		cold.unlink()
 		delete(s.cache, cold.key)
 		s.bytes -= len(cold.art.Data)
 	}
 	return true
-}
-
-// wasted settles the ledger for a speculative entry leaving the cache
-// (or being overwritten) before its first use. Caller holds s.mu.
-func (s *store) wasted(ent *entry) {
-	if !ent.prefetched {
-		return
-	}
-	ent.prefetched = false
-	s.unused -= len(ent.art.Data)
-	s.m.WasteBytes.Add(int64(len(ent.art.Data)))
-	s.m.Evicted.Inc()
-}
-
-func (s *store) ledger() PrefetchLedger {
-	s.mu.Lock()
-	l := PrefetchLedger{ResidentBytes: int64(s.unused)}
-	s.mu.Unlock()
-	telemetry.Add(&l, &s.m)
-	return l
 }
 
 // snapshot returns resident artifacts most-recently-used first —

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"time"
 )
 
 // A subsystem declares its metrics once, as a struct whose fields are the
@@ -21,16 +20,6 @@ import (
 // declaration into a snapshot struct (Stats) by field name, so a counter
 // is named in one place and summed or reported without restating it.
 
-// bucketSets names the histogram bounds a `metric` tag may select after
-// a comma, e.g. `metric:"batch_bytes,bytes"`; no name selects
-// defaultLatencyBounds.
-var bucketSets = map[string][]time.Duration{
-	"": nil,
-	// Byte-valued buckets: the histogram type counts time.Durations, so
-	// the bounds are byte counts cast to Duration (1 KiB .. 4 MiB).
-	"bytes": {1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20},
-}
-
 var (
 	counterType   = reflect.TypeOf((*Counter)(nil))
 	histogramType = reflect.TypeOf((*Histogram)(nil))
@@ -38,25 +27,24 @@ var (
 
 // Declare registers every metric of the declaration metrics points to and
 // sets each field to the registry's handle for it (get-or-create, like
-// Counter and Histogram). Every field must be an exported *Counter or
-// *Histogram with a `metric` tag; anything else is a programming error
-// and panics at construction, never on a request.
+// Counter and Histogram; a histogram gets defaultLatencyBounds). Every
+// field must be an exported *Counter or *Histogram whose `metric` tag is
+// its name; anything else is a programming error and panics at
+// construction, never on a request.
 func (r *Registry) Declare(metrics any) {
 	v := reflect.ValueOf(metrics).Elem()
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
-		tag := f.Tag.Get("metric")
-		name, buckets, _ := strings.Cut(tag, ",")
-		bounds, ok := bucketSets[buckets]
-		if name == "" || !ok || !f.IsExported() {
-			panic(fmt.Sprintf("telemetry: %s.%s: bad metric declaration %q", t, f.Name, tag))
+		name := f.Tag.Get("metric")
+		if name == "" || strings.Contains(name, ",") || !f.IsExported() {
+			panic(fmt.Sprintf("telemetry: %s.%s: bad metric declaration %q", t, f.Name, name))
 		}
 		switch f.Type {
 		case counterType:
 			v.Field(i).Set(reflect.ValueOf(r.Counter(name)))
 		case histogramType:
-			v.Field(i).Set(reflect.ValueOf(r.Histogram(name, bounds)))
+			v.Field(i).Set(reflect.ValueOf(r.Histogram(name, nil)))
 		default:
 			panic(fmt.Sprintf("telemetry: %s.%s: a metric is a *Counter or a *Histogram, not %s", t, f.Name, f.Type))
 		}
