@@ -257,7 +257,7 @@ func (n *Node) handleVote(w http.ResponseWriter, r *http.Request) {
 	defer proxy.PutBuffer(buf)
 	// A vote moves one class, so its whole frame is bounded like one class.
 	var req BatchRequest
-	body, ok := readFrame(w, r, *frame, maxPeerClassBytes, &req)
+	body, ok := n.readFrame(w, r, *frame, maxPeerClassBytes, &req)
 	if !ok {
 		return
 	}

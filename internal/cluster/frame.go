@@ -27,11 +27,13 @@ const leastError = 4 // bytes of the least BatchError: two strings, status, mess
 // frameEnc builds a frame as runs — metadata, payload, metadata, … — so a
 // payload (an Artifact's Data) is never copied on its way to the wire. A
 // closed run stays valid as meta grows: appends never rewrite its bytes.
-// Encoders are recycled (free) once their frame is on the wire.
+// Encoders are recycled (free) once their frame is on the wire; a
+// request's, once its answer is decoded knowing its strings (known).
 type frameEnc struct {
-	meta []byte
-	runs [][]byte // closed runs; the open one is meta[from:]
-	from int
+	meta  []byte
+	runs  [][]byte // closed runs; the open one is meta[from:]
+	from  int
+	known []string
 }
 
 // The largest encoder free keeps: room for any fill, vote or push; a
@@ -52,11 +54,12 @@ func newFrameEnc() *frameEnc {
 // free recycles f. Nothing may still read its frame: the runs are
 // dropped, so a recycled encoder pins no payload.
 func (f *frameEnc) free() {
-	if cap(f.meta) > maxPooledMeta || cap(f.runs) > maxPooledRuns {
+	if cap(f.meta) > maxPooledMeta || cap(f.runs) > maxPooledRuns || cap(f.known) > maxPooledRuns {
 		return
 	}
 	clear(f.runs)
-	f.runs, f.from = f.runs[:0], 0
+	clear(f.known)
+	f.runs, f.from, f.known = f.runs[:0], 0, f.known[:0]
 	framePool.Put(f)
 }
 
@@ -117,6 +120,7 @@ func (f *frameEnc) wire() [][]byte { return append(f.runs, f.meta[f.from:]) }
 
 func (r *BatchRequest) encode() *frameEnc {
 	f := newFrameEnc()
+	f.known = append(append(f.known, r.Arch), r.Classes...)
 	f.str(r.Reason)
 	f.str(r.Member)
 	f.str(r.Client)
@@ -172,9 +176,10 @@ func decodeEntries(d *proxy.Cursor) []BatchEntry {
 }
 
 // UnmarshalBinary decodes one request frame. The request's entries may
-// alias b.
-func (r *BatchRequest) UnmarshalBinary(b []byte) error {
-	d := proxy.OpenFrame(b)
+// alias b. decode reads a string equal to one of known as it (OpenFrame).
+func (r *BatchRequest) UnmarshalBinary(b []byte) error { return r.decode(b) }
+func (r *BatchRequest) decode(b []byte, known ...string) error {
+	d := proxy.OpenFrame(b, known...)
 	*r = BatchRequest{
 		Reason: d.Str("reason"), Member: d.Str("member"),
 		Client: d.Str("client"), Arch: d.Str("arch"),
@@ -191,9 +196,10 @@ func (r *BatchRequest) UnmarshalBinary(b []byte) error {
 }
 
 // UnmarshalBinary decodes one response frame. The response's entries
-// may alias b.
-func (r *BatchResponse) UnmarshalBinary(b []byte) error {
-	d := proxy.OpenFrame(b)
+// may alias b. decode reads a string equal to one of known as it.
+func (r *BatchResponse) UnmarshalBinary(b []byte) error { return r.decode(b) }
+func (r *BatchResponse) decode(b []byte, known ...string) error {
+	d := proxy.OpenFrame(b, known...)
 	*r = BatchResponse{Entries: decodeEntries(&d)}
 	if n := d.Count(leastError, "error count"); n > 0 {
 		r.Errors = make([]BatchError, n)

@@ -54,21 +54,24 @@ const (
 
 // The peer protocol's header keys in canonical form, and the one
 // Content-Type value: response headers are built by direct assignment,
-// and the value is shared read-only by every response (the server copies
-// a header when it writes it).
+// a request's are read with the canonical key (Get copies one that is
+// not), and the value is shared read-only by every response (the server
+// copies a header when it writes it).
 var (
 	epochKey         = http.CanonicalHeaderKey(epochHeader)
+	traceKey         = http.CanonicalHeaderKey(telemetry.TraceHeader)
 	frameContentType = []string{batchContentType}
 )
 
 // epochValue is what the peer hop keeps per membership epoch: the epoch
-// header's value, the header of an untraced peer request, and every
-// member's parsed target.
+// header's value, the header of an untraced peer request, every member's
+// parsed target, and the strings a frame's decoder knows.
 type epochValue struct {
 	epoch   uint64
 	value   []string
 	request []string // name, value pairs
 	targets map[string]*proxy.HopTarget
+	known   []string // the entry reasons and every member's name: a frame's reason, member and voters
 }
 
 // currentEpoch returns the current epoch's values, built once per epoch
@@ -80,11 +83,13 @@ func (n *Node) currentEpoch() *epochValue {
 	}
 	value := []string{fmtEpoch(e)}
 	v := &epochValue{epoch: e, value: value, request: []string{"Content-Type", batchContentType, epochKey, value[0]},
-		targets: make(map[string]*proxy.HopTarget)}
+		targets: make(map[string]*proxy.HopTarget),
+		known:   []string{proxy.ReasonFill, proxy.ReasonReplica, proxy.ReasonHandoff, reasonVote, n.cfg.Self}}
 	for _, peer := range n.mship.Peers(nil) {
 		if to, err := proxy.ParseHopTarget(peer); err == nil {
 			v.targets[peer] = to
 		}
+		v.known = append(v.known, peer)
 	}
 	n.epochHdr.Store(v)
 	return v
@@ -189,8 +194,8 @@ func (n *Node) peerEnter(w http.ResponseWriter, r *http.Request, method string, 
 		http.Error(w, "overloaded, shed", http.StatusTooManyRequests)
 		return nil, false
 	}
-	n.noteEpoch(r.Header.Get(epochHeader))
-	return telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader)), true
+	n.noteEpoch(r.Header.Get(epochKey))
+	return telemetry.JoinTrace(r.Header.Get(traceKey)), true
 }
 
 // handleBatch serves POST /peer/v2/batch. Ingest pushes (Entries) are
@@ -204,7 +209,7 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if _, ok := readFrame(w, r, nil, maxBatchBytes, &req); !ok {
+	if _, ok := n.readFrame(w, r, nil, maxBatchBytes, &req); !ok {
 		return
 	}
 	var resp BatchResponse
@@ -245,7 +250,7 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 // storage (nil: a buffer of its own) and decodes it into req. A frame
 // must declare its length (411) within the bound (413), and one that does
 // not decode is a 400; on any of them readFrame answers and reports false.
-func readFrame(w http.ResponseWriter, r *http.Request, dst []byte, max int, req *BatchRequest) ([]byte, bool) {
+func (n *Node) readFrame(w http.ResponseWriter, r *http.Request, dst []byte, max int, req *BatchRequest) ([]byte, bool) {
 	if r.ContentLength < 0 {
 		http.Error(w, "frame needs a Content-Length", http.StatusLengthRequired)
 		return nil, false
@@ -256,7 +261,7 @@ func readFrame(w http.ResponseWriter, r *http.Request, dst []byte, max int, req 
 		return nil, false
 	}
 	if err == nil {
-		err = req.UnmarshalBinary(body)
+		err = req.decode(body, n.currentEpoch().known...)
 	}
 	if err != nil {
 		http.Error(w, "bad peer request: "+err.Error(), http.StatusBadRequest)
@@ -413,9 +418,9 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 		req.Into = *frame
 	}
 	enc := breq.encode()
+	defer enc.free()
 	req.Body = enc.wire()
 	a, err := n.peerHop.Exchange(ctx, to, &req)
-	enc.free()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
@@ -433,8 +438,9 @@ func (n *Node) doBatch(ctx context.Context, peer, path string, breq BatchRequest
 	if frame != nil {
 		*frame = a.Body
 	}
+	enc.known = append(enc.known, ev.known...) // with the arch and classes asked for
 	var br BatchResponse
-	if err := br.UnmarshalBinary(a.Body); err != nil {
+	if err := br.decode(a.Body, enc.known...); err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: bad response: %w", peer, err)
 	}
 	if tr != nil {
@@ -514,7 +520,7 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 	if err != nil {
 		return proxy.PeerResult{Err: err}
 	}
-	res := proxy.PeerResult{Err: fmt.Errorf("cluster: peer %s: no entry for %s", owner, l.Class)}
+	var res proxy.PeerResult
 	for _, be := range br.Errors {
 		if be.Class == l.Class {
 			res.Err = entryError(owner, be)
@@ -529,6 +535,9 @@ func (n *Node) fetchPeer(ctx context.Context, owner string, l proxy.Lookup) prox
 		} else {
 			res = proxy.PeerResult{Art: art, Stale: e.Stale}
 		}
+	}
+	if res.Art == nil && res.Err == nil {
+		res.Err = fmt.Errorf("cluster: peer %s: no entry for %s", owner, l.Class)
 	}
 	if len(br.Entries) == 1 && res.Art != nil {
 		res.Frame = frame

@@ -74,8 +74,9 @@ func TestPeerHopFreshConnectionTriedOnce(t *testing.T) {
 // pooled connection allocates, the node's client end and a HopServer peer
 // that answers a fixed empty frame together: the request's encoder and
 // staging buffer are pooled, the answer is read into the caller's
-// recycled frame, and no context is derived for the exchange. Under -race
-// it only logs, since sync.Pool then drops entries on purpose.
+// recycled frame, and no context is derived for the exchange: 5 measured,
+// bound at 6. Under -race it only logs, since sync.Pool then drops entries
+// on purpose.
 func TestUntracedBatchAllocations(t *testing.T) {
 	answer := (&BatchResponse{}).encode()
 	body := answer.bytes()
@@ -107,7 +108,7 @@ func TestUntracedBatchAllocations(t *testing.T) {
 	if info, _ := debug.ReadBuildInfo(); slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" }) {
 		return
 	}
-	if allocs > 7 {
-		t.Errorf("an untraced doBatch makes %.1f allocations, want <= %d", allocs, 7)
+	if allocs > 6 {
+		t.Errorf("an untraced doBatch makes %.1f allocations, want <= %d", allocs, 6)
 	}
 }

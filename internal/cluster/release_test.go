@@ -251,6 +251,66 @@ func TestPeerFillKeepsNoFrame(t *testing.T) {
 	t.Logf("%d-byte class: %d bytes per load at the owner, %d through the peer (%d more)", size, owner, viaPeer, int64(viaPeer)-int64(owner))
 }
 
+// TestPeerFillAllocations pins what one peer fill costs the process: an
+// attested 3-node fleet, a class resident at its owner, and a node that
+// owns no copy asking for it over loopback — the entry's flight, its peer
+// hop, the owner's HopServer and hit, the seal re-verified. It is the
+// untraced whole of what the benchmark's traced ledger splits into the
+// owner's hit and cluster.peer_hop_allocs: 26 allocations measured, bound
+// at 10 % more. Under -race it only logs.
+func TestPeerFillAllocations(t *testing.T) {
+	const maxAllocs = 29
+	lc, err := cluster.StartLocal(anyApplet{}, 3, verifyingProxyCfg, func(int) cluster.Config {
+		return cluster.Config{AttestKey: []byte("fill-allocs-key"), AttestQuorum: 2, Replication: 2,
+			HotThreshold: -1, GossipInterval: -1}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	ctx, class := context.Background(), "app/Applet001"
+	owners := lc.Nodes[0].Ring().Owners(cluster.KeyFor("dvm", class), 2)
+	var owner, entry *cluster.Node
+	for _, n := range lc.Nodes {
+		switch n.Self() {
+		case owners[0]:
+			owner = n
+		case owners[1]:
+		default:
+			entry = n
+		}
+	}
+	want, err := owner.Request(ctx, proxy.Lookup{Client: "c", Arch: "dvm", Class: class})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func() {
+		res, err := entry.Request(ctx, proxy.Lookup{Client: "c", Arch: "dvm", Class: class})
+		if err != nil || res.Info.Peer != owner.Self() || !bytes.Equal(res.Data, want.Data) {
+			t.Fatalf("fill: peer %q, %d bytes, err %v", res.Info.Peer, len(res.Data), err)
+		}
+		res.Release()
+	}
+	fill() // connections, pools, lazily built tables
+	fill()
+	const fills = 100
+	least := ^uint64(0)
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < fills; i++ {
+			fill()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/fills)
+	}
+	t.Logf("a peer fill of a resident class: %d allocations", least)
+	if least > maxAllocs && !poolsAreLossy() {
+		t.Errorf("a peer fill makes %d allocations, want <= %d", least, maxAllocs)
+	}
+}
+
 // TestPeerHopsAskForNoGzip: nodes on their own peer transports exchange
 // fills, votes, replica pushes, gossip and a handoff pull, and no peer
 // route ever sees an Accept-Encoding header; every frame still decodes, so

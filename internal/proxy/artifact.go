@@ -133,13 +133,16 @@ func (a *Artifact) AppendEntry(dst []byte, reason string, stale bool) []byte {
 // reads straight through and checks once, with Finish. Each reader names
 // its field for the error.
 type Cursor struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	known []string
 }
 
 // OpenFrame returns a cursor over b's body, past the magic and version.
-func OpenFrame(b []byte) Cursor {
-	d := Cursor{b: b}
+// A string field equal to one of known, strings the decoder holds, is
+// read as that string, not a copy.
+func OpenFrame(b []byte, known ...string) Cursor {
+	d := Cursor{b: b, known: known}
 	if string(d.take(len(FrameMagic), "magic")) != FrameMagic {
 		d.fail("wrong magic")
 	}
@@ -175,13 +178,21 @@ func (d *Cursor) byte1(what string) byte {
 	return 0
 }
 
-// The field readers: bytes remaining, a byte slice or string (aliasing
-// the frame), 32 raw bytes as a digest (copied), a 0-or-1 byte, a uvarint of
-// at most 2^31-1, a count of elements of at least least bytes each, and
-// a count and that many strings (none: nil).
+// The field readers: bytes remaining, a byte slice (aliasing the frame)
+// or string (one of known, or a copy), 32 raw bytes as a digest (copied),
+// a 0-or-1 byte, a uvarint of at most 2^31-1, a count of elements of at
+// least least bytes each, and a count and that many strings (none: nil).
 func (d *Cursor) Len() int                 { return len(d.b) }
 func (d *Cursor) Bytes(what string) []byte { return d.take(d.Uvarint(what), what) }
-func (d *Cursor) Str(what string) string   { return string(d.Bytes(what)) }
+func (d *Cursor) Str(what string) string {
+	b := d.Bytes(what)
+	for _, s := range d.known {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
+}
 
 func (d *Cursor) Digest(what string) (s attest.Sum) {
 	copy(s[:], d.take(len(s), what))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,13 +19,15 @@ import (
 )
 
 // flight is one in-progress miss that concurrent requests for the same
-// key share. The work runs on its own detached context (a worker
-// goroutine), so the client that happened to arrive first can
-// disconnect without failing everyone else on the flight: the work is
-// canceled only when the last waiter leaves.
+// key share. Its work runs on a worker goroutine under the flight itself,
+// a context detached from the clients': the client that happened to
+// arrive first can disconnect without failing everyone else on the
+// flight, and the work is canceled only when the last waiter leaves.
 type flight struct {
-	done   chan struct{}      // closed when the worker finishes
-	cancel context.CancelFunc // stops the worker; called on last leave
+	parent context.Context // the first request's: its values, not its end
+	done   chan struct{}   // closed (cancel) when the worker finishes, or on last leave
+	hookMu sync.Mutex
+	hooks  *cancelHook // what cancel runs
 
 	// waiters counts the requests awaiting this flight (guarded by
 	// Proxy.flightMu). When it reaches zero before done, nobody wants
@@ -75,12 +78,13 @@ var sources = [...]func(*Proxy, context.Context, *telemetry.Trace, *flight, Look
 	(*Proxy).fromPeer, (*Proxy).fromBase, (*Proxy).fromOrigin,
 }
 
-// runFlight is the miss path, run by one worker goroutine per flight on
-// a context detached from the clients: disk probe, admit, resolve, seal,
-// publish. The result is left in f for the waiters, who emit their own
-// per-request counters and audit records. ctx is canceled only when
-// every waiter has left (leaveFlight).
-func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, key string, l Lookup, stale *Artifact, budget time.Duration) {
+// runFlight is the miss path, run by one worker goroutine per flight
+// under the flight: disk probe, admit, resolve, seal, publish. The result
+// is left in f for the waiters, who emit their own per-request counters
+// and audit records. f is canceled only when every waiter has left
+// (leaveFlight), or once the work is over.
+func (p *Proxy) runFlight(f *flight, tr *telemetry.Trace, key string, l Lookup, stale *Artifact, budget time.Duration) {
+	var ctx context.Context = f
 	defer func() {
 		// Unpublish before waking the waiters so a new request finds
 		// either the cached entry or no flight at all; leaveFlight may
@@ -95,7 +99,6 @@ func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, k
 		f.holds.Store(int32(f.waiters) + 1)
 		p.flightMu.Unlock()
 		f.drop()
-		close(f.done)
 		f.cancel()
 	}()
 
@@ -143,6 +146,82 @@ func (p *Proxy) runFlight(ctx context.Context, tr *telemetry.Trace, f *flight, k
 		p.store.put(r.art)
 	}
 	f.art, f.buf = r.art, r.buf
+}
+
+// A flight is a context: no deadline, the first request's values but its
+// cancellation (a value that is a context, as context.WithoutCancel hides
+// it), ended by cancel, which runs its hooks. A hop under the flight hooks
+// its connection's cut (hopConn.cut), allocating nothing; a context
+// derived from it hooks through AfterFunc, or would watch it on a goroutine.
+type cancelHook struct {
+	fn   func()
+	next *cancelHook
+}
+
+func (f *flight) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (f *flight) Done() <-chan struct{}       { return f.done }
+
+func (f *flight) Err() error {
+	select {
+	case <-f.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+func (f *flight) Value(key any) any {
+	v := f.parent.Value(key)
+	if _, ctx := v.(context.Context); ctx {
+		return nil
+	}
+	return v
+}
+
+func (f *flight) AfterFunc(fn func()) (stop func() bool) {
+	h := &cancelHook{fn: fn}
+	if !f.hook(h) {
+		go fn() // as context.AfterFunc does: its caller may hold a lock fn takes
+	}
+	return func() bool { return f.unhook(h) }
+}
+
+// hook adds h to what cancel runs, unless f has ended (false); unhook
+// takes it off, unless cancel has taken it (false).
+func (f *flight) hook(h *cancelHook) bool {
+	f.hookMu.Lock()
+	defer f.hookMu.Unlock()
+	live := f.Err() == nil
+	if live {
+		h.next, f.hooks = f.hooks, h
+	}
+	return live
+}
+
+func (f *flight) unhook(h *cancelHook) bool {
+	f.hookMu.Lock()
+	defer f.hookMu.Unlock()
+	for p := &f.hooks; *p != nil; p = &(*p).next {
+		if *p == h {
+			*p = h.next
+			return true
+		}
+	}
+	return false
+}
+
+// cancel ends f, once, and runs its hooks. A hook that ran is never
+// hooked again (its hop drops the connection), so its next stays put.
+func (f *flight) cancel() {
+	f.hookMu.Lock()
+	hooks := f.hooks
+	if f.hooks = nil; f.Err() == nil {
+		close(f.done)
+	}
+	f.hookMu.Unlock()
+	for ; hooks != nil; hooks = hooks.next {
+		hooks.fn()
+	}
 }
 
 // drop gives back one hold on a finished flight's result; the last one

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -189,7 +190,7 @@ func (t *HopTransport) dial(ctx context.Context, addr string, deadline time.Time
 		return nil, err
 	}
 	return &hopConn{t: t, addr: addr, gen: t.gen.Load(), conn: conn, br: bufio.NewReader(conn),
-		interrupt: func() { _ = conn.SetDeadline(time.Unix(1, 0)) }}, nil
+		cut: cancelHook{fn: func() { _ = conn.SetDeadline(time.Unix(1, 0)) }}}, nil
 }
 
 // stageRequest writes req — request line, headers, body — into a recycled
@@ -215,7 +216,8 @@ func stageRequest(to *HopTarget, req *HopRequest) (*[]byte, error) {
 		n += len(run)
 	}
 	bp := GetBuffer()
-	b := append(append(append((*bp)[:0], req.Method...), ' '), to.prefix...)
+	b := slices.Grow((*bp)[:0], 512+n) // a recycled buffer may be empty: one growth, not one per field
+	b = append(append(append(b, req.Method...), ' '), to.prefix...)
 	b = append(append(b, req.Path...), " HTTP/1.1\r\nHost: "...)
 	b = append(append(b, to.host...), "\r\n"...)
 	for i := 0; i < len(req.Header); i += 2 {
@@ -381,14 +383,14 @@ func (t *HopTransport) put(c *hopConn) {
 
 // hopConn is one connection.
 type hopConn struct {
-	t         *HopTransport
-	addr      string
-	gen       uint64 // the transport's when dialed
-	conn      net.Conn
-	br        *bufio.Reader
-	head      []byte // the last answer's head, its storage reused
-	interrupt func() // poisons the socket's deadline: the context ended
-	idleAt    time.Time
+	t      *HopTransport
+	addr   string
+	gen    uint64 // the transport's when dialed
+	conn   net.Conn
+	br     *bufio.Reader
+	head   []byte     // the last answer's head, its storage reused
+	cut    cancelHook // poisons the socket's deadline: the context ended
+	idleAt time.Time
 }
 
 // exchange writes the staged request and reads the answer as net/http
@@ -402,13 +404,17 @@ func (c *hopConn) exchange(ctx context.Context, req *HopRequest, staged []byte, 
 		c.conn.Close()
 		return a, true, hopErr(ctx, err, deadline)
 	}
+	// Set after the deadline, which the cut overrides; a flight runs it itself.
 	var stop func() bool
-	if ctx.Done() != nil { // set after the deadline, which it overrides
-		stop = context.AfterFunc(ctx, c.interrupt)
+	f, _ := ctx.(*flight)
+	if f != nil && !f.hook(&c.cut) {
+		c.cut.fn()
+	} else if f == nil && ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, c.cut.fn)
 	}
 	defer func() {
-		if stop != nil && !stop() {
-			keep = false // the watch ran: the deadline is poisoned
+		if f != nil && !f.unhook(&c.cut) || stop != nil && !stop() {
+			keep = false // the cut ran: the deadline is poisoned
 		}
 		if err != nil {
 			err, keep = hopErr(ctx, err, deadline), false

@@ -40,11 +40,13 @@ import (
 const classPathPrefix = "/classes/"
 
 // The DVM request headers in canonical form, the form a header map must
-// hold them in for Header.Get to find them.
+// hold them in for Header.Get to find them; Get copies a key that is not.
 const (
 	clientHeaderKey = "X-Dvm-Client"
 	archHeaderKey   = "X-Dvm-Arch"
 )
+
+var traceHeaderKey = http.CanonicalHeaderKey(telemetry.TraceHeader)
 
 // classContentType is every class response's Content-Type value, shared
 // read-only by the responses (the server copies a header when it writes it).
@@ -121,7 +123,7 @@ func (p *Proxy) ClassHandler() http.Handler {
 		// Continue the caller's trace, if it sent one, so the response can
 		// carry this hop's per-stage spans back to the requester. An
 		// untraced request gets neither trace header.
-		tr := telemetry.JoinTrace(r.Header.Get(telemetry.TraceHeader))
+		tr := telemetry.JoinTrace(r.Header.Get(traceHeaderKey))
 		res, err := p.Request(telemetry.WithTrace(r.Context(), tr), Lookup{Client: client, Arch: arch, Class: name})
 		if tr != nil {
 			w.Header().Set(telemetry.TraceHeader, tr.ID())

@@ -584,12 +584,11 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 		p.flightMu.Unlock()
 		return p.awaitFlight(ctx, tr, key, f, l.Arch, false)
 	}
-	// First request for this key: start the flight on a context detached
+	// First request for this key: start the flight, a context detached
 	// from this client. The client's disconnect must not fail the other
 	// clients that coalesce onto the flight; the work is canceled only
 	// when the last waiter leaves (leaveFlight).
-	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1}
+	f := &flight{parent: ctx, done: make(chan struct{}), waiters: 1}
 	p.flights[key] = f
 	p.flightMu.Unlock()
 
@@ -600,7 +599,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 	if dl, ok := ctx.Deadline(); ok {
 		budget = time.Until(dl)
 	}
-	go p.runFlight(fctx, tr, f, key, l, stale, budget)
+	go p.runFlight(f, tr, key, l, stale, budget)
 	return p.awaitFlight(ctx, tr, key, f, l.Arch, true)
 }
 

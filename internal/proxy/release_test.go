@@ -144,7 +144,7 @@ func TestLeaveAfterFinishGivesBackTheHold(t *testing.T) {
 	b := GetBuffer()
 	*b = append((*b)[:0], "output"...)
 	data := *b
-	f := &flight{done: make(chan struct{}), cancel: func() {}, waiters: 2, finished: true, buf: b}
+	f := &flight{done: make(chan struct{}), waiters: 2, finished: true, buf: b}
 	f.holds.Store(2)
 	p.leaveFlight("k", f)
 	if string(data) != "output" {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,11 +150,12 @@ type serverConn struct {
 	hdr, rh http.Header // the request's and the answer's
 	vals    []string    // backing of hdr's values
 	out     []byte      // the answer's head
+	x       exchange    // reset for each request
 
 	// The watch runs only while the handler runs and its request's body has
 	// been read, so that nothing else reads the socket.
 	mu       sync.Mutex    // guards the rest, and the state of each reqCtx of the connection
-	ex       *exchange     // the request being handled
+	ex       *exchange     // x, while its handler runs
 	watched  bool          // ex's context was asked for Done
 	bodyDone bool          // ex's body was read to its end, or is empty
 	watch    chan struct{} // closed when the running watch returns
@@ -176,7 +178,8 @@ func (c *serverConn) serve() {
 			return
 		}
 		c.deadline(s.ReadHeaderTimeout)
-		e := &exchange{c: c}
+		e := &c.x
+		*e = exchange{c: c}
 		status, err := c.readRequest(e)
 		c.deadline(0)
 		if status != 0 {
@@ -254,7 +257,7 @@ func (c *serverConn) startWatch() {
 	if !c.watched || c.ex == nil || !c.bodyDone || c.hasByte || c.watch != nil {
 		return
 	}
-	done, x := make(chan struct{}), &c.ex.ctx
+	done, x := make(chan struct{}), c.ex.ctx
 	c.watch = done
 	go func() {
 		n, err := c.conn.Read(c.b[:])
@@ -373,8 +376,8 @@ func (c *serverConn) parse(e *exchange, head string) int {
 		return http.StatusExpectationFailed
 	}
 	e.body.cont = expect != "" && minor == 1 && r.Body != http.NoBody
-	e.ctx.c = c
-	*r = *r.WithContext(&e.ctx)
+	e.ctx = &reqCtx{c: c}
+	*r = *r.WithContext(e.ctx)
 	return 0
 }
 
@@ -382,12 +385,13 @@ func (c *serverConn) parse(e *exchange, head string) int {
 // path, setting no RawPath.
 const pathPunct = "-._~$&+,/:;=@"
 
-// exchange is one request and its answer, in one allocation; it is the
-// handler's http.ResponseWriter.
+// exchange is one request and its answer, the handler's
+// http.ResponseWriter. A connection resets one for each request but for
+// the context, which a handler or a flight may keep: it stays ended.
 type exchange struct {
 	req      http.Request
 	url      url.URL
-	ctx      reqCtx
+	ctx      *reqCtx
 	body     reqBody
 	c        *serverConn
 	status   int
@@ -421,7 +425,7 @@ func (e *exchange) Write(p []byte) (int, error) {
 	if !bodyAllowed(e.status) {
 		return 0, http.ErrBodyNotAllowed
 	}
-	b := e.staged()
+	b := e.staged(max(len(p), int(e.declared)))
 	if e.declared >= 0 && int64(len(*b)-hopHeadroom+len(p)) > e.declared {
 		return 0, http.ErrContentLength
 	}
@@ -429,11 +433,12 @@ func (e *exchange) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// staged returns the staging buffer, taken from the pool the first time.
-func (e *exchange) staged() *[]byte {
+// staged returns the staging buffer, taken from the pool the first time
+// with room for a body of n bytes: a recycled buffer may be empty.
+func (e *exchange) staged(n int) *[]byte {
 	if e.bp == nil {
 		e.bp = GetBuffer()
-		*e.bp = append((*e.bp)[:0], make([]byte, hopHeadroom)...)
+		*e.bp = slices.Grow((*e.bp)[:0], hopHeadroom+n)[:hopHeadroom]
 	}
 	return e.bp
 }
@@ -446,7 +451,7 @@ func (e *exchange) staged() *[]byte {
 func (e *exchange) finish() bool {
 	e.WriteHeader(http.StatusOK)
 	c, r, h := e.c, &e.req, e.c.rh
-	buf := *e.staged()
+	buf := *e.staged(0)
 	body := buf[hopHeadroom:]
 	keep := !r.Close && h.Get("Connection") != "close" && !c.s.shut.Load() && e.drain()
 	noBody := r.Method == http.MethodHead || !bodyAllowed(e.status)
@@ -594,7 +599,7 @@ func (x *reqCtx) Done() <-chan struct{} {
 			close(x.done)
 		}
 	}
-	if c := x.c; c.ex != nil && &c.ex.ctx == x && !c.watched {
+	if c := x.c; c.ex != nil && c.ex.ctx == x && !c.watched {
 		c.watched = true
 		c.startWatch()
 	}

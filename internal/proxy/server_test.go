@@ -370,6 +370,94 @@ func TestHopServerServesPipelinedRequest(t *testing.T) {
 	}
 }
 
+// TestHopServerReusedExchangeIsolation: a connection resets one exchange
+// for each request, but what a handler kept of its own outlives the next
+// request. Two requests pipelined on one connection each keep their
+// context, its Done channel, path and a header value. While the second
+// runs, and once it is answered, the first's context reads as canceled
+// with Done closed, its strings are as they were, and the second answer
+// carries none of the first's headers. A handler that panics closes its
+// connection with nothing sent, and leaves the next request, on a new
+// connection, none of its header or body.
+func TestHopServerReusedExchangeIsolation(t *testing.T) {
+	type kept struct {
+		ctx        context.Context
+		done       <-chan struct{}
+		path, name string
+		prevErr    error // the previous request's context's, while this one ran
+	}
+	held := make(chan kept, 3)
+	var mu sync.Mutex
+	var prev context.Context = context.Background()
+	s := &HopServer{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		k := kept{r.Context(), r.Context().Done(), r.URL.Path, r.Header.Get("X-Name"), prev.Err()}
+		prev = r.Context()
+		mu.Unlock()
+		held <- k
+		switch r.URL.Path {
+		case "/panic":
+			w.Header().Set("X-Stale", "1")
+			io.WriteString(w, "partial")
+			panic(http.ErrAbortHandler)
+		case "/first":
+			w.Header().Set("X-Stale", "1")
+		}
+		io.WriteString(w, r.URL.Path)
+	})}
+	url := serveHop(t, s)
+	conn := rawConn(t, url)
+	io.WriteString(conn, "GET /first HTTP/1.1\r\nHost: h\r\nX-Name: one\r\n\r\n"+
+		"GET /second?q=2 HTTP/1.1\r\nHost: h\r\nX-Name: two\r\nX-Other: o\r\n\r\n")
+	br := bufio.NewReader(conn)
+	for _, want := range []string{"/first", "/second"} {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		if string(body) != want || want == "/second" && resp.Header.Get("X-Stale") != "" {
+			t.Errorf("answer %q with X-Stale %q, want %q", body, resp.Header.Get("X-Stale"), want)
+		}
+	}
+	for _, want := range []kept{{path: "/first", name: "one"}, {path: "/second", name: "two"}} {
+		got := <-held
+		if got.path != want.path || got.name != want.name {
+			t.Errorf("kept path %q and X-Name %q, want %q and %q", got.path, got.name, want.path, want.name)
+		}
+		select {
+		case <-got.done:
+		default:
+			t.Errorf("%s: the kept Done channel is open after its answer", want.path)
+		}
+		if err := got.ctx.Err(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: the kept context's Err = %v after its answer, want context.Canceled", want.path, err)
+		}
+		if want.path == "/second" && !errors.Is(got.prevErr, context.Canceled) {
+			t.Errorf("while /second ran, /first's context had Err %v, want context.Canceled", got.prevErr)
+		}
+	}
+
+	conn = rawConn(t, url)
+	io.WriteString(conn, "GET /panic HTTP/1.1\r\nHost: h\r\n\r\nGET /after HTTP/1.1\r\nHost: h\r\n\r\n")
+	closedWithin(t, conn, conn, 0)
+	if got := <-held; got.ctx.Err() == nil {
+		t.Error("the panicking handler's context is live after its connection closed")
+	}
+	resp, err := http.Get(url + "/after")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != "/after" || resp.Header.Get("X-Stale") != "" {
+		t.Errorf("after a panic: status %d, body %q, X-Stale %q; want 200, %q and none", resp.StatusCode, body, resp.Header.Get("X-Stale"), "/after")
+	}
+	if got := <-held; !errors.Is(got.prevErr, context.Canceled) {
+		t.Errorf("while /after ran, the panicked request's context had Err %v, want context.Canceled", got.prevErr)
+	}
+}
+
 // closedWithin reads conn, which must be closed with nothing sent, no
 // sooner than least and within five seconds.
 func closedWithin(t *testing.T, r io.Reader, conn net.Conn, least time.Duration) {
