@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dvmproxy -origin ./classes [-addr :8642] [-policy policy.xml]
-//	         [-no-cache | -disk-cache dir -cache-ttl 0] [-no-compile | -aot-base-arch jvm]
+//	         [-no-cache | -disk-cache dir -cache-ttl 0] [-no-compile]
 //	         [-audit-log proxy-audit.log] [-stats-interval 1m]
 //	         [-fetch-timeout 10s] [-retries 2] [-breaker-threshold 5]
 //	         [-max-queue 256 -queue-deadline 100ms]
@@ -135,7 +135,6 @@ func compose(args []string, stderr io.Writer) (*service, error) {
 	fl.BoolVar(&noCache, "no-cache", false, "disable the proxy result cache")
 	fl.DurationVar(&pc.CacheTTL, "cache-ttl", 0, "cache entry freshness window; expired entries are revalidated, and served stale when the origin is down (0 = never expire)")
 	fl.BoolVar(&noCompile, "no-compile", false, "disable the AOT compilation filter")
-	fl.StringVar(&pc.AOTBaseArch, "aot-base-arch", "", "enable the shared AOT code cache: misses for the compiled arch derive from this base architecture's cached artifact (e.g. jvm; empty = off); standalone or cluster")
 
 	fl.DurationVar(&pc.Origin.Timeout, "fetch-timeout", 10*time.Second, "per-attempt origin fetch deadline (0 = none)")
 	fl.IntVar(&pc.Origin.Retries, "retries", 2, "origin fetch retries after the first failed attempt")
@@ -167,8 +166,6 @@ func compose(args []string, stderr io.Writer) (*service, error) {
 		return refuse("-disk-cache needs the cache that -no-cache turns off")
 	case noCache && pc.CacheTTL != 0:
 		return refuse("-cache-ttl needs the cache that -no-cache turns off")
-	case noCompile && pc.AOTBaseArch != "":
-		return refuse("-aot-base-arch derives with the compile step that -no-compile removes")
 	}
 
 	var pol *security.Policy
@@ -206,10 +203,6 @@ func main() {
 			fmt.Fprintf(f, "client=%s arch=%s class=%s bytes=%d cached=%v coalesced=%v rejected=%v stale=%v peer=%q peerErr=%q fetchErr=%q dur=%s\n",
 				r.Client, r.Arch, r.Class, r.Bytes, r.CacheHit, r.Coalesced, r.Rejected, r.Stale, r.Peer, r.PeerError, r.FetchError, r.Duration)
 		}
-	}
-	if s.proxy.AOTBaseArch != "" {
-		log.Printf("dvmproxy: AOT code cache on: misses for the compiled arch derive from cached %q artifacts (one compilation per key)",
-			s.proxy.AOTBaseArch)
 	}
 
 	origin := dirOrigin{root: s.originDir}

@@ -74,7 +74,7 @@ func TestRootFlags(t *testing.T) {
 	}
 	want := []string{
 		"addr", "origin", "policy", "disk-cache", "audit-log", "self", "peers", "attest-key",
-		"no-cache", "cache-ttl", "no-compile", "aot-base-arch",
+		"no-cache", "cache-ttl", "no-compile",
 		"fetch-timeout", "retries", "breaker-threshold",
 		"replication", "hot-threshold", "attest-quorum",
 		"max-queue", "queue-deadline",
@@ -84,6 +84,12 @@ func TestRootFlags(t *testing.T) {
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flags:\n got  %v\n want %v", got, want)
 	}
+	// A removed flag is an undefined one: compose fails, so main exits 2.
+	var stderr bytes.Buffer
+	if _, err := compose([]string{"-origin", "o", "-aot-base-arch", "jvm"}, &stderr); err == nil ||
+		!strings.Contains(stderr.String(), "flag provided but not defined: -aot-base-arch") {
+		t.Errorf("-aot-base-arch: err = %v, stderr %q; want it refused as undefined", err, stderr.String())
+	}
 }
 
 // TestRootRefusesIgnoredSettings: a flag the root would silently ignore
@@ -92,7 +98,6 @@ func TestRootRefusesIgnoredSettings(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-cache", "-disk-cache", "d"},
 		{"-no-cache", "-cache-ttl", "1m"},
-		{"-no-compile", "-aot-base-arch", "jvm"},
 		{"-peers", "http://a:1"},
 	} {
 		var stderr bytes.Buffer

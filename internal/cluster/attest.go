@@ -58,16 +58,15 @@ import (
 
 const reasonVote = "vote" // a vote request frame's reason
 
-// Proposal is a vote request's own part. Payload is what the variant
-// derives from under Mode: origin bytes in transform mode, an already
-// transformed base-architecture artifact in compile mode, which is how
-// the shared AOT code cache keeps the N-variant trust property without
-// shipping origin bytes a second time. An offer to keep adds Commit,
+// Proposal is a vote request's own part. Payload is the origin bytes the
+// variant derives from. Mode is the seal-mode string the frame still
+// carries: every owner writes it empty, and a voter refuses a vote whose
+// mode is set (an older owner's compile-mode round). An offer to keep adds Commit,
 // SHA-256 of the owner's hex digest, the Voters the owner will seal
 // under, and Seal, the owner's service MAC over both
 // (attest.Authority.SealProposal); without an offer all three are empty.
 type Proposal struct {
-	Mode    proxy.SealMode
+	Mode    string
 	Payload []byte
 	Commit  []byte
 	Voters  []string
@@ -88,20 +87,20 @@ const maxAttestExtraRounds = 2
 // Seal implements proxy.Fleet: the quorum protocol for one artifact this
 // node just produced (attest), then copies for the key's other owners
 // that did not keep their own (replicate, handoff.go).
-func (n *Node) Seal(ctx context.Context, art *proxy.Artifact, payload []byte, mode proxy.SealMode) (*attest.Attestation, error) {
-	att, kept, err := n.attest(ctx, art, payload, mode)
+func (n *Node) Seal(ctx context.Context, art *proxy.Artifact, payload []byte) (*attest.Attestation, error) {
+	att, kept, err := n.attest(ctx, art, payload)
 	if err == nil {
 		n.replicate(art, att, kept)
 	}
 	return att, err
 }
 
-// attest dispatches payload to ring successors under mode, tallies their
+// attest dispatches payload to ring successors, tallies their
 // digests against the local bytes, escalates ties and seals on
 // agreement; it also names the voters that kept their own copy under that
 // seal. Runs on the flight goroutine under the admission slot, so the
 // variants' round-trips are part of the key's one-time service cost.
-func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, mode proxy.SealMode) (*attest.Attestation, []string, error) {
+func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte) (*attest.Attestation, []string, error) {
 	if n.authority == nil {
 		return nil, nil, nil
 	}
@@ -113,7 +112,7 @@ func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, 
 	if want <= 1 {
 		return n.authority.AttestDigest(arch, class, local, 1, []string{n.cfg.Self}), nil, nil
 	}
-	offer := Proposal{Mode: mode, Payload: payload}
+	offer := Proposal{Payload: payload}
 	if want == 2 && n.cfg.Replication > 1 {
 		// One agreeing vote decides the round, so the seal is known before
 		// the vote: offer the voter to keep its output under it. The
@@ -136,7 +135,7 @@ func (n *Node) attest(ctx context.Context, art *proxy.Artifact, payload []byte, 
 	// the candidate pool (or the round budget) is exhausted.
 	for extra := 0; !agreed && extra < maxAttestExtraRounds && len(rest) > 0; extra++ {
 		var more []attest.Vote
-		more, _, rest = n.collectVotes(ctx, arch, class, Proposal{Mode: mode, Payload: payload}, rest, 1)
+		more, _, rest = n.collectVotes(ctx, arch, class, Proposal{Payload: payload}, rest, 1)
 		if len(more) == 0 {
 			break
 		}
@@ -213,7 +212,7 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, prop Propos
 			go func(peer string, prop Proposal) {
 				if prop.Commit != nil {
 					prop.Voters = []string{n.cfg.Self, peer}
-					prop.Seal = n.authority.SealProposal(arch, class, string(prop.Mode), prop.Commit, prop.Voters)
+					prop.Seal = n.authority.SealProposal(arch, class, prop.Mode, prop.Commit, prop.Voters)
 				}
 				span := telemetry.FromContext(ctx).StartSpan(n.cfg.Self, "attest.variant")
 				br, err := n.hop(ctx, peer, VotePath, BatchRequest{Reason: reasonVote, Member: n.cfg.Self, Arch: arch, Classes: []string{class}, Vote: prop}, nil)
@@ -241,7 +240,7 @@ func (n *Node) collectVotes(ctx context.Context, arch, class string, prop Propos
 }
 
 // handleVote answers POST /peer/v2/vote: run the posted payload through
-// this node's own pipeline (or compiler) and answer with the digest of
+// this node's own pipeline and answer with the digest of
 // the output — an independent opinion — keeping the output as the key's
 // replica only where keeps allows it. The frame and the output live in
 // recycled buffers; only a kept copy outlives the request. Admission
@@ -268,12 +267,15 @@ func (n *Node) handleVote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	arch, class, prop := req.Arch, req.Classes[0], &req.Vote
-	stage := "attest.transform"
-	if prop.Mode == proxy.SealCompile {
-		stage = "attest.compile"
+	if prop.Mode != "" {
+		// An older owner's compile-mode round: refused before anything is
+		// derived or kept, like any vote this node cannot derive.
+		writeFrame(w, tr, (&BatchResponse{Errors: []BatchError{{Arch: arch, Class: class, Status: http.StatusUnprocessableEntity,
+			Error: fmt.Sprintf("cluster: not configured to derive %q in mode %q", arch, prop.Mode)}}}).encode())
+		return
 	}
-	span := tr.StartSpan(n.cfg.Self, stage)
-	out, rejected, err := n.local.Derive(telemetry.WithTrace(r.Context(), tr), (*buf)[:0], arch, class, prop.Payload, prop.Mode)
+	span := tr.StartSpan(n.cfg.Self, "attest.transform")
+	out, rejected, err := n.local.Derive(telemetry.WithTrace(r.Context(), tr), (*buf)[:0], arch, class, prop.Payload)
 	span.End()
 	var resp BatchResponse
 	if err != nil {
@@ -315,7 +317,7 @@ func (n *Node) keeps(req *BatchRequest, digest attest.Sum, size int) bool {
 	commit := commitment(digest)
 	return bytes.Equal(prop.Commit, commit[:]) &&
 		slices.Contains(n.currentRing().Owners(KeyFor(req.Arch, req.Classes[0]), n.cfg.Replication), n.cfg.Self) &&
-		n.authority.VerifyProposal(req.Arch, req.Classes[0], string(prop.Mode), prop.Commit, prop.Voters, prop.Seal)
+		n.authority.VerifyProposal(req.Arch, req.Classes[0], prop.Mode, prop.Commit, prop.Voters, prop.Seal)
 }
 
 // commitment is a proposal's commitment to digest: SHA-256 of its 64-digit

@@ -90,6 +90,9 @@ func (f *frameEnc) bytes() []byte {
 	return append(b, f.meta[f.from:]...)
 }
 
+// OldCompileMode is oldCompileMode for the external tests.
+const OldCompileMode = oldCompileMode
+
 // Metrics exposes a node's metric declaration to the external tests.
 func (n *Node) Metrics() *nodeMetrics { return &n.m }
 

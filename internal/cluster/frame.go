@@ -130,7 +130,7 @@ func (r *BatchRequest) encode() *frameEnc {
 	f.flag(r.NoPrefetch)
 	f.entries(r.Entries)
 	if v := &r.Vote; r.Reason == reasonVote {
-		f.str(string(v.Mode))
+		f.str(v.Mode)
 		f.blob(v.Commit)
 		f.strs(v.Voters)
 		f.blob(v.Seal)
@@ -189,7 +189,7 @@ func (r *BatchRequest) decode(b []byte, known ...string) error {
 		Entries:    decodeEntries(&d),
 	}
 	if r.Reason == reasonVote {
-		r.Vote = Proposal{Mode: proxy.SealMode(d.Str("seal mode")), Commit: d.Bytes("commitment"),
+		r.Vote = Proposal{Mode: d.Str("seal mode"), Commit: d.Bytes("commitment"),
 			Voters: d.Strs("proposed voters"), Seal: d.Bytes("proposal seal"), Payload: d.Bytes("vote payload")}
 	}
 	return d.Finish()

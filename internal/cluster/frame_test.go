@@ -74,8 +74,8 @@ func seedFrames(tb testing.TB) (requests, responses []*frameEnc) {
 	refused := BatchResponse{Errors: []BatchError{{Arch: "dvm", Class: names[0], Status: 400, Error: "failed attestation"}}}
 	commit := sha256.Sum256([]byte(attest.Digest(classes[names[0]]).String()))
 	vote := BatchRequest{Reason: reasonVote, Member: "http://a:1", Arch: "dvm", Classes: names[:1],
-		Vote: Proposal{Mode: proxy.SealCompile, Payload: classes[names[0]], Commit: commit[:], Voters: []string{"http://a:1", "http://b:1"},
-			Seal: attest.New(attest.Config{Key: []byte("frame-seed-key")}).SealProposal("dvm", names[0], string(proxy.SealCompile), commit[:], []string{"http://a:1", "http://b:1"})}}
+		Vote: Proposal{Mode: oldCompileMode, Payload: classes[names[0]], Commit: commit[:], Voters: []string{"http://a:1", "http://b:1"},
+			Seal: attest.New(attest.Config{Key: []byte("frame-seed-key")}).SealProposal("dvm", names[0], oldCompileMode, commit[:], []string{"http://a:1", "http://b:1"})}}
 	tieBreak := BatchRequest{Reason: reasonVote, Member: "http://a:1", Arch: "dvm", Classes: names[1:2],
 		Vote: Proposal{Payload: classes[names[1]]}}
 	ballot := BatchResponse{Vote: &Ballot{Digest: attest.Digest(classes[names[0]]), Kept: true}}
@@ -134,7 +134,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := vote.UnmarshalBinary(requests[4].bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if p := vote.Vote; !service.VerifyProposal(vote.Arch, vote.Classes[0], string(p.Mode), p.Commit, p.Voters, p.Seal) {
+	if p := vote.Vote; !service.VerifyProposal(vote.Arch, vote.Classes[0], p.Mode, p.Commit, p.Voters, p.Seal) {
 		t.Error("the vote's proposal MAC does not verify after the trip")
 	}
 }

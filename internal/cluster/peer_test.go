@@ -110,6 +110,11 @@ func serveFrame(w http.ResponseWriter, br BatchResponse) {
 // the successor predictor's removal piggybacked classes onto a fill.
 const oldPrefetchReason = "prefetch"
 
+// oldCompileMode is the seal mode under which an owner from before the
+// compile round's removal sent a vote on a compiled artifact derived from
+// its base artifact; a voter of this version refuses it.
+const oldCompileMode = "compile"
+
 // TestFillTakesOnlyTheFillFromAnOldOwner is the rolling-upgrade check.
 // An owner from before the predictor's removal appends predicted
 // successors to a fill answer unless the request declines them. Every

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -21,7 +22,6 @@ import (
 
 	"dvm/internal/attest"
 	"dvm/internal/cluster"
-	"dvm/internal/compiler"
 	"dvm/internal/netsim"
 	"dvm/internal/proxy"
 	"dvm/internal/rewrite"
@@ -255,53 +255,87 @@ func TestReplicaPushUnderBreakerAndClose(t *testing.T) {
 	})
 }
 
-// TestUnderivableVoteIsNoLinkFailure: a variant that cannot derive — a
-// compile-mode vote sent to a node without AOTBaseArch — answers with a
-// per-item refusal. However many such votes it refuses, the owner's link
-// breaker to it stays closed and its membership stays alive; the owner
-// seals without it, at quorum 1, counted as degraded.
+// oldOwnerDial is a peer dialer that sends each vote request as an owner
+// from before the compile round was removed sent a compile-mode one: the
+// same frame, its seal mode cluster.OldCompileMode.
+func oldOwnerDial(t *testing.T) *hookDial {
+	return &hookDial{write: func(c *hookConn, p []byte) (int, error) {
+		if !isRequest(p, http.MethodPost, cluster.VotePath) {
+			return c.Conn.Write(p)
+		}
+		var req cluster.BatchRequest
+		head, body, _ := bytes.Cut(p, []byte("\r\n\r\n"))
+		if err := req.UnmarshalBinary(body); err != nil {
+			t.Errorf("the owner's vote frame: %v", err)
+			return c.Conn.Write(p)
+		}
+		req.Vote.Mode = cluster.OldCompileMode
+		frame, _ := req.MarshalBinary()
+		head = regexp.MustCompile(`Content-Length: [0-9]+`).ReplaceAll(head, []byte(fmt.Sprintf("Content-Length: %d", len(frame))))
+		if _, err := c.Conn.Write(slices.Concat(head, []byte("\r\n\r\n"), frame)); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}}
+}
+
+// TestUnderivableVoteIsNoLinkFailure: a rolling upgrade. An older owner
+// still sends compile-mode votes; a voter of this version refuses each
+// with a per-item 422 before it derives or keeps anything. However many
+// it refuses, the owner's link breaker to it stays closed and its
+// membership stays alive; the owner seals without it, at quorum 1,
+// counted as degraded.
 func TestUnderivableVoteIsNoLinkFailure(t *testing.T) {
 	const votes, threshold = 4, 2
-	lc, err := cluster.StartLocal(anyApplet{}, 2, func(i int) proxy.Config {
-		cfg := proxy.Config{Pipeline: rewrite.NewPipeline(verifier.Filter(), compiler.Filter()), CacheEnabled: true}
-		if i == 0 {
-			cfg.AOTBaseArch = "jvm"
-		}
-		return cfg
-	}, func(int) cluster.Config {
-		return cluster.WithLink(cluster.Config{
+	lc, err := cluster.StartLocal(anyApplet{}, 2, verifyingProxyCfg, func(i int) cluster.Config {
+		cfg := cluster.WithLink(cluster.Config{
 			AttestKey: []byte("underivable-key"), AttestQuorum: 2, Replication: 1,
 			GossipInterval: -1, HotThreshold: -1,
 		}, threshold, time.Minute)
+		if i == 0 {
+			cfg.Dial = oldOwnerDial(t).Dial
+		}
+		return cfg
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lc.Close()
 	owner, peer := lc.Nodes[0], lc.Nodes[1]
-	ctx := context.Background()
-	classes := make([]string, votes)
-	for i := range classes {
-		classes[i] = drawClass(t, fmt.Sprintf("Aot%d_", i), func(class string) bool {
-			return owner.Ring().Owner(cluster.KeyFor("jvm", class)) == owner.Self() &&
-				owner.Ring().Owner(cluster.KeyFor(compiler.ArchDVM, class)) == owner.Self()
-		})
+
+	// One such vote by hand: a per-item 422 and no ballot.
+	body, _ := (&cluster.BatchRequest{Reason: "vote", Member: owner.Self(), Arch: "dvm", Classes: []string{"app/Old"},
+		Vote: cluster.Proposal{Mode: cluster.OldCompileMode, Payload: []byte("an older owner's base artifact")}}).MarshalBinary()
+	resp, err := http.Post(peer.Self()+cluster.VotePath, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The base artifacts first (transform votes the peer answers), then
-	// the compiled ones back to back: refused votes in a row, well past
-	// the breaker's threshold.
-	for _, arch := range []string{"jvm", compiler.ArchDVM} {
-		for _, class := range classes {
-			if _, err := owner.Request(ctx, proxy.Lookup{Client: "c", Arch: arch, Class: class}); err != nil {
-				t.Fatalf("%s/%s: %v", arch, class, err)
-			}
+	answer, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var br cluster.BatchResponse
+	if err := br.UnmarshalBinary(answer); err != nil || resp.StatusCode != http.StatusOK || br.Vote != nil ||
+		len(br.Errors) != 1 || br.Errors[0].Status != http.StatusUnprocessableEntity {
+		t.Fatalf("compile-mode vote: status %d, %v, ballot %v, errors %+v; want one per-item 422 and no ballot",
+			resp.StatusCode, err, br.Vote, br.Errors)
+	}
+
+	// Then the owner's own rounds, back to back: refused votes in a row,
+	// well past the breaker's threshold.
+	for i := 0; i < votes; i++ {
+		class := drawClass(t, fmt.Sprintf("Old%d_", i), func(class string) bool {
+			return owner.Ring().Owner(cluster.KeyFor("dvm", class)) == owner.Self()
+		})
+		if _, err := owner.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: class}); err != nil {
+			t.Fatalf("%s: %v", class, err)
 		}
 	}
-	if got := owner.Proxy().Stats().CompileMisses; got != votes {
-		t.Fatalf("compile_misses = %d, want %d: the derive path did not run", got, votes)
-	}
 	if got := owner.Health().Counters["attest_degraded_total"]; got != votes {
-		t.Errorf("attest_degraded_total = %d, want %d (each compile vote refused)", got, votes)
+		t.Errorf("attest_degraded_total = %d, want %d (each compile-mode vote refused)", got, votes)
+	}
+	for _, name := range []string{"attest_variants_total", "replica_stored_total"} {
+		if got := peer.Health().Counters[name]; got != 0 {
+			t.Errorf("the voter's %s = %d, want 0: it derived or kept a refused vote", name, got)
+		}
 	}
 	for _, v := range owner.PeerViews() {
 		if v.Member == peer.Self() && (v.Link != "closed" || v.State != "alive") {

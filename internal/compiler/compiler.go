@@ -93,9 +93,8 @@ func CompileClass(cf *classfile.ClassFile) (Stats, error) {
 // re-encode. Because every pipeline filter ahead of the compiler is
 // architecture-independent and the compiler only appends to the
 // constant pool, the result is byte-identical to running the full
-// pipeline with the DVM architecture — which is what makes the
-// compiled form a shareable, attestable cluster artifact (the proxy's
-// AOT code cache, proxy.AOTConfig, plugs this in as Compile).
+// pipeline with the DVM architecture (internal/eval's
+// TestCompileArtifactDerivesThePipeline holds every corpus class to it).
 func CompileArtifact(base []byte) ([]byte, error) {
 	cf, err := classfile.Parse(base)
 	if err != nil {

@@ -28,27 +28,7 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata/pipeline_gold
 // compiler.CompileArtifact(base).
 func TestPipelineGoldenArtifacts(t *testing.T) {
 	const path = "testdata/pipeline_golden.txt"
-	specs := append(workload.Benchmarks(), workload.Applets()...)
-	for _, s := range workload.Benchmarks() {
-		if s.Package == "cassowary" {
-			s.Package = "launch00"
-			specs = append(specs, s)
-		}
-	}
-	apps, err := GenerateAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := map[string][]byte{}
-	var names []string
-	for _, app := range apps {
-		for name, raw := range app.Classes {
-			classes[name] = raw
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
+	names, classes := servePathCorpus(t)
 	dvm, base := ServicePipeline(StandardPolicy(), true), ServicePipeline(StandardPolicy(), false)
 	sum := func(b []byte) string { h := sha256.Sum256(b); return fmt.Sprintf("%x", h[:16]) }
 	var got bytes.Buffer
@@ -70,6 +50,34 @@ func TestPipelineGoldenArtifacts(t *testing.T) {
 		fmt.Fprintf(&got, "%s %s %s %s\n", name, sum(d), sum(b), sum(c))
 	}
 	compareGolden(t, path, got.Bytes())
+}
+
+// servePathCorpus is the serve-path benchmark's corpus (Benchmarks +
+// Applets + one renamed Cassowary launch app, seed 0): the classes by
+// name, and their names sorted.
+func servePathCorpus(t *testing.T) ([]string, map[string][]byte) {
+	t.Helper()
+	specs := append(workload.Benchmarks(), workload.Applets()...)
+	for _, s := range workload.Benchmarks() {
+		if s.Package == "cassowary" {
+			s.Package = "launch00"
+			specs = append(specs, s)
+		}
+	}
+	apps, err := GenerateAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := map[string][]byte{}
+	var names []string
+	for _, app := range apps {
+		for name, raw := range app.Classes {
+			classes[name] = raw
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names, classes
 }
 
 // compareGolden fails with the first differing line, so a mismatch names

@@ -122,12 +122,12 @@ func TestReplicaGroupRejectsEmpty(t *testing.T) {
 }
 
 // TestReplicaGroupStatsSumsEveryCounter: the group's Stats is the sum of
-// its replicas' for every counter, the AOT code cache's included — a
-// hand-kept list of fields to add had dropped CompileHits and
-// CompileMisses, so the round-robin baseline reported zero compilations.
+// its replicas' for every counter — a hand-kept list of fields to add had
+// once dropped two, so the round-robin baseline reported zero of them.
+// The workload misses and hits on every replica.
 func TestReplicaGroupStatsSumsEveryCounter(t *testing.T) {
 	g, err := NewReplicaGroup(replicaCorpus(t), 2, func(int) proxy.Config {
-		return proxy.Config{Pipeline: ServicePipeline(StandardPolicy(), true), CacheEnabled: true, AOTBaseArch: "jvm"}
+		return proxy.Config{Pipeline: ServicePipeline(StandardPolicy(), true), CacheEnabled: true}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,18 +144,18 @@ func TestReplicaGroupStatsSumsEveryCounter(t *testing.T) {
 	for i := 0; i < g.Size(); i++ {
 		s := g.Replica(i).Stats()
 		want.Requests += s.Requests
-		want.CompileHits += s.CompileHits
-		want.CompileMisses += s.CompileMisses
+		want.CacheHits += s.CacheHits
+		want.OriginFetches += s.OriginFetches
 		want.ProxyTime += s.ProxyTime
 	}
 	got := g.Stats()
-	if want.CompileMisses == 0 || want.CompileHits == 0 {
-		t.Fatalf("replicas counted %d compile misses and %d hits; the workload should produce both", want.CompileMisses, want.CompileHits)
+	if want.OriginFetches == 0 || want.CacheHits == 0 {
+		t.Fatalf("replicas counted %d origin fetches and %d cache hits; the workload should produce both", want.OriginFetches, want.CacheHits)
 	}
-	if got.Requests != want.Requests || got.CompileMisses != want.CompileMisses ||
-		got.CompileHits != want.CompileHits || got.ProxyTime != want.ProxyTime {
-		t.Errorf("group Stats requests/compile misses/compile hits/proxy time = %d/%d/%d/%v, replicas summed %d/%d/%d/%v",
-			got.Requests, got.CompileMisses, got.CompileHits, got.ProxyTime,
-			want.Requests, want.CompileMisses, want.CompileHits, want.ProxyTime)
+	if got.Requests != want.Requests || got.OriginFetches != want.OriginFetches ||
+		got.CacheHits != want.CacheHits || got.ProxyTime != want.ProxyTime {
+		t.Errorf("group Stats requests/origin fetches/cache hits/proxy time = %d/%d/%d/%v, replicas summed %d/%d/%d/%v",
+			got.Requests, got.OriginFetches, got.CacheHits, got.ProxyTime,
+			want.Requests, want.OriginFetches, want.CacheHits, want.ProxyTime)
 	}
 }

@@ -39,7 +39,6 @@ type Artifact struct {
 // of the peer batch protocol.
 const (
 	SourceOrigin = "origin" // fetched and transformed here
-	SourceDerive = "derive" // compiled here from the cached base artifact
 	SourceDisk   = "disk"   // reloaded from the disk tier
 
 	ReasonFill    = "fill"    // served by the key's owner on a miss
@@ -269,18 +268,6 @@ func (d *Cursor) Finish() error {
 	return d.err
 }
 
-// SealMode says what a fleet variant must do with the payload to
-// re-derive an artifact and vote on it.
-type SealMode string
-
-const (
-	// SealTransform: the payload is origin bytes; run the pipeline.
-	SealTransform SealMode = ""
-	// SealCompile: the payload is the base-architecture artifact; run
-	// the AOT compiler.
-	SealCompile SealMode = "compile"
-)
-
 // Fleet is what a proxy needs from the cluster it is a member of
 // (implemented by *cluster.Node; nil = standalone). A miss asks the
 // fleet first, and an artifact produced here is sealed by the fleet —
@@ -292,7 +279,7 @@ type Fleet interface {
 	// control name who asked.
 	Fill(ctx context.Context, l Lookup) PeerResult
 	// Seal cross-checks an artifact this node produced against ring
-	// successors — each re-derives it from payload under mode — and
+	// successors — each re-derives it from payload, the origin bytes — and
 	// returns the sealed attestation on agreement. An error fails the
 	// flight: a node never serves bytes its own fleet outvoted. A nil
 	// attestation with a nil error means the fleet does not attest.
@@ -301,7 +288,7 @@ type Fleet interface {
 	// key's other owners that lack one, asynchronously; that work must not
 	// read art.Att, which the proxy sets after Seal returns, nor art.Data,
 	// which may live in a recycled buffer: it copies what it sends.
-	Seal(ctx context.Context, art *Artifact, payload []byte, mode SealMode) (*attest.Attestation, error)
+	Seal(ctx context.Context, art *Artifact, payload []byte) (*attest.Attestation, error)
 }
 
 // PeerResult is the outcome of Fleet.Fill. Art set (its Source is

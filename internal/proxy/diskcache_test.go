@@ -3,6 +3,7 @@ package proxy_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,6 +168,41 @@ func TestDiskProbeRunsOncePerFlight(t *testing.T) {
 	}
 }
 
+// sealFleet is a one-node fleet that owns every key and seals with the
+// function.
+type sealFleet func(*proxy.Artifact) (*attest.Attestation, error)
+
+func (sealFleet) Fill(context.Context, proxy.Lookup) proxy.PeerResult { return proxy.PeerResult{} }
+func (f sealFleet) Seal(_ context.Context, art *proxy.Artifact, _ []byte) (*attest.Attestation, error) {
+	return f(art)
+}
+
+// TestSealFailureFailsFlight: a node never keeps or serves bytes its
+// fleet did not seal. When the seal round fails, the request returns the
+// fleet's error, the failure is counted, and the artifact reaches
+// neither the memory store nor the disk tier.
+func TestSealFailureFailsFlight(t *testing.T) {
+	dir := t.TempDir()
+	wantErr := errors.New("fleet outvoted the local pipeline")
+	p := proxy.New(origin(t), proxy.Config{
+		Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true, DiskCacheDir: dir,
+		Fleet: sealFleet(func(*proxy.Artifact) (*attest.Attestation, error) { return nil, wantErr }),
+	})
+	_, err := p.Request(context.Background(), proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/Main"})
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("Request returned %v, want it to wrap %v", err, wantErr)
+	}
+	if got := p.Telemetry().CounterValues()["attest_failures_total"]; got != 1 {
+		t.Errorf("attest_failures_total = %d, want 1", got)
+	}
+	if p.Peek("dvm", "app/Main") != nil {
+		t.Error("the unsealed artifact is resident")
+	}
+	if files, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(files) != 0 {
+		t.Errorf("the disk tier holds %v (%v), want nothing", files, err)
+	}
+}
+
 // TestDiskCacheDiscardsTamperedEntry: bytes that no longer match their
 // seal are discarded and counted on load, never served — the class is
 // re-derived from the origin instead.
@@ -175,9 +211,9 @@ func TestDiskCacheDiscardsTamperedEntry(t *testing.T) {
 	auth := attest.New(attest.Config{Key: []byte("disk-test-key")})
 	cfg := proxy.Config{
 		Pipeline: rewrite.NewPipeline(verifier.Filter()), CacheEnabled: true, DiskCacheDir: dir,
-		Fleet: sealFleet{proxy.SealTransform: func(a *proxy.Artifact) (*attest.Attestation, error) {
+		Fleet: sealFleet(func(a *proxy.Artifact) (*attest.Attestation, error) {
 			return auth.Attest(a.Arch, a.Class, a.Data, 1, nil), nil
-		}},
+		}),
 	}
 	lookup := proxy.Lookup{Client: "c", Arch: "dvm", Class: "app/Dep"}
 	first, err := proxy.New(origin(t), cfg).Request(context.Background(), lookup)
@@ -219,8 +255,7 @@ func TestDiskCacheDiscardsTamperedEntry(t *testing.T) {
 // file it writes truncated at any byte, or never written at all — must
 // reload as a miss or as exactly what was saved. Bytes that come back
 // without their seal, or a verification-failure replacement that comes
-// back as a plain class, would be served (and fed to the AOT compiler)
-// as something they are not.
+// back as a plain class, would be served as something they are not.
 func TestTornSaveNeverChangesWhatLoads(t *testing.T) {
 	bad := classgen.NewClass("bad/A", "java/lang/Object")
 	bad.Method(classfile.AccPublic|classfile.AccStatic, "run", "()I").Return() // declares ()I, returns void
@@ -231,9 +266,9 @@ func TestTornSaveNeverChangesWhatLoads(t *testing.T) {
 	org := origin(t)
 	org["bad/A"] = badBytes
 	auth := attest.New(attest.Config{Key: []byte("torn-save-key")})
-	sealed := sealFleet{proxy.SealTransform: func(a *proxy.Artifact) (*attest.Attestation, error) {
+	sealed := sealFleet(func(a *proxy.Artifact) (*attest.Attestation, error) {
 		return auth.Attest(a.Arch, a.Class, a.Data, 1, nil), nil
-	}}
+	})
 	for _, tc := range []struct {
 		name, class string
 		fleet       proxy.Fleet

@@ -5,13 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dvm/internal/attest"
-	"dvm/internal/compiler"
 	"dvm/internal/resilience"
 	"dvm/internal/rewrite"
 	"dvm/internal/telemetry"
@@ -61,11 +59,9 @@ type resolved struct {
 	// buf, when set, is the recycled buffer art.Data lives in (a peer
 	// fill's answer frame, or output transformed while caching is off).
 	buf *[]byte
-	// payload is what a fleet variant needs to re-derive art under mode:
-	// the origin bytes, or the base artifact. Unused for a peer fill,
-	// which arrives sealed.
+	// payload is what a fleet variant re-derives art from: the origin
+	// bytes. Unused for a peer fill, which arrives sealed.
 	payload []byte
-	mode    SealMode
 	// retain puts art in the store: always for an artifact produced
 	// here, only for hot keys when a peer filled it.
 	retain bool
@@ -75,7 +71,7 @@ type resolved struct {
 // or an error ends the walk. Each records what the waiters' audit
 // records need (peer, timings) in the flight.
 var sources = [...]func(*Proxy, context.Context, *telemetry.Trace, *flight, Lookup) (resolved, error){
-	(*Proxy).fromPeer, (*Proxy).fromBase, (*Proxy).fromOrigin,
+	(*Proxy).fromPeer, (*Proxy).fromOrigin,
 }
 
 // runFlight is the miss path, run by one worker goroutine per flight
@@ -297,7 +293,6 @@ func (p *Proxy) fromPeer(ctx context.Context, tr *telemetry.Trace, f *flight, l 
 	case res.Art != nil:
 		p.m.PeerFetches.Inc()
 		p.m.PeerHits.Inc()
-		p.countCompileHit(l.Arch) // the owner paid the compilation
 		f.stale, f.peer = res.Stale, res.Peer
 	case res.Err != nil:
 		p.m.PeerFetches.Inc()
@@ -306,34 +301,6 @@ func (p *Proxy) fromPeer(ctx context.Context, tr *telemetry.Trace, f *flight, l 
 		p.m.OwnerFetches.Inc()
 	}
 	return resolved{art: res.Art, buf: res.Frame, retain: res.CacheLocal}, nil
-}
-
-// fromBase is the shared AOT code cache: a miss for the compiled
-// architecture whose base-architecture artifact is resident is answered
-// by compiling those bytes — the origin fetch and the pipeline run were
-// paid once, under the base key. A rejected base is skipped: the
-// replacement class is architecture-independent and the next source
-// reproduces it exactly. A base the compiler cannot consume also falls
-// through.
-func (p *Proxy) fromBase(_ context.Context, tr *telemetry.Trace, f *flight, l Lookup) (resolved, error) {
-	if p.cfg.AOTBaseArch == "" || l.Arch != compiler.ArchDVM {
-		return resolved{}, nil
-	}
-	base := p.Peek(p.cfg.AOTBaseArch, l.Class)
-	if base == nil || base.Rejected {
-		return resolved{}, nil
-	}
-	span := tr.StartSpan(p.cfg.Node, "aot.derive")
-	out, err := compiler.CompileArtifact(base.Data)
-	f.proxyTime = span.End()
-	p.m.Pipeline.Observe(f.proxyTime)
-	if err != nil {
-		log.Printf("proxy: aot: deriving %s from cached %s artifact: %v", l.Class, base.Arch, err)
-		return resolved{}, nil
-	}
-	p.m.CompileMisses.Inc()
-	art := &Artifact{Arch: l.Arch, Class: l.Class, Data: out, Source: SourceDerive}
-	return resolved{art: art, payload: base.Data, mode: SealCompile, retain: true}, nil
 }
 
 // fromOrigin is the paper's path: fetch the original bytes (deadline,
@@ -383,10 +350,6 @@ func (p *Proxy) fromOrigin(ctx context.Context, tr *telemetry.Trace, f *flight, 
 		return resolved{}, err
 	case rejected:
 		p.m.Rejections.Inc()
-	case p.cfg.AOTBaseArch != "" && l.Arch == compiler.ArchDVM:
-		// The compile step ran inside the pipeline (no resident base to
-		// derive from).
-		p.m.CompileMisses.Inc()
 	}
 	art := &Artifact{Arch: l.Arch, Class: l.Class, Data: out, Rejected: rejected, Source: SourceOrigin}
 	return resolved{art: art, buf: buf, payload: raw, retain: true}, nil
@@ -422,17 +385,13 @@ func (p *Proxy) seal(ctx context.Context, tr *telemetry.Trace, r resolved) error
 	if p.cfg.Fleet == nil {
 		return nil
 	}
-	stage := "attest.quorum"
-	if r.mode == SealCompile {
-		stage = "attest.compile"
-	}
-	span := tr.StartSpan(p.cfg.Node, stage)
-	att, err := p.cfg.Fleet.Seal(ctx, r.art, r.payload, r.mode)
+	span := tr.StartSpan(p.cfg.Node, "attest.quorum")
+	att, err := p.cfg.Fleet.Seal(ctx, r.art, r.payload)
 	switch {
 	case err != nil:
 		p.m.Attest.Observe(span.End())
 		p.m.AttestFailures.Inc()
-		return fmt.Errorf("proxy: attesting %s (%s): %w", r.art.Class, stage, err)
+		return fmt.Errorf("proxy: attesting %s (attest.quorum): %w", r.art.Class, err)
 	case att != nil:
 		p.m.Attest.Observe(span.End())
 		p.m.Attested.Inc()
@@ -457,31 +416,22 @@ func (p *Proxy) flightError(f *flight, err error) {
 	p.m.FetchErrors.Inc()
 }
 
-// Derive re-derives the artifact for (arch, class) from payload under
-// mode and reports whether it is a rejection replacement: the variant half
-// of a seal round. It touches neither the cache nor the origin; the
-// dispatching owner supplies the payload — raw origin bytes for a
-// transform, already transformed base-architecture bytes for a
-// compilation, so a corrupt compiler (or memory) on either side shows up
-// as divergence exactly like a corrupt pipeline does. A transform appends
-// to dst (a recycled buffer); a compilation returns fresh bytes.
-func (p *Proxy) Derive(ctx context.Context, dst []byte, arch, class string, payload []byte, mode SealMode) (out []byte, rejected bool, err error) {
-	switch {
-	case mode == SealTransform:
-		return p.transform(dst, telemetry.FromContext(ctx), Lookup{Arch: arch, Class: class}, payload)
-	case mode != SealCompile || p.cfg.AOTBaseArch == "" || arch != compiler.ArchDVM:
-		return nil, false, fmt.Errorf("proxy: not configured to derive %q in mode %q", arch, mode)
-	}
-	out, err = compiler.CompileArtifact(payload)
-	return out, false, err
+// Derive re-derives the artifact for (arch, class) from the origin bytes
+// in payload and reports whether it is a rejection replacement: the
+// variant half of a seal round. It touches neither the cache nor the
+// origin; the dispatching owner supplies the payload, so a corrupt
+// pipeline (or memory) on either side shows up as divergence. The output
+// is appended to dst (a recycled buffer).
+func (p *Proxy) Derive(ctx context.Context, dst []byte, arch, class string, payload []byte) (out []byte, rejected bool, err error) {
+	return p.transform(dst, telemetry.FromContext(ctx), Lookup{Arch: arch, Class: class}, payload)
 }
 
-// TransformDigest is the digest of a transform-mode Derive, encoded into
+// TransformDigest is the digest of Derive's output, encoded into
 // a recycled buffer and dropped once hashed.
 func (p *Proxy) TransformDigest(ctx context.Context, arch, class string, raw []byte) (attest.Sum, error) {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	out, _, err := p.Derive(ctx, (*buf)[:0], arch, class, raw, SealTransform)
+	out, _, err := p.Derive(ctx, (*buf)[:0], arch, class, raw)
 	if err != nil {
 		return attest.Sum{}, err
 	}

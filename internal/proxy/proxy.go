@@ -19,8 +19,8 @@
 // onto it — one leader does the work, followers wait and share the
 // result, still counting as requests with their own audit records.
 // resolve asks an ordered list of sources: the fleet (Config.Fleet —
-// the key's ring owner already holds the transformed bytes), the AOT
-// derivation from a cached base artifact, the origin plus the pipeline.
+// the key's ring owner already holds the transformed bytes), then the
+// origin plus the pipeline.
 // What a source produced on this node is sealed by the fleet and
 // published to the store and the key's replicas exactly once.
 //
@@ -171,18 +171,6 @@ type Config struct {
 	// slot before it is shed (default 1s when admission is enabled).
 	QueueDeadline time.Duration
 
-	// AOTBaseArch, when set, turns the compiler's output into a shared
-	// derived artifact: a miss for compiler.ArchDVM whose AOTBaseArch
-	// artifact (the pipeline output without the compile step, e.g.
-	// "jvm") is resident is answered by compiler.CompileArtifact over
-	// those bytes — no origin fetch, no pipeline run. Every filter ahead
-	// of the compiler is architecture-independent, so the result is
-	// byte-identical to the full pipeline's, and it caches, replicates
-	// and seals (SealCompile) like any other artifact. Ignored unless the
-	// pipeline's last filter is the compiler: a derived key would
-	// otherwise have two byte forms.
-	AOTBaseArch string
-
 	// OnAudit receives the audit trail (central administration console).
 	OnAudit func(RequestRecord)
 }
@@ -287,15 +275,9 @@ type Stats struct {
 	// divergence, no quorum).
 	Attested       int64
 	AttestFailures int64
-	// CompileHits counts AOT-arch artifacts served without a local
-	// compilation (cache hit or peer fill); CompileMisses counts local
-	// compilations — a cheap derivation from the cached base artifact,
-	// or a full pipeline run when no base was resident.
-	CompileHits   int64
-	CompileMisses int64
-	BytesIn       int64
-	BytesOut      int64
-	ProxyTime     time.Duration
+	BytesIn        int64
+	BytesOut       int64
+	ProxyTime      time.Duration
 	// Breaker is the origin circuit-breaker snapshot.
 	Breaker resilience.BreakerCounts
 }
@@ -337,8 +319,6 @@ type metrics struct {
 	FlightsAbandoned  *telemetry.Counter `metric:"flights_abandoned_total"`
 	Attested          *telemetry.Counter `metric:"attested_keys_total"`
 	AttestFailures    *telemetry.Counter `metric:"attest_failures_total"`
-	CompileHits       *telemetry.Counter `metric:"compile_hits_total"`
-	CompileMisses     *telemetry.Counter `metric:"compile_misses_total"`
 	// Batch-warm ingestion (replica push, handoff — one path, one set of
 	// counters).
 	Warmed      *telemetry.Counter `metric:"warm_entries_total"`
@@ -378,9 +358,6 @@ func New(origin Origin, cfg Config) *Proxy {
 	}
 	if cfg.Pipeline == nil {
 		cfg.Pipeline = rewrite.NewPipeline()
-	}
-	if fs := cfg.Pipeline.Filters(); len(fs) == 0 || fs[len(fs)-1].Name() != compiler.FilterName {
-		cfg.AOTBaseArch = "" // nothing to derive: the pipeline never compiles
 	}
 	if cfg.MaxQueue > 0 {
 		if cfg.MaxConcurrent <= 0 {
@@ -568,7 +545,6 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 		art, fresh := p.store.get(key)
 		if fresh {
 			p.m.CacheHits.Inc()
-			p.countCompileHit(l.Arch) // a resident compiled artifact: nobody compiles anything
 			return art, nil, RequestRecord{RequestInfo: RequestInfo{
 				CacheHit: true, Rejected: art.Rejected, Attestation: art.Att}}, nil
 		}
@@ -582,7 +558,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 	if f, ok := p.flights[key]; ok {
 		f.waiters++
 		p.flightMu.Unlock()
-		return p.awaitFlight(ctx, tr, key, f, l.Arch, false)
+		return p.awaitFlight(ctx, tr, key, f, false)
 	}
 	// First request for this key: start the flight, a context detached
 	// from this client. The client's disconnect must not fail the other
@@ -600,15 +576,7 @@ func (p *Proxy) serve(ctx context.Context, tr *telemetry.Trace, l Lookup) (*Arti
 		budget = time.Until(dl)
 	}
 	go p.runFlight(f, tr, key, l, stale, budget)
-	return p.awaitFlight(ctx, tr, key, f, l.Arch, true)
-}
-
-// countCompileHit counts a compiled-architecture artifact served
-// without compiling anything here (Stats.CompileHits).
-func (p *Proxy) countCompileHit(arch string) {
-	if p.cfg.AOTBaseArch != "" && arch == compiler.ArchDVM {
-		p.m.CompileHits.Inc()
-	}
+	return p.awaitFlight(ctx, tr, key, f, true)
 }
 
 // leaveFlight drops one waiter from a flight. The last waiter to leave
@@ -639,7 +607,7 @@ func (p *Proxy) leaveFlight(key string, f *flight) {
 // trace; a follower's wait is a "queue.wait" span, because coalescing
 // trades duplicated work for queueing delay and the trace shows exactly
 // how much.
-func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string, f *flight, arch string, leader bool) (*Artifact, *flight, RequestRecord, error) {
+func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string, f *flight, leader bool) (*Artifact, *flight, RequestRecord, error) {
 	var wait telemetry.SpanTimer
 	if !leader {
 		wait = tr.StartSpan(p.cfg.Node, "queue.wait")
@@ -688,8 +656,6 @@ func (p *Proxy) awaitFlight(ctx context.Context, tr *telemetry.Trace, key string
 	}
 	if !leader {
 		p.m.Coalesced.Inc()
-	} else if disk {
-		p.countCompileHit(arch)
 	}
 	if f.stale {
 		p.m.StaleServed.Inc()

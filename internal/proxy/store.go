@@ -97,9 +97,8 @@ func (s *store) get(key string) (art *Artifact, fresh bool) {
 }
 
 // peek returns the fresh resident artifact without touching recency or
-// any counter — the read used to find an AOT base without distorting
-// the hotness signal. Stale entries are not returned: deriving from
-// bytes due for revalidation would spread the staleness.
+// any counter, so that looking does not distort the hotness signal.
+// Stale entries are not returned.
 func (s *store) peek(key string) *Artifact {
 	s.mu.Lock()
 	defer s.mu.Unlock()
