@@ -48,17 +48,8 @@ func main() {
 
 	// 3. The client resolves classes through the proxy and runs main.
 	// Its loader checks the service signature before defining anything.
-	loader := p.Loader("quickstart-client", "dvm")
-	vm, err := jvm.New(jvm.FuncLoader(func(name string) ([]byte, error) {
-		data, err := loader.Load(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := signer.VerifyBytes(data); err != nil {
-			return nil, fmt.Errorf("unsigned or tampered class %s: %w", name, err)
-		}
-		return data, nil
-	}), os.Stdout)
+	loader := &signing.RedirectLoader{Signer: signer, Service: p.Loader("quickstart-client", "dvm")}
+	vm, err := jvm.New(loader, os.Stdout)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,8 +9,6 @@ const (
 	AttrExceptions      = "Exceptions"
 	AttrSourceFile      = "SourceFile"
 	AttrLineNumberTable = "LineNumberTable"
-	AttrSynthetic       = "Synthetic"
-	AttrDeprecated      = "Deprecated"
 
 	// AttrDVMReflect is the self-describing reflection attribute added by
 	// the DVM's reflection service (§4.3 of the paper: the verifier was
@@ -19,9 +17,6 @@ const (
 	AttrDVMReflect = "dvm.Reflect"
 	// AttrDVMSignature carries the static services' HMAC signature (§2).
 	AttrDVMSignature = "dvm.Signature"
-	// AttrDVMProfile carries first-use profile data consumed by the
-	// repartitioning optimizer (§5).
-	AttrDVMProfile = "dvm.Profile"
 )
 
 // ExceptionHandler is one entry of a Code attribute's exception table.

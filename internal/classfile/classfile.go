@@ -161,17 +161,6 @@ func (cf *ClassFile) FindMethod(name, desc string) *Member {
 	return nil
 }
 
-// FindField returns the first field with the given name and descriptor,
-// or nil if the class declares no such field.
-func (cf *ClassFile) FindField(name, desc string) *Member {
-	for _, f := range cf.Fields {
-		if cf.MemberName(f) == name && cf.MemberDescriptor(f) == desc {
-			return f
-		}
-	}
-	return nil
-}
-
 // MemberName resolves a member's name through the constant pool.
 func (cf *ClassFile) MemberName(m *Member) string {
 	s, err := cf.Pool.Utf8(m.NameIndex)

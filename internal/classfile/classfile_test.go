@@ -371,3 +371,14 @@ func TestDecodeCodeRejectsMalformed(t *testing.T) {
 		t.Error("over-long Code attribute accepted")
 	}
 }
+
+// FindField returns the first field with the given name and descriptor,
+// or nil if the class declares no such field.
+func (cf *ClassFile) FindField(name, desc string) *Member {
+	for _, f := range cf.Fields {
+		if cf.MemberName(f) == name && cf.MemberDescriptor(f) == desc {
+			return f
+		}
+	}
+	return nil
+}

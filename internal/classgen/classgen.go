@@ -69,22 +69,6 @@ func (b *ClassBuilder) Field(flags uint16, name, desc string) *ClassBuilder {
 	return b
 }
 
-// ConstField adds a static final field with a ConstantValue attribute.
-func (b *ClassBuilder) ConstField(name, desc string, constIdx uint16) *ClassBuilder {
-	m := &classfile.Member{
-		AccessFlags:     classfile.AccPublic | classfile.AccStatic | classfile.AccFinal,
-		NameIndex:       b.cf.Pool.AddUtf8(name),
-		DescriptorIndex: b.cf.Pool.AddUtf8(desc),
-	}
-	payload := []byte{byte(constIdx >> 8), byte(constIdx)}
-	m.Attributes = append(m.Attributes, &classfile.Attribute{
-		NameIndex: b.cf.Pool.AddUtf8(classfile.AttrConstantValue),
-		Info:      payload,
-	})
-	b.cf.Fields = append(b.cf.Fields, m)
-	return b
-}
-
 // Method starts a method body. Abstract/native methods should instead use
 // AbstractMethod.
 func (b *ClassBuilder) Method(flags uint16, name, desc string) *MethodBuilder {

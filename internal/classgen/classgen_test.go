@@ -235,26 +235,6 @@ func TestSwitchBuilders(t *testing.T) {
 	}
 }
 
-func TestConstField(t *testing.T) {
-	b := NewClass("demo/K", "java/lang/Object")
-	idx := b.Pool().AddInteger(1234)
-	b.ConstField("MAGIC", "I", idx)
-	b.DefaultInit()
-	cf := b.MustBuild()
-	f := cf.FindField("MAGIC", "I")
-	if f == nil {
-		t.Fatal("MAGIC field missing")
-	}
-	a := cf.FindAttr(f.Attributes, classfile.AttrConstantValue)
-	if a == nil {
-		t.Fatal("ConstantValue attribute missing")
-	}
-	got, err := classfile.ConstantValueIndex(a)
-	if err != nil || got != idx {
-		t.Errorf("ConstantValueIndex = %d, %v", got, err)
-	}
-}
-
 func TestGeneratedClassReparses(t *testing.T) {
 	b := NewClass("demo/Rich", "java/lang/Object")
 	b.AddInterface("java/lang/Runnable")

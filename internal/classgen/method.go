@@ -262,21 +262,9 @@ func (m *MethodBuilder) ALoad(idx uint16) *MethodBuilder {
 	return m
 }
 
-// IStore/LStore/FStore/DStore/AStore store into a local variable.
+// IStore/AStore store into a local variable.
 func (m *MethodBuilder) IStore(idx uint16) *MethodBuilder {
 	m.load(bytecode.Istore, bytecode.Istore0, idx, 1)
-	return m
-}
-func (m *MethodBuilder) LStore(idx uint16) *MethodBuilder {
-	m.load(bytecode.Lstore, bytecode.Lstore0, idx, 2)
-	return m
-}
-func (m *MethodBuilder) FStore(idx uint16) *MethodBuilder {
-	m.load(bytecode.Fstore, bytecode.Fstore0, idx, 1)
-	return m
-}
-func (m *MethodBuilder) DStore(idx uint16) *MethodBuilder {
-	m.load(bytecode.Dstore, bytecode.Dstore0, idx, 2)
 	return m
 }
 func (m *MethodBuilder) AStore(idx uint16) *MethodBuilder {

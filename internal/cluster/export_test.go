@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dvm/internal/proxy"
 	"dvm/internal/resilience"
 )
 
@@ -125,4 +127,20 @@ func (r *BatchRequest) MarshalBinary() ([]byte, error) {
 	f := r.encode()
 	defer f.free()
 	return f.bytes(), nil
+}
+
+// GossipNow runs one synchronous gossip round (exchange with every
+// non-dead peer, then sweep). Production nodes run rounds on a ticker;
+// manual-mode tests (GossipInterval < 0) call this so membership
+// convergence is deterministic.
+func (n *Node) GossipNow(ctx context.Context) { n.gossipRound(ctx) }
+
+// Cached returns p's resident artifact for (arch, class), or nil, without
+// touching LRU recency or any counter.
+func Cached(p *proxy.Proxy, arch, class string) *proxy.Artifact {
+	arts := p.CacheSnapshot(0, func(a, c string) bool { return a == arch && c == class })
+	if len(arts) == 0 {
+		return nil
+	}
+	return arts[0]
 }

@@ -20,7 +20,8 @@ package cluster
 // disagreement windows close on the data path's timescale.
 //
 // With GossipInterval < 0 no background loop runs: tests drive rounds
-// explicitly with GossipNow (which also sweeps) for determinism.
+// explicitly (GossipNow in export_test.go, which also sweeps) for
+// determinism.
 
 import (
 	"context"
@@ -111,12 +112,6 @@ func (n *Node) gossipRound(ctx context.Context) {
 func (n *Node) sweep() {
 	n.m.Deaths.Add(int64(len(n.mship.SweepSuspects(n.cfg.SuspectTimeout))))
 }
-
-// GossipNow runs one synchronous gossip round (exchange with every
-// non-dead peer, then sweep). Production nodes run this on a ticker;
-// manual-mode tests (GossipInterval < 0) call it directly so membership
-// convergence is deterministic.
-func (n *Node) GossipNow(ctx context.Context) { n.gossipRound(ctx) }
 
 // pokeGossip requests an immediate gossip round (non-blocking; rounds
 // already pending coalesce). Called on epoch mismatches and links

@@ -153,8 +153,8 @@ func TestVoterKeepsItsOwnOutput(t *testing.T) {
 	}
 	for _, class := range classes {
 		owners := lc.Nodes[0].Ring().Owners(cluster.KeyFor("dvm", class), 2)
-		owned := byURL[owners[0]].Proxy().Peek("dvm", class)
-		replica := byURL[owners[1]].Proxy().Peek("dvm", class)
+		owned := cluster.Cached(byURL[owners[0]].Proxy(), "dvm", class)
+		replica := cluster.Cached(byURL[owners[1]].Proxy(), "dvm", class)
 		if owned == nil || replica == nil {
 			t.Fatalf("%s: owner holds %v, replica holds %v", class, owned != nil, replica != nil)
 		}

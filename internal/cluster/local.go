@@ -100,7 +100,8 @@ func (c *LocalCluster) startNode(i int, self string, peers []string) error {
 // AddNode binds a fresh listener and starts one more node, seeded with
 // the given peers (nil = every currently-running node) — a live join.
 // Returns the new node's index. The join propagates by gossip: in
-// manual mode, call the new node's GossipNow to announce it.
+// manual mode, the new node is announced by the first round its test
+// drives.
 func (c *LocalCluster) AddNode(peers []string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -50,7 +50,7 @@ type Config struct {
 	Replication int
 	// GossipInterval is the membership anti-entropy period
 	// (0 = default 500ms; <0 = manual mode: no background goroutines,
-	// tests drive GossipNow / PullHandoff explicitly).
+	// tests drive gossip rounds / PullHandoff explicitly).
 	GossipInterval time.Duration
 	// SuspectTimeout is how long an unrefuted suspect survives before
 	// being declared dead and dropped from the ring (0 = default 3s).

@@ -64,7 +64,7 @@ func walkOrigin(t *testing.T) proxy.MapOrigin {
 // resident returns the transformed bytes the node holds for class.
 func resident(t *testing.T, n *Node, class string) []byte {
 	t.Helper()
-	art := n.Proxy().Peek("dvm", class)
+	art := Cached(n.Proxy(), "dvm", class)
 	if art == nil {
 		t.Fatalf("%s not resident", class)
 	}
@@ -156,7 +156,7 @@ func TestFillTakesOnlyTheFillFromAnOldOwner(t *testing.T) {
 	if got, want := declined.Load(), fills.Load(); want != 2 || got != want {
 		t.Errorf("%d of %d fill requests declined the piggyback, want 2 of 2", got, want)
 	}
-	if n.Proxy().Peek(rejBase, "app/Successor") != nil {
+	if Cached(n.Proxy(), rejBase, "app/Successor") != nil {
 		t.Error("the piggybacked successor was cached")
 	}
 	counters := n.Proxy().Telemetry().CounterValues()
@@ -361,7 +361,7 @@ func TestBatchRejectsMalformedRequests(t *testing.T) {
 	if err := ballot.UnmarshalBinary(answer); resp.StatusCode != http.StatusOK || err != nil || ballot.Vote == nil {
 		t.Errorf("well-formed vote: status %d, %v, ballot %v; want 200 and a ballot", resp.StatusCode, err, ballot.Vote)
 	}
-	if n.Proxy().Peek("dvm", "app/Pushed") != nil {
+	if Cached(n.Proxy(), "dvm", "app/Pushed") != nil {
 		t.Error("a refused frame's entry reached the cache")
 	}
 }
@@ -636,7 +636,7 @@ func TestLonePrefetchAnswerIsNotCached(t *testing.T) {
 	if res.Err == nil || res.Art != nil || res.Frame != nil {
 		t.Errorf("fill answered by a lone prefetch entry = %+v, want an error and no frame", res)
 	}
-	if n.Proxy().Peek("dvm", "app/B") != nil {
+	if Cached(n.Proxy(), "dvm", "app/B") != nil {
 		t.Error("the lone prefetch entry was cached: it aliases the recycled read buffer")
 	}
 }
@@ -703,7 +703,7 @@ func TestPushEntriesReportsAcceptedCount(t *testing.T) {
 	if got := pusher.pushEntries(context.Background(), srv.URL, entries); got != 1 {
 		t.Errorf("pushEntries = %d accepted, want 1", got)
 	}
-	if n.Proxy().Peek("dvm", "app/X") == nil {
+	if Cached(n.Proxy(), "dvm", "app/X") == nil {
 		t.Error("accepted entry not stored")
 	}
 }

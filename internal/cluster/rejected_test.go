@@ -181,7 +181,7 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 			nodes := rejFleet(t, Config{Replication: 2})
 			class := drawClass(t, nodes[0], "bad/", nodes[1].Self())
 			rejRequest(t, nodes[1].Proxy(), rejBase, class)
-			waitUntil(t, "the replica to land", func() bool { return nodes[0].Proxy().Peek(rejBase, class) != nil })
+			waitUntil(t, "the replica to land", func() bool { return Cached(nodes[0].Proxy(), rejBase, class) != nil })
 			return nodes[0].Proxy(), class, nil
 		}},
 		{"kept by voter", true, func(t *testing.T) (*proxy.Proxy, string, *proxy.Result) {
@@ -220,7 +220,7 @@ func TestRejectedSurvivesEveryPath(t *testing.T) {
 				t.Errorf("the path's own result lost Rejected: %+v", res.Info)
 			}
 			if row.resident {
-				if art := p.Peek(rejBase, class); art == nil || !art.Rejected {
+				if art := Cached(p, rejBase, class); art == nil || !art.Rejected {
 					t.Fatalf("resident artifact = %+v, want Rejected", art)
 				}
 				if hit := rejRequest(t, p, rejBase, class); !hit.Info.CacheHit || !hit.Info.Rejected {

@@ -368,7 +368,7 @@ func TestPeerHopsAskForNoGzip(t *testing.T) {
 			owner := n.Ring().Owner(cluster.KeyFor("dvm", class))
 			for _, o := range lc {
 				if o.Self() == owner {
-					if held := o.Proxy().Peek("dvm", class); held == nil || !bytes.Equal(held.Data, res.Data) {
+					if held := cluster.Cached(o.Proxy(), "dvm", class); held == nil || !bytes.Equal(held.Data, res.Data) {
 						t.Errorf("%s through %s: bytes differ from its owner's", class, n.Self())
 					}
 				}

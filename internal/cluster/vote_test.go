@@ -167,8 +167,8 @@ func TestVoteFallbacksPlaceEveryReplica(t *testing.T) {
 				t.Fatalf("the ring did not move under the owner: owners %v", owners)
 			}
 			for _, o := range owners {
-				pollUntil(t, "a copy at "+o, func() bool { return byURL[o].Proxy().Peek("dvm", class) != nil })
-				got := byURL[o].Proxy().Peek("dvm", class)
+				pollUntil(t, "a copy at "+o, func() bool { return cluster.Cached(byURL[o].Proxy(), "dvm", class) != nil })
+				got := cluster.Cached(byURL[o].Proxy(), "dvm", class)
 				if !bytes.Equal(got.Data, res.Data) || !reflect.DeepEqual(got.Att, res.Art.Att) {
 					t.Errorf("%s holds other bytes or another attestation than the owner serves", o)
 				}
@@ -397,8 +397,8 @@ func TestForgedProposalKeepsNothing(t *testing.T) {
 			t.Errorf("%s: kept %v, digest %.12s (want not kept, %.12s)", name, b.Kept, b.Digest, digest)
 		}
 	}
-	if got := voter.Metrics().ReplicaStored.Load(); got != 0 || voter.Proxy().Peek("dvm", class) != nil {
-		t.Fatalf("forged offers left %d replicas stored, resident %v", got, voter.Proxy().Peek("dvm", class) != nil)
+	if got := voter.Metrics().ReplicaStored.Load(); got != 0 || cluster.Cached(voter.Proxy(), "dvm", class) != nil {
+		t.Fatalf("forged offers left %d replicas stored, resident %v", got, cluster.Cached(voter.Proxy(), "dvm", class) != nil)
 	}
 	offer.Seal = attest.New(attest.Config{Key: key}).SealProposal("dvm", class, "", commit[:], voters)
 	if b := vote(offer); !b.Kept || voter.Metrics().ReplicaStored.Load() != 1 {

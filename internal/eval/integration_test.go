@@ -9,6 +9,7 @@ import (
 	"dvm/internal/jvm"
 	"dvm/internal/monitor"
 	"dvm/internal/proxy"
+	"dvm/internal/resilience"
 	"dvm/internal/security"
 	"dvm/internal/workload"
 )
@@ -113,10 +114,10 @@ func TestFullDistributedDeploymentOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := security.NewRemoteManager(secSrv.URL, "apps")
+	rm := security.NewRemoteManagerWith(secSrv.URL, "apps", security.RemoteOptions{})
 	defer rm.Close()
 	vm.CheckAccess = rm.Manager
-	rs, err := monitor.AttachHTTP(vm, consoleSrv.URL, monitor.ClientInfo{User: "it"}, 32)
+	rs, err := monitor.AttachHTTPWith(vm, consoleSrv.URL, monitor.ClientInfo{User: "it"}, 32, resilience.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

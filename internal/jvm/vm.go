@@ -33,27 +33,6 @@ type FuncLoader func(name string) ([]byte, error)
 // Load implements ClassLoader.
 func (f FuncLoader) Load(name string) ([]byte, error) { return f(name) }
 
-// CompositeLoader tries each loader in order.
-type CompositeLoader []ClassLoader
-
-// Load implements ClassLoader.
-func (cl CompositeLoader) Load(name string) ([]byte, error) {
-	var firstErr error
-	for _, l := range cl {
-		b, err := l.Load(name)
-		if err == nil {
-			return b, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("jvm: class %s not found", name)
-	}
-	return nil, firstErr
-}
-
 // LoadHook observes every class definition; the monolithic client's local
 // verifier and the client-side profiler attach here.
 type LoadHook func(vm *VM, name string, data []byte) error

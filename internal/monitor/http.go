@@ -167,17 +167,12 @@ func (rs *RemoteSession) Dropped() int64 { return rs.dropped.Load() }
 // Breaker exposes the console-hop circuit breaker (diagnostics).
 func (rs *RemoteSession) Breaker() *resilience.Breaker { return rs.hop.Breaker() }
 
-// AttachHTTP handshakes with a console at baseURL and wires the VM's
+// AttachHTTPWith handshakes with a console at baseURL and wires the VM's
 // audit and first-use hooks to it. Events are batched (batchSize ≤ 0
-// means 64). Default resilience settings; see AttachHTTPWith.
-func AttachHTTP(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int) (*RemoteSession, error) {
-	return AttachHTTPWith(vm, baseURL, info, batchSize, resilience.Policy{})
-}
-
-// AttachHTTPWith is AttachHTTP with the console hop's policy: a zero
-// Timeout bounds each handshake and flush at 5 s. A flush makes one
-// attempt whatever p.Retries says: a batch that fails waits in the
-// buffer for the next flush.
+// means 64). p is the console hop's policy (the zero Policy takes the
+// defaults): a zero Timeout bounds each handshake and flush at 5 s. A
+// flush makes one attempt whatever p.Retries says: a batch that fails
+// waits in the buffer for the next flush.
 func AttachHTTPWith(vm *jvm.VM, baseURL string, info ClientInfo, batchSize int, p resilience.Policy) (*RemoteSession, error) {
 	rs := newRemoteSession(baseURL, batchSize, p, 0)
 	body, _ := json.Marshal(wireHandshake{

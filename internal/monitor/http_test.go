@@ -8,6 +8,7 @@ import (
 
 	"dvm/internal/jvm"
 	"dvm/internal/monitor"
+	"dvm/internal/resilience"
 	"dvm/internal/rewrite"
 	"dvm/internal/telemetry"
 )
@@ -23,9 +24,9 @@ func TestHTTPConsoleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := monitor.AttachHTTP(vm, ts.URL, monitor.ClientInfo{User: "netuser", Arch: "dvm"}, 4)
+	rs, err := monitor.AttachHTTPWith(vm, ts.URL, monitor.ClientInfo{User: "netuser", Arch: "dvm"}, 4, resilience.Policy{})
 	if err != nil {
-		t.Fatalf("AttachHTTP: %v", err)
+		t.Fatalf("AttachHTTPWith: %v", err)
 	}
 	if thrown, err := vm.RunMain("app/M", nil); err != nil || thrown != nil {
 		t.Fatalf("%v %v", err, jvm.DescribeThrowable(thrown))
@@ -60,7 +61,7 @@ func TestHTTPConsoleBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := monitor.AttachHTTP(vm, ts.URL, monitor.ClientInfo{}, 100)
+	rs, err := monitor.AttachHTTPWith(vm, ts.URL, monitor.ClientInfo{}, 100, resilience.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestHTTPConsoleRejectsUnknownSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := monitor.AttachHTTP(vm, ts.URL, monitor.ClientInfo{}, 1)
+	good, err := monitor.AttachHTTPWith(vm, ts.URL, monitor.ClientInfo{}, 1, resilience.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,17 +282,3 @@ func (c *faultyConn) Close() error {
 	c.mu.Unlock()
 	return c.Conn.Close()
 }
-
-// MapFetcher adapts an in-memory map to the origin interface without
-// importing the proxy package (test helper for chaos suites that need a
-// netsim-local origin).
-type MapFetcher map[string][]byte
-
-// Fetch implements the origin interface.
-func (m MapFetcher) Fetch(_ context.Context, name string) ([]byte, error) {
-	b, ok := m[name]
-	if !ok {
-		return nil, fmt.Errorf("netsim: %s not found", name)
-	}
-	return bytes.Clone(b), nil
-}

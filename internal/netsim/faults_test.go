@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,19 @@ import (
 	"testing"
 	"time"
 )
+
+// MapFetcher adapts an in-memory map to the origin interface without
+// importing the proxy package.
+type MapFetcher map[string][]byte
+
+// Fetch implements the origin interface.
+func (m MapFetcher) Fetch(_ context.Context, name string) ([]byte, error) {
+	b, ok := m[name]
+	if !ok {
+		return nil, fmt.Errorf("netsim: %s not found", name)
+	}
+	return bytes.Clone(b), nil
+}
 
 // drawSequence records the fault decisions a spec produces over n calls.
 func drawSequence(spec FaultSpec, n int) []string {

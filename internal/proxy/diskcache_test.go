@@ -195,7 +195,7 @@ func TestSealFailureFailsFlight(t *testing.T) {
 	if got := p.Telemetry().CounterValues()["attest_failures_total"]; got != 1 {
 		t.Errorf("attest_failures_total = %d, want 1", got)
 	}
-	if p.Peek("dvm", "app/Main") != nil {
+	if proxy.Cached(p, "dvm", "app/Main") != nil {
 		t.Error("the unsealed artifact is resident")
 	}
 	if files, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(files) != 0 {

@@ -67,13 +67,6 @@ type resolved struct {
 	retain bool
 }
 
-// sources answer a miss, tried in order; the first to return an artifact
-// or an error ends the walk. Each records what the waiters' audit
-// records need (peer, timings) in the flight.
-var sources = [...]func(*Proxy, context.Context, *telemetry.Trace, *flight, Lookup) (resolved, error){
-	(*Proxy).fromPeer, (*Proxy).fromOrigin,
-}
-
 // runFlight is the miss path, run by one worker goroutine per flight
 // under the flight: disk probe, admit, resolve, seal, publish. The result
 // is left in f for the waiters, who emit their own per-request counters
@@ -260,15 +253,17 @@ func (p *Proxy) serveStale(f *flight, key string, stale *Artifact) {
 	p.store.touch(key)
 }
 
-// resolve walks the sources. When they fail and a stale copy exists,
-// the stale copy answers instead (stale-if-error) — unless the origin
-// said the class does not exist, which is a definitive answer, not an
-// outage. A zero result with a nil error means f is already answered.
-func (p *Proxy) resolve(ctx context.Context, tr *telemetry.Trace, f *flight, key string, l Lookup, stale *Artifact) (r resolved, err error) {
-	for _, src := range sources {
-		if r, err = src(p, ctx, tr, f, l); r.art != nil || err != nil {
-			break
-		}
+// resolve asks the fleet, then the origin; the first to return an
+// artifact or an error answers. Each records what the waiters' audit
+// records need (peer, timings) in the flight. When they fail and a stale
+// copy exists, the stale copy answers instead (stale-if-error) — unless
+// the origin said the class does not exist, which is a definitive
+// answer, not an outage. A zero result with a nil error means f is
+// already answered.
+func (p *Proxy) resolve(ctx context.Context, tr *telemetry.Trace, f *flight, key string, l Lookup, stale *Artifact) (resolved, error) {
+	r, err := p.fromPeer(ctx, tr, f, l)
+	if r.art == nil && err == nil {
+		r, err = p.fromOrigin(ctx, tr, f, l)
 	}
 	if err != nil && stale != nil && !errors.Is(err, ErrNotFound) {
 		p.serveStale(f, key, stale)
@@ -281,7 +276,7 @@ func (p *Proxy) resolve(ctx context.Context, tr *telemetry.Trace, f *flight, key
 // fromPeer asks the fleet: a peer-served miss skips both the origin
 // fetch and the pipeline run — the key's owner already paid for them
 // once on behalf of everyone. A failed owner chain falls through to the
-// next source: sharing is lost for this key, availability is not.
+// origin: sharing is lost for this key, availability is not.
 func (p *Proxy) fromPeer(ctx context.Context, tr *telemetry.Trace, f *flight, l Lookup) (resolved, error) {
 	if p.cfg.Fleet == nil {
 		return resolved{}, nil

@@ -18,9 +18,8 @@
 // seal → publish: simultaneous misses for one (arch, class) coalesce
 // onto it — one leader does the work, followers wait and share the
 // result, still counting as requests with their own audit records.
-// resolve asks an ordered list of sources: the fleet (Config.Fleet —
-// the key's ring owner already holds the transformed bytes), then the
-// origin plus the pipeline.
+// resolve asks the fleet (Config.Fleet — the key's ring owner already
+// holds the transformed bytes), then the origin plus the pipeline.
 // What a source produced on this node is sealed by the fleet and
 // published to the store and the key's replicas exactly once.
 //
@@ -487,16 +486,6 @@ func (p *Proxy) Warm(arts []*Artifact) int {
 		}
 	}
 	return stored
-}
-
-// Peek returns the fresh cached artifact for (arch, class) without
-// touching LRU recency or any counter (nil = not resident or due for
-// revalidation).
-func (p *Proxy) Peek(arch, class string) *Artifact {
-	if !p.cfg.CacheEnabled {
-		return nil
-	}
-	return p.store.peek(arch + "\x00" + class)
 }
 
 // UnderPressure reports whether the admission queue is at least half

@@ -96,18 +96,6 @@ func (s *store) get(key string) (art *Artifact, fresh bool) {
 	return ent.art, s.fresh(ent.storedAt)
 }
 
-// peek returns the fresh resident artifact without touching recency or
-// any counter, so that looking does not distort the hotness signal.
-// Stale entries are not returned.
-func (s *store) peek(key string) *Artifact {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ent, ok := s.cache[key]; ok && s.fresh(ent.storedAt) {
-		return ent.art
-	}
-	return nil
-}
-
 // touch restarts the TTL of an entry just served stale, so a down
 // origin is re-probed once per TTL window per key instead of on every
 // request (the breaker bounds the damage regardless; this bounds audit

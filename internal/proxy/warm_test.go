@@ -21,7 +21,7 @@ func TestWarmBatchStoresAllReasons(t *testing.T) {
 		t.Fatalf("stored = %d, want 2", stored)
 	}
 	for _, class := range []string{"app/R", "app/H"} {
-		if p.Peek("x86", class) == nil {
+		if Cached(p, "x86", class) == nil {
 			t.Errorf("%s not cached", class)
 		}
 	}

@@ -168,9 +168,8 @@ func (ed *MethodEditor) PCIndex() bytecode.PCIndex {
 // the original instruction (false — right for entry guards that must not
 // re-run on loop back-edges).
 //
-// Snippet instructions may use relative targets: a Target of
-// RelEnd means "the original instruction at pos" and RelSelf(k) targets
-// the k-th instruction of the snippet itself.
+// A snippet branch's only target is RelEnd: "the original instruction
+// at pos".
 func (ed *MethodEditor) InsertAt(pos int, snippet []bytecode.Inst, captureBranches bool) error {
 	if pos < 0 || pos >= len(ed.Insts) {
 		return fmt.Errorf("rewrite: insert position %d out of range (method has %d instructions)", pos, len(ed.Insts))
@@ -184,14 +183,8 @@ func (ed *MethodEditor) InsertAt(pos int, snippet []bytecode.Inst, captureBranch
 		switch {
 		case t == RelEnd:
 			return pos + k, nil // original instruction, post-shift
-		case t <= relBase:
-			i := relBase - t
-			if i >= k {
-				return 0, fmt.Errorf("rewrite: snippet-relative target %d out of snippet range %d", i, k)
-			}
-			return pos + i, nil
 		case t >= 0:
-			return 0, fmt.Errorf("rewrite: snippet branch target %d must be relative (use RelEnd/RelSelf)", t)
+			return 0, fmt.Errorf("rewrite: snippet branch target %d must be relative (use RelEnd)", t)
 		}
 		return 0, fmt.Errorf("rewrite: snippet branch without target")
 	}
@@ -385,16 +378,8 @@ func (ed *MethodEditor) write(maxStack uint16, stackErr error, attrs []*classfil
 	return nil
 }
 
-// Snippet-relative branch target encoding. Snippets cannot know absolute
-// instruction indices before insertion, so their branches use these
-// sentinels, resolved by InsertAt.
-const (
-	// RelEnd targets the original instruction the snippet was inserted
-	// before (i.e. "skip the rest of the snippet").
-	RelEnd = -1
-	// relBase anchors RelSelf encodings.
-	relBase = -1000
-)
-
-// RelSelf targets the i-th instruction of the snippet itself.
-func RelSelf(i int) int { return relBase - i }
+// RelEnd is a snippet's branch target for the original instruction the
+// snippet was inserted before (i.e. "skip the rest of the snippet").
+// Snippets cannot know absolute instruction indices before insertion, so
+// InsertAt resolves this sentinel.
+const RelEnd = -1

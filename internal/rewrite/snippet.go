@@ -28,9 +28,6 @@ func NewSnippet(pool *classfile.ConstPool) *Snippet {
 // Insts returns the accumulated instructions.
 func (s *Snippet) Insts() []bytecode.Inst { return s.insts }
 
-// Len returns the number of instructions so far (useful for RelSelf).
-func (s *Snippet) Len() int { return len(s.insts) }
-
 func (s *Snippet) emit(in bytecode.Inst) *Snippet {
 	if !in.Op.IsBranch() && !in.Op.IsSwitch() {
 		in.Target = -1

@@ -208,15 +208,10 @@ type RemoteManager struct {
 	version int64
 }
 
-// NewRemoteManager builds a manager against a security server at
-// baseURL with default resilience settings and starts the invalidation
+// NewRemoteManagerWith builds a manager against a security server at
+// baseURL with the given per-hop deadline, retry, and breaker settings
+// (zero RemoteOptions take the defaults) and starts the invalidation
 // poller.
-func NewRemoteManager(baseURL, sid string) *RemoteManager {
-	return NewRemoteManagerWith(baseURL, sid, RemoteOptions{})
-}
-
-// NewRemoteManagerWith is NewRemoteManager with explicit per-hop
-// deadline, retry, and breaker settings.
 func NewRemoteManagerWith(baseURL, sid string, opts RemoteOptions) *RemoteManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	rm := &RemoteManager{

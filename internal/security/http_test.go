@@ -17,7 +17,7 @@ func TestRemoteManagerFetchAndCache(t *testing.T) {
 	ts := httptest.NewServer(vs.Handler())
 	defer ts.Close()
 
-	rm := NewRemoteManager(ts.URL, "apps")
+	rm := NewRemoteManagerWith(ts.URL, "apps", RemoteOptions{})
 	defer rm.Close()
 	if !rm.allowed("property.get", "user.name") {
 		t.Fatal("allowed check failed over HTTP")
@@ -40,7 +40,7 @@ func TestRemoteManagerInvalidationPush(t *testing.T) {
 	ts := httptest.NewServer(vs.Handler())
 	defer ts.Close()
 
-	rm := NewRemoteManager(ts.URL, "apps")
+	rm := NewRemoteManagerWith(ts.URL, "apps", RemoteOptions{})
 	defer rm.Close()
 	if !rm.allowed("file.open", "/tmp/x") {
 		t.Fatal("initial policy should allow")
@@ -70,7 +70,7 @@ func TestRemoteManagerInvalidationPush(t *testing.T) {
 func TestRemoteManagerFailsClosedWhenServerGone(t *testing.T) {
 	vs := NewVersionedServer(NewServer(testPolicy(t)))
 	ts := httptest.NewServer(vs.Handler())
-	rm := NewRemoteManager(ts.URL, "apps")
+	rm := NewRemoteManagerWith(ts.URL, "apps", RemoteOptions{})
 	defer rm.Close()
 	ts.Close() // server vanishes before the first fetch
 	if rm.allowed("property.get", "user.name") {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -487,4 +488,355 @@ func importAlias(f *ast.File, pkg string) string {
 		return pkg
 	}
 	return ""
+}
+
+// exportAllowlist names the exported identifiers TestExportedCallerLint
+// lets stand without a caller, each with the open ROADMAP item that will
+// give it one. An entry the lint no longer flags fails it too.
+var exportAllowlist = map[string]string{
+	"monitor.OpcodeProfile":            "ROADMAP 8c: superinstructions chosen from the monitor's opcode profile",
+	"monitor.FormatProfile":            "ROADMAP 8c: superinstructions chosen from the monitor's opcode profile",
+	"monitor.Collector.FirstUseOrders": "ROADMAP 21a: bundle answers in first-use order",
+	"optimize.Profile.ClassOrder":      "ROADMAP 21a: bundle answers in first-use order",
+}
+
+// TestExportedCallerLint is the dead-export check: every exported
+// top-level func, type, var and const in non-test internal/ code, and
+// every exported method of an exported type, has a caller. A name is
+// used when non-test code in internal/, cmd/, examples/ or bench/ refers
+// to it (a bare identifier in its own package, pkg.Name elsewhere), or a
+// _test.go file in another package directory does: test-support APIs
+// live in non-test files because Go shares no _test.go file across
+// packages. A method's receiver is no use of its type. A method counts as used when any .Name selector appears,
+// which is conservative; methods an interface in the scanned code names,
+// and those of the standard interfaces in stdlibMethods, are exempt.
+func TestExportedCallerLint(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	violations, err := lintExportedCallers(root, exportAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(violations) > 0 {
+		t.Fatalf("export-lint: delete an exported name nobody calls, move a test-only one into its package's export_test.go, or allowlist it with the ROADMAP item that will call it\n  %s",
+			strings.Join(violations, "\n  "))
+	}
+}
+
+// stdlibMethods are methods standard-library interfaces call (fmt,
+// errors, io, net/http, encoding, context, sort), which no declared
+// interface in this module names.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Read": true, "Write": true, "Close": true,
+	"ServeHTTP": true, "MarshalText": true, "UnmarshalText": true, "MarshalBinary": true,
+	"UnmarshalBinary": true, "Header": true, "WriteHeader": true, "Deadline": true,
+	"Done": true, "Err": true, "Value": true, "Len": true, "Less": true, "Swap": true,
+}
+
+// exportedName is one exported declaration of a package under internal/.
+type exportedName struct {
+	key    string // pkg.Name, or pkg.Type.Method
+	dir    string // the package's directory
+	pos    token.Pos
+	method string // the method's name; "" for a package-level name
+	ref    string // import path + "." + name, as used records it
+}
+
+type lintedFile struct {
+	f    *ast.File
+	dir  string
+	test bool
+}
+
+// lintExportedCallers parses the module under root (import path "dvm")
+// and reports each exported name under internal/ with no caller, each
+// allowlisted name that has one, and each allowlisted name that is gone.
+func lintExportedCallers(root string, allow map[string]string) ([]string, error) {
+	fset := token.NewFileSet()
+	var files []lintedFile
+	pkgNames := make(map[string]string) // import path → package name
+	for _, top := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.Walk(filepath.Join(root, top), func(path string, info os.FileInfo, err error) error {
+			if err != nil {
+				if os.IsNotExist(err) {
+					return nil
+				}
+				return err
+			}
+			if info.IsDir() {
+				// bench/out holds bench/run.sh's binary and Go caches.
+				if info.Name() == "testdata" || path == filepath.Join(root, "bench", "out") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			lf := lintedFile{f: f, dir: filepath.ToSlash(rel), test: strings.HasSuffix(path, "_test.go")}
+			if !lf.test {
+				pkgNames["dvm/"+lf.dir] = f.Name.Name
+			}
+			files = append(files, lf)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	var decls []exportedName
+	declared := make(map[token.Pos]bool)
+	exempt := make(map[string]bool)
+	for name := range stdlibMethods {
+		exempt[name] = true
+	}
+	for _, lf := range files {
+		if lf.test {
+			continue
+		}
+		ast.Inspect(lf.f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						exempt[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		if !strings.HasPrefix(lf.dir, "internal/") {
+			continue
+		}
+		pkg, path := lf.f.Name.Name, "dvm/"+lf.dir
+		add := func(id *ast.Ident, key, method string) {
+			declared[id.Pos()] = true
+			if id.IsExported() {
+				decls = append(decls, exportedName{key: key, dir: lf.dir, pos: id.Pos(), method: method, ref: path + "." + id.Name})
+			}
+		}
+		for _, d := range lf.f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, pkg+"."+d.Name.Name, "")
+				} else if recv := receiverType(d.Recv.List[0].Type); recv != "" && ast.IsExported(recv) {
+					add(d.Name, pkg+"."+recv+"."+d.Name.Name, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, pkg+"."+s.Name.Name, "")
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id, pkg+"."+id.Name, "")
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := make(map[string]bool)                  // import path + "." + name
+	selInCode := make(map[string]bool)             // .Name selectors in non-test files
+	selInTests := make(map[string]map[string]bool) // .Name → directories of the test files it appears in
+	for _, lf := range files {
+		imports := make(map[string]string) // local name → import path
+		for _, imp := range lf.f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if !strings.HasPrefix(path, "dvm/") {
+				continue
+			}
+			name := pkgNames[path]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = path
+		}
+		own := "dvm/" + lf.dir
+		var inspect func(n ast.Node) bool
+		inspect = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// A receiver names its type without using it.
+				ast.Inspect(n.Type, inspect)
+				if n.Body != nil {
+					ast.Inspect(n.Body, inspect)
+				}
+				return false
+			case *ast.SelectorExpr:
+				name := n.Sel.Name
+				if lf.test {
+					if selInTests[name] == nil {
+						selInTests[name] = make(map[string]bool)
+					}
+					selInTests[name][lf.dir] = true
+				} else {
+					selInCode[name] = true
+				}
+				if x, ok := n.X.(*ast.Ident); ok {
+					// A test in the package's own directory is no caller.
+					if path, ok := imports[x.Name]; ok && !(lf.test && path == own) {
+						used[path+"."+name] = true
+					}
+				}
+				ast.Inspect(n.X, inspect)
+				return false
+			case *ast.Ident:
+				if !lf.test && !declared[n.Pos()] {
+					used[own+"."+n.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(lf.f, inspect)
+	}
+
+	flagged := make(map[string]bool)
+	var out []string
+	for _, d := range decls {
+		if d.method != "" {
+			if exempt[d.method] || selInCode[d.method] {
+				continue
+			}
+			other := false
+			for dir := range selInTests[d.method] {
+				other = other || dir != d.dir
+			}
+			if other {
+				continue
+			}
+		} else if used[d.ref] {
+			continue
+		}
+		flagged[d.key] = true
+		if _, ok := allow[d.key]; !ok {
+			pos := fset.Position(d.pos)
+			rel, _ := filepath.Rel(root, pos.Filename)
+			out = append(out, fmt.Sprintf("%s:%d: %s has no caller outside its package's tests", filepath.ToSlash(rel), pos.Line, d.key))
+		}
+	}
+	var stale []string
+	for key, why := range allow {
+		if !flagged[key] {
+			stale = append(stale, fmt.Sprintf("allowlist: %s (%s) is not an uncalled export; drop the entry", key, why))
+		}
+	}
+	sort.Strings(stale)
+	return append(out, stale...), nil
+}
+
+// receiverType is the type name of a method's receiver: T in T, *T,
+// T[P] and *T[P].
+func receiverType(expr ast.Expr) string {
+	for {
+		switch e := expr.(type) {
+		case *ast.StarExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.IndexListExpr:
+			expr = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// TestExportedCallerLintDetects proves the rule has teeth on a planted
+// tree: an export nobody calls, one only its own package's test calls,
+// an uncalled method and a type named only by its methods' receivers are
+// flagged; one another package's test calls, one its own package uses, a
+// method a declared interface names and a standard one are not; and an
+// allowlist entry silences a flagged name but fails once the name has a
+// caller.
+func TestExportedCallerLintDetects(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"internal/alpha/alpha.go": `package alpha
+
+const Used = 1
+
+func Unused() {}
+
+func OwnTestOnly() {}
+
+func OtherTestOnly() {}
+
+func Helper() int { return Used }
+
+type Thing struct{}
+
+func (Thing) Hidden()        {}
+func (Thing) String() string { return "" }
+func (Thing) Dead()          {}
+
+type Lonely int
+
+func (l Lonely) String() string { return "" }
+`,
+		"internal/alpha/alpha_test.go": `package alpha
+
+func callOwn() { OwnTestOnly(); Thing{}.Dead() }
+`,
+		"internal/beta/beta.go": `package beta
+
+import a "dvm/internal/alpha"
+
+type hider interface{ Hidden() }
+
+var _ hider = a.Thing{}
+
+func run() int { return a.Helper() }
+`,
+		"internal/beta/beta_test.go": `package beta
+
+import "dvm/internal/alpha"
+
+func callOther() { alpha.OtherTestOnly() }
+`,
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		allow map[string]string
+		want  []string
+	}{
+		{"no allowlist", nil, []string{"alpha.go:5: alpha.Unused has no caller", "alpha.go:7: alpha.OwnTestOnly has no caller", "alpha.go:17: alpha.Thing.Dead has no caller", "alpha.go:19: alpha.Lonely has no caller"}},
+		{"allowlisted", map[string]string{"alpha.Unused": "item 1"}, []string{"alpha.OwnTestOnly has no caller", "alpha.Thing.Dead has no caller", "alpha.Lonely has no caller"}},
+		{"stale entry", map[string]string{"alpha.OtherTestOnly": "item 1"}, []string{"alpha.Unused has no caller", "alpha.OwnTestOnly has no caller", "alpha.Thing.Dead has no caller", "alpha.Lonely has no caller", "allowlist: alpha.OtherTestOnly (item 1) is not an uncalled export"}},
+	} {
+		got, err := lintExportedCallers(root, tc.allow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: lintExportedCallers flagged %d names, want %d:\n  %s", tc.name, len(got), len(tc.want), strings.Join(got, "\n  "))
+		}
+		for i, want := range tc.want {
+			if !strings.Contains(got[i], want) {
+				t.Errorf("%s: violation %d = %q, want it to mention %q", tc.name, i, got[i], want)
+			}
+		}
+	}
 }
